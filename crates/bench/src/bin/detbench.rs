@@ -21,35 +21,21 @@
 //!
 //! With `--pta` the harness instead runs the pointer-analysis precision
 //! workload (`BENCH_pta.json` feedstock): baseline vs fact-injected vs
-//! specialized solves over the Table 1 corpus, measured with both the
-//! naive reference solver (`before`) and the delta-propagating bitset
-//! solver (`after`) at a budget (`PTA_COMPARE_BUDGET`) where the
-//! uninjected baseline reaches a real fixpoint. The precision metrics it
-//! gates are deterministic (propagation work, call-graph shape), so
-//! `--pta --check` gates exactly — injected must complete wherever
-//! specialized does, the baseline must keep reaching its fixpoint, its
-//! precision must stay within `--max-regress` of specialized, and its
-//! work must not regress against the checked-in baseline. Wall time is
-//! reported per row (`wall_ms`, `work_per_sec`) but only gated
-//! *relatively*: in release builds the delta solver must sustain at
-//! least 1.5x the reference solver's same-run throughput:
+//! specialized solves over the Table 1 corpus (`after`) at a budget
+//! (`PTA_COMPARE_BUDGET`) where the uninjected baseline reaches a real
+//! fixpoint, plus injection-only vs injection+shortcut solves at the
+//! tight Table 1 budget (`shortcuts`). The precision metrics it gates are
+//! deterministic (propagation work, call-graph shape), so `--pta --check`
+//! gates exactly — injected must complete wherever specialized does, the
+//! baseline must keep reaching its fixpoint, its precision must stay
+//! within `--max-regress` of specialized, and its work must not regress
+//! against the checked-in baseline. Wall time is reported per row
+//! (`wall_ms`, `work_per_sec`) but not gated:
 //!
 //! ```console
 //! $ cargo run --release -p mujs-bench --bin detbench -- --pta --out BENCH_pta.json
 //! $ cargo run --release -p mujs-bench --bin detbench -- --pta --check BENCH_pta.json --max-regress 0.1
 //! ```
-//!
-//! `--pta` also measures the epoch-sharded parallel solver: the
-//! `--threads` list (default `1,2,8`) produces a `threads` scaling
-//! section — the uninjected baseline solve per corpus version at each
-//! thread count — with a result-identity check (export digests must
-//! agree across thread counts, the parallel solver's determinism
-//! contract) and a same-run scaling gate: at least 1.8x the
-//! single-thread throughput at 8 threads on the non-trivial versions.
-//! The scaling gate needs hardware parallelism to be measurable, so it
-//! arms only in release builds on hosts with 8+ CPUs (`host_cpus` is
-//! recorded in the JSON so a baseline file documents where it was
-//! produced); the identity check runs everywhere.
 
 use determinacy::{AnalysisConfig, DetHarness, RunHooks};
 use mujs_corpus::{evalbench, jquery_like, workload};
@@ -96,8 +82,6 @@ fn main() {
     let mut max_regress = 0.25f64;
     let mut iters = 3usize;
     let mut pta = false;
-    let mut threads: Vec<usize> = vec![1, 2, 8];
-    let mut shards: Vec<usize> = vec![16, 32, 64];
     let mut spec_depth: Option<usize> = None;
     let mut i = 0;
     while i < args.len() {
@@ -129,32 +113,6 @@ fn main() {
                         .unwrap_or_else(|_| usage("--spec-depth wants an integer")),
                 )
             }
-            "--threads" => {
-                threads = need(&mut i)
-                    .split(',')
-                    .map(|t| {
-                        t.trim()
-                            .parse()
-                            .unwrap_or_else(|_| usage("--threads wants a comma-separated list"))
-                    })
-                    .collect();
-                if threads.is_empty() {
-                    usage("--threads wants at least one thread count");
-                }
-            }
-            "--shards" => {
-                shards = need(&mut i)
-                    .split(',')
-                    .map(|t| {
-                        t.trim()
-                            .parse()
-                            .unwrap_or_else(|_| usage("--shards wants a comma-separated list"))
-                    })
-                    .collect();
-                if shards.is_empty() {
-                    usage("--shards wants at least one shard count");
-                }
-            }
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown argument `{other}`")),
         }
@@ -167,8 +125,6 @@ fn main() {
             out_path.as_deref(),
             check_path.as_deref(),
             max_regress,
-            &threads,
-            &shards,
             spec_depth,
         );
         return;
@@ -222,37 +178,20 @@ fn usage(problem: &str) -> ! {
         eprintln!("error: {problem}");
     }
     eprintln!(
-        "usage: detbench [--pta] [--threads N,N,...] [--shards N,N,...]\n\
-         \x20               [--spec-depth N] [--out FILE]\n\
+        "usage: detbench [--pta] [--spec-depth N] [--out FILE]\n\
          \x20               [--label L] [--iters N] [--check BASELINE.json]\n\
          \x20               [--max-regress F]\n\
          \n\
-         \x20 --spec-depth N  specializer context-depth bound (default 4). Unlike\n\
-         \x20                 --threads this changes results, so baselines produced\n\
-         \x20                 at different depths are not comparable"
+         \x20 --spec-depth N  specializer context-depth bound (default 4). This\n\
+         \x20                 changes results, so baselines produced at\n\
+         \x20                 different depths are not comparable"
     );
     std::process::exit(2);
 }
 
 #[derive(Debug, Serialize)]
-struct PtaSolverRows {
-    solver: &'static str,
+struct PtaCompareRows {
     rows: Vec<mujs_bench::pipeline::PtaCompareRow>,
-}
-
-#[derive(Debug, Serialize)]
-struct PtaThreadsSection {
-    threads: usize,
-    rows: Vec<mujs_bench::pipeline::PtaScaleRow>,
-}
-
-#[derive(Debug, Serialize)]
-struct PtaShardsSection {
-    shards: usize,
-    /// The epoch-sharded driver needs >= 2 threads (or provenance) to
-    /// engage; the sweep pins this so the shard knob is what varies.
-    threads: usize,
-    rows: Vec<mujs_bench::pipeline::PtaScaleRow>,
 }
 
 #[derive(Debug, Serialize)]
@@ -267,105 +206,34 @@ struct ShortcutSection {
 struct PtaMeasurement {
     label: String,
     mode: &'static str,
-    /// CPUs visible to the measuring host — the scaling rows are only
-    /// meaningful where this covers the largest thread count.
-    host_cpus: usize,
     budget: u64,
-    /// The naive reference solver (pre-optimization algorithm).
-    before: PtaSolverRows,
-    /// The delta-propagating bitset solver.
-    after: PtaSolverRows,
-    /// Thread-scaling study: the baseline solve per version at each
-    /// requested thread count (epoch-sharded solver for counts >= 2).
-    threads: Vec<PtaThreadsSection>,
-    /// Shard-count sweep: the baseline solve of the non-trivial versions
-    /// at each requested shard count (2 threads), identity-checked
-    /// against the first shard count.
-    shards: Vec<PtaShardsSection>,
+    /// Baseline vs injected vs specialized at `budget`.
+    after: PtaCompareRows,
     /// Shortcut comparison: injection-only vs injection+summaries at the
     /// Table 1 budget.
     shortcuts: ShortcutSection,
 }
 
 /// The `--pta` workload: three-way solver comparison over the Table 1
-/// corpus, measured with both the reference ("before") and the
-/// delta-propagating ("after") solver, with a deterministic `--check`
-/// gate plus a same-run relative throughput gate (release only).
+/// corpus plus the shortcut comparison, with a deterministic `--check`
+/// gate.
 fn run_pta(
     label: &str,
     out_path: Option<&str>,
     check_path: Option<&str>,
     max_regress: f64,
-    thread_counts: &[usize],
-    shard_counts: &[usize],
     spec_depth: Option<usize>,
 ) {
     let budget = mujs_bench::pipeline::PTA_COMPARE_BUDGET;
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let solve_all = |solver| -> Vec<_> {
-        mujs_corpus::jquery_like::all_versions()
+    let after = PtaCompareRows {
+        rows: mujs_corpus::jquery_like::all_versions()
             .iter()
             .map(|v| {
-                mujs_bench::pipeline::run_pta_compare_with(v, budget, solver, spec_depth)
+                mujs_bench::pipeline::run_pta_compare_with(v, budget, spec_depth)
                     .expect("pta compare runs")
             })
-            .collect()
+            .collect(),
     };
-
-    // Thread-scaling study: each version's baseline program solved at
-    // every requested thread count; digests collected per (thread,
-    // version) for the cross-thread result-identity check.
-    let cases = mujs_bench::pipeline::pta_scale_cases().expect("scale cases prepare");
-    let mut digests: Vec<Vec<u64>> = Vec::new();
-    let threads: Vec<PtaThreadsSection> = thread_counts
-        .iter()
-        .map(|&t| {
-            let mut section_digests = Vec::new();
-            let rows = cases
-                .iter()
-                .map(|c| {
-                    let (row, digest) = mujs_bench::pipeline::pta_scale_solve(c, budget, t);
-                    section_digests.push(digest);
-                    row
-                })
-                .collect();
-            digests.push(section_digests);
-            PtaThreadsSection { threads: t, rows }
-        })
-        .collect();
-
-    // Shard-count sweep: the non-trivial versions re-solved at each
-    // requested shard count under the epoch-sharded driver (2 threads —
-    // the smallest count that engages it). Shards are the unit of
-    // determinism, so every count must reproduce the same export.
-    let sweep_cases: Vec<&mujs_bench::pipeline::PtaScaleCase> = cases
-        .iter()
-        .enumerate()
-        .filter(|(ci, _)| threads.first().is_some_and(|s| s.rows[*ci].work >= 100_000))
-        .map(|(_, c)| c)
-        .collect();
-    let mut shard_digests: Vec<Vec<u64>> = Vec::new();
-    let shards: Vec<PtaShardsSection> = shard_counts
-        .iter()
-        .map(|&s| {
-            let mut section_digests = Vec::new();
-            let rows = sweep_cases
-                .iter()
-                .map(|c| {
-                    let (row, digest) =
-                        mujs_bench::pipeline::pta_scale_solve_sharded(c, budget, 2, s);
-                    section_digests.push(digest);
-                    row
-                })
-                .collect();
-            shard_digests.push(section_digests);
-            PtaShardsSection {
-                shards: s,
-                threads: 2,
-                rows,
-            }
-        })
-        .collect();
 
     // Shortcut comparison at the tight Table 1 budget.
     let shortcut_budget = mujs_bench::pipeline::TABLE1_PTA_BUDGET;
@@ -383,18 +251,8 @@ fn run_pta(
     let m = PtaMeasurement {
         label: label.to_owned(),
         mode: MODE,
-        host_cpus,
         budget,
-        before: PtaSolverRows {
-            solver: "reference",
-            rows: solve_all(mujs_bench::pipeline::PtaSolverKind::Reference),
-        },
-        after: PtaSolverRows {
-            solver: "delta",
-            rows: solve_all(mujs_bench::pipeline::PtaSolverKind::Delta),
-        },
-        threads,
-        shards,
+        after,
         shortcuts,
     };
     let json = serde_json::to_string_pretty(&m).expect("pta measurement serializes");
@@ -406,10 +264,10 @@ fn run_pta(
         None => println!("{json}"),
     }
     let mut failed = false;
-    for (r, b) in m.after.rows.iter().zip(&m.before.rows) {
+    for r in &m.after.rows {
         eprintln!(
             "  pta {:<6} sites={:<4} base: ok={} work={} poly={} {:>6.1}ms {:>5.1}M/s \
-             (ref {:>7.1}ms)  inj: ok={} work={}  spec: ok={} work={}",
+             inj: ok={} work={}  spec: ok={} work={}",
             r.version,
             r.injected_sites,
             r.baseline.ok,
@@ -417,7 +275,6 @@ fn run_pta(
             r.baseline.poly_sites,
             r.baseline.wall_ms,
             r.baseline.work_per_sec / 1e6,
-            b.baseline.wall_ms,
             r.injected.ok,
             r.injected.work,
             r.specialized.ok,
@@ -450,45 +307,6 @@ fn run_pta(
                 r.version
             );
             failed = true;
-        }
-        // Same-run relative throughput: wall clocks are machine-dependent,
-        // but the delta/reference ratio on the same machine moments apart
-        // is robust. Gate only non-trivial workloads, release builds only.
-        if MODE == "release" && r.baseline.work >= 100_000 && b.baseline.work_per_sec > 0.0 {
-            let ratio = r.baseline.work_per_sec / b.baseline.work_per_sec;
-            if ratio < 1.5 {
-                eprintln!(
-                    "FAIL: {} — delta solver only {ratio:.2}x reference throughput",
-                    r.version
-                );
-                failed = true;
-            }
-        }
-    }
-    for section in &m.threads {
-        for r in &section.rows {
-            eprintln!(
-                "  pta-scale t={:<2} {:<6} ok={} work={:<8} {:>8.1}ms {:>5.1}M/s",
-                section.threads,
-                r.version,
-                r.ok,
-                r.work,
-                r.wall_ms,
-                r.work_per_sec / 1e6,
-            );
-        }
-    }
-    for section in &m.shards {
-        for r in &section.rows {
-            eprintln!(
-                "  pta-shards s={:<3} {:<6} ok={} work={:<8} {:>8.1}ms {:>5.1}M/s",
-                section.shards,
-                r.version,
-                r.ok,
-                r.work,
-                r.wall_ms,
-                r.work_per_sec / 1e6,
-            );
         }
     }
     for r in &m.shortcuts.rows {
@@ -530,87 +348,6 @@ fn run_pta(
                 r.version, r.shortcut.avg_points_to, r.injected.avg_points_to
             );
             failed = true;
-        }
-    }
-    // Shard-count determinism: every shard count must reproduce the
-    // first shard count's work and export digest per version. Gated
-    // unconditionally — this is what makes `shards` safe to leave out
-    // of cache keys.
-    for (ci, case) in sweep_cases.iter().enumerate() {
-        for (si, section) in m.shards.iter().enumerate() {
-            let r = &section.rows[ci];
-            let r0 = &m.shards[0].rows[ci];
-            if r.work != r0.work || shard_digests[si][ci] != shard_digests[0][ci] {
-                eprintln!(
-                    "FAIL: {} — results diverge between {} and {} shards \
-                     (work {} vs {}, digest {:#x} vs {:#x})",
-                    case.version,
-                    m.shards[0].shards,
-                    section.shards,
-                    r0.work,
-                    r.work,
-                    shard_digests[0][ci],
-                    shard_digests[si][ci],
-                );
-                failed = true;
-            }
-        }
-    }
-    // Determinism contract: every thread count must produce the same
-    // work count and the same export digest per version. This holds on
-    // any host — it is what makes `threads` safe to leave out of cache
-    // keys — so it is gated unconditionally.
-    for (ci, case) in cases.iter().enumerate() {
-        for (si, section) in m.threads.iter().enumerate() {
-            let r = &section.rows[ci];
-            let r0 = &m.threads[0].rows[ci];
-            if r.work != r0.work || digests[si][ci] != digests[0][ci] {
-                eprintln!(
-                    "FAIL: {} — results diverge between {} and {} threads \
-                     (work {} vs {}, digest {:#x} vs {:#x})",
-                    case.version,
-                    m.threads[0].threads,
-                    section.threads,
-                    r0.work,
-                    r.work,
-                    digests[0][ci],
-                    digests[si][ci],
-                );
-                failed = true;
-            }
-        }
-    }
-    // Scaling gate: the epoch-sharded solver must actually buy
-    // throughput where hardware parallelism exists. Wall clocks need a
-    // release build and enough real CPUs to host the largest thread
-    // count, and the ratio is only meaningful on versions with
-    // non-trivial baseline work.
-    let one = m.threads.iter().find(|s| s.threads == 1);
-    let eight = m.threads.iter().find(|s| s.threads == 8);
-    if let (Some(one), Some(eight)) = (one, eight) {
-        if MODE == "release" && host_cpus >= 8 {
-            for (r1, r8) in one.rows.iter().zip(&eight.rows) {
-                if r1.work < 100_000 || r1.work_per_sec <= 0.0 {
-                    continue;
-                }
-                let ratio = r8.work_per_sec / r1.work_per_sec;
-                eprintln!(
-                    "  pta-scale gate {:<6} 8t/1t throughput {ratio:.2}x",
-                    r1.version
-                );
-                if ratio < 1.8 {
-                    eprintln!(
-                        "FAIL: {} — 8-thread solver only {ratio:.2}x single-thread throughput",
-                        r1.version
-                    );
-                    failed = true;
-                }
-            }
-        } else {
-            eprintln!(
-                "  pta-scale gate skipped (mode={MODE}, host_cpus={host_cpus}; \
-                 needs release and 8+ CPUs)"
-            );
         }
     }
     if let Some(p) = check_path {

@@ -287,23 +287,10 @@ fn mode_row(r: &mujs_pta::PtaResult, prog: &Program, wall: Duration) -> PtaModeR
     }
 }
 
-/// Which solver implementation a comparison run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PtaSolverKind {
-    /// The delta-propagating bitset solver (production).
-    Delta,
-    /// The naive reference solver (the pre-optimization algorithm, kept
-    /// as the benchmark's "before" and the equivalence-test oracle).
-    Reference,
-}
-
 /// Runs one timed solve and produces its comparison row.
-fn timed_solve(prog: &Program, cfg: &PtaConfig, solver: PtaSolverKind) -> PtaModeRow {
+fn timed_solve(prog: &Program, cfg: &PtaConfig) -> PtaModeRow {
     let t0 = Instant::now();
-    let r = match solver {
-        PtaSolverKind::Delta => mujs_pta::solve(prog, cfg),
-        PtaSolverKind::Reference => mujs_pta::solve_reference(prog, cfg),
-    };
+    let r = mujs_pta::solve(prog, cfg);
     mode_row(&r, prog, t0.elapsed())
 }
 
@@ -350,7 +337,7 @@ pub struct PtaCompareRow {
 ///
 /// Propagates [`PipelineError`] from [`analyze_page`].
 pub fn run_pta_compare(v: &JQueryLike, pta_budget: u64) -> Result<PtaCompareRow, PipelineError> {
-    run_pta_compare_with(v, pta_budget, PtaSolverKind::Delta, None)
+    run_pta_compare_with(v, pta_budget, None)
 }
 
 /// Ranks the baseline imprecision root causes of `prog` via one
@@ -378,9 +365,8 @@ pub fn root_cause_cols(prog: &Program, budget: u64, top_k: usize) -> Vec<RootCau
         .unwrap_or_default()
 }
 
-/// [`run_pta_compare`] with an explicit solver choice — `detbench --pta`
-/// runs both to produce its before (reference) / after (delta) pair —
-/// and specializer depth override (the `--spec-depth` knob).
+/// [`run_pta_compare`] with a specializer depth override (the
+/// `--spec-depth` knob).
 ///
 /// # Errors
 ///
@@ -388,7 +374,6 @@ pub fn root_cause_cols(prog: &Program, budget: u64, top_k: usize) -> Vec<RootCau
 pub fn run_pta_compare_with(
     v: &JQueryLike,
     pta_budget: u64,
-    solver: PtaSolverKind,
     spec_depth: Option<usize>,
 ) -> Result<PtaCompareRow, PipelineError> {
     let cfg = AnalysisConfig {
@@ -404,23 +389,21 @@ pub fn run_pta_compare_with(
         budget: pta_budget,
         ..Default::default()
     };
-    let baseline = timed_solve(&prog, &base_cfg, solver);
+    let baseline = timed_solve(&prog, &base_cfg);
     let inj_cfg = PtaConfig {
         budget: pta_budget,
         facts: Some(facts),
         ..Default::default()
     };
-    let injected = timed_solve(&prog, &inj_cfg, solver);
+    let injected = timed_solve(&prog, &inj_cfg);
     let spec = mujs_specialize::specialize(
         &prog,
         &analysis.facts,
         &mut analysis.ctxs,
         &spec_config(spec_depth),
     );
-    let specialized = timed_solve(&spec.program, &base_cfg, solver);
-    // Root causes describe the *baseline program's* imprecision, so the
-    // provenance solve always uses the (deterministic) delta solver —
-    // the reference/delta choice above only affects the timed rows.
+    let specialized = timed_solve(&spec.program, &base_cfg);
+    // Root causes describe the *baseline program's* imprecision.
     let root_causes = root_cause_cols(&prog, pta_budget, 3);
 
     Ok(PtaCompareRow {
@@ -483,14 +466,14 @@ pub fn run_shortcut_compare(
         facts: Some(facts.clone()),
         ..Default::default()
     };
-    let injected = timed_solve(&prog, &inj_cfg, PtaSolverKind::Delta);
+    let injected = timed_solve(&prog, &inj_cfg);
     let sc_cfg = PtaConfig {
         budget: pta_budget,
         facts: Some(facts),
         shortcuts: Some(std::sync::Arc::new(sums.summaries.clone())),
         ..Default::default()
     };
-    let shortcut = timed_solve(&prog, &sc_cfg, PtaSolverKind::Delta);
+    let shortcut = timed_solve(&prog, &sc_cfg);
 
     Ok(ShortcutCompareRow {
         version: v.version.to_owned(),
@@ -501,106 +484,6 @@ pub fn run_shortcut_compare(
         injected,
         shortcut,
     })
-}
-
-/// One row of the `--pta` thread-scaling study: the uninjected baseline
-/// solve of one corpus version at one thread count. Work is
-/// deterministic across thread counts (the epoch-sharded solver's
-/// contract); wall time and throughput are the scaling signal.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct PtaScaleRow {
-    /// Corpus version label.
-    pub version: String,
-    /// Completed within budget.
-    pub ok: bool,
-    /// Propagation work (thread-count-independent).
-    pub work: u64,
-    /// Solve wall time in milliseconds (machine-dependent).
-    pub wall_ms: f64,
-    /// Propagation throughput (`work / wall`).
-    pub work_per_sec: f64,
-}
-
-/// A prepared per-version workload for the thread-scaling study. The
-/// dynamic-analysis phase dominates preparation cost, so each version is
-/// analyzed once and its baseline program solved at every thread count.
-#[derive(Debug)]
-pub struct PtaScaleCase {
-    /// Corpus version label.
-    pub version: String,
-    /// The baseline (unspecialized, uninjected) program — the heaviest
-    /// of the three comparison workloads, hence the scaling subject.
-    pub program: Program,
-}
-
-/// Prepares the baseline program of every Table 1 corpus version, using
-/// the same DetDOM analysis configuration as [`run_pta_compare`] so the
-/// scaling rows' `work` matches the comparison rows' baseline `work`.
-///
-/// # Errors
-///
-/// Propagates [`PipelineError`] from [`analyze_page`].
-pub fn pta_scale_cases() -> Result<Vec<PtaScaleCase>, PipelineError> {
-    mujs_corpus::jquery_like::all_versions()
-        .iter()
-        .map(|v| {
-            let cfg = AnalysisConfig {
-                det_dom: true,
-                ..Default::default()
-            };
-            let (h, _) = analyze_page(&v.src, &v.doc, &v.plan, cfg)?;
-            Ok(PtaScaleCase {
-                version: v.version.to_owned(),
-                program: h.program,
-            })
-        })
-        .collect()
-}
-
-/// Solves one prepared scaling case at one thread count. Returns the
-/// timed row plus a digest of the full `export_json` (call graph and
-/// points-to relation), letting the harness assert byte-level result
-/// identity across thread counts without holding every export in memory.
-pub fn pta_scale_solve(case: &PtaScaleCase, pta_budget: u64, threads: usize) -> (PtaScaleRow, u64) {
-    pta_scale_solve_sharded(case, pta_budget, threads, PtaConfig::default().shards)
-}
-
-/// [`pta_scale_solve`] with an explicit shard count — the `--shards`
-/// sweep solves the same workloads at several shard counts and asserts
-/// export-digest identity (shards, like threads, must not move results).
-pub fn pta_scale_solve_sharded(
-    case: &PtaScaleCase,
-    pta_budget: u64,
-    threads: usize,
-    shards: usize,
-) -> (PtaScaleRow, u64) {
-    let cfg = PtaConfig {
-        budget: pta_budget,
-        threads,
-        shards,
-        ..Default::default()
-    };
-    let t0 = Instant::now();
-    let r = mujs_pta::solve(&case.program, &cfg);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let digest = {
-        use std::hash::Hasher;
-        let mut h = mujs_pta::hash::FxHasher::default();
-        h.write(r.export_json().as_bytes());
-        h.finish()
-    };
-    let row = PtaScaleRow {
-        version: case.version.clone(),
-        ok: r.status == PtaStatus::Completed,
-        work: r.stats.propagations,
-        wall_ms,
-        work_per_sec: if wall_ms > 0.0 {
-            r.stats.propagations as f64 / (wall_ms / 1e3)
-        } else {
-            0.0
-        },
-    };
-    (row, digest)
 }
 
 /// One row of the §5.2 eval study.

@@ -101,32 +101,6 @@ impl AdmissionController {
     }
 }
 
-/// Heap cells of admission budget assumed per extra solver thread when
-/// defaulting PTA parallelism: each thread's shard working set (delta
-/// sets, message buffers, insertion logs) is small next to the shared
-/// constraint graph, but a host squeezed for memory gains little from
-/// parallel solves fighting the admission queue, so the default scales
-/// down with the budget rather than pinning every core.
-pub const CELLS_PER_PTA_THREAD: u64 = 250_000;
-
-/// The default PTA solver thread count for a service or batch run: the
-/// host's available parallelism, clamped by the admission memory budget
-/// (one thread per [`CELLS_PER_PTA_THREAD`] declared cells, minimum 1).
-/// `None` — no admission control — uses the full host parallelism.
-///
-/// Purely a performance default: the parallel solver is deterministic,
-/// so any clamp (or operator override) yields identical results.
-pub fn default_pta_threads(mem_budget_cells: Option<u64>) -> usize {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    match mem_budget_cells {
-        None => host,
-        Some(cells) => {
-            let by_mem = (cells / CELLS_PER_PTA_THREAD).max(1) as usize;
-            host.min(by_mem)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,16 +133,6 @@ mod tests {
         assert_eq!(a.granted, Some(60));
         assert_eq!(a.reserved, 60);
         c.release(a);
-    }
-
-    #[test]
-    fn default_pta_threads_clamps_by_memory_budget() {
-        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(default_pta_threads(None), host);
-        // A tiny budget forces sequential solves...
-        assert_eq!(default_pta_threads(Some(1)), 1);
-        // ...and a huge one defers to the host's parallelism.
-        assert_eq!(default_pta_threads(Some(u64::MAX)), host);
     }
 
     #[test]

@@ -147,18 +147,10 @@ pub struct BatchOptions {
     /// report row gains a `pta` object. `None` (the default) skips the
     /// stage entirely and leaves report bytes unchanged.
     pub pta_budget: Option<u64>,
-    /// Solver threads for the PTA stage (0/1 sequential, >= 2 the
-    /// epoch-sharded parallel solver). Never part of the job key or the
-    /// report: results are identical for every value.
-    pub pta_threads: usize,
-    /// Shard count for the PTA stage's epoch-sharded solver (`0` keeps
-    /// the solver default). Like `pta_threads`, never part of the job
-    /// key or the report: exports are identical for every shard count.
-    pub pta_shards: usize,
     /// When set (and a PTA stage runs), each job's program is specialized
     /// first — against its own combined dynamic facts, with this
     /// context-depth bound — and the PTA solves the *specialized*
-    /// program. Unlike `pta_threads` this changes results, so it is part
+    /// program. This changes results, so it is part
     /// of the job key and the `pta` row records it. Ignored without
     /// [`BatchOptions::pta_budget`].
     pub spec_depth: Option<usize>,
@@ -476,9 +468,7 @@ pub fn run_manifest_with(manifest: &Manifest, pool: &JobPool, opts: &BatchOption
             let key = keys[i].clone();
             let admission = &admission;
             let grace = opts.watchdog_grace_ms;
-            let pta = opts
-                .pta_budget
-                .map(|b| (b, opts.pta_threads, opts.pta_shards, opts.spec_depth));
+            let pta = opts.pta_budget.map(|b| (b, opts.spec_depth));
             let job = move |ctx: &JobCtx| -> IsolatedGraph<SpecRun> {
                 let adm = match admission {
                     Some(c) => c.admit(spec.effective_config().mem_cell_budget),
@@ -582,7 +572,7 @@ fn run_spec(
     ctx: &JobCtx,
     adm: &Admission,
     watchdog_grace_ms: Option<u64>,
-    pta: Option<(u64, usize, usize, Option<usize>)>,
+    pta: Option<(u64, Option<usize>)>,
 ) -> (JobStatus, Option<JobOutcome>) {
     let harness = match DetHarness::from_src(&spec.src) {
         Ok(h) => h,
@@ -599,7 +589,7 @@ fn run_spec(
     let doc = DocumentBuilder::new().title(&spec.name).build();
     let plan = EventPlan::new();
     let mut outcome = analyze_seeds(harness, &seeds, cfg, &doc, &plan, ctx);
-    if let Some((budget, threads, shards, spec_depth)) = pta {
+    if let Some((budget, spec_depth)) = pta {
         let row = match spec_depth {
             // The worker still holds the live fact database and context
             // table, so specialization is a local transform here — no
@@ -617,7 +607,7 @@ fn run_spec(
                     &spec_cfg,
                 );
                 ctx.progress("solving pointer analysis".to_owned());
-                let mut row = solve_pta_row(&s.program, budget, threads, shards);
+                let mut row = solve_pta_row(&s.program, budget);
                 // Recorded only when set, so depth-less reports keep
                 // their historical bytes.
                 set_field(&mut row, "spec_depth", Value::Num(depth as f64));
@@ -625,7 +615,7 @@ fn run_spec(
             }
             None => {
                 ctx.progress("solving pointer analysis".to_owned());
-                solve_pta_row(&outcome.program, budget, threads, shards)
+                solve_pta_row(&outcome.program, budget)
             }
         };
         outcome.pta = Some(row);
@@ -640,16 +630,11 @@ fn run_spec(
 
 /// Runs the opt-in baseline PTA stage over a job's lowered program and
 /// renders its report object. Everything in the row is deterministic —
-/// budget-bounded work, canonical call-graph/precision counts — and
-/// independent of the thread and shard counts, so batch reports stay
-/// byte-identical for any `--workers`/`--pta-threads`/`--shards`
-/// combination.
-fn solve_pta_row(program: &mujs_ir::Program, budget: u64, threads: usize, shards: usize) -> Value {
-    let default_shards = mujs_pta::PtaConfig::default().shards;
+/// budget-bounded work, canonical call-graph/precision counts — so batch
+/// reports stay byte-identical for any `--workers` count.
+fn solve_pta_row(program: &mujs_ir::Program, budget: u64) -> Value {
     let cfg = mujs_pta::PtaConfig {
         budget,
-        threads: threads.max(1),
-        shards: if shards == 0 { default_shards } else { shards },
         ..mujs_pta::PtaConfig::default()
     };
     let r = mujs_pta::solve(program, &cfg);

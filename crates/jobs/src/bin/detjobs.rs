@@ -43,8 +43,6 @@ struct Options {
     mem_budget: Option<u64>,
     stats: Option<String>,
     pta_budget: Option<u64>,
-    pta_threads: Option<usize>,
-    pta_shards: Option<usize>,
     spec_depth: Option<usize>,
 }
 
@@ -58,8 +56,7 @@ fn usage(problem: &str) -> ! {
          \x20              [--retries N] [--backoff-ms MS] [--fail-fast]\n\
          \x20              [--watchdog-grace MS] [--mem-budget CELLS]\n\
          \x20              [--checkpoint FILE] [--checkpoint-every N] [--resume FILE]\n\
-         \x20              [--stats FILE] [--pta-budget N] [--pta-threads N]\n\
-         \x20              [--shards N] [--spec-depth N]\n\
+         \x20              [--stats FILE] [--pta-budget N] [--spec-depth N]\n\
          \n\
          \x20 --manifest FILE    JSON job manifest (see DESIGN.md §5c for the format)\n\
          \x20 --dir DIR          one default job per *.js file, sorted by name\n\
@@ -83,19 +80,10 @@ fn usage(problem: &str) -> ! {
          \x20                    solve per job; each report row gains a `pta`\n\
          \x20                    object (off by default; report bytes are\n\
          \x20                    unchanged when off)\n\
-         \x20 --pta-threads N    solver threads for the PTA stage (default: the\n\
-         \x20                    host's available parallelism, clamped by\n\
-         \x20                    --mem-budget; 1 = sequential). The solver is\n\
-         \x20                    deterministic: report bytes and checkpoint keys\n\
-         \x20                    are identical for every N\n\
-         \x20 --shards N         shard count for the PTA stage's epoch-sharded\n\
-         \x20                    solver (default: the solver's built-in count).\n\
-         \x20                    Like --pta-threads it never changes report\n\
-         \x20                    bytes or checkpoint keys\n\
          \x20 --spec-depth N     specialize each job's program (against its own\n\
          \x20                    dynamic facts, context depth bound N) before the\n\
-         \x20                    PTA stage. Unlike --pta-threads this changes\n\
-         \x20                    results, so it is folded into checkpoint keys;\n\
+         \x20                    PTA stage. This changes results, so it is\n\
+         \x20                    folded into checkpoint keys;\n\
          \x20                    requires --pta-budget\n\
          \n\
          exit status:\n\
@@ -128,8 +116,6 @@ fn parse_args() -> Options {
         mem_budget: None,
         stats: None,
         pta_budget: None,
-        pta_threads: None,
-        pta_shards: None,
         spec_depth: None,
     };
     let mut i = 0;
@@ -190,17 +176,6 @@ fn parse_args() -> Options {
             "--pta-budget" => {
                 let v = value(&args, &mut i, "--pta-budget");
                 o.pta_budget = Some(parse_num(&v, "--pta-budget"));
-            }
-            "--pta-threads" => {
-                let v = value(&args, &mut i, "--pta-threads");
-                o.pta_threads = Some(parse_num(&v, "--pta-threads"));
-            }
-            "--shards" => {
-                let v = value(&args, &mut i, "--shards");
-                o.pta_shards = match v.parse() {
-                    Ok(n) if n >= 1 => Some(n),
-                    _ => usage(&format!("--shards wants a positive integer, got `{v}`")),
-                };
             }
             "--spec-depth" => {
                 let v = value(&args, &mut i, "--spec-depth");
@@ -398,10 +373,6 @@ fn main() {
         resume,
         mem_budget_cells: o.mem_budget,
         pta_budget: o.pta_budget,
-        pta_threads: o
-            .pta_threads
-            .unwrap_or_else(|| mujs_jobs::default_pta_threads(o.mem_budget)),
-        pta_shards: o.pta_shards.unwrap_or(0),
         spec_depth: o.spec_depth,
         #[cfg(feature = "fault-inject")]
         chaos: None,

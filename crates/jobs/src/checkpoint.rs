@@ -49,9 +49,7 @@ const VERSION: f64 = 1.0;
 /// The specializer context-depth bound (`--spec-depth`) is folded in only
 /// when a PTA stage runs *and* the bound is set, because it changes the
 /// solved program and hence the row; batches without it keep their
-/// historical keys. The PTA *thread count* is deliberately never part of
-/// the key: the parallel solver is deterministic, so rows are reusable
-/// across any `--pta-threads` setting.
+/// historical keys.
 pub fn job_key(
     spec: &JobSpec,
     batch_mem_budget: Option<u64>,

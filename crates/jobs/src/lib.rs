@@ -48,7 +48,7 @@ pub mod pool;
 pub mod retry;
 pub mod spec;
 
-pub use admission::{default_pta_threads, AdmissionController};
+pub use admission::AdmissionController;
 pub use batch::{
     analyze_many_pooled, run_manifest, run_manifest_with, BatchOptions, BatchOutcome, JobOutcome,
     JobRecord, JobStatus,

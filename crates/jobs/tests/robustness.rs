@@ -246,9 +246,8 @@ fn reports_carry_structured_failure_reasons() {
 }
 
 /// The opt-in PTA stage: enabling it adds a `pta` object to every
-/// completed row, the report stays byte-identical across thread counts
-/// (the parallel solver is deterministic), and leaving it off reproduces
-/// the PTA-less bytes exactly.
+/// completed row, the report stays byte-identical across worker counts,
+/// and leaving it off reproduces the PTA-less bytes exactly.
 #[test]
 fn pta_stage_is_deterministic_and_strictly_opt_in() {
     let m = small_manifest();
@@ -258,37 +257,22 @@ fn pta_stage_is_deterministic_and_strictly_opt_in() {
         "a PTA-less report must not mention the stage"
     );
 
-    let mk_opts = |threads: usize, shards: usize| BatchOptions {
+    let opts = BatchOptions {
         pta_budget: Some(50_000),
-        pta_threads: threads,
-        pta_shards: shards,
         ..Default::default()
     };
-    let seq = run_manifest_with(&m, &JobPool::new(1), &mk_opts(1, 0));
-    let par = run_manifest_with(&m, &JobPool::new(4), &mk_opts(8, 0));
+    let seq = run_manifest_with(&m, &JobPool::new(1), &opts);
+    let par = run_manifest_with(&m, &JobPool::new(4), &opts);
     let seq_report = seq.report_json(true);
     assert_eq!(
         seq_report,
         par.report_json(true),
-        "PTA rows must not depend on worker or solver thread counts"
+        "PTA rows must not depend on the worker count"
     );
     assert!(seq_report.contains("\"pta\""), "{seq_report}");
     assert!(seq_report.contains("\"propagations\""), "{seq_report}");
-    // The shard count is equally unobservable (shards are the epoch
-    // solver's determinism unit): reports are byte-identical across
-    // `--shards`, which is what keeps it out of the checkpoint keys.
-    for shards in [16usize, 32, 64] {
-        let sharded = run_manifest_with(&m, &JobPool::new(2), &mk_opts(2, shards));
-        assert_eq!(
-            seq_report,
-            sharded.report_json(true),
-            "PTA rows must not depend on the shard count (shards={shards})"
-        );
-    }
 
-    // Checkpoint keys fold the budget (stale rows miss when it changes)
-    // but never the thread count (rows are reusable across -pta-threads)
-    // or the shard count — `job_key` has no shard input at all.
+    // Checkpoint keys fold the budget (stale rows miss when it changes).
     let spec = &m.jobs[0];
     assert_ne!(
         job_key(spec, None, Some(50_000), None),
@@ -313,7 +297,6 @@ fn pta_rows_resume_from_checkpoints() {
     let ckpt = dir.join("ck.json");
     let mk_opts = || BatchOptions {
         pta_budget: Some(50_000),
-        pta_threads: 2,
         checkpoint_path: Some(ckpt.clone()),
         ..Default::default()
     };
@@ -324,7 +307,6 @@ fn pta_rows_resume_from_checkpoints() {
         &BatchOptions {
             resume: Some(Checkpoint::load(&ckpt).unwrap()),
             pta_budget: Some(50_000),
-            pta_threads: 8,
             ..Default::default()
         },
     );

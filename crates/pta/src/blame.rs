@@ -26,10 +26,10 @@
 //! and its blame is assigned at that insertion — difference propagation
 //! never revisits it. Online Tarjan collapse drains member blame rows
 //! into the representative (conflicts resolve to the [`Ord`]-least cause,
-//! so merged SCC members share one canonical blame set), and the epoch-
-//! sharded parallel driver threads blame through its insertion logs and
-//! cross-shard messages, keeping blame exports byte-identical for every
-//! thread count (see `crate::parallel`).
+//! so merged SCC members share one canonical blame set). Blame rides the
+//! same sequential schedule as the provenance-free solve, so a
+//! budget-truncated blame export explains exactly the partial result the
+//! plain solve reports.
 //!
 //! [`Base`]: BlameCause::Base
 //! [`Eval`]: BlameCause::Eval
@@ -155,9 +155,7 @@ pub(crate) fn outflow(row: &FastMap<u32, u32>, stamp: u32, obj: u32) -> u32 {
 /// rows are drained), and the per-node outflow stamp.
 #[derive(Debug, Default)]
 pub(crate) struct Provenance {
-    /// Interned causes, indexed by tag id. Interning happens only on the
-    /// driving thread (node creation, seeds, barrier-phase flows), so the
-    /// table is frozen — read-only — during parallel flow phases.
+    /// Interned causes, indexed by tag id.
     pub tags: Vec<BlameCause>,
     tag_ids: FastMap<BlameCause, u32>,
     /// `node → (obj → tag)`, indexed like the solver's set columns.

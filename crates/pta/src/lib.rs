@@ -12,6 +12,13 @@
 //! deterministic propagation-work budget, making the ✓/✗ shape of Table 1
 //! reproducible on any machine.
 //!
+//! One sequential difference-propagating driver ([`solve`]) runs every
+//! configuration — plain, fact-injected, provenance-tracking
+//! ([`blame`]) and shortcut-summarized ([`shortcut`]) — so a
+//! budget-truncated result is the same partial solution whichever side
+//! channels are on. [`solve_reference`] is the naive oracle the
+//! equivalence tests compare it against.
+//!
 //! # Examples
 //!
 //! ```
@@ -28,11 +35,9 @@
 pub mod blame;
 pub mod hash;
 pub mod nodes;
-pub(crate) mod parallel;
 pub mod pts;
 pub mod reference;
 pub mod scc;
-pub(crate) mod shard;
 pub mod shortcut;
 pub mod solver;
 

@@ -191,41 +191,6 @@ impl Pts {
         }
     }
 
-    /// Clears the bits of `mask` inside 64-element block `word`
-    /// (elements `word*64 .. word*64+63`), returning the mask of bits that
-    /// were actually present and removed. The rollback primitive of the
-    /// epoch solver's budget reconciliation: insertion logs record
-    /// `(word, bits)` pairs, so truncating to an exact budget is a walk of
-    /// the log suffix clearing each entry's bits again.
-    pub fn clear_bits(&mut self, word: u32, mask: u64) -> u64 {
-        match &mut self.repr {
-            Repr::Sparse(s) => {
-                let mut hit = 0u64;
-                let mut bits = mask;
-                while bits != 0 {
-                    let b = bits.trailing_zeros();
-                    bits &= bits - 1;
-                    let v = word * 64 + b;
-                    if let Ok(pos) = s.binary_search(&v) {
-                        s.remove(pos);
-                        hit |= 1u64 << b;
-                    }
-                }
-                hit
-            }
-            Repr::Dense { words, len } => {
-                let w = word as usize;
-                if w >= words.len() {
-                    return 0;
-                }
-                let hit = words[w] & mask;
-                words[w] &= !mask;
-                *len -= hit.count_ones();
-                hit
-            }
-        }
-    }
-
     /// Removes every element also in `other`.
     pub fn subtract(&mut self, other: &Pts) {
         match (&mut self.repr, &other.repr) {
@@ -312,127 +277,67 @@ pub fn flow_into(src: &Pts, dst_old: &Pts, dst_delta: &mut Pts, limit: u64) -> (
     (added, false)
 }
 
-/// One insertion-log record of [`flow_into_logged`]: the bits of 64-element
-/// block `word` newly inserted into node `node`'s delta. Entries are
-/// appended in insertion order (ascending words within one flow, ascending
-/// elements within one word), so a log prefix is exactly "the first k
-/// insertions" — the property the epoch solver's budget rollback needs.
+/// One insertion-log record of [`flow_into_limited_logged`]: the bits of
+/// 64-element block `word` newly inserted into the target's delta.
 #[derive(Debug, Clone, Copy)]
 pub struct FlowLogEntry {
-    /// Canonical node id the insertion targeted.
-    pub node: u32,
     /// 64-element block index (element ids `word*64 ..= word*64+63`).
     pub word: u32,
     /// The newly inserted bits of that block (disjoint from every earlier
-    /// entry for the same `(node, word)`: inserts are monotone).
+    /// entry for the same `word`: inserts are monotone).
     pub bits: u64,
 }
 
-/// The number of insertions a log entry records.
-pub fn log_entry_count(e: &FlowLogEntry) -> u64 {
-    u64::from(e.bits.count_ones())
-}
-
-/// The lowest `k` set bits of `bits` (`k` must be ≤ the population count).
-/// Rollback keeps the first `k` insertions of a word-granular log entry;
-/// ascending insertion order makes those exactly the lowest set bits.
-pub fn lowest_set_bits(mut bits: u64, k: u32) -> u64 {
-    let mut kept = 0u64;
-    for _ in 0..k {
-        let b = bits & bits.wrapping_neg();
-        kept |= b;
-        bits ^= b;
-    }
-    kept
-}
-
-/// [`flow_into`] without a limit but with a word-granular insertion log:
-/// every element of `src` in neither `dst_old` nor `dst_delta` is inserted
-/// into `dst_delta` and recorded in `log` (tagged with `target`). Returns
-/// the number of insertions. The epoch solver flows unlimited inside a
-/// flow phase and reconciles against the budget at the barrier, rolling
-/// back a log suffix when the epoch overshot — which keeps the
-/// word-at-a-time fast path *and* element-exact truncation semantics.
-pub fn flow_into_logged(
-    src: &Pts,
-    dst_old: &Pts,
-    dst_delta: &mut Pts,
-    target: u32,
-    log: &mut Vec<FlowLogEntry>,
-) -> u64 {
-    if src.is_empty() {
-        return 0;
-    }
-    // Word-at-a-time fast path (mirrors `flow_into`'s): all dense.
-    if let (Repr::Dense { words: sw, .. }, Repr::Dense { words: ow, .. }) =
-        (&src.repr, &dst_old.repr)
-    {
-        if dst_delta.is_empty() || dst_delta.is_dense() {
-            if !dst_delta.is_dense() {
-                dst_delta.promote();
-            }
-            if let Repr::Dense { words: dw, len } = &mut dst_delta.repr {
-                if dw.len() < sw.len() {
-                    dw.resize(sw.len(), 0);
-                }
-                let mut added = 0u64;
-                for (i, s) in sw.iter().enumerate() {
-                    let o = ow.get(i).copied().unwrap_or(0);
-                    let new = s & !o & !dw[i];
-                    if new != 0 {
-                        added += u64::from(new.count_ones());
-                        dw[i] |= new;
-                        log.push(FlowLogEntry {
-                            node: target,
-                            word: i as u32,
-                            bits: new,
-                        });
-                    }
-                }
-                *len += added as u32;
-                return added;
-            }
-        }
-    }
-    let mut added = 0u64;
-    for v in src.iter() {
-        if !dst_old.contains(v) && dst_delta.insert(v) {
-            log.push(FlowLogEntry {
-                node: target,
-                word: v / 64,
-                bits: 1u64 << (v % 64),
-            });
-            added += 1;
-        }
-    }
-    added
-}
-
-/// [`flow_into`]'s limit semantics *and* [`flow_into_logged`]'s insertion
-/// log: the provenance-tracking sequential path of the solver, which must
-/// stay budget-exact like `flow_into` while still learning exactly which
-/// elements it inserted so blame can be assigned to them. Returns
-/// `(added, truncated)` with `flow_into`'s exact-limit contract.
+/// [`flow_into`]'s limit semantics plus a word-granular insertion log: the
+/// provenance-tracking path of the solver, which must stay budget-exact
+/// like `flow_into` while still learning exactly which elements it
+/// inserted (each recorded in `log`) so blame can be assigned to them.
+/// Returns `(added, truncated)` with `flow_into`'s exact-limit contract.
 pub fn flow_into_limited_logged(
     src: &Pts,
     dst_old: &Pts,
     dst_delta: &mut Pts,
     limit: u64,
-    target: u32,
     log: &mut Vec<FlowLogEntry>,
 ) -> (u64, bool) {
     if src.is_empty() {
         return (0, false);
     }
-    // No truncation possible: defer to the logged fast path.
+    // Word-at-a-time fast path (mirrors `flow_into`'s): no truncation
+    // possible, all dense.
     if limit >= src.len() as u64 {
-        return (
-            flow_into_logged(src, dst_old, dst_delta, target, log),
-            false,
-        );
+        if let (Repr::Dense { words: sw, .. }, Repr::Dense { words: ow, .. }) =
+            (&src.repr, &dst_old.repr)
+        {
+            if dst_delta.is_empty() || dst_delta.is_dense() {
+                if !dst_delta.is_dense() {
+                    dst_delta.promote();
+                }
+                if let Repr::Dense { words: dw, len } = &mut dst_delta.repr {
+                    if dw.len() < sw.len() {
+                        dw.resize(sw.len(), 0);
+                    }
+                    let mut added = 0u64;
+                    for (i, s) in sw.iter().enumerate() {
+                        let o = ow.get(i).copied().unwrap_or(0);
+                        let new = s & !o & !dw[i];
+                        if new != 0 {
+                            added += u64::from(new.count_ones());
+                            dw[i] |= new;
+                            log.push(FlowLogEntry {
+                                word: i as u32,
+                                bits: new,
+                            });
+                        }
+                    }
+                    *len += added as u32;
+                    return (added, false);
+                }
+            }
+        }
     }
-    // Budget-limited path: insert ascending, stop element-exactly
-    // (mirrors `flow_into`'s limited path, logging each insertion).
+    // Element path: insert ascending, stop element-exactly (mirrors
+    // `flow_into`'s limited path, logging each insertion).
     let mut added = 0u64;
     for v in src.iter() {
         if dst_old.contains(v) || dst_delta.contains(v) {
@@ -443,7 +348,6 @@ pub fn flow_into_limited_logged(
         }
         dst_delta.insert(v);
         log.push(FlowLogEntry {
-            node: target,
             word: v / 64,
             bits: 1u64 << (v % 64),
         });
@@ -599,76 +503,15 @@ mod tests {
     }
 
     #[test]
-    fn clear_bits_round_trips_in_both_reprs() {
-        for dense in [false, true] {
-            let mut p = Pts::new();
-            let mut inserted = vec![1u32, 5, 64, 70, 130];
-            if dense {
-                inserted.extend(200..260);
-            }
-            for &v in &inserted {
-                p.insert(v);
-            }
-            assert_eq!(p.is_dense(), dense);
-            // Clear 5 and 70 (+ a bit that was never present).
-            let hit = p.clear_bits(0, (1 << 5) | (1 << 9));
-            assert_eq!(hit, 1 << 5);
-            let hit = p.clear_bits(1, 1 << 6);
-            assert_eq!(hit, 1 << 6);
-            assert!(!p.contains(5) && !p.contains(70));
-            assert!(p.contains(1) && p.contains(64) && p.contains(130));
-            assert_eq!(p.len(), inserted.len() - 2);
-            // Clearing a block past the end is a no-op.
-            assert_eq!(p.clear_bits(1000, u64::MAX), 0);
-        }
-    }
-
-    #[test]
-    fn lowest_set_bits_keeps_an_insertion_prefix() {
-        let bits = (1u64 << 3) | (1 << 17) | (1 << 40) | (1 << 63);
-        assert_eq!(lowest_set_bits(bits, 0), 0);
-        assert_eq!(lowest_set_bits(bits, 1), 1 << 3);
-        assert_eq!(lowest_set_bits(bits, 3), (1 << 3) | (1 << 17) | (1 << 40));
-    }
-
-    #[test]
-    fn logged_flow_matches_unlogged_and_replays_exactly() {
-        // Dense/dense (fast path) and sparse/sparse (element path) both
-        // produce a log that sums to `added` and whose bits reconstruct
-        // the delta change exactly.
-        for scale in [1u32, 7] {
-            let mut src = Pts::new();
-            for v in (0..400).step_by(2) {
-                src.insert(v * scale);
-            }
-            let mut old = Pts::new();
-            for v in (0..400).step_by(3) {
-                old.insert(v * scale);
-            }
-            let mut logged = Pts::new();
-            let mut plain = Pts::new();
-            let mut log = Vec::new();
-            let added = flow_into_logged(&src, &old, &mut logged, 42, &mut log);
-            let (added_plain, _) = flow_into(&src, &old, &mut plain, u64::MAX);
-            assert_eq!(added, added_plain);
-            assert_eq!(
-                logged.iter().collect::<Vec<u32>>(),
-                plain.iter().collect::<Vec<u32>>()
-            );
-            let log_total: u64 = log.iter().map(log_entry_count).sum();
-            assert_eq!(log_total, added);
-            // Rolling the whole log back restores the empty delta.
-            for e in &log {
-                assert_eq!(e.node, 42);
-                assert_eq!(logged.clear_bits(e.word, e.bits), e.bits);
-            }
-            assert!(logged.is_empty());
-        }
-    }
-
-    #[test]
     fn limited_logged_flow_matches_flow_into() {
-        for (limit, dense) in [(49u64, false), (50, false), (200, true), (30, true)] {
+        for (limit, dense) in [
+            (49u64, false),
+            (50, false),
+            (u64::MAX, false),
+            (200, true),
+            (30, true),
+            (u64::MAX, true),
+        ] {
             let mk = |step: usize, n: u32, dense: bool| {
                 let mut p = Pts::new();
                 let scale = if dense { 1 } else { 7 };
@@ -683,15 +526,14 @@ mod tests {
             let mut logged = Pts::new();
             let mut log = Vec::new();
             let want = flow_into(&src, &old, &mut plain, limit);
-            let got = flow_into_limited_logged(&src, &old, &mut logged, limit, 9, &mut log);
+            let got = flow_into_limited_logged(&src, &old, &mut logged, limit, &mut log);
             assert_eq!(got, want, "limit={limit} dense={dense}");
             assert_eq!(
                 logged.iter().collect::<Vec<u32>>(),
                 plain.iter().collect::<Vec<u32>>()
             );
-            let log_total: u64 = log.iter().map(log_entry_count).sum();
+            let log_total: u64 = log.iter().map(|e| u64::from(e.bits.count_ones())).sum();
             assert_eq!(log_total, got.0);
-            assert!(log.iter().all(|e| e.node == 9));
         }
     }
 

@@ -207,7 +207,7 @@ impl<'p> RefSolver<'p> {
             objs: self.objs,
             call_graph: self.call_graph,
             // The oracle checks sets and call graphs, not provenance;
-            // `cfg.provenance` is ignored like `cfg.threads`.
+            // `cfg.provenance` is ignored.
             blame: None,
         }
     }

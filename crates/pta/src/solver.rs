@@ -75,27 +75,13 @@ pub struct PtaConfig {
     /// programs never reach it and run collapse-free; `u64::MAX`
     /// disables collapsing entirely.
     pub scc_interval: u64,
-    /// Solver threads. `0` or `1` runs the classic sequential worklist;
-    /// `≥ 2` runs the epoch-sharded parallel solver (`crate::parallel`),
-    /// whose results — fixpoint sets, exports, call graph, truncation
-    /// point — are schedule-independent: identical for every thread
-    /// count, so the knob never belongs in a cache key.
-    pub threads: usize,
-    /// Shard count of the epoch-sharded parallel solver: nodes partition
-    /// into this many contiguous blocks, each a unit of work and of
-    /// message routing. Shards — not threads — are the unit of
-    /// determinism: results are identical for every thread count at a
-    /// fixed shard count, so like `threads` the knob stays out of cache
-    /// keys (results across *different* shard counts agree at fixpoint
-    /// but may truncate differently mid-budget).
-    pub shards: usize,
     /// Record imprecision provenance: every points-to tuple carries a
     /// blame tag naming the first cause that introduced it (see
-    /// [`crate::blame`]). Provenance forces the epoch-sharded driver even
-    /// at `threads: 1` so blame assignment follows the epoch schedule —
-    /// byte-identical [`PtaResult::export_blame_json`] for every thread
-    /// count. Off by default; the default solve's exports, propagation
-    /// counts, and budget semantics are bit-for-bit unaffected.
+    /// [`crate::blame`]). Provenance is a side channel of the one
+    /// sequential driver: sets, exports, propagation counts and the
+    /// budget truncation point are bit-for-bit those of the
+    /// provenance-free solve, so blame always explains the result the
+    /// plain solve reports. Off by default.
     pub provenance: bool,
     /// Concrete-execution region summaries (see [`crate::shortcut`]).
     /// When the on-the-fly call graph first reaches a summarized
@@ -112,8 +98,6 @@ impl Default for PtaConfig {
             budget: 25_000_000,
             facts: None,
             scc_interval: 2_048,
-            threads: 1,
-            shards: 16,
             provenance: false,
             shortcuts: None,
         }
@@ -328,8 +312,7 @@ impl PtaResult {
     /// Deterministic JSON rendering of the blame relation: every
     /// materialized node in sorted order, each of its points-to tuples
     /// labeled with its cause. The byte-comparison surface of the blame
-    /// determinism tests (identical for every thread count). `None`
-    /// without provenance. Merged SCC members render their
+    /// determinism tests. `None` without provenance. Merged SCC members render their
     /// representative's shared blame set, mirroring
     /// [`PtaResult::export_json`]'s per-member sets.
     pub fn export_blame_json(&self) -> Option<String> {
@@ -421,19 +404,11 @@ impl PtaResult {
     }
 }
 
-/// Runs the analysis over every function of `prog`. With
-/// [`PtaConfig::threads`] ≥ 2 — or [`PtaConfig::provenance`] on, whose
-/// blame assignment must follow the thread-count-invariant epoch
-/// schedule — the epoch-sharded parallel solver runs instead of the
-/// sequential worklist; both reach the same unique least fixpoint and
-/// export identical bytes.
+/// Runs the analysis over every function of `prog`: the sequential
+/// delta-propagating worklist, the one fixpoint driver for every
+/// configuration (provenance and shortcuts included).
 pub fn solve(prog: &Program, cfg: &PtaConfig) -> PtaResult {
-    let solver = Solver::new(prog, cfg.clone());
-    if cfg.threads >= 2 || cfg.provenance {
-        crate::parallel::solve_epochs(solver)
-    } else {
-        solver.run()
-    }
+    Solver::new(prog, cfg.clone()).run()
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -452,39 +427,39 @@ pub(crate) enum Pending {
     },
 }
 
-pub(crate) struct Solver<'p> {
-    pub(crate) prog: &'p Program,
-    pub(crate) cfg: PtaConfig,
+struct Solver<'p> {
+    prog: &'p Program,
+    cfg: PtaConfig,
     resolver: Resolver,
     node_ids: FastMap<Node, u32>,
-    pub(crate) nodes: Vec<Node>,
+    nodes: Vec<Node>,
     obj_ids: FastMap<AbsObj, u32>,
-    pub(crate) objs: Vec<AbsObj>,
+    objs: Vec<AbsObj>,
     /// Union-find over node ids (path-halving `find`).
-    pub(crate) parent: Vec<u32>,
+    parent: Vec<u32>,
     /// Facts already pushed along every out-edge / applied to every
     /// pending constraint of the node.
-    pub(crate) old: Vec<Pts>,
+    old: Vec<Pts>,
     /// Facts that arrived since the node was last processed.
-    pub(crate) delta: Vec<Pts>,
+    delta: Vec<Pts>,
     /// Outgoing copy edges, stored on representatives. Targets may go
     /// stale after a merge; every use canonicalizes through `find`, and
     /// each collapse pass rebuilds them canonical.
-    pub(crate) edges: Vec<Vec<u32>>,
+    edges: Vec<Vec<u32>>,
     /// Dedupe of canonical `(from, to)` pairs; rebuilt on collapse.
     edge_set: FastSet<u64>,
-    pub(crate) pending: Vec<Vec<Pending>>,
+    pending: Vec<Vec<Pending>>,
     /// Dirty-node worklist: representatives with a non-empty delta.
-    pub(crate) dirty: VecDeque<u32>,
-    pub(crate) on_dirty: Vec<bool>,
+    dirty: VecDeque<u32>,
+    on_dirty: Vec<bool>,
     call_graph: BTreeMap<StmtId, BTreeSet<FuncId>>,
     processed_funcs: FastSet<FuncId>,
-    pub(crate) func_queue: VecDeque<FuncId>,
-    pub(crate) stats: PtaStats,
-    pub(crate) exhausted: bool,
-    pub(crate) edges_since_scc: u64,
+    func_queue: VecDeque<FuncId>,
+    stats: PtaStats,
+    exhausted: bool,
+    edges_since_scc: u64,
     /// Imprecision provenance side state (`Some` iff `cfg.provenance`).
-    pub(crate) prov: Option<Provenance>,
+    prov: Option<Provenance>,
     /// Reusable insertion-log buffer for provenance-tracked flows.
     scratch_log: Vec<pts::FlowLogEntry>,
 }
@@ -494,7 +469,7 @@ fn edge_key(from: u32, to: u32) -> u64 {
 }
 
 impl<'p> Solver<'p> {
-    pub(crate) fn new(prog: &'p Program, cfg: PtaConfig) -> Self {
+    fn new(prog: &'p Program, cfg: PtaConfig) -> Self {
         let prov = cfg.provenance.then(Provenance::new);
         Solver {
             prog,
@@ -566,7 +541,7 @@ impl<'p> Solver<'p> {
     }
 
     /// Union-find lookup with path halving.
-    pub(crate) fn find(&mut self, mut x: u32) -> u32 {
+    fn find(&mut self, mut x: u32) -> u32 {
         while self.parent[x as usize] != x {
             let gp = self.parent[self.parent[x as usize] as usize];
             self.parent[x as usize] = gp;
@@ -625,10 +600,9 @@ impl<'p> Solver<'p> {
                 &self.old[t as usize],
                 &mut self.delta[t as usize],
                 remaining,
-                t,
                 &mut log,
             );
-            self.assign_blame(f, &log);
+            self.assign_blame(f, t, &log);
             self.scratch_log = log;
             r
         } else {
@@ -648,11 +622,11 @@ impl<'p> Solver<'p> {
         }
     }
 
-    /// Assigns blame for the tuples `log` records as newly inserted by a
-    /// flow out of node `f`: havoc stamps override, ordinary nodes pass
-    /// their tuples' blame through. Log targets are never `f` itself
+    /// Assigns blame for the tuples `log` records as newly inserted into
+    /// node `t` by a flow out of node `f`: havoc stamps override, ordinary
+    /// nodes pass their tuples' blame through. `t` is never `f` itself
     /// (self-edges don't flow), so the row reads and writes are disjoint.
-    fn assign_blame(&mut self, f: u32, log: &[pts::FlowLogEntry]) {
+    fn assign_blame(&mut self, f: u32, t: u32, log: &[pts::FlowLogEntry]) {
         let Some(p) = self.prov.as_mut() else {
             return;
         };
@@ -664,7 +638,7 @@ impl<'p> Solver<'p> {
                 bits &= bits - 1;
                 let v = e.word * 64 + b;
                 let tag = crate::blame::outflow(&p.blame[f as usize], stamp, v);
-                p.record(e.node, v, tag);
+                p.record(t, v, tag);
             }
         }
     }
@@ -741,18 +715,14 @@ impl<'p> Solver<'p> {
 
     // -------------------------------------------------------- propagation
 
-    /// Seeds the entry function: its constraints queue for generation and
-    /// its `this` is the global object. Shared by both solver drivers.
-    pub(crate) fn seed_entry(&mut self) {
+    fn run(mut self) -> PtaResult {
+        // Seed the entry function: its constraints queue for generation
+        // and its `this` is the global object.
         if let Some(entry) = self.prog.entry() {
             self.enqueue_func(entry);
             let this_entry = self.node(Node::This(entry));
             self.seed(this_entry, AbsObj::Global, BlameCause::Base);
         }
-    }
-
-    pub(crate) fn run(mut self) -> PtaResult {
-        self.seed_entry();
         // The analysis is flow-insensitive: generate constraints for all
         // reachable functions, then propagate to fixpoint, interleaved
         // because the call graph is discovered on the fly.
@@ -818,7 +788,7 @@ impl<'p> Solver<'p> {
 
     /// Tarjan pass over the canonical copy-edge graph; merges every
     /// multi-member component into its smallest-id node.
-    pub(crate) fn collapse_cycles(&mut self) {
+    fn collapse_cycles(&mut self) {
         self.stats.scc_passes += 1;
         let n = self.nodes.len();
         let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -928,7 +898,7 @@ impl<'p> Solver<'p> {
         }
     }
 
-    pub(crate) fn finish(mut self) -> PtaResult {
+    fn finish(mut self) -> PtaResult {
         self.stats.nodes = self.nodes.len();
         self.stats.call_edges = self.call_graph.values().map(|s| s.len()).sum();
         // Fold unprocessed deltas into the reported sets and fully
@@ -982,7 +952,7 @@ impl<'p> Solver<'p> {
         }
     }
 
-    pub(crate) fn apply_pending(&mut self, p: &Pending, o: &AbsObj) {
+    fn apply_pending(&mut self, p: &Pending, o: &AbsObj) {
         match p {
             Pending::Load { key, dst } => self.apply_load(o, *key, *dst),
             Pending::Store { key, src } => self.apply_store(o, *key, *src),
@@ -1141,7 +1111,7 @@ impl<'p> Solver<'p> {
             .copied()
     }
 
-    pub(crate) fn gen_function(&mut self, fid: FuncId) {
+    fn gen_function(&mut self, fid: FuncId) {
         if let Some(sums) = self.cfg.shortcuts.clone() {
             if let Some(region) = sums.regions.get(&fid) {
                 self.apply_summary(fid, region);

@@ -3,32 +3,16 @@
 //!
 //! The provenance contract: (1) blame is invisible unless asked for —
 //! with provenance off nothing about a solve changes, and with it on the
-//! *sets* still match the provenance-free solve; (2) blame exports are
-//! byte-identical for every thread count, at fixpoint and at every
-//! budget-truncation point (blame rides the epoch schedule, which is
-//! thread-count-invariant at a fixed shard count); (3) every surviving
-//! points-to tuple carries a cause, and the causes name the right
-//! imprecision sources (⋆ smears, eval chunks, opaque natives, havoc).
-//!
-//! Like `tests/pta_equivalence.rs`, thread matrices honor
-//! `PTA_EQ_THREADS` (comma-separated; default `{1, 2, 8}`) so CI can pin
-//! the suite per thread count.
+//! *sets*, propagation counts and truncation point still match the
+//! provenance-free solve, at fixpoint and at every budget; (2) blame
+//! exports are deterministic; (3) every surviving points-to tuple carries
+//! a cause, and the causes name the right imprecision sources (⋆ smears,
+//! eval chunks, opaque natives, havoc).
 
 use mujs_pta::{solve, PtaConfig, PtaResult, PtaStatus};
 
-fn thread_matrix() -> Vec<usize> {
-    match std::env::var("PTA_EQ_THREADS") {
-        Ok(s) => {
-            let m: Vec<usize> = s.split(',').filter_map(|t| t.trim().parse().ok()).collect();
-            assert!(!m.is_empty(), "PTA_EQ_THREADS set but empty: {s:?}");
-            m
-        }
-        Err(_) => vec![1, 2, 8],
-    }
-}
-
-/// Wide + deep program (cross-shard traffic over many epochs) with a
-/// ⋆-smearing dynamic access; same shape as the parallel solver tests.
+/// Wide + deep program (many closures, higher-order calls, cross-wired
+/// copy chains) with a ⋆-smearing dynamic access.
 fn big_src() -> String {
     let mut s = String::new();
     s.push_str("function id(x) { return x; }\n");
@@ -81,8 +65,8 @@ fn assert_blame_covers_sets(r: &PtaResult, ctx: &str) {
 }
 
 /// Provenance is a pure side channel: with it on, status, exports, and
-/// call graph are identical to the provenance-free solve for every
-/// thread count; with it off, no blame surface exists.
+/// call graph are identical to the provenance-free solve; with it off, no
+/// blame surface exists.
 #[test]
 fn provenance_does_not_change_results() {
     let prog = lower(&big_src());
@@ -91,29 +75,20 @@ fn provenance_does_not_change_results() {
     assert!(!plain.has_blame());
     assert!(plain.export_blame_json().is_none());
     assert!(plain.blame_histogram().is_empty());
-    for threads in thread_matrix() {
-        let r = solve(
-            &prog,
-            &prov(PtaConfig {
-                threads,
-                ..unlimited()
-            }),
-        );
-        assert_eq!(r.status, PtaStatus::Completed, "threads={threads}");
-        assert!(r.has_blame());
-        assert_eq!(
-            r.export_json(),
-            plain.export_json(),
-            "threads={threads}: provenance changed the points-to sets"
-        );
-    }
+    let r = solve(&prog, &prov(unlimited()));
+    assert_eq!(r.status, PtaStatus::Completed);
+    assert!(r.has_blame());
+    assert_eq!(
+        r.export_json(),
+        plain.export_json(),
+        "provenance changed the points-to sets"
+    );
 }
 
-/// Blame exports are byte-identical for every thread count, under the
-/// default, aggressive-collapse, and collapse-free configs — including
-/// thread counts above the shard count.
+/// Blame exports are complete and deterministic under the default,
+/// aggressive-collapse, and collapse-free configs.
 #[test]
-fn blame_exports_identical_for_every_thread_count() {
+fn blame_exports_are_complete_and_deterministic() {
     let prog = lower(&big_src());
     let configs = [
         ("default", unlimited()),
@@ -134,41 +109,26 @@ fn blame_exports_identical_for_every_thread_count() {
             },
         ),
     ];
-    let mut threads = thread_matrix();
-    threads.extend([3, 32]);
     for (cname, cfg) in configs {
-        let mut want: Option<String> = None;
-        for &t in &threads {
-            let r = solve(
-                &prog,
-                &prov(PtaConfig {
-                    threads: t,
-                    ..cfg.clone()
-                }),
-            );
-            assert_eq!(r.status, PtaStatus::Completed, "{cname} threads={t}");
-            assert_blame_covers_sets(&r, &format!("{cname} threads={t}"));
-            let got = r.export_blame_json().expect("provenance was on");
-            match &want {
-                None => {
-                    assert!(
-                        got.contains("star-smear"),
-                        "{cname}: the dynamic access never surfaced a ⋆ smear"
-                    );
-                    want = Some(got);
-                }
-                Some(w) => assert_eq!(
-                    &got, w,
-                    "{cname} threads={t}: blame export depends on the thread count"
-                ),
-            }
-        }
+        let r = solve(&prog, &prov(cfg.clone()));
+        assert_eq!(r.status, PtaStatus::Completed, "{cname}");
+        assert_blame_covers_sets(&r, cname);
+        let got = r.export_blame_json().expect("provenance was on");
+        assert!(
+            got.contains("star-smear"),
+            "{cname}: the dynamic access never surfaced a ⋆ smear"
+        );
+        let again = solve(&prog, &prov(cfg)).export_blame_json();
+        assert_eq!(
+            again.as_ref(),
+            Some(&got),
+            "{cname}: blame export is not deterministic"
+        );
     }
 }
 
-/// Budget-truncated provenance runs stay budget-exact and agree on both
-/// the kept facts *and* their blame for every thread count — the
-/// rollback drops blame entries exactly where it drops tuples.
+/// Budget-truncated provenance runs stay budget-exact, blame every kept
+/// tuple, and are deterministic.
 #[test]
 fn truncated_blame_is_budget_exact_and_deterministic() {
     let prog = lower(&big_src());
@@ -182,86 +142,55 @@ fn truncated_blame_is_budget_exact_and_deterministic() {
     let needed = full.stats.propagations;
     assert!(needed > 1_000, "program too small: {needed}");
     for budget in [needed / 7, needed / 3, needed / 2 + 1, needed - 1] {
-        let mut want: Option<(String, String)> = None;
-        for threads in thread_matrix() {
-            let r = solve(
-                &prog,
-                &prov(PtaConfig {
-                    budget,
-                    threads,
-                    ..collapse_free.clone()
-                }),
-            );
-            assert_eq!(
-                r.status,
-                PtaStatus::BudgetExceeded,
-                "threads={threads} budget={budget}"
-            );
-            assert_eq!(
-                r.stats.propagations, budget,
-                "threads={threads} budget={budget}: truncation must be budget-exact"
-            );
-            assert_blame_covers_sets(&r, &format!("threads={threads} budget={budget}"));
-            let got = (
-                r.export_json(),
-                r.export_blame_json().expect("provenance was on"),
-            );
-            match &want {
-                None => want = Some(got),
-                Some(w) => assert_eq!(
-                    &got, w,
-                    "threads={threads} budget={budget}: truncated blame diverged"
-                ),
-            }
-        }
+        let cfg = prov(PtaConfig {
+            budget,
+            ..collapse_free.clone()
+        });
+        let r = solve(&prog, &cfg);
+        assert_eq!(r.status, PtaStatus::BudgetExceeded, "budget={budget}");
+        assert_eq!(
+            r.stats.propagations, budget,
+            "budget={budget}: truncation must be budget-exact"
+        );
+        assert_blame_covers_sets(&r, &format!("budget={budget}"));
+        let again = solve(&prog, &cfg);
+        assert_eq!(
+            (again.export_json(), again.export_blame_json()),
+            (r.export_json(), r.export_blame_json()),
+            "budget={budget}: truncated blame is not deterministic"
+        );
     }
 }
 
-/// The shard count changes the partitioning, not the fixpoint: exports
-/// (sets and call graph) are identical across shard counts, and blame
-/// stays complete and deterministic per shard count.
+/// Blame explains the partial result the user actually got: at every
+/// truncating budget, the provenance solve keeps exactly the tuples (and
+/// does exactly the work) of the provenance-free solve, with and without
+/// cycle collapsing.
 #[test]
-fn fixpoint_sets_invariant_across_shard_counts() {
+fn truncated_provenance_solve_matches_plain_solve() {
     let prog = lower(&big_src());
-    let want = solve(&prog, &unlimited()).export_json();
-    for shards in [1, 4, 16, 64] {
-        for &threads in &[2, 8] {
-            let r = solve(
-                &prog,
-                &prov(PtaConfig {
-                    threads,
-                    shards,
-                    ..unlimited()
-                }),
+    let needed = solve(&prog, &unlimited()).stats.propagations;
+    for scc_interval in [PtaConfig::default().scc_interval, u64::MAX] {
+        for budget in [needed / 7, needed / 3, needed / 2 + 1, needed - 1] {
+            let cfg = PtaConfig {
+                budget,
+                scc_interval,
+                ..Default::default()
+            };
+            let plain = solve(&prog, &cfg);
+            let r = solve(&prog, &prov(cfg));
+            assert_eq!(plain.status, PtaStatus::BudgetExceeded, "budget={budget}");
+            assert_eq!(r.status, plain.status, "budget={budget}");
+            assert_eq!(
+                r.stats.propagations, plain.stats.propagations,
+                "scc={scc_interval} budget={budget}: provenance changed the work done"
             );
-            assert_eq!(r.status, PtaStatus::Completed, "shards={shards}");
             assert_eq!(
                 r.export_json(),
-                want,
-                "shards={shards} threads={threads}: fixpoint depends on shard count"
+                plain.export_json(),
+                "scc={scc_interval} budget={budget}: provenance changed the partial result"
             );
-            assert_blame_covers_sets(&r, &format!("shards={shards} threads={threads}"));
         }
-        // Blame itself is pinned per shard count across thread counts.
-        let a = solve(
-            &prog,
-            &prov(PtaConfig {
-                threads: 2,
-                shards,
-                ..unlimited()
-            }),
-        )
-        .export_blame_json();
-        let b = solve(
-            &prog,
-            &prov(PtaConfig {
-                threads: 8,
-                shards,
-                ..unlimited()
-            }),
-        )
-        .export_blame_json();
-        assert_eq!(a, b, "shards={shards}: blame depends on thread count");
     }
 }
 
@@ -298,8 +227,8 @@ fn cause_kinds_name_the_imprecision_sources() {
 }
 
 /// SCC collapse preserves provenance: aggressive merging still yields a
-/// complete, thread-count-invariant blame relation, and merged members
-/// report one shared (canonical) blame set.
+/// complete, deterministic blame relation, and merged members report one
+/// shared (canonical) blame set.
 #[test]
 fn collapsed_cycles_share_canonical_blame() {
     let src = r#"
@@ -310,30 +239,18 @@ fn collapsed_cycles_share_canonical_blame() {
         var sink = a[key];
     "#;
     let prog = lower(src);
-    let cfg = PtaConfig {
+    let cfg = prov(PtaConfig {
         budget: u64::MAX,
         scc_interval: 1,
         ..Default::default()
-    };
-    let mut want: Option<String> = None;
-    for threads in thread_matrix() {
-        let r = solve(
-            &prog,
-            &prov(PtaConfig {
-                threads,
-                ..cfg.clone()
-            }),
-        );
-        assert_eq!(r.status, PtaStatus::Completed, "threads={threads}");
-        assert!(
-            r.stats.nodes_merged > 0,
-            "threads={threads}: the copy cycle never collapsed"
-        );
-        assert_blame_covers_sets(&r, &format!("collapse threads={threads}"));
-        let got = r.export_blame_json().expect("provenance was on");
-        match &want {
-            None => want = Some(got),
-            Some(w) => assert_eq!(&got, w, "threads={threads}: merged blame diverged"),
-        }
-    }
+    });
+    let r = solve(&prog, &cfg);
+    assert_eq!(r.status, PtaStatus::Completed);
+    assert!(r.stats.nodes_merged > 0, "the copy cycle never collapsed");
+    assert_blame_covers_sets(&r, "collapse");
+    assert_eq!(
+        solve(&prog, &cfg).export_blame_json(),
+        r.export_blame_json(),
+        "merged blame is not deterministic"
+    );
 }

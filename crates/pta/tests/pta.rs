@@ -42,6 +42,30 @@ fn global_var(prog: &Program, name: &str) -> Node {
     Node::Prop(AbsObj::Global, sym)
 }
 
+/// A wide, deep program: lots of closures, higher-order calls,
+/// cross-wired copy chains, and a ⋆-smearing dynamic property access —
+/// hundreds of simultaneously dirty nodes and (at `scc_interval: 1`) many
+/// collapse passes.
+fn wide_src() -> String {
+    let mut s = String::new();
+    s.push_str("function id(x) { return x; }\n");
+    for i in 0..120 {
+        s.push_str(&format!(
+            "function mk{i}() {{ return {{ tag: mk{i}, lift: id }}; }}\n"
+        ));
+        s.push_str(&format!("var v{i} = mk{i}();\n"));
+    }
+    for i in 0..120 {
+        let j = (i + 41) % 120;
+        s.push_str(&format!("v{i} = id(v{j});\n"));
+        s.push_str(&format!("var f{i} = v{i}.tag;\n"));
+        s.push_str(&format!("var w{i} = f{i}();\n"));
+    }
+    s.push_str("var key = somethingUnknown;\n");
+    s.push_str("var smeared = v0[key];\n");
+    s
+}
+
 #[test]
 fn direct_call_resolves() {
     let (prog, r) = setup("function f() {} f();");
@@ -201,15 +225,24 @@ fn budget_exhaustion_reports_timeout() {
 
 #[test]
 fn solver_is_deterministic() {
-    let src = "function a(){} function b(){} var o = {x:a, y:b}; o.x()(); o.y();";
-    let ast = mujs_syntax::parse(src).unwrap();
-    let prog = mujs_ir::lower_program(&ast);
-    let r1 = solve(&prog, &PtaConfig::default());
-    let r2 = solve(&prog, &PtaConfig::default());
-    assert_eq!(r1.stats.propagations, r2.stats.propagations);
-    assert_eq!(r1.stats.edges, r2.stats.edges);
-    for site in call_sites(&prog) {
-        assert_eq!(r1.callees(site), r2.callees(site));
+    let small = "function a(){} function b(){} var o = {x:a, y:b}; o.x()(); o.y();";
+    let aggressive = PtaConfig {
+        scc_interval: 1,
+        ..Default::default()
+    };
+    for (src, cfg) in [
+        (small.to_owned(), PtaConfig::default()),
+        (wide_src(), aggressive),
+    ] {
+        let ast = mujs_syntax::parse(&src).unwrap();
+        let prog = mujs_ir::lower_program(&ast);
+        let r1 = solve(&prog, &cfg);
+        let r2 = solve(&prog, &cfg);
+        // Full stats, collapse activity included.
+        assert_eq!(format!("{:?}", r1.stats), format!("{:?}", r2.stats));
+        for site in call_sites(&prog) {
+            assert_eq!(r1.callees(site), r2.callees(site));
+        }
     }
 }
 
@@ -288,62 +321,77 @@ fn sum_points_to(r: &PtaResult) -> usize {
 
 #[test]
 fn exact_budget_solve_completes() {
-    let src = "function mk() { return {}; } var o = mk(); var p = mk();";
-    let ast = mujs_syntax::parse(src).unwrap();
-    let prog = mujs_ir::lower_program(&ast);
-    let full = solve(&prog, &PtaConfig::default());
-    assert_eq!(full.status, PtaStatus::Completed);
-    let needed = full.stats.propagations;
-    assert!(needed > 0);
-    // A budget of exactly the required work is sufficient...
-    let exact = solve(
-        &prog,
-        &PtaConfig {
-            budget: needed,
-            ..Default::default()
-        },
-    );
-    assert_eq!(exact.status, PtaStatus::Completed);
-    assert_eq!(exact.stats.propagations, needed);
-    // ...and one less is not.
-    let short = solve(
-        &prog,
-        &PtaConfig {
-            budget: needed - 1,
-            ..Default::default()
-        },
-    );
-    assert_eq!(short.status, PtaStatus::BudgetExceeded);
-    assert_eq!(short.stats.propagations, needed - 1);
+    let small = "function mk() { return {}; } var o = mk(); var p = mk();";
+    for src in [small.to_owned(), wide_src()] {
+        let ast = mujs_syntax::parse(&src).unwrap();
+        let prog = mujs_ir::lower_program(&ast);
+        let full = solve(&prog, &PtaConfig::default());
+        assert_eq!(full.status, PtaStatus::Completed);
+        let needed = full.stats.propagations;
+        assert!(needed > 0);
+        // A budget of exactly the required work is sufficient...
+        let exact = solve(
+            &prog,
+            &PtaConfig {
+                budget: needed,
+                ..Default::default()
+            },
+        );
+        assert_eq!(exact.status, PtaStatus::Completed);
+        assert_eq!(exact.stats.propagations, needed);
+        assert_eq!(exact.export_json(), full.export_json());
+        // ...and one less is not.
+        let short = solve(
+            &prog,
+            &PtaConfig {
+                budget: needed - 1,
+                ..Default::default()
+            },
+        );
+        assert_eq!(short.status, PtaStatus::BudgetExceeded);
+        assert_eq!(short.stats.propagations, needed - 1);
+    }
 }
 
 #[test]
 fn partial_result_is_queryable_and_consistent() {
-    let src = "function a(){} function b(){} var o = {x:a, y:b}; o.x(); o.y();";
-    let ast = mujs_syntax::parse(src).unwrap();
-    let prog = mujs_ir::lower_program(&ast);
-    let full = solve(&prog, &PtaConfig::default());
-    // Every truncation point yields a queryable result whose recorded
-    // propagation count equals the number of facts actually present.
-    for budget in 0..full.stats.propagations {
-        let partial = solve(
-            &prog,
-            &PtaConfig {
-                budget,
-                ..Default::default()
-            },
-        );
-        assert_eq!(partial.status, PtaStatus::BudgetExceeded);
-        assert_eq!(partial.stats.propagations, budget);
-        assert_eq!(sum_points_to(&partial) as u64, budget);
-        // Queries on the partial result never panic and only under-report.
-        for site in call_sites(&prog) {
-            let p = partial.callees(site);
-            let f = full.callees(site);
-            assert!(p.iter().all(|c| f.contains(c)));
+    let small = "function a(){} function b(){} var o = {x:a, y:b}; o.x(); o.y();";
+    // Collapse-free, so Σ|pts| counts every inserted fact exactly once.
+    let cfg = |budget| PtaConfig {
+        budget,
+        scc_interval: u64::MAX,
+        ..Default::default()
+    };
+    for src in [small.to_owned(), wide_src()] {
+        let ast = mujs_syntax::parse(&src).unwrap();
+        let prog = mujs_ir::lower_program(&ast);
+        let full = solve(&prog, &cfg(u64::MAX));
+        let needed = full.stats.propagations;
+        // Every truncation point of a small solve; 16 evenly spaced ones
+        // plus the edges of a large one.
+        let budgets: Vec<u64> = if needed <= 100 {
+            (0..needed).collect()
+        } else {
+            let mut b: Vec<u64> = (0..16).map(|k| k * needed / 16).collect();
+            b.extend([1, needed / 2 + 1, needed - 1]);
+            b
+        };
+        // Each yields a queryable result whose recorded propagation count
+        // equals the number of facts actually present.
+        for budget in budgets {
+            let partial = solve(&prog, &cfg(budget));
+            assert_eq!(partial.status, PtaStatus::BudgetExceeded);
+            assert_eq!(partial.stats.propagations, budget);
+            assert_eq!(sum_points_to(&partial) as u64, budget);
+            // Queries on the partial result never panic and only under-report.
+            for site in call_sites(&prog) {
+                let p = partial.callees(site);
+                let f = full.callees(site);
+                assert!(p.iter().all(|c| f.contains(c)));
+            }
         }
+        assert_eq!(sum_points_to(&full) as u64, needed);
     }
-    assert_eq!(sum_points_to(&full) as u64, full.stats.propagations);
 }
 
 // ---------------------------------------------------------------------

@@ -1,18 +1,14 @@
 //! Determinism, budget, and provenance tests for the dynamic-shortcut
 //! layer (`PtaConfig::shortcuts`).
 //!
-//! The shortcut contract: (1) summaries are applied in the sequential
-//! barrier phase, so exports are byte-identical for every thread count
-//! *and* every shard count; (2) summary insertions flow through the
-//! ordinary budget accounting, so exact-budget completion and
-//! budget-exact truncation are preserved; (3) every summary-inserted
-//! tuple carries a [`BlameCause::Shortcut`] tag that survives SCC
-//! collapse and budget rollback, and provenance stays a pure side
-//! channel (on or off, the points-to exports do not move a byte);
-//! (4) with `shortcuts` unset nothing about a solve changes.
-//!
-//! Like `tests/blame.rs`, thread matrices honor `PTA_EQ_THREADS`
-//! (comma-separated; default `{1, 2, 8}`).
+//! The shortcut contract: (1) exports are deterministic; (2) summary
+//! insertions flow through the ordinary budget accounting, so
+//! exact-budget completion and budget-exact truncation are preserved;
+//! (3) every summary-inserted tuple carries a [`BlameCause::Shortcut`]
+//! tag that survives SCC collapse and budget truncation, and provenance
+//! stays a pure side channel (on or off, the points-to exports do not
+//! move a byte); (4) with `shortcuts` unset nothing about a solve
+//! changes.
 
 use mujs_ir::{FuncId, Program};
 use mujs_pta::{
@@ -21,19 +17,8 @@ use mujs_pta::{
 };
 use std::sync::Arc;
 
-fn thread_matrix() -> Vec<usize> {
-    match std::env::var("PTA_EQ_THREADS") {
-        Ok(s) => {
-            let m: Vec<usize> = s.split(',').filter_map(|t| t.trim().parse().ok()).collect();
-            assert!(!m.is_empty(), "PTA_EQ_THREADS set but empty: {s:?}");
-            m
-        }
-        Err(_) => vec![1, 2, 8],
-    }
-}
-
-/// Wide + deep program (cross-shard traffic over many epochs) with a
-/// ⋆-smearing dynamic access; same shape as the parallel solver tests.
+/// Wide + deep program (many closures, higher-order calls, cross-wired
+/// copy chains) with a ⋆-smearing dynamic access.
 fn big_src() -> String {
     let mut s = String::new();
     s.push_str("function id(x) { return x; }\n");
@@ -68,8 +53,8 @@ fn func_named(prog: &Program, name: &str) -> FuncId {
 }
 
 /// A hand-built summary for `id`: its return node points at a spread of
-/// `mk*` closures — enough fan-out that callers keep shards busy for
-/// several epochs — plus the identity flow a real replay would record.
+/// `mk*` closures — enough fan-out that every caller receives a wide set
+/// — plus the identity flow a real replay would record.
 /// (Solver-side tests need no producer; the summary's *content* only has
 /// to be well-formed, its effect on determinism is what's under test.)
 fn test_summaries(prog: &Program) -> ShortcutSummaries {
@@ -109,45 +94,20 @@ fn unlimited() -> PtaConfig {
     }
 }
 
-/// Exports are byte-identical for every thread count and shard count —
-/// summary application rides the sequential barrier phase of the epoch
-/// schedule, which neither knob perturbs.
+/// Shortcut solves are deterministic: two runs export identical bytes.
 #[test]
-fn shortcut_exports_identical_across_threads_and_shards() {
+fn shortcut_exports_are_deterministic() {
     let prog = lower(&big_src());
-    let mut want: Option<String> = None;
-    let mut threads = thread_matrix();
-    threads.push(3);
-    for &t in &threads {
-        for shards in [16usize, 32] {
-            let r = solve(
-                &prog,
-                &with_shortcuts(
-                    &prog,
-                    PtaConfig {
-                        threads: t,
-                        shards,
-                        ..unlimited()
-                    },
-                ),
-            );
-            assert_eq!(
-                r.status,
-                PtaStatus::Completed,
-                "threads={t} shards={shards}"
-            );
-            assert_eq!(r.stats.shortcut_regions, 1, "threads={t} shards={shards}");
-            assert!(r.stats.shortcut_tuples > 0);
-            let got = r.export_json();
-            match &want {
-                None => want = Some(got),
-                Some(w) => assert_eq!(
-                    &got, w,
-                    "threads={t} shards={shards}: shortcut export moved"
-                ),
-            }
-        }
-    }
+    let cfg = with_shortcuts(&prog, unlimited());
+    let r = solve(&prog, &cfg);
+    assert_eq!(r.status, PtaStatus::Completed);
+    assert_eq!(r.stats.shortcut_regions, 1);
+    assert!(r.stats.shortcut_tuples > 0);
+    assert_eq!(
+        solve(&prog, &cfg).export_json(),
+        r.export_json(),
+        "shortcut export moved between runs"
+    );
 }
 
 /// The summarized region changes the solve: the region's constraints are
@@ -175,9 +135,8 @@ fn summaries_replace_region_constraints() {
 }
 
 /// Budget semantics survive: a budget equal to the fixpoint work
-/// completes, one less truncates budget-exactly — for every thread
-/// count, with identical truncated exports (the word-log rollback also
-/// rolls back summary insertions).
+/// completes, one less truncates budget-exactly, and truncated exports
+/// are deterministic.
 #[test]
 fn shortcut_budgets_stay_exact() {
     let prog = lower(&big_src());
@@ -191,56 +150,30 @@ fn shortcut_budgets_stay_exact() {
     let needed = full.stats.propagations;
     assert!(needed > 1_000, "program too small: {needed}");
     // Exact budget completes.
-    for threads in thread_matrix() {
-        let r = solve(
-            &prog,
-            &with_shortcuts(
-                &prog,
-                PtaConfig {
-                    budget: needed,
-                    threads,
-                    scc_interval: u64::MAX,
-                    ..Default::default()
-                },
-            ),
-        );
-        assert_eq!(r.status, PtaStatus::Completed, "threads={threads}");
-        assert_eq!(r.stats.propagations, needed);
-    }
-    // Truncation points are budget-exact for every thread count, and
-    // the kept facts are identical across the epoch-path runs (threads
-    // >= 2; the sequential worklist truncates in its own order — same
-    // contract as `tests/parallel.rs`).
+    let exact = PtaConfig {
+        budget: needed,
+        ..collapse_free.clone()
+    };
+    let r = solve(&prog, &with_shortcuts(&prog, exact));
+    assert_eq!(r.status, PtaStatus::Completed);
+    assert_eq!(r.stats.propagations, needed);
+    // Truncation points are budget-exact and deterministic.
     for budget in [needed / 3, needed / 2 + 1, needed - 1] {
-        let mut want: Option<String> = None;
-        for threads in thread_matrix() {
-            let r = solve(
-                &prog,
-                &with_shortcuts(
-                    &prog,
-                    PtaConfig {
-                        budget,
-                        threads,
-                        scc_interval: u64::MAX,
-                        ..Default::default()
-                    },
-                ),
-            );
-            assert_eq!(
-                r.status,
-                PtaStatus::BudgetExceeded,
-                "threads={threads} budget={budget}"
-            );
-            assert_eq!(r.stats.propagations, budget, "threads={threads}");
-            if threads < 2 {
-                continue;
-            }
-            let got = r.export_json();
-            match &want {
-                None => want = Some(got),
-                Some(w) => assert_eq!(&got, w, "threads={threads} budget={budget}"),
-            }
-        }
+        let cfg = with_shortcuts(
+            &prog,
+            PtaConfig {
+                budget,
+                ..collapse_free.clone()
+            },
+        );
+        let r = solve(&prog, &cfg);
+        assert_eq!(r.status, PtaStatus::BudgetExceeded, "budget={budget}");
+        assert_eq!(r.stats.propagations, budget, "budget={budget}");
+        assert_eq!(
+            solve(&prog, &cfg).export_json(),
+            r.export_json(),
+            "budget={budget}"
+        );
     }
 }
 
@@ -253,49 +186,41 @@ fn shortcut_blamed(r: &PtaResult) -> u64 {
 }
 
 /// Shortcut-blamed tuples survive aggressive SCC collapse, and the blame
-/// export is byte-identical across the thread matrix.
+/// export is deterministic.
 #[test]
 fn shortcut_blame_survives_collapse_and_is_deterministic() {
     let prog = lower(&big_src());
     for scc_interval in [1u64, u64::MAX] {
-        let mut want: Option<String> = None;
-        for threads in thread_matrix() {
-            let r = solve(
-                &prog,
-                &with_shortcuts(
-                    &prog,
-                    PtaConfig {
-                        budget: u64::MAX,
-                        scc_interval,
-                        provenance: true,
-                        threads,
-                        ..Default::default()
-                    },
-                ),
-            );
-            assert_eq!(r.status, PtaStatus::Completed, "threads={threads}");
-            assert!(
-                shortcut_blamed(&r) > 0,
-                "scc={scc_interval} threads={threads}: no shortcut-blamed tuples survive"
-            );
-            let got = r.export_blame_json().expect("provenance was on");
-            assert!(got.contains("shortcut"), "blame export lacks the new kind");
-            match &want {
-                None => want = Some(got),
-                Some(w) => assert_eq!(
-                    &got, w,
-                    "scc={scc_interval} threads={threads}: blame export moved"
-                ),
-            }
-        }
+        let cfg = with_shortcuts(
+            &prog,
+            PtaConfig {
+                budget: u64::MAX,
+                scc_interval,
+                provenance: true,
+                ..Default::default()
+            },
+        );
+        let r = solve(&prog, &cfg);
+        assert_eq!(r.status, PtaStatus::Completed, "scc={scc_interval}");
+        assert!(
+            shortcut_blamed(&r) > 0,
+            "scc={scc_interval}: no shortcut-blamed tuples survive"
+        );
+        let got = r.export_blame_json().expect("provenance was on");
+        assert!(got.contains("shortcut"), "blame export lacks the new kind");
+        assert_eq!(
+            solve(&prog, &cfg).export_blame_json().as_ref(),
+            Some(&got),
+            "scc={scc_interval}: blame export moved"
+        );
     }
 }
 
-/// Shortcut blame survives budget rollback: a truncated provenance solve
-/// keeps blame exactly on the kept tuples, still carrying the shortcut
-/// kind once the summary was applied.
+/// Shortcut blame survives budget truncation: a truncated provenance
+/// solve keeps blame exactly on the kept tuples, still carrying the
+/// shortcut kind once the summary was applied.
 #[test]
-fn shortcut_blame_survives_budget_rollback() {
+fn shortcut_blame_survives_budget_truncation() {
     let prog = lower(&big_src());
     let collapse_free = PtaConfig {
         budget: u64::MAX,
@@ -320,7 +245,7 @@ fn shortcut_blame_survives_budget_rollback() {
     assert_eq!(r.stats.propagations, needed - 1);
     assert!(
         shortcut_blamed(&r) > 0,
-        "rollback dropped every shortcut-blamed tuple"
+        "truncation dropped every shortcut-blamed tuple"
     );
     // Blame still covers the surviving sets exactly.
     for (node, objs) in r.all_points_to() {
@@ -330,29 +255,38 @@ fn shortcut_blame_survives_budget_rollback() {
 }
 
 /// Provenance is a pure side channel in shortcut mode too: toggling it
-/// moves no export byte.
+/// moves no export byte, at fixpoint or mid-budget.
 #[test]
 fn provenance_toggle_moves_no_shortcut_export_byte() {
     let prog = lower(&big_src());
     let off = solve(&prog, &with_shortcuts(&prog, unlimited()));
     assert!(!off.has_blame());
-    for threads in thread_matrix() {
+    let half = off.stats.propagations / 2;
+    for budget in [u64::MAX, half] {
+        let cfg = PtaConfig {
+            budget,
+            ..Default::default()
+        };
+        let off = solve(&prog, &with_shortcuts(&prog, cfg.clone()));
         let on = solve(
             &prog,
             &with_shortcuts(
                 &prog,
                 PtaConfig {
                     provenance: true,
-                    threads,
-                    ..unlimited()
+                    ..cfg
                 },
             ),
         );
         assert!(on.has_blame());
         assert_eq!(
+            on.stats.propagations, off.stats.propagations,
+            "budget={budget}"
+        );
+        assert_eq!(
             on.export_json(),
             off.export_json(),
-            "threads={threads}: provenance moved a shortcut export byte"
+            "budget={budget}: provenance moved a shortcut export byte"
         );
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! detserved --listen 127.0.0.1:0 [--cache-capacity N] [--cache-dir DIR]
-//!           [--mem-budget CELLS] [--watchdog-grace MS] [--pta-threads N]
-//!           [--shards N] [--spec-depth N] [--shortcuts]
+//!           [--mem-budget CELLS] [--watchdog-grace MS] [--spec-depth N]
+//!           [--shortcuts]
 //! detserved --stdin [same options]
 //! ```
 //!
@@ -36,21 +36,12 @@ fn usage() -> ExitCode {
          \x20 --mem-budget CELLS   server-wide declared-memory budget (admission\n\
          \x20                      control; oversized requests run degraded)\n\
          \x20 --watchdog-grace MS  wedge requests at deadline_ms + MS\n\
-         \x20 --pta-threads N      solver threads for PTA stages (default: the\n\
-         \x20                      host's available parallelism, clamped by\n\
-         \x20                      --mem-budget; 1 = sequential). Results and\n\
-         \x20                      cache keys are identical for every N — the\n\
-         \x20                      knob only changes wall time\n\
-         \x20 --shards N           solver shards for PTA stages (default: the\n\
-         \x20                      solver's own). Like --pta-threads, results\n\
-         \x20                      and cache keys are identical for every N\n\
          \x20 --spec-depth N       default specializer context-depth bound for\n\
          \x20                      PTA stages: solves run over the program\n\
          \x20                      specialized against the determinacy facts.\n\
-         \x20                      Unlike --pta-threads this changes results and\n\
-         \x20                      is part of the stage keys; a request's own\n\
-         \x20                      spec_depth overrides it, and inject requests\n\
-         \x20                      ignore it\n\
+         \x20                      This changes results and is part of the\n\
+         \x20                      stage keys; a request's own spec_depth\n\
+         \x20                      overrides it, and inject requests ignore it\n\
          \x20 --shortcuts          default PTA stages to shortcut mode: a\n\
          \x20                      summary stage replays the determinate\n\
          \x20                      regions concretely and the solver consumes\n\
@@ -73,8 +64,6 @@ fn main() -> ExitCode {
     let mut cache = CacheConfig::default();
     let mut mem_budget = None;
     let mut watchdog_grace = None;
-    let mut pta_threads = None;
-    let mut pta_shards = 0usize;
     let mut spec_depth = None;
     let mut shortcuts = false;
 
@@ -104,21 +93,6 @@ fn main() -> ExitCode {
                             .map_err(|e| format!("--watchdog-grace: {e}"))?,
                     );
                 }
-                "--pta-threads" => {
-                    pta_threads = Some(
-                        value("--pta-threads")?
-                            .parse::<usize>()
-                            .map_err(|e| format!("--pta-threads: {e}"))?,
-                    );
-                }
-                "--shards" => {
-                    pta_shards = value("--shards")?
-                        .parse::<usize>()
-                        .map_err(|e| format!("--shards: {e}"))?;
-                    if pta_shards == 0 {
-                        return Err("--shards: must be at least 1".to_owned());
-                    }
-                }
                 "--spec-depth" => {
                     spec_depth = Some(
                         value("--spec-depth")?
@@ -142,18 +116,12 @@ fn main() -> ExitCode {
         return usage();
     };
 
-    // Deterministic results mean the default can be aggressive: all the
-    // host's cores, scaled back only where the admission memory budget
-    // says the machine is being kept small.
-    let pta_threads = pta_threads.unwrap_or_else(|| mujs_jobs::default_pta_threads(mem_budget));
     let server = Server::new(ServeOptions {
         cache,
         mem_budget_cells: mem_budget,
         watchdog_grace_ms: watchdog_grace,
-        pta_threads,
         spec_depth,
         shortcuts,
-        pta_shards,
     });
 
     let outcome = match transport {

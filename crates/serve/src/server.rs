@@ -41,14 +41,8 @@ pub struct ServeOptions {
     /// Watchdog grace: requests with a deadline are wedged (cancelled and
     /// failed) at `deadline_ms + grace`. `None` disables the watchdog.
     pub watchdog_grace_ms: Option<u64>,
-    /// Solver threads for PTA stages (0 and 1 both mean sequential).
-    /// Purely an execution knob: results — and therefore stage keys and
-    /// cached artifacts — are identical for every value, so operators
-    /// can retune it across restarts without cold-starting the cache.
-    pub pta_threads: usize,
     /// Server-wide default specializer context-depth bound for PTA
-    /// stages. Unlike `pta_threads` this changes results, so it is part
-    /// of the stage keys. A request's own `spec_depth` overrides it; an
+    /// stages. This changes results, so it is part of the stage keys. A request's own `spec_depth` overrides it; an
     /// `inject` request ignores it (injection and specialization are
     /// mutually exclusive ways to consume the facts).
     pub spec_depth: Option<usize>,
@@ -58,11 +52,6 @@ pub struct ServeOptions {
     /// carrying `spec_depth` ignores the default (summaries name
     /// functions of the unspecialized program).
     pub shortcuts: bool,
-    /// Solver shards for PTA stages (0 keeps the solver default). Like
-    /// `pta_threads`, purely an execution knob — never part of stage
-    /// keys, so operators can retune it across restarts without
-    /// cold-starting the cache.
-    pub pta_shards: usize,
 }
 
 struct Inner {
@@ -70,10 +59,8 @@ struct Inner {
     counters: PipelineCounters,
     admission: Option<AdmissionController>,
     watchdog_grace_ms: Option<u64>,
-    pta_threads: usize,
     spec_depth: Option<usize>,
     shortcuts: bool,
-    pta_shards: usize,
     requests: AtomicU64,
     responses: AtomicU64,
     errors: AtomicU64,
@@ -96,10 +83,8 @@ impl Server {
                 counters: PipelineCounters::default(),
                 admission: opts.mem_budget_cells.map(AdmissionController::new),
                 watchdog_grace_ms: opts.watchdog_grace_ms,
-                pta_threads: opts.pta_threads,
                 spec_depth: opts.spec_depth,
                 shortcuts: opts.shortcuts,
-                pta_shards: opts.pta_shards,
                 requests: AtomicU64::new(0),
                 responses: AtomicU64::new(0),
                 errors: AtomicU64::new(0),
@@ -230,8 +215,6 @@ impl Server {
             inject: req.inject,
             spec_depth,
             shortcuts,
-            pta_threads: self.inner.pta_threads,
-            pta_shards: self.inner.pta_shards,
         };
 
         let (tx, rx) = mpsc::channel();

@@ -85,8 +85,8 @@ pub struct StageRequest {
     pub inject: bool,
     /// When set, the PTA stage solves the program *specialized* against
     /// the determinacy facts with this context-depth bound, instead of
-    /// the lowered baseline. Changes results, so (unlike `pta_threads`)
-    /// it is part of the PTA stage key; mutually exclusive with `inject`
+    /// the lowered baseline. Changes results, so it is part of the PTA
+    /// stage key; mutually exclusive with `inject`
     /// (enforced at the protocol layer).
     pub spec_depth: Option<usize>,
     /// When true, a summary stage replays the determinate regions on the
@@ -96,16 +96,6 @@ pub struct StageRequest {
     /// mutually exclusive with `spec_depth` (summaries name functions of
     /// the *unspecialized* program; enforced at the protocol layer).
     pub shortcuts: bool,
-    /// Solver threads for the PTA stage (0/1 sequential, >= 2 the
-    /// epoch-sharded parallel solver). An execution knob, not an input:
-    /// results are identical for every thread count, so it is
-    /// deliberately absent from [`StageKeys`] — artifacts stay warm when
-    /// the service is restarted with different parallelism.
-    pub pta_threads: usize,
-    /// Solver shards for the PTA stage (0 keeps the solver default).
-    /// Like `pta_threads`, an execution knob: fixpoints are identical
-    /// for every shard count, so it never reaches [`StageKeys`].
-    pub pta_shards: usize,
 }
 
 /// The content keys of one request's stages.
@@ -145,10 +135,6 @@ impl StageKeys {
         // byte-identical when the flag is absent.
         let summary = (req.shortcuts && req.pta_budget.is_some())
             .then(|| KeyHasher::new().str("shortcut").str(&facts).finish());
-        // `pta_threads`/`pta_shards` are intentionally not hashed: the
-        // parallel solver is deterministic across thread and shard
-        // counts, so hashing them would only split identical artifacts
-        // across distinct keys.
         let pta = req.pta_budget.map(|budget| {
             // Specialization and shortcut summaries consume the
             // determinacy facts (like injection does), so those solves
@@ -775,8 +761,6 @@ fn run_pta_stage(
         budget,
         facts,
         shortcuts,
-        threads: req.pta_threads.max(1),
-        shards: effective_shards(req),
         ..PtaConfig::default()
     };
     counters.pta_solves.fetch_add(1, Ordering::Relaxed);
@@ -793,15 +777,6 @@ fn run_pta_stage(
         None,
         req.shortcuts,
     )
-}
-
-/// The request's shard count, defaulting to the solver's own when unset.
-fn effective_shards(req: &StageRequest) -> usize {
-    if req.pta_shards == 0 {
-        PtaConfig::default().shards
-    } else {
-        req.pta_shards
-    }
 }
 
 /// Specializes the program against the live fact graphs (context depth
@@ -821,8 +796,6 @@ fn run_spec_pta_stage(
     let s = mujs_specialize::specialize(&harness.program, &multi.facts, &mut multi.ctxs, &spec_cfg);
     let cfg = PtaConfig {
         budget,
-        threads: req.pta_threads.max(1),
-        shards: effective_shards(req),
         ..PtaConfig::default()
     };
     counters.pta_solves.fetch_add(1, Ordering::Relaxed);
@@ -970,8 +943,6 @@ mod tests {
             inject: false,
             spec_depth: None,
             shortcuts: false,
-            pta_threads: 1,
-            pta_shards: 0,
         }
     }
 
@@ -1037,10 +1008,6 @@ mod tests {
         let mut cfg_change = spec.clone();
         cfg_change.cfg.max_facts = 123;
         assert_ne!(ks.pta, StageKeys::compute(&cfg_change).pta);
-        // And it remains thread-count independent.
-        let mut threaded = spec.clone();
-        threaded.pta_threads = 8;
-        assert_eq!(ks, StageKeys::compute(&threaded));
     }
 
     #[test]
@@ -1080,41 +1047,6 @@ mod tests {
         );
         assert_eq!(counters.pta_solves.load(Ordering::Relaxed), solves);
         assert_eq!(counters.analyses.load(Ordering::Relaxed), analyses);
-    }
-
-    #[test]
-    fn stage_keys_ignore_the_thread_count() {
-        let mut a = req("f();");
-        a.pta_budget = Some(1000);
-        let mut b = a.clone();
-        b.pta_threads = 8;
-        assert_eq!(
-            StageKeys::compute(&a),
-            StageKeys::compute(&b),
-            "threads is an execution knob, not a content input"
-        );
-    }
-
-    #[test]
-    fn stage_keys_ignore_the_shard_count() {
-        // Like threads, shards only partition the solver's work: the
-        // fixpoint is identical for every count, so the key must be too
-        // — in every mode, including shortcut mode.
-        for shortcuts in [false, true] {
-            let mut a = req("f();");
-            a.pta_budget = Some(1000);
-            a.inject = true;
-            a.shortcuts = shortcuts;
-            for shards in [16usize, 32, 64] {
-                let mut b = a.clone();
-                b.pta_shards = shards;
-                assert_eq!(
-                    StageKeys::compute(&a),
-                    StageKeys::compute(&b),
-                    "shards is an execution knob, not a content input"
-                );
-            }
-        }
     }
 
     #[test]

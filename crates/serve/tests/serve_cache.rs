@@ -24,8 +24,6 @@ fn req(src: &str) -> StageRequest {
         inject: true,
         spec_depth: None,
         shortcuts: false,
-        pta_threads: 1,
-        pta_shards: 0,
     }
 }
 
@@ -79,52 +77,6 @@ fn warm_response_is_byte_identical_and_recomputes_nothing() {
 }
 
 #[test]
-fn thread_count_changes_keep_every_stage_warm() {
-    // The parallel solver is deterministic, so `pta_threads` is excluded
-    // from the stage keys: a service restarted with different
-    // parallelism must serve the same artifacts without recomputing.
-    let cache = StageCache::new(CacheConfig::default());
-    let counters = PipelineCounters::default();
-    let cold = run(&req(SRC), &cache, &counters);
-    assert_eq!(cold.cached.pta, Some(false));
-    let cold_snapshot = serde_json::to_string(&counters.to_value()).unwrap();
-
-    for threads in [2, 8, 0] {
-        let mut r = req(SRC);
-        r.pta_threads = threads;
-        let warm = run(&r, &cache, &counters);
-        assert_eq!(warm.keys, cold.keys, "threads={threads} must not move keys");
-        assert!(warm.cached.parse && warm.cached.facts);
-        assert_eq!(warm.cached.pta, Some(true), "threads={threads} must hit");
-        assert_eq!(
-            bytes(&cold.report),
-            bytes(&warm.report),
-            "threads={threads}: warm report must be byte-identical"
-        );
-    }
-    assert_eq!(
-        serde_json::to_string(&counters.to_value()).unwrap(),
-        cold_snapshot,
-        "no thread count may cause recomputation on a warm cache"
-    );
-
-    // And the reverse: a cache populated by a parallel solve serves a
-    // sequential request warm with the same bytes.
-    let cache2 = StageCache::new(CacheConfig::default());
-    let counters2 = PipelineCounters::default();
-    let mut par = req(SRC);
-    par.pta_threads = 8;
-    let cold_par = run(&par, &cache2, &counters2);
-    let warm_seq = run(&req(SRC), &cache2, &counters2);
-    assert_eq!(warm_seq.cached.pta, Some(true));
-    assert_eq!(
-        bytes(&cold_par.report),
-        bytes(&warm_seq.report),
-        "parallel and sequential solves must populate identical artifacts"
-    );
-}
-
-#[test]
 fn shortcut_requests_leave_shortcutless_bytes_untouched() {
     // Shortcut mode lives under its own summary key and pta-key fold:
     // interleaving shortcut requests on a shared cache must not move a
@@ -166,33 +118,6 @@ fn shortcut_requests_leave_shortcutless_bytes_untouched() {
     assert_eq!(warm_shortcut.cached.summary, Some(true));
     assert_eq!(warm_shortcut.cached.pta, Some(true));
     assert_eq!(bytes(&shortcut.report), bytes(&warm_shortcut.report));
-}
-
-#[test]
-fn shard_count_changes_keep_every_stage_warm() {
-    // `pta_shards`, like `pta_threads`, is an execution knob: fixpoints
-    // are shard-invariant, so no shard count may miss a warm cache.
-    let cache = StageCache::new(CacheConfig::default());
-    let counters = PipelineCounters::default();
-    let cold = run(&req(SRC), &cache, &counters);
-    let cold_snapshot = serde_json::to_string(&counters.to_value()).unwrap();
-    for shards in [16usize, 32, 64] {
-        let mut r = req(SRC);
-        r.pta_shards = shards;
-        let warm = run(&r, &cache, &counters);
-        assert_eq!(warm.keys, cold.keys, "shards={shards} must not move keys");
-        assert_eq!(warm.cached.pta, Some(true), "shards={shards} must hit");
-        assert_eq!(
-            bytes(&cold.report),
-            bytes(&warm.report),
-            "shards={shards}: warm report must be byte-identical"
-        );
-    }
-    assert_eq!(
-        serde_json::to_string(&counters.to_value()).unwrap(),
-        cold_snapshot,
-        "no shard count may cause recomputation on a warm cache"
-    );
 }
 
 #[test]

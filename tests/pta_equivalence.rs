@@ -1,31 +1,14 @@
 //! Solver-equivalence suite: the delta-propagating bitset solver must be
 //! observationally identical to the naive reference solver
 //! (`mujs_pta::solve_reference`, the pre-optimization algorithm kept
-//! verbatim as an executable spec) — and so must the epoch-sharded
-//! parallel solver, for every thread count.
+//! verbatim as an executable spec).
 //!
 //! "Identical" is byte-identical `export_json()` — call graph and full
-//! points-to relation — at an unlimited budget, where all solvers reach
-//! the same least fixpoint regardless of propagation order, cycle
-//! collapsing, or parallel schedule.
-//!
-//! Every assertion runs a thread-count matrix (default `{1, 2, 8}`;
-//! threads = 1 is the sequential delta solver, ≥ 2 the epoch-sharded
-//! one). CI narrows or widens the matrix with `PTA_EQ_THREADS`, a
-//! comma-separated thread list.
+//! points-to relation — at an unlimited budget, where both solvers reach
+//! the same least fixpoint regardless of propagation order or cycle
+//! collapsing.
 
 use mujs_pta::{solve, solve_reference, PtaConfig, PtaStatus};
-
-fn thread_matrix() -> Vec<usize> {
-    match std::env::var("PTA_EQ_THREADS") {
-        Ok(s) => {
-            let m: Vec<usize> = s.split(',').filter_map(|t| t.trim().parse().ok()).collect();
-            assert!(!m.is_empty(), "PTA_EQ_THREADS set but empty: {s:?}");
-            m
-        }
-        Err(_) => vec![1, 2, 8],
-    }
-}
 
 fn assert_equivalent(name: &str, prog: &mujs_ir::Program, cfg: &PtaConfig) {
     let slow = solve_reference(prog, cfg);
@@ -34,27 +17,17 @@ fn assert_equivalent(name: &str, prog: &mujs_ir::Program, cfg: &PtaConfig) {
         PtaStatus::Completed,
         "{name}: reference solver starved at unlimited budget"
     );
-    let want = slow.export_json();
-    for threads in thread_matrix() {
-        let fast = solve(
-            prog,
-            &PtaConfig {
-                threads,
-                ..cfg.clone()
-            },
-        );
-        assert_eq!(
-            fast.status,
-            PtaStatus::Completed,
-            "{name} [threads={threads}]: delta solver starved at unlimited budget"
-        );
-        assert_eq!(
-            fast.export_json(),
-            want,
-            "{name} [threads={threads}]: solver disagrees with the reference \
-             on call graph or points-to sets"
-        );
-    }
+    let fast = solve(prog, cfg);
+    assert_eq!(
+        fast.status,
+        PtaStatus::Completed,
+        "{name}: delta solver starved at unlimited budget"
+    );
+    assert_eq!(
+        fast.export_json(),
+        slow.export_json(),
+        "{name}: solver disagrees with the reference on call graph or points-to sets"
+    );
 }
 
 fn unlimited() -> PtaConfig {
@@ -64,7 +37,7 @@ fn unlimited() -> PtaConfig {
     }
 }
 
-/// All solvers on every Table 1 corpus version, baseline and
+/// Both solvers on every Table 1 corpus version, baseline and
 /// determinacy-specialized programs.
 #[test]
 fn jquery_corpus_baseline_and_specialized_agree() {
@@ -95,7 +68,7 @@ fn jquery_corpus_baseline_and_specialized_agree() {
     }
 }
 
-/// All solvers across the §5.2 eval-elimination suite (every runnable
+/// Both solvers across the §5.2 eval-elimination suite (every runnable
 /// benchmark), covering call-heavy and eval-bearing program shapes.
 #[test]
 fn evalbench_suite_agrees() {
@@ -110,11 +83,8 @@ fn evalbench_suite_agrees() {
 }
 
 /// Aggressive cycle collapsing (collapse scan after every — or every
-/// couple of — new copy edges) must not change observable results for any
-/// thread count, including on programs with real copy cycles. In the
-/// epoch solver collapse passes run at barriers only, so this also pins
-/// that barrier-synchronized merging agrees with the mid-worklist merging
-/// of the sequential solver.
+/// couple of — new copy edges) must not change observable results,
+/// including on programs with real copy cycles.
 #[test]
 fn aggressive_collapsing_agrees() {
     let cyclic = r#"
@@ -125,7 +95,25 @@ fn aggressive_collapsing_agrees() {
         }
         var sink = a.tag;
     "#;
-    let mut sources: Vec<(String, String)> = vec![("copy-cycle".to_owned(), cyclic.to_owned())];
+    // Wide and deep: hundreds of simultaneously dirty nodes, higher-order
+    // calls through copy chains, and a ⋆-smearing dynamic access.
+    let mut wide = String::from("function id(x) { return x; }\n");
+    for i in 0..120 {
+        wide.push_str(&format!(
+            "function mk{i}() {{ return {{ tag: mk{i}, lift: id }}; }} var v{i} = mk{i}();\n"
+        ));
+    }
+    for i in 0..120 {
+        let j = (i + 41) % 120;
+        wide.push_str(&format!(
+            "v{i} = id(v{j}); var f{i} = v{i}.tag; var w{i} = f{i}();\n"
+        ));
+    }
+    wide.push_str("var key = somethingUnknown; var smeared = v0[key];\n");
+    let mut sources: Vec<(String, String)> = vec![
+        ("copy-cycle".to_owned(), cyclic.to_owned()),
+        ("wide".to_owned(), wide),
+    ];
     sources.extend(mujs_corpus::evalbench::named_sources());
     for scc_interval in [1, 2] {
         let cfg = PtaConfig {
@@ -142,34 +130,24 @@ fn aggressive_collapsing_agrees() {
 }
 
 /// The crafted copy cycle really does exercise the merge path: with
-/// frequent collapse scans, nodes get merged — in the sequential solver
-/// and at the parallel solver's epoch barriers — and the result still
-/// matches the reference solver (checked above); this pins that merging
-/// occurred under every thread count.
+/// frequent collapse scans, nodes get merged, and the result still
+/// matches the reference solver.
 #[test]
 fn collapsing_merges_nodes_on_copy_cycles() {
     let src = "var a = {}; var b = a; var c = b; a = c; var d = a;";
     let ast = mujs_syntax::parse(src).expect("parses");
     let prog = mujs_ir::lower_program(&ast);
-    for threads in thread_matrix() {
-        let cfg = PtaConfig {
-            budget: u64::MAX,
-            scc_interval: 1,
-            threads,
-            ..Default::default()
-        };
-        let r = solve(&prog, &cfg);
-        assert_eq!(r.status, PtaStatus::Completed);
-        assert!(
-            r.stats.nodes_merged > 0,
-            "[threads={threads}] expected the a/b/c copy cycle to be collapsed, stats: {:?}",
-            r.stats
-        );
-    }
     let cfg = PtaConfig {
         budget: u64::MAX,
         scc_interval: 1,
         ..Default::default()
     };
+    let r = solve(&prog, &cfg);
+    assert_eq!(r.status, PtaStatus::Completed);
+    assert!(
+        r.stats.nodes_merged > 0,
+        "expected the a/b/c copy cycle to be collapsed, stats: {:?}",
+        r.stats
+    );
     assert_equivalent("merge-pin", &prog, &cfg);
 }
