@@ -1,13 +1,14 @@
 //! Running manifests through the pool, and the deterministic batch
 //! report.
 //!
-//! Each job runs entirely inside one worker thread: parse + lower (on the
-//! worker's big stack), one supervised analysis run per seed with the
-//! batch [`CancelToken`][determinacy::CancelToken] threaded into the run
-//! hooks, per-seed combination via [`MultiRunOutcome::combine`] in seed
-//! order. The finished graph (program, source, combined outcome)
-//! transfers back through the pool's ordered result slots, so
-//! [`BatchOutcome::jobs`] is always in manifest order and
+//! Each job runs the shared [`Pipeline`] entirely inside one worker
+//! thread: parse + lower (on the worker's big stack), one supervised
+//! analysis run per seed with the batch
+//! [`CancelToken`][determinacy::CancelToken] threaded into the run hooks,
+//! per-seed combination via [`MultiRunOutcome::combine`] in seed order,
+//! then the optional PTA stage. The finished graph (program, source,
+//! combined outcome) transfers back through the pool's ordered result
+//! slots, so [`BatchOutcome::jobs`] is always in manifest order and
 //! [`BatchOutcome::report_json`] is **byte-identical for any worker
 //! count**.
 //!
@@ -35,6 +36,10 @@
 
 use crate::admission::{Admission, AdmissionController};
 use crate::checkpoint::{job_key, Checkpoint};
+use crate::pipeline::{
+    facts_fields, render_row as render_pipeline_row, Pipeline, PipelineCounters, PtaMode, PtaStage,
+    StageKeys,
+};
 use crate::pool::{IsolatedGraph, JobCtx, JobEvent, JobPool, JobVerdict};
 use crate::retry::{Disposition, RetryPolicy};
 use crate::spec::{JobSpec, Manifest};
@@ -142,18 +147,11 @@ pub struct BatchOptions {
     /// Batch-wide declared-memory budget (heap cells) for the admission
     /// controller; `None` disables admission control.
     pub mem_budget_cells: Option<u64>,
-    /// When set, every completed job additionally runs a budgeted
-    /// baseline pointer-analysis solve over its lowered program and the
-    /// report row gains a `pta` object. `None` (the default) skips the
-    /// stage entirely and leaves report bytes unchanged.
-    pub pta_budget: Option<u64>,
-    /// When set (and a PTA stage runs), each job's program is specialized
-    /// first — against its own combined dynamic facts, with this
-    /// context-depth bound — and the PTA solves the *specialized*
-    /// program. This changes results, so it is part
-    /// of the job key and the `pta` row records it. Ignored without
-    /// [`BatchOptions::pta_budget`].
-    pub spec_depth: Option<usize>,
+    /// When set, every completed job additionally runs this budgeted
+    /// pointer-analysis stage and the report row gains a `pta` object.
+    /// `None` (the default) skips the stage and leaves report bytes
+    /// unchanged.
+    pub pta: Option<PtaStage>,
     /// Deterministic scheduler chaos (checkpoint truncation); the pool
     /// carries its own copy for kills and event faults.
     #[cfg(feature = "fault-inject")]
@@ -292,62 +290,31 @@ fn status_str(status: &JobStatus) -> String {
 /// Renders one report row. This single function serves the live report,
 /// the checkpoint writer, and (transitively) the resume splice, which is
 /// what makes interrupted-then-resumed reports byte-identical to
-/// uninterrupted ones.
+/// uninterrupted ones. The `pta` field exists only when the batch ran the
+/// PTA stage.
 fn render_row(
     name: &str,
     status: &JobStatus,
     outcome: Option<&JobOutcome>,
     include_facts: bool,
 ) -> Value {
-    let num = |n: u64| Value::Num(n as f64);
-    let (seeds, run_statuses, failures, facts, determinate, conflicts) = match outcome {
-        Some(o) => (
-            o.seeds.iter().map(|&s| num(s)).collect(),
-            o.multi
-                .runs
-                .iter()
-                .map(|r| Value::Str(format!("{:?}", r.status)))
-                .collect(),
-            o.multi
-                .failures
-                .iter()
-                .map(|f| {
-                    Value::Object(vec![
-                        ("kind".to_owned(), Value::Str(f.kind().to_owned())),
-                        ("seed".to_owned(), num(f.seed())),
-                        ("message".to_owned(), Value::Str(f.to_string())),
-                    ])
-                })
-                .collect(),
-            o.multi.facts.len() as u64,
-            o.multi.facts.det_count() as u64,
-            o.multi.conflicts,
-        ),
-        None => (Vec::new(), Vec::new(), Vec::new(), 0, 0, 0),
-    };
-    let fact_rows = match (outcome, include_facts) {
-        (Some(o), true) => {
-            serde_json::from_str(&o.export_facts_json()).expect("fact export re-parses")
-        }
-        _ => Value::Null,
-    };
-    let mut fields = vec![
-        ("name".to_owned(), Value::Str(name.to_owned())),
-        ("status".to_owned(), Value::Str(status_str(status))),
-        ("seeds".to_owned(), Value::Array(seeds)),
-        ("run_statuses".to_owned(), Value::Array(run_statuses)),
-        ("failures".to_owned(), Value::Array(failures)),
-        ("facts".to_owned(), num(facts)),
-        ("determinate".to_owned(), num(determinate)),
-        ("conflicts".to_owned(), num(conflicts)),
-        ("fact_rows".to_owned(), fact_rows),
-    ];
-    // The `pta` field exists only when the batch ran the opt-in PTA
-    // stage, keeping PTA-less reports byte-identical to earlier versions.
-    if let Some(pta) = outcome.and_then(|o| o.pta.as_ref()) {
-        fields.push(("pta".to_owned(), pta.clone()));
-    }
-    Value::Object(fields)
+    let facts = outcome.map(|o| {
+        Value::Object(facts_fields(
+            &o.seeds,
+            &o.multi,
+            &o.program,
+            &o.source,
+            include_facts,
+        ))
+    });
+    let pta = outcome.and_then(|o| o.pta.clone());
+    render_pipeline_row(
+        name,
+        &status_str(status),
+        facts.as_ref(),
+        include_facts,
+        pta.map(|row| ("pta".to_owned(), row)).into_iter().collect(),
+    )
 }
 
 /// Replaces (or appends) an object field in place.
@@ -422,7 +389,12 @@ pub fn run_manifest_with(manifest: &Manifest, pool: &JobPool, opts: &BatchOption
     let keys: Vec<String> = manifest
         .jobs
         .iter()
-        .map(|s| job_key(s, opts.mem_budget_cells, opts.pta_budget, opts.spec_depth))
+        .map(|s| {
+            job_key(
+                &StageKeys::compute(&s.stage_request(opts.pta)),
+                opts.mem_budget_cells,
+            )
+        })
         .collect();
     let mut records: Vec<Option<JobRecord>> = (0..n).map(|_| None).collect();
     let mut scheduled: Vec<usize> = Vec::new();
@@ -468,7 +440,7 @@ pub fn run_manifest_with(manifest: &Manifest, pool: &JobPool, opts: &BatchOption
             let key = keys[i].clone();
             let admission = &admission;
             let grace = opts.watchdog_grace_ms;
-            let pta = opts.pta_budget.map(|b| (b, opts.spec_depth));
+            let pta = opts.pta;
             let job = move |ctx: &JobCtx| -> IsolatedGraph<SpecRun> {
                 let adm = match admission {
                     Some(c) => c.admit(spec.effective_config().mem_cell_budget),
@@ -564,139 +536,64 @@ pub fn run_manifest_with(manifest: &Manifest, pool: &JobPool, opts: &BatchOption
     }
 }
 
-/// The worker-side body of one manifest job. Everything `Rc`-threaded is
-/// built here, inside the worker, and transferred back wholesale (see
-/// [`IsolatedGraph`]).
+/// The worker-side body of one manifest job: the shared [`Pipeline`],
+/// run live. Everything `Rc`-threaded is built here, inside the worker,
+/// and transferred back wholesale (see [`IsolatedGraph`]).
 fn run_spec(
     spec: &JobSpec,
     ctx: &JobCtx,
     adm: &Admission,
     watchdog_grace_ms: Option<u64>,
-    pta: Option<(u64, Option<usize>)>,
+    pta: Option<PtaStage>,
 ) -> (JobStatus, Option<JobOutcome>) {
-    let harness = match DetHarness::from_src(&spec.src) {
-        Ok(h) => h,
-        Err(e) => return (JobStatus::Syntax(e.to_string()), None),
-    };
-    let mut cfg = spec.effective_config();
+    let mut req = spec.stage_request(pta);
     if adm.degraded {
-        cfg.mem_cell_budget = adm.granted;
+        req.cfg.mem_cell_budget = adm.granted;
     }
-    if let (Some(grace), Some(deadline)) = (watchdog_grace_ms, cfg.deadline_ms) {
+    if let (Some(grace), Some(deadline)) = (watchdog_grace_ms, req.cfg.deadline_ms) {
         ctx.arm_watchdog(deadline.saturating_add(grace));
     }
-    let seeds = spec.effective_seeds();
-    let doc = DocumentBuilder::new().title(&spec.name).build();
-    let plan = EventPlan::new();
-    let mut outcome = analyze_seeds(harness, &seeds, cfg, &doc, &plan, ctx);
-    if let Some((budget, spec_depth)) = pta {
-        let row = match spec_depth {
-            // The worker still holds the live fact database and context
-            // table, so specialization is a local transform here — no
-            // re-analysis, no serialization round-trip.
-            Some(depth) => {
-                ctx.progress(format!("specializing at depth {depth}"));
-                let spec_cfg = mujs_specialize::SpecConfig {
-                    max_context_depth: depth,
-                    ..Default::default()
-                };
-                let s = mujs_specialize::specialize(
-                    &outcome.program,
-                    &outcome.multi.facts,
-                    &mut outcome.multi.ctxs,
-                    &spec_cfg,
-                );
-                ctx.progress("solving pointer analysis".to_owned());
-                let mut row = solve_pta_row(&s.program, budget);
-                // Recorded only when set, so depth-less reports keep
-                // their historical bytes.
-                set_field(&mut row, "spec_depth", Value::Num(depth as f64));
-                row
-            }
-            None => {
-                ctx.progress("solving pointer analysis".to_owned());
-                solve_pta_row(&outcome.program, budget)
-            }
-        };
-        outcome.pta = Some(row);
-    }
+    let counters = PipelineCounters::default();
+    let notify = |detail: &str| ctx.progress(detail);
+    let mut p = Pipeline::new(&req, &ctx.cancel, &counters, &notify);
+    let pta_row = match live_pta_row(&mut p, pta) {
+        Ok(row) => row,
+        Err(e) => return (JobStatus::Syntax(e.to_string()), None),
+    };
+    let (Some(harness), Some(multi)) = p.into_live() else {
+        unreachable!("the fan-out ran");
+    };
     let status = if adm.degraded {
         JobStatus::Degraded
     } else {
         JobStatus::Completed
     };
-    (status, Some(outcome))
-}
-
-/// Runs the opt-in baseline PTA stage over a job's lowered program and
-/// renders its report object. Everything in the row is deterministic —
-/// budget-bounded work, canonical call-graph/precision counts — so batch
-/// reports stay byte-identical for any `--workers` count.
-fn solve_pta_row(program: &mujs_ir::Program, budget: u64) -> Value {
-    let cfg = mujs_pta::PtaConfig {
-        budget,
-        ..mujs_pta::PtaConfig::default()
-    };
-    let r = mujs_pta::solve(program, &cfg);
-    let p = r.precision(program);
-    let num = |n: f64| Value::Num(n);
-    Value::Object(vec![
-        (
-            "status".to_owned(),
-            Value::Str(
-                match r.status {
-                    mujs_pta::PtaStatus::Completed => "completed",
-                    mujs_pta::PtaStatus::BudgetExceeded => "budget exceeded",
-                }
-                .to_owned(),
-            ),
-        ),
-        ("budget".to_owned(), num(budget as f64)),
-        ("propagations".to_owned(), num(r.stats.propagations as f64)),
-        ("call_sites".to_owned(), num(p.call_sites as f64)),
-        ("poly_sites".to_owned(), num(p.poly_sites as f64)),
-        ("avg_points_to".to_owned(), num(p.avg_points_to)),
-        ("reachable_funcs".to_owned(), num(p.reachable_funcs as f64)),
-    ])
-}
-
-/// Runs one seed fan-out sequentially on the current (worker) thread,
-/// short-circuiting remaining seeds to [`RunFailure::Cancelled`] once the
-/// batch token fires, and combining in seed order.
-fn analyze_seeds(
-    mut harness: DetHarness,
-    seeds: &[u64],
-    base_cfg: AnalysisConfig,
-    doc: &Document,
-    plan: &EventPlan,
-    ctx: &JobCtx,
-) -> JobOutcome {
-    let hooks = RunHooks::with_cancel(ctx.cancel.clone());
-    let n = seeds.len();
-    let results: Vec<Result<AnalysisOutcome, RunFailure>> = seeds
-        .iter()
-        .enumerate()
-        .map(|(i, &seed)| {
-            if ctx.is_cancelled() {
-                return Err(RunFailure::Cancelled { seed });
-            }
-            let cfg = AnalysisConfig {
-                seed,
-                ..base_cfg.clone()
-            };
-            let r = supervised_analyze_dom(&mut harness, cfg, doc.clone(), plan, &hooks);
-            ctx.progress(format!("seed {}/{n} done", i + 1));
-            r
-        })
-        .collect();
-    let multi = MultiRunOutcome::combine(results, base_cfg.max_facts);
-    JobOutcome {
-        seeds: seeds.to_vec(),
+    let outcome = JobOutcome {
+        seeds: req.seeds,
         multi,
         program: harness.program,
         source: harness.source,
-        pta: None,
-    }
+        pta: pta_row,
+    };
+    (status, Some(outcome))
+}
+
+/// Runs the fan-out, then the PTA stage (if any) from the live outcome,
+/// building the upstream artifacts its mode consumes.
+fn live_pta_row(
+    p: &mut Pipeline<'_>,
+    pta: Option<PtaStage>,
+) -> Result<Option<Value>, mujs_syntax::SyntaxError> {
+    p.live()?;
+    let Some(stage) = pta else {
+        return Ok(None);
+    };
+    let facts = stage.mode.injects().then(|| p.facts()).transpose()?;
+    let summary = (stage.mode == PtaMode::InjectShortcuts)
+        .then(|| p.summary())
+        .transpose()?;
+    let (row, _) = p.pta(facts.as_ref(), summary.as_ref())?;
+    Ok(Some(row))
 }
 
 /// The pool-backed variant of

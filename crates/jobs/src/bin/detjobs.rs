@@ -19,7 +19,8 @@
 //! failed or wedged (or on I/O errors), `2` for usage errors.
 
 use mujs_jobs::{
-    run_manifest_with, BatchOptions, Checkpoint, JobEvent, JobPool, Manifest, RetryPolicy,
+    run_manifest_with, BatchOptions, Checkpoint, JobEvent, JobPool, Manifest, PtaMode, PtaStage,
+    RetryPolicy,
 };
 use std::sync::mpsc::channel;
 
@@ -372,8 +373,10 @@ fn main() {
         checkpoint_every: o.checkpoint_every,
         resume,
         mem_budget_cells: o.mem_budget,
-        pta_budget: o.pta_budget,
-        spec_depth: o.spec_depth,
+        pta: o.pta_budget.map(|budget| PtaStage {
+            budget,
+            mode: o.spec_depth.map_or(PtaMode::Baseline, PtaMode::Spec),
+        }),
         #[cfg(feature = "fault-inject")]
         chaos: None,
     };

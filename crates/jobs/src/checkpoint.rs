@@ -10,13 +10,13 @@
 //!
 //! Two properties make that safe:
 //!
-//! * **Content keying.** Rows are keyed by a content hash of everything
-//!   that determines a job's bytes — source, effective
-//!   [`AnalysisConfig`], seed list, and the batch-wide memory budget —
-//!   *not* by job name or manifest position. A stale checkpoint can never
-//!   resurrect a row for a job whose inputs changed; it simply misses and
-//!   the job reruns. (This keying is the stepping stone to the ROADMAP's
-//!   cached `detserved`: the key is exactly a cache key.)
+//! * **Content keying.** Rows are keyed by [`job_key`]: the job's
+//!   pipeline stage keys ([`crate::pipeline::StageKeys`], which cover the
+//!   source, effective [`AnalysisConfig`][determinacy::AnalysisConfig],
+//!   seed list, PTA stage and the key-scheme version) plus the batch-wide
+//!   memory budget, *not* the job name or manifest position. A stale
+//!   checkpoint can never resurrect a row for a job whose inputs changed;
+//!   it simply misses and the job reruns.
 //! * **Atomic publication.** Checkpoints are written to a `.tmp` sibling
 //!   and `rename`d into place. A crash (or the chaos plan's injected
 //!   truncation) mid-write leaves the previously published checkpoint
@@ -26,49 +26,26 @@
 //! rendered with or without `--facts`; the splice path strips
 //! `fact_rows` when facts were not requested.
 
-use crate::spec::JobSpec;
-use determinacy::cachekey::KeyHasher;
+use crate::pipeline::{stage_hasher, StageKeys};
 use serde_json::Value;
 use std::io::Write;
 use std::path::Path;
 
 /// The checkpoint file format version; bumped on any incompatible layout
 /// change so stale files are rejected instead of misread. (The content
-/// *keys* inside come from [`determinacy::cachekey`]; a key-scheme change
-/// needs no version bump — stale keys simply miss and the jobs rerun.)
+/// *keys* inside fold [`crate::pipeline::KEY_SCHEME`]; a key-scheme change needs no
+/// version bump — stale keys simply miss and the jobs rerun.)
 const VERSION: f64 = 1.0;
 
-/// The content key of one job: everything that determines its report
-/// bytes, hashed with the workspace-wide [`determinacy::cachekey`]
-/// scheme (shared with the `mujs-serve` stage cache). Jobs with equal
-/// keys produce byte-identical rows (modulo the job name, which the
-/// splice path rewrites).
-///
-/// The PTA budget is folded in only when the batch runs a PTA stage, so
-/// checkpoints from PTA-less campaigns keep their keys across versions.
-/// The specializer context-depth bound (`--spec-depth`) is folded in only
-/// when a PTA stage runs *and* the bound is set, because it changes the
-/// solved program and hence the row; batches without it keep their
-/// historical keys.
-pub fn job_key(
-    spec: &JobSpec,
-    batch_mem_budget: Option<u64>,
-    pta_budget: Option<u64>,
-    spec_depth: Option<usize>,
-) -> String {
-    let cfg = serde_json::to_string(&spec.effective_config()).expect("config serializes");
-    let mut h = KeyHasher::new().str(&spec.src).str(&cfg);
-    for seed in spec.effective_seeds() {
-        h = h.u64(seed);
-    }
-    h = h.opt_u64(batch_mem_budget);
-    if let Some(budget) = pta_budget {
-        h = h.str("pta").u64(budget);
-        if let Some(depth) = spec_depth {
-            h = h.str("spec").u64(depth as u64);
-        }
-    }
-    h.finish()
+/// The content key of one job: its stage keys (see
+/// [`crate::pipeline`]) plus the batch-wide memory budget, which decides
+/// admission degradation. Jobs with equal keys produce byte-identical rows
+/// (modulo the job name, which the splice path rewrites).
+pub fn job_key(keys: &StageKeys, batch_mem_budget: Option<u64>) -> String {
+    stage_hasher("job", &keys.facts)
+        .str(keys.pta.as_deref().unwrap_or(""))
+        .opt_u64(batch_mem_budget)
+        .finish()
 }
 
 /// A set of settled report rows, keyed by [`job_key`].
@@ -204,53 +181,38 @@ mod tests {
 
     #[test]
     fn keys_depend_on_content_not_name() {
+        use crate::pipeline::{PtaMode, PtaStage};
+        use crate::spec::JobSpec;
+        let key = |spec: &JobSpec, mem: Option<u64>, pta: Option<PtaStage>| {
+            job_key(&StageKeys::compute(&spec.stage_request(pta)), mem)
+        };
+        let stage = |budget, mode| Some(PtaStage { budget, mode });
         let a = JobSpec::new("a", "var x = 1;");
         let renamed = JobSpec::new("b", "var x = 1;");
         let changed = JobSpec::new("a", "var x = 2;");
-        assert_eq!(
-            job_key(&a, None, None, None),
-            job_key(&renamed, None, None, None)
-        );
-        assert_ne!(
-            job_key(&a, None, None, None),
-            job_key(&changed, None, None, None)
-        );
-        assert_ne!(
-            job_key(&a, None, None, None),
-            job_key(&a, Some(1000), None, None)
-        );
+        assert_eq!(key(&a, None, None), key(&renamed, None, None));
+        assert_ne!(key(&a, None, None), key(&changed, None, None));
+        assert_ne!(key(&a, None, None), key(&a, Some(1000), None));
         let reseeded = JobSpec {
             seeds: Some(vec![9]),
             ..JobSpec::new("a", "var x = 1;")
         };
+        assert_ne!(key(&a, None, None), key(&reseeded, None, None));
+        // The PTA stage (its presence, budget and mode) adds a `pta`
+        // object to the row, so each of them moves the key.
+        let baseline = stage(1000, PtaMode::Baseline);
+        assert_ne!(key(&a, None, None), key(&a, None, baseline));
         assert_ne!(
-            job_key(&a, None, None, None),
-            job_key(&reseeded, None, None, None)
-        );
-        // Enabling the PTA stage (or changing its budget) moves the key;
-        // the stage adds a `pta` object to the row.
-        assert_ne!(
-            job_key(&a, None, None, None),
-            job_key(&a, None, Some(1000), None)
-        );
-        assert_ne!(
-            job_key(&a, None, Some(1000), None),
-            job_key(&a, None, Some(2000), None)
-        );
-        // The specializer depth bound changes the solved program, so it
-        // moves the key — but only when a PTA stage actually runs; a
-        // PTA-less batch ignores it entirely.
-        assert_ne!(
-            job_key(&a, None, Some(1000), None),
-            job_key(&a, None, Some(1000), Some(2))
+            key(&a, None, baseline),
+            key(&a, None, stage(2000, PtaMode::Baseline))
         );
         assert_ne!(
-            job_key(&a, None, Some(1000), Some(2)),
-            job_key(&a, None, Some(1000), Some(3))
+            key(&a, None, baseline),
+            key(&a, None, stage(1000, PtaMode::Spec(2)))
         );
-        assert_eq!(
-            job_key(&a, None, None, None),
-            job_key(&a, None, None, Some(2))
+        assert_ne!(
+            key(&a, None, stage(1000, PtaMode::Spec(2))),
+            key(&a, None, stage(1000, PtaMode::Spec(3)))
         );
     }
 

@@ -21,6 +21,9 @@
 //!   count**;
 //! * [`analyze_many_pooled`] — the pool-backed variant of the core
 //!   `analyze_many_hooked` seed fan-out;
+//! * [`pipeline`] — the one analysis pipeline (canonical request, stage
+//!   keys, seed fan-out, facts row, PTA stage) that `detjobs` runs live
+//!   and `detserved` wraps in its stage cache;
 //! * the `detjobs` binary — manifest/directory/suite in, streamed
 //!   progress lines out, deterministic JSON report written at the end.
 //!
@@ -44,6 +47,7 @@ pub mod batch;
 #[cfg(feature = "fault-inject")]
 pub mod chaos;
 pub mod checkpoint;
+pub mod pipeline;
 pub mod pool;
 pub mod retry;
 pub mod spec;
@@ -54,6 +58,7 @@ pub use batch::{
     JobRecord, JobStatus,
 };
 pub use checkpoint::{job_key, Checkpoint};
+pub use pipeline::{PtaMode, PtaStage, StageKeys, StageRequest};
 pub use pool::{JobCtx, JobEvent, JobPool, JobRun, JobVerdict};
 pub use retry::{Disposition, RetryPolicy};
 pub use spec::{JobSpec, Manifest};

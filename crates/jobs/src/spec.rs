@@ -21,6 +21,7 @@
 //! config budgets, which the machine enforces cooperatively at its poll
 //! points exactly as under the PR 1 supervisor.
 
+use crate::pipeline::{PtaStage, StageRequest};
 use determinacy::AnalysisConfig;
 use serde::{Deserialize, Serialize};
 
@@ -75,6 +76,17 @@ impl JobSpec {
             c.mem_cell_budget = self.mem_cells;
         }
         c
+    }
+
+    /// The job as a pipeline request with the batch's PTA stage (before
+    /// any admission degradation).
+    pub fn stage_request(&self, pta: Option<PtaStage>) -> StageRequest {
+        StageRequest {
+            src: self.src.clone(),
+            cfg: self.effective_config(),
+            seeds: self.effective_seeds(),
+            pta,
+        }
     }
 }
 

@@ -3,9 +3,10 @@
 //! determinism of the hardened batch path — all without fault injection
 //! (the chaos suite layers that on).
 
+use determinacy::AnalysisConfig;
 use mujs_jobs::{
     job_key, run_manifest, run_manifest_with, BatchOptions, Checkpoint, JobEvent, JobPool, JobSpec,
-    JobStatus, Manifest, RetryPolicy,
+    JobStatus, Manifest, PtaMode, PtaStage, RetryPolicy, StageKeys,
 };
 use std::path::PathBuf;
 use std::sync::mpsc::channel;
@@ -24,6 +25,19 @@ fn small_manifest() -> Manifest {
         JobSpec::new("calls", "function f(v) { return v + 1; } var r = f(f(1));"),
         JobSpec::new("strings", "var s = 'a' + 'b'; var t = s + 'c';"),
     ])
+}
+
+/// A job's checkpoint key in a batch with this PTA stage and no memory
+/// budget.
+fn key(spec: &JobSpec, pta: Option<PtaStage>) -> String {
+    job_key(&StageKeys::compute(&spec.stage_request(pta)), None)
+}
+
+fn baseline(budget: u64) -> Option<PtaStage> {
+    Some(PtaStage {
+        budget,
+        mode: PtaMode::Baseline,
+    })
 }
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -111,6 +125,60 @@ fn resumed_batches_are_byte_identical_without_reexecution() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The job name is not part of the checkpoint key, so it must not reach
+/// the analysis either: every job runs against the same fixed document.
+/// A job whose facts read `document.title`, checkpointed under one name
+/// and resumed under another, reproduces an uninterrupted run of the new
+/// name byte for byte, and same-source jobs under different names agree.
+#[test]
+fn renamed_jobs_resume_to_the_bytes_of_an_uninterrupted_run() {
+    let job = |name: &str| JobSpec {
+        config: Some(AnalysisConfig {
+            det_dom: true,
+            ..AnalysisConfig::default()
+        }),
+        ..JobSpec::new(name, "var o = {}; o[document.title] = 1;")
+    };
+    let dir = tmp_dir("robustness-rename");
+    let ckpt = dir.join("ck.json");
+    run_manifest_with(
+        &Manifest::new(vec![job("alpha")]),
+        &JobPool::new(1),
+        &BatchOptions {
+            checkpoint_path: Some(ckpt.clone()),
+            ..Default::default()
+        },
+    );
+    let renamed = Manifest::new(vec![job("beta")]);
+    let resumed = run_manifest_with(
+        &renamed,
+        &JobPool::new(1),
+        &BatchOptions {
+            resume: Some(Checkpoint::load(&ckpt).unwrap()),
+            ..Default::default()
+        },
+    );
+    assert!(resumed.jobs[0].restored.is_some(), "same content, same key");
+    let uninterrupted = run_manifest(&renamed, &JobPool::new(1)).report_json(true);
+    assert!(
+        uninterrupted.contains("PropKey"),
+        "the title flows into a property key: {uninterrupted}"
+    );
+    assert_eq!(uninterrupted, resumed.report_json(true));
+
+    let twins = run_manifest(
+        &Manifest::new(vec![job("alpha"), job("beta")]),
+        &JobPool::new(1),
+    );
+    let facts: Vec<String> = twins
+        .jobs
+        .iter()
+        .map(|j| j.outcome.as_ref().unwrap().export_facts_json())
+        .collect();
+    assert_eq!(facts[0], facts[1]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Content keying: editing a job's source invalidates its checkpoint row
 /// (the job reruns), while untouched jobs still splice.
 #[test]
@@ -128,10 +196,7 @@ fn stale_checkpoint_rows_miss_on_content_change() {
     );
     let mut edited = m.clone();
     edited.jobs[1].src = "var x = 999;".to_owned();
-    assert_ne!(
-        job_key(&m.jobs[1], None, None, None),
-        job_key(&edited.jobs[1], None, None, None)
-    );
+    assert_ne!(key(&m.jobs[1], None), key(&edited.jobs[1], None));
     let resumed = run_manifest_with(
         &edited,
         &JobPool::new(2),
@@ -258,7 +323,7 @@ fn pta_stage_is_deterministic_and_strictly_opt_in() {
     );
 
     let opts = BatchOptions {
-        pta_budget: Some(50_000),
+        pta: baseline(50_000),
         ..Default::default()
     };
     let seq = run_manifest_with(&m, &JobPool::new(1), &opts);
@@ -274,19 +339,19 @@ fn pta_stage_is_deterministic_and_strictly_opt_in() {
 
     // Checkpoint keys fold the budget (stale rows miss when it changes).
     let spec = &m.jobs[0];
+    assert_ne!(key(spec, baseline(50_000)), key(spec, baseline(60_000)));
     assert_ne!(
-        job_key(spec, None, Some(50_000), None),
-        job_key(spec, None, Some(60_000), None)
-    );
-    assert_ne!(
-        job_key(spec, None, Some(50_000), None),
-        job_key(spec, None, Some(50_000), Some(2)),
+        key(spec, baseline(50_000)),
+        key(
+            spec,
+            Some(PtaStage {
+                budget: 50_000,
+                mode: PtaMode::Spec(2)
+            })
+        ),
         "the spec-depth bound changes the solved program, so it must move the key"
     );
-    assert_eq!(
-        job_key(spec, None, None, None),
-        job_key(spec, None, None, None)
-    );
+    assert_eq!(key(spec, None), key(spec, None));
 }
 
 /// PTA rows survive the checkpoint/resume splice byte for byte.
@@ -296,7 +361,7 @@ fn pta_rows_resume_from_checkpoints() {
     let dir = tmp_dir("robustness-pta-resume");
     let ckpt = dir.join("ck.json");
     let mk_opts = || BatchOptions {
-        pta_budget: Some(50_000),
+        pta: baseline(50_000),
         checkpoint_path: Some(ckpt.clone()),
         ..Default::default()
     };
@@ -306,7 +371,7 @@ fn pta_rows_resume_from_checkpoints() {
         &JobPool::new(2),
         &BatchOptions {
             resume: Some(Checkpoint::load(&ckpt).unwrap()),
-            pta_budget: Some(50_000),
+            pta: baseline(50_000),
             ..Default::default()
         },
     );

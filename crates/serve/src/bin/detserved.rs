@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! detserved --listen 127.0.0.1:0 [--cache-capacity N] [--cache-dir DIR]
-//!           [--mem-budget CELLS] [--watchdog-grace MS] [--spec-depth N]
-//!           [--shortcuts]
+//!           [--mem-budget CELLS] [--watchdog-grace MS]
 //! detserved --stdin [same options]
 //! ```
 //!
@@ -12,7 +11,9 @@
 //! `detserved: listening on HOST:PORT` before the first accept, so
 //! scripts can parse it). `--stdin` serves exactly one session over the
 //! process's stdin/stdout pipe — handy for tests and for editors that
-//! prefer to own the transport.
+//! prefer to own the transport. Each analyze request chooses its own PTA
+//! mode (`inject`, `shortcuts`, `spec_depth`); there is no server-wide
+//! default.
 //!
 //! Exit codes: 0 after a clean shutdown request (or stdin EOF), 2 on
 //! usage errors, 1 on fatal I/O errors.
@@ -36,17 +37,6 @@ fn usage() -> ExitCode {
          \x20 --mem-budget CELLS   server-wide declared-memory budget (admission\n\
          \x20                      control; oversized requests run degraded)\n\
          \x20 --watchdog-grace MS  wedge requests at deadline_ms + MS\n\
-         \x20 --spec-depth N       default specializer context-depth bound for\n\
-         \x20                      PTA stages: solves run over the program\n\
-         \x20                      specialized against the determinacy facts.\n\
-         \x20                      This changes results and is part of the\n\
-         \x20                      stage keys; a request's own spec_depth\n\
-         \x20                      overrides it, and inject requests ignore it\n\
-         \x20 --shortcuts          default PTA stages to shortcut mode: a\n\
-         \x20                      summary stage replays the determinate\n\
-         \x20                      regions concretely and the solver consumes\n\
-         \x20                      the distilled summaries. Changes results and\n\
-         \x20                      stage keys; spec_depth requests ignore it\n\
          \n\
          exit codes: 0 clean shutdown or EOF; 1 fatal I/O error; 2 usage error"
     );
@@ -64,8 +54,6 @@ fn main() -> ExitCode {
     let mut cache = CacheConfig::default();
     let mut mem_budget = None;
     let mut watchdog_grace = None;
-    let mut spec_depth = None;
-    let mut shortcuts = false;
 
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
@@ -93,14 +81,6 @@ fn main() -> ExitCode {
                             .map_err(|e| format!("--watchdog-grace: {e}"))?,
                     );
                 }
-                "--spec-depth" => {
-                    spec_depth = Some(
-                        value("--spec-depth")?
-                            .parse::<usize>()
-                            .map_err(|e| format!("--spec-depth: {e}"))?,
-                    );
-                }
-                "--shortcuts" => shortcuts = true,
                 other => return Err(format!("unknown argument `{other}`")),
             }
             Ok(())
@@ -120,8 +100,6 @@ fn main() -> ExitCode {
         cache,
         mem_budget_cells: mem_budget,
         watchdog_grace_ms: watchdog_grace,
-        spec_depth,
-        shortcuts,
     });
 
     let outcome = match transport {

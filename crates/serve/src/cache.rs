@@ -25,8 +25,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// On-disk artifact envelope version; entries with any other version are
-/// ignored (treated as a miss) instead of misread.
-const DISK_VERSION: f64 = 1.0;
+/// ignored (treated as a miss) instead of misread. Version 2 holds the
+/// artifacts of the versioned key scheme (`mujs_jobs::pipeline::KEY_SCHEME`).
+const DISK_VERSION: f64 = 2.0;
 
 /// The pipeline stages the cache distinguishes. Keys are already
 /// content-hashes of stage inputs, but the stage tag keeps artifacts of
@@ -214,7 +215,14 @@ impl StageCache {
         let path = self.disk_path(stage, key)?;
         let text = std::fs::read_to_string(path).ok()?;
         let v: Value = serde_json::from_str(&text).ok()?;
-        if v.get("version").and_then(Value::as_f64) != Some(DISK_VERSION) {
+        // The envelope must name the entry it is filed under: a file copied
+        // or renamed to another key's path is a miss, not that key's
+        // artifact.
+        let field = |name: &str| v.get(name).and_then(Value::as_str);
+        if v.get("version").and_then(Value::as_f64) != Some(DISK_VERSION)
+            || field("stage") != Some(stage.name())
+            || field("key") != Some(key)
+        {
             return None;
         }
         v.get("artifact").cloned()
@@ -351,15 +359,25 @@ mod tests {
         std::fs::write(dir.join("pta-badkey.json"), "{ not json").unwrap();
         std::fs::write(
             dir.join("pta-oldver.json"),
-            r#"{"version": 99.0, "artifact": {"x": "stale"}}"#,
+            r#"{"version": 99.0, "stage": "pta", "key": "oldver", "artifact": {"x": "stale"}}"#,
         )
         .unwrap();
-        let c = StageCache::new(CacheConfig {
+        let cfg = CacheConfig {
             capacity: 8,
             disk_dir: Some(dir.clone()),
-        });
+        };
+        // A well-formed entry copied under another key's (or stage's)
+        // file name names its own key and stage in the envelope.
+        StageCache::new(cfg.clone()).put(Stage::Pta, "original", v("other"));
+        let entry = std::fs::read(dir.join("pta-original.json")).unwrap();
+        std::fs::write(dir.join("pta-copied.json"), &entry).unwrap();
+        std::fs::write(dir.join("facts-original.json"), &entry).unwrap();
+        let c = StageCache::new(cfg);
         assert!(c.get(Stage::Pta, "badkey").is_none());
         assert!(c.get(Stage::Pta, "oldver").is_none());
+        assert!(c.get(Stage::Pta, "copied").is_none());
+        assert!(c.get(Stage::Facts, "original").is_none());
+        assert_eq!(c.get(Stage::Pta, "original").as_deref(), Some(&v("other")));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -13,20 +13,26 @@
 //! content hash of that stage's *exact inputs* and serves repeats from
 //! cache.
 //!
-//! The stages and their keys (see [`stage`] for the precise scheme):
+//! The pipeline, its stages and their keys live in
+//! [`mujs_jobs::pipeline`], which `detjobs` runs too; this crate only
+//! adds the stage cache around them ([`stage`]). Every key folds one
+//! scheme version, the stage name, the upstream key and the stage's full
+//! canonical config:
 //!
 //! ```text
-//! parse  = H(LOWERING_VERSION ∥ src)
-//! facts  = H("facts" ∥ parse ∥ effective-config-json ∥ seeds…)
-//! pta    = H("pta" ∥ (inject ? facts : parse) ∥ budget ∥ inject)
+//! parse   = H(KEY_SCHEME ∥ "parse" ∥ src)
+//! facts   = H(KEY_SCHEME ∥ "facts" ∥ parse ∥ config-json ∥ #seeds ∥ seeds…)
+//! summary = H(KEY_SCHEME ∥ "summary" ∥ facts)                (inject+shortcuts)
+//! pta     = H(KEY_SCHEME ∥ "pta" ∥ upstream ∥ budget ∥ mode ∥ depth)
+//!           upstream = parse (baseline) | facts (inject, spec) | summary
 //! ```
 //!
 //! Each key chains its upstream stage's key, so invalidation is
-//! automatic: change the source and all three keys move; change only the
-//! analysis config and the parse artifact still hits. Keys come from
-//! [`determinacy::cachekey`] — the same FNV-1a scheme the `detjobs`
-//! checkpoint uses — so the two caches can never drift apart on what
-//! "same inputs" means.
+//! automatic: change the source and every key moves; change only the
+//! analysis config and the parse artifact (and a baseline solve) still
+//! hits. The `detjobs` checkpoint key is these keys plus the batch memory
+//! budget, so the two caches can never drift apart on what "same inputs"
+//! means.
 //!
 //! The wire protocol ([`proto`]) is line-delimited JSON over TCP or a
 //! stdin/stdout pipe, streaming the jobs layer's `JobEvent`s as progress
@@ -45,5 +51,5 @@ pub mod server;
 pub mod stage;
 
 pub use cache::{CacheConfig, Stage, StageCache};
+pub use mujs_jobs::pipeline::{PipelineCounters, StageKeys, StageRequest, KEY_SCHEME};
 pub use server::{ServeOptions, Server};
-pub use stage::{PipelineCounters, StageKeys, LOWERING_VERSION};

@@ -33,7 +33,7 @@
 
 use crate::stage::CachedFlags;
 use determinacy::AnalysisConfig;
-use mujs_jobs::JobEvent;
+use mujs_jobs::{JobEvent, PtaMode, PtaStage};
 use serde::Deserialize;
 use serde_json::Value;
 
@@ -55,20 +55,9 @@ pub struct AnalyzeRequest {
     pub deadline_ms: Option<u64>,
     /// Declared heap-cell budget (also the admission declaration).
     pub mem_cells: Option<u64>,
-    /// Pointer-analysis budget; absent skips the PTA stage.
-    pub pta_budget: Option<u64>,
-    /// Whether PTA consumes the determinacy facts.
-    pub inject: bool,
-    /// When present, the PTA stage solves the program specialized
-    /// against the determinacy facts with this context-depth bound.
-    /// Mutually exclusive with `inject` (a solve consumes the facts one
-    /// way or the other, not both); rejected at parse time.
-    pub spec_depth: Option<usize>,
-    /// Whether the PTA stage consumes concrete-replay shortcut
-    /// summaries (a summary stage replays the determinate regions).
-    /// Mutually exclusive with `spec_depth` — summaries name functions
-    /// of the unspecialized program; rejected at parse time.
-    pub shortcuts: bool,
+    /// The PTA stage (`None` without `pta_budget`), its mode named by
+    /// the wire fields `inject`, `shortcuts` and `spec_depth`.
+    pub pta: Option<PtaStage>,
     /// Whether the report row embeds the full fact export.
     pub include_facts: bool,
 }
@@ -155,23 +144,12 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 _ => None,
             };
             let as_u64 = |field: &str| v.get(field).and_then(Value::as_f64).map(|f| f as u64);
-            let inject = v.get("inject").and_then(Value::as_bool).unwrap_or(false);
-            let spec_depth = as_u64("spec_depth").map(|d| d as usize);
-            if inject && spec_depth.is_some() {
-                return Err(
-                    "analyze request sets both `inject` and `spec_depth`: a solve consumes \
-                     the determinacy facts either by injection or by specialization, not both"
-                        .to_owned(),
-                );
-            }
-            let shortcuts = v.get("shortcuts").and_then(Value::as_bool).unwrap_or(false);
-            if shortcuts && spec_depth.is_some() {
-                return Err(
-                    "analyze request sets both `shortcuts` and `spec_depth`: shortcut \
-                     summaries name functions of the unspecialized program"
-                        .to_owned(),
-                );
-            }
+            let flag = |field: &str| v.get(field).and_then(Value::as_bool).unwrap_or(false);
+            let mode = pta_mode(
+                flag("inject"),
+                as_u64("spec_depth").map(|d| d as usize),
+                flag("shortcuts"),
+            )?;
             Ok(Request::Analyze(Box::new(AnalyzeRequest {
                 id,
                 name,
@@ -180,10 +158,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 config,
                 deadline_ms: as_u64("deadline_ms"),
                 mem_cells: as_u64("mem_cells"),
-                pta_budget: as_u64("pta_budget"),
-                inject,
-                spec_depth,
-                shortcuts,
+                pta: as_u64("pta_budget").map(|budget| PtaStage { budget, mode }),
                 include_facts: v
                     .get("include_facts")
                     .and_then(Value::as_bool)
@@ -191,6 +166,33 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             })))
         }
         other => Err(format!("unknown op `{other}`")),
+    }
+}
+
+/// Maps the wire fields onto the one PTA mode: `spec_depth` specializes,
+/// `shortcuts` injects and applies shortcut summaries (summaries are
+/// distilled from the same facts injection consumes), `inject` alone
+/// injects, and none of them solves the baseline.
+///
+/// # Errors
+///
+/// `spec_depth` together with `inject` or `shortcuts`.
+fn pta_mode(inject: bool, spec_depth: Option<usize>, shortcuts: bool) -> Result<PtaMode, String> {
+    match (spec_depth, inject, shortcuts) {
+        (Some(_), true, _) => Err(
+            "analyze request sets both `inject` and `spec_depth`: a solve consumes \
+             the determinacy facts either by injection or by specialization, not both"
+                .to_owned(),
+        ),
+        (Some(_), _, true) => Err(
+            "analyze request sets both `shortcuts` and `spec_depth`: shortcut \
+             summaries name functions of the unspecialized program"
+                .to_owned(),
+        ),
+        (Some(depth), false, false) => Ok(PtaMode::Spec(depth)),
+        (None, _, true) => Ok(PtaMode::InjectShortcuts),
+        (None, true, false) => Ok(PtaMode::Inject),
+        (None, false, false) => Ok(PtaMode::Baseline),
     }
 }
 
@@ -288,10 +290,9 @@ mod tests {
         };
         assert_eq!(a.id, Value::Null);
         assert_eq!(a.name, "request");
-        assert!(!a.inject);
         assert!(!a.include_facts);
         assert_eq!(a.effective_seeds(), vec![AnalysisConfig::default().seed]);
-        assert_eq!(a.pta_budget, None);
+        assert_eq!(a.pta, None);
     }
 
     #[test]
@@ -310,24 +311,59 @@ mod tests {
         let cfg = a.effective_config();
         assert_eq!(cfg.deadline_ms, Some(5000));
         assert_eq!(cfg.mem_cell_budget, Some(1000));
-        assert_eq!(a.pta_budget, Some(99));
-        assert!(a.inject && a.include_facts);
+        assert_eq!(
+            a.pta,
+            Some(PtaStage {
+                budget: 99,
+                mode: PtaMode::Inject
+            })
+        );
+        assert!(a.include_facts);
     }
 
     #[test]
     fn spec_depth_parses_and_excludes_inject() {
-        let r = parse_request(r#"{"op":"analyze","src":"f();","pta_budget":99,"spec_depth":3}"#)
-            .unwrap();
+        let mode = |flags: &str| -> Result<Option<PtaMode>, String> {
+            let line = format!(r#"{{"op":"analyze","src":"f();","pta_budget":99{flags}}}"#);
+            match parse_request(&line)? {
+                Request::Analyze(a) => Ok(a.pta.map(|s| s.mode)),
+                other => panic!("expected analyze, got {other:?}"),
+            }
+        };
+        // The three wire fields name one mode.
+        assert_eq!(mode(""), Ok(Some(PtaMode::Baseline)));
+        assert_eq!(mode(r#","inject":true"#), Ok(Some(PtaMode::Inject)));
+        assert_eq!(
+            mode(r#","inject":true,"shortcuts":true"#),
+            Ok(Some(PtaMode::InjectShortcuts))
+        );
+        assert_eq!(
+            mode(r#","shortcuts":true"#),
+            Ok(Some(PtaMode::InjectShortcuts)),
+            "shortcut summaries come with the injected facts"
+        );
+        assert_eq!(mode(r#","spec_depth":3"#), Ok(Some(PtaMode::Spec(3))));
+        // Without a budget there is no PTA stage, whatever the flags.
+        let r = parse_request(r#"{"op":"analyze","src":"f();","inject":true}"#).unwrap();
         let Request::Analyze(a) = r else {
             panic!("expected analyze")
         };
-        assert_eq!(a.spec_depth, Some(3));
-        assert!(!a.inject);
-        let err = parse_request(
-            r#"{"op":"analyze","src":"f();","pta_budget":99,"inject":true,"spec_depth":3}"#,
-        )
-        .unwrap_err();
-        assert!(err.contains("spec_depth"), "got {err}");
+        assert_eq!(a.pta, None);
+        // Specialization excludes both other ways of consuming the facts.
+        for (flags, message) in [
+            (
+                r#","inject":true,"spec_depth":3"#,
+                "analyze request sets both `inject` and `spec_depth`: a solve consumes \
+                 the determinacy facts either by injection or by specialization, not both",
+            ),
+            (
+                r#","shortcuts":true,"spec_depth":3"#,
+                "analyze request sets both `shortcuts` and `spec_depth`: shortcut \
+                 summaries name functions of the unspecialized program",
+            ),
+        ] {
+            assert_eq!(mode(flags), Err(message.to_owned()), "flags {flags}");
+        }
     }
 
     #[test]

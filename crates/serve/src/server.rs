@@ -21,8 +21,9 @@ use crate::proto::{
     bye_line, error_line, event_line, parse_request, pong_line, result_line, stats_line,
     AnalyzeRequest, Request,
 };
-use crate::stage::{execute, Executed, PipelineCounters, StageRequest};
+use crate::stage::{execute, Executed};
 use mujs_jobs::admission::Admission;
+use mujs_jobs::pipeline::{PipelineCounters, StageRequest};
 use mujs_jobs::{AdmissionController, JobCtx, JobPool, JobVerdict};
 use serde_json::Value;
 use std::io::{BufRead, BufReader, Write};
@@ -41,17 +42,6 @@ pub struct ServeOptions {
     /// Watchdog grace: requests with a deadline are wedged (cancelled and
     /// failed) at `deadline_ms + grace`. `None` disables the watchdog.
     pub watchdog_grace_ms: Option<u64>,
-    /// Server-wide default specializer context-depth bound for PTA
-    /// stages. This changes results, so it is part of the stage keys. A request's own `spec_depth` overrides it; an
-    /// `inject` request ignores it (injection and specialization are
-    /// mutually exclusive ways to consume the facts).
-    pub spec_depth: Option<usize>,
-    /// Server-wide default for shortcut mode (concrete-replay region
-    /// summaries feeding PTA stages). Changes results, so it reaches the
-    /// stage keys; requests can also ask per-request, and a request
-    /// carrying `spec_depth` ignores the default (summaries name
-    /// functions of the unspecialized program).
-    pub shortcuts: bool,
 }
 
 struct Inner {
@@ -59,8 +49,6 @@ struct Inner {
     counters: PipelineCounters,
     admission: Option<AdmissionController>,
     watchdog_grace_ms: Option<u64>,
-    spec_depth: Option<usize>,
-    shortcuts: bool,
     requests: AtomicU64,
     responses: AtomicU64,
     errors: AtomicU64,
@@ -83,8 +71,6 @@ impl Server {
                 counters: PipelineCounters::default(),
                 admission: opts.mem_budget_cells.map(AdmissionController::new),
                 watchdog_grace_ms: opts.watchdog_grace_ms,
-                spec_depth: opts.spec_depth,
-                shortcuts: opts.shortcuts,
                 requests: AtomicU64::new(0),
                 responses: AtomicU64::new(0),
                 errors: AtomicU64::new(0),
@@ -194,27 +180,11 @@ impl Server {
         } else {
             "completed"
         };
-        // The request's own depth wins; the server-wide default applies
-        // only to requests that don't inject (the protocol layer already
-        // rejects a request asking for both).
-        let spec_depth = req.spec_depth.or(if req.inject {
-            None
-        } else {
-            self.inner.spec_depth
-        });
-        // Same precedence for shortcut mode: the request can ask, the
-        // server-wide default fills in otherwise, and a specializing
-        // request never takes the default (the protocol layer already
-        // rejects a request asking for both explicitly).
-        let shortcuts = req.shortcuts || (self.inner.shortcuts && spec_depth.is_none());
         let stage_req = StageRequest {
             src: req.src.clone(),
             cfg,
             seeds: req.effective_seeds(),
-            pta_budget: req.pta_budget,
-            inject: req.inject,
-            spec_depth,
-            shortcuts,
+            pta: req.pta,
         };
 
         let (tx, rx) = mpsc::channel();

@@ -4,8 +4,9 @@
 //! config, seeds, budget, or an upstream artifact — misses.
 
 use determinacy::{AnalysisConfig, CancelToken};
-use mujs_serve::stage::{execute, Executed, StageRequest};
-use mujs_serve::{CacheConfig, PipelineCounters, StageCache};
+use mujs_jobs::{PtaMode, PtaStage};
+use mujs_serve::stage::{execute, Executed};
+use mujs_serve::{CacheConfig, PipelineCounters, StageCache, StageRequest};
 use serde_json::Value;
 
 /// A program with a determinate dynamic property access, so fact
@@ -20,10 +21,20 @@ fn req(src: &str) -> StageRequest {
         src: src.to_owned(),
         cfg: AnalysisConfig::default(),
         seeds: vec![AnalysisConfig::default().seed],
-        pta_budget: Some(100_000),
-        inject: true,
-        spec_depth: None,
-        shortcuts: false,
+        pta: Some(PtaStage {
+            budget: 100_000,
+            mode: PtaMode::Inject,
+        }),
+    }
+}
+
+fn with_mode(mode: PtaMode) -> StageRequest {
+    StageRequest {
+        pta: Some(PtaStage {
+            budget: 100_000,
+            mode,
+        }),
+        ..req(SRC)
     }
 }
 
@@ -95,8 +106,7 @@ fn shortcut_requests_leave_shortcutless_bytes_untouched() {
         .get("summary")
         .is_none());
 
-    let mut sc = req(SRC);
-    sc.shortcuts = true;
+    let sc = with_mode(PtaMode::InjectShortcuts);
     let shortcut = run(&sc, &cache, &counters);
     assert!(shortcut.cached.parse && shortcut.cached.facts);
     assert_eq!(shortcut.cached.summary, Some(false));
@@ -170,7 +180,10 @@ fn budget_changes_invalidate_only_the_pta_stage() {
     run(&req(SRC), &cache, &counters);
 
     let mut r = req(SRC);
-    r.pta_budget = Some(200_000);
+    r.pta = Some(PtaStage {
+        budget: 200_000,
+        mode: PtaMode::Inject,
+    });
     let e = run(&r, &cache, &counters);
     assert!(e.cached.parse && e.cached.facts);
     assert_eq!(e.cached.pta, Some(false));
@@ -182,10 +195,9 @@ fn baseline_and_injected_solves_do_not_share_entries() {
     let counters = PipelineCounters::default();
     run(&req(SRC), &cache, &counters); // injected solve
 
-    let mut baseline = req(SRC);
-    baseline.inject = false;
+    let baseline = with_mode(PtaMode::Baseline);
     let e = run(&baseline, &cache, &counters);
-    assert_eq!(e.cached.pta, Some(false), "inject flag is part of the key");
+    assert_eq!(e.cached.pta, Some(false), "the mode is part of the key");
     // And the baseline entry is itself cached now.
     let e2 = run(&baseline, &cache, &counters);
     assert_eq!(e2.cached.pta, Some(true));

@@ -275,3 +275,25 @@ fn detserved_and_detload_binaries_run_a_full_benchmark() {
     );
     std::fs::remove_dir_all(&tmp).ok();
 }
+
+/// Clients choose the PTA mode per request; the daemon has no server-wide
+/// mode flags, so passing one is a usage error.
+#[test]
+fn mode_flags_are_usage_errors() {
+    use std::process::{Command, Stdio};
+    for args in [
+        &["--stdin", "--shortcuts"][..],
+        &["--stdin", "--spec-depth", "2"][..],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_detserved"))
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("detserved runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown argument"),
+            "{args:?}"
+        );
+    }
+}
