@@ -74,6 +74,43 @@ impl DValue {
     }
 }
 
+impl mujs_interp::Flag for Det {
+    const DET: Det = Det::D;
+    const INDET: Det = Det::I;
+    #[inline]
+    fn join(self, other: Det) -> Det {
+        Det::join(self, other)
+    }
+    #[inline]
+    fn is_indet(self) -> bool {
+        self == Det::I
+    }
+}
+
+impl mujs_interp::AnnValue for DValue {
+    type Flag = Det;
+    #[inline]
+    fn new(v: Value, d: Det) -> Self {
+        DValue { v, d }
+    }
+    #[inline]
+    fn v(&self) -> &Value {
+        &self.v
+    }
+    #[inline]
+    fn d(&self) -> Det {
+        self.d
+    }
+    #[inline]
+    fn into_parts(self) -> (Value, Det) {
+        (self.v, self.d)
+    }
+    #[inline]
+    fn weaken(self, d: Det) -> Self {
+        DValue::weaken(self, d)
+    }
+}
+
 /// Slot annotation: determinacy flag plus the epoch counter at write time.
 /// A slot is determinate iff its flag is [`Det::D`] *and* its epoch is
 /// current — incrementing the global epoch is the O(1) heap flush of §4.

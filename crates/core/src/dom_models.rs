@@ -11,395 +11,175 @@
 
 use crate::det::{DValue, Det};
 use crate::machine::{DErr, DMachine, DNativeFn};
-use mujs_dom::document::{Document, NodeId};
-use mujs_dom::events::{EventPlan, EventTarget, EventTargetSel};
-use mujs_interp::{ObjClass, ObjId, Value};
+use mujs_dom::document::Document;
+use mujs_interp::AnnValue;
+use mujs_interp::{ObjClass, Value};
 use std::rc::Rc;
 
-impl DMachine<'_> {
-    /// The determinacy of DOM-sourced values under the current config.
-    pub fn dom_det(&self) -> Det {
-        if self.cfg.det_dom {
-            Det::D
-        } else {
-            Det::I
-        }
-    }
+/// Installs `document` and the DOM models (in setup mode, see
+/// [`crate::machine::Instrumented`]).
+pub(crate) fn install(m: &mut DMachine<'_>, doc: Document) {
+    m.doc = Some(doc);
+    let g = m.global();
 
-    /// Installs `document` and the DOM natives. Installation happens in
-    /// setup mode: the bindings are part of the host environment and stay
-    /// determinate across heap flushes (like the rest of the standard
-    /// library).
-    pub fn install_dom(&mut self, doc: Document) {
-        self.setup_mode = true;
-        self.doc = Some(doc);
-        let g = self.global();
-
-        let el_proto = self.alloc(ObjClass::Plain, Some(self.protos.object), Det::D);
-        self.obj_mut(el_proto).builtin = true;
-        self.dom_element_proto = Some(el_proto);
-        let defs: &[(&'static str, DNativeFn)] = &[
-            ("appendChild", |m, this, a| {
-                if m.in_counterfactual() {
-                    return Err(DErr::CfAbort);
-                }
-                let (Some(p), Some(c)) = (m.as_node(&this.v), m.arg_node(a, 0)) else {
-                    return Err(m.throw_error(
-                        "TypeError",
-                        "appendChild needs elements",
-                        this.d == Det::I,
-                    ));
-                };
-                m.doc.as_mut().expect("dom installed").append_child(p, c);
-                let dd = m.dom_det();
-                Ok(a.first().cloned().unwrap_or(DValue::undef()).weaken(dd))
-            }),
-            ("removeChild", |m, this, a| {
-                if m.in_counterfactual() {
-                    return Err(DErr::CfAbort);
-                }
-                let (Some(p), Some(c)) = (m.as_node(&this.v), m.arg_node(a, 0)) else {
-                    return Err(m.throw_error(
-                        "TypeError",
-                        "removeChild needs elements",
-                        this.d == Det::I,
-                    ));
-                };
-                m.doc.as_mut().expect("dom installed").remove_child(p, c);
-                let dd = m.dom_det();
-                Ok(a.first().cloned().unwrap_or(DValue::undef()).weaken(dd))
-            }),
-            ("setAttribute", |m, this, a| {
-                if m.in_counterfactual() {
-                    return Err(DErr::CfAbort);
-                }
-                let Some(n) = m.as_node(&this.v) else {
-                    return Err(m.throw_error(
-                        "TypeError",
-                        "setAttribute needs an element",
-                        this.d == Det::I,
-                    ));
-                };
-                let name = m.dvalue_to_string(a.first().unwrap_or(&DValue::undef()))?;
-                let val = m.dvalue_to_string(a.get(1).unwrap_or(&DValue::undef()))?;
-                m.doc
-                    .as_mut()
-                    .expect("dom installed")
-                    .set_attribute(n, &name, &val);
-                Ok(DValue::undef())
-            }),
-            ("getAttribute", |m, this, a| {
-                let Some(n) = m.as_node(&this.v) else {
-                    return Err(m.throw_error(
-                        "TypeError",
-                        "getAttribute needs an element",
-                        this.d == Det::I,
-                    ));
-                };
-                let name = m.dvalue_to_string(a.first().unwrap_or(&DValue::undef()))?;
-                let v = match m
-                    .doc
-                    .as_ref()
-                    .expect("dom installed")
-                    .get_attribute(n, &name)
-                {
-                    Some(v) => Value::Str(Rc::from(v)),
-                    None => Value::Null,
-                };
-                Ok(DValue {
-                    v,
-                    d: m.dom_det().join(this.d),
-                })
-            }),
-            ("addEventListener", |m, this, a| m.add_listener_d(&this, a)),
-            ("removeEventListener", |m, this, a| {
-                if m.in_counterfactual() {
-                    return Err(DErr::CfAbort);
-                }
-                let target = m.event_target_of(&this)?;
-                let ty = m.dvalue_to_string(a.first().unwrap_or(&DValue::undef()))?;
-                m.events.remove(target, &ty);
-                Ok(DValue::undef())
-            }),
-        ];
-        for (name, f) in defs {
-            let n = self.register_native(name, *f);
-            self.set_raw(el_proto, name, Value::Object(n));
-        }
-
-        let doc_obj = self.alloc(ObjClass::DomDocument, Some(self.protos.object), Det::D);
-        self.dom_document_obj = Some(doc_obj);
-        let defs: &[(&'static str, DNativeFn)] = &[
-            ("getElementById", |m, _, a| {
-                let id = m.dvalue_to_string(a.first().unwrap_or(&DValue::undef()))?;
-                let v = match m
-                    .doc
-                    .as_ref()
-                    .expect("dom installed")
-                    .get_element_by_id(&id)
-                {
-                    Some(n) => Value::Object(m.element_obj(n)),
-                    None => Value::Null,
-                };
-                Ok(DValue { v, d: m.dom_det() })
-            }),
-            ("getElementsByTagName", |m, _, a| {
-                let tag = m.dvalue_to_string(a.first().unwrap_or(&DValue::undef()))?;
-                let nodes = m
-                    .doc
-                    .as_ref()
-                    .expect("dom installed")
-                    .get_elements_by_tag_name(&tag);
-                let dd = m.dom_det();
-                let arr = m.alloc(ObjClass::Array, Some(m.protos.array), Det::D);
-                m.write_prop(
-                    arr,
-                    "length",
-                    DValue {
-                        v: Value::Num(nodes.len() as f64),
-                        d: dd,
-                    },
-                );
-                for (i, n) in nodes.into_iter().enumerate() {
-                    let w = m.element_obj(n);
-                    m.write_prop(
-                        arr,
-                        &i.to_string(),
-                        DValue {
-                            v: Value::Object(w),
-                            d: dd,
-                        },
-                    );
-                }
-                Ok(DValue {
-                    v: Value::Object(arr),
-                    d: dd,
-                })
-            }),
-            ("createElement", |m, _, a| {
-                if m.in_counterfactual() {
-                    return Err(DErr::CfAbort);
-                }
-                let tag = m.dvalue_to_string(a.first().unwrap_or(&DValue::undef()))?;
-                let n = m.doc.as_mut().expect("dom installed").create_element(&tag);
-                let w = m.element_obj(n);
-                Ok(DValue {
-                    v: Value::Object(w),
-                    d: m.dom_det(),
-                })
-            }),
-            ("addEventListener", |m, this, a| m.add_listener_d(&this, a)),
-        ];
-        for (name, f) in defs {
-            let n = self.register_native(name, *f);
-            self.set_raw(doc_obj, name, Value::Object(n));
-        }
-        self.set_raw(g, "document", Value::Object(doc_obj));
-
-        let add = self.register_native("addEventListener", |m, this, a| m.add_listener_d(&this, a));
-        self.set_raw(g, "addEventListener", Value::Object(add));
-        self.setup_mode = false;
-    }
-
-    /// The JS wrapper object for a DOM node.
-    pub fn element_obj(&mut self, node: NodeId) -> ObjId {
-        if let Some(&o) = self.dom_nodes.get(&node) {
-            return o;
-        }
-        let proto = self.dom_element_proto;
-        let o = self.alloc(ObjClass::DomElement(node), proto, Det::D);
-        self.dom_nodes.insert(node, o);
-        o
-    }
-
-    fn as_node(&self, v: &Value) -> Option<NodeId> {
-        match v {
-            Value::Object(o) => match self.obj(*o).class {
-                ObjClass::DomElement(n) => Some(n),
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-
-    fn arg_node(&self, args: &[DValue], i: usize) -> Option<NodeId> {
-        args.get(i).and_then(|v| self.as_node(&v.v))
-    }
-
-    fn event_target_of(&mut self, this: &DValue) -> Result<EventTarget, DErr> {
-        match &this.v {
-            Value::Object(o) if *o == self.global() => Ok(EventTarget::Window),
-            Value::Object(o) if Some(*o) == self.dom_document_obj => Ok(EventTarget::Document),
-            v => match self.as_node(v) {
-                Some(n) => Ok(EventTarget::Element(n)),
-                None => Err(self.throw_error("TypeError", "not an event target", this.d == Det::I)),
-            },
-        }
-    }
-
-    fn add_listener_d(&mut self, this: &DValue, args: &[DValue]) -> Result<DValue, DErr> {
-        if self.in_counterfactual() {
-            return Err(DErr::CfAbort);
-        }
-        let target = self.event_target_of(this)?;
-        let ty = self.dvalue_to_string(args.first().unwrap_or(&DValue::undef()))?;
-        let Some(DValue {
-            v: Value::Object(handler),
-            ..
-        }) = args.get(1)
-        else {
-            return Err(self.throw_error("TypeError", "listener must be a function", false));
-        };
-        if !self.obj(*handler).class.is_callable() {
-            return Err(self.throw_error("TypeError", "listener must be a function", false));
-        }
-        self.events.add(target, &ty, *handler);
-        Ok(DValue::undef())
-    }
-
-    /// Intercepted DOM property reads, with the DetDOM policy applied.
-    pub(crate) fn dom_get_hook(&mut self, obj: ObjId, key: mujs_ir::Sym) -> Option<DValue> {
-        let dd = self.dom_det();
-        match self.obj(obj).class {
-            ObjClass::DomDocument => {
-                let key = self.prog.interner.name(key).clone();
-                let doc = self.doc.as_ref()?;
-                let v = match &*key {
-                    "title" => Value::Str(Rc::from(doc.title.as_str())),
-                    "body" => {
-                        let b = doc.body();
-                        Value::Object(self.element_obj(b))
-                    }
-                    "documentElement" => {
-                        let r = doc.root();
-                        Value::Object(self.element_obj(r))
-                    }
-                    _ => return None,
-                };
-                Some(DValue { v, d: dd })
+    let el_proto = m.alloc(ObjClass::Plain, Some(m.protos.object));
+    m.obj_mut(el_proto).builtin = true;
+    m.dom_element_proto = Some(el_proto);
+    let defs: &[(&'static str, DNativeFn)] = &[
+        ("appendChild", |m, this, a| {
+            if m.in_counterfactual() {
+                return Err(DErr::CfAbort);
             }
-            ObjClass::DomElement(n) => {
-                let key = self.prog.interner.name(key).clone();
-                let doc = self.doc.as_ref()?;
-                if !doc.contains(n) {
-                    return None;
-                }
-                let v = match &*key {
-                    "tagName" => Value::Str(Rc::from(doc.node(n).tag.to_uppercase().as_str())),
-                    "id" => Value::Str(Rc::from(doc.get_attribute(n, "id").unwrap_or(""))),
-                    "className" => {
-                        Value::Str(Rc::from(doc.get_attribute(n, "class").unwrap_or("")))
-                    }
-                    "innerHTML" => Value::Str(Rc::from(doc.node(n).text.as_str())),
-                    "parentNode" => match doc.node(n).parent {
-                        Some(p) => Value::Object(self.element_obj(p)),
-                        None => Value::Null,
-                    },
-                    _ => return None,
-                };
-                Some(DValue { v, d: dd })
-            }
-            _ => None,
-        }
-    }
-
-    /// Intercepted DOM property writes; `true` if handled. DOM mutation is
-    /// not allowed inside counterfactual execution, but the intercept
-    /// itself cannot abort (it is called from `set_prop_d`), so it falls
-    /// back to recording the write as an ordinary expando in that case.
-    pub(crate) fn dom_set_hook(&mut self, obj: ObjId, key: mujs_ir::Sym, value: &DValue) -> bool {
-        if self.in_counterfactual() {
-            return false;
-        }
-        let ObjClass::DomElement(n) = self.obj(obj).class else {
-            return false;
-        };
-        let key = self.prog.interner.name(key).clone();
-        let Ok(s) = mujs_interp::coerce::to_string(&value.v) else {
-            return false;
-        };
-        let Some(doc) = self.doc.as_mut() else {
-            return false;
-        };
-        match &*key {
-            "id" => {
-                doc.set_attribute(n, "id", &s);
-                true
-            }
-            "className" => {
-                doc.set_attribute(n, "class", &s);
-                true
-            }
-            "innerHTML" => {
-                doc.node_mut(n).text = s.to_string();
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Fires `load`, `ready`, and the plan's steps. Every handler entry
-    /// performs a heap flush (§4).
-    pub fn fire_events(&mut self, plan: &EventPlan) -> Result<(), DErr> {
-        self.dispatch(EventTarget::Window, "load")?;
-        self.dispatch(EventTarget::Document, "ready")?;
-        for step in plan.steps() {
-            let target = match &step.target {
-                EventTargetSel::Window => EventTarget::Window,
-                EventTargetSel::Document => EventTarget::Document,
-                EventTargetSel::ById(id) => {
-                    match self.doc.as_ref().and_then(|d| d.get_element_by_id(id)) {
-                        Some(n) => EventTarget::Element(n),
-                        None => continue,
-                    }
-                }
+            let (Some(p), Some(c)) = (m.as_node(&this.v), m.arg_node(a, 0)) else {
+                return Err(m.throw_error_ic(
+                    "TypeError",
+                    "appendChild needs elements",
+                    this.d == Det::I,
+                ));
             };
-            self.dispatch(target, &step.event_type)?;
-        }
-        Ok(())
+            m.doc.as_mut().expect("dom installed").append_child(p, c);
+            let dd = m.dom_det();
+            Ok(a.first().cloned().unwrap_or(DValue::undef()).weaken(dd))
+        }),
+        ("removeChild", |m, this, a| {
+            if m.in_counterfactual() {
+                return Err(DErr::CfAbort);
+            }
+            let (Some(p), Some(c)) = (m.as_node(&this.v), m.arg_node(a, 0)) else {
+                return Err(m.throw_error_ic(
+                    "TypeError",
+                    "removeChild needs elements",
+                    this.d == Det::I,
+                ));
+            };
+            m.doc.as_mut().expect("dom installed").remove_child(p, c);
+            let dd = m.dom_det();
+            Ok(a.first().cloned().unwrap_or(DValue::undef()).weaken(dd))
+        }),
+        ("setAttribute", |m, this, a| {
+            if m.in_counterfactual() {
+                return Err(DErr::CfAbort);
+            }
+            let Some(n) = m.as_node(&this.v) else {
+                return Err(m.throw_error_ic(
+                    "TypeError",
+                    "setAttribute needs an element",
+                    this.d == Det::I,
+                ));
+            };
+            let name = arg_string(m, a, 0);
+            let val = arg_string(m, a, 1);
+            m.doc
+                .as_mut()
+                .expect("dom installed")
+                .set_attribute(n, &name, &val);
+            Ok(DValue::undef())
+        }),
+        ("getAttribute", |m, this, a| {
+            let Some(n) = m.as_node(&this.v) else {
+                return Err(m.throw_error_ic(
+                    "TypeError",
+                    "getAttribute needs an element",
+                    this.d == Det::I,
+                ));
+            };
+            let name = arg_string(m, a, 0);
+            let v = match m
+                .doc
+                .as_ref()
+                .expect("dom installed")
+                .get_attribute(n, &name)
+            {
+                Some(v) => Value::Str(Rc::from(v)),
+                None => Value::Null,
+            };
+            Ok(DValue::new(v, m.dom_det().join(this.d)))
+        }),
+        ("addEventListener", add_listener),
+        ("removeEventListener", |m, this, a| {
+            if m.in_counterfactual() {
+                return Err(DErr::CfAbort);
+            }
+            m.remove_listener(&this, a)?;
+            Ok(DValue::undef())
+        }),
+    ];
+    for (name, f) in defs {
+        let n = m.register_native(name, *f);
+        m.set_raw(el_proto, name, Value::Object(n));
     }
 
-    fn dispatch(&mut self, target: EventTarget, ty: &str) -> Result<(), DErr> {
-        let handlers = self.events.handlers_for(target, ty);
-        if handlers.is_empty() {
-            return Ok(());
-        }
-        let this = match target {
-            EventTarget::Window => DValue::det(Value::Object(self.global())),
-            EventTarget::Document => self
-                .dom_document_obj
-                .map(|o| DValue::det(Value::Object(o)))
-                .unwrap_or(DValue::undef()),
-            EventTarget::Element(n) => {
-                let o = self.element_obj(n);
-                DValue::det(Value::Object(o))
+    let doc_obj = m.alloc(ObjClass::DomDocument, Some(m.protos.object));
+    m.dom_document_obj = Some(doc_obj);
+    let defs: &[(&'static str, DNativeFn)] = &[
+        ("getElementById", |m, _, a| {
+            let id = arg_string(m, a, 0);
+            let v = match m
+                .doc
+                .as_ref()
+                .expect("dom installed")
+                .get_element_by_id(&id)
+            {
+                Some(n) => Value::Object(m.element_obj(n)),
+                None => Value::Null,
+            };
+            Ok(DValue { v, d: m.dom_det() })
+        }),
+        ("getElementsByTagName", |m, _, a| {
+            let tag = arg_string(m, a, 0);
+            let nodes = m
+                .doc
+                .as_ref()
+                .expect("dom installed")
+                .get_elements_by_tag_name(&tag);
+            let dd = m.dom_det();
+            let arr = m.alloc(ObjClass::Array, Some(m.protos.array));
+            m.write_prop(
+                arr,
+                "length",
+                DValue::new(Value::Num(nodes.len() as f64), dd),
+            );
+            for (i, n) in nodes.into_iter().enumerate() {
+                let w = m.element_obj(n);
+                m.write_prop(arr, &i.to_string(), DValue::new(Value::Object(w), dd));
             }
-        };
-        let dd = self.dom_det();
-        let ev = self.alloc(ObjClass::Plain, Some(self.protos.object), Det::D);
-        self.write_prop(
-            ev,
-            "type",
-            DValue {
-                v: Value::Str(Rc::from(ty)),
-                d: dd,
-            },
-        );
-        self.write_prop(ev, "target", this.clone().weaken(dd));
-        for h in handlers {
-            self.stats.handlers_fired += 1;
-            // "We perform a heap flush immediately upon entering an event
-            // handler."
-            self.flush_heap()?;
-            self.call_closure_by_id(
-                h,
-                this.clone(),
-                &[DValue {
-                    v: Value::Object(ev),
-                    d: dd,
-                }],
-            )?;
-        }
-        Ok(())
+            Ok(DValue::new(Value::Object(arr), dd))
+        }),
+        ("createElement", |m, _, a| {
+            if m.in_counterfactual() {
+                return Err(DErr::CfAbort);
+            }
+            let tag = arg_string(m, a, 0);
+            let n = m.doc.as_mut().expect("dom installed").create_element(&tag);
+            let w = m.element_obj(n);
+            Ok(DValue::new(Value::Object(w), m.dom_det()))
+        }),
+        ("addEventListener", add_listener),
+    ];
+    for (name, f) in defs {
+        let n = m.register_native(name, *f);
+        m.set_raw(doc_obj, name, Value::Object(n));
     }
+    m.set_raw(g, "document", Value::Object(doc_obj));
+
+    let add = m.register_native("addEventListener", add_listener);
+    m.set_raw(g, "addEventListener", Value::Object(add));
+}
+
+/// `ToString` of argument `i` (`"undefined"` when absent).
+fn arg_string(m: &DMachine<'_>, args: &[DValue], i: usize) -> Rc<str> {
+    match args.get(i) {
+        Some(v) => m.value_to_string(&v.v),
+        None => Rc::from("undefined"),
+    }
+}
+
+/// `addEventListener`: registering a handler is a DOM effect, so it
+/// aborts hypothetical execution.
+fn add_listener(m: &mut DMachine<'_>, this: DValue, args: &[DValue]) -> Result<DValue, DErr> {
+    if m.in_counterfactual() {
+        return Err(DErr::CfAbort);
+    }
+    m.add_listener(&this, args)?;
+    Ok(DValue::undef())
 }

@@ -107,14 +107,7 @@ impl DetHarness {
     ) -> AnalysisOutcome {
         let mut m = DMachine::new(&mut self.program, cfg);
         m.install_hooks(hooks);
-        m.install_dom(doc);
-        let mut status = m.run();
-        if status == AnalysisStatus::Completed {
-            status = match m.fire_events(plan) {
-                Ok(()) => AnalysisStatus::Completed,
-                Err(e) => DMachine::status_of(e),
-            };
-        }
+        let status = m.run_page(doc, plan);
         finish(m, status)
     }
 }

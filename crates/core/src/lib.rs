@@ -10,8 +10,10 @@
 //! program point (qualified by a full calling context) in *every*
 //! execution. Key ingredients, all implemented here:
 //!
-//! * instrumented values `v!` / `v?` and the rules of Figure 9
-//!   ([`machine`], [`exec`]);
+//! * instrumented values `v!` / `v?` and the rules of Figure 9: the
+//!   instrumented domain ([`machine`]) of the one µJS machine in
+//!   `mujs-interp`, which writes every statement rule once for both the
+//!   concrete and the instrumented semantics;
 //! * O(1) heap flushes via an epoch counter (§4), with open/closed
 //!   records;
 //! * **counterfactual execution** of branches guarded by
@@ -46,7 +48,6 @@ pub mod config;
 pub mod det;
 pub mod dom_models;
 pub mod driver;
-pub mod exec;
 pub mod facts;
 pub mod inject;
 pub mod machine;
@@ -61,7 +62,7 @@ pub use det::{DValue, Det, FactValue, SlotAnn};
 pub use driver::{analyze_src, AnalysisOutcome, DetHarness};
 pub use facts::{Fact, FactDb, FactKind, TripFact};
 pub use inject::{injectable_facts, InjectablePairs};
-pub use machine::{DErr, DFlow, DMachine, DObservation};
+pub use machine::{DErr, DFlow, DMachine, DObservation, Instrumented};
 pub use shortcut::{determinate_regions, shortcut_summaries, PortableSummaries, ShortcutOutcome};
 #[cfg(feature = "fault-inject")]
 pub use supervisor::FaultPlan;

@@ -1,24 +1,27 @@
-//! State and plumbing of the instrumented machine: the annotated heap and
-//! scopes, the epoch-counter heap flush (§4), write logs for the
-//! conditional rules (Figure 9), and counterfactual rollback.
+//! The instrumented domain: the one µJS machine of `mujs-interp` with
+//! determinacy annotations (the rules of Figure 9). This module supplies
+//! what the concrete domain leaves out:
 //!
-//! Statement execution lives in [`crate::exec`]; native models in
+//! * annotations — `Det` on values, [`SlotAnn`] (flag plus epoch) on
+//!   slots, and per-object `ObjExtra` state (creation epoch, forced
+//!   openness, prototype-link flag);
+//! * the O(1) epoch-counter heap flush (§4) and open records;
+//! * write logs for the conditional rules, with undo for counterfactual
+//!   execution (ĈNTR) and its conservative abort (ĈNTRABORT);
+//! * fact recording, budgets, supervision hooks and fault injection.
+//!
+//! Statement execution is the machine's; native models live in
 //! [`crate::natives`] and [`crate::dom_models`].
 
 use crate::config::{AnalysisConfig, AnalysisStats, AnalysisStatus};
 use crate::det::{DValue, Det, SlotAnn};
-use crate::facts::FactDb;
+use crate::facts::{FactDb, FactKind, TripFact};
 use crate::supervisor::{CancelToken, RunHooks};
 use mujs_dom::document::Document;
-use mujs_dom::events::EventRegistry;
-use mujs_interp::context::{ContextTable, CtxId};
-use mujs_interp::machine::Protos;
-use mujs_interp::{ObjClass, ObjId, Object, ScopeId, Slot, Value};
-use mujs_ir::{FuncId, Program, StmtId, Sym};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
-use std::rc::Rc;
+use mujs_interp::context::CtxId;
+use mujs_interp::domain::{Domain, Limits, Stop, VarKey};
+use mujs_interp::{Flow, Frame, Machine, ObjId, Observation, ScopeId, Slot, Value};
+use mujs_ir::{Stmt, StmtId, Sym};
 
 /// Epoch sentinel for slots installed by the standard library setup: they
 /// stay determinate across flushes (documented assumption: unanalyzed code
@@ -26,11 +29,21 @@ use std::rc::Rc;
 /// a normal epoch and are tracked precisely).
 pub const BUILTIN_EPOCH: u64 = u64::MAX;
 
-/// Byte budget for one [`DMachine::display`] rendering. Real corpus output
-/// is far below it; the cap only kicks in for pathological arrays, where
-/// the old eager rendering built (and often discarded) up to 100 cloned
-/// item strings per nesting level.
-const DISPLAY_BYTE_CAP: usize = 1 << 16;
+/// The instrumented determinacy machine: the µJS machine over the
+/// [`Instrumented`] domain.
+pub type DMachine<'p> = Machine<'p, Instrumented>;
+
+/// Statement completions of the instrumented machine.
+pub type DFlow = Flow<DValue>;
+
+/// An activation record of the instrumented machine.
+pub type DFrame = Frame<DValue>;
+
+/// Instrumented observation for the soundness harness.
+pub type DObservation = Observation<DValue>;
+
+/// Native model signature.
+pub type DNativeFn = mujs_interp::machine::NativeFn<Instrumented>;
 
 /// Abrupt, non-[`DFlow`] outcomes.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,115 +59,22 @@ pub enum DErr {
     Stop(AnalysisStatus),
 }
 
-/// Statement completions.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DFlow {
-    /// Fall through.
-    Normal,
-    /// `break`; the flag is the indeterminate-control marker.
-    Break(bool),
-    /// `continue`; the flag is the indeterminate-control marker.
-    Continue(bool),
-    /// `return v`; the flag is the indeterminate-control marker.
-    Return(DValue, bool),
-}
-
-impl DFlow {
-    /// The indeterminate-control marker of an abrupt completion.
-    pub fn indet_ctl(&self) -> bool {
-        match self {
-            DFlow::Normal => false,
-            DFlow::Break(b) | DFlow::Continue(b) | DFlow::Return(_, b) => *b,
-        }
-    }
-
-    /// The same completion with the marker forced on.
-    #[must_use]
-    pub fn taint(self) -> DFlow {
-        match self {
-            DFlow::Normal => DFlow::Normal,
-            DFlow::Break(_) => DFlow::Break(true),
-            DFlow::Continue(_) => DFlow::Continue(true),
-            DFlow::Return(v, _) => DFlow::Return(v, true),
-        }
-    }
-}
-
-/// A scope with annotated bindings: slot-addressed locals for function
-/// activations plus by-name overflow (`ext`) for catch bindings and
-/// anything `eval` hoists outside the static layout. A name lives in at
-/// most one of the two.
-#[derive(Debug, Clone)]
-pub struct DScope {
-    /// The function whose activation this scope belongs to (for the
-    /// closure-written flush policy; catch scopes inherit their frame's).
-    pub(crate) owner: FuncId,
-    /// Whether this is a function activation carrying the static slot
-    /// layout of `owner` (catch scopes are ext-only).
-    pub(crate) activation: bool,
-    /// Locals indexed by the owner's [`mujs_ir::Function::locals`] layout.
-    pub(crate) slots: Vec<(Value, SlotAnn)>,
-    /// Bindings outside the static layout.
-    pub(crate) ext: HashMap<Sym, (Value, SlotAnn)>,
-    pub(crate) parent: Option<ScopeId>,
-    /// Nearest enclosing activation (catch scopes are transparent to slot
-    /// addressing).
-    pub(crate) fn_parent: Option<ScopeId>,
-    /// Captured scopes can be written by callees (closures), so heap
-    /// flushes must invalidate them; never-captured scopes are immune —
-    /// the paper's "local variables cannot possibly be written by any
-    /// called function".
-    pub(crate) captured: bool,
-}
-
-/// An activation record of the instrumented machine.
-#[derive(Debug)]
-pub struct DFrame {
-    /// The executing function.
-    pub func: FuncId,
-    /// Scope for named lookups (`None` ⇒ global object).
-    pub scope: Option<ScopeId>,
-    /// The frame's own activation scope — the fixed base of slot
-    /// addressing while `scope` moves through catch scopes.
-    pub activation: Option<ScopeId>,
-    /// Temporaries with flags.
-    pub temps: Vec<DValue>,
-    /// The `this` binding.
-    pub this_val: DValue,
-    /// This activation's calling context.
-    pub ctx: CtxId,
-    /// Per-site occurrence counters (must match the concrete machine's),
-    /// indexed by the statement's dense per-function index.
-    pub occurrences: Vec<u32>,
-    /// Unique id for temp-write logging across frame lifetimes.
-    pub serial: u64,
-}
-
-/// Per-object analysis state kept outside the shared [`Object`] struct.
+/// Per-object analysis state kept outside the shared object struct.
 #[derive(Debug, Clone, Copy)]
-pub struct ObjExtra {
+struct ObjExtra {
     /// Epoch at creation; a record created before the last flush is open.
-    pub created_epoch: u64,
+    created_epoch: u64,
     /// Set by stores with indeterminate property names (rule ŜTO) and by
     /// deletions under indeterminate control.
-    pub forced_open: bool,
+    forced_open: bool,
     /// Determinacy of the prototype link (from the `F.prototype` slot the
     /// object was constructed with).
-    pub proto_det: Det,
-}
-
-/// Where a scope binding lives: a static local slot or an ext entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VarKey {
-    /// Index into the activation's slot vector.
-    Slot(u32),
-    /// A by-name overflow binding.
-    Ext(Sym),
+    proto_det: Det,
 }
 
 /// One undoable/markable mutation.
 #[derive(Debug)]
-pub enum LogEntry {
+enum LogEntry {
     /// A property write or delete; `old == None` means the property did
     /// not exist before.
     Prop {
@@ -163,7 +83,7 @@ pub enum LogEntry {
         /// Key.
         key: Sym,
         /// Previous slot.
-        old: Option<(Value, SlotAnn)>,
+        old: Option<Slot<SlotAnn>>,
     },
     /// A variable write.
     Var {
@@ -171,9 +91,8 @@ pub enum LogEntry {
         scope: ScopeId,
         /// Where in the scope the binding lives.
         key: VarKey,
-        /// Previous binding (a variable write never creates a binding —
-        /// declaration handles that — but eval hoisting can).
-        old: Option<(Value, SlotAnn)>,
+        /// Previous binding (`None` when eval hoisting created it).
+        old: Option<Slot<SlotAnn>>,
     },
     /// A temp write in some activation.
     Temp {
@@ -193,186 +112,49 @@ pub enum LogEntry {
     },
 }
 
-/// A write-log region (one per active Figure 9 conditional rule).
-#[derive(Debug, Default)]
-pub struct LogFrame {
-    pub(crate) entries: Vec<LogEntry>,
-}
-
-/// Instrumented observation for the soundness harness.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DObservation {
-    /// Program point.
-    pub point: StmtId,
-    /// Calling context.
-    pub ctx: CtxId,
-    /// Observed annotated value.
-    pub value: DValue,
-}
-
-/// Native model signature.
-pub type DNativeFn = fn(&mut DMachine<'_>, DValue, &[DValue]) -> Result<DValue, DErr>;
-
-/// Well-known constructor objects.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DSpecials {
-    pub(crate) array_ctor: Option<ObjId>,
-    pub(crate) error_ctor: Option<ObjId>,
-    pub(crate) object_ctor: Option<ObjId>,
-    pub(crate) eval_fn: Option<ObjId>,
-}
-
-/// The instrumented determinacy machine.
-pub struct DMachine<'p> {
-    /// The program (mutable: `eval` appends chunks).
-    pub prog: &'p mut Program,
-    pub(crate) heap: Vec<Object<SlotAnn>>,
-    pub(crate) extras: Vec<ObjExtra>,
-    pub(crate) scopes: Vec<DScope>,
-    pub(crate) global: ObjId,
-    /// Built-in prototype objects.
-    pub protos: Protos,
-    pub(crate) specials: DSpecials,
-    pub(crate) natives: Vec<(&'static str, DNativeFn)>,
-    /// The emulated document, if installed.
-    pub doc: Option<Document>,
-    /// Registered event handlers.
-    pub events: EventRegistry<ObjId>,
-    pub(crate) dom_nodes: HashMap<mujs_dom::document::NodeId, ObjId>,
-    pub(crate) dom_document_obj: Option<ObjId>,
-    pub(crate) dom_element_proto: Option<ObjId>,
-    pub(crate) rng: StdRng,
-    pub(crate) now: f64,
-    /// The global epoch counter; incrementing it is the O(1) heap flush.
-    pub(crate) epoch: u64,
-    pub(crate) steps: u64,
-    pub(crate) cf_depth: u32,
-    pub(crate) cf_steps: u64,
-    pub(crate) next_frame_serial: u64,
-    pub(crate) logs: Vec<LogFrame>,
-    pub(crate) closure_writes: mujs_ir::closure_writes::ClosureWrites,
-    pub(crate) cw_funcs_len: usize,
+/// The instrumented domain's state.
+#[derive(Debug)]
+pub struct Instrumented {
     /// Analysis configuration.
     pub cfg: AnalysisConfig,
     /// Run statistics (flush counts feed Table 1).
     pub stats: AnalysisStats,
-    /// Captured output.
-    pub output: Vec<String>,
-    /// Interned contexts.
-    pub ctxs: ContextTable,
     /// The fact database.
     pub facts: FactDb,
-    /// Observations for the soundness harness (real execution only, no
-    /// counterfactual hits).
-    pub observations: Vec<DObservation>,
-    pub(crate) setup_mode: bool,
-    /// Wall-clock point after which the run stops with
-    /// [`AnalysisStatus::Deadline`], from `cfg.deadline_ms` (measured from
-    /// machine construction, so stdlib setup counts toward the budget).
-    pub(crate) deadline: Option<std::time::Instant>,
+    extras: Vec<ObjExtra>,
+    /// The global epoch counter; incrementing it is the O(1) heap flush.
+    epoch: u64,
+    cf_depth: u32,
+    cf_steps: u64,
+    /// One write-log region per active Figure 9 conditional rule.
+    logs: Vec<Vec<LogEntry>>,
+    closure_writes: mujs_ir::closure_writes::ClosureWrites,
+    cw_funcs_len: usize,
+    /// Library setup: slots and objects created now are built-ins.
+    setup_mode: bool,
     /// External cancellation, polled at statement boundaries.
-    pub(crate) cancel: Option<CancelToken>,
+    cancel: Option<CancelToken>,
     /// Live statement counter shared with the supervisor; written at every
     /// poll so it stays meaningful even if the machine later panics.
-    pub(crate) progress: Option<std::sync::Arc<std::sync::atomic::AtomicU64>>,
+    progress: Option<std::sync::Arc<std::sync::atomic::AtomicU64>>,
     /// Cumulative heap cells allocated: objects plus newly created
     /// property slots. Monotone (slot deletes and counterfactual undos do
     /// not decrement), so `cfg.mem_cell_budget` bounds total allocation
     /// work rather than instantaneous residency — which is what keeps a
     /// runaway allocation loop from exhausting the host.
-    pub(crate) cells_allocated: u64,
+    cells_allocated: u64,
     /// Fault-injection state (testing only).
     #[cfg(feature = "fault-inject")]
-    pub(crate) faults: Option<crate::supervisor::FaultState>,
+    faults: Option<crate::supervisor::FaultState>,
     /// Set by the injected allocation fault; the next poll reports
     /// [`AnalysisStatus::MemLimit`].
     #[cfg(feature = "fault-inject")]
-    pub(crate) forced_memfail: bool,
+    forced_memfail: bool,
 }
 
-impl<'p> DMachine<'p> {
-    /// Creates a machine and installs the standard-library models.
-    pub fn new(prog: &'p mut Program, cfg: AnalysisConfig) -> Self {
-        let mut heap = Vec::new();
-        let mut extras = Vec::new();
-        let mut alloc = |class: ObjClass, proto: Option<ObjId>| {
-            let id = ObjId(heap.len() as u32);
-            heap.push(Object::new(class, proto));
-            extras.push(ObjExtra {
-                created_epoch: BUILTIN_EPOCH,
-                forced_open: false,
-                proto_det: Det::D,
-            });
-            id
-        };
-        let object = alloc(ObjClass::Plain, None);
-        let function = alloc(ObjClass::Plain, Some(object));
-        let array = alloc(ObjClass::Plain, Some(object));
-        let string = alloc(ObjClass::Plain, Some(object));
-        let number = alloc(ObjClass::Plain, Some(object));
-        let boolean = alloc(ObjClass::Plain, Some(object));
-        let error = alloc(ObjClass::Plain, Some(object));
-        let global = alloc(ObjClass::Plain, Some(object));
-        let max_facts = cfg.max_facts;
-        let deadline = cfg
-            .deadline_ms
-            .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
-        let mut m = DMachine {
-            prog,
-            heap,
-            extras,
-            scopes: Vec::new(),
-            global,
-            protos: Protos {
-                object,
-                function,
-                array,
-                string,
-                number,
-                boolean,
-                error,
-            },
-            specials: DSpecials::default(),
-            natives: Vec::new(),
-            doc: None,
-            events: EventRegistry::new(),
-            dom_nodes: HashMap::new(),
-            dom_document_obj: None,
-            dom_element_proto: None,
-            rng: StdRng::seed_from_u64(cfg.seed),
-            now: 1.6e12,
-            epoch: 0,
-            steps: 0,
-            cf_depth: 0,
-            cf_steps: 0,
-            next_frame_serial: 0,
-            logs: Vec::new(),
-            closure_writes: mujs_ir::closure_writes::ClosureWrites::default(),
-            cw_funcs_len: 0,
-            cfg,
-            stats: AnalysisStats::default(),
-            output: Vec::new(),
-            ctxs: ContextTable::new(),
-            facts: FactDb::new(max_facts),
-            observations: Vec::new(),
-            setup_mode: true,
-            deadline,
-            cancel: None,
-            progress: None,
-            cells_allocated: 0,
-            #[cfg(feature = "fault-inject")]
-            faults: None,
-            #[cfg(feature = "fault-inject")]
-            forced_memfail: false,
-        };
-        crate::natives::install_models(&mut m);
-        m.setup_mode = false;
-        m.refresh_closure_writes();
-        m
-    }
-
+impl Instrumented {
     /// Installs supervision hooks (cancellation, progress, fault plan).
-    /// Call before [`DMachine::run`]; the drivers do this automatically.
+    /// Call before running; the drivers do this automatically.
     pub fn install_hooks(&mut self, hooks: &RunHooks) {
         self.cancel = hooks.cancel.clone();
         self.progress = hooks.progress.clone();
@@ -382,62 +164,18 @@ impl<'p> DMachine<'p> {
         }
     }
 
-    /// Checks the cooperative stop conditions — cancellation, wall-clock
-    /// deadline, heap-cell budget — and publishes progress. Called from
-    /// the step loop every `cfg.poll_interval` statements; each stop
-    /// reason preserves the sound fact prefix exactly like the flush cap.
-    pub(crate) fn poll_budgets(&mut self) -> Result<(), DErr> {
-        if let Some(p) = &self.progress {
-            p.store(self.steps, std::sync::atomic::Ordering::Relaxed);
-        }
-        if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            return Err(DErr::Stop(AnalysisStatus::Cancelled));
-        }
-        #[cfg(feature = "fault-inject")]
-        let deadline_suppressed = self.faults.as_ref().is_some_and(|f| f.plan.ignore_deadline);
-        #[cfg(not(feature = "fault-inject"))]
-        let deadline_suppressed = false;
-        if let Some(dl) = self.deadline {
-            if !deadline_suppressed && std::time::Instant::now() >= dl {
-                return Err(DErr::Stop(AnalysisStatus::Deadline));
+    /// How an abrupt completion of the whole run ends the analysis.
+    pub fn status_of(e: DErr) -> AnalysisStatus {
+        match e {
+            DErr::Thrown(..) => AnalysisStatus::UncaughtException,
+            DErr::Stop(s) => s,
+            // A counterfactual abort can only escape if the machine has a
+            // bug; surface it loudly in debug builds.
+            DErr::CfAbort => {
+                debug_assert!(false, "CfAbort escaped its counterfactual");
+                AnalysisStatus::Completed
             }
         }
-        let over_budget = self
-            .cfg
-            .mem_cell_budget
-            .is_some_and(|b| self.cells_allocated > b);
-        #[cfg(feature = "fault-inject")]
-        let over_budget = over_budget || self.forced_memfail;
-        if over_budget {
-            return Err(DErr::Stop(AnalysisStatus::MemLimit));
-        }
-        Ok(())
-    }
-
-    /// Recomputes the closure-written-variable set; must be called after
-    /// `eval` appends new functions to the program.
-    pub(crate) fn refresh_closure_writes(&mut self) {
-        if self.prog.funcs.len() != self.cw_funcs_len {
-            self.closure_writes = mujs_ir::closure_writes::ClosureWrites::compute(self.prog);
-            self.cw_funcs_len = self.prog.funcs.len();
-        }
-    }
-
-    // ---------------------------------------------------------- accessors
-
-    /// The global (`window`) object.
-    pub fn global(&self) -> ObjId {
-        self.global
-    }
-
-    /// Statements executed (including counterfactual ones).
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// The current epoch (number of heap flushes so far).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Whether execution is currently counterfactual.
@@ -445,47 +183,13 @@ impl<'p> DMachine<'p> {
         self.cf_depth > 0
     }
 
-    /// Borrows an object.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid id.
-    pub fn obj(&self, id: ObjId) -> &Object<SlotAnn> {
-        &self.heap[id.0 as usize]
-    }
-
-    /// Mutably borrows an object (bypasses logging; analysis internals
-    /// only).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid id.
-    pub fn obj_mut(&mut self, id: ObjId) -> &mut Object<SlotAnn> {
-        &mut self.heap[id.0 as usize]
-    }
-
-    /// Allocates an object; its record is closed as of the current epoch.
-    pub fn alloc(&mut self, class: ObjClass, proto: Option<ObjId>, proto_det: Det) -> ObjId {
-        self.cells_allocated += 1;
-        #[cfg(feature = "fault-inject")]
-        if let Some(fs) = self.faults.as_mut() {
-            fs.allocs += 1;
-            if fs.plan.alloc_fail_at == Some(fs.allocs) {
-                self.forced_memfail = true;
-            }
+    /// The determinacy of DOM-sourced values under the current config.
+    pub fn dom_det(&self) -> Det {
+        if self.cfg.det_dom {
+            Det::D
+        } else {
+            Det::I
         }
-        let id = ObjId(self.heap.len() as u32);
-        self.heap.push(Object::new(class, proto));
-        self.extras.push(ObjExtra {
-            created_epoch: if self.setup_mode {
-                BUILTIN_EPOCH
-            } else {
-                self.epoch
-            },
-            forced_open: false,
-            proto_det,
-        });
-        id
     }
 
     /// Whether the record is open (unknown properties may exist in other
@@ -508,20 +212,6 @@ impl<'p> DMachine<'p> {
         self.extras[id.0 as usize].proto_det
     }
 
-    /// Draws from the seeded RNG (`Math.random`) — must match the
-    /// concrete machine's stream for soundness testing.
-    pub fn random(&mut self) -> f64 {
-        self.rng.gen::<f64>()
-    }
-
-    /// `Date.now` tick.
-    pub fn now_tick(&mut self) -> f64 {
-        self.now += 1.0 + self.rng.gen::<f64>() * 10.0;
-        self.now
-    }
-
-    // ------------------------------------------------------------ flushes
-
     /// The heap flush: one epoch increment invalidates every non-builtin
     /// property slot and every captured-scope variable (§4).
     pub fn flush_heap(&mut self) -> Result<(), DErr> {
@@ -535,484 +225,478 @@ impl<'p> DMachine<'p> {
         Ok(())
     }
 
-    // ------------------------------------------------------------- slots
-
-    fn slot_flushable(ann: &SlotAnn) -> bool {
-        ann.epoch != BUILTIN_EPOCH
-    }
-
-    /// Effective determinacy of a property slot right now.
-    pub fn prop_slot_det(&self, ann: &SlotAnn) -> Det {
-        ann.effective(self.epoch, Self::slot_flushable(ann))
-    }
-
-    /// Reads an own property with its effective determinacy; absent
-    /// properties yield `undefined` flagged by the record's openness.
-    pub fn own_prop_s(&self, obj: ObjId, key: Sym) -> DValue {
-        match self.heap[obj.0 as usize].props.get(key) {
-            Some(Slot { value, ann }) => DValue {
-                v: value.clone(),
-                d: self.prop_slot_det(ann),
-            },
-            None => {
-                if self.is_open(obj) {
-                    DValue::indet(Value::Undefined)
-                } else {
-                    DValue::det(Value::Undefined)
-                }
-            }
-        }
-    }
-
-    /// [`DMachine::own_prop_s`] by name. A never-interned name cannot be
-    /// an existing key, so it reads as absent.
-    pub fn own_prop(&self, obj: ObjId, key: &str) -> DValue {
-        match self.prog.interner.get(key) {
-            Some(k) => self.own_prop_s(obj, k),
-            None => {
-                if self.is_open(obj) {
-                    DValue::indet(Value::Undefined)
-                } else {
-                    DValue::det(Value::Undefined)
-                }
-            }
-        }
-    }
-
-    /// Whether the object has an own (live) property.
-    pub fn has_own_s(&self, obj: ObjId, key: Sym) -> bool {
-        self.heap[obj.0 as usize].props.contains(key)
-    }
-
-    /// [`DMachine::has_own_s`] by name.
-    pub fn has_own(&self, obj: ObjId, key: &str) -> bool {
-        self.prog
-            .interner
-            .get(key)
-            .is_some_and(|k| self.has_own_s(obj, k))
-    }
-
-    /// Writes a property slot, logging the old state for the active write
-    /// regions.
-    pub fn write_prop_s(&mut self, obj: ObjId, key: Sym, dv: DValue) {
-        let ann = SlotAnn {
-            det: dv.d,
-            epoch: if self.setup_mode {
-                BUILTIN_EPOCH
-            } else {
-                self.epoch
-            },
-        };
-        let old = self.heap[obj.0 as usize]
-            .props
-            .insert(key, Slot { value: dv.v, ann })
-            .map(|s| (s.value, s.ann));
-        if old.is_none() {
-            self.cells_allocated += 1;
-        }
+    fn log(&mut self, e: LogEntry) {
         if let Some(top) = self.logs.last_mut() {
-            top.entries.push(LogEntry::Prop { obj, key, old });
+            top.push(e);
         }
     }
 
-    /// [`DMachine::write_prop_s`] by name, interning the key.
-    pub fn write_prop(&mut self, obj: ObjId, key: &str, dv: DValue) {
-        let key = self.prog.interner.intern(key);
-        self.write_prop_s(obj, key, dv);
+    /// Recomputes the closure-written-variable set after `eval` appends
+    /// new functions to the program.
+    fn refresh_closure_writes(&mut self, prog: &mujs_ir::Program) {
+        if prog.funcs.len() != self.cw_funcs_len {
+            self.closure_writes = mujs_ir::closure_writes::ClosureWrites::compute(prog);
+            self.cw_funcs_len = prog.funcs.len();
+        }
+    }
+}
+
+impl Domain for Instrumented {
+    type Flag = Det;
+    type V = DValue;
+    type Ann = SlotAnn;
+    type Err = DErr;
+    type Config = AnalysisConfig;
+    type Outcome = AnalysisStatus;
+
+    fn init(cfg: AnalysisConfig) -> (Self, Limits) {
+        let limits = Limits {
+            seed: cfg.seed,
+            max_steps: cfg.max_steps,
+            poll_interval: cfg.poll_interval,
+            deadline_ms: cfg.deadline_ms,
+            record_observations: cfg.record_observations,
+            max_observations: cfg.max_observations,
+        };
+        let domain = Instrumented {
+            stats: AnalysisStats::default(),
+            facts: FactDb::new(cfg.max_facts),
+            cfg,
+            extras: Vec::new(),
+            epoch: 0,
+            cf_depth: 0,
+            cf_steps: 0,
+            logs: Vec::new(),
+            closure_writes: mujs_ir::closure_writes::ClosureWrites::default(),
+            cw_funcs_len: 0,
+            setup_mode: true,
+            cancel: None,
+            progress: None,
+            cells_allocated: 0,
+            #[cfg(feature = "fault-inject")]
+            faults: None,
+            #[cfg(feature = "fault-inject")]
+            forced_memfail: false,
+        };
+        (domain, limits)
     }
 
-    /// Deletes a property, logging it.
-    pub fn delete_prop_s(&mut self, obj: ObjId, key: Sym) {
-        let old = self.heap[obj.0 as usize]
-            .props
-            .remove(key)
-            .map(|s| (s.value, s.ann));
-        if old.is_some() {
-            if let Some(top) = self.logs.last_mut() {
-                top.entries.push(LogEntry::Prop { obj, key, old });
+    fn install(m: &mut DMachine<'_>) {
+        // The machine's base objects (prototypes, global) predate the
+        // cell budget.
+        m.domain.cells_allocated = 0;
+        crate::natives::install_models(m);
+        m.domain.setup_mode = false;
+        Self::on_code_loaded(m);
+    }
+
+    /// DOM installation happens in setup mode: the bindings are part of
+    /// the host environment and stay determinate across heap flushes (like
+    /// the rest of the standard library).
+    fn install_dom(m: &mut DMachine<'_>, doc: Document) {
+        m.domain.setup_mode = true;
+        crate::dom_models::install(m, doc);
+        m.domain.setup_mode = false;
+    }
+
+    fn outcome(r: Result<(), DErr>) -> AnalysisStatus {
+        match r {
+            Ok(()) => AnalysisStatus::Completed,
+            Err(e) => Self::status_of(e),
+        }
+    }
+
+    fn thrown(v: DValue, indet_ctl: bool) -> DErr {
+        DErr::Thrown(v, indet_ctl)
+    }
+
+    fn as_thrown(e: &DErr) -> Option<(&DValue, bool)> {
+        match e {
+            DErr::Thrown(v, ic) => Some((v, *ic)),
+            _ => None,
+        }
+    }
+
+    fn stop(s: Stop) -> DErr {
+        DErr::Stop(match s {
+            Stop::StepLimit => AnalysisStatus::StepLimit,
+            Stop::Cancelled => AnalysisStatus::Cancelled,
+            Stop::Deadline => AnalysisStatus::Deadline,
+            Stop::IllegalCompletion => AnalysisStatus::UncaughtException,
+        })
+    }
+
+    fn taint_thrown(e: DErr) -> DErr {
+        match e {
+            DErr::Thrown(v, _) => DErr::Thrown(v, true),
+            e => e,
+        }
+    }
+
+    /// The cooperative stop conditions — cancellation, wall-clock
+    /// deadline, heap-cell budget — plus progress publication. Each stop
+    /// reason preserves the sound fact prefix exactly like the flush cap.
+    fn poll(m: &mut DMachine<'_>) -> Result<(), DErr> {
+        if let Some(p) = &m.domain.progress {
+            p.store(m.steps(), std::sync::atomic::Ordering::Relaxed);
+        }
+        if m.domain
+            .cancel
+            .as_ref()
+            .is_some_and(CancelToken::is_cancelled)
+        {
+            return Err(DErr::Stop(AnalysisStatus::Cancelled));
+        }
+        #[cfg(feature = "fault-inject")]
+        let deadline_suppressed = m
+            .domain
+            .faults
+            .as_ref()
+            .is_some_and(|f| f.plan.ignore_deadline);
+        #[cfg(not(feature = "fault-inject"))]
+        let deadline_suppressed = false;
+        if !deadline_suppressed && m.deadline_passed() {
+            return Err(DErr::Stop(AnalysisStatus::Deadline));
+        }
+        let d = &m.domain;
+        let over_budget = d.cfg.mem_cell_budget.is_some_and(|b| d.cells_allocated > b);
+        #[cfg(feature = "fault-inject")]
+        let over_budget = over_budget || d.forced_memfail;
+        if over_budget {
+            return Err(DErr::Stop(AnalysisStatus::MemLimit));
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn on_step(m: &mut DMachine<'_>) -> Result<(), DErr> {
+        // Under fault injection, poll every statement so injected faults
+        // surface at a deterministic point regardless of poll_interval.
+        #[cfg(feature = "fault-inject")]
+        if m.domain.faults.is_some() {
+            Self::poll(m)?;
+        }
+        let d = &mut m.domain;
+        if d.cf_depth > 0 {
+            d.cf_steps += 1;
+            if d.cf_steps > d.cfg.cf_step_budget {
+                return Err(DErr::CfAbort);
             }
         }
+        Ok(())
     }
 
-    /// [`DMachine::delete_prop_s`] by name.
-    pub fn delete_prop(&mut self, obj: ObjId, key: &str) {
-        if let Some(k) = self.prog.interner.get(key) {
-            self.delete_prop_s(obj, k);
+    /// Library setup writes no scope bindings, so only built-in
+    /// properties get the sentinel epoch.
+    #[inline]
+    fn ann(m: &DMachine<'_>, det: Det) -> SlotAnn {
+        let epoch = if m.domain.setup_mode {
+            BUILTIN_EPOCH
+        } else {
+            m.domain.epoch
+        };
+        SlotAnn { det, epoch }
+    }
+
+    #[inline]
+    fn prop_flag(m: &DMachine<'_>, ann: &SlotAnn) -> Det {
+        ann.effective(m.domain.epoch, ann.epoch != BUILTIN_EPOCH)
+    }
+
+    /// A flush models an unknown call, which can only have written this
+    /// binding if the scope is captured *and* some closure actually
+    /// assigns the name (see `mujs_ir::closure_writes`).
+    #[inline]
+    fn var_flag(m: &DMachine<'_>, sid: ScopeId, name: Sym, ann: &SlotAnn) -> Det {
+        if ann.det == Det::I {
+            return Det::I;
         }
+        if ann.epoch == m.domain.epoch || ann.epoch == BUILTIN_EPOCH {
+            return Det::D;
+        }
+        let s = m.scope(sid);
+        if s.captured && m.domain.closure_writes.is_written(s.owner, name) {
+            Det::I
+        } else {
+            Det::D
+        }
+    }
+
+    #[inline]
+    fn absent_flag(m: &DMachine<'_>, obj: ObjId) -> Det {
+        if m.domain.is_open(obj) {
+            Det::I
+        } else {
+            Det::D
+        }
+    }
+
+    #[inline]
+    fn proto_flag(m: &DMachine<'_>, obj: ObjId) -> Det {
+        m.domain.proto_det(obj)
+    }
+
+    fn dom_flag(m: &DMachine<'_>) -> Det {
+        m.domain.dom_det()
+    }
+
+    #[inline]
+    fn on_alloc(m: &mut DMachine<'_>, _obj: ObjId, proto: Det) {
+        let d = &mut m.domain;
+        d.cells_allocated += 1;
+        #[cfg(feature = "fault-inject")]
+        if let Some(fs) = d.faults.as_mut() {
+            fs.allocs += 1;
+            if fs.plan.alloc_fail_at == Some(fs.allocs) {
+                d.forced_memfail = true;
+            }
+        }
+        d.extras.push(ObjExtra {
+            created_epoch: if d.setup_mode { BUILTIN_EPOCH } else { d.epoch },
+            forced_open: false,
+            proto_det: proto,
+        });
+    }
+
+    /// Creating a slot costs a heap cell.
+    #[inline]
+    fn prop_written(m: &mut DMachine<'_>, obj: ObjId, key: Sym, old: Option<Slot<SlotAnn>>) {
+        if old.is_none() {
+            m.domain.cells_allocated += 1;
+        }
+        m.domain.log(LogEntry::Prop { obj, key, old });
+    }
+
+    #[inline]
+    fn var_written(m: &mut DMachine<'_>, scope: ScopeId, key: VarKey, old: Option<Slot<SlotAnn>>) {
+        m.domain.log(LogEntry::Var { scope, key, old });
+    }
+
+    #[inline]
+    fn temp_written(m: &mut DMachine<'_>, frame: u64, idx: u32, old: DValue) {
+        m.domain.log(LogEntry::Temp { frame, idx, old });
+    }
+
+    fn flush(m: &mut DMachine<'_>) -> Result<(), DErr> {
+        m.domain.flush_heap()
     }
 
     /// Forces a record open (indeterminate-name store, rule ŜTO) and marks
-    /// all its properties indeterminate.
-    pub fn open_record(&mut self, obj: ObjId) {
-        let was = self.extras[obj.0 as usize].forced_open;
-        self.extras[obj.0 as usize].forced_open = true;
-        if let Some(top) = self.logs.last_mut() {
-            top.entries.push(LogEntry::Opened { obj, was });
-        }
-        // Mark every property indeterminate (these are *marks*, not value
-        // writes; counterfactual undo restores the slots wholesale via the
-        // Opened + Prop entries of actual writes, so marks need no log).
-        for (_, slot) in self.heap[obj.0 as usize].props.iter_mut() {
+    /// all its properties indeterminate. The marks need no log: undo
+    /// restores slots wholesale from the Opened and Prop entries.
+    fn open_record(m: &mut DMachine<'_>, obj: ObjId) {
+        let was = std::mem::replace(&mut m.domain.extras[obj.0 as usize].forced_open, true);
+        m.domain.log(LogEntry::Opened { obj, was });
+        for (_, slot) in m.obj_mut(obj).props.iter_mut() {
             slot.ann.det = Det::I;
         }
     }
 
-    // -------------------------------------------------------- scope slots
-
-    /// Creates an ext-only scope (catch blocks).
-    pub(crate) fn new_scope(&mut self, parent: Option<ScopeId>, owner: FuncId) -> ScopeId {
-        let id = ScopeId(self.scopes.len() as u32);
-        let fn_parent = self.nearest_activation(parent);
-        self.scopes.push(DScope {
-            owner,
-            activation: false,
-            slots: Vec::new(),
-            ext: HashMap::new(),
-            parent,
-            fn_parent,
-            captured: false,
-        });
-        id
+    fn hypothetical(m: &DMachine<'_>) -> bool {
+        m.domain.cf_depth > 0
     }
 
-    /// Creates a function activation whose slot vector follows the
-    /// function's static `locals` layout, every slot initialized to a
-    /// determinate `undefined` at the current epoch — exactly the binding
-    /// state a by-name declaration of `undefined` would produce.
-    pub(crate) fn new_activation(&mut self, func: FuncId, parent: Option<ScopeId>) -> ScopeId {
-        let id = ScopeId(self.scopes.len() as u32);
-        let n = self.prog.func(func).locals.len();
-        let fn_parent = self.nearest_activation(parent);
-        let init = SlotAnn {
-            det: Det::D,
-            epoch: self.epoch,
-        };
-        self.scopes.push(DScope {
-            owner: func,
-            activation: true,
-            slots: vec![(Value::Undefined, init); n],
-            ext: HashMap::new(),
-            parent,
-            fn_parent,
-            captured: false,
-        });
-        id
+    #[inline]
+    fn on_define(m: &mut DMachine<'_>, ctx: CtxId, point: StmtId, v: &DValue) {
+        if m.domain.cfg.collect_facts {
+            let class = match &v.v {
+                Value::Object(id) => Some(m.obj(*id).class.clone()),
+                _ => None,
+            };
+            m.domain
+                .facts
+                .record_with_class(FactKind::Define, point, ctx, v, class.as_ref());
+        }
     }
 
-    /// The nearest activation scope at or above `from`.
-    fn nearest_activation(&self, from: Option<ScopeId>) -> Option<ScopeId> {
-        let mut cur = from;
-        while let Some(sid) = cur {
-            let s = &self.scopes[sid.0 as usize];
-            if s.activation {
-                return Some(sid);
+    /// Occurrence-qualified key facts, so per-iteration facts of
+    /// unrolled loops stay distinct.
+    fn on_key(m: &mut DMachine<'_>, frame: &mut DFrame, point: StmtId, key: Sym, d: Det) {
+        let ctx = m.enter_site(frame, point);
+        if m.domain.cfg.collect_facts {
+            let v = DValue {
+                v: Value::Str(m.prog.interner.name(key).clone()),
+                d,
+            };
+            m.domain.facts.record(FactKind::PropKey, point, ctx, &v);
+        }
+    }
+
+    fn on_callee(m: &mut DMachine<'_>, ctx: CtxId, site: StmtId, callee: &DValue) {
+        if m.domain.cfg.collect_facts {
+            let class = match &callee.v {
+                Value::Object(o) => Some(m.obj(*o).class.clone()),
+                _ => None,
+            };
+            m.domain
+                .facts
+                .record_with_class(FactKind::Callee, site, ctx, callee, class.as_ref());
+        }
+    }
+
+    fn on_cond(m: &mut DMachine<'_>, site: StmtId, ctx: CtxId, v: &DValue) {
+        if m.domain.cfg.collect_facts {
+            let b = DValue {
+                v: Value::Bool(mujs_interp::coerce::to_boolean(&v.v)),
+                d: v.d,
+            };
+            m.domain.facts.record(FactKind::Cond, site, ctx, &b);
+        }
+    }
+
+    /// Occurrence-qualified, so per-iteration facts in unrolled loops stay
+    /// distinct (the paper's `24₀` notation).
+    fn on_eval(m: &mut DMachine<'_>, site: StmtId, ctx: CtxId, arg: &DValue) {
+        if m.domain.cfg.collect_facts {
+            m.domain.facts.record(FactKind::EvalArg, site, ctx, arg);
+        }
+    }
+
+    fn on_loop_exit(m: &mut DMachine<'_>, site: StmtId, ctx: CtxId, trips: Option<u32>) {
+        if m.domain.cfg.collect_facts {
+            let trip = trips.map_or(TripFact::Unknown, TripFact::Exact);
+            m.domain.facts.record_trip(site, ctx, trip);
+        }
+    }
+
+    fn on_code_loaded(m: &mut DMachine<'_>) {
+        m.domain.refresh_closure_writes(m.prog);
+    }
+
+    /// Injection point for native faults under the `fault-inject`
+    /// feature.
+    #[inline]
+    fn on_native_call(m: &mut DMachine<'_>) -> Result<(), DErr> {
+        #[cfg(feature = "fault-inject")]
+        if let Some(fs) = m.domain.faults.as_mut() {
+            fs.native_calls += 1;
+            let n = fs.native_calls;
+            if fs.plan.native_panic_at == Some(n) {
+                panic!("injected native fault: panic at native call #{n}");
             }
-            cur = s.parent;
-        }
-        None
-    }
-
-    /// Position of `name` in the scope's static slot layout, if any.
-    fn slot_index(&self, sid: ScopeId, name: Sym) -> Option<u32> {
-        let s = &self.scopes[sid.0 as usize];
-        if !s.activation {
-            return None;
-        }
-        self.prog.func(s.owner).local_slot(name)
-    }
-
-    /// The activation scope `hops` function levels above the frame's own.
-    pub(crate) fn hop_scope(&self, frame: &DFrame, hops: u32) -> Option<ScopeId> {
-        let mut sid = frame.activation?;
-        for _ in 0..hops {
-            sid = self.scopes[sid.0 as usize].fn_parent?;
-        }
-        Some(sid)
-    }
-
-    pub(crate) fn mark_captured(&mut self, scope: Option<ScopeId>) {
-        let mut cur = scope;
-        while let Some(sid) = cur {
-            let s = &mut self.scopes[sid.0 as usize];
-            if s.captured {
-                break;
+            if fs.plan.native_error_at == Some(n) {
+                return Err(m.throw_error("Error", "injected native failure"));
             }
-            s.captured = true;
-            cur = s.parent;
+        }
+        let _ = m;
+        Ok(())
+    }
+
+    /// "We perform a heap flush immediately upon entering an event
+    /// handler."
+    fn on_handler_entry(m: &mut DMachine<'_>) -> Result<(), DErr> {
+        m.domain.stats.handlers_fired += 1;
+        m.domain.flush_heap()
+    }
+
+    fn open_region(m: &mut DMachine<'_>) {
+        m.domain.logs.push(Vec::new());
+    }
+
+    /// Closes the innermost region — marking every written location
+    /// indeterminate (rule ÎF1 with `d = ?`) when `mark` is set — and
+    /// propagates its entries to the enclosing region.
+    fn close_region(m: &mut DMachine<'_>, frame: &mut DFrame, mark: bool) {
+        let region = m.domain.logs.pop().expect("log region open");
+        if mark {
+            for e in &region {
+                mark_entry(m, e, frame);
+            }
+        }
+        if let Some(parent) = m.domain.logs.last_mut() {
+            parent.extend(region);
         }
     }
 
-    /// The effective determinacy of a scope binding: a flush models an
-    /// unknown call, which can only have written this binding if the scope
-    /// is captured *and* some closure actually assigns the name (see
-    /// `mujs_ir::closure_writes`).
-    fn scope_slot_det(&self, sid: ScopeId, name: Sym, ann: &SlotAnn) -> Det {
-        let s = &self.scopes[sid.0 as usize];
-        let flushable = Self::slot_flushable(ann)
-            && s.captured
-            && self.closure_writes.is_written(s.owner, name);
-        ann.effective(self.epoch, flushable)
-    }
-
-    /// Reads a slot-resolved binding (already located; no name walk).
-    pub(crate) fn read_slot(&self, sid: ScopeId, idx: u32, sym: Sym) -> DValue {
-        let (v, ann) = &self.scopes[sid.0 as usize].slots[idx as usize];
-        DValue {
-            v: v.clone(),
-            d: self.scope_slot_det(sid, sym, ann),
+    /// Rule ĈNTR: execute `blocks` under an undo log, roll back, and mark
+    /// every written location indeterminate. Aborts (ĈNTRABORT) beyond
+    /// depth `k`, on exceptions, on abrupt completions, on natives with
+    /// unknown effects, or when the counterfactual step budget runs out.
+    fn counterfactual(
+        m: &mut DMachine<'_>,
+        frame: &mut DFrame,
+        blocks: &[&[Stmt]],
+    ) -> Result<(), DErr> {
+        if blocks.iter().all(|b| b.is_empty()) {
+            return Ok(());
         }
-    }
-
-    /// Writes a slot-resolved binding, logging the old state.
-    pub(crate) fn write_slot(&mut self, sid: ScopeId, idx: u32, dv: DValue) {
-        let ann = SlotAnn {
-            det: dv.d,
-            epoch: self.epoch,
-        };
-        let old = std::mem::replace(
-            &mut self.scopes[sid.0 as usize].slots[idx as usize],
-            (dv.v, ann),
-        );
-        if let Some(top) = self.logs.last_mut() {
-            top.entries.push(LogEntry::Var {
-                scope: sid,
-                key: VarKey::Slot(idx),
-                old: Some(old),
-            });
+        if !m.domain.cfg.counterfactual || m.domain.cf_depth >= m.domain.cfg.cf_depth_k {
+            return Self::cntr_abort(m, frame, blocks);
         }
-    }
-
-    /// Declares a binding (not logged as a write: declarations happen at
-    /// activation entry, outside conditional regions; eval hoisting logs
-    /// via [`DMachine::assign_var`]). Reuses the static slot when the name
-    /// has one, so a name lives in exactly one place per scope.
-    pub(crate) fn declare(&mut self, scope: Option<ScopeId>, name: Sym, dv: DValue) {
-        match scope {
-            Some(sid) => {
-                let ann = SlotAnn {
-                    det: dv.d,
-                    epoch: self.epoch,
-                };
-                if let Some(i) = self.slot_index(sid, name) {
-                    self.scopes[sid.0 as usize].slots[i as usize] = (dv.v, ann);
-                } else {
-                    self.scopes[sid.0 as usize].ext.insert(name, (dv.v, ann));
+        // Injected ĈNTRABORT storm: every counterfactual takes the
+        // abort-and-undo path, exercising log restoration under load.
+        #[cfg(feature = "fault-inject")]
+        if m.domain
+            .faults
+            .as_ref()
+            .is_some_and(|f| f.plan.cf_abort_storm)
+        {
+            return Self::cntr_abort(m, frame, blocks);
+        }
+        m.domain.stats.counterfactuals += 1;
+        let occ_snapshot = frame.occurrences.clone();
+        // The RNG stream and clock are machine state too: hypothetical
+        // execution must not consume them, or the real execution would
+        // diverge from the concrete semantics on the same seed.
+        let entropy = m.entropy();
+        if m.domain.cf_depth == 0 {
+            m.domain.cf_steps = 0;
+        }
+        m.domain.cf_depth += 1;
+        m.domain.logs.push(Vec::new());
+        let mut outcome: Result<(), DErr> = Ok(());
+        for b in blocks {
+            match m.exec_block(frame, b) {
+                Ok(Flow::Normal) => {}
+                // Abrupt hypothetical control: we cannot follow the
+                // hypothetical continuation, so abort conservatively.
+                Ok(_) | Err(DErr::Thrown(..)) | Err(DErr::CfAbort) => {
+                    outcome = Err(DErr::CfAbort);
+                    break;
+                }
+                Err(e @ DErr::Stop(_)) => {
+                    outcome = Err(e);
+                    break;
                 }
             }
-            None => self.write_prop_s(self.global, name, dv),
         }
-    }
-
-    /// Reads a variable through the scope chain; `None` if unbound.
-    pub(crate) fn lookup_var(&self, scope: Option<ScopeId>, name: Sym) -> Option<DValue> {
-        let mut cur = scope;
-        while let Some(sid) = cur {
-            if let Some(i) = self.slot_index(sid, name) {
-                return Some(self.read_slot(sid, i, name));
-            }
-            let s = &self.scopes[sid.0 as usize];
-            if let Some((v, ann)) = s.ext.get(&name) {
-                return Some(DValue {
-                    v: v.clone(),
-                    d: self.scope_slot_det(sid, name, ann),
-                });
-            }
-            cur = s.parent;
+        m.domain.cf_depth -= 1;
+        frame.occurrences = occ_snapshot;
+        m.restore_entropy(entropy);
+        // Undo every write in reverse order, then mark the restored
+        // locations indeterminate — ĈNTR's `ρ̂′[vd(t̂) := ρ̂?]` /
+        // `ĥ′[pd(t̂) := ĥ?]`.
+        let region = m.domain.logs.pop().expect("log region open");
+        for e in region.iter().rev() {
+            undo_entry(m, e, frame);
         }
-        if self.has_own_s(self.global, name) {
-            Some(self.own_prop_s(self.global, name))
-        } else {
-            None
+        for e in &region {
+            mark_entry(m, e, frame);
         }
-    }
-
-    /// Assigns a variable through the scope chain (creates a global when
-    /// unbound), logging the write.
-    pub(crate) fn assign_var(&mut self, scope: Option<ScopeId>, name: Sym, dv: DValue) {
-        let mut cur = scope;
-        while let Some(sid) = cur {
-            if let Some(i) = self.slot_index(sid, name) {
-                self.write_slot(sid, i, dv);
-                return;
-            }
-            if self.scopes[sid.0 as usize].ext.contains_key(&name) {
-                let ann = SlotAnn {
-                    det: dv.d,
-                    epoch: self.epoch,
-                };
-                let old = self.scopes[sid.0 as usize].ext.insert(name, (dv.v, ann));
-                if let Some(top) = self.logs.last_mut() {
-                    top.entries.push(LogEntry::Var {
-                        scope: sid,
-                        key: VarKey::Ext(name),
-                        old,
-                    });
-                }
-                return;
-            }
-            cur = self.scopes[sid.0 as usize].parent;
+        if let Some(parent) = m.domain.logs.last_mut() {
+            parent.extend(region);
         }
-        self.write_prop_s(self.global, name, dv);
-    }
-
-    /// Writes a temp, logging it.
-    pub(crate) fn write_temp(&mut self, frame: &mut DFrame, idx: u32, dv: DValue) {
-        let old = std::mem::replace(&mut frame.temps[idx as usize], dv);
-        if let Some(top) = self.logs.last_mut() {
-            top.entries.push(LogEntry::Temp {
-                frame: frame.serial,
-                idx,
-                old,
-            });
-        }
-    }
-
-    // ------------------------------------------------------- log regions
-
-    /// Opens a write-log region.
-    pub(crate) fn push_log(&mut self, _counterfactual: bool) {
-        self.logs.push(LogFrame {
-            entries: Vec::new(),
-        });
-    }
-
-    /// Closes the current region, marking every written location
-    /// indeterminate (rule ÎF1 with `d = ?`), and propagates the entries
-    /// to the enclosing region.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no region is open.
-    pub(crate) fn pop_log_mark(&mut self, frame: &mut DFrame) {
-        let region = self.logs.pop().expect("log region open");
-        for e in &region.entries {
-            self.mark_entry(e, frame);
-        }
-        self.propagate_entries(region.entries);
-    }
-
-    /// Closes the current region, undoing every write in reverse order and
-    /// marking the (restored) locations indeterminate — rule ĈNTR's
-    /// `ρ̂′[vd(t̂) := ρ̂?]` / `ĥ′[pd(t̂) := ĥ?]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no region is open.
-    pub(crate) fn pop_log_undo_mark(&mut self, frame: &mut DFrame) {
-        let region = self.logs.pop().expect("log region open");
-        for e in region.entries.iter().rev() {
-            self.undo_entry(e, frame);
-        }
-        for e in &region.entries {
-            self.mark_entry(e, frame);
-        }
-        self.propagate_entries(region.entries);
-    }
-
-    fn propagate_entries(&mut self, entries: Vec<LogEntry>) {
-        if let Some(parent) = self.logs.last_mut() {
-            parent.entries.extend(entries);
-        }
-    }
-
-    /// Marks the location of a log entry indeterminate in the current
-    /// state.
-    fn mark_entry(&mut self, e: &LogEntry, frame: &mut DFrame) {
-        match e {
-            LogEntry::Prop { obj, key, .. } => {
-                match self.heap[obj.0 as usize].props.get_mut(*key) {
-                    Some(slot) => slot.ann.det = Det::I,
-                    // The property is now absent (deleted in the region, or
-                    // the undo removed it): other executions may have it,
-                    // so the record's contents are unknown.
-                    None => {
-                        self.extras[obj.0 as usize].forced_open = true;
-                    }
-                }
-            }
-            LogEntry::Var { scope, key, .. } => {
-                let s = &mut self.scopes[scope.0 as usize];
-                match key {
-                    VarKey::Slot(i) => s.slots[*i as usize].1.det = Det::I,
-                    VarKey::Ext(name) => {
-                        if let Some((_, ann)) = s.ext.get_mut(name) {
-                            ann.det = Det::I;
-                        }
-                    }
-                }
-            }
-            LogEntry::Temp { frame: fs, idx, .. } => {
-                if *fs == frame.serial {
-                    frame.temps[*idx as usize].d = Det::I;
-                }
-            }
-            LogEntry::Opened { .. } => {}
-        }
-    }
-
-    /// Restores the pre-region state for one entry.
-    fn undo_entry(&mut self, e: &LogEntry, frame: &mut DFrame) {
-        match e {
-            LogEntry::Prop { obj, key, old } => match old {
-                Some((v, ann)) => {
-                    self.heap[obj.0 as usize].props.insert(
-                        *key,
-                        Slot {
-                            value: v.clone(),
-                            ann: *ann,
-                        },
-                    );
-                }
-                None => {
-                    self.heap[obj.0 as usize].props.remove(*key);
-                }
-            },
-            LogEntry::Var { scope, key, old } => {
-                let s = &mut self.scopes[scope.0 as usize];
-                match (key, old) {
-                    (VarKey::Slot(i), Some((v, ann))) => {
-                        s.slots[*i as usize] = (v.clone(), *ann);
-                    }
-                    // A static slot always exists, so its log entries
-                    // always carry the previous state.
-                    (VarKey::Slot(_), None) => {}
-                    (VarKey::Ext(name), Some((v, ann))) => {
-                        s.ext.insert(*name, (v.clone(), *ann));
-                    }
-                    (VarKey::Ext(name), None) => {
-                        s.ext.remove(name);
-                    }
-                }
-            }
-            LogEntry::Temp {
-                frame: fs,
-                idx,
-                old,
-            } => {
-                if *fs == frame.serial {
-                    frame.temps[*idx as usize] = old.clone();
-                }
-            }
-            LogEntry::Opened { obj, was } => {
-                self.extras[obj.0 as usize].forced_open = *was;
-            }
+        match outcome {
+            Ok(()) => Ok(()),
+            Err(DErr::Stop(s)) => Err(DErr::Stop(s)),
+            Err(_) => Self::cntr_abort(m, frame, blocks),
         }
     }
 
     /// The conservative ĈNTRABORT: flush the heap and mark the static
     /// write domain of the unexecuted code indeterminate. With `eval`
     /// inside, the whole visible scope chain is poisoned.
-    pub(crate) fn cntr_abort(
-        &mut self,
+    fn cntr_abort(
+        m: &mut DMachine<'_>,
         frame: &mut DFrame,
-        blocks: &[&[mujs_ir::Stmt]],
+        blocks: &[&[Stmt]],
     ) -> Result<(), DErr> {
-        self.stats.cf_aborts += 1;
-        self.flush_heap()?;
+        m.domain.stats.cf_aborts += 1;
+        m.domain.flush_heap()?;
         for block in blocks {
             let wd = mujs_ir::vd::write_domain(block);
             if wd.contains_eval {
-                self.mark_scope_chain_indet(frame.scope);
+                mark_scope_chain_indet(m, frame.scope);
             }
             for place in &wd.places {
                 match place {
@@ -1025,7 +709,7 @@ impl<'p> DMachine<'p> {
                     // to names, so a scope walk covers both.
                     p => {
                         if let Some(name) = p.as_var_sym() {
-                            self.mark_var_indet(frame.scope, name);
+                            mark_var_indet(m, frame.scope, name);
                         }
                     }
                 }
@@ -1033,118 +717,94 @@ impl<'p> DMachine<'p> {
         }
         Ok(())
     }
+}
 
-    fn mark_var_indet(&mut self, scope: Option<ScopeId>, name: Sym) {
-        let mut cur = scope;
-        while let Some(sid) = cur {
-            if let Some(i) = self.slot_index(sid, name) {
-                self.scopes[sid.0 as usize].slots[i as usize].1.det = Det::I;
-                return;
+/// Marks the location of a log entry indeterminate in the current state.
+fn mark_entry(m: &mut DMachine<'_>, e: &LogEntry, frame: &mut DFrame) {
+    match e {
+        LogEntry::Prop { obj, key, .. } => match m.obj_mut(*obj).props.get_mut(*key) {
+            Some(slot) => slot.ann.det = Det::I,
+            // The property is now absent (deleted in the region, or the
+            // undo removed it): other executions may have it, so the
+            // record's contents are unknown.
+            None => m.domain.extras[obj.0 as usize].forced_open = true,
+        },
+        LogEntry::Var { scope, key, .. } => {
+            if let Some(slot) = m.binding_mut(*scope, *key) {
+                slot.ann.det = Det::I;
             }
-            let s = &mut self.scopes[sid.0 as usize];
-            if let Some((_, ann)) = s.ext.get_mut(&name) {
-                ann.det = Det::I;
-                return;
-            }
-            cur = s.parent;
         }
-        if let Some(slot) = self.heap[self.global.0 as usize].props.get_mut(name) {
+        LogEntry::Temp { frame: fs, idx, .. } => {
+            if *fs == frame.serial {
+                frame.temps[*idx as usize].d = Det::I;
+            }
+        }
+        LogEntry::Opened { .. } => {}
+    }
+}
+
+/// Restores the pre-region state for one entry.
+fn undo_entry(m: &mut DMachine<'_>, e: &LogEntry, frame: &mut DFrame) {
+    match e {
+        LogEntry::Prop { obj, key, old } => {
+            let props = &mut m.obj_mut(*obj).props;
+            match old {
+                Some(slot) => {
+                    props.insert(*key, slot.clone());
+                }
+                None => {
+                    props.remove(*key);
+                }
+            }
+        }
+        LogEntry::Var { scope, key, old } => {
+            let s = m.scope_mut(*scope);
+            match (key, old) {
+                (VarKey::Slot(i), Some(slot)) => s.slots[*i as usize] = slot.clone(),
+                // A static slot always exists, so its log entries always
+                // carry the previous state.
+                (VarKey::Slot(_), None) => {}
+                (VarKey::Ext(name), Some(slot)) => {
+                    s.ext.insert(*name, slot.clone());
+                }
+                (VarKey::Ext(name), None) => {
+                    s.ext.remove(name);
+                }
+            }
+        }
+        LogEntry::Temp {
+            frame: fs,
+            idx,
+            old,
+        } => {
+            if *fs == frame.serial {
+                frame.temps[*idx as usize] = old.clone();
+            }
+        }
+        LogEntry::Opened { obj, was } => {
+            m.domain.extras[obj.0 as usize].forced_open = *was;
+        }
+    }
+}
+
+fn mark_var_indet(m: &mut DMachine<'_>, scope: Option<ScopeId>, name: Sym) {
+    let g = m.global();
+    let slot = match m.resolve(scope, name) {
+        Some((sid, key)) => m.binding_mut(sid, key),
+        None => m.obj_mut(g).props.get_mut(name),
+    };
+    if let Some(slot) = slot {
+        slot.ann.det = Det::I;
+    }
+}
+
+fn mark_scope_chain_indet(m: &mut DMachine<'_>, scope: Option<ScopeId>) {
+    let mut cur = scope;
+    while let Some(sid) = cur {
+        let s = m.scope_mut(sid);
+        for slot in s.slots.iter_mut().chain(s.ext.values_mut()) {
             slot.ann.det = Det::I;
         }
-    }
-
-    fn mark_scope_chain_indet(&mut self, scope: Option<ScopeId>) {
-        let mut cur = scope;
-        while let Some(sid) = cur {
-            let s = &mut self.scopes[sid.0 as usize];
-            for (_, ann) in s.slots.iter_mut() {
-                ann.det = Det::I;
-            }
-            for (_, (_, ann)) in s.ext.iter_mut() {
-                ann.det = Det::I;
-            }
-            cur = s.parent;
-        }
-    }
-
-    // -------------------------------------------------------- registration
-
-    /// Registers a native model.
-    pub fn register_native(&mut self, name: &'static str, f: DNativeFn) -> ObjId {
-        let nid = mujs_interp::NativeId(self.natives.len() as u32);
-        self.natives.push((name, f));
-        let obj = self.alloc(ObjClass::Native(nid), Some(self.protos.function), Det::D);
-        self.heap[obj.0 as usize].builtin = true;
-        obj
-    }
-
-    /// Raw determinate property install (library setup).
-    pub fn set_raw(&mut self, obj: ObjId, name: &str, v: Value) {
-        self.write_prop(obj, name, DValue::det(v));
-    }
-
-    /// Raw own-property read.
-    pub fn get_raw(&self, obj: ObjId, name: &str) -> Option<Value> {
-        let k = self.prog.interner.get(name)?;
-        self.get_raw_s(obj, k)
-    }
-
-    /// Raw own-property read by symbol.
-    pub fn get_raw_s(&self, obj: ObjId, key: Sym) -> Option<Value> {
-        self.heap[obj.0 as usize]
-            .props
-            .get(key)
-            .map(|s| s.value.clone())
-    }
-
-    /// Builds and throws a fresh error object. `indet_ctl` says whether
-    /// other executions might not throw here.
-    pub fn throw_error(&mut self, kind: &str, msg: &str, indet_ctl: bool) -> DErr {
-        let e = self.alloc(ObjClass::Plain, Some(self.protos.error), Det::D);
-        self.write_prop_s(e, Sym::NAME, DValue::det(Value::Str(Rc::from(kind))));
-        self.write_prop_s(e, Sym::MESSAGE, DValue::det(Value::Str(Rc::from(msg))));
-        DErr::Thrown(DValue::det(Value::Object(e)), indet_ctl)
-    }
-
-    /// Renders a value for output capture (mirrors the concrete machine).
-    /// Rendering streams into one buffer instead of materializing a string
-    /// per array element, and stops at [`DISPLAY_BYTE_CAP`]; small-array
-    /// output (all of the corpus) is byte-identical to the old eager
-    /// rendering.
-    pub fn display(&self, v: &Value) -> String {
-        let mut out = String::new();
-        self.display_into(&mut out, v);
-        out
-    }
-
-    fn display_into(&self, out: &mut String, v: &Value) {
-        match v {
-            Value::Str(s) => out.push_str(s),
-            Value::Object(id) => match &self.obj(*id).class {
-                ObjClass::Array => {
-                    let len = match self.get_raw_s(*id, Sym::LENGTH) {
-                        Some(Value::Num(n)) => n as usize,
-                        _ => 0,
-                    };
-                    for i in 0..len.min(100) {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        if out.len() > DISPLAY_BYTE_CAP {
-                            return;
-                        }
-                        if let Some(item) = self.get_raw(*id, &i.to_string()) {
-                            self.display_into(out, &item);
-                        }
-                    }
-                }
-                c if c.is_callable() => out.push_str("function"),
-                _ => out.push_str("[object Object]"),
-            },
-            other => match mujs_interp::coerce::to_string(other) {
-                Ok(s) => out.push_str(&s),
-                Err(_) => out.push_str("[object]"),
-            },
-        }
+        cur = s.parent;
     }
 }

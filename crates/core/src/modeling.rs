@@ -12,7 +12,7 @@
 use crate::det::Det;
 use crate::machine::DObservation;
 use mujs_interp::context::{ContextTable, CtxId};
-use mujs_interp::machine::Observation;
+use mujs_interp::Observation;
 use mujs_interp::{ObjId, Value};
 use mujs_ir::StmtId;
 use std::collections::HashMap;

@@ -1,8 +1,10 @@
-//! Hand-written native *models* (§4): each standard-library function is
-//! reimplemented to compute the same concrete result as the concrete
-//! machine while propagating determinacy conservatively. Pure helpers are
-//! shared with the concrete machine via [`mujs_interp::stdlib`], so both
-//! machines agree bit-for-bit on concrete behavior.
+//! The instrumented native table: hand-written *models* (§4). Each
+//! standard-library function is reimplemented to compute the same concrete
+//! result as the concrete table in `mujs_interp::natives` while
+//! propagating determinacy conservatively. Natives stay one table per
+//! domain, both typed over the one generic machine; they share its
+//! `Array`/`Error` construction, indirect `eval` and `ToString`
+//! rendering, and the pure helpers of [`mujs_interp::stdlib`].
 //!
 //! Two testing/benchmarking natives exercise the paper's escape hatches:
 //! `__indet(v)` returns `v` marked indeterminate (a silent indeterminacy
@@ -13,72 +15,32 @@
 use crate::det::{DValue, Det};
 use crate::machine::{DErr, DMachine, DNativeFn};
 use mujs_interp::coerce;
-use mujs_interp::stdlib;
+use mujs_interp::context::CtxId;
+use mujs_interp::stdlib::{self, arg_num};
+use mujs_interp::AnnValue;
 use mujs_interp::{ObjClass, ObjId, Value};
-use mujs_ir::FuncKind;
 use std::rc::Rc;
 
 /// Installs every global binding and model on a fresh machine.
 pub fn install_models(m: &mut DMachine<'_>) {
+    // `Math.random` is the canonical indeterminate input (§2.1).
+    stdlib::install_prelude(m, |m, _, _| Ok(DValue::indet(Value::Num(m.random()))));
     let g = m.global();
-    for p in [
-        m.protos.object,
-        m.protos.function,
-        m.protos.array,
-        m.protos.string,
-        m.protos.number,
-        m.protos.boolean,
-        m.protos.error,
-    ] {
-        m.obj_mut(p).builtin = true;
-    }
-    m.obj_mut(g).builtin = true;
-
-    m.set_raw(g, "window", Value::Object(g));
-    m.set_raw(g, "globalThis", Value::Object(g));
-    m.set_raw(g, "undefined", Value::Undefined);
-    m.set_raw(g, "NaN", Value::Num(f64::NAN));
-    m.set_raw(g, "Infinity", Value::Num(f64::INFINITY));
-
-    // ----- Math -----------------------------------------------------------
-    let math = m.alloc(ObjClass::Plain, Some(m.protos.object), Det::D);
-    m.obj_mut(math).builtin = true;
-    m.set_raw(g, "Math", Value::Object(math));
-    m.set_raw(math, "PI", Value::Num(std::f64::consts::PI));
-    m.set_raw(math, "E", Value::Num(std::f64::consts::E));
-    let defs: &[(&'static str, DNativeFn)] = &[
-        // The canonical indeterminate input (§2.1).
-        ("random", |m, _, _| {
-            Ok(DValue::indet(Value::Num(m.random())))
-        }),
-        ("floor", |_, _, a| num1(a, f64::floor)),
-        ("ceil", |_, _, a| num1(a, f64::ceil)),
-        ("round", |_, _, a| num1(a, f64::round)),
-        ("abs", |_, _, a| num1(a, f64::abs)),
-        ("sqrt", |_, _, a| num1(a, f64::sqrt)),
-        ("pow", |_, _, a| num2(a, f64::powf)),
-        ("max", |_, _, a| num_fold(a, f64::NEG_INFINITY, f64::max)),
-        ("min", |_, _, a| num_fold(a, f64::INFINITY, f64::min)),
-    ];
-    for (name, f) in defs {
-        let n = m.register_native(name, *f);
-        m.set_raw(math, name, Value::Object(n));
-    }
 
     // ----- Date ------------------------------------------------------------
     let date = m.register_native("Date", |m, this, _| {
-        let t = m.now_tick();
+        let t = m.now();
         if let Value::Object(o) = &this.v {
             m.write_prop(*o, "_time", DValue::indet(Value::Num(t)));
         }
         Ok(this)
     });
-    let now = m.register_native("now", |m, _, _| Ok(DValue::indet(Value::Num(m.now_tick()))));
+    let now = m.register_native("now", |m, _, _| Ok(DValue::indet(Value::Num(m.now()))));
     m.set_raw(date, "now", Value::Object(now));
     m.set_raw(g, "Date", Value::Object(date));
 
     // ----- console / alert --------------------------------------------------
-    let console = m.alloc(ObjClass::Plain, Some(m.protos.object), Det::D);
+    let console = m.alloc(ObjClass::Plain, Some(m.protos.object));
     m.obj_mut(console).builtin = true;
     let log = m.register_native("log", |m, _, a| {
         if !m.in_counterfactual() {
@@ -125,36 +87,27 @@ pub fn install_models(m: &mut DMachine<'_>) {
     // ----- global utilities ---------------------------------------------------
     let defs: &[(&'static str, DNativeFn)] = &[
         ("parseInt", |m, _, a| {
-            let s = arg_string(m, a, 0)?;
+            let s = m.arg_string(a, 0);
             let (radix, rd) = match a.get(1) {
                 Some(v) => (coerce::to_number(&v.v).unwrap_or(10.0) as u32, v.d),
                 None => (10, Det::D),
             };
-            Ok(DValue {
-                v: Value::Num(stdlib::parse_int(&s.0, radix)),
-                d: s.1.join(rd),
-            })
+            Ok(DValue::new(
+                Value::Num(stdlib::parse_int(&s.0, radix)),
+                s.1.join(rd),
+            ))
         }),
         ("parseFloat", |m, _, a| {
-            let s = arg_string(m, a, 0)?;
-            Ok(DValue {
-                v: Value::Num(stdlib::parse_float(&s.0)),
-                d: s.1,
-            })
+            let s = m.arg_string(a, 0);
+            Ok(DValue::new(Value::Num(stdlib::parse_float(&s.0)), s.1))
         }),
         ("isNaN", |_, _, a| {
             let (n, d) = arg_num(a, 0, f64::NAN);
-            Ok(DValue {
-                v: Value::Bool(n.is_nan()),
-                d,
-            })
+            Ok(DValue::new(Value::Bool(n.is_nan()), d))
         }),
         ("isFinite", |_, _, a| {
             let (n, d) = arg_num(a, 0, f64::NAN);
-            Ok(DValue {
-                v: Value::Bool(n.is_finite()),
-                d,
-            })
+            Ok(DValue::new(Value::Bool(n.is_finite()), d))
         }),
     ];
     for (name, f) in defs {
@@ -167,12 +120,9 @@ pub fn install_models(m: &mut DMachine<'_>) {
         Some(DValue {
             v: Value::Object(o),
             d,
-        }) => Ok(DValue {
-            v: Value::Object(*o),
-            d: *d,
-        }),
+        }) => Ok(DValue::new(Value::Object(*o), *d)),
         _ => {
-            let o = m.alloc(ObjClass::Plain, Some(m.protos.object), Det::D);
+            let o = m.alloc(ObjClass::Plain, Some(m.protos.object));
             Ok(DValue::det(Value::Object(o)))
         }
     });
@@ -180,37 +130,31 @@ pub fn install_models(m: &mut DMachine<'_>) {
     m.set_raw(g, "Object", Value::Object(object_ctor));
     m.specials.object_ctor = Some(object_ctor);
 
-    let array_ctor = m.register_native("Array", |m, _, a| array_ctor_model(m, a));
+    let array_ctor = m.register_native("Array", |m, _, a| Ok(m.new_array(None, a)));
     m.set_raw(array_ctor, "prototype", Value::Object(m.protos.array));
     m.set_raw(g, "Array", Value::Object(array_ctor));
     m.specials.array_ctor = Some(array_ctor);
 
     let string_ctor = m.register_native("String", |m, _, a| {
-        let (s, d) = arg_string(m, a, 0)?;
-        Ok(DValue {
-            v: Value::Str(s),
-            d,
-        })
+        let (s, d) = m.arg_string(a, 0);
+        Ok(DValue::new(Value::Str(s), d))
     });
     m.set_raw(string_ctor, "prototype", Value::Object(m.protos.string));
     m.set_raw(g, "String", Value::Object(string_ctor));
 
     let number_ctor = m.register_native("Number", |_, _, a| {
         let (n, d) = arg_num(a, 0, 0.0);
-        Ok(DValue {
-            v: Value::Num(n),
-            d,
-        })
+        Ok(DValue::new(Value::Num(n), d))
     });
     m.set_raw(number_ctor, "prototype", Value::Object(m.protos.number));
     m.set_raw(g, "Number", Value::Object(number_ctor));
 
     let boolean_ctor = m.register_native("Boolean", |_, _, a| {
         let d = a.first().map(|v| v.d).unwrap_or(Det::D);
-        Ok(DValue {
-            v: Value::Bool(a.first().map(|v| coerce::to_boolean(&v.v)).unwrap_or(false)),
+        Ok(DValue::new(
+            Value::Bool(a.first().map(|v| coerce::to_boolean(&v.v)).unwrap_or(false)),
             d,
-        })
+        ))
     });
     m.set_raw(boolean_ctor, "prototype", Value::Object(m.protos.boolean));
     m.set_raw(g, "Boolean", Value::Object(boolean_ctor));
@@ -218,20 +162,13 @@ pub fn install_models(m: &mut DMachine<'_>) {
     let error_ctor = m.register_native("Error", |m, this, a| {
         let (msg, d) = match a.first() {
             Some(v) => {
-                let s = m.dvalue_to_string(v)?;
+                let s = m.value_to_string(&v.v);
                 (s, v.d)
             }
             None => (Rc::from(""), Det::D),
         };
         if let Value::Object(o) = &this.v {
-            m.write_prop(
-                *o,
-                "message",
-                DValue {
-                    v: Value::Str(msg),
-                    d,
-                },
-            );
+            m.write_prop(*o, "message", DValue::new(Value::Str(msg), d));
             m.write_prop(*o, "name", DValue::det(Value::Str(Rc::from("Error"))));
         }
         Ok(DValue::undef())
@@ -243,173 +180,23 @@ pub fn install_models(m: &mut DMachine<'_>) {
     m.set_raw(m.protos.error, "message", Value::Str(Rc::from("")));
 
     // ----- indirect eval ----------------------------------------------------------
-    let eval_fn = m.register_native("eval", |m, _, a| {
-        let Some(first) = a.first() else {
-            return Ok(DValue::undef());
-        };
-        let Value::Str(src) = &first.v else {
-            return Ok(first.clone());
-        };
-        if first.d == Det::I {
-            m.flush_heap()?;
-        }
-        let parsed = match mujs_syntax::parse(src) {
-            Ok(p) => p,
-            Err(e) => {
-                let ic = first.d == Det::I;
-                return Err(m.throw_error("SyntaxError", &e.to_string(), ic));
-            }
-        };
-        let entry = m.prog.entry().expect("program has an entry");
-        let chunk = mujs_ir::lower_chunk(m.prog, &parsed, FuncKind::EvalChunk, Some(entry));
-        #[cfg(debug_assertions)]
-        mujs_analysis::assert_valid(m.prog);
-        m.refresh_closure_writes();
-        let gid = m.global();
-        let nt = m.prog.func(chunk).n_temps;
-        let mut frame = m.fresh_frame(
-            chunk,
-            None,
-            None,
-            DValue::det(Value::Object(gid)),
-            mujs_interp::context::CtxId::ROOT,
-            nt,
-        );
-        let r = m.run_eval_chunk(&mut frame, chunk, mujs_interp::context::CtxId::ROOT)?;
-        Ok(r.weaken(first.d))
-    });
+    let eval_fn = m.register_native("eval", |m, _, a| m.eval_indirect(a.first()));
     m.set_raw(g, "eval", Value::Object(eval_fn));
     m.specials.eval_fn = Some(eval_fn);
 
     install_protos(m);
 }
 
-impl DMachine<'_> {
-    /// `ToString` with `"[object Object]"` for plain objects.
-    pub fn dvalue_to_string(&mut self, v: &DValue) -> Result<Rc<str>, DErr> {
-        Ok(match &v.v {
-            Value::Object(id) => match &self.obj(*id).class {
-                ObjClass::Array => Rc::from(self.display(&v.v).as_str()),
-                c if c.is_callable() => Rc::from("function"),
-                _ => Rc::from("[object Object]"),
-            },
-            other => coerce::to_string(other).expect("non-object"),
-        })
-    }
-
-    fn array_len_d(&self, arr: ObjId) -> (usize, Det) {
-        let s = self.own_prop(arr, "length");
-        match s.v {
-            Value::Num(n) if n >= 0.0 => (n as usize, s.d),
-            _ => (0, s.d),
-        }
+fn array_len_d(m: &DMachine<'_>, arr: ObjId) -> (usize, Det) {
+    let s = m.own_prop(arr, "length");
+    match s.v {
+        Value::Num(n) if n >= 0.0 => (n as usize, s.d),
+        _ => (0, s.d),
     }
 }
 
-/// The `Array` constructor / `new Array` model.
-pub fn array_ctor_model(m: &mut DMachine<'_>, a: &[DValue]) -> Result<DValue, DErr> {
-    let arr = m.alloc(ObjClass::Array, Some(m.protos.array), Det::D);
-    if a.len() == 1 {
-        if let Value::Num(n) = a[0].v {
-            m.write_prop(
-                arr,
-                "length",
-                DValue {
-                    v: Value::Num(n.trunc()),
-                    d: a[0].d,
-                },
-            );
-            return Ok(DValue::det(Value::Object(arr)));
-        }
-    }
-    m.write_prop(arr, "length", DValue::det(Value::Num(a.len() as f64)));
-    for (i, v) in a.iter().enumerate() {
-        m.write_prop(arr, &i.to_string(), v.clone());
-    }
-    Ok(DValue::det(Value::Object(arr)))
-}
-
-/// The `new Error(msg)` model.
-pub fn error_new_model(m: &mut DMachine<'_>, a: &[DValue]) -> Result<DValue, DErr> {
-    let e = m.alloc(ObjClass::Plain, Some(m.protos.error), Det::D);
-    let (msg, d) = match a.first() {
-        Some(v) => (m.dvalue_to_string(v)?, v.d),
-        None => (Rc::from(""), Det::D),
-    };
-    m.write_prop(
-        e,
-        "message",
-        DValue {
-            v: Value::Str(msg),
-            d,
-        },
-    );
-    m.write_prop(e, "name", DValue::det(Value::Str(Rc::from("Error"))));
-    Ok(DValue::det(Value::Object(e)))
-}
-
-fn num1(args: &[DValue], f: impl Fn(f64) -> f64) -> Result<DValue, DErr> {
-    let (n, d) = arg_num(args, 0, f64::NAN);
-    Ok(DValue {
-        v: Value::Num(f(n)),
-        d,
-    })
-}
-
-fn num2(args: &[DValue], f: impl Fn(f64, f64) -> f64) -> Result<DValue, DErr> {
-    let (a, da) = arg_num(args, 0, f64::NAN);
-    let (b, db) = arg_num(args, 1, f64::NAN);
-    Ok(DValue {
-        v: Value::Num(f(a, b)),
-        d: da.join(db),
-    })
-}
-
-fn num_fold(args: &[DValue], init: f64, f: impl Fn(f64, f64) -> f64) -> Result<DValue, DErr> {
-    let mut acc = init;
-    let mut d = Det::D;
-    for v in args {
-        d = d.join(v.d);
-        let n = coerce::to_number(&v.v).unwrap_or(f64::NAN);
-        if n.is_nan() {
-            return Ok(DValue {
-                v: Value::Num(f64::NAN),
-                d,
-            });
-        }
-        acc = f(acc, n);
-    }
-    Ok(DValue {
-        v: Value::Num(acc),
-        d,
-    })
-}
-
-fn arg_num(args: &[DValue], i: usize, default: f64) -> (f64, Det) {
-    match args.get(i) {
-        Some(v) => (coerce::to_number(&v.v).unwrap_or(f64::NAN), v.d),
-        None => (default, Det::D),
-    }
-}
-
-fn arg_string(m: &mut DMachine<'_>, args: &[DValue], i: usize) -> Result<(Rc<str>, Det), DErr> {
-    match args.get(i) {
-        Some(v) => {
-            let s = m.dvalue_to_string(v)?;
-            Ok((s, v.d))
-        }
-        None => Ok((Rc::from("undefined"), Det::D)),
-    }
-}
-
-fn this_string(m: &mut DMachine<'_>, this: &DValue) -> Result<(Rc<str>, Det), DErr> {
-    match &this.v {
-        Value::Str(s) => Ok((s.clone(), this.d)),
-        _ => {
-            let s = m.dvalue_to_string(this)?;
-            Ok((s, this.d))
-        }
-    }
+fn this_string(m: &DMachine<'_>, this: &DValue) -> (Rc<str>, Det) {
+    (m.value_to_string(&this.v), this.d)
 }
 
 fn install_protos(m: &mut DMachine<'_>) {
@@ -417,26 +204,20 @@ fn install_protos(m: &mut DMachine<'_>) {
     let defs: &[(&'static str, DNativeFn)] = &[
         ("hasOwnProperty", |m, this, a| {
             let Value::Object(o) = this.v else {
-                return Ok(DValue {
-                    v: Value::Bool(false),
-                    d: this.d,
-                });
+                return Ok(DValue::new(Value::Bool(false), this.d));
             };
-            let (key, kd) = arg_string(m, a, 0)?;
+            let (key, kd) = m.arg_string(a, 0);
             let has = m.has_own(o, &key);
             // Absence on an open record is unknowable.
             let openness = if !has && m.is_open(o) { Det::I } else { Det::D };
             let slot_d = if has { m.own_prop(o, &key).d } else { Det::D };
-            Ok(DValue {
-                v: Value::Bool(has),
-                d: this.d.join(kd).join(openness).join(slot_d),
-            })
+            Ok(DValue::new(
+                Value::Bool(has),
+                this.d.join(kd).join(openness).join(slot_d),
+            ))
         }),
         ("toString", |_, this, _| {
-            Ok(DValue {
-                v: Value::Str(Rc::from("[object Object]")),
-                d: this.d,
-            })
+            Ok(DValue::new(Value::Str(Rc::from("[object Object]")), this.d))
         }),
     ];
     for (name, f) in defs {
@@ -448,7 +229,7 @@ fn install_protos(m: &mut DMachine<'_>) {
     let call = m.register_native("call", |m, this, a| {
         let bound = a.first().cloned().unwrap_or(DValue::undef());
         let rest = if a.is_empty() { &[] } else { &a[1..] };
-        m.call_value_d(&this, bound, rest, mujs_interp::context::CtxId::ROOT)
+        m.call_value(&this, bound, rest, CtxId::ROOT)
     });
     m.set_raw(m.protos.function, "call", Value::Object(call));
     let apply = m.register_native("apply", |m, this, a| {
@@ -458,7 +239,7 @@ fn install_protos(m: &mut DMachine<'_>) {
         if let Some(arr_dv) = a.get(1) {
             extra = arr_dv.d;
             if let Value::Object(arr) = arr_dv.v {
-                let (len, ld) = m.array_len_d(arr);
+                let (len, ld) = array_len_d(m, arr);
                 extra = extra.join(ld);
                 for i in 0..len {
                     argv.push(m.own_prop(arr, &i.to_string()));
@@ -468,7 +249,7 @@ fn install_protos(m: &mut DMachine<'_>) {
         for v in &mut argv {
             v.d = v.d.join(extra);
         }
-        m.call_value_d(&this, bound, &argv, mujs_interp::context::CtxId::ROOT)
+        m.call_value(&this, bound, &argv, CtxId::ROOT)
     });
     m.set_raw(m.protos.function, "apply", Value::Object(apply));
 
@@ -478,38 +259,25 @@ fn install_protos(m: &mut DMachine<'_>) {
             let Value::Object(arr) = this.v else {
                 return Ok(DValue::det(Value::Num(0.0)));
             };
-            let (mut len, ld) = m.array_len_d(arr);
+            let (mut len, ld) = array_len_d(m, arr);
             for v in a {
                 m.write_prop(arr, &len.to_string(), v.clone().weaken(this.d));
                 len += 1;
             }
             let d = this.d.join(ld);
-            m.write_prop(
-                arr,
-                "length",
-                DValue {
-                    v: Value::Num(len as f64),
-                    d,
-                },
-            );
+            m.write_prop(arr, "length", DValue::new(Value::Num(len as f64), d));
             if this.d == Det::I {
                 m.flush_heap()?;
             }
-            Ok(DValue {
-                v: Value::Num(len as f64),
-                d,
-            })
+            Ok(DValue::new(Value::Num(len as f64), d))
         }),
         ("pop", |m, this, _| {
             let Value::Object(arr) = this.v else {
                 return Ok(DValue::undef());
             };
-            let (len, ld) = m.array_len_d(arr);
+            let (len, ld) = array_len_d(m, arr);
             if len == 0 {
-                return Ok(DValue {
-                    v: Value::Undefined,
-                    d: this.d.join(ld),
-                });
+                return Ok(DValue::new(Value::Undefined, this.d.join(ld)));
             }
             let key = (len - 1).to_string();
             let v = m.own_prop(arr, &key);
@@ -517,10 +285,7 @@ fn install_protos(m: &mut DMachine<'_>) {
             m.write_prop(
                 arr,
                 "length",
-                DValue {
-                    v: Value::Num(len as f64 - 1.0),
-                    d: this.d.join(ld),
-                },
+                DValue::new(Value::Num(len as f64 - 1.0), this.d.join(ld)),
             );
             if this.d == Det::I {
                 m.flush_heap()?;
@@ -529,19 +294,16 @@ fn install_protos(m: &mut DMachine<'_>) {
         }),
         ("join", |m, this, a| {
             let Value::Object(arr) = this.v else {
-                return Ok(DValue {
-                    v: Value::Str(Rc::from("")),
-                    d: this.d,
-                });
+                return Ok(DValue::new(Value::Str(Rc::from("")), this.d));
             };
             let (sep, sd) = match a.first() {
                 Some(v) => {
-                    let s = m.dvalue_to_string(v)?;
+                    let s = m.value_to_string(&v.v);
                     (s.to_string(), v.d)
                 }
                 None => (",".to_owned(), Det::D),
             };
-            let (len, ld) = m.array_len_d(arr);
+            let (len, ld) = array_len_d(m, arr);
             let mut d = this.d.join(sd).join(ld);
             let mut parts = Vec::with_capacity(len);
             for i in 0..len {
@@ -549,41 +311,35 @@ fn install_protos(m: &mut DMachine<'_>) {
                 d = d.join(e.d);
                 parts.push(match e.v {
                     Value::Undefined | Value::Null => String::new(),
-                    v => m.dvalue_to_string(&DValue { v, d: Det::D })?.to_string(),
+                    v => m.value_to_string(&v).to_string(),
                 });
             }
-            Ok(DValue {
-                v: Value::Str(Rc::from(parts.join(&sep).as_str())),
+            Ok(DValue::new(
+                Value::Str(Rc::from(parts.join(&sep).as_str())),
                 d,
-            })
+            ))
         }),
         ("indexOf", |m, this, a| {
             let Value::Object(arr) = this.v else {
                 return Ok(DValue::det(Value::Num(-1.0)));
             };
             let needle = a.first().cloned().unwrap_or(DValue::undef());
-            let (len, ld) = m.array_len_d(arr);
+            let (len, ld) = array_len_d(m, arr);
             let mut d = this.d.join(ld).join(needle.d);
             for i in 0..len {
                 let e = m.own_prop(arr, &i.to_string());
                 d = d.join(e.d);
                 if coerce::strict_eq(&e.v, &needle.v) {
-                    return Ok(DValue {
-                        v: Value::Num(i as f64),
-                        d,
-                    });
+                    return Ok(DValue::new(Value::Num(i as f64), d));
                 }
             }
-            Ok(DValue {
-                v: Value::Num(-1.0),
-                d,
-            })
+            Ok(DValue::new(Value::Num(-1.0), d))
         }),
         ("slice", |m, this, a| {
             let Value::Object(arr) = this.v else {
                 return Ok(DValue::undef());
             };
-            let (len, ld) = m.array_len_d(arr);
+            let (len, ld) = array_len_d(m, arr);
             let (s, sd) = arg_num(a, 0, 0.0);
             let (e, ed) = arg_num(a, 1, len as f64);
             let base_d = this.d.join(ld).join(sd).join(ed);
@@ -596,7 +352,7 @@ fn install_protos(m: &mut DMachine<'_>) {
                     x.min(len as f64)
                 }
             };
-            let out = m.alloc(ObjClass::Array, Some(m.protos.array), Det::D);
+            let out = m.alloc(ObjClass::Array, Some(m.protos.array));
             let mut n = 0usize;
             let mut i = norm(s);
             let end = norm(e);
@@ -606,28 +362,18 @@ fn install_protos(m: &mut DMachine<'_>) {
                 n += 1;
                 i += 1.0;
             }
-            m.write_prop(
-                out,
-                "length",
-                DValue {
-                    v: Value::Num(n as f64),
-                    d: base_d,
-                },
-            );
-            Ok(DValue {
-                v: Value::Object(out),
-                d: base_d,
-            })
+            m.write_prop(out, "length", DValue::new(Value::Num(n as f64), base_d));
+            Ok(DValue::new(Value::Object(out), base_d))
         }),
         ("concat", |m, this, a| {
-            let out = m.alloc(ObjClass::Array, Some(m.protos.array), Det::D);
+            let out = m.alloc(ObjClass::Array, Some(m.protos.array));
             let mut n = 0usize;
             let mut d = this.d;
             let push_all = |m: &mut DMachine<'_>, v: &DValue, n: &mut usize, d: &mut Det| {
                 *d = d.join(v.d);
                 match &v.v {
                     Value::Object(src) if m.obj(*src).class == ObjClass::Array => {
-                        let (len, ld) = m.array_len_d(*src);
+                        let (len, ld) = array_len_d(m, *src);
                         *d = d.join(ld);
                         for i in 0..len {
                             let e = m.own_prop(*src, &i.to_string());
@@ -646,30 +392,17 @@ fn install_protos(m: &mut DMachine<'_>) {
             for v in a {
                 push_all(m, v, &mut n, &mut d);
             }
-            m.write_prop(
-                out,
-                "length",
-                DValue {
-                    v: Value::Num(n as f64),
-                    d,
-                },
-            );
-            Ok(DValue {
-                v: Value::Object(out),
-                d,
-            })
+            m.write_prop(out, "length", DValue::new(Value::Num(n as f64), d));
+            Ok(DValue::new(Value::Object(out), d))
         }),
         ("shift", |m, this, _| {
             let Value::Object(arr) = this.v else {
                 return Ok(DValue::undef());
             };
-            let (len, ld) = m.array_len_d(arr);
+            let (len, ld) = array_len_d(m, arr);
             let d = this.d.join(ld);
             if len == 0 {
-                return Ok(DValue {
-                    v: Value::Undefined,
-                    d,
-                });
+                return Ok(DValue::new(Value::Undefined, d));
             }
             let first = m.own_prop(arr, "0");
             for i in 1..len {
@@ -677,14 +410,7 @@ fn install_protos(m: &mut DMachine<'_>) {
                 m.write_prop(arr, &(i - 1).to_string(), e);
             }
             m.delete_prop(arr, &(len - 1).to_string());
-            m.write_prop(
-                arr,
-                "length",
-                DValue {
-                    v: Value::Num(len as f64 - 1.0),
-                    d,
-                },
-            );
+            m.write_prop(arr, "length", DValue::new(Value::Num(len as f64 - 1.0), d));
             if this.d == Det::I {
                 m.flush_heap()?;
             }
@@ -695,13 +421,10 @@ fn install_protos(m: &mut DMachine<'_>) {
             // Rendering reads every element; approximate the join with
             // the receiver's flag plus the length slot.
             let d = match this.v {
-                Value::Object(arr) => this.d.join(m.array_len_d(arr).1),
+                Value::Object(arr) => this.d.join(array_len_d(m, arr).1),
                 _ => this.d,
             };
-            Ok(DValue {
-                v: Value::Str(Rc::from(s.as_str())),
-                d,
-            })
+            Ok(DValue::new(Value::Str(Rc::from(s.as_str())), d))
         }),
     ];
     for (name, f) in defs {
@@ -712,99 +435,93 @@ fn install_protos(m: &mut DMachine<'_>) {
     // String.prototype -----------------------------------------------------------
     let defs: &[(&'static str, DNativeFn)] = &[
         ("charAt", |m, this, a| {
-            let (s, sd) = this_string(m, &this)?;
+            let (s, sd) = this_string(m, &this);
             let (i, id) = arg_num(a, 0, 0.0);
-            Ok(DValue {
-                v: Value::Str(Rc::from(stdlib::char_at(&s, i).as_str())),
-                d: sd.join(id),
-            })
+            Ok(DValue::new(
+                Value::Str(Rc::from(stdlib::char_at(&s, i).as_str())),
+                sd.join(id),
+            ))
         }),
         ("charCodeAt", |m, this, a| {
-            let (s, sd) = this_string(m, &this)?;
+            let (s, sd) = this_string(m, &this);
             let (i, id) = arg_num(a, 0, 0.0);
-            Ok(DValue {
-                v: Value::Num(stdlib::char_code_at(&s, i)),
-                d: sd.join(id),
-            })
+            Ok(DValue::new(
+                Value::Num(stdlib::char_code_at(&s, i)),
+                sd.join(id),
+            ))
         }),
         ("indexOf", |m, this, a| {
-            let (s, sd) = this_string(m, &this)?;
-            let (needle, nd) = arg_string(m, a, 0)?;
-            Ok(DValue {
-                v: Value::Num(stdlib::index_of(&s, &needle)),
-                d: sd.join(nd),
-            })
+            let (s, sd) = this_string(m, &this);
+            let (needle, nd) = m.arg_string(a, 0);
+            Ok(DValue::new(
+                Value::Num(stdlib::index_of(&s, &needle)),
+                sd.join(nd),
+            ))
         }),
         ("lastIndexOf", |m, this, a| {
-            let (s, sd) = this_string(m, &this)?;
-            let (needle, nd) = arg_string(m, a, 0)?;
-            Ok(DValue {
-                v: Value::Num(stdlib::last_index_of(&s, &needle)),
-                d: sd.join(nd),
-            })
+            let (s, sd) = this_string(m, &this);
+            let (needle, nd) = m.arg_string(a, 0);
+            Ok(DValue::new(
+                Value::Num(stdlib::last_index_of(&s, &needle)),
+                sd.join(nd),
+            ))
         }),
         ("substr", |m, this, a| {
-            let (s, sd) = this_string(m, &this)?;
+            let (s, sd) = this_string(m, &this);
             let (start, d1) = arg_num(a, 0, 0.0);
             let (len, d2) = arg_num(a, 1, f64::INFINITY);
-            Ok(DValue {
-                v: Value::Str(Rc::from(stdlib::substr(&s, start, len).as_str())),
-                d: sd.join(d1).join(d2),
-            })
+            Ok(DValue::new(
+                Value::Str(Rc::from(stdlib::substr(&s, start, len).as_str())),
+                sd.join(d1).join(d2),
+            ))
         }),
         ("substring", |m, this, a| {
-            let (s, sd) = this_string(m, &this)?;
+            let (s, sd) = this_string(m, &this);
             let (start, d1) = arg_num(a, 0, 0.0);
             let (end, d2) = arg_num(a, 1, f64::INFINITY);
-            Ok(DValue {
-                v: Value::Str(Rc::from(stdlib::substring(&s, start, end).as_str())),
-                d: sd.join(d1).join(d2),
-            })
+            Ok(DValue::new(
+                Value::Str(Rc::from(stdlib::substring(&s, start, end).as_str())),
+                sd.join(d1).join(d2),
+            ))
         }),
         ("slice", |m, this, a| {
-            let (s, sd) = this_string(m, &this)?;
+            let (s, sd) = this_string(m, &this);
             let (start, d1) = arg_num(a, 0, 0.0);
             let (end, d2) = arg_num(a, 1, f64::INFINITY);
-            Ok(DValue {
-                v: Value::Str(Rc::from(stdlib::str_slice(&s, start, end).as_str())),
-                d: sd.join(d1).join(d2),
-            })
+            Ok(DValue::new(
+                Value::Str(Rc::from(stdlib::str_slice(&s, start, end).as_str())),
+                sd.join(d1).join(d2),
+            ))
         }),
         ("toUpperCase", |m, this, _| {
-            let (s, sd) = this_string(m, &this)?;
-            Ok(DValue {
-                v: Value::Str(Rc::from(s.to_uppercase().as_str())),
-                d: sd,
-            })
+            let (s, sd) = this_string(m, &this);
+            Ok(DValue::new(
+                Value::Str(Rc::from(s.to_uppercase().as_str())),
+                sd,
+            ))
         }),
         ("toLowerCase", |m, this, _| {
-            let (s, sd) = this_string(m, &this)?;
-            Ok(DValue {
-                v: Value::Str(Rc::from(s.to_lowercase().as_str())),
-                d: sd,
-            })
+            let (s, sd) = this_string(m, &this);
+            Ok(DValue::new(
+                Value::Str(Rc::from(s.to_lowercase().as_str())),
+                sd,
+            ))
         }),
         ("trim", |m, this, _| {
-            let (s, sd) = this_string(m, &this)?;
-            Ok(DValue {
-                v: Value::Str(Rc::from(s.trim())),
-                d: sd,
-            })
+            let (s, sd) = this_string(m, &this);
+            Ok(DValue::new(Value::Str(Rc::from(s.trim())), sd))
         }),
         ("concat", |m, this, a| {
-            let (s, mut d) = this_string(m, &this)?;
+            let (s, mut d) = this_string(m, &this);
             let mut out = s.to_string();
             for v in a {
                 d = d.join(v.d);
-                out.push_str(&m.dvalue_to_string(v)?);
+                out.push_str(&m.value_to_string(&v.v));
             }
-            Ok(DValue {
-                v: Value::Str(Rc::from(out.as_str())),
-                d,
-            })
+            Ok(DValue::new(Value::Str(Rc::from(out.as_str())), d))
         }),
         ("split", |m, this, a| {
-            let (s, sd) = this_string(m, &this)?;
+            let (s, sd) = this_string(m, &this);
             let (parts, d) = match a.first() {
                 Some(DValue {
                     v: Value::Str(sep),
@@ -812,45 +529,33 @@ fn install_protos(m: &mut DMachine<'_>) {
                 }) => (stdlib::split(&s, sep), sd.join(*d)),
                 _ => (vec![s.to_string()], sd),
             };
-            let arr = m.alloc(ObjClass::Array, Some(m.protos.array), Det::D);
+            let arr = m.alloc(ObjClass::Array, Some(m.protos.array));
             m.write_prop(
                 arr,
                 "length",
-                DValue {
-                    v: Value::Num(parts.len() as f64),
-                    d,
-                },
+                DValue::new(Value::Num(parts.len() as f64), d),
             );
             for (i, p) in parts.iter().enumerate() {
                 m.write_prop(
                     arr,
                     &i.to_string(),
-                    DValue {
-                        v: Value::Str(Rc::from(p.as_str())),
-                        d,
-                    },
+                    DValue::new(Value::Str(Rc::from(p.as_str())), d),
                 );
             }
-            Ok(DValue {
-                v: Value::Object(arr),
-                d,
-            })
+            Ok(DValue::new(Value::Object(arr), d))
         }),
         ("replace", |m, this, a| {
-            let (s, sd) = this_string(m, &this)?;
-            let (pat, pd) = arg_string(m, a, 0)?;
-            let (rep, rd) = arg_string(m, a, 1)?;
-            Ok(DValue {
-                v: Value::Str(Rc::from(stdlib::replace_first(&s, &pat, &rep).as_str())),
-                d: sd.join(pd).join(rd),
-            })
+            let (s, sd) = this_string(m, &this);
+            let (pat, pd) = m.arg_string(a, 0);
+            let (rep, rd) = m.arg_string(a, 1);
+            Ok(DValue::new(
+                Value::Str(Rc::from(stdlib::replace_first(&s, &pat, &rep).as_str())),
+                sd.join(pd).join(rd),
+            ))
         }),
         ("toString", |m, this, _| {
-            let (s, sd) = this_string(m, &this)?;
-            Ok(DValue {
-                v: Value::Str(s),
-                d: sd,
-            })
+            let (s, sd) = this_string(m, &this);
+            Ok(DValue::new(Value::Str(s), sd))
         }),
     ];
     for (name, f) in defs {
@@ -860,11 +565,8 @@ fn install_protos(m: &mut DMachine<'_>) {
 
     // Number/Boolean.prototype ------------------------------------------------------
     let to_string = m.register_native("toString", |m, this, _| {
-        let s = m.dvalue_to_string(&this)?;
-        Ok(DValue {
-            v: Value::Str(s),
-            d: this.d,
-        })
+        let s = m.value_to_string(&this.v);
+        Ok(DValue::new(Value::Str(s), this.d))
     });
     m.set_raw(m.protos.number, "toString", Value::Object(to_string));
     m.set_raw(m.protos.boolean, "toString", Value::Object(to_string));

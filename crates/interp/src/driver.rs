@@ -2,7 +2,8 @@
 //! post-load event plan. This is the programmatic equivalent of loading an
 //! HTML page in the paper's ZombieJS harness.
 
-use crate::machine::{HeapTrace, Interp, InterpOptions, Observation, RunError};
+use crate::concrete::{HeapTrace, Interp, InterpOptions, RunError};
+use crate::domain::Observation;
 use mujs_dom::document::Document;
 use mujs_dom::events::EventPlan;
 use mujs_ir::Program;
@@ -145,8 +146,7 @@ impl Harness {
     /// Runs with a DOM installed and fires `plan` afterwards.
     pub fn run_dom(&mut self, opts: InterpOptions, doc: Document, plan: &EventPlan) -> Outcome {
         let mut interp = Interp::new(&mut self.program, opts);
-        interp.install_dom(doc);
-        let result = interp.run().and_then(|()| interp.fire_events(plan));
+        let result = interp.run_page(doc, plan);
         Outcome {
             result,
             output: std::mem::take(&mut interp.output),

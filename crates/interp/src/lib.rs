@@ -1,16 +1,19 @@
 //! # mujs-interp
 //!
-//! The concrete big-step interpreter for the muJS subset — the trace
-//! semantics of the paper's Figure 8, scaled up to the full subset
+//! The µJS interpreter core: one big-step [`Machine`] over the muJS subset
 //! (closures with scope chains, prototype chains, `this`/`new`,
 //! exceptions, `for-in`, direct and indirect `eval`, and DOM bindings over
-//! the [`mujs_dom`] substrate).
+//! the [`mujs_dom`] substrate), generic over an annotation [`Domain`].
 //!
-//! The instrumented determinacy machine in the `determinacy` crate reuses
-//! this crate's value representation ([`values`]), primitive operator
-//! semantics ([`coerce`]), pure stdlib helpers ([`stdlib`]), and calling
-//! contexts ([`context`]), guaranteeing both machines agree on concrete
-//! behavior — the property the soundness theorem is stated over.
+//! * [`Interp`] is the machine over the [`concrete::Concrete`] domain —
+//!   the trace semantics of the paper's Figure 8, with optional heap
+//!   tracing for dynamic shortcuts.
+//! * The `determinacy` crate's `DMachine` is the same machine over its
+//!   instrumented domain — the rules of Figure 9.
+//!
+//! Every statement rule, the heap, scopes, property operations, calls and
+//! polling exist once, so both machines agree on concrete behavior by
+//! construction — the property the soundness theorem is stated over.
 //!
 //! # Examples
 //!
@@ -25,18 +28,19 @@
 //! ```
 
 pub mod coerce;
+pub mod concrete;
 pub mod context;
 pub mod dom_binding;
+pub mod domain;
 pub mod driver;
 pub mod machine;
 pub mod natives;
 pub mod stdlib;
 pub mod values;
 
+pub use concrete::{HeapTrace, Interp, InterpOptions, RunError, TraceAbs, TraceCall, TraceConfig};
 pub use context::{ContextTable, CtxId};
+pub use domain::{AnnValue, Domain, Flag, Flow, Observation};
 pub use driver::{run_src, DriveError, Harness, Outcome};
-pub use machine::{
-    Flow, Frame, HeapTrace, Interp, InterpOptions, Observation, RunError, TraceAbs, TraceCall,
-    TraceConfig,
-};
+pub use machine::{Frame, Machine};
 pub use values::{NativeId, ObjClass, ObjId, Object, PropMap, ScopeId, Slot, Value};

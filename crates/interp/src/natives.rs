@@ -1,63 +1,25 @@
-//! The standard library: `Math`, `String`/`Array`/`Object`/`Function`
+//! The concrete native table: `Math`, `String`/`Array`/`Object`/`Function`
 //! prototype methods, global utilities, `Error`, and indirect `eval`.
 //!
-//! The instrumented machine in the `determinacy` crate provides its own
-//! *models* of these functions (§4 of the paper: "for some of them, we
-//! provide hand-written models that conservatively approximate their
-//! effects on determinacy information"); pure string/number helpers are
-//! shared via [`crate::stdlib`].
+//! Natives are per domain: the instrumented machine in the `determinacy`
+//! crate keeps its own table of *models* of these functions (§4 of the
+//! paper: "for some of them, we provide hand-written models that
+//! conservatively approximate their effects on determinacy
+//! information"). Both tables run on the one generic machine and share
+//! its `Array`/`Error` construction, indirect `eval`, `ToString`
+//! rendering, and the pure string/number helpers of [`crate::stdlib`].
 
 use crate::coerce::{self};
-use crate::machine::{Interp, RunError};
-use crate::stdlib;
-use crate::values::{ObjClass, ObjId, Slot, Value};
-use mujs_ir::FuncKind;
+use crate::concrete::{Interp, NativeFn};
+use crate::context::CtxId;
+use crate::stdlib::{self, arg_num};
+use crate::values::{ObjClass, ObjId, Value};
 use std::rc::Rc;
 
 /// Installs every global binding on a fresh machine.
 pub fn install_stdlib(interp: &mut Interp<'_>) {
+    stdlib::install_prelude(interp, |it, _, _| Ok(Value::Num(it.random())));
     let g = interp.global();
-    for p in [
-        interp.protos.object,
-        interp.protos.function,
-        interp.protos.array,
-        interp.protos.string,
-        interp.protos.number,
-        interp.protos.boolean,
-        interp.protos.error,
-    ] {
-        interp.obj_mut(p).builtin = true;
-    }
-    interp.obj_mut(g).builtin = true;
-
-    // window / globalThis self-references.
-    interp.set_raw(g, "window", Value::Object(g));
-    interp.set_raw(g, "globalThis", Value::Object(g));
-    interp.set_raw(g, "undefined", Value::Undefined);
-    interp.set_raw(g, "NaN", Value::Num(f64::NAN));
-    interp.set_raw(g, "Infinity", Value::Num(f64::INFINITY));
-
-    // ----- Math ---------------------------------------------------------
-    let math = interp.alloc(ObjClass::Plain, Some(interp.protos.object));
-    interp.obj_mut(math).builtin = true;
-    interp.set_raw(g, "Math", Value::Object(math));
-    interp.set_raw(math, "PI", Value::Num(std::f64::consts::PI));
-    interp.set_raw(math, "E", Value::Num(std::f64::consts::E));
-    let defs: &[(&'static str, crate::machine::NativeFn)] = &[
-        ("random", |it, _, _| Ok(Value::Num(it.random()))),
-        ("floor", |_, _, a| num1(a, f64::floor)),
-        ("ceil", |_, _, a| num1(a, f64::ceil)),
-        ("round", |_, _, a| num1(a, f64::round)),
-        ("abs", |_, _, a| num1(a, f64::abs)),
-        ("sqrt", |_, _, a| num1(a, f64::sqrt)),
-        ("pow", |_, _, a| num2(a, f64::powf)),
-        ("max", |_, _, a| num_fold(a, f64::NEG_INFINITY, f64::max)),
-        ("min", |_, _, a| num_fold(a, f64::INFINITY, f64::min)),
-    ];
-    for (name, f) in defs {
-        let n = interp.register_native(name, *f);
-        interp.set_raw(math, name, Value::Object(n));
-    }
 
     // ----- Date ---------------------------------------------------------
     let date = interp.register_native("Date", |it, this, _| {
@@ -109,7 +71,7 @@ pub fn install_stdlib(interp: &mut Interp<'_>) {
     interp.set_raw(g, "alert", Value::Object(alert));
 
     // ----- global utilities ----------------------------------------------
-    let defs: &[(&'static str, crate::machine::NativeFn)] = &[
+    let defs: &[(&'static str, NativeFn)] = &[
         ("parseInt", |_, _, a| {
             let s = match a.first() {
                 Some(Value::Str(s)) => s.to_string(),
@@ -168,27 +130,14 @@ pub fn install_stdlib(interp: &mut Interp<'_>) {
     interp.set_raw(g, "Object", Value::Object(object_ctor));
     interp.specials.object_ctor = Some(object_ctor);
 
-    let array_ctor = interp.register_native("Array", |it, _, a| {
-        let arr = it.alloc(ObjClass::Array, Some(it.protos.array));
-        if a.len() == 1 {
-            if let Value::Num(n) = a[0] {
-                it.set_raw(arr, "length", Value::Num(n.trunc()));
-                return Ok(Value::Object(arr));
-            }
-        }
-        it.set_raw(arr, "length", Value::Num(a.len() as f64));
-        for (i, v) in a.iter().enumerate() {
-            it.set_raw(arr, &i.to_string(), v.clone());
-        }
-        Ok(Value::Object(arr))
-    });
+    let array_ctor = interp.register_native("Array", |it, _, a| Ok(it.new_array(None, a)));
     interp.set_raw(array_ctor, "prototype", Value::Object(interp.protos.array));
     interp.set_raw(g, "Array", Value::Object(array_ctor));
     interp.specials.array_ctor = Some(array_ctor);
 
     let string_ctor = interp.register_native("String", |it, _, a| {
         let s = match a.first() {
-            Some(v) => it.value_to_string(v)?,
+            Some(v) => it.value_to_string(v),
             None => Rc::from(""),
         };
         Ok(Value::Str(s))
@@ -228,7 +177,7 @@ pub fn install_stdlib(interp: &mut Interp<'_>) {
 
     let error_ctor = interp.register_native("Error", |it, this, a| {
         let msg = match a.first() {
-            Some(v) => it.value_to_string(v)?,
+            Some(v) => it.value_to_string(v),
             None => Rc::from(""),
         };
         if let Value::Object(o) = &this {
@@ -244,32 +193,7 @@ pub fn install_stdlib(interp: &mut Interp<'_>) {
     interp.set_raw(interp.protos.error, "message", Value::Str(Rc::from("")));
 
     // ----- indirect eval ---------------------------------------------------
-    let eval_fn = interp.register_native("eval", |it, _, a| {
-        let Some(Value::Str(src)) = a.first() else {
-            return Ok(a.first().cloned().unwrap_or(Value::Undefined));
-        };
-        let parsed = match mujs_syntax::parse(src) {
-            Ok(p) => p,
-            Err(e) => return Err(it.throw_error("SyntaxError", &e.to_string())),
-        };
-        // Indirect eval runs in the global scope.
-        let entry = it.prog.entry().expect("program has an entry");
-        let chunk = mujs_ir::lower_chunk(it.prog, &parsed, FuncKind::EvalChunk, Some(entry));
-        #[cfg(debug_assertions)]
-        mujs_analysis::assert_valid(it.prog);
-        let g = it.global();
-        let f = it.prog.func_rc(chunk);
-        let mut frame = crate::machine::Frame {
-            func: chunk,
-            scope: None,
-            activation: None,
-            temps: vec![Value::Undefined; f.n_temps as usize],
-            this_val: Value::Object(g),
-            ctx: crate::context::CtxId::ROOT,
-            occurrences: vec![0; it.prog.stmt_count_of(chunk) as usize],
-        };
-        it.run_eval_chunk(&mut frame, chunk, crate::context::CtxId::ROOT)
-    });
+    let eval_fn = interp.register_native("eval", |it, _, a| it.eval_indirect(a.first()));
     interp.set_raw(g, "eval", Value::Object(eval_fn));
     interp.specials.eval_fn = Some(eval_fn);
 
@@ -280,85 +204,14 @@ pub fn install_stdlib(interp: &mut Interp<'_>) {
     install_number_proto(interp);
 }
 
-impl Interp<'_> {
-    /// `ToString` that renders objects as `"[object Object]"` (explicit
-    /// stringification contexts like `String(x)` and `Array.join` allow
-    /// this even though implicit coercion of objects is an error).
-    pub fn value_to_string(&mut self, v: &Value) -> Result<Rc<str>, RunError> {
-        match v {
-            Value::Object(id) => match &self.obj(*id).class {
-                ObjClass::Array => {
-                    let s = self.display(v);
-                    Ok(Rc::from(s.as_str()))
-                }
-                c if c.is_callable() => Ok(Rc::from("function")),
-                _ => Ok(Rc::from("[object Object]")),
-            },
-            _ => Ok(coerce::to_string(v).expect("non-object")),
-        }
-    }
-}
-
-fn num1(args: &[Value], f: impl Fn(f64) -> f64) -> Result<Value, RunError> {
-    let n = args
-        .first()
-        .map(|v| coerce::to_number(v).unwrap_or(f64::NAN))
-        .unwrap_or(f64::NAN);
-    Ok(Value::Num(f(n)))
-}
-
-fn num2(args: &[Value], f: impl Fn(f64, f64) -> f64) -> Result<Value, RunError> {
-    let a = args
-        .first()
-        .map(|v| coerce::to_number(v).unwrap_or(f64::NAN))
-        .unwrap_or(f64::NAN);
-    let b = args
-        .get(1)
-        .map(|v| coerce::to_number(v).unwrap_or(f64::NAN))
-        .unwrap_or(f64::NAN);
-    Ok(Value::Num(f(a, b)))
-}
-
-fn num_fold(args: &[Value], init: f64, f: impl Fn(f64, f64) -> f64) -> Result<Value, RunError> {
-    let mut acc = init;
-    for v in args {
-        let n = coerce::to_number(v).unwrap_or(f64::NAN);
-        if n.is_nan() {
-            return Ok(Value::Num(f64::NAN));
-        }
-        acc = f(acc, n);
-    }
-    Ok(Value::Num(acc))
-}
-
-fn this_string(it: &mut Interp<'_>, this: &Value) -> Result<Rc<str>, RunError> {
-    match this {
-        Value::Str(s) => Ok(s.clone()),
-        other => it.value_to_string(other),
-    }
-}
-
-fn arg_string(it: &mut Interp<'_>, args: &[Value], i: usize) -> Result<Rc<str>, RunError> {
-    match args.get(i) {
-        Some(v) => it.value_to_string(v),
-        None => Ok(Rc::from("undefined")),
-    }
-}
-
-fn arg_num(args: &[Value], i: usize, default: f64) -> f64 {
-    args.get(i)
-        .map(|v| coerce::to_number(v).unwrap_or(f64::NAN))
-        .unwrap_or(default)
-}
-
 fn install_object_proto(it: &mut Interp<'_>) {
     let proto = it.protos.object;
-    let defs: &[(&'static str, crate::machine::NativeFn)] = &[
+    let defs: &[(&'static str, NativeFn)] = &[
         ("hasOwnProperty", |it, this, a| {
             let Value::Object(o) = this else {
                 return Ok(Value::Bool(false));
             };
-            let key = arg_string(it, a, 0)?;
+            let key = it.arg_string(a, 0).0;
             let key = it.prog.interner.intern_rc(&key);
             Ok(Value::Bool(it.obj(o).props.contains(key)))
         }),
@@ -377,7 +230,7 @@ fn install_function_proto(it: &mut Interp<'_>) {
     let call = it.register_native("call", |it, this, a| {
         let bound_this = a.first().cloned().unwrap_or(Value::Undefined);
         let rest = if a.is_empty() { &[] } else { &a[1..] };
-        it.call_value(&this, bound_this, rest, crate::context::CtxId::ROOT)
+        it.call_value(&this, bound_this, rest, CtxId::ROOT)
     });
     it.set_raw(proto, "call", Value::Object(call));
     let apply = it.register_native("apply", |it, this, a| {
@@ -392,7 +245,7 @@ fn install_function_proto(it: &mut Interp<'_>) {
                 argv.push(it.get_raw(*arr, &i.to_string()).unwrap_or(Value::Undefined));
             }
         }
-        it.call_value(&this, bound_this, &argv, crate::context::CtxId::ROOT)
+        it.call_value(&this, bound_this, &argv, CtxId::ROOT)
     });
     it.set_raw(proto, "apply", Value::Object(apply));
 }
@@ -406,7 +259,7 @@ fn array_len(it: &Interp<'_>, arr: ObjId) -> usize {
 
 fn install_array_proto(it: &mut Interp<'_>) {
     let proto = it.protos.array;
-    let defs: &[(&'static str, crate::machine::NativeFn)] = &[
+    let defs: &[(&'static str, NativeFn)] = &[
         ("push", |it, this, a| {
             let Value::Object(arr) = this else {
                 return Ok(Value::Num(0.0));
@@ -442,7 +295,7 @@ fn install_array_proto(it: &mut Interp<'_>) {
                 return Ok(Value::Str(Rc::from("")));
             };
             let sep = match a.first() {
-                Some(v) => it.value_to_string(v)?.to_string(),
+                Some(v) => it.value_to_string(v).to_string(),
                 None => ",".to_owned(),
             };
             let len = array_len(it, arr);
@@ -451,7 +304,7 @@ fn install_array_proto(it: &mut Interp<'_>) {
                 let v = it.get_raw(arr, &i.to_string()).unwrap_or(Value::Undefined);
                 parts.push(match v {
                     Value::Undefined | Value::Null => String::new(),
-                    v => it.value_to_string(&v)?.to_string(),
+                    v => it.value_to_string(&v).to_string(),
                 });
             }
             Ok(Value::Str(Rc::from(parts.join(&sep).as_str())))
@@ -475,8 +328,8 @@ fn install_array_proto(it: &mut Interp<'_>) {
                 return Ok(Value::Undefined);
             };
             let len = array_len(it, arr) as f64;
-            let start = norm_index(arg_num(a, 0, 0.0), len);
-            let end = norm_index(arg_num(a, 1, len), len);
+            let start = norm_index(arg_num(a, 0, 0.0).0, len);
+            let end = norm_index(arg_num(a, 1, len).0, len);
             let out = it.alloc(ObjClass::Array, Some(it.protos.array));
             let mut n = 0usize;
             let mut i = start;
@@ -556,72 +409,72 @@ fn norm_index(i: f64, len: f64) -> f64 {
 
 fn install_string_proto(it: &mut Interp<'_>) {
     let proto = it.protos.string;
-    let defs: &[(&'static str, crate::machine::NativeFn)] = &[
+    let defs: &[(&'static str, NativeFn)] = &[
         ("charAt", |it, this, a| {
-            let s = this_string(it, &this)?;
-            let i = arg_num(a, 0, 0.0);
+            let s = it.value_to_string(&this);
+            let i = arg_num(a, 0, 0.0).0;
             Ok(Value::Str(Rc::from(stdlib::char_at(&s, i).as_str())))
         }),
         ("charCodeAt", |it, this, a| {
-            let s = this_string(it, &this)?;
-            let i = arg_num(a, 0, 0.0);
+            let s = it.value_to_string(&this);
+            let i = arg_num(a, 0, 0.0).0;
             Ok(Value::Num(stdlib::char_code_at(&s, i)))
         }),
         ("indexOf", |it, this, a| {
-            let s = this_string(it, &this)?;
-            let needle = arg_string(it, a, 0)?;
+            let s = it.value_to_string(&this);
+            let needle = it.arg_string(a, 0).0;
             Ok(Value::Num(stdlib::index_of(&s, &needle)))
         }),
         ("lastIndexOf", |it, this, a| {
-            let s = this_string(it, &this)?;
-            let needle = arg_string(it, a, 0)?;
+            let s = it.value_to_string(&this);
+            let needle = it.arg_string(a, 0).0;
             Ok(Value::Num(stdlib::last_index_of(&s, &needle)))
         }),
         ("substr", |it, this, a| {
-            let s = this_string(it, &this)?;
-            let start = arg_num(a, 0, 0.0);
-            let len = arg_num(a, 1, f64::INFINITY);
+            let s = it.value_to_string(&this);
+            let start = arg_num(a, 0, 0.0).0;
+            let len = arg_num(a, 1, f64::INFINITY).0;
             Ok(Value::Str(Rc::from(
                 stdlib::substr(&s, start, len).as_str(),
             )))
         }),
         ("substring", |it, this, a| {
-            let s = this_string(it, &this)?;
-            let start = arg_num(a, 0, 0.0);
-            let end = arg_num(a, 1, f64::INFINITY);
+            let s = it.value_to_string(&this);
+            let start = arg_num(a, 0, 0.0).0;
+            let end = arg_num(a, 1, f64::INFINITY).0;
             Ok(Value::Str(Rc::from(
                 stdlib::substring(&s, start, end).as_str(),
             )))
         }),
         ("slice", |it, this, a| {
-            let s = this_string(it, &this)?;
-            let start = arg_num(a, 0, 0.0);
-            let end = arg_num(a, 1, f64::INFINITY);
+            let s = it.value_to_string(&this);
+            let start = arg_num(a, 0, 0.0).0;
+            let end = arg_num(a, 1, f64::INFINITY).0;
             Ok(Value::Str(Rc::from(
                 stdlib::str_slice(&s, start, end).as_str(),
             )))
         }),
         ("toUpperCase", |it, this, _| {
-            let s = this_string(it, &this)?;
+            let s = it.value_to_string(&this);
             Ok(Value::Str(Rc::from(s.to_uppercase().as_str())))
         }),
         ("toLowerCase", |it, this, _| {
-            let s = this_string(it, &this)?;
+            let s = it.value_to_string(&this);
             Ok(Value::Str(Rc::from(s.to_lowercase().as_str())))
         }),
         ("trim", |it, this, _| {
-            let s = this_string(it, &this)?;
+            let s = it.value_to_string(&this);
             Ok(Value::Str(Rc::from(s.trim())))
         }),
         ("concat", |it, this, a| {
-            let mut s = this_string(it, &this)?.to_string();
+            let mut s = it.value_to_string(&this).to_string();
             for v in a {
-                s.push_str(&it.value_to_string(v)?);
+                s.push_str(&it.value_to_string(v));
             }
             Ok(Value::Str(Rc::from(s.as_str())))
         }),
         ("split", |it, this, a| {
-            let s = this_string(it, &this)?;
+            let s = it.value_to_string(&this);
             let parts = match a.first() {
                 Some(Value::Str(sep)) => stdlib::split(&s, sep),
                 _ => vec![s.to_string()],
@@ -634,15 +487,15 @@ fn install_string_proto(it: &mut Interp<'_>) {
             Ok(Value::Object(arr))
         }),
         ("replace", |it, this, a| {
-            let s = this_string(it, &this)?;
-            let pat = arg_string(it, a, 0)?;
-            let rep = arg_string(it, a, 1)?;
+            let s = it.value_to_string(&this);
+            let pat = it.arg_string(a, 0).0;
+            let rep = it.arg_string(a, 1).0;
             Ok(Value::Str(Rc::from(
                 stdlib::replace_first(&s, &pat, &rep).as_str(),
             )))
         }),
         ("toString", |it, this, _| {
-            let s = this_string(it, &this)?;
+            let s = it.value_to_string(&this);
             Ok(Value::Str(s))
         }),
     ];
@@ -655,15 +508,9 @@ fn install_string_proto(it: &mut Interp<'_>) {
 fn install_number_proto(it: &mut Interp<'_>) {
     let proto = it.protos.number;
     let to_string = it.register_native("toString", |it, this, _| {
-        let s = it.value_to_string(&this)?;
+        let s = it.value_to_string(&this);
         Ok(Value::Str(s))
     });
     it.set_raw(proto, "toString", Value::Object(to_string));
     it.set_raw(it.protos.boolean, "toString", Value::Object(to_string));
-}
-
-/// Looks up a property slot on an object for tests.
-pub fn own_slot(it: &Interp<'_>, obj: ObjId, key: &str) -> Option<Slot<()>> {
-    let key = it.prog.interner.get(key)?;
-    it.obj(obj).props.get(key).cloned()
 }

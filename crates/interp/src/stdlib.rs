@@ -1,6 +1,54 @@
-//! Pure string/number helpers shared by the concrete natives and the
-//! instrumented machine's native *models* (both must compute identical
-//! results for the soundness property to be testable).
+//! Helpers shared by the concrete natives and the instrumented machine's
+//! native *models* (both must compute identical results for the
+//! soundness property to be testable): pure string/number functions,
+//! argument helpers generic over the value annotation, and the prelude
+//! both tables install first.
+
+use crate::coerce;
+use crate::domain::{AnnValue, Domain, Flag};
+use crate::machine::{Machine, NativeFn};
+use crate::values::{ObjClass, Value};
+
+/// The start of both native tables: built-in flags on the prototypes and
+/// the global, the global constants, and `Math`, whose `random` each
+/// domain supplies. Allocation order is part of the contract (object ids
+/// appear in fact exports), so both tables must install this first.
+pub fn install_prelude<D: Domain>(m: &mut Machine<'_, D>, random: NativeFn<D>) {
+    let g = m.global();
+    let p = m.protos;
+    for o in [
+        p.object, p.function, p.array, p.string, p.number, p.boolean, p.error, g,
+    ] {
+        m.obj_mut(o).builtin = true;
+    }
+    m.set_raw(g, "window", Value::Object(g));
+    m.set_raw(g, "globalThis", Value::Object(g));
+    m.set_raw(g, "undefined", Value::Undefined);
+    m.set_raw(g, "NaN", Value::Num(f64::NAN));
+    m.set_raw(g, "Infinity", Value::Num(f64::INFINITY));
+    let math = m.alloc(ObjClass::Plain, Some(p.object));
+    m.obj_mut(math).builtin = true;
+    m.set_raw(g, "Math", Value::Object(math));
+    m.set_raw(math, "PI", Value::Num(std::f64::consts::PI));
+    m.set_raw(math, "E", Value::Num(std::f64::consts::E));
+    let defs: [(&'static str, NativeFn<D>); 9] = [
+        ("random", random),
+        ("floor", |_, _, a| Ok(num1(a, f64::floor))),
+        ("ceil", |_, _, a| Ok(num1(a, f64::ceil))),
+        ("round", |_, _, a| Ok(num1(a, f64::round))),
+        ("abs", |_, _, a| Ok(num1(a, f64::abs))),
+        ("sqrt", |_, _, a| Ok(num1(a, f64::sqrt))),
+        ("pow", |_, _, a| Ok(num2(a, f64::powf))),
+        ("max", |_, _, a| {
+            Ok(num_fold(a, f64::NEG_INFINITY, f64::max))
+        }),
+        ("min", |_, _, a| Ok(num_fold(a, f64::INFINITY, f64::min))),
+    ];
+    for (name, f) in defs {
+        let n = m.register_native(name, f);
+        m.set_raw(math, name, Value::Object(n));
+    }
+}
 
 /// `String.prototype.charAt`.
 pub fn char_at(s: &str, i: f64) -> String {
@@ -186,6 +234,43 @@ pub fn parse_float(s: &str) -> f64 {
         .trim_end_matches(['e', 'E', '+', '-'])
         .parse()
         .unwrap_or(f64::NAN)
+}
+
+/// `ToNumber` of argument `i` with its annotation; `default` (determinate)
+/// when the argument is absent.
+pub fn arg_num<V: AnnValue>(args: &[V], i: usize, default: f64) -> (f64, V::Flag) {
+    match args.get(i) {
+        Some(v) => (coerce::to_number(v.v()).unwrap_or(f64::NAN), v.d()),
+        None => (default, V::Flag::DET),
+    }
+}
+
+/// A unary `Math` function of the first argument.
+pub fn num1<V: AnnValue>(args: &[V], f: impl Fn(f64) -> f64) -> V {
+    let (n, d) = arg_num(args, 0, f64::NAN);
+    V::new(Value::Num(f(n)), d)
+}
+
+/// A binary `Math` function of the first two arguments.
+pub fn num2<V: AnnValue>(args: &[V], f: impl Fn(f64, f64) -> f64) -> V {
+    let (a, da) = arg_num(args, 0, f64::NAN);
+    let (b, db) = arg_num(args, 1, f64::NAN);
+    V::new(Value::Num(f(a, b)), da.join(db))
+}
+
+/// A variadic `Math` fold (`max`/`min`); any `NaN` argument wins.
+pub fn num_fold<V: AnnValue>(args: &[V], init: f64, f: impl Fn(f64, f64) -> f64) -> V {
+    let mut acc = init;
+    let mut d = V::Flag::DET;
+    for v in args {
+        d = d.join(v.d());
+        let n = coerce::to_number(v.v()).unwrap_or(f64::NAN);
+        if n.is_nan() {
+            return V::new(Value::Num(f64::NAN), d);
+        }
+        acc = f(acc, n);
+    }
+    V::new(Value::Num(acc), d)
 }
 
 #[cfg(test)]

@@ -294,6 +294,8 @@ fn array_methods() {
     );
     assert_eq!(log1("var a=[1,2]; console.log(a.pop(), a.length);"), "2 1");
     assert_eq!(log1("var a=[1,2]; console.log(a.shift(), a[0]);"), "1 2");
+    // A non-canonical index key is an ordinary property.
+    assert_eq!(log1(r#"var a=[]; a["+1"]=5; console.log(a.length);"#), "0");
 }
 
 #[test]
@@ -303,6 +305,9 @@ fn string_methods() {
     assert_eq!(log1(r#"console.log("a,b,c".split(",").length);"#), "3");
     assert_eq!(log1(r#"console.log("hello".indexOf("ll"));"#), "2");
     assert_eq!(log1(r#"console.log("hello"[1]);"#), "e");
+    // Only canonical index keys index a string.
+    assert_eq!(log1(r#"console.log("hello"["+1"]);"#), "undefined");
+    assert_eq!(log1(r#"console.log("hello"["01"]);"#), "undefined");
     assert_eq!(log1(r#"console.log("hello".length);"#), "5");
     assert_eq!(log1(r#"console.log("a-b-c".replace("-", "+"));"#), "a+b-c");
 }
