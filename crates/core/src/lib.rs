@@ -20,7 +20,10 @@
 //!   indeterminate-false conditions, with undo logs and the nesting
 //!   cut-off `k` (rules ĈNTR / ĈNTRABORT);
 //! * hand-written native models and a DOM model with the optional
-//!   (unsound) `DetDOM` assumption of §5.1 ([`natives`], [`dom_models`]);
+//!   (unsound) `DetDOM` assumption of §5.1 — one table shared with the
+//!   concrete interpreter (`mujs_interp::natives`,
+//!   `mujs_interp::dom_binding`), whose instrumented effects (indeterminate
+//!   sources, flushes, counterfactual aborts) are this domain's hooks;
 //! * a fact database with full-call-stack contexts and per-activation
 //!   occurrence indices — the paper's `24₀→15` notation ([`facts`]);
 //! * an executable soundness harness for Theorem 1 ([`modeling`]);
@@ -46,14 +49,12 @@
 pub mod cachekey;
 pub mod config;
 pub mod det;
-pub mod dom_models;
 pub mod driver;
 pub mod facts;
 pub mod inject;
 pub mod machine;
 pub mod modeling;
 pub mod multirun;
-pub mod natives;
 pub mod shortcut;
 pub mod supervisor;
 

@@ -10,14 +10,15 @@
 //!   execution (ĈNTR) and its conservative abort (ĈNTRABORT);
 //! * fact recording, budgets, supervision hooks and fault injection.
 //!
-//! Statement execution is the machine's; native models live in
-//! [`crate::natives`] and [`crate::dom_models`].
+//! Statement execution and the native models are the machine's
+//! (`mujs_interp::natives`, `mujs_interp::dom_binding`); the models reach
+//! this domain through its hooks (`flush`, `hypothetical`,
+//! `native_effect`, `absent_flag`, `dom_flag`).
 
 use crate::config::{AnalysisConfig, AnalysisStats, AnalysisStatus};
 use crate::det::{DValue, Det, SlotAnn};
 use crate::facts::{FactDb, FactKind, TripFact};
 use crate::supervisor::{CancelToken, RunHooks};
-use mujs_dom::document::Document;
 use mujs_interp::context::CtxId;
 use mujs_interp::domain::{Domain, Limits, Stop, VarKey};
 use mujs_interp::{Flow, Frame, Machine, ObjId, Observation, ScopeId, Slot, Value};
@@ -41,9 +42,6 @@ pub type DFrame = Frame<DValue>;
 
 /// Instrumented observation for the soundness harness.
 pub type DObservation = Observation<DValue>;
-
-/// Native model signature.
-pub type DNativeFn = mujs_interp::machine::NativeFn<Instrumented>;
 
 /// Abrupt, non-[`DFlow`] outcomes.
 #[derive(Debug, Clone, PartialEq)]
@@ -281,22 +279,11 @@ impl Domain for Instrumented {
         (domain, limits)
     }
 
-    fn install(m: &mut DMachine<'_>) {
-        // The machine's base objects (prototypes, global) predate the
-        // cell budget.
-        m.domain.cells_allocated = 0;
-        crate::natives::install_models(m);
-        m.domain.setup_mode = false;
-        Self::on_code_loaded(m);
-    }
-
-    /// DOM installation happens in setup mode: the bindings are part of
-    /// the host environment and stay determinate across heap flushes (like
-    /// the rest of the standard library).
-    fn install_dom(m: &mut DMachine<'_>, doc: Document) {
-        m.domain.setup_mode = true;
-        crate::dom_models::install(m, doc);
-        m.domain.setup_mode = false;
+    /// The standard library and the DOM bindings are installed in setup
+    /// mode: they are part of the host environment and stay determinate
+    /// across heap flushes.
+    fn setup(m: &mut DMachine<'_>, active: bool) {
+        m.domain.setup_mode = active;
     }
 
     fn outcome(r: Result<(), DErr>) -> AnalysisStatus {
@@ -440,10 +427,13 @@ impl Domain for Instrumented {
         m.domain.dom_det()
     }
 
+    /// Every object costs a heap cell, except the machine's base objects
+    /// (prototypes, global), which predate the cell budget.
     #[inline]
-    fn on_alloc(m: &mut DMachine<'_>, _obj: ObjId, proto: Det) {
+    fn on_alloc(m: &mut DMachine<'_>, obj: ObjId, proto: Det) {
+        let counted = obj > m.global();
         let d = &mut m.domain;
-        d.cells_allocated += 1;
+        d.cells_allocated += u64::from(counted);
         #[cfg(feature = "fault-inject")]
         if let Some(fs) = d.faults.as_mut() {
             fs.allocs += 1;
@@ -494,6 +484,16 @@ impl Domain for Instrumented {
 
     fn hypothetical(m: &DMachine<'_>) -> bool {
         m.domain.cf_depth > 0
+    }
+
+    /// "If counterfactual execution encounters a call to a native function
+    /// that is not known to be side effect-free, we immediately abort"
+    /// (§4).
+    fn native_effect(m: &mut DMachine<'_>) -> Result<(), DErr> {
+        if m.domain.in_counterfactual() {
+            return Err(DErr::CfAbort);
+        }
+        Ok(())
     }
 
     #[inline]

@@ -12,7 +12,6 @@ use crate::context::CtxId;
 use crate::domain::{Domain, Limits, Stop};
 use crate::machine::Machine;
 use crate::values::{ObjClass, ObjId, ScopeId, Slot, Value};
-use mujs_dom::document::Document;
 use mujs_ir::{FuncId, StmtId, Sym};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -21,9 +20,6 @@ use std::sync::Arc;
 
 /// The concrete interpreter: the machine over the [`Concrete`] domain.
 pub type Interp<'p> = Machine<'p, Concrete>;
-
-/// Signature of the concrete built-in functions.
-pub type NativeFn = crate::machine::NativeFn<Concrete>;
 
 // The zero-cost claim, checked at build time: concrete annotations carry
 // nothing, so a concrete slot is exactly a value.
@@ -304,14 +300,6 @@ impl Domain for Concrete {
             tracer,
         };
         (domain, limits)
-    }
-
-    fn install(m: &mut Interp<'_>) {
-        crate::natives::install_stdlib(m);
-    }
-
-    fn install_dom(m: &mut Interp<'_>, doc: Document) {
-        crate::dom_binding::install_dom(m, doc);
     }
 
     fn outcome(r: Result<(), RunError>) -> Result<(), RunError> {

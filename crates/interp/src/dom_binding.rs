@@ -1,10 +1,21 @@
 //! The DOM bindings: wires the `mujs-dom` substrate into the heap as
-//! `window`/`document`/element objects. Event registration and dispatch
-//! are written once for every domain; the concrete DOM natives declared in
-//! [`mujs_dom::api`] are below (the instrumented machine keeps its own
-//! table of DOM models).
+//! `window`/`document`/element objects, with event registration and
+//! dispatch and the DOM natives declared in [`mujs_dom::api`], each
+//! written once over any annotation [`Domain`]. They follow the DOM
+//! model of §4:
+//!
+//! * DOM functions "can only modify DOM data structures, so calling them
+//!   does not affect the determinacy of other heap locations" — no
+//!   flushes; but their effects are not modeled, so mutation and listener
+//!   registration go through [`Domain::native_effect`] (counterfactual
+//!   execution aborts there);
+//! * return values of DOM functions, and any value read from a DOM data
+//!   structure, carry [`Domain::dom_flag`] (indeterminate unless the
+//!   unsound `DetDOM` assumption of §5.1 is enabled);
+//! * a heap flush is performed on entry to every event handler
+//!   ([`Domain::on_handler_entry`]), "since DOM events can fire in any
+//!   order".
 
-use crate::concrete::{Interp, NativeFn};
 use crate::domain::{AnnValue, Domain, Flag};
 use crate::machine::Machine;
 use crate::values::{ObjClass, Value};
@@ -44,45 +55,21 @@ impl<D: Domain> Machine<'_, D> {
         }
     }
 
-    /// `addEventListener(type, handler)` on `this`.
-    ///
-    /// # Errors
-    ///
-    /// `TypeError` for non-targets and non-callable listeners.
-    pub fn add_listener(&mut self, this: &D::V, args: &[D::V]) -> Result<(), D::Err> {
-        let target = self.event_target_of(this)?;
-        let ty = match args.first() {
-            Some(v) => self.value_to_string(v.v()),
-            None => Rc::from("undefined"),
-        };
-        let handler = match args.get(1).map(|v| v.v()) {
-            Some(Value::Object(h)) if self.obj(*h).class.is_callable() => *h,
-            _ => return Err(self.throw_error("TypeError", "listener must be a function")),
-        };
-        self.events.add(target, &ty, handler);
-        Ok(())
-    }
-
-    /// `removeEventListener(type)` on `this`.
-    ///
-    /// # Errors
-    ///
-    /// `TypeError` for non-targets.
-    pub fn remove_listener(&mut self, this: &D::V, args: &[D::V]) -> Result<(), D::Err> {
-        let target = self.event_target_of(this)?;
-        let ty = match args.first() {
-            Some(v) => self.value_to_string(v.v()),
-            None => Rc::from("undefined"),
-        };
-        self.events.remove(target, &ty);
-        Ok(())
-    }
-
     /// Installs the DOM: `document`, element wrappers, event natives.
     /// Must be called before [`Machine::run`] for programs that touch the
     /// DOM.
     pub fn install_dom(&mut self, doc: Document) {
-        D::install_dom(self, doc);
+        D::setup(self, true);
+        install(self, doc);
+        D::setup(self, false);
+    }
+
+    fn document(&self) -> &Document {
+        self.doc.as_ref().expect("dom installed")
+    }
+
+    fn document_mut(&mut self) -> &mut Document {
+        self.doc.as_mut().expect("dom installed")
     }
 
     /// Fires the implicit `load` and `ready` events and then the plan's
@@ -137,134 +124,126 @@ impl<D: Domain> Machine<'_, D> {
     }
 }
 
-/// Installs the concrete DOM natives: `document`, element wrappers,
-/// event natives.
-pub(crate) fn install_dom(m: &mut Interp<'_>, doc: Document) {
+/// Installs `document`, the element prototype and the DOM natives.
+fn install<D: Domain>(m: &mut Machine<'_, D>, doc: Document) {
     m.doc = Some(doc);
     let g = m.global();
 
     // Element prototype with element natives.
-    let el_proto = m.alloc(ObjClass::Plain, Some(m.protos.object));
-    m.obj_mut(el_proto).builtin = true;
-    m.dom_element_proto = Some(el_proto);
-    let defs: &[(&'static str, NativeFn)] = &[
-        ("appendChild", |it, this, a| {
-            let (Some(p), Some(c)) = (it.as_node(&this), it.arg_node(a, 0)) else {
-                return Err(it.throw_error("TypeError", "appendChild needs elements"));
-            };
-            it.doc.as_mut().expect("dom installed").append_child(p, c);
-            Ok(a.first().cloned().unwrap_or(Value::Undefined))
-        }),
-        ("removeChild", |it, this, a| {
-            let (Some(p), Some(c)) = (it.as_node(&this), it.arg_node(a, 0)) else {
-                return Err(it.throw_error("TypeError", "removeChild needs elements"));
-            };
-            it.doc.as_mut().expect("dom installed").remove_child(p, c);
-            Ok(a.first().cloned().unwrap_or(Value::Undefined))
-        }),
-        ("setAttribute", |it, this, a| {
-            let Some(n) = it.as_node(&this) else {
-                return Err(it.throw_error("TypeError", "setAttribute needs an element"));
-            };
-            let name = it.value_to_string(a.first().unwrap_or(&Value::Undefined));
-            let val = it.value_to_string(a.get(1).unwrap_or(&Value::Undefined));
-            it.doc
-                .as_mut()
-                .expect("dom installed")
-                .set_attribute(n, &name, &val);
-            Ok(Value::Undefined)
-        }),
-        ("getAttribute", |it, this, a| {
-            let Some(n) = it.as_node(&this) else {
-                return Err(it.throw_error("TypeError", "getAttribute needs an element"));
-            };
-            let name = it.value_to_string(a.first().unwrap_or(&Value::Undefined));
-            Ok(
-                match it
-                    .doc
-                    .as_ref()
-                    .expect("dom installed")
-                    .get_attribute(n, &name)
-                {
-                    Some(v) => Value::Str(Rc::from(v)),
-                    None => Value::Null,
-                },
-            )
-        }),
-        ("addEventListener", |it, this, a| {
-            it.add_listener(&this, a)?;
-            Ok(Value::Undefined)
-        }),
-        ("removeEventListener", |it, this, a| {
-            it.remove_listener(&this, a)?;
-            Ok(Value::Undefined)
-        }),
-    ];
-    for (name, f) in defs {
-        let n = m.register_native(name, *f);
-        m.set_raw(el_proto, name, Value::Object(n));
-    }
+    let el = m.alloc(ObjClass::Plain, Some(m.protos.object));
+    m.obj_mut(el).builtin = true;
+    m.dom_element_proto = Some(el);
+    m.register_native("appendChild", el, |m, this, a| {
+        D::native_effect(m)?;
+        let (Some(p), Some(c)) = (m.as_node(this.v()), m.arg_node(a, 0)) else {
+            return Err(not_element(m, &this, "appendChild needs elements"));
+        };
+        m.document_mut().append_child(p, c);
+        let dd = D::dom_flag(m);
+        Ok(a.first()
+            .cloned()
+            .unwrap_or_else(|| D::V::det(Value::Undefined))
+            .weaken(dd))
+    });
+    m.register_native("removeChild", el, |m, this, a| {
+        D::native_effect(m)?;
+        let (Some(p), Some(c)) = (m.as_node(this.v()), m.arg_node(a, 0)) else {
+            return Err(not_element(m, &this, "removeChild needs elements"));
+        };
+        m.document_mut().remove_child(p, c);
+        let dd = D::dom_flag(m);
+        Ok(a.first()
+            .cloned()
+            .unwrap_or_else(|| D::V::det(Value::Undefined))
+            .weaken(dd))
+    });
+    m.register_native("setAttribute", el, |m, this, a| {
+        D::native_effect(m)?;
+        let Some(n) = m.as_node(this.v()) else {
+            return Err(not_element(m, &this, "setAttribute needs an element"));
+        };
+        let name = m.arg_string(a, 0).0;
+        let val = m.arg_string(a, 1).0;
+        m.document_mut().set_attribute(n, &name, &val);
+        Ok(D::V::det(Value::Undefined))
+    });
+    m.register_native("getAttribute", el, |m, this, a| {
+        let Some(n) = m.as_node(this.v()) else {
+            return Err(not_element(m, &this, "getAttribute needs an element"));
+        };
+        let name = m.arg_string(a, 0).0;
+        let v = match m.document().get_attribute(n, &name) {
+            Some(v) => Value::Str(Rc::from(v)),
+            None => Value::Null,
+        };
+        Ok(D::V::new(v, D::dom_flag(m).join(this.d())))
+    });
+    m.register_native("addEventListener", el, add_event_listener);
+    m.register_native("removeEventListener", el, |m, this, a| {
+        D::native_effect(m)?;
+        let target = m.event_target_of(&this)?;
+        let ty = m.arg_string(a, 0).0;
+        m.events.remove(target, &ty);
+        Ok(D::V::det(Value::Undefined))
+    });
 
     // The document object.
     let doc_obj = m.alloc(ObjClass::DomDocument, Some(m.protos.object));
     m.dom_document_obj = Some(doc_obj);
-    let defs: &[(&'static str, NativeFn)] = &[
-        ("getElementById", |it, _, a| {
-            let id = it.value_to_string(a.first().unwrap_or(&Value::Undefined));
-            match it
-                .doc
-                .as_ref()
-                .expect("dom installed")
-                .get_element_by_id(&id)
-            {
-                Some(n) => Ok(Value::Object(it.element_obj(n))),
-                None => Ok(Value::Null),
-            }
-        }),
-        ("getElementsByTagName", |it, _, a| {
-            let tag = it.value_to_string(a.first().unwrap_or(&Value::Undefined));
-            let nodes = it
-                .doc
-                .as_ref()
-                .expect("dom installed")
-                .get_elements_by_tag_name(&tag);
-            let arr = it.alloc(ObjClass::Array, Some(it.protos.array));
-            it.set_raw(arr, "length", Value::Num(nodes.len() as f64));
-            for (i, n) in nodes.into_iter().enumerate() {
-                let w = it.element_obj(n);
-                it.set_raw(arr, &i.to_string(), Value::Object(w));
-            }
-            Ok(Value::Object(arr))
-        }),
-        ("createElement", |it, _, a| {
-            let tag = it.value_to_string(a.first().unwrap_or(&Value::Undefined));
-            let n = it.doc.as_mut().expect("dom installed").create_element(&tag);
-            Ok(Value::Object(it.element_obj(n)))
-        }),
-        ("addEventListener", |it, this, a| {
-            it.add_listener(&this, a)?;
-            Ok(Value::Undefined)
-        }),
-    ];
-    for (name, f) in defs {
-        let n = m.register_native(name, *f);
-        m.set_raw(doc_obj, name, Value::Object(n));
-    }
+    m.register_native("getElementById", doc_obj, |m, _, a| {
+        let id = m.arg_string(a, 0).0;
+        let v = match m.document().get_element_by_id(&id) {
+            Some(n) => Value::Object(m.element_obj(n)),
+            None => Value::Null,
+        };
+        Ok(D::V::new(v, D::dom_flag(m)))
+    });
+    m.register_native("getElementsByTagName", doc_obj, |m, _, a| {
+        let tag = m.arg_string(a, 0).0;
+        let nodes = m.document().get_elements_by_tag_name(&tag);
+        let dd = D::dom_flag(m);
+        let arr = m.alloc(ObjClass::Array, Some(m.protos.array));
+        m.write_prop(arr, "length", D::V::new(Value::Num(nodes.len() as f64), dd));
+        for (i, n) in nodes.into_iter().enumerate() {
+            let w = m.element_obj(n);
+            m.write_prop(arr, &i.to_string(), D::V::new(Value::Object(w), dd));
+        }
+        Ok(D::V::new(Value::Object(arr), dd))
+    });
+    m.register_native("createElement", doc_obj, |m, _, a| {
+        D::native_effect(m)?;
+        let tag = m.arg_string(a, 0).0;
+        let n = m.document_mut().create_element(&tag);
+        let w = m.element_obj(n);
+        Ok(D::V::new(Value::Object(w), D::dom_flag(m)))
+    });
+    m.register_native("addEventListener", doc_obj, add_event_listener);
     m.set_raw(g, "document", Value::Object(doc_obj));
 
-    // Window-level natives.
-    let alert = m.register_native("alert", |it, _, a| {
-        let msg = match a.first() {
-            Some(v) => it.display(v),
-            None => String::new(),
-        };
-        it.output.push(format!("alert: {msg}"));
-        Ok(Value::Undefined)
-    });
-    m.set_raw(g, "alert", Value::Object(alert));
-    let add = m.register_native("addEventListener", |it, this, a| {
-        it.add_listener(&this, a)?;
-        Ok(Value::Undefined)
-    });
-    m.set_raw(g, "addEventListener", Value::Object(add));
+    // Window-level natives (`alert` is in the standard library).
+    m.register_native("addEventListener", g, add_event_listener);
+}
+
+/// The `TypeError` of an element native called on a non-element; the
+/// throw depends on the receiver's flag.
+fn not_element<D: Domain>(m: &mut Machine<'_, D>, this: &D::V, msg: &str) -> D::Err {
+    m.throw_error_ic("TypeError", msg, this.d().is_indet())
+}
+
+/// `addEventListener(type, handler)` on the window, the document or an
+/// element: registering a handler is a DOM effect.
+fn add_event_listener<D: Domain>(
+    m: &mut Machine<'_, D>,
+    this: D::V,
+    args: &[D::V],
+) -> Result<D::V, D::Err> {
+    D::native_effect(m)?;
+    let target = m.event_target_of(&this)?;
+    let ty = m.arg_string(args, 0).0;
+    let handler = match args.get(1).map(|v| v.v()) {
+        Some(Value::Object(h)) if m.obj(*h).class.is_callable() => *h,
+        _ => return Err(m.throw_error("TypeError", "listener must be a function")),
+    };
+    m.events.add(target, &ty, handler);
+    Ok(D::V::det(Value::Undefined))
 }

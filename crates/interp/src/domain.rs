@@ -12,7 +12,8 @@
 //! * write logging and undo (`*_written`, [`Domain::open_region`],
 //!   [`Domain::close_region`]);
 //! * heap flushes and open records ([`Domain::flush`],
-//!   [`Domain::open_record`]);
+//!   [`Domain::open_record`]), and the natives' effects
+//!   ([`Domain::native_effect`]);
 //! * the Fig. 9 if/loop/try/call rules under indeterminate control,
 //!   including counterfactual execution ([`Domain::counterfactual`],
 //!   [`Domain::cntr_abort`]).
@@ -26,7 +27,6 @@ use crate::concrete::TraceAbs;
 use crate::context::CtxId;
 use crate::machine::{Frame, Machine};
 use crate::values::{ObjId, ScopeId, Slot, Value};
-use mujs_dom::document::Document;
 use mujs_ir::{FuncId, Stmt, StmtId, Sym};
 use std::fmt::Debug;
 
@@ -210,10 +210,11 @@ pub trait Domain: Sized {
 
     /// Builds the domain state and the machine-owned limits.
     fn init(cfg: Self::Config) -> (Self, Limits);
-    /// Installs the global bindings: this domain's native table.
-    fn install(m: &mut Machine<'_, Self>);
-    /// Installs `document` and this domain's DOM natives.
-    fn install_dom(m: &mut Machine<'_, Self>, doc: Document);
+    /// Host setup — the native table at construction, the DOM at
+    /// [`Machine::install_dom`] — begins (`active`) or ends. What is
+    /// created in between is part of the host environment.
+    #[inline(always)]
+    fn setup(m: &mut Machine<'_, Self>, active: bool) {}
     /// Maps the entry script's completion to the run result.
     fn outcome(r: Result<(), Self::Err>) -> Self::Outcome;
 
@@ -307,6 +308,13 @@ pub trait Domain: Sized {
     fn hypothetical(m: &Machine<'_, Self>) -> bool {
         false
     }
+    /// A native is about to have an effect no model tracks (DOM mutation,
+    /// listener registration, `__opaque`); the instrumented domain aborts
+    /// hypothetical execution here.
+    #[inline(always)]
+    fn native_effect(m: &mut Machine<'_, Self>) -> Result<(), Self::Err> {
+        Ok(())
+    }
 
     // ------------------------------------------------ facts and traces
 
@@ -368,7 +376,8 @@ pub trait Domain: Sized {
     /// iterations (`None` when the count is not determinate).
     #[inline(always)]
     fn on_loop_exit(m: &mut Machine<'_, Self>, site: StmtId, ctx: CtxId, trips: Option<u32>) {}
-    /// `eval` appended new functions to the program.
+    /// The program's code was loaded: at construction, and whenever
+    /// `eval` appends new functions.
     #[inline(always)]
     fn on_code_loaded(m: &mut Machine<'_, Self>) {}
     /// A native is about to run (the single funnel for native calls).

@@ -11,9 +11,10 @@
 //! * The `determinacy` crate's `DMachine` is the same machine over its
 //!   instrumented domain — the rules of Figure 9.
 //!
-//! Every statement rule, the heap, scopes, property operations, calls and
-//! polling exist once, so both machines agree on concrete behavior by
-//! construction — the property the soundness theorem is stated over.
+//! Every statement rule, the heap, scopes, property operations, calls,
+//! polling and the native table ([`natives`], [`dom_binding`]) exist
+//! once, so both machines agree on concrete behavior by construction —
+//! the property the soundness theorem is stated over.
 //!
 //! # Examples
 //!

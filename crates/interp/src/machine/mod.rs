@@ -99,7 +99,8 @@ pub struct Specials {
     pub eval_fn: Option<ObjId>,
 }
 
-/// Signature of built-in functions (each domain has its own table).
+/// Signature of built-in functions (one table, generic over the domain:
+/// [`crate::natives`], [`crate::dom_binding`]).
 pub type NativeFn<D> = fn(
     &mut Machine<'_, D>,
     <D as Domain>::V,
@@ -162,8 +163,7 @@ impl<D: Domain> std::ops::DerefMut for Machine<'_, D> {
 }
 
 impl<'p, D: Domain> Machine<'p, D> {
-    /// Creates a machine over `prog` and installs the domain's standard
-    /// library.
+    /// Creates a machine over `prog` and installs the standard library.
     pub fn new(prog: &'p mut Program, cfg: D::Config) -> Self {
         let (domain, mut limits) = D::init(cfg);
         limits.poll_interval = limits.poll_interval.max(1);
@@ -209,7 +209,10 @@ impl<'p, D: Domain> Machine<'p, D> {
         while m.heap.len() <= m.global.0 as usize {
             m.alloc(ObjClass::Plain, Some(object));
         }
-        D::install(&mut m);
+        D::setup(&mut m, true);
+        crate::natives::install(&mut m);
+        D::setup(&mut m, false);
+        D::on_code_loaded(&mut m);
         m
     }
 
@@ -267,12 +270,14 @@ impl<'p, D: Domain> Machine<'p, D> {
         &mut self.heap[id.0 as usize]
     }
 
-    /// Registers a native function and wraps it in a callable object.
-    pub fn register_native(&mut self, name: &'static str, f: NativeFn<D>) -> ObjId {
+    /// Registers a native function, wraps it in a callable object and
+    /// installs that as `holder.name`.
+    pub fn register_native(&mut self, name: &'static str, holder: ObjId, f: NativeFn<D>) -> ObjId {
         let nid = NativeId(self.natives.len() as u32);
         self.natives.push((name, f));
         let obj = self.alloc(ObjClass::Native(nid), Some(self.protos.function));
         self.obj_mut(obj).builtin = true;
+        self.set_raw(holder, name, Value::Object(obj));
         obj
     }
 

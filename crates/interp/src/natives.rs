@@ -1,516 +1,538 @@
-//! The concrete native table: `Math`, `String`/`Array`/`Object`/`Function`
-//! prototype methods, global utilities, `Error`, and indirect `eval`.
+//! The native table: `Math`, `Date`, `console`, global utilities, the
+//! constructors, the `Object`/`Function`/`Array`/`String`/`Number`
+//! prototype methods and indirect `eval`, each written once over any
+//! annotation [`Domain`] (the DOM natives are in [`crate::dom_binding`]).
 //!
-//! Natives are per domain: the instrumented machine in the `determinacy`
-//! crate keeps its own table of *models* of these functions (§4 of the
-//! paper: "for some of them, we provide hand-written models that
-//! conservatively approximate their effects on determinacy
-//! information"). Both tables run on the one generic machine and share
-//! its `Array`/`Error` construction, indirect `eval`, `ToString`
-//! rendering, and the pure string/number helpers of [`crate::stdlib`].
+//! Every native is a hand-written *model* in the sense of §4 of the paper
+//! ("for some of them, we provide hand-written models that conservatively
+//! approximate their effects on determinacy information"): it computes the
+//! real function's concrete result and joins the flags of everything that
+//! result depends on. In the concrete domain the flags are `()` and the
+//! arithmetic compiles away. What only the instrumented domain does goes
+//! through its hooks:
+//!
+//! * `Math.random`, `Date`, `Date.now` and `__indet` return
+//!   [`Flag::INDET`] values: they are the indeterminacy sources;
+//! * `console.log` and `alert` print only outside hypothetical execution
+//!   ([`Domain::hypothetical`]);
+//! * `push`, `pop` and `shift` on an indeterminate receiver flush the heap
+//!   ([`Domain::flush`]);
+//! * `hasOwnProperty` and `slice` see a record's openness
+//!   ([`Domain::absent_flag`]);
+//! * `__opaque(...)` models "calling a native function without a model":
+//!   [`Domain::native_effect`] (counterfactual execution aborts), a heap
+//!   flush, and an indeterminate result.
 
-use crate::coerce::{self};
-use crate::concrete::{Interp, NativeFn};
+use crate::coerce;
 use crate::context::CtxId;
-use crate::stdlib::{self, arg_num};
+use crate::domain::{AnnValue, Domain, Flag};
+use crate::machine::Machine;
+use crate::stdlib::{self, arg_num, norm_index};
 use crate::values::{ObjClass, ObjId, Value};
+use mujs_ir::Sym;
 use std::rc::Rc;
 
-/// Installs every global binding on a fresh machine.
-pub fn install_stdlib(interp: &mut Interp<'_>) {
-    stdlib::install_prelude(interp, |it, _, _| Ok(Value::Num(it.random())));
-    let g = interp.global();
+/// Installs every global binding on a fresh machine. Allocation order is
+/// part of the contract: object ids appear in fact exports.
+pub(crate) fn install<D: Domain>(m: &mut Machine<'_, D>) {
+    stdlib::install_prelude(m);
+    let g = m.global();
 
     // ----- Date ---------------------------------------------------------
-    let date = interp.register_native("Date", |it, this, _| {
+    let date = m.register_native("Date", g, |m, this, _| {
         // `new Date()`/`Date()`: an object carrying the current tick.
-        let t = it.now();
-        if let Value::Object(o) = &this {
-            it.set_raw(*o, "_time", Value::Num(t));
+        let t = m.now();
+        if let Value::Object(o) = *this.v() {
+            m.write_prop(o, "_time", D::V::new(Value::Num(t), D::Flag::INDET));
         }
         Ok(this)
     });
-    let now = interp.register_native("now", |it, _, _| Ok(Value::Num(it.now())));
-    interp.set_raw(date, "now", Value::Object(now));
-    interp.set_raw(g, "Date", Value::Object(date));
-
-    // ----- console ------------------------------------------------------
-    let console = interp.alloc(ObjClass::Plain, Some(interp.protos.object));
-    interp.obj_mut(console).builtin = true;
-    let log = interp.register_native("log", |it, _, a| {
-        let parts: Vec<String> = a.iter().map(|v| it.display(v)).collect();
-        it.output.push(parts.join(" "));
-        Ok(Value::Undefined)
+    m.register_native("now", date, |m, _, _| {
+        Ok(D::V::new(Value::Num(m.now()), D::Flag::INDET))
     });
-    interp.set_raw(console, "log", Value::Object(log));
-    interp.set_raw(console, "error", Value::Object(log));
-    interp.set_raw(console, "warn", Value::Object(log));
-    interp.set_raw(g, "console", Value::Object(console));
 
-    // Analysis test hooks, concretely inert: `__indet` is the identity
-    // (the instrumented machine marks its result indeterminate) and
-    // `__opaque` returns `undefined` (the instrumented machine treats it
-    // as an unmodeled native: flush + indeterminate).
-    let indet = interp.register_native("__indet", |_, _, a| {
-        Ok(a.first().cloned().unwrap_or(Value::Undefined))
-    });
-    interp.set_raw(g, "__indet", Value::Object(indet));
-    let opaque = interp.register_native("__opaque", |_, _, _| Ok(Value::Undefined));
-    interp.set_raw(g, "__opaque", Value::Object(opaque));
-
-    // `alert` exists even without a DOM (browsers always have it); the DOM
-    // binding re-installs an identical implementation.
-    let alert = interp.register_native("alert", |it, _, a| {
-        let msg = match a.first() {
-            Some(v) => it.display(v),
-            None => String::new(),
-        };
-        it.output.push(format!("alert: {msg}"));
-        Ok(Value::Undefined)
-    });
-    interp.set_raw(g, "alert", Value::Object(alert));
-
-    // ----- global utilities ----------------------------------------------
-    let defs: &[(&'static str, NativeFn)] = &[
-        ("parseInt", |_, _, a| {
-            let s = match a.first() {
-                Some(Value::Str(s)) => s.to_string(),
-                Some(v) => coerce::to_string(v)
-                    .map(|s| s.to_string())
-                    .unwrap_or_default(),
-                None => String::new(),
-            };
-            let radix = match a.get(1) {
-                Some(v) => coerce::to_number(v).unwrap_or(10.0) as u32,
-                None => 10,
-            };
-            Ok(Value::Num(stdlib::parse_int(&s, radix)))
-        }),
-        ("parseFloat", |_, _, a| {
-            let s = match a.first() {
-                Some(Value::Str(s)) => s.to_string(),
-                Some(v) => coerce::to_string(v)
-                    .map(|s| s.to_string())
-                    .unwrap_or_default(),
-                None => String::new(),
-            };
-            Ok(Value::Num(stdlib::parse_float(&s)))
-        }),
-        ("isNaN", |_, _, a| {
-            let n = a
-                .first()
-                .map(|v| coerce::to_number(v).unwrap_or(f64::NAN))
-                .unwrap_or(f64::NAN);
-            Ok(Value::Bool(n.is_nan()))
-        }),
-        ("isFinite", |_, _, a| {
-            let n = a
-                .first()
-                .map(|v| coerce::to_number(v).unwrap_or(f64::NAN))
-                .unwrap_or(f64::NAN);
-            Ok(Value::Bool(n.is_finite()))
-        }),
-    ];
-    for (name, f) in defs {
-        let n = interp.register_native(name, *f);
-        interp.set_raw(g, name, Value::Object(n));
-    }
-
-    // ----- constructors ---------------------------------------------------
-    let object_ctor = interp.register_native("Object", |it, _, a| match a.first() {
-        Some(Value::Object(o)) => Ok(Value::Object(*o)),
-        _ => {
-            let o = it.alloc(ObjClass::Plain, Some(it.protos.object));
-            Ok(Value::Object(o))
+    // ----- console / alert ------------------------------------------------
+    let console = m.alloc(ObjClass::Plain, Some(m.protos.object));
+    m.obj_mut(console).builtin = true;
+    let log = m.register_native("log", console, |m, _, a| {
+        if !D::hypothetical(m) {
+            let parts: Vec<String> = a.iter().map(|v| m.display(v.v())).collect();
+            m.output.push(parts.join(" "));
         }
+        Ok(D::V::det(Value::Undefined))
     });
-    interp.set_raw(object_ctor, "prototype", {
-        Value::Object(interp.protos.object)
+    m.set_raw(console, "error", Value::Object(log));
+    m.set_raw(console, "warn", Value::Object(log));
+    m.set_raw(g, "console", Value::Object(console));
+    // `alert` exists even without a DOM (browsers always have it).
+    m.register_native("alert", g, |m, _, a| {
+        if !D::hypothetical(m) {
+            let msg = match a.first() {
+                Some(v) => m.display(v.v()),
+                None => String::new(),
+            };
+            m.output.push(format!("alert: {msg}"));
+        }
+        Ok(D::V::det(Value::Undefined))
     });
-    interp.set_raw(g, "Object", Value::Object(object_ctor));
-    interp.specials.object_ctor = Some(object_ctor);
 
-    let array_ctor = interp.register_native("Array", |it, _, a| Ok(it.new_array(None, a)));
-    interp.set_raw(array_ctor, "prototype", Value::Object(interp.protos.array));
-    interp.set_raw(g, "Array", Value::Object(array_ctor));
-    interp.specials.array_ctor = Some(array_ctor);
+    // ----- analysis test hooks ---------------------------------------------
+    // `__indet(v)` is `v` marked indeterminate (a silent indeterminacy
+    // source).
+    m.register_native("__indet", g, |_, _, a| {
+        let v = a.first().map_or(Value::Undefined, |v| v.v().clone());
+        Ok(D::V::new(v, D::Flag::INDET))
+    });
+    m.register_native("__opaque", g, |m, _, _| {
+        // "If counterfactual execution encounters a call to a native
+        // function that is not known to be side effect-free, we
+        // immediately abort" (§4).
+        D::native_effect(m)?;
+        D::flush(m)?;
+        Ok(D::V::new(Value::Undefined, D::Flag::INDET))
+    });
 
-    let string_ctor = interp.register_native("String", |it, _, a| {
-        let s = match a.first() {
-            Some(v) => it.value_to_string(v),
-            None => Rc::from(""),
+    // ----- global utilities -------------------------------------------------
+    m.register_native("parseInt", g, |m, _, a| {
+        let (s, sd) = m.arg_string(a, 0);
+        let (radix, rd) = match a.get(1) {
+            Some(v) => (coerce::to_number(v.v()).unwrap_or(10.0) as u32, v.d()),
+            None => (10, D::Flag::DET),
         };
-        Ok(Value::Str(s))
-    });
-    interp.set_raw(
-        string_ctor,
-        "prototype",
-        Value::Object(interp.protos.string),
-    );
-    interp.set_raw(g, "String", Value::Object(string_ctor));
-
-    let number_ctor = interp.register_native("Number", |_, _, a| {
-        let n = match a.first() {
-            Some(v) => coerce::to_number(v).unwrap_or(f64::NAN),
-            None => 0.0,
-        };
-        Ok(Value::Num(n))
-    });
-    interp.set_raw(
-        number_ctor,
-        "prototype",
-        Value::Object(interp.protos.number),
-    );
-    interp.set_raw(g, "Number", Value::Object(number_ctor));
-
-    let boolean_ctor = interp.register_native("Boolean", |_, _, a| {
-        Ok(Value::Bool(
-            a.first().map(coerce::to_boolean).unwrap_or(false),
+        Ok(D::V::new(
+            Value::Num(stdlib::parse_int(&s, radix)),
+            sd.join(rd),
         ))
     });
-    interp.set_raw(
-        boolean_ctor,
-        "prototype",
-        Value::Object(interp.protos.boolean),
-    );
-    interp.set_raw(g, "Boolean", Value::Object(boolean_ctor));
+    m.register_native("parseFloat", g, |m, _, a| {
+        let (s, d) = m.arg_string(a, 0);
+        Ok(D::V::new(Value::Num(stdlib::parse_float(&s)), d))
+    });
+    m.register_native("isNaN", g, |_, _, a| {
+        let (n, d) = arg_num(a, 0, f64::NAN);
+        Ok(D::V::new(Value::Bool(n.is_nan()), d))
+    });
+    m.register_native("isFinite", g, |_, _, a| {
+        let (n, d) = arg_num(a, 0, f64::NAN);
+        Ok(D::V::new(Value::Bool(n.is_finite()), d))
+    });
 
-    let error_ctor = interp.register_native("Error", |it, this, a| {
-        let msg = match a.first() {
-            Some(v) => it.value_to_string(v),
-            None => Rc::from(""),
+    // ----- constructors -------------------------------------------------------
+    let object_ctor = m.register_native("Object", g, |m, _, a| match a.first() {
+        Some(v) if matches!(v.v(), Value::Object(_)) => Ok(v.clone()),
+        _ => {
+            let o = m.alloc(ObjClass::Plain, Some(m.protos.object));
+            Ok(D::V::det(Value::Object(o)))
+        }
+    });
+    m.set_raw(object_ctor, "prototype", Value::Object(m.protos.object));
+    m.specials.object_ctor = Some(object_ctor);
+
+    let array_ctor = m.register_native("Array", g, |m, _, a| Ok(m.new_array(None, a)));
+    m.set_raw(array_ctor, "prototype", Value::Object(m.protos.array));
+    m.specials.array_ctor = Some(array_ctor);
+
+    let string_ctor = m.register_native("String", g, |m, _, a| {
+        let (s, d) = match a.first() {
+            Some(v) => (m.value_to_string(v.v()), v.d()),
+            None => (Rc::from(""), D::Flag::DET),
         };
-        if let Value::Object(o) = &this {
-            it.set_raw(*o, "message", Value::Str(msg));
-            it.set_raw(*o, "name", Value::Str(Rc::from("Error")));
-        }
-        Ok(Value::Undefined)
+        Ok(D::V::new(Value::Str(s), d))
     });
-    interp.set_raw(error_ctor, "prototype", Value::Object(interp.protos.error));
-    interp.set_raw(g, "Error", Value::Object(error_ctor));
-    interp.specials.error_ctor = Some(error_ctor);
-    interp.set_raw(interp.protos.error, "name", Value::Str(Rc::from("Error")));
-    interp.set_raw(interp.protos.error, "message", Value::Str(Rc::from("")));
+    m.set_raw(string_ctor, "prototype", Value::Object(m.protos.string));
 
-    // ----- indirect eval ---------------------------------------------------
-    let eval_fn = interp.register_native("eval", |it, _, a| it.eval_indirect(a.first()));
-    interp.set_raw(g, "eval", Value::Object(eval_fn));
-    interp.specials.eval_fn = Some(eval_fn);
+    let number_ctor = m.register_native("Number", g, |_, _, a| {
+        let (n, d) = arg_num(a, 0, 0.0);
+        Ok(D::V::new(Value::Num(n), d))
+    });
+    m.set_raw(number_ctor, "prototype", Value::Object(m.protos.number));
 
-    install_object_proto(interp);
-    install_function_proto(interp);
-    install_array_proto(interp);
-    install_string_proto(interp);
-    install_number_proto(interp);
+    let boolean_ctor = m.register_native("Boolean", g, |_, _, a| {
+        Ok(match a.first() {
+            Some(v) => D::V::new(Value::Bool(coerce::to_boolean(v.v())), v.d()),
+            None => D::V::det(Value::Bool(false)),
+        })
+    });
+    m.set_raw(boolean_ctor, "prototype", Value::Object(m.protos.boolean));
+
+    // `new Error(..)` is the machine's; this is `Error(..)` called on a
+    // receiver.
+    let error_ctor = m.register_native("Error", g, |m, this, a| {
+        let msg = match a.first() {
+            Some(v) => D::V::new(Value::Str(m.value_to_string(v.v())), v.d()),
+            None => D::V::det(Value::Str(Rc::from(""))),
+        };
+        if let Value::Object(o) = *this.v() {
+            m.write_prop(o, "message", msg);
+            m.write_prop(o, "name", D::V::det(Value::Str(Rc::from("Error"))));
+        }
+        Ok(D::V::det(Value::Undefined))
+    });
+    m.set_raw(error_ctor, "prototype", Value::Object(m.protos.error));
+    m.specials.error_ctor = Some(error_ctor);
+    m.set_raw(m.protos.error, "name", Value::Str(Rc::from("Error")));
+    m.set_raw(m.protos.error, "message", Value::Str(Rc::from("")));
+
+    // ----- indirect eval ------------------------------------------------------
+    let eval_fn = m.register_native("eval", g, |m, _, a| m.eval_indirect(a.first()));
+    m.specials.eval_fn = Some(eval_fn);
+
+    install_object_proto(m);
+    install_function_proto(m);
+    install_array_proto(m);
+    install_string_proto(m);
+    install_number_proto(m);
 }
 
-fn install_object_proto(it: &mut Interp<'_>) {
-    let proto = it.protos.object;
-    let defs: &[(&'static str, NativeFn)] = &[
-        ("hasOwnProperty", |it, this, a| {
-            let Value::Object(o) = this else {
-                return Ok(Value::Bool(false));
-            };
-            let key = it.arg_string(a, 0).0;
-            let key = it.prog.interner.intern_rc(&key);
-            Ok(Value::Bool(it.obj(o).props.contains(key)))
-        }),
-        ("toString", |_, _, _| {
-            Ok(Value::Str(Rc::from("[object Object]")))
-        }),
-    ];
-    for (name, f) in defs {
-        let n = it.register_native(name, *f);
-        it.set_raw(proto, name, Value::Object(n));
+/// The `length` of an array-like object with its flag (0 when absent or
+/// not a non-negative number).
+fn array_len<D: Domain>(m: &Machine<'_, D>, arr: ObjId) -> (usize, D::Flag) {
+    let len = m.own_prop_s(arr, Sym::LENGTH);
+    match len.v() {
+        Value::Num(n) if *n >= 0.0 => (*n as usize, len.d()),
+        _ => (0, len.d()),
     }
 }
 
-fn install_function_proto(it: &mut Interp<'_>) {
-    let proto = it.protos.function;
-    let call = it.register_native("call", |it, this, a| {
-        let bound_this = a.first().cloned().unwrap_or(Value::Undefined);
-        let rest = if a.is_empty() { &[] } else { &a[1..] };
-        it.call_value(&this, bound_this, rest, CtxId::ROOT)
+/// `ToString` of the receiver with its flag.
+fn this_string<D: Domain>(m: &Machine<'_, D>, this: &D::V) -> (Rc<str>, D::Flag) {
+    (m.value_to_string(this.v()), this.d())
+}
+
+/// A string result flagged `d`.
+fn str_val<V: AnnValue>(s: &str, d: V::Flag) -> V {
+    V::new(Value::Str(Rc::from(s)), d)
+}
+
+fn install_object_proto<D: Domain>(m: &mut Machine<'_, D>) {
+    let proto = m.protos.object;
+    m.register_native("hasOwnProperty", proto, |m, this, a| {
+        let Value::Object(o) = *this.v() else {
+            return Ok(D::V::new(Value::Bool(false), this.d()));
+        };
+        let (key, kd) = m.arg_string(a, 0);
+        // The own slot's flag; for an absent key, the record's openness
+        // (other executions may have the property).
+        let slot_d = m.own_prop(o, &key).d();
+        Ok(D::V::new(
+            Value::Bool(m.has_own(o, &key)),
+            this.d().join(kd).join(slot_d),
+        ))
     });
-    it.set_raw(proto, "call", Value::Object(call));
-    let apply = it.register_native("apply", |it, this, a| {
-        let bound_this = a.first().cloned().unwrap_or(Value::Undefined);
+    m.register_native("toString", proto, |_, this, _| {
+        Ok(str_val("[object Object]", this.d()))
+    });
+}
+
+fn install_function_proto<D: Domain>(m: &mut Machine<'_, D>) {
+    let proto = m.protos.function;
+    m.register_native("call", proto, |m, this, a| {
+        let bound = a
+            .first()
+            .cloned()
+            .unwrap_or_else(|| D::V::det(Value::Undefined));
+        let rest = a.get(1..).unwrap_or_default();
+        m.call_value(&this, bound, rest, CtxId::ROOT)
+    });
+    m.register_native("apply", proto, |m, this, a| {
+        let bound = a
+            .first()
+            .cloned()
+            .unwrap_or_else(|| D::V::det(Value::Undefined));
         let mut argv = Vec::new();
-        if let Some(Value::Object(arr)) = a.get(1) {
-            let len = match it.get_raw(*arr, "length") {
-                Some(Value::Num(n)) => n as usize,
-                _ => 0,
-            };
-            for i in 0..len {
-                argv.push(it.get_raw(*arr, &i.to_string()).unwrap_or(Value::Undefined));
+        if let Some(arr_v) = a.get(1) {
+            if let Value::Object(arr) = *arr_v.v() {
+                let (len, ld) = array_len(m, arr);
+                let d = arr_v.d().join(ld);
+                argv = (0..len)
+                    .map(|i| m.own_prop(arr, &i.to_string()).weaken(d))
+                    .collect();
             }
         }
-        it.call_value(&this, bound_this, &argv, CtxId::ROOT)
+        m.call_value(&this, bound, &argv, CtxId::ROOT)
     });
-    it.set_raw(proto, "apply", Value::Object(apply));
 }
 
-fn array_len(it: &Interp<'_>, arr: ObjId) -> usize {
-    match it.get_raw(arr, "length") {
-        Some(Value::Num(n)) if n >= 0.0 => n as usize,
-        _ => 0,
-    }
-}
-
-fn install_array_proto(it: &mut Interp<'_>) {
-    let proto = it.protos.array;
-    let defs: &[(&'static str, NativeFn)] = &[
-        ("push", |it, this, a| {
-            let Value::Object(arr) = this else {
-                return Ok(Value::Num(0.0));
-            };
-            let mut len = array_len(it, arr);
-            for v in a {
-                it.set_raw(arr, &len.to_string(), v.clone());
-                len += 1;
+fn install_array_proto<D: Domain>(m: &mut Machine<'_, D>) {
+    let proto = m.protos.array;
+    m.register_native("push", proto, |m, this, a| {
+        let Value::Object(arr) = *this.v() else {
+            return Ok(D::V::det(Value::Num(0.0)));
+        };
+        let (mut len, ld) = array_len(m, arr);
+        for v in a {
+            m.write_prop(arr, &len.to_string(), v.clone().weaken(this.d()));
+            len += 1;
+        }
+        let d = this.d().join(ld);
+        m.write_prop(arr, "length", D::V::new(Value::Num(len as f64), d));
+        if this.d().is_indet() {
+            D::flush(m)?;
+        }
+        Ok(D::V::new(Value::Num(len as f64), d))
+    });
+    m.register_native("pop", proto, |m, this, _| {
+        let Value::Object(arr) = *this.v() else {
+            return Ok(D::V::det(Value::Undefined));
+        };
+        let (len, ld) = array_len(m, arr);
+        let d = this.d().join(ld);
+        if len == 0 {
+            return Ok(D::V::new(Value::Undefined, d));
+        }
+        let key = (len - 1).to_string();
+        let v = m.own_prop(arr, &key);
+        m.delete_prop(arr, &key);
+        m.write_prop(arr, "length", D::V::new(Value::Num(len as f64 - 1.0), d));
+        if this.d().is_indet() {
+            D::flush(m)?;
+        }
+        Ok(v.weaken(d))
+    });
+    m.register_native("join", proto, |m, this, a| {
+        let Value::Object(arr) = *this.v() else {
+            return Ok(str_val("", this.d()));
+        };
+        let (sep, sd) = match a.first() {
+            Some(v) => (m.value_to_string(v.v()).to_string(), v.d()),
+            None => (",".to_owned(), D::Flag::DET),
+        };
+        let (len, ld) = array_len(m, arr);
+        let mut d = this.d().join(sd).join(ld);
+        let mut parts = Vec::with_capacity(len);
+        for i in 0..len {
+            let e = m.own_prop(arr, &i.to_string());
+            d = d.join(e.d());
+            parts.push(match e.v() {
+                Value::Undefined | Value::Null => String::new(),
+                v => m.value_to_string(v).to_string(),
+            });
+        }
+        Ok(str_val(&parts.join(&sep), d))
+    });
+    m.register_native("indexOf", proto, |m, this, a| {
+        let Value::Object(arr) = *this.v() else {
+            return Ok(D::V::det(Value::Num(-1.0)));
+        };
+        let needle = a
+            .first()
+            .cloned()
+            .unwrap_or_else(|| D::V::det(Value::Undefined));
+        let (len, ld) = array_len(m, arr);
+        let mut d = this.d().join(ld).join(needle.d());
+        for i in 0..len {
+            let e = m.own_prop(arr, &i.to_string());
+            d = d.join(e.d());
+            if coerce::strict_eq(e.v(), needle.v()) {
+                return Ok(D::V::new(Value::Num(i as f64), d));
             }
-            it.set_raw(arr, "length", Value::Num(len as f64));
-            Ok(Value::Num(len as f64))
-        }),
-        ("pop", |it, this, _| {
-            let Value::Object(arr) = this else {
-                return Ok(Value::Undefined);
-            };
-            let len = array_len(it, arr);
-            if len == 0 {
-                return Ok(Value::Undefined);
+        }
+        Ok(D::V::new(Value::Num(-1.0), d))
+    });
+    m.register_native("slice", proto, |m, this, a| {
+        let Value::Object(arr) = *this.v() else {
+            return Ok(D::V::det(Value::Undefined));
+        };
+        let (len, ld) = array_len(m, arr);
+        let (s, sd) = arg_num(a, 0, 0.0);
+        let (e, ed) = arg_num(a, 1, len as f64);
+        let d = this.d().join(ld).join(sd).join(ed);
+        let out = m.alloc(ObjClass::Array, Some(m.protos.array));
+        let end = norm_index(e, len as f64);
+        let mut i = norm_index(s, len as f64);
+        let mut n = 0usize;
+        let mut unknown_hole = false;
+        while i < end {
+            let key = (i as usize).to_string();
+            if m.has_own(arr, &key) {
+                let e = m.own_prop(arr, &key);
+                m.write_prop(out, &n.to_string(), e.weaken(d));
+            } else {
+                // A hole stays a hole; other executions may have an
+                // element there.
+                unknown_hole |= d.join(D::absent_flag(m, arr)).is_indet();
             }
-            let key = it.prog.interner.intern(&(len - 1).to_string());
-            let v = it
-                .obj_mut(arr)
-                .props
-                .remove(key)
-                .map(|s| s.value)
-                .unwrap_or(Value::Undefined);
-            it.set_raw(arr, "length", Value::Num(len as f64 - 1.0));
-            Ok(v)
-        }),
-        ("join", |it, this, a| {
-            let Value::Object(arr) = this else {
-                return Ok(Value::Str(Rc::from("")));
-            };
-            let sep = match a.first() {
-                Some(v) => it.value_to_string(v).to_string(),
-                None => ",".to_owned(),
-            };
-            let len = array_len(it, arr);
-            let mut parts = Vec::with_capacity(len);
-            for i in 0..len {
-                let v = it.get_raw(arr, &i.to_string()).unwrap_or(Value::Undefined);
-                parts.push(match v {
-                    Value::Undefined | Value::Null => String::new(),
-                    v => it.value_to_string(&v).to_string(),
-                });
-            }
-            Ok(Value::Str(Rc::from(parts.join(&sep).as_str())))
-        }),
-        ("indexOf", |it, this, a| {
-            let Value::Object(arr) = this else {
-                return Ok(Value::Num(-1.0));
-            };
-            let needle = a.first().cloned().unwrap_or(Value::Undefined);
-            let len = array_len(it, arr);
-            for i in 0..len {
-                let v = it.get_raw(arr, &i.to_string()).unwrap_or(Value::Undefined);
-                if coerce::strict_eq(&v, &needle) {
-                    return Ok(Value::Num(i as f64));
-                }
-            }
-            Ok(Value::Num(-1.0))
-        }),
-        ("slice", |it, this, a| {
-            let Value::Object(arr) = this else {
-                return Ok(Value::Undefined);
-            };
-            let len = array_len(it, arr) as f64;
-            let start = norm_index(arg_num(a, 0, 0.0).0, len);
-            let end = norm_index(arg_num(a, 1, len).0, len);
-            let out = it.alloc(ObjClass::Array, Some(it.protos.array));
-            let mut n = 0usize;
-            let mut i = start;
-            while i < end {
-                if let Some(v) = it.get_raw(arr, &(i as usize).to_string()) {
-                    it.set_raw(out, &n.to_string(), v);
-                }
-                n += 1;
-                i += 1.0;
-            }
-            it.set_raw(out, "length", Value::Num(n as f64));
-            Ok(Value::Object(out))
-        }),
-        ("concat", |it, this, a| {
-            let out = it.alloc(ObjClass::Array, Some(it.protos.array));
-            let mut n = 0usize;
-            let push_all = |it: &mut Interp<'_>, v: &Value, n: &mut usize| match v {
-                Value::Object(src) if it.obj(*src).class == ObjClass::Array => {
-                    let len = array_len(it, *src);
+            n += 1;
+            i += 1.0;
+        }
+        if unknown_hole {
+            D::open_record(m, out);
+        }
+        m.write_prop(out, "length", D::V::new(Value::Num(n as f64), d));
+        Ok(D::V::new(Value::Object(out), d))
+    });
+    m.register_native("concat", proto, |m, this, a| {
+        let out = m.alloc(ObjClass::Array, Some(m.protos.array));
+        let mut n = 0usize;
+        let mut d = D::Flag::DET;
+        for v in std::iter::once(&this).chain(a) {
+            d = d.join(v.d());
+            match *v.v() {
+                Value::Object(src) if m.obj(src).class == ObjClass::Array => {
+                    let (len, ld) = array_len(m, src);
+                    d = d.join(ld);
                     for i in 0..len {
-                        let e = it.get_raw(*src, &i.to_string()).unwrap_or(Value::Undefined);
-                        it.set_raw(out, &n.to_string(), e);
-                        *n += 1;
+                        let e = m.own_prop(src, &i.to_string());
+                        d = d.join(e.d());
+                        m.write_prop(out, &n.to_string(), e);
+                        n += 1;
                     }
                 }
-                other => {
-                    it.set_raw(out, &n.to_string(), other.clone());
-                    *n += 1;
+                _ => {
+                    m.write_prop(out, &n.to_string(), v.clone());
+                    n += 1;
                 }
-            };
-            push_all(it, &this, &mut n);
-            for v in a {
-                push_all(it, v, &mut n);
             }
-            it.set_raw(out, "length", Value::Num(n as f64));
-            Ok(Value::Object(out))
-        }),
-        ("shift", |it, this, _| {
-            let Value::Object(arr) = this else {
-                return Ok(Value::Undefined);
-            };
-            let len = array_len(it, arr);
-            if len == 0 {
-                return Ok(Value::Undefined);
-            }
-            let first = it.get_raw(arr, "0").unwrap_or(Value::Undefined);
-            for i in 1..len {
-                let v = it.get_raw(arr, &i.to_string()).unwrap_or(Value::Undefined);
-                it.set_raw(arr, &(i - 1).to_string(), v);
-            }
-            let last = it.prog.interner.intern(&(len - 1).to_string());
-            it.obj_mut(arr).props.remove(last);
-            it.set_raw(arr, "length", Value::Num(len as f64 - 1.0));
-            Ok(first)
-        }),
-        ("toString", |it, this, _| {
-            let s = it.display(&this);
-            Ok(Value::Str(Rc::from(s.as_str())))
-        }),
-    ];
-    for (name, f) in defs {
-        let n = it.register_native(name, *f);
-        it.set_raw(proto, name, Value::Object(n));
-    }
-}
-
-fn norm_index(i: f64, len: f64) -> f64 {
-    if i.is_nan() {
-        return 0.0;
-    }
-    if i < 0.0 {
-        (len + i).max(0.0)
-    } else {
-        i.min(len)
-    }
-}
-
-fn install_string_proto(it: &mut Interp<'_>) {
-    let proto = it.protos.string;
-    let defs: &[(&'static str, NativeFn)] = &[
-        ("charAt", |it, this, a| {
-            let s = it.value_to_string(&this);
-            let i = arg_num(a, 0, 0.0).0;
-            Ok(Value::Str(Rc::from(stdlib::char_at(&s, i).as_str())))
-        }),
-        ("charCodeAt", |it, this, a| {
-            let s = it.value_to_string(&this);
-            let i = arg_num(a, 0, 0.0).0;
-            Ok(Value::Num(stdlib::char_code_at(&s, i)))
-        }),
-        ("indexOf", |it, this, a| {
-            let s = it.value_to_string(&this);
-            let needle = it.arg_string(a, 0).0;
-            Ok(Value::Num(stdlib::index_of(&s, &needle)))
-        }),
-        ("lastIndexOf", |it, this, a| {
-            let s = it.value_to_string(&this);
-            let needle = it.arg_string(a, 0).0;
-            Ok(Value::Num(stdlib::last_index_of(&s, &needle)))
-        }),
-        ("substr", |it, this, a| {
-            let s = it.value_to_string(&this);
-            let start = arg_num(a, 0, 0.0).0;
-            let len = arg_num(a, 1, f64::INFINITY).0;
-            Ok(Value::Str(Rc::from(
-                stdlib::substr(&s, start, len).as_str(),
-            )))
-        }),
-        ("substring", |it, this, a| {
-            let s = it.value_to_string(&this);
-            let start = arg_num(a, 0, 0.0).0;
-            let end = arg_num(a, 1, f64::INFINITY).0;
-            Ok(Value::Str(Rc::from(
-                stdlib::substring(&s, start, end).as_str(),
-            )))
-        }),
-        ("slice", |it, this, a| {
-            let s = it.value_to_string(&this);
-            let start = arg_num(a, 0, 0.0).0;
-            let end = arg_num(a, 1, f64::INFINITY).0;
-            Ok(Value::Str(Rc::from(
-                stdlib::str_slice(&s, start, end).as_str(),
-            )))
-        }),
-        ("toUpperCase", |it, this, _| {
-            let s = it.value_to_string(&this);
-            Ok(Value::Str(Rc::from(s.to_uppercase().as_str())))
-        }),
-        ("toLowerCase", |it, this, _| {
-            let s = it.value_to_string(&this);
-            Ok(Value::Str(Rc::from(s.to_lowercase().as_str())))
-        }),
-        ("trim", |it, this, _| {
-            let s = it.value_to_string(&this);
-            Ok(Value::Str(Rc::from(s.trim())))
-        }),
-        ("concat", |it, this, a| {
-            let mut s = it.value_to_string(&this).to_string();
-            for v in a {
-                s.push_str(&it.value_to_string(v));
-            }
-            Ok(Value::Str(Rc::from(s.as_str())))
-        }),
-        ("split", |it, this, a| {
-            let s = it.value_to_string(&this);
-            let parts = match a.first() {
-                Some(Value::Str(sep)) => stdlib::split(&s, sep),
-                _ => vec![s.to_string()],
-            };
-            let arr = it.alloc(ObjClass::Array, Some(it.protos.array));
-            it.set_raw(arr, "length", Value::Num(parts.len() as f64));
-            for (i, p) in parts.iter().enumerate() {
-                it.set_raw(arr, &i.to_string(), Value::Str(Rc::from(p.as_str())));
-            }
-            Ok(Value::Object(arr))
-        }),
-        ("replace", |it, this, a| {
-            let s = it.value_to_string(&this);
-            let pat = it.arg_string(a, 0).0;
-            let rep = it.arg_string(a, 1).0;
-            Ok(Value::Str(Rc::from(
-                stdlib::replace_first(&s, &pat, &rep).as_str(),
-            )))
-        }),
-        ("toString", |it, this, _| {
-            let s = it.value_to_string(&this);
-            Ok(Value::Str(s))
-        }),
-    ];
-    for (name, f) in defs {
-        let n = it.register_native(name, *f);
-        it.set_raw(proto, name, Value::Object(n));
-    }
-}
-
-fn install_number_proto(it: &mut Interp<'_>) {
-    let proto = it.protos.number;
-    let to_string = it.register_native("toString", |it, this, _| {
-        let s = it.value_to_string(&this);
-        Ok(Value::Str(s))
+        }
+        m.write_prop(out, "length", D::V::new(Value::Num(n as f64), d));
+        Ok(D::V::new(Value::Object(out), d))
     });
-    it.set_raw(proto, "toString", Value::Object(to_string));
-    it.set_raw(it.protos.boolean, "toString", Value::Object(to_string));
+    m.register_native("shift", proto, |m, this, _| {
+        let Value::Object(arr) = *this.v() else {
+            return Ok(D::V::det(Value::Undefined));
+        };
+        let (len, ld) = array_len(m, arr);
+        let d = this.d().join(ld);
+        if len == 0 {
+            return Ok(D::V::new(Value::Undefined, d));
+        }
+        let first = m.own_prop(arr, "0");
+        for i in 1..len {
+            let e = m.own_prop(arr, &i.to_string());
+            m.write_prop(arr, &(i - 1).to_string(), e);
+        }
+        m.delete_prop(arr, &(len - 1).to_string());
+        m.write_prop(arr, "length", D::V::new(Value::Num(len as f64 - 1.0), d));
+        if this.d().is_indet() {
+            D::flush(m)?;
+        }
+        Ok(first.weaken(d))
+    });
+    m.register_native("toString", proto, |m, this, _| {
+        // Rendering reads every element; approximate the join with the
+        // receiver's flag plus the length slot.
+        let d = match *this.v() {
+            Value::Object(arr) => this.d().join(array_len(m, arr).1),
+            _ => this.d(),
+        };
+        Ok(str_val(&m.display(this.v()), d))
+    });
+}
+
+fn install_string_proto<D: Domain>(m: &mut Machine<'_, D>) {
+    let proto = m.protos.string;
+    m.register_native("charAt", proto, |m, this, a| {
+        let (s, sd) = this_string(m, &this);
+        let (i, id) = arg_num(a, 0, 0.0);
+        Ok(str_val(&stdlib::char_at(&s, i), sd.join(id)))
+    });
+    m.register_native("charCodeAt", proto, |m, this, a| {
+        let (s, sd) = this_string(m, &this);
+        let (i, id) = arg_num(a, 0, 0.0);
+        Ok(D::V::new(
+            Value::Num(stdlib::char_code_at(&s, i)),
+            sd.join(id),
+        ))
+    });
+    m.register_native("indexOf", proto, |m, this, a| {
+        let (s, sd) = this_string(m, &this);
+        let (needle, nd) = m.arg_string(a, 0);
+        Ok(D::V::new(
+            Value::Num(stdlib::index_of(&s, &needle)),
+            sd.join(nd),
+        ))
+    });
+    m.register_native("lastIndexOf", proto, |m, this, a| {
+        let (s, sd) = this_string(m, &this);
+        let (needle, nd) = m.arg_string(a, 0);
+        Ok(D::V::new(
+            Value::Num(stdlib::last_index_of(&s, &needle)),
+            sd.join(nd),
+        ))
+    });
+    m.register_native("substr", proto, |m, this, a| {
+        let (s, sd) = this_string(m, &this);
+        let (start, d1) = arg_num(a, 0, 0.0);
+        let (len, d2) = arg_num(a, 1, f64::INFINITY);
+        Ok(str_val(
+            &stdlib::substr(&s, start, len),
+            sd.join(d1).join(d2),
+        ))
+    });
+    m.register_native("substring", proto, |m, this, a| {
+        let (s, sd) = this_string(m, &this);
+        let (start, d1) = arg_num(a, 0, 0.0);
+        let (end, d2) = arg_num(a, 1, f64::INFINITY);
+        Ok(str_val(
+            &stdlib::substring(&s, start, end),
+            sd.join(d1).join(d2),
+        ))
+    });
+    m.register_native("slice", proto, |m, this, a| {
+        let (s, sd) = this_string(m, &this);
+        let (start, d1) = arg_num(a, 0, 0.0);
+        let (end, d2) = arg_num(a, 1, f64::INFINITY);
+        Ok(str_val(
+            &stdlib::str_slice(&s, start, end),
+            sd.join(d1).join(d2),
+        ))
+    });
+    m.register_native("toUpperCase", proto, |m, this, _| {
+        let (s, sd) = this_string(m, &this);
+        Ok(str_val(&s.to_uppercase(), sd))
+    });
+    m.register_native("toLowerCase", proto, |m, this, _| {
+        let (s, sd) = this_string(m, &this);
+        Ok(str_val(&s.to_lowercase(), sd))
+    });
+    m.register_native("trim", proto, |m, this, _| {
+        let (s, sd) = this_string(m, &this);
+        Ok(str_val(s.trim(), sd))
+    });
+    m.register_native("concat", proto, |m, this, a| {
+        let (s, mut d) = this_string(m, &this);
+        let mut out = s.to_string();
+        for v in a {
+            d = d.join(v.d());
+            out.push_str(&m.value_to_string(v.v()));
+        }
+        Ok(str_val(&out, d))
+    });
+    m.register_native("split", proto, |m, this, a| {
+        let (s, sd) = this_string(m, &this);
+        let (parts, d) = match a.first() {
+            Some(v) => match v.v() {
+                Value::Str(sep) => (stdlib::split(&s, sep), sd.join(v.d())),
+                _ => (vec![s.to_string()], sd),
+            },
+            None => (vec![s.to_string()], sd),
+        };
+        let arr = m.alloc(ObjClass::Array, Some(m.protos.array));
+        m.write_prop(arr, "length", D::V::new(Value::Num(parts.len() as f64), d));
+        for (i, p) in parts.iter().enumerate() {
+            m.write_prop(arr, &i.to_string(), str_val(p, d));
+        }
+        Ok(D::V::new(Value::Object(arr), d))
+    });
+    m.register_native("replace", proto, |m, this, a| {
+        let (s, sd) = this_string(m, &this);
+        let (pat, pd) = m.arg_string(a, 0);
+        let (rep, rd) = m.arg_string(a, 1);
+        Ok(str_val(
+            &stdlib::replace_first(&s, &pat, &rep),
+            sd.join(pd).join(rd),
+        ))
+    });
+    m.register_native("toString", proto, |m, this, _| {
+        let (s, sd) = this_string(m, &this);
+        Ok(D::V::new(Value::Str(s), sd))
+    });
+}
+
+fn install_number_proto<D: Domain>(m: &mut Machine<'_, D>) {
+    let to_string = m.register_native("toString", m.protos.number, |m, this, _| {
+        let (s, d) = this_string(m, &this);
+        Ok(D::V::new(Value::Str(s), d))
+    });
+    m.set_raw(m.protos.boolean, "toString", Value::Object(to_string));
 }

@@ -1,19 +1,15 @@
-//! Helpers shared by the concrete natives and the instrumented machine's
-//! native *models* (both must compute identical results for the
-//! soundness property to be testable): pure string/number functions,
-//! argument helpers generic over the value annotation, and the prelude
-//! both tables install first.
+//! Helpers of the native table ([`crate::natives`]): pure string/number
+//! functions, argument helpers generic over the value annotation, and the
+//! prelude the table installs first.
 
 use crate::coerce;
 use crate::domain::{AnnValue, Domain, Flag};
-use crate::machine::{Machine, NativeFn};
+use crate::machine::Machine;
 use crate::values::{ObjClass, Value};
 
-/// The start of both native tables: built-in flags on the prototypes and
-/// the global, the global constants, and `Math`, whose `random` each
-/// domain supplies. Allocation order is part of the contract (object ids
-/// appear in fact exports), so both tables must install this first.
-pub fn install_prelude<D: Domain>(m: &mut Machine<'_, D>, random: NativeFn<D>) {
+/// The start of the native table: built-in flags on the prototypes and
+/// the global, the global constants, and `Math`.
+pub fn install_prelude<D: Domain>(m: &mut Machine<'_, D>) {
     let g = m.global();
     let p = m.protos;
     for o in [
@@ -31,22 +27,33 @@ pub fn install_prelude<D: Domain>(m: &mut Machine<'_, D>, random: NativeFn<D>) {
     m.set_raw(g, "Math", Value::Object(math));
     m.set_raw(math, "PI", Value::Num(std::f64::consts::PI));
     m.set_raw(math, "E", Value::Num(std::f64::consts::E));
-    let defs: [(&'static str, NativeFn<D>); 9] = [
-        ("random", random),
-        ("floor", |_, _, a| Ok(num1(a, f64::floor))),
-        ("ceil", |_, _, a| Ok(num1(a, f64::ceil))),
-        ("round", |_, _, a| Ok(num1(a, f64::round))),
-        ("abs", |_, _, a| Ok(num1(a, f64::abs))),
-        ("sqrt", |_, _, a| Ok(num1(a, f64::sqrt))),
-        ("pow", |_, _, a| Ok(num2(a, f64::powf))),
-        ("max", |_, _, a| {
-            Ok(num_fold(a, f64::NEG_INFINITY, f64::max))
-        }),
-        ("min", |_, _, a| Ok(num_fold(a, f64::INFINITY, f64::min))),
-    ];
-    for (name, f) in defs {
-        let n = m.register_native(name, f);
-        m.set_raw(math, name, Value::Object(n));
+    // `Math.random` is the canonical indeterminate input (§2.1).
+    m.register_native("random", math, |m, _, _| {
+        Ok(D::V::new(Value::Num(m.random()), D::Flag::INDET))
+    });
+    m.register_native("floor", math, |_, _, a| Ok(num1(a, f64::floor)));
+    m.register_native("ceil", math, |_, _, a| Ok(num1(a, f64::ceil)));
+    m.register_native("round", math, |_, _, a| Ok(num1(a, f64::round)));
+    m.register_native("abs", math, |_, _, a| Ok(num1(a, f64::abs)));
+    m.register_native("sqrt", math, |_, _, a| Ok(num1(a, f64::sqrt)));
+    m.register_native("pow", math, |_, _, a| Ok(num2(a, f64::powf)));
+    m.register_native("max", math, |_, _, a| {
+        Ok(num_fold(a, f64::NEG_INFINITY, f64::max))
+    });
+    m.register_native("min", math, |_, _, a| {
+        Ok(num_fold(a, f64::INFINITY, f64::min))
+    });
+}
+
+/// A relative `slice` index: negative counts from the end, `NaN` is 0,
+/// and the result is clamped to `[0, len]`.
+pub fn norm_index(i: f64, len: f64) -> f64 {
+    if i.is_nan() {
+        0.0
+    } else if i < 0.0 {
+        (len + i).max(0.0)
+    } else {
+        i.min(len)
     }
 }
 
@@ -123,17 +130,8 @@ pub fn substring(s: &str, start: f64, end: f64) -> String {
 /// `String.prototype.slice(start, end)` (negative indices from the end).
 pub fn str_slice(s: &str, start: f64, end: f64) -> String {
     let n = s.chars().count() as f64;
-    let norm = |x: f64| {
-        if x.is_nan() {
-            0.0
-        } else if x < 0.0 {
-            (n + x).max(0.0)
-        } else {
-            x.min(n)
-        }
-    };
-    let a = norm(start);
-    let b = norm(end);
+    let a = norm_index(start, n);
+    let b = norm_index(end, n);
     if a >= b {
         return String::new();
     }

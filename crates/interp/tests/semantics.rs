@@ -296,6 +296,11 @@ fn array_methods() {
     assert_eq!(log1("var a=[1,2]; console.log(a.shift(), a[0]);"), "1 2");
     // A non-canonical index key is an ordinary property.
     assert_eq!(log1(r#"var a=[]; a["+1"]=5; console.log(a.length);"#), "0");
+    // `slice` keeps holes as holes.
+    assert_eq!(
+        log1("var a=[]; a[2]=1; var b=a.slice(0); console.log(b.hasOwnProperty('0'), b.length);"),
+        "false 3"
+    );
 }
 
 #[test]
@@ -310,6 +315,13 @@ fn string_methods() {
     assert_eq!(log1(r#"console.log("hello"["01"]);"#), "undefined");
     assert_eq!(log1(r#"console.log("hello".length);"#), "5");
     assert_eq!(log1(r#"console.log("a-b-c".replace("-", "+"));"#), "a+b-c");
+    // `String()` is the empty string; `parseInt`/`parseFloat` take
+    // `ToString` of objects.
+    assert_eq!(log1(r#"console.log("[" + String() + "]");"#), "[]");
+    assert_eq!(
+        log1("console.log(parseInt([5]), parseFloat([2.5]));"),
+        "5 2.5"
+    );
 }
 
 #[test]

@@ -135,6 +135,198 @@ fn soundness_with_deep_nesting() {
     }
 }
 
+/// Argument expressions the native agreement programs pass: an
+/// `undefined`, a number, a string, an array, a sparse array and an
+/// object (the absent argument is the empty list).
+const NATIVE_ARGS: [&str; 6] = ["undefined", "7", "\"5px\"", "[5]", "sparse()", "{ a: 1 }"];
+
+/// Receivers for the prototype natives: the argument kinds plus a
+/// function (for `call`/`apply`).
+const NATIVE_RECEIVERS: [&str; 7] = [
+    "undefined",
+    "7",
+    "\"a-b\"",
+    "[1, 2, 3]",
+    "sparse()",
+    "{ a: 1 }",
+    "probe",
+];
+
+/// Every installed native outside the DOM, with the receivers it is
+/// called on; the constructors are also called with `new`.
+fn native_cases() -> Vec<(String, Vec<&'static str>, bool)> {
+    let mut cases = Vec::new();
+    for g in [
+        "parseInt",
+        "parseFloat",
+        "isNaN",
+        "isFinite",
+        "eval",
+        "alert",
+        "__indet",
+        "__opaque",
+    ] {
+        cases.push((g.to_owned(), vec!["undefined"], false));
+    }
+    for c in [
+        "Object", "Array", "String", "Number", "Boolean", "Error", "Date",
+    ] {
+        cases.push((c.to_owned(), vec!["undefined"], true));
+    }
+    for f in [
+        "random", "floor", "ceil", "round", "abs", "sqrt", "pow", "max", "min",
+    ] {
+        cases.push((format!("Math.{f}"), vec!["Math"], false));
+    }
+    cases.push(("Date.now".to_owned(), vec!["Date"], false));
+    for f in ["log", "error", "warn"] {
+        cases.push((format!("console.{f}"), vec!["console"], false));
+    }
+    let protos: [(&str, &[&str]); 5] = [
+        ("Object", &["hasOwnProperty", "toString"]),
+        ("Function", &["call", "apply"]),
+        (
+            "Array",
+            &[
+                "push", "pop", "join", "indexOf", "slice", "concat", "shift", "toString",
+            ],
+        ),
+        (
+            "String",
+            &[
+                "charAt",
+                "charCodeAt",
+                "indexOf",
+                "lastIndexOf",
+                "substr",
+                "substring",
+                "slice",
+                "toUpperCase",
+                "toLowerCase",
+                "trim",
+                "concat",
+                "split",
+                "replace",
+                "toString",
+            ],
+        ),
+        ("Number", &["toString"]),
+    ];
+    for (ctor, methods) in protos {
+        for m in methods {
+            cases.push((
+                format!("{ctor}.prototype.{m}"),
+                NATIVE_RECEIVERS.to_vec(),
+                false,
+            ));
+        }
+    }
+    cases.push((
+        "Boolean.prototype.toString".to_owned(),
+        vec!["true", "undefined"],
+        false,
+    ));
+    cases
+}
+
+/// A program calling `native` on each receiver with no argument, one
+/// argument and two arguments of every kind, printing each result with
+/// its own enumerable properties (so holes and extra slots show).
+fn native_program(native: &str, receivers: &[&str], construct: bool) -> String {
+    let mut src = String::from(
+        r#"function sparse() { var s = []; s[2] = 1; return s; }
+function probe(x, y) { return [typeof this, arguments.length, typeof x, typeof y].join(" "); }
+function describe(v) {
+  if (v === null || typeof v !== "object") return typeof v + " " + String(v);
+  var keys = [];
+  for (var k in v) keys.push(k + "=" + String(v[k]));
+  return "object " + String(v) + " {" + keys.join(",") + "}";
+}
+"#,
+    );
+    let mut arg_lists = vec![String::new()];
+    arg_lists.extend(NATIVE_ARGS.iter().map(|a| (*a).to_owned()));
+    arg_lists.extend(NATIVE_ARGS.iter().map(|a| format!("{a}, {a}")));
+    let mut calls = Vec::new();
+    for recv in receivers {
+        for args in &arg_lists {
+            let sep = if args.is_empty() { "" } else { ", " };
+            calls.push(format!("{native}.call({recv}{sep}{args})"));
+        }
+    }
+    if construct {
+        calls.extend(arg_lists.iter().map(|args| format!("new {native}({args})")));
+    }
+    for (i, call) in calls.iter().enumerate() {
+        src.push_str(&format!(
+            "try {{ console.log(\"#{i}\", describe({call})); }} \
+             catch (e) {{ console.log(\"#{i} throws\", String(e.name)); }}\n"
+        ));
+    }
+    src
+}
+
+/// Machine agreement on the one native table: every native, called with
+/// absent, `undefined`, number, string, array, sparse-array and object
+/// arguments, prints the same in the concrete and instrumented machines,
+/// and the instrumented run's determinate observations hold concretely.
+#[test]
+fn natives_agree_across_machines() {
+    for (native, receivers, construct) in native_cases() {
+        let src = native_program(&native, &receivers, construct);
+        let out = instrumented_run(&src, 1);
+        assert_eq!(
+            out.status,
+            determinacy::AnalysisStatus::Completed,
+            "{native}: the agreement program must complete"
+        );
+        check_program(&src, 1);
+    }
+}
+
+/// With a DOM installed, both machines have built the same host heap, so
+/// the first object the program allocates gets the same id in both.
+#[test]
+fn dom_install_allocates_alike() {
+    use mujs_dom::document::Document;
+    use mujs_dom::events::EventPlan;
+    let src = "var o = {};";
+    let first_obj = |obs: Vec<mujs_interp::Value>| {
+        obs.into_iter().find_map(|v| match v {
+            mujs_interp::Value::Object(id) => Some(id),
+            _ => None,
+        })
+    };
+    let mut h = Harness::from_src(src).expect("parses");
+    let concrete = h.run_dom(
+        InterpOptions {
+            record_observations: true,
+            ..Default::default()
+        },
+        Document::new(),
+        &EventPlan::new(),
+    );
+    let mut dh = DetHarness::from_src(src).expect("parses");
+    let instrumented = dh.analyze_dom(
+        AnalysisConfig {
+            record_observations: true,
+            ..Default::default()
+        },
+        Document::new(),
+        &EventPlan::new(),
+    );
+    let c = first_obj(concrete.observations.into_iter().map(|o| o.value).collect());
+    let i = first_obj(
+        instrumented
+            .observations
+            .into_iter()
+            .map(|o| o.value.v)
+            .collect(),
+    );
+    assert!(c.is_some(), "the program allocates an object");
+    assert_eq!(c, i);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 48,
