@@ -5,8 +5,10 @@
 //! * `table1` (binary) — pointer-analysis scalability on the jQuery-like
 //!   corpus: Baseline vs Spec vs Spec+DetDOM with heap-flush counts;
 //! * `eval_elim` (binary) — the §5.2 eval-elimination study;
-//! * Criterion benches — instrumentation overhead, counterfactual depth,
-//!   flush mechanism, context depth, frontend/PTA throughput.
+//! * `detbench` (binary) — writes `BENCH_pta.json`, the deterministic
+//!   work and precision counts of the PTA mode comparison.
+//!
+//! Timing lives in the standalone `detperf` benchmark, not here.
 //!
 //! The [`pipeline`] module is the shared dynamic-analysis → specialize →
 //! PTA plumbing.
@@ -15,7 +17,6 @@ pub mod pipeline;
 
 pub use pipeline::{
     analyze_page, eliminate, root_cause_cols, run_eval_elim, run_eval_elim_pooled, run_pta_compare,
-    run_table1, run_table1_at_depth, run_table1_pooled, spec_config, spec_pipeline, EvalElimRow,
-    PipelineError, PipelineResult, PtaCompareRow, PtaModeRow, RootCauseCol, Table1Row,
-    TABLE1_PTA_BUDGET,
+    run_table1, run_table1_pooled, spec_pipeline, EvalElimRow, PipelineError, PipelineResult,
+    PtaCompareRow, PtaModeRow, RootCauseCol, Table1Row, TABLE1_PTA_BUDGET,
 };

@@ -11,7 +11,6 @@ use mujs_ir::Program;
 use mujs_pta::{PtaConfig, PtaStatus};
 use mujs_specialize::{SpecConfig, SpecReport};
 use mujs_syntax::SyntaxError;
-use std::time::{Duration, Instant};
 
 /// Why a pipeline run failed: the page's script did not parse, or the
 /// analysis engine failed (panics are isolated by the run supervisor and
@@ -52,7 +51,7 @@ impl From<RunFailure> for PipelineError {
 /// intractable configurations by a wide margin.
 pub const TABLE1_PTA_BUDGET: u64 = 150_000;
 
-/// The `detbench --pta` comparison budget. Raised from
+/// The `detbench` comparison budget. Raised from
 /// [`TABLE1_PTA_BUDGET`] when the delta-propagating solver landed: the
 /// uninjected baseline reaches its true fixpoint (~930k propagations on
 /// jQuery 1.0–1.3) well inside this budget, so the comparison measures
@@ -73,8 +72,6 @@ pub struct PipelineResult {
     pub pta_status: PtaStatus,
     /// PTA propagation work.
     pub pta_work: u64,
-    /// PTA wall time.
-    pub pta_time: Duration,
 }
 
 /// Runs the instrumented analysis over a page under the run supervisor:
@@ -95,25 +92,8 @@ pub fn analyze_page(
     Ok((h, out))
 }
 
-/// The specializer configuration for an optional `--spec-depth`
-/// override: `None` keeps the default context depth, `Some(d)` bounds
-/// specialization contexts at depth `d`. Centralized here so every
-/// harness (`detbench`, `detblame`, the Table 1 runner) interprets the
-/// knob identically.
-pub fn spec_config(depth: Option<usize>) -> SpecConfig {
-    match depth {
-        Some(max_context_depth) => SpecConfig {
-            max_context_depth,
-            ..SpecConfig::default()
-        },
-        None => SpecConfig::default(),
-    }
-}
-
 /// Full Spec pipeline: instrumented run → specializer → budgeted PTA.
 /// With `spec: false` the specializer is skipped (Baseline).
-/// `spec_depth` overrides the specializer's context-depth bound
-/// (`None` = default).
 ///
 /// # Errors
 ///
@@ -125,7 +105,6 @@ pub fn spec_pipeline(
     det_dom: bool,
     spec: bool,
     pta_budget: u64,
-    spec_depth: Option<usize>,
 ) -> Result<PipelineResult, PipelineError> {
     let cfg = AnalysisConfig {
         det_dom,
@@ -137,13 +116,12 @@ pub fn spec_pipeline(
             &h.program,
             &analysis.facts,
             &mut analysis.ctxs,
-            &spec_config(spec_depth),
+            &SpecConfig::default(),
         );
         (s.program, Some(s.report))
     } else {
         (h.program.clone(), None)
     };
-    let t0 = Instant::now();
     let pta = mujs_pta::solve(
         &pta_program,
         &PtaConfig {
@@ -151,14 +129,12 @@ pub fn spec_pipeline(
             ..Default::default()
         },
     );
-    let pta_time = t0.elapsed();
     Ok(PipelineResult {
         analysis,
         spec_report,
         pta_program,
         pta_status: pta.status,
         pta_work: pta.stats.propagations,
-        pta_time,
     })
 }
 
@@ -212,25 +188,9 @@ impl Table1Row {
 ///
 /// Propagates the first [`PipelineError`] from the three configurations.
 pub fn run_table1(v: &JQueryLike, pta_budget: u64) -> Result<Table1Row, PipelineError> {
-    run_table1_at_depth(v, pta_budget, None)
-}
-
-/// [`run_table1`] with an explicit specializer context-depth override
-/// (the `--spec-depth` knob).
-///
-/// # Errors
-///
-/// Propagates the first [`PipelineError`] from the three configurations.
-pub fn run_table1_at_depth(
-    v: &JQueryLike,
-    pta_budget: u64,
-    spec_depth: Option<usize>,
-) -> Result<Table1Row, PipelineError> {
-    let baseline = spec_pipeline(
-        &v.src, &v.doc, &v.plan, false, false, pta_budget, spec_depth,
-    )?;
-    let spec = spec_pipeline(&v.src, &v.doc, &v.plan, false, true, pta_budget, spec_depth)?;
-    let detdom = spec_pipeline(&v.src, &v.doc, &v.plan, true, true, pta_budget, spec_depth)?;
+    let baseline = spec_pipeline(&v.src, &v.doc, &v.plan, false, false, pta_budget)?;
+    let spec = spec_pipeline(&v.src, &v.doc, &v.plan, false, true, pta_budget)?;
+    let detdom = spec_pipeline(&v.src, &v.doc, &v.plan, true, true, pta_budget)?;
     Ok(Table1Row {
         version: v.version,
         baseline_ok: baseline.pta_status == PtaStatus::Completed,
@@ -253,11 +213,6 @@ pub struct PtaModeRow {
     pub ok: bool,
     /// Propagation work (deterministic).
     pub work: u64,
-    /// Solve wall time in milliseconds (machine-dependent).
-    pub wall_ms: f64,
-    /// Propagation throughput (`work / wall`), the solver's headline
-    /// performance number.
-    pub work_per_sec: f64,
     /// Call sites with at least one resolved target.
     pub call_sites: usize,
     /// Call sites with more than one canonical target.
@@ -268,30 +223,18 @@ pub struct PtaModeRow {
     pub reachable_funcs: usize,
 }
 
-fn mode_row(r: &mujs_pta::PtaResult, prog: &Program, wall: Duration) -> PtaModeRow {
+/// Runs one solve and produces its comparison row.
+fn mode_row(prog: &Program, cfg: &PtaConfig) -> PtaModeRow {
+    let r = mujs_pta::solve(prog, cfg);
     let p = r.precision(prog);
-    let wall_ms = wall.as_secs_f64() * 1e3;
     PtaModeRow {
         ok: r.status == PtaStatus::Completed,
         work: r.stats.propagations,
-        wall_ms,
-        work_per_sec: if wall_ms > 0.0 {
-            r.stats.propagations as f64 / (wall_ms / 1e3)
-        } else {
-            0.0
-        },
         call_sites: p.call_sites,
         poly_sites: p.poly_sites,
         avg_points_to: p.avg_points_to,
         reachable_funcs: p.reachable_funcs,
     }
-}
-
-/// Runs one timed solve and produces its comparison row.
-fn timed_solve(prog: &Program, cfg: &PtaConfig) -> PtaModeRow {
-    let t0 = Instant::now();
-    let r = mujs_pta::solve(prog, cfg);
-    mode_row(&r, prog, t0.elapsed())
 }
 
 /// One ranked root-cause column of a comparison row: a blame cause of
@@ -337,7 +280,44 @@ pub struct PtaCompareRow {
 ///
 /// Propagates [`PipelineError`] from [`analyze_page`].
 pub fn run_pta_compare(v: &JQueryLike, pta_budget: u64) -> Result<PtaCompareRow, PipelineError> {
-    run_pta_compare_with(v, pta_budget, None)
+    let cfg = AnalysisConfig {
+        det_dom: true,
+        ..Default::default()
+    };
+    let (h, mut analysis) = analyze_page(&v.src, &v.doc, &v.plan, cfg)?;
+    let mut prog = h.program;
+    let facts = determinacy::injectable_facts(&analysis.facts, &mut prog);
+    let injected_sites = facts.len();
+
+    let base_cfg = PtaConfig {
+        budget: pta_budget,
+        ..Default::default()
+    };
+    let baseline = mode_row(&prog, &base_cfg);
+    let inj_cfg = PtaConfig {
+        budget: pta_budget,
+        facts: Some(facts),
+        ..Default::default()
+    };
+    let injected = mode_row(&prog, &inj_cfg);
+    let spec = mujs_specialize::specialize(
+        &prog,
+        &analysis.facts,
+        &mut analysis.ctxs,
+        &SpecConfig::default(),
+    );
+    let specialized = mode_row(&spec.program, &base_cfg);
+    // Root causes describe the *baseline program's* imprecision.
+    let root_causes = root_cause_cols(&prog, pta_budget, 3);
+
+    Ok(PtaCompareRow {
+        version: v.version.to_owned(),
+        injected_sites,
+        baseline,
+        injected,
+        specialized,
+        root_causes,
+    })
 }
 
 /// Ranks the baseline imprecision root causes of `prog` via one
@@ -363,57 +343,6 @@ pub fn root_cause_cols(prog: &Program, budget: u64, top_k: usize) -> Vec<RootCau
                 .collect()
         })
         .unwrap_or_default()
-}
-
-/// [`run_pta_compare`] with a specializer depth override (the
-/// `--spec-depth` knob).
-///
-/// # Errors
-///
-/// Propagates [`PipelineError`] from [`analyze_page`].
-pub fn run_pta_compare_with(
-    v: &JQueryLike,
-    pta_budget: u64,
-    spec_depth: Option<usize>,
-) -> Result<PtaCompareRow, PipelineError> {
-    let cfg = AnalysisConfig {
-        det_dom: true,
-        ..Default::default()
-    };
-    let (h, mut analysis) = analyze_page(&v.src, &v.doc, &v.plan, cfg)?;
-    let mut prog = h.program;
-    let facts = determinacy::injectable_facts(&analysis.facts, &mut prog);
-    let injected_sites = facts.len();
-
-    let base_cfg = PtaConfig {
-        budget: pta_budget,
-        ..Default::default()
-    };
-    let baseline = timed_solve(&prog, &base_cfg);
-    let inj_cfg = PtaConfig {
-        budget: pta_budget,
-        facts: Some(facts),
-        ..Default::default()
-    };
-    let injected = timed_solve(&prog, &inj_cfg);
-    let spec = mujs_specialize::specialize(
-        &prog,
-        &analysis.facts,
-        &mut analysis.ctxs,
-        &spec_config(spec_depth),
-    );
-    let specialized = timed_solve(&spec.program, &base_cfg);
-    // Root causes describe the *baseline program's* imprecision.
-    let root_causes = root_cause_cols(&prog, pta_budget, 3);
-
-    Ok(PtaCompareRow {
-        version: v.version.to_owned(),
-        injected_sites,
-        baseline,
-        injected,
-        specialized,
-        root_causes,
-    })
 }
 
 /// One row of the shortcut comparison: injection-only vs
@@ -466,14 +395,14 @@ pub fn run_shortcut_compare(
         facts: Some(facts.clone()),
         ..Default::default()
     };
-    let injected = timed_solve(&prog, &inj_cfg);
+    let injected = mode_row(&prog, &inj_cfg);
     let sc_cfg = PtaConfig {
         budget: pta_budget,
         facts: Some(facts),
         shortcuts: Some(std::sync::Arc::new(sums.summaries.clone())),
         ..Default::default()
     };
-    let shortcut = timed_solve(&prog, &sc_cfg);
+    let shortcut = mode_row(&prog, &sc_cfg);
 
     Ok(ShortcutCompareRow {
         version: v.version.to_owned(),

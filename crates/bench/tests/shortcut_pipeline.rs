@@ -1,9 +1,9 @@
 //! End-to-end shortcut-mode gates over the Table 1 corpus: at the tight
 //! 150k budget, injection+summaries must complete every version
 //! (including 1.3, where specialization exhausts) and dominate the
-//! injection-only rows on both precision axes. These are the acceptance
-//! criteria the `detbench --pta` harness gates in CI; the test keeps
-//! them honest without a full bench run.
+//! injection-only rows on both precision axes. `detbench` records the
+//! numbers in the `shortcuts` section of `BENCH_pta.json`; this test is
+//! the one place the claims are asserted.
 
 use mujs_bench::pipeline::{run_shortcut_compare, TABLE1_PTA_BUDGET};
 

@@ -240,6 +240,68 @@ if (a) { if (b) { x = 1; } }
     // The inner counterfactual exceeds k=1 and aborts with a flush.
     assert!(out.stats.cf_aborts >= 1);
     assert!(out.stats.heap_flushes >= 1);
+
+    // Ablation over the cut-off `k` on a 10-deep nest of untaken
+    // indeterminate ifs: each level up to `k` runs counterfactually, the
+    // level past it aborts once with one flush, and every extra level
+    // explored yields more determinate facts.
+    let depth = 10;
+    let mut nested = String::from("var o = { v: 0 };\n");
+    for _ in 0..depth {
+        nested.push_str("if (__indet(false)) {\n");
+    }
+    nested.push_str("o.v = 1;\n");
+    nested.push_str(&"}\n".repeat(depth));
+    nested.push_str("console.log(o.v);\n");
+    // (k, steps, determinate facts)
+    for (k, steps, det) in [
+        (0u32, 13, 10),
+        (2, 21, 16),
+        (4, 29, 22),
+        (8, 45, 34),
+        (16, 52, 40),
+    ] {
+        let cfg = AnalysisConfig {
+            cf_depth_k: k,
+            flush_cap: None,
+            ..Default::default()
+        };
+        let (_, out) = analyze_cfg(&nested, cfg);
+        let cut = u64::from(k < 10);
+        assert_eq!(out.stats.counterfactuals, u64::from(k.min(10)), "k={k}");
+        assert_eq!(out.stats.cf_aborts, cut, "k={k}");
+        assert_eq!(u64::from(out.stats.heap_flushes), cut, "k={k}");
+        assert_eq!(out.stats.steps, steps, "k={k}");
+        assert_eq!(out.facts.det_count(), det, "k={k}");
+    }
+
+    // Counterfactual execution on vs off over a chain of 40 untaken
+    // 8-statement branches: on, every branch is explored and undone with
+    // no flush; off, every branch aborts and flushes the heap (ĈNTRABORT),
+    // losing most determinate facts.
+    let mut chain = String::from("var state = { x: 0 };\n");
+    for i in 0..40 {
+        chain.push_str(&format!("var c{i} = __indet(false);\nif (c{i}) {{\n"));
+        for j in 0..8 {
+            chain.push_str(&format!("  state.x = state.x + {j};\n"));
+        }
+        chain.push_str("}\n");
+    }
+    chain.push_str("console.log(state.x);\n");
+    // (enabled, counterfactuals, aborts, flushes, determinate facts)
+    for (enabled, cfs, aborts, flushes, det) in [(true, 40, 0, 0, 1104), (false, 0, 40, 40, 127)] {
+        let cfg = AnalysisConfig {
+            cf_depth_k: 8,
+            counterfactual: enabled,
+            flush_cap: None,
+            ..Default::default()
+        };
+        let (_, out) = analyze_cfg(&chain, cfg);
+        assert_eq!(out.stats.counterfactuals, cfs, "counterfactual={enabled}");
+        assert_eq!(out.stats.cf_aborts, aborts, "counterfactual={enabled}");
+        assert_eq!(out.stats.heap_flushes, flushes, "counterfactual={enabled}");
+        assert_eq!(out.facts.det_count(), det, "counterfactual={enabled}");
+    }
 }
 
 #[test]
@@ -549,6 +611,36 @@ for (var i = 0; i < 100; i++) { __opaque(); }
     let (_, out) = analyze_cfg(src, cfg);
     assert_eq!(out.status, AnalysisStatus::FlushCapReached);
     assert!(out.stats.heap_flushes >= 10);
+}
+
+#[test]
+fn epoch_flush_cost_is_independent_of_heap_size() {
+    // §4's epoch-counter flush is O(1) in heap size: 200 `__opaque()`
+    // calls flush the same number of times, and cost the same number of
+    // extra steps over the flush-free run, whether the live heap holds
+    // 100 or 1600 objects.
+    let src = |objects: usize, flushes: usize| {
+        format!(
+            "var store = [];\n\
+             for (var i = 0; i < {objects}; i++) {{ store.push({{ idx: i, even: i % 2 }}); }}\n\
+             for (var f = 0; f < {flushes}; f++) {{ __opaque(); }}\n\
+             console.log(store.length);"
+        )
+    };
+    let cfg = AnalysisConfig {
+        flush_cap: None,
+        ..Default::default()
+    };
+    for objects in [100, 400, 1600] {
+        let (_, with) = analyze_cfg(&src(objects, 200), cfg.clone());
+        let (_, without) = analyze_cfg(&src(objects, 0), cfg.clone());
+        assert_eq!(with.stats.heap_flushes, 201, "{objects} objects");
+        assert_eq!(
+            with.stats.steps - without.stats.steps,
+            1802,
+            "{objects} objects"
+        );
+    }
 }
 
 #[test]

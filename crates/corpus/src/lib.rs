@@ -7,13 +7,10 @@
 //!   attributes that version's result to (accessor-definition loops, DOM
 //!   feature detection, lazy initialization, handler storms);
 //! * [`evalbench`] — 28 programs (24 runnable) standing in for the Jensen
-//!   et al. eval suite, one per reported outcome category;
-//! * [`workload`] — parameterized synthetic programs for the Criterion
-//!   benches.
+//!   et al. eval suite, one per reported outcome category.
 //!
 //! See `DESIGN.md` §2 for why these substitutions preserve the relevant
 //! behavior.
 
 pub mod evalbench;
 pub mod jquery_like;
-pub mod workload;
