@@ -10,6 +10,7 @@
 use crate::det::{DValue, Det, FactValue};
 use mujs_interp::context::{ContextTable, CtxId};
 use mujs_interp::{ObjClass, Value};
+use mujs_ir::hash::FastMap;
 use mujs_ir::{Program, StmtId};
 use mujs_syntax::span::SourceFile;
 use std::collections::HashMap;
@@ -58,17 +59,10 @@ impl Fact {
         }
     }
 
+    /// Within-run merge of two hits: the fact stays determinate only when
+    /// both hits are determinate with the same value.
     fn merge_with(&mut self, incoming: &Fact) {
-        let degrade = match (&*self, incoming) {
-            (Fact::Det(a), Fact::Det(b)) => !a.same(b),
-            _ => true,
-        };
-        if degrade && !matches!((&*self, incoming), (Fact::Indet, _)) {
-            if let (Fact::Det(a), Fact::Det(b)) = (&*self, incoming) {
-                if a.same(b) {
-                    return;
-                }
-            }
+        if !matches!((&*self, incoming), (Fact::Det(a), Fact::Det(b)) if a.same(b)) {
             *self = Fact::Indet;
         }
     }
@@ -114,8 +108,8 @@ pub enum FactKind {
 /// runs.
 #[derive(Debug, Default)]
 pub struct FactDb {
-    facts: HashMap<(FactKind, StmtId, CtxId), Fact>,
-    trips: HashMap<(StmtId, CtxId), TripFact>,
+    facts: FastMap<(FactKind, StmtId, CtxId), Fact>,
+    trips: FastMap<(StmtId, CtxId), TripFact>,
     dropped: u64,
     max_entries: usize,
 }
@@ -414,6 +408,16 @@ mod tests {
             &DValue::indet(Value::Num(5.0)),
         );
         assert_eq!(db.get(FactKind::Define, p, CtxId::ROOT), Some(&Fact::Indet));
+        // The other order: an indeterminate first hit stays indeterminate.
+        let q = StmtId(2);
+        db.record(
+            FactKind::Define,
+            q,
+            CtxId::ROOT,
+            &DValue::indet(Value::Num(5.0)),
+        );
+        db.record(FactKind::Define, q, CtxId::ROOT, &dv(Value::Num(5.0)));
+        assert_eq!(db.get(FactKind::Define, q, CtxId::ROOT), Some(&Fact::Indet));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!   slots, and per-object `ObjExtra` state (creation epoch, forced
 //!   openness, prototype-link flag);
 //! * the O(1) epoch-counter heap flush (§4) and open records;
-//! * write logs for the conditional rules, with undo for counterfactual
-//!   execution (ĈNTR) and its conservative abort (ĈNTRABORT);
+//! * one flat write log for the conditional rules, with undo for
+//!   counterfactual execution (ĈNTR) and its conservative abort
+//!   (ĈNTRABORT);
 //! * fact recording, budgets, supervision hooks and fault injection.
 //!
 //! Statement execution and the native models are the machine's
@@ -124,8 +125,11 @@ pub struct Instrumented {
     epoch: u64,
     cf_depth: u32,
     cf_steps: u64,
-    /// One write-log region per active Figure 9 conditional rule.
-    logs: Vec<Vec<LogEntry>>,
+    /// The write log of every open Figure 9 conditional rule, innermost
+    /// region last; entries are kept only while some region is open.
+    log: Vec<LogEntry>,
+    /// The start offset in `log` of each open region, innermost last.
+    regions: Vec<usize>,
     closure_writes: mujs_ir::closure_writes::ClosureWrites,
     cw_funcs_len: usize,
     /// Library setup: slots and objects created now are built-ins.
@@ -224,8 +228,8 @@ impl Instrumented {
     }
 
     fn log(&mut self, e: LogEntry) {
-        if let Some(top) = self.logs.last_mut() {
-            top.push(e);
+        if !self.regions.is_empty() {
+            self.log.push(e);
         }
     }
 
@@ -264,7 +268,8 @@ impl Domain for Instrumented {
             epoch: 0,
             cf_depth: 0,
             cf_steps: 0,
-            logs: Vec::new(),
+            log: Vec::new(),
+            regions: Vec::new(),
             closure_writes: mujs_ir::closure_writes::ClosureWrites::default(),
             cw_funcs_len: 0,
             setup_mode: true,
@@ -590,22 +595,13 @@ impl Domain for Instrumented {
     }
 
     fn open_region(m: &mut DMachine<'_>) {
-        m.domain.logs.push(Vec::new());
+        m.domain.regions.push(m.domain.log.len());
     }
 
-    /// Closes the innermost region — marking every written location
-    /// indeterminate (rule ÎF1 with `d = ?`) when `mark` is set — and
-    /// propagates its entries to the enclosing region.
+    /// Closes the innermost region, marking every written location
+    /// indeterminate (rule ÎF1 with `d = ?`) when `mark` is set.
     fn close_region(m: &mut DMachine<'_>, frame: &mut DFrame, mark: bool) {
-        let region = m.domain.logs.pop().expect("log region open");
-        if mark {
-            for e in &region {
-                mark_entry(m, e, frame);
-            }
-        }
-        if let Some(parent) = m.domain.logs.last_mut() {
-            parent.extend(region);
-        }
+        end_region(m, frame, false, mark);
     }
 
     /// Rule ĈNTR: execute `blocks` under an undo log, roll back, and mark
@@ -643,7 +639,7 @@ impl Domain for Instrumented {
             m.domain.cf_steps = 0;
         }
         m.domain.cf_depth += 1;
-        m.domain.logs.push(Vec::new());
+        m.domain.regions.push(m.domain.log.len());
         let mut outcome: Result<(), DErr> = Ok(());
         for b in blocks {
             match m.exec_block(frame, b) {
@@ -666,16 +662,7 @@ impl Domain for Instrumented {
         // Undo every write in reverse order, then mark the restored
         // locations indeterminate — ĈNTR's `ρ̂′[vd(t̂) := ρ̂?]` /
         // `ĥ′[pd(t̂) := ĥ?]`.
-        let region = m.domain.logs.pop().expect("log region open");
-        for e in region.iter().rev() {
-            undo_entry(m, e, frame);
-        }
-        for e in &region {
-            mark_entry(m, e, frame);
-        }
-        if let Some(parent) = m.domain.logs.last_mut() {
-            parent.extend(region);
-        }
+        end_region(m, frame, true, true);
         match outcome {
             Ok(()) => Ok(()),
             Err(DErr::Stop(s)) => Err(DErr::Stop(s)),
@@ -716,6 +703,30 @@ impl Domain for Instrumented {
             }
         }
         Ok(())
+    }
+}
+
+/// Closes the innermost write-log region: undoes its entries in reverse
+/// when `undo` is set, then marks them when `mark` is set. The entries stay
+/// in the flat log, where they now belong to the enclosing region, which
+/// may mark or undo them again. With no region left open the log is freed,
+/// buffer and all, so no log memory stays held between outermost regions.
+/// Neither step logs, so the log is taken out while they run.
+fn end_region(m: &mut DMachine<'_>, frame: &mut DFrame, undo: bool, mark: bool) {
+    let start = m.domain.regions.pop().expect("log region open");
+    let log = std::mem::take(&mut m.domain.log);
+    if undo {
+        for e in log[start..].iter().rev() {
+            undo_entry(m, e, frame);
+        }
+    }
+    if mark {
+        for e in &log[start..] {
+            mark_entry(m, e, frame);
+        }
+    }
+    if !m.domain.regions.is_empty() {
+        m.domain.log = log;
     }
 }
 

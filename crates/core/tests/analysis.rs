@@ -506,6 +506,36 @@ var after = acc;
     assert_var_det(&h, &out, "after", FactValue::Num(3.0));
 }
 
+/// Writes of a determinate loop's unmarked iterations still belong to an
+/// enclosing ÎF1 region, which must mark them when it closes.
+#[test]
+fn loop_writes_reach_the_enclosing_branch_region() {
+    let src = r#"
+var c = __indet(true);
+var acc = 0;
+if (c) { for (var i = 0; i < 3; i++) { acc = acc + 1; } }
+var after = acc;
+"#;
+    let (h, out) = analyze(src);
+    assert_var_indet(&h, &out, "after");
+}
+
+/// Writes of a determinate loop's unmarked iterations inside a
+/// counterfactual (ĈNTR) must be undone and marked with it.
+#[test]
+fn loop_writes_reach_the_enclosing_counterfactual() {
+    let src = r#"
+var c = __indet(false);
+var acc = 0;
+if (c) { for (var i = 0; i < 3; i++) { acc = acc + 1; } }
+var after = acc;
+console.log(acc);
+"#;
+    let (h, out) = analyze(src);
+    assert_eq!(out.output, vec!["0"]);
+    assert_var_indet(&h, &out, "after");
+}
+
 #[test]
 fn eval_arg_facts_recorded() {
     // Figure 4's pattern: the eval argument is a determinate concatenation.

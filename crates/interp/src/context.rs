@@ -9,9 +9,9 @@
 //! records observations for soundness checking) and the instrumented
 //! machine (which records facts).
 
+use mujs_ir::hash::FastMap;
 use mujs_ir::{Program, StmtId};
 use mujs_syntax::span::SourceFile;
-use std::collections::HashMap;
 
 /// An interned calling context. [`CtxId::ROOT`] is the program entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -33,7 +33,7 @@ struct CtxNode {
 #[derive(Debug, Default)]
 pub struct ContextTable {
     nodes: Vec<Option<CtxNode>>,
-    intern: HashMap<(CtxId, StmtId, u32), CtxId>,
+    intern: FastMap<(CtxId, StmtId, u32), CtxId>,
 }
 
 impl ContextTable {
@@ -41,7 +41,7 @@ impl ContextTable {
     pub fn new() -> Self {
         ContextTable {
             nodes: vec![None],
-            intern: HashMap::new(),
+            intern: FastMap::default(),
         }
     }
 

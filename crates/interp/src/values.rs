@@ -3,6 +3,7 @@
 //! *slots*, by the instrumented interpreter in the `determinacy` crate).
 
 use mujs_dom::document::NodeId;
+use mujs_ir::hash::FastMap;
 use mujs_ir::{FuncId, Sym};
 use std::fmt;
 use std::rc::Rc;
@@ -148,7 +149,7 @@ const SMALL_OBJ_THRESHOLD: usize = 8;
 pub struct PropMap<A> {
     entries: Vec<(Sym, Option<Slot<A>>)>,
     live: u32,
-    index: Option<std::collections::HashMap<Sym, u32>>,
+    index: Option<FastMap<Sym, u32>>,
 }
 
 impl<A> Default for PropMap<A> {
@@ -179,7 +180,8 @@ impl<A> PropMap<A> {
     /// linear-scan sweet spot.
     fn maybe_index(&mut self) {
         if self.index.is_none() && self.entries.len() > SMALL_OBJ_THRESHOLD {
-            let mut index = std::collections::HashMap::with_capacity(self.entries.len() * 2);
+            let mut index =
+                FastMap::with_capacity_and_hasher(self.entries.len() * 2, Default::default());
             for (i, (k, _)) in self.entries.iter().enumerate() {
                 index.insert(*k, i as u32);
             }

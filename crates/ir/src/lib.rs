@@ -11,13 +11,15 @@
 //!   instrumented semantics' (ĈNTRABORT) rule;
 //! * [`resolve`]: static lexical name resolution for the pointer analysis
 //!   and the specializer;
-//! * [`pretty`]: a textual dump.
+//! * [`pretty`]: a textual dump;
+//! * [`hash`]: the Fx hasher for hot maps keyed by internal ids.
 //!
 //! Control flow stays structured because the dynamic determinacy analysis
 //! needs the lexical extent of branches to compute write domains and to
 //! roll back counterfactual execution.
 
 pub mod closure_writes;
+pub mod hash;
 pub mod intern;
 pub mod ir;
 pub mod lower;

@@ -41,8 +41,8 @@
 //! [`UnknownSmear`]: BlameCause::UnknownSmear
 //! [`ExcFlow`]: BlameCause::ExcFlow
 
-use crate::hash::FastMap;
 use crate::nodes::AbsObj;
+use mujs_ir::hash::FastMap;
 use mujs_ir::{FuncId, StmtId};
 
 /// Sentinel outflow stamp: the node is not a havoc node; tuples flowing

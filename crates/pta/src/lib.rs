@@ -33,7 +33,6 @@
 //! ```
 
 pub mod blame;
-pub mod hash;
 pub mod nodes;
 pub mod pts;
 pub mod reference;
@@ -42,6 +41,7 @@ pub mod shortcut;
 pub mod solver;
 
 pub use blame::{BlameCause, BlameData};
+pub use mujs_ir::hash;
 pub use nodes::{AbsObj, Node};
 pub use reference::solve_reference;
 pub use shortcut::{RegionSummary, ShortcutSummaries};

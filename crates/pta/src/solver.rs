@@ -24,10 +24,10 @@
 //! timeout.
 
 use crate::blame::{BlameCause, BlameData, Provenance, INHERIT};
-use crate::hash::{FastMap, FastSet};
 use crate::nodes::{AbsObj, Node};
 use crate::pts::{self, Pts};
 use crate::scc;
+use mujs_ir::hash::{FastMap, FastSet};
 use mujs_ir::ir::{Place, PropKey, StmtKind};
 use mujs_ir::resolve::{Binding, Resolver};
 use mujs_ir::{FuncId, FuncKind, Program, Stmt, StmtId, Sym};
