@@ -526,15 +526,6 @@ pub fn run_table1_pooled(
             mujs_jobs::JobVerdict::Cancelled => {
                 Err(PipelineError::Analysis(RunFailure::Cancelled { seed: 0 }))
             }
-            // Bench jobs never arm the watchdog; treat a wedge like a
-            // panic-shaped loss to keep the match total.
-            mujs_jobs::JobVerdict::Wedged => {
-                Err(PipelineError::Analysis(RunFailure::EnginePanic {
-                    payload: "wedged past watchdog budget".to_owned(),
-                    steps: 0,
-                    seed: 0,
-                }))
-            }
         })
         .collect()
 }

@@ -339,15 +339,7 @@ impl Domain for Instrumented {
         {
             return Err(DErr::Stop(AnalysisStatus::Cancelled));
         }
-        #[cfg(feature = "fault-inject")]
-        let deadline_suppressed = m
-            .domain
-            .faults
-            .as_ref()
-            .is_some_and(|f| f.plan.ignore_deadline);
-        #[cfg(not(feature = "fault-inject"))]
-        let deadline_suppressed = false;
-        if !deadline_suppressed && m.deadline_passed() {
+        if m.deadline_passed() {
             return Err(DErr::Stop(AnalysisStatus::Deadline));
         }
         let d = &m.domain;

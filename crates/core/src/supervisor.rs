@@ -36,19 +36,8 @@ use std::sync::Arc;
 /// Clones observe the same flag; any clone may cancel. The machine polls
 /// it cooperatively at statement boundaries, so cancellation stops the run
 /// at a clean point with every sound fact collected so far intact.
-///
-/// Tokens form a tree: a [`CancelToken::child`] observes its own flag
-/// *and* every ancestor's, so a batch scheduler can hand each job a
-/// private token (cancellable by a watchdog without touching siblings)
-/// that still honors whole-batch cancellation.
 #[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<CancelInner>);
-
-#[derive(Debug, Default)]
-struct CancelInner {
-    flag: AtomicBool,
-    parent: Option<Arc<CancelInner>>,
-}
+pub struct CancelToken(Arc<AtomicBool>);
 
 impl CancelToken {
     /// A fresh, uncancelled token.
@@ -56,35 +45,14 @@ impl CancelToken {
         Self::default()
     }
 
-    /// A child token: cancelled when either its own flag or any
-    /// ancestor's flag is set. Cancelling the child does not affect the
-    /// parent or siblings.
-    pub fn child(&self) -> Self {
-        CancelToken(Arc::new(CancelInner {
-            flag: AtomicBool::new(false),
-            parent: Some(self.0.clone()),
-        }))
-    }
-
-    /// Requests cancellation; all clones (and children) observe it at
-    /// their next poll.
+    /// Requests cancellation; all clones observe it at their next poll.
     pub fn cancel(&self) {
-        self.0.flag.store(true, Ordering::Relaxed);
+        self.0.store(true, Ordering::Relaxed);
     }
 
-    /// Whether cancellation has been requested on this token or any
-    /// ancestor.
+    /// Whether cancellation has been requested.
     pub fn is_cancelled(&self) -> bool {
-        let mut inner: &CancelInner = &self.0;
-        loop {
-            if inner.flag.load(Ordering::Relaxed) {
-                return true;
-            }
-            match &inner.parent {
-                Some(p) => inner = p,
-                None => return false,
-            }
-        }
+        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -158,11 +126,6 @@ pub struct FaultPlan {
     /// Make the nth object allocation report heap exhaustion, stopping
     /// the run with [`crate::AnalysisStatus::MemLimit`].
     pub alloc_fail_at: Option<u64>,
-    /// Suppress the cooperative wall-clock deadline check (simulates a
-    /// deadline-accounting bug): the run keeps polling cancellation but
-    /// never stops on `deadline_ms`, so only an external watchdog can
-    /// stop it. Exercises the scheduler's wedged-job path.
-    pub ignore_deadline: bool,
 }
 
 /// Mutable injection state carried by a machine under test.
@@ -226,17 +189,6 @@ impl RunFailure {
         match self {
             RunFailure::EnginePanic { seed, .. } | RunFailure::Cancelled { seed } => *seed,
         }
-    }
-
-    /// Whether retrying the run could plausibly succeed. Engine panics
-    /// (and injected allocation faults, which surface as panics outside a
-    /// supervised run) are treated as transient; cancellation is a
-    /// deliberate external decision and is never retried. Deterministic
-    /// stops — deadline, memory budget, parse errors — end runs with a
-    /// *status*, not a `RunFailure`, and retrying them would only repeat
-    /// the same outcome.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, RunFailure::EnginePanic { .. })
     }
 }
 

@@ -15,24 +15,20 @@
 //! [`run_manifest_with`] layers the campaign-robustness machinery on top
 //! without disturbing that invariant:
 //!
-//! * transient run failures (engine panics, injected allocation faults)
-//!   are classified [`Disposition::Retry`] and rerun under the batch
-//!   [`RetryPolicy`]; deterministic stops (deadline, memory budget,
-//!   syntax errors) are final;
-//! * jobs with a wall-clock deadline arm the pool watchdog at
-//!   `deadline_ms + grace`, so a job whose cooperative deadline
-//!   enforcement fails resolves as [`JobStatus::Wedged`] instead of
-//!   wedging a worker forever;
+//! * each job runs once: a syntax error or an engine panic in any seed
+//!   run is a permanent failure (a rerun of the same pure job would
+//!   reproduce it), streamed as [`JobEvent::Failed`] and, under
+//!   [`BatchOptions::fail_fast`], cancelling the rest of the batch;
 //! * settled rows stream into an atomic [`Checkpoint`] keyed by job
 //!   content, and a resumed batch splices those rows back **byte for
 //!   byte** while scheduling only the remainder;
 //! * a batch-wide declared-memory budget admits oversized jobs at reduced
 //!   budget ([`JobStatus::Degraded`]) instead of failing them.
 //!
-//! Attempt counters deliberately live on [`JobRecord`] and in
-//! [`BatchOutcome::stats_json`], **not** in the canonical report: a batch
-//! that retried its way to success must produce the same report bytes as
-//! one that succeeded immediately.
+//! Restore counts deliberately live on [`JobRecord`] and in
+//! [`BatchOutcome::stats_json`], **not** in the canonical report: a
+//! resumed batch must produce the same report bytes as an uninterrupted
+//! one.
 
 use crate::admission::{Admission, AdmissionController};
 use crate::checkpoint::{job_key, Checkpoint};
@@ -41,7 +37,6 @@ use crate::pipeline::{
     StageKeys,
 };
 use crate::pool::{IsolatedGraph, JobCtx, JobEvent, JobPool, JobVerdict};
-use crate::retry::{Disposition, RetryPolicy};
 use crate::spec::{JobSpec, Manifest};
 use determinacy::multirun::{export_json, MultiRunOutcome};
 use determinacy::{
@@ -98,13 +93,8 @@ pub enum JobStatus {
     Cancelled,
     /// The source did not parse.
     Syntax(String),
-    /// The job panicked outside any supervised run (on every attempt the
-    /// retry policy allowed).
+    /// The job panicked outside any supervised run.
     Panicked(String),
-    /// The job exceeded its watchdog budget — cooperative deadline
-    /// enforcement demonstrably failed — and was cancelled by the
-    /// monitor.
-    Wedged,
 }
 
 /// One manifest entry's result.
@@ -118,9 +108,6 @@ pub struct JobRecord {
     pub status: JobStatus,
     /// The outcome, when the job ran to completion in this process.
     pub outcome: Option<JobOutcome>,
-    /// Attempts the pool used (0 for jobs restored from a checkpoint or
-    /// cancelled before they started).
-    pub attempts: u32,
     /// The pre-rendered report row, when the job was restored from a
     /// checkpoint instead of executed.
     pub restored: Option<Value>,
@@ -129,12 +116,9 @@ pub struct JobRecord {
 /// Campaign-level options for [`run_manifest_with`].
 #[derive(Debug, Default)]
 pub struct BatchOptions {
-    /// Retry budget and backoff for transient failures.
-    pub retry: RetryPolicy,
-    /// When set, every job with a wall-clock deadline arms the pool
-    /// watchdog at `deadline_ms + grace`: exceeding it marks the job
-    /// [`JobStatus::Wedged`]. `None` disables the watchdog.
-    pub watchdog_grace_ms: Option<u64>,
+    /// Cancel the rest of the batch on the first permanent failure (a
+    /// syntax error, a panicked job, or an engine panic in a seed run).
+    pub fail_fast: bool,
     /// When set, settled rows are checkpointed here (atomically, via
     /// temp-file + rename) as the batch runs.
     pub checkpoint_path: Option<PathBuf>,
@@ -153,7 +137,7 @@ pub struct BatchOptions {
     /// unchanged.
     pub pta: Option<PtaStage>,
     /// Deterministic scheduler chaos (checkpoint truncation); the pool
-    /// carries its own copy for kills and event faults.
+    /// carries its own copy for event faults.
     #[cfg(feature = "fault-inject")]
     pub chaos: Option<std::sync::Arc<crate::chaos::SchedulerFaultPlan>>,
 }
@@ -175,18 +159,14 @@ impl BatchOutcome {
             .count()
     }
 
-    /// Whether any job failed outright (syntax error, unsupervised panic,
-    /// wedge) or recorded per-run failures. Cancelled jobs are not
-    /// failures.
+    /// Whether any job failed outright (syntax error, unsupervised panic)
+    /// or recorded per-run failures. Cancelled jobs are not failures.
     pub fn has_failures(&self) -> bool {
         self.jobs.iter().any(|j| {
-            matches!(
-                j.status,
-                JobStatus::Syntax(_) | JobStatus::Panicked(_) | JobStatus::Wedged
-            ) || j
-                .outcome
-                .as_ref()
-                .is_some_and(|o| !o.multi.failures.is_empty())
+            matches!(j.status, JobStatus::Syntax(_) | JobStatus::Panicked(_))
+                || j.outcome
+                    .as_ref()
+                    .is_some_and(|o| !o.multi.failures.is_empty())
                 || j.restored.as_ref().is_some_and(|r| {
                     r.get("failures")
                         .and_then(Value::as_array)
@@ -196,9 +176,9 @@ impl BatchOutcome {
     }
 
     /// The batch report as pretty JSON, in manifest order. Contains no
-    /// timing, worker, or attempt information, so the bytes depend only
-    /// on the manifest and the analysis semantics — not on scheduling,
-    /// retries, or resume splicing. With `include_facts` each completed
+    /// timing or worker information, so the bytes depend only on the
+    /// manifest and the analysis semantics — not on scheduling or resume
+    /// splicing. With `include_facts` each completed
     /// job embeds its full sorted fact export.
     pub fn report_json(&self, include_facts: bool) -> String {
         let rows = self
@@ -224,16 +204,12 @@ impl BatchOutcome {
     }
 
     /// Campaign-robustness counters as pretty JSON. Kept **out** of the
-    /// canonical report on purpose: attempts and restore counts vary
-    /// across fault schedules and resumes while the report bytes must
-    /// not.
+    /// canonical report on purpose: restore counts vary across resumes
+    /// while the report bytes must not.
     pub fn stats_json(&self) -> String {
         let mut degraded = 0u64;
         let mut restored = 0u64;
-        let mut retried = 0u64;
-        let mut total_attempts = 0u64;
         let mut panicked = 0u64;
-        let mut wedged = 0u64;
         let mut cancelled = 0u64;
         let mut syntax = 0u64;
         let mut run_failures = 0u64;
@@ -241,7 +217,6 @@ impl BatchOutcome {
             match j.status {
                 JobStatus::Degraded => degraded += 1,
                 JobStatus::Panicked(_) => panicked += 1,
-                JobStatus::Wedged => wedged += 1,
                 JobStatus::Cancelled => cancelled += 1,
                 JobStatus::Syntax(_) => syntax += 1,
                 JobStatus::Completed => {}
@@ -249,10 +224,6 @@ impl BatchOutcome {
             if j.restored.is_some() {
                 restored += 1;
             }
-            if j.attempts > 1 {
-                retried += 1;
-            }
-            total_attempts += u64::from(j.attempts);
             if let Some(o) = &j.outcome {
                 run_failures += o.multi.failures.len() as u64;
             }
@@ -263,10 +234,7 @@ impl BatchOutcome {
             ("completed".to_owned(), num(self.completed() as u64)),
             ("degraded".to_owned(), num(degraded)),
             ("restored".to_owned(), num(restored)),
-            ("retried_jobs".to_owned(), num(retried)),
-            ("total_attempts".to_owned(), num(total_attempts)),
             ("panicked".to_owned(), num(panicked)),
-            ("wedged".to_owned(), num(wedged)),
             ("cancelled".to_owned(), num(cancelled)),
             ("syntax_errors".to_owned(), num(syntax)),
             ("run_failures".to_owned(), num(run_failures)),
@@ -283,7 +251,6 @@ fn status_str(status: &JobStatus) -> String {
         JobStatus::Cancelled => "cancelled".to_owned(),
         JobStatus::Syntax(e) => format!("syntax error: {e}"),
         JobStatus::Panicked(e) => format!("panicked: {e}"),
-        JobStatus::Wedged => "wedged: exceeded watchdog budget".to_owned(),
     }
 }
 
@@ -328,15 +295,6 @@ fn set_field(row: &mut Value, key: &str, value: Value) {
     }
 }
 
-/// The worker-side result of one manifest job, including the identity the
-/// classifier needs to checkpoint it.
-struct SpecRun {
-    key: String,
-    name: String,
-    status: JobStatus,
-    outcome: Option<JobOutcome>,
-}
-
 /// The streaming checkpoint writer: accumulates settled rows and
 /// periodically publishes them atomically. Save errors are swallowed — a
 /// checkpoint is an optimization, and a full disk must not fail the
@@ -374,16 +332,16 @@ impl CkptWriter {
 }
 
 /// Runs every manifest job through the pool with default campaign options
-/// (single attempt, no watchdog, no checkpointing) and aggregates the
-/// results in manifest order.
+/// (no checkpointing, no admission control) and aggregates the results in
+/// manifest order.
 pub fn run_manifest(manifest: &Manifest, pool: &JobPool) -> BatchOutcome {
     run_manifest_with(manifest, pool, &BatchOptions::default())
 }
 
-/// Runs a manifest as a fault-tolerant campaign: retries, watchdog,
+/// Runs a manifest as a fault-tolerant campaign: fail-fast,
 /// checkpoint/resume, and admission control per `opts` (see the module
 /// docs). The report stays byte-identical for any worker count, any
-/// retryable fault schedule, and any interrupt/resume split.
+/// scheduler fault schedule, and any interrupt/resume split.
 pub fn run_manifest_with(manifest: &Manifest, pool: &JobPool, opts: &BatchOptions) -> BatchOutcome {
     let n = manifest.jobs.len();
     let keys: Vec<String> = manifest
@@ -410,7 +368,6 @@ pub fn run_manifest_with(manifest: &Manifest, pool: &JobPool, opts: &BatchOption
                     name: spec.name.clone(),
                     status,
                     outcome: None,
-                    attempts: 0,
                     restored: Some(row.clone()),
                 });
             }
@@ -439,9 +396,13 @@ pub fn run_manifest_with(manifest: &Manifest, pool: &JobPool, opts: &BatchOption
             let spec = manifest.jobs[i].clone();
             let key = keys[i].clone();
             let admission = &admission;
-            let grace = opts.watchdog_grace_ms;
+            let writer = &writer;
+            let fail_fast = opts.fail_fast;
             let pta = opts.pta;
-            let job = move |ctx: &JobCtx| -> IsolatedGraph<SpecRun> {
+            let job = move |ctx: &JobCtx| -> IsolatedGraph<(JobStatus, Option<JobOutcome>)> {
+                if fail_fast {
+                    ctx.fail_fast();
+                }
                 let adm = match admission {
                     Some(c) => c.admit(spec.effective_config().mem_cell_budget),
                     None => Admission {
@@ -457,71 +418,48 @@ pub fn run_manifest_with(manifest: &Manifest, pool: &JobPool, opts: &BatchOption
                         granted_cells: adm.granted.unwrap_or_default(),
                     });
                 }
-                let (status, outcome) = run_spec(&spec, ctx, &adm, grace, pta);
+                let (status, outcome) = run_spec(&spec, ctx, &adm, pta);
                 if let Some(c) = admission {
                     c.release(adm);
                 }
-                IsolatedGraph::new(SpecRun {
-                    key: key.clone(),
-                    name: spec.name.clone(),
-                    status,
-                    outcome,
-                })
+                let failure = match (&status, &outcome) {
+                    (JobStatus::Syntax(e), _) => Some(format!("syntax error: {e}")),
+                    (_, Some(o)) => o
+                        .multi
+                        .failures
+                        .iter()
+                        .find(|f| matches!(f, RunFailure::EnginePanic { .. }))
+                        .map(ToString::to_string),
+                    _ => None,
+                };
+                if let Some(error) = failure {
+                    ctx.fail(error);
+                } else if let (Some(w), Some(o)) = (writer, &outcome) {
+                    // The row is settled — its bytes are final — so it is
+                    // safe to checkpoint. Rows carrying failures are left
+                    // out: a resume should rerun them.
+                    if o.multi.failures.is_empty() {
+                        let row = render_row(&spec.name, &status, Some(o), true);
+                        w.lock().unwrap().record(key.clone(), row);
+                    }
+                }
+                IsolatedGraph::new((status, outcome))
             };
             (manifest.jobs[i].name.clone(), job)
         })
         .collect();
 
-    let classify = |iso: &IsolatedGraph<SpecRun>| -> Disposition {
-        let run = iso.get();
-        match &run.status {
-            JobStatus::Syntax(e) => Disposition::Fatal(format!("syntax error: {e}")),
-            JobStatus::Completed | JobStatus::Degraded => {
-                let outcome = run.outcome.as_ref();
-                if let Some(f) =
-                    outcome.and_then(|o| o.multi.failures.iter().find(|f| f.is_transient()))
-                {
-                    // Transient per-run failure (engine panic / injected
-                    // alloc fault): rerunning can recover the row.
-                    return Disposition::Retry(f.to_string());
-                }
-                if outcome.is_some_and(|o| o.multi.failures.is_empty()) {
-                    // The row is settled — its bytes are final — so it is
-                    // safe to checkpoint. Rows carrying failures are left
-                    // out: a resume should rerun them.
-                    if let Some(w) = &writer {
-                        let row = render_row(&run.name, &run.status, outcome, true);
-                        w.lock().unwrap().record(run.key.clone(), row);
-                    }
-                }
-                Disposition::Keep
-            }
-            // Cancellation is a deliberate external decision, never
-            // retried; Panicked/Wedged never reach the classifier (the
-            // pool resolves them directly).
-            _ => Disposition::Keep,
-        }
-    };
-
-    let runs = pool.run_classified(jobs, &opts.retry, classify);
-    for (&slot, run) in scheduled.iter().zip(runs) {
-        let name = manifest.jobs[slot].name.clone();
-        let attempts = run.attempts;
-        let (status, outcome) = match run.verdict {
-            JobVerdict::Done(iso) => {
-                let sr = iso.into_inner();
-                (sr.status, sr.outcome)
-            }
+    for (&slot, verdict) in scheduled.iter().zip(pool.run(jobs)) {
+        let (status, outcome) = match verdict {
+            JobVerdict::Done(iso) => iso.into_inner(),
             JobVerdict::Panicked(p) => (JobStatus::Panicked(p), None),
             JobVerdict::Cancelled => (JobStatus::Cancelled, None),
-            JobVerdict::Wedged => (JobStatus::Wedged, None),
         };
         records[slot] = Some(JobRecord {
             index: slot,
-            name,
+            name: manifest.jobs[slot].name.clone(),
             status,
             outcome,
-            attempts,
             restored: None,
         });
     }
@@ -543,15 +481,11 @@ fn run_spec(
     spec: &JobSpec,
     ctx: &JobCtx,
     adm: &Admission,
-    watchdog_grace_ms: Option<u64>,
     pta: Option<PtaStage>,
 ) -> (JobStatus, Option<JobOutcome>) {
     let mut req = spec.stage_request(pta);
     if adm.degraded {
         req.cfg.mem_cell_budget = adm.granted;
-    }
-    if let (Some(grace), Some(deadline)) = (watchdog_grace_ms, req.cfg.deadline_ms) {
-        ctx.arm_watchdog(deadline.saturating_add(grace));
     }
     let counters = PipelineCounters::default();
     let notify = |detail: &str| ctx.progress(detail);
@@ -661,13 +595,6 @@ pub fn analyze_many_pooled(
                 seed,
             }),
             JobVerdict::Cancelled => Err(RunFailure::Cancelled { seed }),
-            // These seed fan-out jobs never arm the watchdog, but keep the
-            // arm total: treat a wedge like a panic-shaped loss.
-            JobVerdict::Wedged => Err(RunFailure::EnginePanic {
-                payload: "seed run wedged past watchdog budget".to_owned(),
-                steps: 0,
-                seed,
-            }),
         })
         .collect::<Vec<_>>();
     Ok(MultiRunOutcome::combine(results, base_cfg.max_facts))

@@ -6,21 +6,21 @@
 //! $ detjobs --manifest batch.json --workers 8 --report out.json
 //! $ detjobs --dir examples/js --workers 4
 //! $ detjobs --suite all --workers 8 --no-facts --report corpus.json
-//! $ detjobs --manifest batch.json --checkpoint ck.json --retries 3
+//! $ detjobs --manifest batch.json --checkpoint ck.json --fail-fast
 //! $ detjobs --manifest batch.json --resume ck.json --report out.json
 //! ```
 //!
 //! The report bytes depend only on the manifest and the analysis
 //! semantics — `--workers 1` and `--workers 8` produce identical output,
-//! as do a retried run, a degraded run, and an interrupted run resumed
-//! with `--resume`.
+//! as do a degraded run and an interrupted run resumed with `--resume`.
+//! Each job runs once: an analysis is a pure function of its inputs, so
+//! a rerun would only reproduce a failure.
 //!
 //! Exit status: `0` when every job completed cleanly, `1` when any job
-//! failed or wedged (or on I/O errors), `2` for usage errors.
+//! failed (or on I/O errors), `2` for usage errors.
 
 use mujs_jobs::{
     run_manifest_with, BatchOptions, Checkpoint, JobEvent, JobPool, Manifest, PtaMode, PtaStage,
-    RetryPolicy,
 };
 use std::sync::mpsc::channel;
 
@@ -33,10 +33,7 @@ struct Options {
     include_facts: bool,
     quiet: bool,
     lint: bool,
-    retries: u32,
-    backoff_ms: u64,
     fail_fast: bool,
-    watchdog_grace_ms: Option<u64>,
     checkpoint: Option<String>,
     checkpoint_every: u64,
     checkpoint_every_set: bool,
@@ -54,8 +51,7 @@ fn usage(problem: &str) -> ! {
     eprintln!(
         "usage: detjobs (--manifest FILE | --dir DIR | --suite jquery|evalbench|all)\n\
          \x20              [--workers N] [--report FILE] [--no-facts] [--quiet]\n\
-         \x20              [--retries N] [--backoff-ms MS] [--fail-fast]\n\
-         \x20              [--watchdog-grace MS] [--mem-budget CELLS]\n\
+         \x20              [--fail-fast] [--mem-budget CELLS]\n\
          \x20              [--checkpoint FILE] [--checkpoint-every N] [--resume FILE]\n\
          \x20              [--stats FILE] [--pta-budget N] [--spec-depth N]\n\
          \n\
@@ -67,16 +63,13 @@ fn usage(problem: &str) -> ! {
          \x20 --no-facts         omit per-job fact rows from the report\n\
          \x20 --quiet            suppress progress lines on stderr\n\
          \x20 --lint             validate each job's lowered IR before running\n\
-         \x20 --retries N        attempts per job for transient failures (default 1)\n\
-         \x20 --backoff-ms MS    deterministic retry backoff base (default 0)\n\
-         \x20 --fail-fast        cancel the batch on the first permanent failure\n\
-         \x20 --watchdog-grace MS  wedge jobs exceeding deadline_ms + MS\n\
+         \x20 --fail-fast        cancel the batch on the first failed job\n\
          \x20 --mem-budget CELLS batch-wide declared-memory admission budget\n\
          \x20 --checkpoint FILE  stream settled rows to an atomic checkpoint\n\
          \x20 --checkpoint-every N  flush the checkpoint every N rows (default 1)\n\
          \x20 --resume FILE      splice completed rows from a checkpoint and\n\
          \x20                    run only the remainder (report stays byte-identical)\n\
-         \x20 --stats FILE       write retry/wedged/degraded counters as JSON\n\
+         \x20 --stats FILE       write restored/degraded/failure counters as JSON\n\
          \x20 --pta-budget N     additionally run a budgeted pointer-analysis\n\
          \x20                    solve per job; each report row gains a `pta`\n\
          \x20                    object (off by default; report bytes are\n\
@@ -89,7 +82,7 @@ fn usage(problem: &str) -> ! {
          \n\
          exit status:\n\
          \x20 0  every job completed cleanly\n\
-         \x20 1  any job failed, panicked, or wedged; lint violations; I/O errors\n\
+         \x20 1  any job failed or panicked; lint violations; I/O errors\n\
          \x20 2  usage errors (bad flags or flag combinations)"
     );
     std::process::exit(2);
@@ -106,10 +99,7 @@ fn parse_args() -> Options {
         include_facts: true,
         quiet: false,
         lint: false,
-        retries: 1,
-        backoff_ms: 0,
         fail_fast: false,
-        watchdog_grace_ms: None,
         checkpoint: None,
         checkpoint_every: 1,
         checkpoint_every_set: false,
@@ -149,19 +139,7 @@ fn parse_args() -> Options {
             "--no-facts" => o.include_facts = false,
             "--quiet" => o.quiet = true,
             "--lint" => o.lint = true,
-            "--retries" => {
-                let v = value(&args, &mut i, "--retries");
-                o.retries = parse_num(&v, "--retries");
-            }
-            "--backoff-ms" => {
-                let v = value(&args, &mut i, "--backoff-ms");
-                o.backoff_ms = parse_num(&v, "--backoff-ms");
-            }
             "--fail-fast" => o.fail_fast = true,
-            "--watchdog-grace" => {
-                let v = value(&args, &mut i, "--watchdog-grace");
-                o.watchdog_grace_ms = Some(parse_num(&v, "--watchdog-grace"));
-            }
             "--mem-budget" => {
                 let v = value(&args, &mut i, "--mem-budget");
                 o.mem_budget = Some(parse_num(&v, "--mem-budget"));
@@ -298,19 +276,9 @@ fn main() {
                 continue;
             }
             match e {
-                JobEvent::Started {
-                    job,
-                    label,
-                    worker,
-                    attempt,
-                } => {
-                    let nth = if attempt > 1 {
-                        format!(" (attempt {attempt})")
-                    } else {
-                        String::new()
-                    };
+                JobEvent::Started { job, label, worker } => {
                     eprintln!(
-                        "[{:>3}/{total}] started   {label} (worker {worker}){nth}",
+                        "[{:>3}/{total}] started   {label} (worker {worker})",
                         job + 1
                     );
                 }
@@ -320,29 +288,8 @@ fn main() {
                 JobEvent::Finished { job, label } => {
                     eprintln!("[{:>3}/{total}] finished  {label}", job + 1);
                 }
-                JobEvent::Retrying {
-                    job,
-                    label,
-                    attempt,
-                    error,
-                } => {
-                    eprintln!(
-                        "[{:>3}/{total}] retrying  {label} (attempt {attempt} failed: {error})",
-                        job + 1
-                    );
-                }
                 JobEvent::Failed { job, label, error } => {
                     eprintln!("[{:>3}/{total}] FAILED    {label}: {error}", job + 1);
-                }
-                JobEvent::Wedged {
-                    job,
-                    label,
-                    budget_ms,
-                } => {
-                    eprintln!(
-                        "[{:>3}/{total}] WEDGED    {label} (exceeded {budget_ms}ms watchdog budget)",
-                        job + 1
-                    );
                 }
                 JobEvent::Degraded {
                     job,
@@ -362,13 +309,7 @@ fn main() {
     });
 
     let opts = BatchOptions {
-        retry: RetryPolicy {
-            max_attempts: o.retries.max(1),
-            backoff_base_ms: o.backoff_ms,
-            fail_fast: o.fail_fast,
-            ..RetryPolicy::default()
-        },
-        watchdog_grace_ms: o.watchdog_grace_ms,
+        fail_fast: o.fail_fast,
         checkpoint_path: o.checkpoint.as_ref().map(std::path::PathBuf::from),
         checkpoint_every: o.checkpoint_every,
         resume,

@@ -3,15 +3,12 @@
 //!
 //! The core crate's `FaultPlan` injects faults *inside* one analysis run
 //! (native panics, allocation failures). This plan injects faults in the
-//! *scheduler* around runs: it kills attempts as if the worker died
-//! mid-job, drops or delays progress-event sends, and truncates
-//! checkpoint writes. Every decision is a pure function of
+//! *scheduler* around runs: it drops or delays progress-event sends and
+//! truncates checkpoint writes. Every decision is a pure function of
 //! `(seed, coordinates)` — the same plan replays the same faults — so the
-//! chaos equivalence suite can assert the headline invariant: for any
-//! fault schedule built from *retryable* faults, the final batch report
-//! is byte-identical to the fault-free run, at any worker count.
-
-use crate::retry::splitmix64;
+//! chaos equivalence suite can assert the headline invariant: under any
+//! fault schedule, the final batch report is byte-identical to the
+//! fault-free run, at any worker count.
 
 /// What should happen to the nth event send.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,23 +23,13 @@ pub enum EventFate {
 
 /// A deterministic scheduler fault schedule.
 ///
-/// Percentages are per-decision probabilities driven by
-/// [`splitmix64`][crate::retry] over the seed and the decision's
-/// coordinates (job index and attempt for kills, a global sequence number
-/// for events), so a plan is exactly reproducible and independent of
-/// thread interleaving.
+/// Percentages are per-decision probabilities driven by [`splitmix64`]
+/// over the seed and a global event sequence number, so a plan is exactly
+/// reproducible and independent of thread interleaving.
 #[derive(Debug, Clone)]
 pub struct SchedulerFaultPlan {
     /// Root seed; every decision mixes it with its coordinates.
     pub seed: u64,
-    /// Percent chance `[0, 100]` that a given (job, attempt) is killed
-    /// mid-flight (surfaces to the pool exactly like a worker panic).
-    pub kill_pct: u8,
-    /// Kill only attempts `<= kill_max_attempt`; `0` disables kills.
-    /// Keeping this below the retry policy's `max_attempts` guarantees a
-    /// killed job always has a live attempt left — the *retryable
-    /// schedule* precondition of the equivalence suite.
-    pub kill_max_attempt: u32,
     /// Percent chance an event send is dropped.
     pub drop_event_pct: u8,
     /// Percent chance an event send is delayed (checked after drop).
@@ -56,33 +43,16 @@ pub struct SchedulerFaultPlan {
 }
 
 impl SchedulerFaultPlan {
-    /// A moderately hostile schedule derived from `seed`: kills roughly
-    /// 40% of first and second attempts, perturbs 20% of event sends, and
-    /// leaves checkpoints alone. All faults are retryable under a policy
-    /// with three or more attempts.
+    /// A moderately hostile schedule derived from `seed`: perturbs 20% of
+    /// event sends and leaves checkpoints alone.
     pub fn from_seed(seed: u64) -> Self {
         SchedulerFaultPlan {
             seed,
-            kill_pct: 40,
-            kill_max_attempt: 2,
             drop_event_pct: 10,
             delay_event_pct: 10,
             delay_event_ms: 2,
             truncate_checkpoint_every: None,
         }
-    }
-
-    /// Whether the plan kills `attempt` (1-indexed) of `job`.
-    pub fn kill_job(&self, job: usize, attempt: u32) -> bool {
-        if attempt > self.kill_max_attempt {
-            return false;
-        }
-        let x = splitmix64(
-            self.seed
-                ^ (job as u64).wrapping_mul(0xA24B_AED4_963E_E407)
-                ^ u64::from(attempt).wrapping_mul(0x9FB2_1C65_1E98_DF25),
-        );
-        (x % 100) < u64::from(self.kill_pct)
     }
 
     /// The fate of the `n`th event send (global sequence order).
@@ -107,6 +77,15 @@ impl SchedulerFaultPlan {
     }
 }
 
+/// SplitMix64 — the standard 64-bit mixing function; deterministic,
+/// allocation-free, and good enough to decorrelate fault decisions.
+fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,33 +94,16 @@ mod tests {
     fn decisions_are_deterministic() {
         let p = SchedulerFaultPlan::from_seed(7);
         let q = SchedulerFaultPlan::from_seed(7);
-        for job in 0..32 {
-            for attempt in 1..4 {
-                assert_eq!(p.kill_job(job, attempt), q.kill_job(job, attempt));
-            }
-        }
         for n in 0..256 {
             assert_eq!(p.event_fate(n), q.event_fate(n));
         }
     }
 
     #[test]
-    fn kills_respect_the_attempt_ceiling() {
-        let p = SchedulerFaultPlan {
-            kill_pct: 100,
-            kill_max_attempt: 2,
-            ..SchedulerFaultPlan::from_seed(1)
-        };
-        assert!(p.kill_job(0, 1));
-        assert!(p.kill_job(0, 2));
-        assert!(!p.kill_job(0, 3), "attempt 3 is past the ceiling");
-    }
-
-    #[test]
     fn different_seeds_differ_somewhere() {
         let a = SchedulerFaultPlan::from_seed(1);
         let b = SchedulerFaultPlan::from_seed(2);
-        let diverged = (0..64usize).any(|j| a.kill_job(j, 1) != b.kill_job(j, 1));
+        let diverged = (0..64u64).any(|n| a.event_fate(n) != b.event_fate(n));
         assert!(diverged);
     }
 

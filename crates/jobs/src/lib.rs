@@ -3,7 +3,7 @@
 //! Parallel batch-analysis job scheduling for the determinacy analysis.
 //! The paper's evaluation (§5) is embarrassingly parallel across
 //! benchmark versions and seeds; this crate supplies the subsystem that
-//! actually schedules those runs concurrently, on top of the PR 1 run
+//! actually schedules those runs concurrently, on top of the core run
 //! supervisor (panic isolation, cooperative deadlines/cancellation,
 //! memory budgets):
 //!
@@ -11,7 +11,7 @@
 //!   [`AnalysisConfig`][determinacy::AnalysisConfig] + seeds + per-job
 //!   budgets;
 //! * [`JobPool`] — a `std::thread` worker pool with a shared injector
-//!   queue, one supervised run per job, a batch-wide
+//!   queue, one attempt per job under `catch_unwind`, a batch-wide
 //!   [`CancelToken`][determinacy::CancelToken], and a streaming
 //!   [`JobEvent`] channel;
 //! * [`run_manifest`] / [`BatchOutcome`] — per-job
@@ -35,6 +35,15 @@
 //! and the fact export is totally ordered. Worker count changes
 //! wall-clock time and nothing else.
 //!
+//! ## One attempt per job
+//!
+//! A job is a pure function of its source, config and seeds, so a failed
+//! job is never retried: a rerun would reproduce the failure. Each job
+//! runs once under `catch_unwind`; a panic becomes a `panicked` row and
+//! the pool keeps draining. Per-run deadlines and memory budgets are
+//! enforced cooperatively inside each seed run, so no watchdog sits
+//! above them.
+//!
 //! ## Threading model
 //!
 //! Analysis graphs intern strings with `Rc<str>`, so jobs build their
@@ -49,7 +58,6 @@ pub mod chaos;
 pub mod checkpoint;
 pub mod pipeline;
 pub mod pool;
-pub mod retry;
 pub mod spec;
 
 pub use admission::AdmissionController;
@@ -59,6 +67,5 @@ pub use batch::{
 };
 pub use checkpoint::{job_key, Checkpoint};
 pub use pipeline::{PtaMode, PtaStage, StageKeys, StageRequest};
-pub use pool::{JobCtx, JobEvent, JobPool, JobRun, JobVerdict};
-pub use retry::{Disposition, RetryPolicy};
+pub use pool::{JobCtx, JobEvent, JobPool, JobVerdict};
 pub use spec::{JobSpec, Manifest};

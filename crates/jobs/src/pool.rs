@@ -1,52 +1,39 @@
 //! The worker pool: a fixed set of `std::thread` workers draining a shared
-//! injector queue of jobs, with batch-wide cooperative cancellation, a
-//! streaming progress-event channel, deterministic per-job retries, and a
-//! watchdog that unwedges jobs which miss their cooperative deadlines.
+//! injector queue of jobs, with batch-wide cooperative cancellation and a
+//! streaming progress-event channel.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Determinism.** Results are stored into a slot vector indexed by
 //!    submission order, so the caller always sees jobs in the order it
 //!    submitted them — completion order (and therefore worker count) is
-//!    invisible to everything downstream. Retries rerun the *same* pure
-//!    job body, so a job that succeeds on attempt 3 contributes exactly
-//!    the bytes it would have contributed on attempt 1.
-//! 2. **Isolation.** Every attempt runs under `catch_unwind`; a panicking
-//!    job becomes [`JobVerdict::Panicked`] (after its retry budget is
-//!    spent) and the pool keeps draining.
+//!    invisible to everything downstream.
+//! 2. **Isolation.** Every job runs once under `catch_unwind`; a panicking
+//!    job becomes [`JobVerdict::Panicked`] and the pool keeps draining.
+//!    Jobs are not retried: an analysis is a pure function of its
+//!    inputs, so a rerun would reproduce the failure.
 //! 3. **Cancellation.** The pool shares one [`CancelToken`] with every
-//!    job; each attempt additionally gets a private
-//!    [`child`][CancelToken::child] token so the watchdog can stop one
-//!    wedged job without touching its siblings.
-//! 4. **Watchdog.** A monitor thread watches jobs that
-//!    [`arm_watchdog`][JobCtx::arm_watchdog] a wall-clock budget; a job
-//!    that exceeds it has demonstrably missed its *cooperative* deadline,
-//!    so the monitor cancels the job's private token and the attempt
-//!    resolves as [`JobVerdict::Wedged`] while the pool keeps draining.
-//!    (A job that also stops polling cannot be stopped safely; the
-//!    watchdog bounds the common failure — deadline accounting bugs and
-//!    stages with no deadline enforcement — not hostile spin loops.)
+//!    job: cancelling it stops in-flight runs at their next poll and
+//!    resolves queued jobs as [`JobVerdict::Cancelled`].
 //!
 //! Workers are spawned with [`mujs_syntax::PARSER_STACK_BYTES`] of stack,
 //! so everything a job does — parsing, lowering, counterfactual execution,
 //! `eval`-string reparsing — runs under the stack budget [`MAX_NESTING`]
 //! \[`mujs_syntax::MAX_NESTING`\] is sized for.
 
-use crate::retry::{Disposition, RetryPolicy};
 use determinacy::CancelToken;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 /// A progress event streamed while a batch runs. Events arrive in real
 /// (completion) order; only the final result vector is ordered by
 /// submission index.
 #[derive(Debug, Clone)]
 pub enum JobEvent {
-    /// A worker picked the job up (fires once per attempt).
+    /// A worker picked the job up.
     Started {
         /// Submission index of the job.
         job: usize,
@@ -54,8 +41,6 @@ pub enum JobEvent {
         label: String,
         /// Index of the worker running it.
         worker: usize,
-        /// 1-indexed attempt number.
-        attempt: u32,
     },
     /// The job reported intermediate progress (e.g. "seed 3/8 done").
     Progress {
@@ -72,21 +57,10 @@ pub enum JobEvent {
         /// Human-readable job label.
         label: String,
     },
-    /// An attempt failed transiently and the job will run again.
-    Retrying {
-        /// Submission index of the job.
-        job: usize,
-        /// Human-readable job label.
-        label: String,
-        /// The attempt that just failed (1-indexed).
-        attempt: u32,
-        /// Why it failed.
-        error: String,
-    },
-    /// The job failed permanently: it panicked with no retry budget left,
-    /// or its result was classified [`Disposition::Fatal`]. The reason is
-    /// always carried so campaign-scale triage never sees a bare
-    /// failed bit.
+    /// The job failed permanently: it panicked, or the batch layer found
+    /// a permanent failure (such as a syntax error) in its result. The
+    /// reason is always carried so campaign-scale triage never sees a
+    /// bare failed bit.
     Failed {
         /// Submission index of the job.
         job: usize,
@@ -94,16 +68,6 @@ pub enum JobEvent {
         label: String,
         /// The panic payload or failure classification.
         error: String,
-    },
-    /// The watchdog caught the job exceeding its armed wall-clock budget
-    /// and cancelled it.
-    Wedged {
-        /// Submission index of the job.
-        job: usize,
-        /// Human-readable job label.
-        label: String,
-        /// The budget the job exceeded, in milliseconds.
-        budget_ms: u64,
     },
     /// The admission controller granted the job a reduced memory budget
     /// instead of rejecting it.
@@ -127,18 +91,12 @@ pub enum JobEvent {
 /// How one job ended, in the pool's eyes.
 #[derive(Debug)]
 pub enum JobVerdict<T> {
-    /// The job function returned (possibly after retries).
+    /// The job function returned.
     Done(T),
-    /// The job function panicked on its final attempt; the payload
-    /// survives for the report.
+    /// The job function panicked; the payload survives for the report.
     Panicked(String),
     /// The batch was cancelled before this job started.
     Cancelled,
-    /// The job exceeded its armed watchdog budget — its cooperative
-    /// deadline enforcement demonstrably failed — and was cancelled by
-    /// the monitor. Its partial result is discarded: a run that ignored
-    /// its budget is not trusted to have honored anything else.
-    Wedged,
 }
 
 impl<T> JobVerdict<T> {
@@ -151,18 +109,10 @@ impl<T> JobVerdict<T> {
     }
 }
 
-/// A resolved job: its verdict plus how many attempts it used.
+/// The event funnel shared by workers. Send errors are deliberately
+/// ignored: a dropped listener must never stall or fail the batch (pinned
+/// by the receiver-teardown test).
 #[derive(Debug)]
-pub struct JobRun<T> {
-    /// How the job ended.
-    pub verdict: JobVerdict<T>,
-    /// Attempts used (0 for jobs cancelled before they started).
-    pub attempts: u32,
-}
-
-/// The event funnel shared by workers and the watchdog monitor. Send
-/// errors are deliberately ignored: a dropped listener must never stall
-/// or fail the batch (pinned by the receiver-teardown test).
 struct EventSink {
     tx: Option<Sender<JobEvent>>,
     #[cfg(feature = "fault-inject")]
@@ -172,16 +122,6 @@ struct EventSink {
 }
 
 impl EventSink {
-    fn new(tx: Option<Sender<JobEvent>>) -> Self {
-        EventSink {
-            tx,
-            #[cfg(feature = "fault-inject")]
-            faults: None,
-            #[cfg(feature = "fault-inject")]
-            seq: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
     fn emit(&self, e: JobEvent) {
         #[cfg(feature = "fault-inject")]
         if let Some(f) = &self.faults {
@@ -189,7 +129,7 @@ impl EventSink {
             let n = self.seq.fetch_add(1, Ordering::Relaxed);
             match f.event_fate(n) {
                 EventFate::Drop => return,
-                EventFate::Delay(ms) => std::thread::sleep(Duration::from_millis(ms)),
+                EventFate::Delay(ms) => std::thread::sleep(std::time::Duration::from_millis(ms)),
                 EventFate::Deliver => {}
             }
         }
@@ -199,94 +139,29 @@ impl EventSink {
     }
 }
 
-/// One armed watchdog entry: the wall-clock point past which the running
-/// job counts as wedged, and the private token to fire when it does.
-struct WatchdogSlot {
-    job: usize,
-    label: String,
-    deadline: Instant,
-    budget_ms: u64,
-    token: CancelToken,
-    fired: bool,
-}
-
-/// Per-worker watchdog registry (a worker runs at most one attempt at a
-/// time, so one slot per worker suffices).
-struct Watchdog {
-    slots: Vec<Mutex<Option<WatchdogSlot>>>,
-}
-
-impl Watchdog {
-    fn new(workers: usize) -> Self {
-        Watchdog {
-            slots: (0..workers).map(|_| Mutex::new(None)).collect(),
-        }
-    }
-
-    /// Scans all slots once, firing any that are past deadline.
-    fn scan(&self, events: &EventSink) {
-        let now = Instant::now();
-        for slot in &self.slots {
-            let mut guard = slot.lock().unwrap();
-            if let Some(s) = guard.as_mut() {
-                if !s.fired && now >= s.deadline {
-                    s.fired = true;
-                    s.token.cancel();
-                    events.emit(JobEvent::Wedged {
-                        job: s.job,
-                        label: s.label.clone(),
-                        budget_ms: s.budget_ms,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Disarms the worker's slot, reporting whether it fired.
-    fn disarm(&self, worker: usize) -> bool {
-        self.slots[worker]
-            .lock()
-            .unwrap()
-            .take()
-            .is_some_and(|s| s.fired)
-    }
-}
-
-/// Context handed to a running job: its identity, the cancel token for
-/// this attempt, and a handle for streaming progress events.
+/// Context handed to a running job: its identity, the batch cancel token,
+/// and a handle for streaming progress events.
+#[derive(Debug)]
 pub struct JobCtx {
     /// Submission index of this job.
     pub job: usize,
     /// Index of the worker running it.
     pub worker: usize,
-    /// 1-indexed attempt number (1 on the first run, 2 on the first
-    /// retry, …). Jobs can use it to log, but must not let it change
-    /// their *result* — retried output must be byte-identical.
-    pub attempt: u32,
-    /// This attempt's cancellation token: a private child of the
-    /// batch-wide token, so it observes batch cancellation and can also
-    /// be fired individually by the watchdog. Jobs should thread it into
+    /// The batch-wide cancellation token. Jobs should thread it into
     /// their run supervision hooks (`RunHooks::with_cancel`) so mid-flight
     /// runs stop at the next poll.
     pub cancel: CancelToken,
     label: String,
     events: Arc<EventSink>,
-    watchdog: Arc<Watchdog>,
-}
-
-impl std::fmt::Debug for JobCtx {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobCtx")
-            .field("job", &self.job)
-            .field("worker", &self.worker)
-            .field("attempt", &self.attempt)
-            .finish()
-    }
+    /// Set by [`JobCtx::fail`]; the pool then streams no `Finished`.
+    failed: AtomicBool,
+    /// Set by [`JobCtx::fail_fast`]: a failure of this job cancels the
+    /// batch.
+    fail_fast: AtomicBool,
 }
 
 impl JobCtx {
-    /// Whether batch (or per-job watchdog) cancellation has been
-    /// requested.
+    /// Whether batch cancellation has been requested.
     pub fn is_cancelled(&self) -> bool {
         self.cancel.is_cancelled()
     }
@@ -299,32 +174,32 @@ impl JobCtx {
         });
     }
 
-    /// Arms the watchdog for this attempt: if the job is still running
-    /// `budget_ms` from now, the monitor fires this attempt's cancel
-    /// token and the job resolves as [`JobVerdict::Wedged`]. Call once,
-    /// early — typically right after computing the job's cooperative
-    /// deadline, with the budget set to that deadline plus a grace
-    /// period.
-    pub fn arm_watchdog(&self, budget_ms: u64) {
-        *self.watchdog.slots[self.worker].lock().unwrap() = Some(WatchdogSlot {
-            job: self.job,
-            label: self.label.clone(),
-            deadline: Instant::now() + Duration::from_millis(budget_ms),
-            budget_ms,
-            token: self.cancel.clone(),
-            fired: false,
-        });
-    }
-
     /// Streams an arbitrary event (batch layer only — e.g. admission
     /// degradation notices).
     pub(crate) fn emit(&self, e: JobEvent) {
         self.events.emit(e);
     }
-}
 
-/// How often the watchdog monitor rescans armed slots.
-const WATCHDOG_SCAN_MS: u64 = 10;
+    /// Makes a failure of this job — a [`JobCtx::fail`] call or a panic —
+    /// cancel the whole batch (batch layer only).
+    pub(crate) fn fail_fast(&self) {
+        self.fail_fast.store(true, Ordering::Relaxed);
+    }
+
+    /// Records a permanent failure: streams [`JobEvent::Failed`] in place
+    /// of `Finished`, and cancels the batch under [`JobCtx::fail_fast`].
+    pub(crate) fn fail(&self, error: String) {
+        self.failed.store(true, Ordering::Relaxed);
+        self.events.emit(JobEvent::Failed {
+            job: self.job,
+            label: self.label.clone(),
+            error,
+        });
+        if self.fail_fast.load(Ordering::Relaxed) {
+            self.cancel.cancel();
+        }
+    }
+}
 
 /// A batch-analysis worker pool.
 ///
@@ -376,8 +251,8 @@ impl JobPool {
     }
 
     /// Installs a deterministic scheduler-level fault plan (chaos testing
-    /// only): kills attempts, drops/delays events, truncates checkpoints
-    /// according to the plan's seed.
+    /// only): drops/delays events and truncates checkpoints according to
+    /// the plan's seed.
     #[cfg(feature = "fault-inject")]
     pub fn with_scheduler_faults(mut self, plan: Arc<crate::chaos::SchedulerFaultPlan>) -> Self {
         self.faults = Some(plan);
@@ -401,50 +276,13 @@ impl JobPool {
         self.cancel.cancel();
     }
 
-    /// Runs every `(label, job)` pair to a verdict and returns the
-    /// verdicts **in submission order** — the single-attempt path with no
-    /// result classification (see [`JobPool::run_classified`] for
-    /// retries).
+    /// Runs every `(label, job)` pair once to a verdict and returns the
+    /// verdicts **in submission order**. Blocks until all jobs are
+    /// resolved.
     pub fn run<T, F>(&self, jobs: Vec<(String, F)>) -> Vec<JobVerdict<T>>
     where
         T: Send,
         F: Fn(&JobCtx) -> T + Send,
-    {
-        self.run_classified(jobs, &RetryPolicy::default(), |_| Disposition::Keep)
-            .into_iter()
-            .map(|r| r.verdict)
-            .collect()
-    }
-
-    /// Runs every `(label, job)` pair under `policy`, classifying each
-    /// completed attempt with `classify`, and returns resolved
-    /// [`JobRun`]s **in submission order**.
-    ///
-    /// * A panicking attempt (or one classified
-    ///   [`Disposition::Retry`]) reruns after the policy's deterministic
-    ///   backoff while attempts remain; retried jobs that eventually
-    ///   succeed are indistinguishable in the results from jobs that
-    ///   succeeded on the first try, except for
-    ///   [`JobRun::attempts`].
-    /// * Attempts that overrun a watchdog budget armed via
-    ///   [`JobCtx::arm_watchdog`] resolve as [`JobVerdict::Wedged`].
-    /// * Under `policy.fail_fast`, the first permanent failure (panic
-    ///   with no retries left, exhausted retries, wedge, or
-    ///   [`Disposition::Fatal`]) cancels the batch token: in-flight jobs
-    ///   stop at their next poll, queued jobs resolve
-    ///   [`JobVerdict::Cancelled`].
-    ///
-    /// Blocks until all jobs are resolved.
-    pub fn run_classified<T, F, C>(
-        &self,
-        jobs: Vec<(String, F)>,
-        policy: &RetryPolicy,
-        classify: C,
-    ) -> Vec<JobRun<T>>
-    where
-        T: Send,
-        F: Fn(&JobCtx) -> T + Send,
-        C: Fn(&T) -> Disposition + Sync,
     {
         let n = jobs.len();
         let queue: Mutex<VecDeque<(usize, String, F)>> = Mutex::new(
@@ -453,93 +291,34 @@ impl JobPool {
                 .map(|(i, (label, f))| (i, label, f))
                 .collect(),
         );
-        let results: Mutex<Vec<Option<JobRun<T>>>> = Mutex::new((0..n).map(|_| None).collect());
-        let worker_count = self.workers.min(n.max(1));
-        let events = Arc::new({
-            #[allow(unused_mut)]
-            let mut sink = EventSink::new(self.events.clone());
+        let results: Mutex<Vec<Option<JobVerdict<T>>>> = Mutex::new((0..n).map(|_| None).collect());
+        let events = Arc::new(EventSink {
+            tx: self.events.clone(),
             #[cfg(feature = "fault-inject")]
-            {
-                sink.faults = self.faults.clone();
-            }
-            sink
+            faults: self.faults.clone(),
+            #[cfg(feature = "fault-inject")]
+            seq: std::sync::atomic::AtomicU64::new(0),
         });
-        let watchdog = Arc::new(Watchdog::new(worker_count));
-        let monitor_done = AtomicBool::new(false);
-        let classify = &classify;
         std::thread::scope(|s| {
-            // Watchdog monitor: rescans armed slots until all workers are
-            // done, then exits so the scope can close.
-            let monitor = {
-                let watchdog = watchdog.clone();
-                let events = events.clone();
-                let done = &monitor_done;
-                s.spawn(move || {
-                    while !done.load(Ordering::Relaxed) {
-                        watchdog.scan(&events);
-                        // Parked, not slept: the batch unparks this thread
-                        // when the last worker finishes, so a short batch is
-                        // not held hostage to the scan interval.
-                        std::thread::park_timeout(Duration::from_millis(WATCHDOG_SCAN_MS));
-                    }
-                    // Final scan so nothing armed right at the end is missed.
-                    watchdog.scan(&events);
-                })
-            };
-            let handles: Vec<_> = (0..worker_count)
-                .map(|worker| {
-                    let queue = &queue;
-                    let results = &results;
-                    let cancel = self.cancel.clone();
-                    let events = events.clone();
-                    let watchdog = watchdog.clone();
-                    #[cfg(feature = "fault-inject")]
-                    let faults = self.faults.clone();
-                    let builder = std::thread::Builder::new()
-                        .name(format!("mujs-job-{worker}"))
-                        // Jobs parse and execute recursively; size the stack
-                        // for the raised MAX_NESTING guard.
-                        .stack_size(mujs_syntax::PARSER_STACK_BYTES);
-                    builder
-                        .spawn_scoped(s, move || loop {
-                            let Some((job, label, f)) = queue.lock().unwrap().pop_front() else {
-                                return;
-                            };
-                            let resolved = if cancel.is_cancelled() {
-                                events.emit(JobEvent::Cancelled {
-                                    job,
-                                    label: label.clone(),
-                                });
-                                JobRun {
-                                    verdict: JobVerdict::Cancelled,
-                                    attempts: 0,
-                                }
-                            } else {
-                                run_attempts(
-                                    job,
-                                    &label,
-                                    &f,
-                                    worker,
-                                    &cancel,
-                                    &events,
-                                    &watchdog,
-                                    policy,
-                                    classify,
-                                    #[cfg(feature = "fault-inject")]
-                                    faults.as_deref(),
-                                )
-                            };
-                            results.lock().unwrap()[job] = Some(resolved);
-                        })
-                        .expect("spawn pool worker")
-                })
-                .collect();
-            for h in handles {
-                let _ = h.join();
+            for worker in 0..self.workers.min(n.max(1)) {
+                let queue = &queue;
+                let results = &results;
+                let cancel = &self.cancel;
+                let events = &events;
+                std::thread::Builder::new()
+                    .name(format!("mujs-job-{worker}"))
+                    // Jobs parse and execute recursively; size the stack
+                    // for the raised MAX_NESTING guard.
+                    .stack_size(mujs_syntax::PARSER_STACK_BYTES)
+                    .spawn_scoped(s, move || loop {
+                        let Some((job, label, f)) = queue.lock().unwrap().pop_front() else {
+                            return;
+                        };
+                        let verdict = run_job(job, label, &f, worker, cancel, events);
+                        results.lock().unwrap()[job] = Some(verdict);
+                    })
+                    .expect("spawn pool worker");
             }
-            monitor_done.store(true, Ordering::Relaxed);
-            monitor.thread().unpark();
-            let _ = monitor.join();
         });
         results
             .into_inner()
@@ -550,164 +329,50 @@ impl JobPool {
     }
 }
 
-/// The per-job attempt loop: run, classify, retry with deterministic
-/// backoff, and resolve to a final verdict.
-#[allow(clippy::too_many_arguments)]
-fn run_attempts<T, F, C>(
+/// Runs one job once, under `catch_unwind`, and resolves its verdict.
+fn run_job<T, F>(
     job: usize,
-    label: &str,
+    label: String,
     f: &F,
     worker: usize,
-    batch_cancel: &CancelToken,
+    cancel: &CancelToken,
     events: &Arc<EventSink>,
-    watchdog: &Arc<Watchdog>,
-    policy: &RetryPolicy,
-    classify: &C,
-    #[cfg(feature = "fault-inject")] faults: Option<&crate::chaos::SchedulerFaultPlan>,
-) -> JobRun<T>
+) -> JobVerdict<T>
 where
     F: Fn(&JobCtx) -> T,
-    C: Fn(&T) -> Disposition,
 {
-    let mut attempt: u32 = 0;
-    loop {
-        attempt += 1;
-        if batch_cancel.is_cancelled() {
-            events.emit(JobEvent::Cancelled {
-                job,
-                label: label.to_owned(),
-            });
-            return JobRun {
-                verdict: JobVerdict::Cancelled,
-                attempts: attempt - 1,
-            };
-        }
-        events.emit(JobEvent::Started {
-            job,
-            label: label.to_owned(),
-            worker,
-            attempt,
-        });
-        let ctx = JobCtx {
-            job,
-            worker,
-            attempt,
-            cancel: batch_cancel.child(),
-            label: label.to_owned(),
-            events: events.clone(),
-            watchdog: watchdog.clone(),
-        };
-        #[cfg(feature = "fault-inject")]
-        let injected_kill = faults.is_some_and(|p| p.kill_job(job, attempt));
-        #[cfg(not(feature = "fault-inject"))]
-        let injected_kill = false;
-        let outcome: Result<T, String> = if injected_kill {
-            Err("chaos: worker killed mid-job (injected)".to_owned())
-        } else {
-            catch_unwind(AssertUnwindSafe(|| f(&ctx))).map_err(panic_text)
-        };
-        let wedged = watchdog.disarm(worker);
-        match outcome {
-            Err(error) => {
-                if policy.may_retry(attempt) {
-                    events.emit(JobEvent::Retrying {
-                        job,
-                        label: label.to_owned(),
-                        attempt,
-                        error,
-                    });
-                    backoff(policy, job, attempt);
-                    continue;
-                }
-                events.emit(JobEvent::Failed {
+    if cancel.is_cancelled() {
+        events.emit(JobEvent::Cancelled { job, label });
+        return JobVerdict::Cancelled;
+    }
+    events.emit(JobEvent::Started {
+        job,
+        label: label.clone(),
+        worker,
+    });
+    let ctx = JobCtx {
+        job,
+        worker,
+        cancel: cancel.clone(),
+        label,
+        events: events.clone(),
+        failed: AtomicBool::new(false),
+        fail_fast: AtomicBool::new(false),
+    };
+    match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
+        Ok(t) => {
+            if !ctx.failed.load(Ordering::Relaxed) {
+                events.emit(JobEvent::Finished {
                     job,
-                    label: label.to_owned(),
-                    error,
+                    label: ctx.label,
                 });
-                fail_fast(policy, batch_cancel);
-                return JobRun {
-                    verdict: JobVerdict::Panicked(panic_after_retries(attempt, label)),
-                    attempts: attempt,
-                };
             }
-            Ok(_) if wedged => {
-                // Monitor already emitted JobEvent::Wedged.
-                fail_fast(policy, batch_cancel);
-                return JobRun {
-                    verdict: JobVerdict::Wedged,
-                    attempts: attempt,
-                };
-            }
-            Ok(t) => match classify(&t) {
-                Disposition::Keep => {
-                    events.emit(JobEvent::Finished {
-                        job,
-                        label: label.to_owned(),
-                    });
-                    return JobRun {
-                        verdict: JobVerdict::Done(t),
-                        attempts: attempt,
-                    };
-                }
-                Disposition::Retry(error) => {
-                    if policy.may_retry(attempt) {
-                        events.emit(JobEvent::Retrying {
-                            job,
-                            label: label.to_owned(),
-                            attempt,
-                            error,
-                        });
-                        backoff(policy, job, attempt);
-                        continue;
-                    }
-                    // Retries exhausted: the result (with its recorded
-                    // failures) stands; the batch may stop here.
-                    events.emit(JobEvent::Failed {
-                        job,
-                        label: label.to_owned(),
-                        error: format!("retries exhausted after {attempt} attempts: {error}"),
-                    });
-                    fail_fast(policy, batch_cancel);
-                    return JobRun {
-                        verdict: JobVerdict::Done(t),
-                        attempts: attempt,
-                    };
-                }
-                Disposition::Fatal(error) => {
-                    events.emit(JobEvent::Failed {
-                        job,
-                        label: label.to_owned(),
-                        error,
-                    });
-                    fail_fast(policy, batch_cancel);
-                    return JobRun {
-                        verdict: JobVerdict::Done(t),
-                        attempts: attempt,
-                    };
-                }
-            },
+            JobVerdict::Done(t)
         }
-    }
-}
-
-fn backoff(policy: &RetryPolicy, job: usize, attempt: u32) {
-    let ms = policy.backoff_ms(job, attempt);
-    if ms > 0 {
-        std::thread::sleep(Duration::from_millis(ms));
-    }
-}
-
-fn fail_fast(policy: &RetryPolicy, batch_cancel: &CancelToken) {
-    if policy.fail_fast {
-        batch_cancel.cancel();
-    }
-}
-
-fn panic_after_retries(attempts: u32, label: &str) -> String {
-    if attempts > 1 {
-        format!("job `{label}` panicked on all {attempts} attempts")
-    } else {
-        format!("job `{label}` panicked")
+        Err(payload) => {
+            ctx.fail(panic_text(payload));
+            JobVerdict::Panicked(format!("job `{}` panicked", ctx.label))
+        }
     }
 }
 
@@ -747,12 +412,6 @@ impl<T> IsolatedGraph<T> {
         IsolatedGraph(value)
     }
 
-    /// Borrows the wrapped graph on the producing thread (classification
-    /// happens worker-side, before the handoff).
-    pub(crate) fn get(&self) -> &T {
-        &self.0
-    }
-
     /// Unwraps on the receiving thread.
     pub(crate) fn into_inner(self) -> T {
         self.0
@@ -762,7 +421,6 @@ impl<T> IsolatedGraph<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
     use std::sync::mpsc::channel;
 
     type BoxedJob<T> = Box<dyn Fn(&JobCtx) -> T + Send>;
@@ -841,133 +499,51 @@ mod tests {
     }
 
     #[test]
-    fn a_transient_panic_is_retried_to_success() {
-        let pool = JobPool::new(2);
-        let calls = AtomicU32::new(0);
-        let jobs: Vec<(String, _)> = vec![("flaky".to_owned(), |_ctx: &JobCtx| {
-            if calls.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("transient fault");
-            }
-            99u32
-        })];
-        let out = pool.run_classified(jobs, &RetryPolicy::attempts(3), |_| Disposition::Keep);
-        assert!(matches!(out[0].verdict, JobVerdict::Done(99)));
-        assert_eq!(out[0].attempts, 2);
-    }
-
-    #[test]
-    fn retries_exhaust_into_a_panicked_verdict() {
+    fn fail_fast_cancels_the_rest_of_the_batch() {
         let (tx, rx) = channel();
         let pool = JobPool::new(1).with_events(tx);
-        let jobs: Vec<(String, BoxedJob<u32>)> =
-            vec![("always-dies".into(), Box::new(|_| panic!("permanent")))];
-        let out = pool.run_classified(jobs, &RetryPolicy::attempts(3), |_| Disposition::Keep);
-        assert!(matches!(&out[0].verdict, JobVerdict::Panicked(_)));
-        assert_eq!(out[0].attempts, 3);
-        let retries = rx
-            .try_iter()
-            .filter(|e| matches!(e, JobEvent::Retrying { .. }))
-            .count();
-        assert_eq!(retries, 2, "attempts 1 and 2 retry, attempt 3 fails");
-    }
-
-    #[test]
-    fn classifier_driven_retry_reruns_the_job() {
-        let pool = JobPool::new(1);
-        let calls = AtomicU32::new(0);
-        let jobs: Vec<(String, _)> = vec![("classified".to_owned(), |_ctx: &JobCtx| {
-            calls.fetch_add(1, Ordering::SeqCst) + 1
-        })];
-        let out = pool.run_classified(jobs, &RetryPolicy::attempts(5), |&n: &u32| {
-            if n < 3 {
-                Disposition::Retry(format!("attempt {n} too small"))
-            } else {
-                Disposition::Keep
-            }
-        });
-        assert!(matches!(out[0].verdict, JobVerdict::Done(3)));
-        assert_eq!(out[0].attempts, 3);
-    }
-
-    #[test]
-    fn fail_fast_cancels_the_rest_of_the_batch() {
-        let pool = JobPool::new(1);
         let jobs: Vec<(String, BoxedJob<u32>)> = vec![
-            ("fatal".into(), Box::new(|_| 0)),
+            (
+                "fatal".into(),
+                Box::new(|ctx| {
+                    ctx.fail_fast();
+                    ctx.fail("bad input".into());
+                    0
+                }),
+            ),
             ("never-runs".into(), Box::new(|_| 1)),
         ];
-        let policy = RetryPolicy {
-            fail_fast: true,
-            ..RetryPolicy::attempts(1)
-        };
-        let out = pool.run_classified(jobs, &policy, |&n: &u32| {
-            if n == 0 {
-                Disposition::Fatal("bad input".into())
-            } else {
-                Disposition::Keep
-            }
-        });
-        assert!(matches!(out[0].verdict, JobVerdict::Done(0)));
-        assert!(matches!(out[1].verdict, JobVerdict::Cancelled));
-    }
-
-    #[test]
-    fn the_watchdog_wedges_a_job_that_overstays_its_budget() {
-        let (tx, rx) = channel();
-        let pool = JobPool::new(2).with_events(tx);
-        let jobs: Vec<(String, BoxedJob<u32>)> = vec![
-            (
-                "overstayer".into(),
-                Box::new(|ctx| {
-                    ctx.arm_watchdog(30);
-                    // Poll cooperatively like a real run; without the
-                    // watchdog this would spin for a very long time.
-                    while !ctx.is_cancelled() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    0
-                }),
-            ),
-            ("fine".into(), Box::new(|_| 7)),
-        ];
         let out = pool.run(jobs);
-        assert!(matches!(out[0], JobVerdict::Wedged));
-        assert!(matches!(out[1], JobVerdict::Done(7)));
-        assert!(rx.try_iter().any(|e| matches!(
-            e,
-            JobEvent::Wedged {
-                job: 0,
-                budget_ms: 30,
-                ..
-            }
-        )));
+        assert!(matches!(out[0], JobVerdict::Done(0)));
+        assert!(matches!(out[1], JobVerdict::Cancelled));
+        let events: Vec<JobEvent> = rx.try_iter().collect();
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, JobEvent::Failed { job: 0, error, .. } if error == "bad input")));
+        assert!(
+            !events
+                .iter()
+                .any(|e| matches!(e, JobEvent::Finished { .. })),
+            "a failed job streams Failed in place of Finished: {events:?}"
+        );
     }
 
     #[test]
-    fn watchdog_cancellation_does_not_leak_into_siblings() {
+    fn fail_fast_cancels_the_batch_on_a_panic() {
         let pool = JobPool::new(1);
         let jobs: Vec<(String, BoxedJob<u32>)> = vec![
             (
-                "wedges".into(),
+                "boom".into(),
                 Box::new(|ctx| {
-                    ctx.arm_watchdog(20);
-                    while !ctx.is_cancelled() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    0
+                    ctx.fail_fast();
+                    panic!("job exploded")
                 }),
             ),
-            (
-                "healthy-after".into(),
-                Box::new(|ctx| {
-                    assert!(!ctx.is_cancelled(), "sibling token must be fresh");
-                    5
-                }),
-            ),
+            ("never-runs".into(), Box::new(|_| 1)),
         ];
         let out = pool.run(jobs);
-        assert!(matches!(out[0], JobVerdict::Wedged));
-        assert!(matches!(out[1], JobVerdict::Done(5)));
+        assert!(matches!(&out[0], JobVerdict::Panicked(p) if p == "job `boom` panicked"));
+        assert!(matches!(out[1], JobVerdict::Cancelled));
     }
 
     #[test]

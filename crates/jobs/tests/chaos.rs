@@ -1,7 +1,6 @@
 //! Scheduler-level chaos: the fault-tolerance headline guarantee.
 //!
-//! For any seed-deterministic [`SchedulerFaultPlan`] whose faults are all
-//! *retryable* (worker kills below the retry budget, dropped/delayed
+//! For any seed-deterministic [`SchedulerFaultPlan`] (dropped/delayed
 //! events, truncated checkpoint writes), the final batch report must be
 //! **byte-identical** to the fault-free run — at any worker count. CI
 //! runs this suite across a worker-count × fault-seed matrix; on
@@ -11,8 +10,7 @@
 
 use mujs_jobs::chaos::SchedulerFaultPlan;
 use mujs_jobs::{
-    run_manifest_with, BatchOptions, BatchOutcome, Checkpoint, JobCtx, JobPool, JobSpec,
-    JobVerdict, Manifest, RetryPolicy,
+    run_manifest_with, BatchOptions, BatchOutcome, Checkpoint, JobPool, JobSpec, Manifest,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -74,7 +72,6 @@ fn run_chaos(
         pool = pool.with_scheduler_faults(p.clone());
     }
     let mut opts = BatchOptions {
-        retry: RetryPolicy::attempts(3),
         chaos: plan,
         ..Default::default()
     };
@@ -88,7 +85,6 @@ fn run_chaos(
 fn retryable_fault_schedules_leave_the_report_byte_identical() {
     let m = chaos_manifest();
     let baseline = run_chaos(&m, 1, None, |_| {}).report_json(true);
-    let mut total_retried = 0u32;
     // CI widens the seed matrix through the environment.
     let mut fault_seeds = vec![1u64, 2, 3];
     if let Some(extra) = std::env::var("DETJOBS_CHAOS_SEED")
@@ -111,16 +107,8 @@ fn retryable_fault_schedules_leave_the_report_byte_identical() {
                 &batch.report_json(true),
                 &format!("seed{fault_seed}-workers{workers}"),
             );
-            total_retried += batch.jobs.iter().filter(|j| j.attempts > 1).count() as u32;
-            // Attempt counters live outside the report; sanity-check they
-            // stayed within the retry budget.
-            assert!(batch.jobs.iter().all(|j| j.attempts <= 3));
         }
     }
-    assert!(
-        total_retried > 0,
-        "a 40% kill rate across 9 matrix legs must force at least one retry"
-    );
 }
 
 /// Injected checkpoint truncation (a crash during the temp-file write)
@@ -134,8 +122,7 @@ fn truncated_checkpoint_writes_stay_atomic_and_resumable() {
     std::fs::create_dir_all(&dir).unwrap();
     let ckpt = dir.join("ck.json");
     let plan = Arc::new(SchedulerFaultPlan {
-        kill_pct: 0, // isolate the checkpoint fault
-        drop_event_pct: 0,
+        drop_event_pct: 0, // isolate the checkpoint fault
         delay_event_pct: 0,
         truncate_checkpoint_every: Some(2),
         ..SchedulerFaultPlan::from_seed(9)
@@ -157,54 +144,5 @@ fn truncated_checkpoint_writes_stay_atomic_and_resumable() {
     );
     let restored = resumed.jobs.iter().filter(|j| j.restored.is_some()).count();
     assert!(restored > 0, "resume must splice at least one settled row");
-    assert!(resumed
-        .jobs
-        .iter()
-        .filter(|j| j.restored.is_some())
-        .all(|j| j.attempts == 0));
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A deadline-accounting bug (the `ignore_deadline` fault suppresses the
-/// cooperative deadline check while cancel polling keeps working) wedges
-/// the job instead of wedging its worker forever: the watchdog fires the
-/// job's private cancel token, the attempt resolves `Wedged`, and the
-/// pool keeps draining sibling jobs.
-#[test]
-fn watchdog_unwedges_a_job_whose_deadline_enforcement_is_broken() {
-    use determinacy::{supervised_analyze, AnalysisConfig, DetHarness, FaultPlan, RunHooks};
-    let pool = JobPool::new(2);
-    type Job = Box<dyn Fn(&JobCtx) -> u32 + Send>;
-    let jobs: Vec<(String, Job)> = vec![
-        (
-            "broken-deadline".into(),
-            Box::new(|ctx| {
-                // Real integration: a supervised run whose cooperative
-                // deadline check is faulted out. Only the watchdog's
-                // cancel (same poll sites) can stop it.
-                ctx.arm_watchdog(150);
-                let mut h = DetHarness::from_src("var i = 0; while (i < 99) { i = (i + 1) % 97; }")
-                    .unwrap();
-                let cfg = AnalysisConfig {
-                    deadline_ms: Some(10),
-                    max_steps: u64::MAX,
-                    ..AnalysisConfig::default()
-                };
-                let hooks = RunHooks::with_cancel(ctx.cancel.clone()).with_faults(FaultPlan {
-                    ignore_deadline: true,
-                    ..FaultPlan::default()
-                });
-                let _ = supervised_analyze(&mut h, cfg, &hooks);
-                0
-            }),
-        ),
-        ("sibling".into(), Box::new(|_| 7)),
-    ];
-    let out = pool.run(jobs);
-    assert!(
-        matches!(out[0], JobVerdict::Wedged),
-        "faulted deadline must resolve as wedged, got {:?}",
-        out[0]
-    );
-    assert!(matches!(out[1], JobVerdict::Done(7)));
 }

@@ -1,6 +1,8 @@
-//! End-to-end `detjobs` binary checks: exit codes for CI gating, and the
-//! checkpoint/resume flags producing byte-identical reports.
+//! End-to-end `detjobs` binary checks: exit codes for CI gating, the
+//! checkpoint/resume flags producing byte-identical reports, and per-run
+//! deadlines that complete a job rather than fail it.
 
+use serde_json::Value;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -108,8 +110,6 @@ fn checkpoint_then_resume_reproduces_the_report_bytes() {
             ckpt.to_str().unwrap(),
             "--report",
             r1.to_str().unwrap(),
-            "--retries",
-            "3",
             "--quiet",
         ])
         .output()
@@ -137,10 +137,10 @@ fn checkpoint_then_resume_reproduces_the_report_bytes() {
     let bytes2 = std::fs::read(&r2).unwrap();
     assert_eq!(bytes1, bytes2, "resumed report must be byte-identical");
 
-    // Everything was restored: zero attempts spent on the resumed leg.
+    // Everything was restored: the resumed leg executed no job.
     let stats_text = std::fs::read_to_string(&stats).unwrap();
+    assert!(stats_text.contains("\"jobs\": 2"), "{stats_text}");
     assert!(stats_text.contains("\"restored\": 2"), "{stats_text}");
-    assert!(stats_text.contains("\"total_attempts\": 0"), "{stats_text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -233,5 +233,71 @@ fn orphaned_checkpoint_flags_warn_instead_of_silently_ignoring() {
     let text = String::from_utf8_lossy(&help.stderr);
     assert!(text.contains("exit status:"), "{text}");
     assert!(text.contains("2  usage errors"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `deadline_ms` bounds each seed run, not the whole job: three seed runs
+/// that each stop at a 200ms deadline make a job that completes, with
+/// three `Deadline` run statuses, even though it takes over 600ms.
+#[test]
+fn per_run_deadlines_complete_a_multi_seed_job() {
+    let dir = tmp_dir("cli-deadline");
+    let manifest = write_manifest(
+        &dir,
+        "m.json",
+        r#"{"jobs": [{"name": "spin", "src": "var i = 0; while (true) { i = i + 1; }",
+                      "seeds": [1, 2, 3], "deadline_ms": 200}]}"#,
+    );
+    let out = detjobs()
+        .args([
+            "--manifest",
+            manifest.to_str().unwrap(),
+            "--no-facts",
+            "--quiet",
+        ])
+        .output()
+        .expect("run detjobs");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let report: Value = serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).unwrap();
+    let job = &report.get("jobs").unwrap().as_array().unwrap()[0];
+    assert_eq!(job.get("status").unwrap().as_str(), Some("completed"));
+    let statuses: Vec<&str> = job
+        .get("run_statuses")
+        .unwrap()
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|s| s.as_str().unwrap())
+        .collect();
+    assert_eq!(statuses, ["Deadline", "Deadline", "Deadline"]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Jobs run once, with no retry or watchdog knobs: the old flags are
+/// unknown arguments.
+#[test]
+fn retry_and_watchdog_flags_are_usage_errors() {
+    let dir = tmp_dir("cli-removed-flags");
+    let manifest = write_manifest(&dir, "m.json", HEALTHY);
+    for (flag, value) in [
+        ("--retries", "2"),
+        ("--backoff-ms", "5"),
+        ("--watchdog-grace", "100"),
+    ] {
+        let out = detjobs()
+            .args(["--manifest", manifest.to_str().unwrap(), flag, value])
+            .output()
+            .expect("run detjobs");
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown argument"),
+            "{flag}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

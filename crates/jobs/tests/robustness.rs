@@ -6,7 +6,7 @@
 use determinacy::AnalysisConfig;
 use mujs_jobs::{
     job_key, run_manifest, run_manifest_with, BatchOptions, Checkpoint, JobEvent, JobPool, JobSpec,
-    JobStatus, Manifest, PtaMode, PtaStage, RetryPolicy, StageKeys,
+    JobStatus, Manifest, PtaMode, PtaStage, StageKeys,
 };
 use std::path::PathBuf;
 use std::sync::mpsc::channel;
@@ -55,14 +55,13 @@ fn default_options_match_the_plain_batch_path() {
     assert_eq!(plain.report_json(true), hardened.report_json(true));
 }
 
-/// Campaign options (retries armed, checkpointing on) do not disturb the
-/// worker-count invariance of the report.
+/// Campaign options (checkpointing on) do not disturb the worker-count
+/// invariance of the report.
 #[test]
 fn hardened_batches_stay_schedule_independent() {
     let m = small_manifest();
     let dir = tmp_dir("robustness-sched");
     let mk_opts = |ck: PathBuf| BatchOptions {
-        retry: RetryPolicy::attempts(3),
         checkpoint_path: Some(ck),
         checkpoint_every: 1,
         ..Default::default()
@@ -77,8 +76,7 @@ fn hardened_batches_stay_schedule_independent() {
 /// *prefix* of the manifest — exactly what an interrupted campaign leaves
 /// behind — checkpoints its settled rows; resuming the full manifest from
 /// that checkpoint reproduces the uninterrupted report byte for byte,
-/// without re-executing the completed jobs (their attempt counters stay
-/// 0).
+/// without re-executing the completed jobs (they are restored, not run).
 #[test]
 fn resumed_batches_are_byte_identical_without_reexecution() {
     let full = small_manifest();
@@ -113,15 +111,16 @@ fn resumed_batches_are_byte_identical_without_reexecution() {
     assert_eq!(baseline, resumed.report_json(true));
     // Facts-off reports agree too (the splice strips stored fact rows).
     assert_eq!(uninterrupted.report_json(false), resumed.report_json(false));
-    // The first two jobs were spliced, not re-run.
+    // The first two jobs were spliced, not re-run; the rest ran.
     for j in &resumed.jobs[..2] {
         assert!(j.restored.is_some(), "{} must be restored", j.name);
-        assert_eq!(j.attempts, 0, "{} must not re-execute", j.name);
+        assert!(j.outcome.is_none(), "{} must not re-execute", j.name);
     }
     for j in &resumed.jobs[2..] {
         assert!(j.restored.is_none());
-        assert!(j.attempts >= 1, "{} must actually run", j.name);
+        assert!(j.outcome.is_some(), "{} must actually run", j.name);
     }
+    assert!(resumed.stats_json().contains("\"restored\": 2"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -210,7 +209,7 @@ fn stale_checkpoint_rows_miss_on_content_change() {
         resumed.jobs[1].restored.is_none(),
         "edited job must not reuse the stale row"
     );
-    assert!(resumed.jobs[1].attempts >= 1);
+    assert!(resumed.jobs[1].outcome.is_some(), "edited job must run");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -264,10 +263,7 @@ fn fail_fast_stops_the_batch_on_a_permanent_failure() {
         &m,
         &JobPool::new(1),
         &BatchOptions {
-            retry: RetryPolicy {
-                fail_fast: true,
-                ..RetryPolicy::default()
-            },
+            fail_fast: true,
             ..Default::default()
         },
     );
@@ -306,8 +302,7 @@ fn reports_carry_structured_failure_reasons() {
     // Stats counters exist and count the failure.
     let stats = batch.stats_json();
     assert!(stats.contains("\"syntax_errors\": 1"), "{stats}");
-    assert!(stats.contains("\"wedged\": 0"), "{stats}");
-    assert!(stats.contains("\"retried_jobs\": 0"), "{stats}");
+    assert!(stats.contains("\"panicked\": 0"), "{stats}");
 }
 
 /// The opt-in PTA stage: enabling it adds a `pta` object to every

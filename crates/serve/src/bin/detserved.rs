@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! detserved --listen 127.0.0.1:0 [--cache-capacity N] [--cache-dir DIR]
-//!           [--mem-budget CELLS] [--watchdog-grace MS]
+//!           [--mem-budget CELLS]
 //! detserved --stdin [same options]
 //! ```
 //!
@@ -36,7 +36,6 @@ fn usage() -> ExitCode {
          \x20 --cache-dir DIR      persist stage artifacts to DIR (survives restarts)\n\
          \x20 --mem-budget CELLS   server-wide declared-memory budget (admission\n\
          \x20                      control; oversized requests run degraded)\n\
-         \x20 --watchdog-grace MS  wedge requests at deadline_ms + MS\n\
          \n\
          exit codes: 0 clean shutdown or EOF; 1 fatal I/O error; 2 usage error"
     );
@@ -53,7 +52,6 @@ fn main() -> ExitCode {
     let mut transport = None;
     let mut cache = CacheConfig::default();
     let mut mem_budget = None;
-    let mut watchdog_grace = None;
 
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
@@ -74,13 +72,6 @@ fn main() -> ExitCode {
                             .map_err(|e| format!("--mem-budget: {e}"))?,
                     );
                 }
-                "--watchdog-grace" => {
-                    watchdog_grace = Some(
-                        value("--watchdog-grace")?
-                            .parse()
-                            .map_err(|e| format!("--watchdog-grace: {e}"))?,
-                    );
-                }
                 other => return Err(format!("unknown argument `{other}`")),
             }
             Ok(())
@@ -99,7 +90,6 @@ fn main() -> ExitCode {
     let server = Server::new(ServeOptions {
         cache,
         mem_budget_cells: mem_budget,
-        watchdog_grace_ms: watchdog_grace,
     });
 
     let outcome = match transport {

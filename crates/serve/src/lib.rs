@@ -38,8 +38,8 @@
 //! stdin/stdout pipe, streaming the jobs layer's `JobEvent`s as progress
 //! frames and finishing each request with a report row **byte-identical**
 //! to what a cold run produces (both paths render the row from the cached
-//! artifacts, never from live analysis state). Admission control and
-//! watchdog wedging reuse the `mujs-jobs` machinery unchanged.
+//! artifacts, never from live analysis state). Admission control reuses
+//! the `mujs-jobs` machinery unchanged.
 //!
 //! Two binaries ship with the crate: `detserved` (the daemon) and
 //! `detload` (a load generator that measures cold-vs-warm throughput and

@@ -25,8 +25,8 @@
 //! frame.
 //!
 //! Response frames: progress events re-encode the jobs layer's
-//! [`JobEvent`] stream (`started` / `progress` / `degraded` / `wedged` /
-//! `retrying` / `failed` / `finished` / `cancelled`), and each request
+//! [`JobEvent`] stream (`started` / `progress` / `degraded` / `failed` /
+//! `finished` / `cancelled`), and each request
 //! settles with exactly one terminal frame — `result` (carrying the
 //! report row and per-stage cache flags), `pong`, `stats`, `bye`, or
 //! `error`.
@@ -210,29 +210,12 @@ pub fn event_line(ev: &JobEvent, id: &Value) -> String {
     let s = |s: &str| Value::Str(s.to_owned());
     let num = |n: u64| Value::Num(n as f64);
     match ev {
-        JobEvent::Started { attempt, .. } => frame(
-            "started",
-            id,
-            vec![("attempt".to_owned(), num(u64::from(*attempt)))],
-        ),
+        JobEvent::Started { .. } => frame("started", id, Vec::new()),
         JobEvent::Progress { detail, .. } => {
             frame("progress", id, vec![("detail".to_owned(), s(detail))])
         }
         JobEvent::Finished { .. } => frame("finished", id, Vec::new()),
-        JobEvent::Retrying { attempt, error, .. } => frame(
-            "retrying",
-            id,
-            vec![
-                ("attempt".to_owned(), num(u64::from(*attempt))),
-                ("error".to_owned(), s(error)),
-            ],
-        ),
         JobEvent::Failed { error, .. } => frame("failed", id, vec![("error".to_owned(), s(error))]),
-        JobEvent::Wedged { budget_ms, .. } => frame(
-            "wedged",
-            id,
-            vec![("budget_ms".to_owned(), num(*budget_ms))],
-        ),
         JobEvent::Degraded { granted_cells, .. } => frame(
             "degraded",
             id,

@@ -5,8 +5,7 @@
 //! line loop: parse a request, dispatch, write the frames it produces.
 //! Analyze requests run on a single-worker [`JobPool`] spawned per
 //! request — the pool supplies the deep parser stack, panic isolation,
-//! the wedge watchdog, and the [`JobEvent`] stream the protocol forwards
-//! as progress frames — while the pipeline inside the job consults the
+//! and the [`JobEvent`] stream the protocol forwards as progress frames — while the pipeline inside the job consults the
 //! shared [`StageCache`], so a warm request costs three cache probes and
 //! no recomputation.
 //!
@@ -39,16 +38,12 @@ pub struct ServeOptions {
     /// Server-wide declared-memory budget (heap cells) for admission
     /// control; `None` admits everything at full budget.
     pub mem_budget_cells: Option<u64>,
-    /// Watchdog grace: requests with a deadline are wedged (cancelled and
-    /// failed) at `deadline_ms + grace`. `None` disables the watchdog.
-    pub watchdog_grace_ms: Option<u64>,
 }
 
 struct Inner {
     cache: StageCache,
     counters: PipelineCounters,
     admission: Option<AdmissionController>,
-    watchdog_grace_ms: Option<u64>,
     requests: AtomicU64,
     responses: AtomicU64,
     errors: AtomicU64,
@@ -70,7 +65,6 @@ impl Server {
                 cache: StageCache::new(opts.cache),
                 counters: PipelineCounters::default(),
                 admission: opts.mem_budget_cells.map(AdmissionController::new),
-                watchdog_grace_ms: opts.watchdog_grace_ms,
                 requests: AtomicU64::new(0),
                 responses: AtomicU64::new(0),
                 errors: AtomicU64::new(0),
@@ -189,8 +183,6 @@ impl Server {
 
         let (tx, rx) = mpsc::channel();
         let inner = &self.inner;
-        let grace = self.inner.watchdog_grace_ms;
-        let deadline = stage_req.cfg.deadline_ms;
         let verdict = std::thread::scope(|s| {
             let stage_req = &stage_req;
             let handle = s.spawn(move || {
@@ -199,9 +191,6 @@ impl Server {
                 // ends the forwarding loop below.
                 let pool = JobPool::new(1).with_events(tx);
                 let job = move |ctx: &JobCtx| -> Executed {
-                    if let (Some(grace), Some(deadline)) = (grace, deadline) {
-                        ctx.arm_watchdog(deadline.saturating_add(grace));
-                    }
                     execute(
                         stage_req,
                         status_label,
@@ -258,10 +247,6 @@ impl Server {
             JobVerdict::Panicked(p) => {
                 self.inner.errors.fetch_add(1, Ordering::Relaxed);
                 error_line(&req.id, &format!("panicked: {p}"))
-            }
-            JobVerdict::Wedged => {
-                self.inner.errors.fetch_add(1, Ordering::Relaxed);
-                error_line(&req.id, "wedged: exceeded watchdog budget")
             }
             JobVerdict::Cancelled => {
                 self.inner.errors.fetch_add(1, Ordering::Relaxed);

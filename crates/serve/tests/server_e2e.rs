@@ -74,6 +74,38 @@ fn pipe_session_serves_cold_then_warm() {
     assert_eq!(cache.get("facts_misses").unwrap(), &1.0);
 }
 
+/// `deadline_ms` bounds each seed run: three runs that each stop at a
+/// 200ms deadline answer with a `result` frame, not an error, and the
+/// event frames carry no attempt counter.
+#[test]
+fn per_run_deadlines_answer_with_a_result_frame() {
+    let server = Server::new(ServeOptions::default());
+    let script = concat!(
+        r#"{"op":"analyze","id":1,"name":"spin","src":"var i = 0; while (true) { i = i + 1; }","seeds":[1,2,3],"deadline_ms":200}"#,
+        "\n",
+    );
+    let mut out = Vec::new();
+    server
+        .handle_stream(Cursor::new(script), &mut out)
+        .expect("pipe session runs");
+    let fr = frames(&out);
+    let started = fr.iter().find(|f| ev(f) == "started").unwrap();
+    assert!(started.get("attempt").is_none(), "{started:?}");
+    let last = fr.last().unwrap();
+    assert_eq!(ev(last), "result", "{fr:?}");
+    let report = last.get("report").unwrap();
+    assert_eq!(report.get("status").unwrap(), &"completed");
+    let statuses: Vec<&str> = report
+        .get("run_statuses")
+        .unwrap()
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|s| s.as_str().unwrap())
+        .collect();
+    assert_eq!(statuses, ["Deadline", "Deadline", "Deadline"]);
+}
+
 #[test]
 fn protocol_errors_answer_in_band_and_do_not_kill_the_session() {
     let server = Server::new(ServeOptions::default());
@@ -284,6 +316,8 @@ fn mode_flags_are_usage_errors() {
     for args in [
         &["--stdin", "--shortcuts"][..],
         &["--stdin", "--spec-depth", "2"][..],
+        // Requests run once, with no watchdog above their own deadline.
+        &["--stdin", "--watchdog-grace", "100"][..],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_detserved"))
             .args(args)

@@ -7,7 +7,7 @@ use determinacy::multirun::{analyze_many, export_json};
 use determinacy::{AnalysisConfig, DetHarness};
 use mujs_jobs::{
     analyze_many_pooled, run_manifest, run_manifest_with, BatchOptions, Checkpoint, JobPool,
-    JobSpec, Manifest, RetryPolicy,
+    JobSpec, Manifest,
 };
 
 const BRANCHY: &str = "var coin = Math.random() < 0.5;\n\
@@ -102,8 +102,8 @@ fn small_batches_are_schedule_independent_end_to_end() {
 
 /// The campaign-hardened path composes end to end across crates: a
 /// checkpointed run over a manifest prefix (an "interrupted" campaign)
-/// resumes into the full manifest with byte-identical output, retries
-/// armed, and stats counters on the side.
+/// resumes into the full manifest with byte-identical output, running
+/// only the remainder, and stats counters on the side.
 #[test]
 fn interrupted_campaigns_resume_byte_identically_end_to_end() {
     let mut jobs = vec![
@@ -135,14 +135,17 @@ fn interrupted_campaigns_resume_byte_identically_end_to_end() {
         &full,
         &JobPool::new(2),
         &BatchOptions {
-            retry: RetryPolicy::attempts(3),
             resume: Some(Checkpoint::load(&ckpt).expect("checkpoint parses")),
             ..Default::default()
         },
     );
     assert_eq!(baseline, resumed.report_json(true));
-    assert!(resumed.jobs[..2].iter().all(|j| j.attempts == 0));
-    assert!(resumed.jobs[2..].iter().all(|j| j.attempts == 1));
+    assert!(resumed.jobs[..2]
+        .iter()
+        .all(|j| j.restored.is_some() && j.outcome.is_none()));
+    assert!(resumed.jobs[2..]
+        .iter()
+        .all(|j| j.restored.is_none() && j.outcome.is_some()));
     let stats = resumed.stats_json();
     assert!(stats.contains("\"restored\": 2"), "{stats}");
     std::fs::remove_dir_all(&dir).ok();
