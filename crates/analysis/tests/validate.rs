@@ -167,8 +167,8 @@ fn accepts_runtime_lowered_chunks() {
 
 #[test]
 fn accepts_deeply_nested_functions() {
-    // Deep lexical nesting exercises with_parser_stack and long hop
-    // chains.
+    // Deep lexical nesting exercises the frontend entry point and long
+    // hop chains.
     let mut src = String::from("function f0() { var v0 = 0; ");
     for i in 1..40 {
         src.push_str(&format!("function f{i}() {{ var v{i} = v{} + 1; ", i - 1));
@@ -177,7 +177,7 @@ fn accepts_deeply_nested_functions() {
     for _ in 0..40 {
         src.push_str(" }");
     }
-    let p = mujs_syntax::with_parser_stack(|| lower(&src));
+    let p = mujs_syntax::parse_with(&src, lower_program).unwrap();
     assert_clean(&p);
 }
 

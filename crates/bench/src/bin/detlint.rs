@@ -96,9 +96,7 @@ fn json_line(
 
 fn lint(name: &str, src: &str, dataflow: bool, report: &mut Report) {
     report.checked += 1;
-    let lowered = mujs_syntax::with_parser_stack(|| {
-        mujs_syntax::parse(src).map(|ast| mujs_ir::lower_program(&ast))
-    });
+    let lowered = mujs_syntax::parse_with(src, mujs_ir::lower_program);
     let prog = match lowered {
         Ok(p) => p,
         Err(e) => {

@@ -57,14 +57,9 @@ impl DetHarness {
     /// # }
     /// ```
     pub fn from_src(src: &str) -> Result<Self, SyntaxError> {
-        // Parse *and* lower on a dedicated big-stack thread: both walk the
-        // AST recursively, and `MAX_NESTING` is sized for
-        // `PARSER_STACK_BYTES`, not for the caller's (possibly 2 MiB)
-        // stack.
-        let program = mujs_syntax::with_parser_stack(|| -> Result<Program, SyntaxError> {
-            let ast = mujs_syntax::parse(src)?;
-            Ok(mujs_ir::lower_program(&ast))
-        })?;
+        // Parse and lower on the caller's stack; only input nested past
+        // `INLINE_NESTING` moves to a big-stack thread.
+        let program = mujs_syntax::parse_with(src, mujs_ir::lower_program)?;
         #[cfg(debug_assertions)]
         mujs_analysis::assert_valid(&program);
         Ok(DetHarness {

@@ -495,3 +495,27 @@ var after = next();
     // is indeterminate. (`next` itself is a global: also flushed.)
     assert_indet(&h, &out, "after");
 }
+
+#[test]
+fn deep_eval_code_is_a_catchable_syntax_error() {
+    // Eval code is parsed and lowered on the machine's own stack (here a
+    // 2 MiB thread) under the inline nesting guard: 600 paren levels
+    // throw a SyntaxError the program catches, instead of overflowing.
+    let deep = format!("{}1{}", "(".repeat(600), ")".repeat(600));
+    let src = format!(
+        "var s = \"{deep}\"; var r; try {{ r = eval(s); }} catch (e) {{ r = e.name; }} console.log(r); var w = r;"
+    );
+    std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn_scoped(s, || {
+                let (h, out) = analyze(&src);
+                assert_eq!(out.status, AnalysisStatus::Completed);
+                assert_eq!(out.output, vec!["SyntaxError"]);
+                assert_det(&h, &out, "w", FactValue::Str("SyntaxError".into()));
+            })
+            .expect("spawn")
+            .join()
+            .expect("no panic")
+    });
+}

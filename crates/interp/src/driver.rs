@@ -120,8 +120,7 @@ impl Harness {
     /// # }
     /// ```
     pub fn from_src(src: &str) -> Result<Self, SyntaxError> {
-        let ast = mujs_syntax::parse(src)?;
-        let program = mujs_ir::lower_program(&ast);
+        let program = mujs_syntax::parse_with(src, mujs_ir::lower_program)?;
         #[cfg(debug_assertions)]
         mujs_analysis::assert_valid(&program);
         Ok(Harness {

@@ -287,7 +287,9 @@ impl<D: Domain> Machine<'_, D> {
         if d.is_indet() {
             D::flush(self)?;
         }
-        let parsed = match mujs_syntax::parse(src) {
+        // The machine's own stack parses and lowers eval code, so it gets
+        // the inline guard: deeper code is a catchable SyntaxError.
+        let parsed = match mujs_syntax::parse_inline(src) {
             Ok(p) => p,
             Err(e) => return Err(self.throw_error_ic("SyntaxError", &e.to_string(), d.is_indet())),
         };

@@ -151,3 +151,65 @@ fn window_props_and_typeof_interaction() {
         vec!["undefined object"]
     );
 }
+
+/// Runs `f` on a thread with the 2 MiB default stack, whatever
+/// `RUST_MIN_STACK` says.
+fn on_default_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn_scoped(s, f)
+            .expect("spawn")
+            .join()
+            .expect("no panic")
+    })
+}
+
+fn nested_parens(depth: usize) -> String {
+    format!("{}1{}", "(".repeat(depth), ")".repeat(depth))
+}
+
+/// `eval` of `code` whose SyntaxError, if any, is caught and printed.
+fn eval_program(code: &str) -> String {
+    format!(
+        "var s = \"{code}\"; var r; try {{ r = eval(s); }} catch (e) {{ r = e.name; }} console.log(r);"
+    )
+}
+
+#[test]
+fn deep_eval_code_is_a_catchable_syntax_error() {
+    // Eval code is parsed and lowered on the machine's own stack, under
+    // the inline nesting guard: deeper code throws instead of overflowing.
+    let src = eval_program(&nested_parens(600));
+    assert_eq!(on_default_stack(|| out(&src)), vec!["SyntaxError"]);
+}
+
+#[test]
+fn eval_code_at_the_inline_guard_runs() {
+    // The statement, the expression and each paren level take one, one
+    // and two guard entries: 30 levels is the deepest the guard admits.
+    let depth = ((mujs_syntax::INLINE_NESTING - 3) / 2) as usize;
+    assert_eq!(depth, 30);
+    let src = eval_program(&nested_parens(depth));
+    assert_eq!(on_default_stack(|| out(&src)), vec!["1"]);
+    let src = eval_program(&nested_parens(depth + 1));
+    assert_eq!(on_default_stack(|| out(&src)), vec!["SyntaxError"]);
+}
+
+#[test]
+fn harness_parses_deep_input_from_a_default_stack() {
+    // `Harness::from_src` goes through the frontend entry point, which
+    // moves input nested past the inline guard to a big-stack thread.
+    let depth = (mujs_syntax::MAX_NESTING / 2 - 4) as usize;
+    let src = format!("console.log({});", nested_parens(depth));
+    assert_eq!(on_default_stack(|| out(&src)), vec!["1"]);
+    let src = format!(
+        "console.log({});",
+        nested_parens(mujs_syntax::MAX_NESTING as usize)
+    );
+    let err = on_default_stack(|| mujs_interp::driver::Harness::from_src(&src).map(|_| ()));
+    assert_eq!(
+        err.unwrap_err().kind,
+        mujs_syntax::SyntaxErrorKind::NestingTooDeep
+    );
+}

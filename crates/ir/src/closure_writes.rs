@@ -14,20 +14,21 @@
 //! Functions containing a *direct* `eval` conservatively write every name
 //! visible to them.
 
+use crate::hash::FastSet;
 use crate::intern::Sym;
 use crate::ir::{FuncId, FuncKind, Program};
-use crate::resolve::{Binding, Resolver};
-use crate::vd::write_domain;
-use std::collections::HashSet;
+use crate::vd::visit_writes;
 
 /// The set of closure-written variables of a program.
 #[derive(Debug, Default)]
 pub struct ClosureWrites {
-    written: HashSet<(FuncId, Sym)>,
+    written: FastSet<(FuncId, Sym)>,
 }
 
 impl ClosureWrites {
-    /// Computes the set for every function currently in `prog`.
+    /// Computes the set for every function currently in `prog`: one walk
+    /// over each body collecting only variable destinations, each distinct
+    /// name resolved against the enclosing functions' declarations.
     ///
     /// # Examples
     ///
@@ -53,32 +54,34 @@ impl ClosureWrites {
     /// # }
     /// ```
     pub fn compute(prog: &Program) -> Self {
-        let resolver = Resolver::new(prog);
-        let mut written = HashSet::new();
+        let mut written = FastSet::default();
+        let mut names = Vec::new();
         for g in &prog.funcs {
-            let wd = write_domain(&g.body);
             // The writing scope: eval chunks write through their parent.
             let writer = effective_scope(prog, g.id);
-            for place in &wd.places {
-                if let Some(name) = place.as_var_sym() {
-                    if let Binding::Local(f) = resolver.resolve(prog, g.id, name) {
-                        if f != writer {
-                            written.insert((f, name));
-                        }
+            if prog.func(writer).kind != FuncKind::Function {
+                // Script-level code (and eval chunks run there) reaches
+                // no function scope: every name it writes is global.
+                continue;
+            }
+            names.clear();
+            let contains_eval = visit_writes(&g.body, &mut |p| names.extend(p.as_var_sym()));
+            names.sort_unstable();
+            names.dedup();
+            for &name in &names {
+                if let Some(f) = declaring_function(prog, g.id, name) {
+                    if f != writer {
+                        written.insert((f, name));
                     }
                 }
             }
-            if wd.contains_eval {
+            if contains_eval {
                 // Direct eval can assign any visible name.
                 let mut cur = Some(g.id);
                 while let Some(id) = cur {
                     let func = prog.func(id);
                     if func.kind == FuncKind::Function {
-                        if let Some(names) = resolver.declared(id) {
-                            for n in names {
-                                written.insert((id, *n));
-                            }
-                        }
+                        written.extend(func.declared_names().map(|n| (id, n)));
                         // `arguments` is implicitly declared.
                         written.insert((id, Sym::ARGUMENTS));
                     }
@@ -103,6 +106,28 @@ impl ClosureWrites {
     pub fn is_empty(&self) -> bool {
         self.written.is_empty()
     }
+}
+
+/// The function whose activation declares `name` as referenced from
+/// inside `func`, or `None` for the global scope: the walk of
+/// [`crate::resolve::Resolver::resolve`], scanning each function's
+/// declarations instead of building a set per function.
+fn declaring_function(prog: &Program, func: FuncId, name: Sym) -> Option<FuncId> {
+    let mut cur = Some(func);
+    while let Some(id) = cur {
+        let f = prog.func(id);
+        match f.kind {
+            FuncKind::Script => return None,
+            FuncKind::EvalChunk => {}
+            FuncKind::Function => {
+                if f.declared_names().any(|n| n == name) {
+                    return Some(id);
+                }
+            }
+        }
+        cur = f.parent;
+    }
+    None
 }
 
 /// The function whose activation actually owns writes made by `id`:

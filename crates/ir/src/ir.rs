@@ -667,6 +667,18 @@ pub struct Function {
 }
 
 impl Function {
+    /// The names this function declares directly: params, vars, hoisted
+    /// functions, and the self-binding of a named function expression
+    /// (possibly with repeats).
+    pub(crate) fn declared_names(&self) -> impl Iterator<Item = Sym> + '_ {
+        self.params
+            .iter()
+            .copied()
+            .chain(self.decls.vars.iter().copied())
+            .chain(self.decls.funcs.iter().map(|(n, _)| *n))
+            .chain(self.name.filter(|_| self.bind_self))
+    }
+
     /// The slot index of a local, if `sym` is one of this function's
     /// locals. Linear scan: locals lists are short and syms compare as
     /// `u32`s.

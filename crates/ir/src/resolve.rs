@@ -10,7 +10,7 @@
 //! starting at the lexically enclosing function.
 
 use crate::intern::Sym;
-use crate::ir::{FuncId, FuncKind, Function, Program};
+use crate::ir::{FuncId, FuncKind, Program};
 use std::collections::{HashMap, HashSet};
 
 /// Where a named reference binds.
@@ -52,7 +52,7 @@ impl Resolver {
     pub fn new(prog: &Program) -> Self {
         let mut declared = HashMap::new();
         for f in &prog.funcs {
-            declared.insert(f.id, declared_names(f));
+            declared.insert(f.id, f.declared_names().collect());
         }
         Resolver { declared }
     }
@@ -84,24 +84,6 @@ impl Resolver {
         }
         Binding::Global
     }
-
-    /// The names declared directly by `func` (params, vars, hoisted
-    /// functions, and the self-binding of named function expressions).
-    pub fn declared(&self, func: FuncId) -> Option<&HashSet<Sym>> {
-        self.declared.get(&func)
-    }
-}
-
-fn declared_names(f: &Function) -> HashSet<Sym> {
-    let mut names: HashSet<Sym> = f.params.iter().copied().collect();
-    names.extend(f.decls.vars.iter().copied());
-    names.extend(f.decls.funcs.iter().map(|(n, _)| *n));
-    if f.bind_self {
-        if let Some(n) = f.name {
-            names.insert(n);
-        }
-    }
-    names
 }
 
 #[cfg(test)]

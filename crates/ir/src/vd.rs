@@ -50,12 +50,22 @@ pub struct WriteDomain {
 /// # }
 /// ```
 pub fn write_domain(block: &[crate::ir::Stmt]) -> WriteDomain {
-    let mut wd = WriteDomain::default();
-    collect(block, &mut wd);
-    wd
+    let mut places = HashSet::new();
+    let contains_eval = visit_writes(block, &mut |p| {
+        places.insert(canon(p));
+    });
+    WriteDomain {
+        places,
+        contains_eval,
+    }
 }
 
-fn collect(block: &[crate::ir::Stmt], wd: &mut WriteDomain) {
+/// Calls `visit` on the destination of every assignment in `block`, in
+/// statement order and without descending into nested functions (the
+/// places of [`write_domain`], uncanonicalized and with repeats).
+/// Returns whether the block contains a *direct* `eval`.
+pub(crate) fn visit_writes(block: &[crate::ir::Stmt], visit: &mut impl FnMut(&Place)) -> bool {
+    let mut contains_eval = false;
     for s in block {
         match &s.kind {
             StmtKind::Const { dst, .. }
@@ -72,19 +82,17 @@ fn collect(block: &[crate::ir::Stmt], wd: &mut WriteDomain) {
             | StmtKind::TypeofName { dst, .. }
             | StmtKind::HasProp { dst, .. }
             | StmtKind::InstanceOf { dst, .. }
-            | StmtKind::EnumProps { dst, .. } => {
-                wd.places.insert(canon(dst));
-            }
+            | StmtKind::EnumProps { dst, .. } => visit(dst),
             StmtKind::Eval { dst, .. } => {
-                wd.places.insert(canon(dst));
-                wd.contains_eval = true;
+                visit(dst);
+                contains_eval = true;
             }
             StmtKind::SetProp { .. } => {}
             StmtKind::If {
                 then_blk, else_blk, ..
             } => {
-                collect(then_blk, wd);
-                collect(else_blk, wd);
+                contains_eval |= visit_writes(then_blk, visit);
+                contains_eval |= visit_writes(else_blk, visit);
             }
             StmtKind::Loop {
                 cond_blk,
@@ -92,23 +100,23 @@ fn collect(block: &[crate::ir::Stmt], wd: &mut WriteDomain) {
                 update,
                 ..
             } => {
-                collect(cond_blk, wd);
-                collect(body, wd);
-                collect(update, wd);
+                contains_eval |= visit_writes(cond_blk, visit);
+                contains_eval |= visit_writes(body, visit);
+                contains_eval |= visit_writes(update, visit);
             }
-            StmtKind::Breakable { body } => collect(body, wd),
+            StmtKind::Breakable { body } => contains_eval |= visit_writes(body, visit),
             StmtKind::Try {
                 block,
                 catch,
                 finally,
             } => {
-                collect(block, wd);
+                contains_eval |= visit_writes(block, visit);
                 if let Some((name, b)) = catch {
-                    wd.places.insert(Place::Named(*name));
-                    collect(b, wd);
+                    visit(&Place::Named(*name));
+                    contains_eval |= visit_writes(b, visit);
                 }
                 if let Some(b) = finally {
-                    collect(b, wd);
+                    contains_eval |= visit_writes(b, visit);
                 }
             }
             StmtKind::Return { .. }
@@ -117,6 +125,7 @@ fn collect(block: &[crate::ir::Stmt], wd: &mut WriteDomain) {
             | StmtKind::Throw { .. } => {}
         }
     }
+    contains_eval
 }
 
 #[cfg(test)]

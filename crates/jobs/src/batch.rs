@@ -550,7 +550,7 @@ pub fn analyze_many_pooled(
     pool: &JobPool,
 ) -> Result<MultiRunOutcome, mujs_syntax::SyntaxError> {
     // Surface parse errors eagerly and identically to the sequential API.
-    mujs_syntax::parse_spawned(src)?;
+    mujs_syntax::parse_with(src, |_| ())?;
     let jobs: Vec<(String, _)> = seeds
         .iter()
         .map(|&seed| {

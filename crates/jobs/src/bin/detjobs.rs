@@ -216,9 +216,7 @@ fn load_manifest(o: &Options) -> Manifest {
 fn lint_manifest(manifest: &Manifest) {
     let mut bad = 0usize;
     for job in &manifest.jobs {
-        let lowered = mujs_syntax::with_parser_stack(|| {
-            mujs_syntax::parse(&job.src).map(|ast| mujs_ir::lower_program(&ast))
-        });
+        let lowered = mujs_syntax::parse_with(&job.src, mujs_ir::lower_program);
         match lowered {
             Err(e) => {
                 eprintln!("lint {}: parse error: {e}", job.name);

@@ -17,9 +17,10 @@
 //!    resolves queued jobs as [`JobVerdict::Cancelled`].
 //!
 //! Workers are spawned with [`mujs_syntax::PARSER_STACK_BYTES`] of stack,
-//! so everything a job does — parsing, lowering, counterfactual execution,
-//! `eval`-string reparsing — runs under the stack budget [`MAX_NESTING`]
-//! \[`mujs_syntax::MAX_NESTING`\] is sized for.
+//! the headroom of a parser thread, for the recursive execution a job
+//! does (calls, counterfactual execution). Parsing and lowering go through
+//! [`mujs_syntax::parse_with`], and `eval` code through the inline
+//! nesting guard, so neither depends on that size.
 
 use determinacy::CancelToken;
 use std::collections::VecDeque;
@@ -307,8 +308,8 @@ impl JobPool {
                 let events = &events;
                 std::thread::Builder::new()
                     .name(format!("mujs-job-{worker}"))
-                    // Jobs parse and execute recursively; size the stack
-                    // for the raised MAX_NESTING guard.
+                    // Jobs execute recursively; give them a parser
+                    // thread's headroom.
                     .stack_size(mujs_syntax::PARSER_STACK_BYTES)
                     .spawn_scoped(s, move || loop {
                         let Some((job, label, f)) = queue.lock().unwrap().pop_front() else {

@@ -530,7 +530,7 @@ impl Specializer<'_> {
         cx: &mut RewriteCx,
         out: &mut Block,
     ) -> bool {
-        let Ok(ast) = mujs_syntax::parse(code) else {
+        let Ok(ast) = mujs_syntax::parse_inline(code) else {
             return false;
         };
         let chunk_id =

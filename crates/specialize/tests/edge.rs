@@ -190,3 +190,39 @@ console.log(log);
         vec!["pre0;post0;pre1;post1;pre2;"]
     );
 }
+
+/// Specializes `eval(code)` (a determinate string) on a 2 MiB thread and
+/// returns the eliminated-eval count and the specialized program's output.
+fn specialize_eval_on_default_stack(code: &str) -> (usize, Vec<String>) {
+    let src = format!(
+        "var s = \"{code}\"; var r; try {{ r = eval(s); }} catch (e) {{ r = e.name; }} console.log(r);"
+    );
+    std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn_scoped(s, || {
+                let (_, spec) = run_spec(&src);
+                (spec.report.evals_eliminated, run_output(&spec.program))
+            })
+            .expect("spawn")
+            .join()
+            .expect("no panic")
+    })
+}
+
+#[test]
+fn eval_inlining_parses_under_the_inline_guard() {
+    // The specializer parses and lowers eval code on its caller's stack,
+    // so it uses the inline nesting guard: code at the guard is inlined,
+    // deeper code stays a dynamic eval (which throws a SyntaxError).
+    let nested = |depth: usize| format!("{}1{}", "(".repeat(depth), ")".repeat(depth));
+    let at_guard = ((mujs_syntax::INLINE_NESTING - 3) / 2) as usize;
+    assert_eq!(
+        specialize_eval_on_default_stack(&nested(at_guard)),
+        (1, vec!["1".to_owned()])
+    );
+    assert_eq!(
+        specialize_eval_on_default_stack(&nested(600)),
+        (0, vec!["SyntaxError".to_owned()])
+    );
+}

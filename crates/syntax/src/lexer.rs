@@ -9,6 +9,7 @@
 use crate::error::{SyntaxError, SyntaxErrorKind};
 use crate::span::Span;
 use crate::token::{Keyword, Punct, Token, TokenKind};
+use std::rc::Rc;
 
 /// Tokenizes `src` completely, returning the token stream (terminated by an
 /// [`TokenKind::Eof`] token).
@@ -190,7 +191,21 @@ impl<'s> Lexer<'s> {
     fn string(&mut self, start: usize) -> Result<(), SyntaxError> {
         let quote = self.peek().expect("string() called at quote");
         self.pos += 1;
-        let mut out = String::new();
+        let body_start = self.pos;
+        // Fast path: a literal without escapes is a slice of the source.
+        while let Some(b) = self.peek() {
+            if b == quote {
+                let text = &self.src[body_start..self.pos];
+                self.pos += 1;
+                self.push(TokenKind::Str(Rc::from(text)), start);
+                return Ok(());
+            }
+            if b == b'\\' || b == b'\n' {
+                break;
+            }
+            self.pos += 1;
+        }
+        let mut out = String::from(&self.src[body_start..self.pos]);
         loop {
             match self.peek() {
                 None | Some(b'\n') => {
@@ -261,7 +276,7 @@ impl<'s> Lexer<'s> {
                 }
             }
         }
-        self.push(TokenKind::Str(out), start);
+        self.push(TokenKind::Str(Rc::from(out)), start);
         Ok(())
     }
 
@@ -288,66 +303,51 @@ impl<'s> Lexer<'s> {
         let text = &self.src[start..self.pos];
         let kind = match Keyword::lookup(text) {
             Some(kw) => TokenKind::Keyword(kw),
-            None => TokenKind::Ident(text.to_owned()),
+            None => TokenKind::Ident(Rc::from(text)),
         };
         self.push(kind, start);
     }
 
     fn punct(&mut self, start: usize) -> Result<(), SyntaxError> {
         use Punct::*;
-        // Longest-match over the punctuator table; try 4, 3, 2, then 1 bytes.
-        const TABLE: &[(&str, Punct)] = &[
-            (">>>=", UShrAssign),
-            ("===", EqEqEq),
-            ("!==", NotEqEq),
-            (">>>", UShr),
-            ("<<=", ShlAssign),
-            (">>=", ShrAssign),
-            ("==", EqEq),
-            ("!=", NotEq),
-            ("<=", LtEq),
-            (">=", GtEq),
-            ("&&", AndAnd),
-            ("||", OrOr),
-            ("++", PlusPlus),
-            ("--", MinusMinus),
-            ("+=", PlusAssign),
-            ("-=", MinusAssign),
-            ("*=", StarAssign),
-            ("/=", SlashAssign),
-            ("%=", PercentAssign),
-            ("&=", AmpAssign),
-            ("|=", PipeAssign),
-            ("^=", CaretAssign),
-            ("<<", Shl),
-            (">>", Shr),
-            ("{", LBrace),
-            ("}", RBrace),
-            ("(", LParen),
-            (")", RParen),
-            ("[", LBracket),
-            ("]", RBracket),
-            (";", Semi),
-            (",", Comma),
-            ("?", Question),
-            (":", Colon),
-            ("=", Assign),
-            ("+", Plus),
-            ("-", Minus),
-            ("*", Star),
-            ("/", Slash),
-            ("%", Percent),
-            ("<", Lt),
-            (">", Gt),
-            ("!", Not),
-            ("~", Tilde),
-            ("&", Amp),
-            ("|", Pipe),
-            ("^", Caret),
-        ];
-        let rest = &self.src[self.pos..];
-        for (text, p) in TABLE {
-            if rest.starts_with(text) {
+        // Longest match among the punctuators sharing the first byte; each
+        // candidate list is ordered longest first.
+        let candidates: &[(&str, Punct)] = match self.bytes[self.pos] {
+            b'{' => &[("{", LBrace)],
+            b'}' => &[("}", RBrace)],
+            b'(' => &[("(", LParen)],
+            b')' => &[(")", RParen)],
+            b'[' => &[("[", LBracket)],
+            b']' => &[("]", RBracket)],
+            b';' => &[(";", Semi)],
+            b',' => &[(",", Comma)],
+            b'?' => &[("?", Question)],
+            b':' => &[(":", Colon)],
+            b'~' => &[("~", Tilde)],
+            b'=' => &[("===", EqEqEq), ("==", EqEq), ("=", Assign)],
+            b'!' => &[("!==", NotEqEq), ("!=", NotEq), ("!", Not)],
+            b'<' => &[("<<=", ShlAssign), ("<=", LtEq), ("<<", Shl), ("<", Lt)],
+            b'>' => &[
+                (">>>=", UShrAssign),
+                (">>>", UShr),
+                (">>=", ShrAssign),
+                (">=", GtEq),
+                (">>", Shr),
+                (">", Gt),
+            ],
+            b'&' => &[("&&", AndAnd), ("&=", AmpAssign), ("&", Amp)],
+            b'|' => &[("||", OrOr), ("|=", PipeAssign), ("|", Pipe)],
+            b'+' => &[("++", PlusPlus), ("+=", PlusAssign), ("+", Plus)],
+            b'-' => &[("--", MinusMinus), ("-=", MinusAssign), ("-", Minus)],
+            b'*' => &[("*=", StarAssign), ("*", Star)],
+            b'/' => &[("/=", SlashAssign), ("/", Slash)],
+            b'%' => &[("%=", PercentAssign), ("%", Percent)],
+            b'^' => &[("^=", CaretAssign), ("^", Caret)],
+            _ => &[],
+        };
+        let rest = &self.bytes[self.pos..];
+        for (text, p) in candidates {
+            if rest.starts_with(text.as_bytes()) {
                 self.pos += text.len();
                 self.push(TokenKind::Punct(*p), start);
                 return Ok(());
@@ -403,6 +403,58 @@ mod tests {
         assert_eq!(kinds("a === b")[1], TokenKind::Punct(Punct::EqEqEq));
         assert_eq!(kinds("a == b")[1], TokenKind::Punct(Punct::EqEq));
         assert_eq!(kinds("a = b")[1], TokenKind::Punct(Punct::Assign));
+    }
+
+    #[test]
+    fn every_punctuator_lexes_to_itself() {
+        const ALL: &str = "{ } ( ) [ ] ; , . ? : = += -= *= /= %= &= |= ^= <<= >>= >>>= \
+                           + - * / % ++ -- == != === !== < > <= >= && || ! ~ & | ^ << >> >>>";
+        for text in ALL.split_whitespace() {
+            match &kinds(text)[..] {
+                [TokenKind::Punct(p), TokenKind::Eof] => assert_eq!(p.as_str(), text),
+                other => panic!("{text:?} lexed to {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn punctuators_take_the_longest_match() {
+        let puncts = |src: &str| -> Vec<&'static str> {
+            kinds(src)
+                .iter()
+                .filter_map(|k| match k {
+                    TokenKind::Punct(p) => Some(p.as_str()),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(puncts("a>>>=b"), [">>>="]);
+        assert_eq!(puncts("a>>>b>>c>=d>e"), [">>>", ">>", ">=", ">"]);
+        assert_eq!(puncts("a!==b!=c!d"), ["!==", "!=", "!"]);
+        assert_eq!(puncts("a<<=b<<c<=d<e"), ["<<=", "<<", "<=", "<"]);
+        assert_eq!(puncts("x+++y"), ["++", "+"]);
+        assert_eq!(
+            puncts("a&&b&=c&d||e|=f|g"),
+            ["&&", "&=", "&", "||", "|=", "|"]
+        );
+    }
+
+    #[test]
+    fn strings_with_and_without_escapes() {
+        assert_eq!(kinds("'plain'")[0], TokenKind::Str("plain".into()));
+        assert_eq!(
+            kinds(r#""h\u00e9llo""#)[0],
+            TokenKind::Str("h\u{e9}llo".into())
+        );
+        assert_eq!(
+            kinds("'h\u{e9}llo'")[0],
+            TokenKind::Str("h\u{e9}llo".into())
+        );
+        assert_eq!(kinds(r"'pre\tpost'")[0], TokenKind::Str("pre\tpost".into()));
+        assert_eq!(kinds("''")[0], TokenKind::Str("".into()));
+        let err = lex("'abc\n'").unwrap_err();
+        assert_eq!(err.kind, SyntaxErrorKind::UnterminatedString);
+        assert_eq!(err.span, Span::new(0, 4));
     }
 
     #[test]

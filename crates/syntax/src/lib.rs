@@ -32,6 +32,7 @@ pub mod token;
 
 pub use error::{SyntaxError, SyntaxErrorKind};
 pub use parser::{
-    parse, parse_expr, parse_spawned, with_parser_stack, MAX_NESTING, PARSER_STACK_BYTES,
+    parse, parse_expr, parse_inline, parse_with, with_parser_stack, INLINE_NESTING, MAX_NESTING,
+    PARSER_STACK_BYTES,
 };
 pub use span::{SourceFile, Span};

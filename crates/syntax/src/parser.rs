@@ -13,7 +13,12 @@ use crate::span::Span;
 use crate::token::{Keyword as Kw, Punct, Token, TokenKind};
 use std::rc::Rc;
 
-/// Parses a complete program.
+/// Parses a complete program under the [`MAX_NESTING`] guard.
+///
+/// The guard is sized for a thread with [`PARSER_STACK_BYTES`] of stack:
+/// on a default 2 MiB thread, deep input can overflow the stack before
+/// the guard fires. Untrusted input goes through [`parse_with`] (or, for
+/// code loaded while a program runs, [`parse_inline`]).
 ///
 /// # Errors
 ///
@@ -29,12 +34,56 @@ use std::rc::Rc;
 /// # }
 /// ```
 pub fn parse(src: &str) -> Result<Program, SyntaxError> {
-    let tokens = lex(src)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        depth: 0,
-    };
+    parse_nested(src, MAX_NESTING)
+}
+
+/// Parses a complete program under the [`INLINE_NESTING`] guard, which
+/// any thread's stack can afford: deeper input fails with
+/// [`SyntaxErrorKind::NestingTooDeep`]. This is how code loaded by a
+/// running program (`eval`) is parsed, on the machine's own stack.
+///
+/// # Errors
+///
+/// Returns the first [`SyntaxError`] encountered.
+pub fn parse_inline(src: &str) -> Result<Program, SyntaxError> {
+    parse_nested(src, INLINE_NESTING)
+}
+
+/// The frontend entry point: parses `src` and hands the AST to `f` (the
+/// lowering), both on the caller's stack when the input nests no deeper
+/// than [`INLINE_NESTING`] allows. Only when that guard trips are both
+/// steps redone on a [`with_parser_stack`] thread under [`MAX_NESTING`], so
+/// deep input gets exactly the result (or the error) a big-stack parse
+/// gives, on any caller stack.
+///
+/// # Errors
+///
+/// Returns the first [`SyntaxError`] encountered.
+///
+/// # Examples
+///
+/// ```
+/// # fn main() -> Result<(), mujs_syntax::SyntaxError> {
+/// let stmts = mujs_syntax::parse_with("var x = 1; x = 2;", |ast| ast.body.len())?;
+/// assert_eq!(stmts, 2);
+/// # Ok(())
+/// # }
+/// ```
+pub fn parse_with<T, F>(src: &str, f: F) -> Result<T, SyntaxError>
+where
+    F: FnOnce(&Program) -> T + Send,
+{
+    match parse_inline(src) {
+        Ok(ast) => Ok(f(&ast)),
+        Err(e) if e.kind == SyntaxErrorKind::NestingTooDeep => {
+            with_parser_stack(|| parse(src).map(|ast| f(&ast)))
+        }
+        Err(e) => Err(e),
+    }
+}
+
+fn parse_nested(src: &str, max_nesting: u32) -> Result<Program, SyntaxError> {
+    let mut p = Parser::new(lex(src)?, max_nesting);
     let mut body = Vec::new();
     while !p.at_eof() {
         body.push(p.statement()?);
@@ -42,19 +91,14 @@ pub fn parse(src: &str) -> Result<Program, SyntaxError> {
     Ok(Program { body })
 }
 
-/// Parses a single expression (used by tests and by the `eval` machinery for
-/// expression-position strings).
+/// Parses a single expression under the [`MAX_NESTING`] guard (used by
+/// tests).
 ///
 /// # Errors
 ///
 /// Returns a [`SyntaxError`] if the input is not exactly one expression.
 pub fn parse_expr(src: &str) -> Result<Expr, SyntaxError> {
-    let tokens = lex(src)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        depth: 0,
-    };
+    let mut p = Parser::new(lex(src)?, MAX_NESTING);
     let e = p.expr()?;
     p.expect_eof()?;
     Ok(e)
@@ -69,15 +113,32 @@ pub fn parse_expr(src: &str) -> Result<Expr, SyntaxError> {
 /// The value is sized for a thread with [`PARSER_STACK_BYTES`] of stack
 /// (the worst-case recursive-descent chain costs ~13 KiB per guard entry
 /// in debug builds, leaving margin) — not for the 2 MiB default thread
-/// stack. Callers handing the parser untrusted, potentially deep input
-/// must go through [`parse_spawned`] or [`with_parser_stack`] (as
-/// `DetHarness::from_src` and the `mujs-jobs` worker pool do); plain
+/// stack. [`parse_with`] applies it only after the [`INLINE_NESTING`]
+/// guard trips, and then on a [`with_parser_stack`] thread; plain
 /// [`parse`] on a default stack is only guaranteed for shallow input.
 pub const MAX_NESTING: u32 = 1280;
 
+/// The recursion-guard depth that parsing *and* lowering can afford on
+/// any thread, including a default 2 MiB one: [`parse_with`] tries this
+/// guard on the caller's stack first, and [`parse_inline`] (eval code)
+/// never goes past it.
+///
+/// The jQuery-like pages need at most 22 guard entries and generated
+/// programs at most 13, so real input never leaves the caller's stack.
+///
+/// Measured stack use (x86_64, rustc 1.95; the smallest thread stack on
+/// which input at this bound parses and lowers, over the nesting shapes
+/// of `crates/ir/tests/frontend.rs`): 1.26 MiB in a debug build, for 60
+/// nested `for (;;)` statements (expression chains need at most
+/// 0.56 MiB), and 135 KiB in a release build. That test runs every shape
+/// at the bound on a 2 MiB thread; it is what this value rests on.
+pub const INLINE_NESTING: u32 = 64;
+
 /// Stack size for threads that run the recursive-descent chain on inputs
 /// nested up to [`MAX_NESTING`]: eight times the old 2 MiB sizing, matching
-/// the eightfold raise of the nesting guard.
+/// the eightfold raise of the nesting guard. [`parse_with`] spawns one only
+/// for input nested past [`INLINE_NESTING`]; the `mujs-jobs` workers are
+/// spawned with it too.
 pub const PARSER_STACK_BYTES: usize = 16 * 1024 * 1024;
 
 /// Runs `f` on a freshly spawned thread with [`PARSER_STACK_BYTES`] of
@@ -112,25 +173,23 @@ where
     })
 }
 
-/// [`parse`] on a dedicated thread with [`PARSER_STACK_BYTES`] of stack,
-/// so inputs nested up to the [`MAX_NESTING`] guard parse (or fail with a
-/// clean [`SyntaxErrorKind::NestingTooDeep`]) without any risk of
-/// overflowing a small caller stack.
-///
-/// # Errors
-///
-/// Returns the first [`SyntaxError`] encountered.
-pub fn parse_spawned(src: &str) -> Result<Program, SyntaxError> {
-    with_parser_stack(|| parse(src))
-}
-
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     depth: u32,
+    max_nesting: u32,
 }
 
 impl Parser {
+    fn new(tokens: Vec<Token>, max_nesting: u32) -> Self {
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+            max_nesting,
+        }
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos]
     }
@@ -144,20 +203,22 @@ impl Parser {
         matches!(self.peek().kind, TokenKind::Eof)
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+    /// Consumes the current token (the final `Eof` is never consumed) and
+    /// returns its span.
+    fn bump(&mut self) -> Span {
+        let span = self.tokens[self.pos].span;
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
+        span
     }
 
     fn at_punct(&self, p: Punct) -> bool {
-        self.peek().kind == TokenKind::Punct(p)
+        matches!(self.peek().kind, TokenKind::Punct(q) if q == p)
     }
 
     fn at_keyword(&self, k: Kw) -> bool {
-        self.peek().kind == TokenKind::Keyword(k)
+        matches!(self.peek().kind, TokenKind::Keyword(q) if q == k)
     }
 
     fn eat_punct(&mut self, p: Punct) -> bool {
@@ -190,7 +251,7 @@ impl Parser {
 
     fn expect_punct(&mut self, p: Punct) -> Result<Span, SyntaxError> {
         if self.at_punct(p) {
-            Ok(self.bump().span)
+            Ok(self.bump())
         } else {
             Err(self.unexpected(&format!("`{p}`")))
         }
@@ -207,9 +268,8 @@ impl Parser {
     fn ident(&mut self) -> Result<(Rc<str>, Span), SyntaxError> {
         match &self.peek().kind {
             TokenKind::Ident(name) => {
-                let name: Rc<str> = Rc::from(name.as_str());
-                let span = self.bump().span;
-                Ok((name, span))
+                let name = name.clone();
+                Ok((name, self.bump()))
             }
             _ => Err(self.unexpected("identifier")),
         }
@@ -227,10 +287,10 @@ impl Parser {
         Err(self.unexpected("`;`"))
     }
 
-    /// Enters one level of recursive nesting; fails past [`MAX_NESTING`].
+    /// Enters one level of recursive nesting; fails past the guard.
     fn enter_nested(&mut self) -> Result<(), SyntaxError> {
         self.depth += 1;
-        if self.depth > MAX_NESTING {
+        if self.depth > self.max_nesting {
             return Err(SyntaxError {
                 kind: SyntaxErrorKind::NestingTooDeep,
                 span: self.peek().span,
@@ -260,7 +320,7 @@ impl Parser {
                     }
                     body.push(self.statement()?);
                 }
-                let end = self.bump().span;
+                let end = self.bump();
                 Ok(Stmt::new(StmtKind::Block(body), start.to(end)))
             }
             TokenKind::Punct(Punct::Semi) => {
@@ -540,12 +600,12 @@ impl Parser {
             }
             cases.push(SwitchCase { test, body });
         }
-        let end = self.bump().span;
+        let end = self.bump();
         Ok(Stmt::new(StmtKind::Switch(disc, cases), start.to(end)))
     }
 
     fn function(&mut self, require_name: bool) -> Result<Function, SyntaxError> {
-        let start = self.bump().span; // function
+        let start = self.bump(); // function
         let name = if matches!(self.peek().kind, TokenKind::Ident(_)) {
             Some(self.ident()?.0)
         } else if require_name {
@@ -572,7 +632,7 @@ impl Parser {
             }
             body.push(self.statement()?);
         }
-        let end = self.bump().span;
+        let end = self.bump();
         Ok(Function {
             name,
             params,
@@ -785,7 +845,7 @@ impl Parser {
                     span: e.span,
                 });
             }
-            let end = self.bump().span;
+            let end = self.bump();
             let span = e.span.to(end);
             return Ok(Expr::new(
                 ExprKind::Update(false, is_inc, Box::new(e)),
@@ -836,7 +896,7 @@ impl Parser {
     }
 
     fn new_expr_unguarded(&mut self) -> Result<Expr, SyntaxError> {
-        let start = self.bump().span; // new
+        let start = self.bump(); // new
         let mut callee = if self.at_keyword(Kw::New) {
             self.new_expr()?
         } else {
@@ -877,13 +937,12 @@ impl Parser {
     fn member_name(&mut self) -> Result<(Rc<str>, Span), SyntaxError> {
         match &self.peek().kind {
             TokenKind::Ident(name) => {
-                let name: Rc<str> = Rc::from(name.as_str());
-                let span = self.bump().span;
-                Ok((name, span))
+                let name = name.clone();
+                Ok((name, self.bump()))
             }
             TokenKind::Keyword(k) => {
                 let name: Rc<str> = Rc::from(k.as_str());
-                let span = self.bump().span;
+                let span = self.bump();
                 Ok((name, span))
             }
             _ => Err(self.unexpected("property name")),
@@ -907,52 +966,25 @@ impl Parser {
 
     fn primary_expr(&mut self) -> Result<Expr, SyntaxError> {
         let span = self.peek().span;
-        match self.peek().kind.clone() {
-            TokenKind::Num(n) => {
-                self.bump();
-                Ok(Expr::new(ExprKind::Lit(Lit::Num(n)), span))
-            }
-            TokenKind::Str(s) => {
-                self.bump();
-                Ok(Expr::new(
-                    ExprKind::Lit(Lit::Str(Rc::from(s.as_str()))),
-                    span,
-                ))
-            }
-            TokenKind::Keyword(Kw::True) => {
-                self.bump();
-                Ok(Expr::new(ExprKind::Lit(Lit::Bool(true)), span))
-            }
-            TokenKind::Keyword(Kw::False) => {
-                self.bump();
-                Ok(Expr::new(ExprKind::Lit(Lit::Bool(false)), span))
-            }
-            TokenKind::Keyword(Kw::Null) => {
-                self.bump();
-                Ok(Expr::new(ExprKind::Lit(Lit::Null), span))
-            }
-            TokenKind::Keyword(Kw::Undefined) => {
-                self.bump();
-                Ok(Expr::new(ExprKind::Lit(Lit::Undefined), span))
-            }
-            TokenKind::Keyword(Kw::This) => {
-                self.bump();
-                Ok(Expr::new(ExprKind::This, span))
-            }
+        let atom = match &self.peek().kind {
+            TokenKind::Num(n) => ExprKind::Lit(Lit::Num(*n)),
+            TokenKind::Str(s) => ExprKind::Lit(Lit::Str(s.clone())),
+            TokenKind::Keyword(Kw::True) => ExprKind::Lit(Lit::Bool(true)),
+            TokenKind::Keyword(Kw::False) => ExprKind::Lit(Lit::Bool(false)),
+            TokenKind::Keyword(Kw::Null) => ExprKind::Lit(Lit::Null),
+            TokenKind::Keyword(Kw::Undefined) => ExprKind::Lit(Lit::Undefined),
+            TokenKind::Keyword(Kw::This) => ExprKind::This,
+            TokenKind::Ident(name) => ExprKind::Ident(name.clone()),
             TokenKind::Keyword(Kw::Function) => {
                 let f = self.function(false)?;
                 let fspan = f.span;
-                Ok(Expr::new(ExprKind::Function(Rc::new(f)), fspan))
-            }
-            TokenKind::Ident(name) => {
-                self.bump();
-                Ok(Expr::new(ExprKind::Ident(Rc::from(name.as_str())), span))
+                return Ok(Expr::new(ExprKind::Function(Rc::new(f)), fspan));
             }
             TokenKind::Punct(Punct::LParen) => {
                 self.bump();
                 let e = self.expr()?;
                 self.expect_punct(Punct::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
             TokenKind::Punct(Punct::LBracket) => {
                 self.bump();
@@ -969,7 +1001,7 @@ impl Parser {
                     }
                 }
                 let end = self.expect_punct(Punct::RBracket)?;
-                Ok(Expr::new(ExprKind::Array(items), span.to(end)))
+                return Ok(Expr::new(ExprKind::Array(items), span.to(end)));
             }
             TokenKind::Punct(Punct::LBrace) => {
                 self.bump();
@@ -989,36 +1021,23 @@ impl Parser {
                     }
                 }
                 let end = self.expect_punct(Punct::RBrace)?;
-                Ok(Expr::new(ExprKind::Object(props), span.to(end)))
+                return Ok(Expr::new(ExprKind::Object(props), span.to(end)));
             }
-            _ => Err(self.unexpected("expression")),
-        }
+            _ => return Err(self.unexpected("expression")),
+        };
+        self.bump();
+        Ok(Expr::new(atom, span))
     }
 
     fn object_key(&mut self) -> Result<Rc<str>, SyntaxError> {
-        match &self.peek().kind {
-            TokenKind::Ident(name) => {
-                let k = Rc::from(name.as_str());
-                self.bump();
-                Ok(k)
-            }
-            TokenKind::Keyword(kw) => {
-                let k = Rc::from(kw.as_str());
-                self.bump();
-                Ok(k)
-            }
-            TokenKind::Str(s) => {
-                let k = Rc::from(s.as_str());
-                self.bump();
-                Ok(k)
-            }
-            TokenKind::Num(n) => {
-                let k = Rc::from(crate::pretty::num_to_str(*n).as_str());
-                self.bump();
-                Ok(k)
-            }
-            _ => Err(self.unexpected("property key")),
-        }
+        let key = match &self.peek().kind {
+            TokenKind::Ident(s) | TokenKind::Str(s) => s.clone(),
+            TokenKind::Keyword(kw) => Rc::from(kw.as_str()),
+            TokenKind::Num(n) => Rc::from(crate::pretty::num_to_str(*n)),
+            _ => return Err(self.unexpected("property key")),
+        };
+        self.bump();
+        Ok(key)
     }
 }
 

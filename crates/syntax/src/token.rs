@@ -2,16 +2,19 @@
 
 use crate::span::Span;
 use std::fmt;
+use std::rc::Rc;
 
 /// The kind of a lexical token.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TokenKind {
     /// Numeric literal (decimal or hexadecimal), already parsed to `f64`.
     Num(f64),
-    /// String literal with escape sequences resolved.
-    Str(String),
-    /// Identifier (not a reserved word).
-    Ident(String),
+    /// String literal with escape sequences resolved, allocated once and
+    /// shared with the AST.
+    Str(Rc<str>),
+    /// Identifier (not a reserved word), allocated once and shared with
+    /// the AST.
+    Ident(Rc<str>),
     /// Reserved word.
     Keyword(Keyword),
     /// Punctuation or operator.

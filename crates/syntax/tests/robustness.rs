@@ -1,7 +1,10 @@
 //! Robustness: the lexer and parser must never panic, whatever the input
 //! — errors are always returned as values.
 
-use mujs_syntax::{lexer::lex, parse, parse_spawned, SyntaxErrorKind, MAX_NESTING};
+use mujs_syntax::{
+    lexer::lex, parse, parse_inline, parse_with, SyntaxError, SyntaxErrorKind, INLINE_NESTING,
+    MAX_NESTING,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -50,16 +53,36 @@ fn nested_parens(depth: usize) -> String {
     src
 }
 
+/// Runs `f` on a thread with the 2 MiB default stack, whatever
+/// `RUST_MIN_STACK` says.
+fn on_default_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn_scoped(s, f)
+            .expect("spawn")
+            .join()
+            .expect("no panic")
+    })
+}
+
+fn parse_err(src: &str) -> Option<SyntaxError> {
+    parse_with(src, |_| ()).err()
+}
+
 #[test]
 fn parser_handles_pathological_nesting() {
     // One paren level costs up to two recursion-guard entries, and the
     // enclosing statement and outermost expression cost a few more, so the
     // guaranteed depth is a little under MAX_NESTING / 2. MAX_NESTING is
-    // sized for the dedicated parser stack, so deep inputs go through
-    // `parse_spawned` (plain `parse` on a 2 MiB test thread would overflow
-    // before the guard fires).
+    // sized for the dedicated parser stack, which `parse_with` moves to
+    // once the inline guard trips (plain `parse` on a 2 MiB thread would
+    // overflow before the guard fires).
     let guaranteed = (MAX_NESTING / 2 - 4) as usize;
-    assert!(parse_spawned(&nested_parens(guaranteed)).is_ok());
+    assert_eq!(
+        on_default_stack(|| parse_err(&nested_parens(guaranteed))),
+        None
+    );
 }
 
 #[test]
@@ -67,15 +90,26 @@ fn parser_rejects_excessive_nesting_cleanly() {
     // Beyond the guard limit the parser must return a structured error —
     // never abort the process with a stack overflow.
     for depth in [MAX_NESTING as usize, 5_000] {
-        let err = parse_spawned(&nested_parens(depth)).expect_err("depth limited");
+        let err = on_default_stack(|| parse_err(&nested_parens(depth))).expect("depth limited");
         assert_eq!(err.kind, SyntaxErrorKind::NestingTooDeep);
     }
 }
 
 #[test]
+fn inline_guard_rejects_what_the_big_stack_parses() {
+    // One paren level is two guard entries; the statement and the
+    // initializer add three.
+    let inline_max = ((INLINE_NESTING - 3) / 2) as usize;
+    assert!(parse_inline(&nested_parens(inline_max)).is_ok());
+    let err = parse_inline(&nested_parens(inline_max + 1)).expect_err("past the inline guard");
+    assert_eq!(err.kind, SyntaxErrorKind::NestingTooDeep);
+    assert!(parse(&nested_parens(inline_max + 1)).is_ok());
+}
+
+#[test]
 fn shallow_nesting_still_parses_on_the_caller_stack() {
     // Plain `parse` keeps working for the shallow inputs it is guaranteed
-    // for (eval-position strings, test snippets).
+    // for (test snippets).
     assert!(parse(&nested_parens(40)).is_ok());
 }
 
