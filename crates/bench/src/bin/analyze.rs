@@ -14,6 +14,8 @@
 //! ignored; `--workers N` fans the seed list out over a job pool and is
 //! guaranteed to print the same bytes as the sequential path.
 
+#![forbid(unsafe_code)]
+
 use determinacy::multirun::{analyze_many_with, export_json, MultiRunOutcome};
 use determinacy::{AnalysisConfig, DetHarness};
 use mujs_dom::document::DocumentBuilder;

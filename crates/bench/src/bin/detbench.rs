@@ -19,6 +19,8 @@
 //! `crates/bench/tests/pta_compare.rs` and `shortcut_pipeline.rs`;
 //! wall-clock timing belongs to the `detperf` benchmark.
 
+#![forbid(unsafe_code)]
+
 use mujs_bench::pipeline::{
     run_pta_compare, run_shortcut_compare, PtaCompareRow, ShortcutCompareRow, PTA_COMPARE_BUDGET,
     TABLE1_PTA_BUDGET,

@@ -22,6 +22,8 @@
 //! layer failed to explain the starvation — a bug, not a corpus
 //! property), `2` for usage errors.
 
+#![forbid(unsafe_code)]
+
 use determinacy::AnalysisConfig;
 use mujs_analysis::blame::func_name;
 use mujs_analysis::{blame_report, BlameReport, FixKind};

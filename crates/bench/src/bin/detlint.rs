@@ -19,6 +19,8 @@
 //! $ cargo run -p mujs-bench --bin detlint -- --corpus table1 --json
 //! ```
 
+#![forbid(unsafe_code)]
+
 use mujs_analysis::{analyze_program, validate_program};
 use serde_json::Value;
 use std::path::{Path, PathBuf};

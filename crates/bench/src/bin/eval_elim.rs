@@ -7,6 +7,8 @@
 //! `--workers N` to run the benchmarks as parallel jobs; rows print in
 //! benchmark order either way.
 
+#![forbid(unsafe_code)]
+
 use mujs_bench::{run_eval_elim, run_eval_elim_pooled, EvalElimRow};
 use mujs_corpus::evalbench::{all, Expected};
 use mujs_jobs::JobPool;

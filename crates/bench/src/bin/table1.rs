@@ -7,6 +7,8 @@
 //! so the output is identical for any worker count. A positional integer
 //! overrides the PTA propagation budget.
 
+#![forbid(unsafe_code)]
+
 use mujs_bench::{run_table1, run_table1_pooled, Table1Row, TABLE1_PTA_BUDGET};
 use mujs_jobs::JobPool;
 

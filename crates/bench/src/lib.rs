@@ -13,6 +13,8 @@
 //! The [`pipeline`] module is the shared dynamic-analysis → specialize →
 //! PTA plumbing.
 
+#![forbid(unsafe_code)]
+
 pub mod pipeline;
 
 pub use pipeline::{

@@ -28,7 +28,8 @@ pub struct AnalysisConfig {
     pub counterfactual: bool,
     /// Whether to populate the fact database.
     pub collect_facts: bool,
-    /// Fact-database size cap (0 = unlimited).
+    /// Fact-database size cap, applied to point facts and to loop trip
+    /// facts alike (0 = unlimited).
     pub max_facts: usize,
     /// Record `(point, ctx, value, det)` observations for the soundness
     /// harness.

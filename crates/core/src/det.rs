@@ -111,28 +111,69 @@ impl mujs_interp::AnnValue for DValue {
     }
 }
 
+/// Epoch sentinel for slots installed by the standard library setup: they
+/// stay determinate across flushes (documented assumption: unanalyzed code
+/// does not overwrite built-ins; user overwrites replace the sentinel with
+/// a normal epoch and are tracked precisely). The largest epoch a
+/// [`SlotAnn`] holds.
+pub const BUILTIN_EPOCH: u64 = u64::MAX >> 1;
+
 /// Slot annotation: determinacy flag plus the epoch counter at write time.
 /// A slot is determinate iff its flag is [`Det::D`] *and* its epoch is
 /// current — incrementing the global epoch is the O(1) heap flush of §4.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SlotAnn {
-    /// Flag recorded at write time.
-    pub det: Det,
-    /// Global epoch at write time.
-    pub epoch: u64,
-}
+///
+/// Packed into one word: bit 0 is the indeterminate flag, the bits above
+/// it are the epoch. This keeps a slot at 32 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotAnn(u64);
 
 impl SlotAnn {
+    /// An annotation with flag `det` written at `epoch` (at most
+    /// [`BUILTIN_EPOCH`]).
+    #[inline]
+    pub fn new(det: Det, epoch: u64) -> Self {
+        debug_assert!(epoch <= BUILTIN_EPOCH, "epoch overflows the packed word");
+        SlotAnn(epoch << 1 | u64::from(det == Det::I))
+    }
+
+    /// Flag recorded at write time.
+    #[inline]
+    pub fn det(self) -> Det {
+        if self.0 & 1 == 0 {
+            Det::D
+        } else {
+            Det::I
+        }
+    }
+
+    /// Global epoch at write time.
+    #[inline]
+    pub fn epoch(self) -> u64 {
+        self.0 >> 1
+    }
+
+    /// Sets the flag to [`Det::I`], keeping the epoch.
+    #[inline]
+    pub fn mark_indet(&mut self) {
+        self.0 |= 1;
+    }
+
     /// The effective determinacy given the current epoch and whether the
     /// slot's container is subject to flushing.
-    pub fn effective(&self, current_epoch: u64, flushable: bool) -> Det {
-        if self.det == Det::D && (!flushable || self.epoch == current_epoch) {
+    #[inline]
+    pub fn effective(self, current_epoch: u64, flushable: bool) -> Det {
+        if self.det() == Det::D && (!flushable || self.epoch() == current_epoch) {
             Det::D
         } else {
             Det::I
         }
     }
 }
+
+// The packing, checked at build time: one word of annotation, so an
+// instrumented slot is a value plus 8 bytes.
+const _: () = assert!(std::mem::size_of::<SlotAnn>() == 8);
+const _: () = assert!(std::mem::size_of::<mujs_interp::Slot<SlotAnn>>() == 32);
 
 /// The value part of a determinacy fact, suitable for storage and
 /// cross-run comparison.
@@ -231,18 +272,44 @@ mod tests {
 
     #[test]
     fn slot_effective_determinacy() {
-        let s = SlotAnn {
-            det: Det::D,
-            epoch: 3,
-        };
+        let s = SlotAnn::new(Det::D, 3);
         assert_eq!(s.effective(3, true), Det::D);
         assert_eq!(s.effective(4, true), Det::I); // flushed since
         assert_eq!(s.effective(4, false), Det::D); // not flushable
-        let i = SlotAnn {
-            det: Det::I,
-            epoch: 4,
-        };
+        let i = SlotAnn::new(Det::I, 4);
         assert_eq!(i.effective(4, true), Det::I);
+        assert_eq!(i.effective(4, false), Det::I);
+    }
+
+    #[test]
+    fn slot_ann_packs_flag_and_epoch() {
+        for det in [Det::D, Det::I] {
+            for epoch in [0, 1, 2, 1000, u64::from(u32::MAX) + 1, BUILTIN_EPOCH] {
+                let a = SlotAnn::new(det, epoch);
+                assert_eq!((a.det(), a.epoch()), (det, epoch));
+            }
+        }
+        let mut a = SlotAnn::new(Det::D, 41);
+        a.mark_indet();
+        assert_eq!((a.det(), a.epoch()), (Det::I, 41));
+        a.mark_indet();
+        assert_eq!((a.det(), a.epoch()), (Det::I, 41));
+    }
+
+    #[test]
+    fn builtin_epoch_is_the_largest_packed_epoch() {
+        assert_eq!(BUILTIN_EPOCH, u64::MAX >> 1);
+        let b = SlotAnn::new(Det::D, BUILTIN_EPOCH);
+        assert_eq!(b.epoch(), BUILTIN_EPOCH);
+        assert_eq!(b.det(), Det::D);
+        // A built-in slot is not flushable: it stays determinate at any
+        // current epoch, and a user mark still makes it indeterminate.
+        assert_eq!(b.effective(7, false), Det::D);
+        let mut m = b;
+        m.mark_indet();
+        assert_eq!(m.epoch(), BUILTIN_EPOCH);
+        assert_eq!(m.effective(7, false), Det::I);
+        assert_ne!(SlotAnn::new(Det::D, 0), SlotAnn::new(Det::I, 0));
     }
 
     #[test]

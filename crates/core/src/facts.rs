@@ -115,7 +115,8 @@ pub struct FactDb {
 }
 
 impl FactDb {
-    /// An empty database capped at `max_entries` (0 = unlimited).
+    /// An empty database capped at `max_entries` point facts and as many
+    /// trip facts (0 = unlimited).
     pub fn new(max_entries: usize) -> Self {
         FactDb {
             max_entries,
@@ -123,8 +124,8 @@ impl FactDb {
         }
     }
 
-    fn over_cap(&self) -> bool {
-        self.max_entries != 0 && self.facts.len() >= self.max_entries
+    fn over_cap(&self, len: usize) -> bool {
+        self.max_entries != 0 && len >= self.max_entries
     }
 
     /// Records one observation, merging with previous hits.
@@ -160,7 +161,7 @@ impl FactDb {
 
     fn record_fact(&mut self, kind: FactKind, point: StmtId, ctx: CtxId, incoming: Fact) {
         use std::collections::hash_map::Entry;
-        let at_cap = self.over_cap();
+        let at_cap = self.over_cap(self.facts.len());
         match self.facts.entry((kind, point, ctx)) {
             Entry::Occupied(mut e) => e.get_mut().merge_with(&incoming),
             Entry::Vacant(e) => {
@@ -173,7 +174,8 @@ impl FactDb {
         }
     }
 
-    /// Number of observations dropped because the cap was reached.
+    /// Number of point and trip observations dropped because the cap was
+    /// reached.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -181,10 +183,15 @@ impl FactDb {
     /// Records a loop trip-count observation.
     pub fn record_trip(&mut self, point: StmtId, ctx: CtxId, trip: TripFact) {
         use std::collections::hash_map::Entry;
+        let at_cap = self.over_cap(self.trips.len());
         match self.trips.entry((point, ctx)) {
             Entry::Occupied(mut e) => e.get_mut().merge_with(trip),
             Entry::Vacant(e) => {
-                e.insert(trip);
+                if at_cap {
+                    self.dropped += 1;
+                } else {
+                    e.insert(trip);
+                }
             }
         }
     }
@@ -290,7 +297,7 @@ impl FactDb {
 
     fn record_union(&mut self, kind: FactKind, point: StmtId, ctx: CtxId, incoming: Fact) -> bool {
         use std::collections::hash_map::Entry;
-        let at_cap = self.over_cap();
+        let at_cap = self.over_cap(self.facts.len());
         match self.facts.entry((kind, point, ctx)) {
             Entry::Occupied(mut e) => e.get_mut().union_with(&incoming),
             Entry::Vacant(e) => {
@@ -306,6 +313,7 @@ impl FactDb {
 
     fn record_trip_union(&mut self, point: StmtId, ctx: CtxId, trip: TripFact) {
         use std::collections::hash_map::Entry;
+        let at_cap = self.over_cap(self.trips.len());
         match self.trips.entry((point, ctx)) {
             Entry::Occupied(mut e) => {
                 let cur = *e.get();
@@ -320,7 +328,11 @@ impl FactDb {
                 }
             }
             Entry::Vacant(e) => {
-                e.insert(trip);
+                if at_cap {
+                    self.dropped += 1;
+                } else {
+                    e.insert(trip);
+                }
             }
         }
     }
@@ -385,6 +397,44 @@ mod tests {
             db.get(FactKind::Define, p, CtxId::ROOT),
             Some(&Fact::Det(FactValue::Num(5.0)))
         );
+    }
+
+    #[test]
+    fn trip_facts_honour_the_cap() {
+        let mut db = FactDb::new(2);
+        for p in 0..5 {
+            db.record_trip(StmtId(p), CtxId::ROOT, TripFact::Exact(p));
+        }
+        assert_eq!(db.iter_trips().count(), 2);
+        assert_eq!(db.dropped(), 3);
+        // A stored entry still merges at the cap.
+        db.record_trip(StmtId(0), CtxId::ROOT, TripFact::Exact(9));
+        assert_eq!(db.trip(StmtId(0), CtxId::ROOT), Some(TripFact::Unknown));
+        assert_eq!(db.dropped(), 3);
+        // Point facts have their own room under the same cap.
+        db.record(
+            FactKind::Define,
+            StmtId(0),
+            CtxId::ROOT,
+            &dv(Value::Num(1.0)),
+        );
+        assert_eq!(db.len(), 1);
+        // Merging another run's trips honours the cap too.
+        let ctxs = ContextTable::new();
+        let mut target = ContextTable::new();
+        let mut merged = FactDb::new(2);
+        merged.absorb_reinterned(&db, &ctxs, &mut target);
+        let mut more = FactDb::new(0);
+        for p in 10..13 {
+            more.record_trip(StmtId(p), CtxId::ROOT, TripFact::Exact(1));
+        }
+        merged.absorb_reinterned(&more, &ctxs, &mut target);
+        assert_eq!(merged.iter_trips().count(), 2);
+        assert_eq!(merged.dropped(), 3);
+        // Uncapped, nothing is dropped.
+        let mut free = FactDb::new(0);
+        free.absorb_reinterned(&more, &ctxs, &mut target);
+        assert_eq!((free.iter_trips().count(), free.dropped()), (3, 0));
     }
 
     #[test]

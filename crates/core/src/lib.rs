@@ -46,6 +46,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cachekey;
 pub mod config;
 pub mod det;

@@ -6,9 +6,10 @@
 //!   slots, and per-object `ObjExtra` state (creation epoch, forced
 //!   openness, prototype-link flag);
 //! * the O(1) epoch-counter heap flush (§4) and open records;
-//! * one flat write log for the conditional rules, with undo for
-//!   counterfactual execution (ĈNTR) and its conservative abort
-//!   (ĈNTRABORT);
+//! * the write logs of the conditional rules: a location log that every
+//!   open region (ÎF1 or ĈNTR) marks from, and an undo log of prior
+//!   values kept only under counterfactual execution (ĈNTR), with its
+//!   conservative abort (ĈNTRABORT);
 //! * fact recording, budgets, supervision hooks and fault injection.
 //!
 //! Statement execution and the native models are the machine's
@@ -17,19 +18,13 @@
 //! `native_effect`, `absent_flag`, `dom_flag`).
 
 use crate::config::{AnalysisConfig, AnalysisStats, AnalysisStatus};
-use crate::det::{DValue, Det, SlotAnn};
+use crate::det::{DValue, Det, SlotAnn, BUILTIN_EPOCH};
 use crate::facts::{FactDb, FactKind, TripFact};
 use crate::supervisor::{CancelToken, RunHooks};
 use mujs_interp::context::CtxId;
 use mujs_interp::domain::{Domain, Limits, Stop, VarKey};
 use mujs_interp::{Flow, Frame, Machine, ObjId, Observation, ScopeId, Slot, Value};
 use mujs_ir::{Stmt, StmtId, Sym};
-
-/// Epoch sentinel for slots installed by the standard library setup: they
-/// stay determinate across flushes (documented assumption: unanalyzed code
-/// does not overwrite built-ins; user overwrites replace the sentinel with
-/// a normal epoch and are tracked precisely).
-pub const BUILTIN_EPOCH: u64 = u64::MAX;
 
 /// The instrumented determinacy machine: the µJS machine over the
 /// [`Instrumented`] domain.
@@ -71,7 +66,33 @@ struct ObjExtra {
     proto_det: Det,
 }
 
-/// One undoable/markable mutation.
+/// A location written inside an open region: what ÎF1 and ĈNTR mark.
+#[derive(Debug)]
+enum Written {
+    /// A property of a record.
+    Prop {
+        /// Receiver.
+        obj: ObjId,
+        /// Key.
+        key: Sym,
+    },
+    /// A variable binding.
+    Var {
+        /// Owning scope.
+        scope: ScopeId,
+        /// Where in the scope the binding lives.
+        key: VarKey,
+    },
+    /// A temp in some activation.
+    Temp {
+        /// The activation's serial.
+        frame: u64,
+        /// Temp index.
+        idx: u32,
+    },
+}
+
+/// One undoable mutation, with the state it overwrote.
 #[derive(Debug)]
 enum LogEntry {
     /// A property write or delete; `old == None` means the property did
@@ -125,11 +146,17 @@ pub struct Instrumented {
     epoch: u64,
     cf_depth: u32,
     cf_steps: u64,
-    /// The write log of every open Figure 9 conditional rule, innermost
-    /// region last; entries are kept only while some region is open.
-    log: Vec<LogEntry>,
-    /// The start offset in `log` of each open region, innermost last.
+    /// The locations written under every open Figure 9 conditional rule
+    /// (ÎF1 or ĈNTR), innermost region last; kept only while some region
+    /// is open.
+    written: Vec<Written>,
+    /// The start offset in `written` of each open region, innermost last.
     regions: Vec<usize>,
+    /// The undo log of every open ĈNTR, innermost last; written only
+    /// while one is open (`cf_depth > 0`).
+    undo: Vec<LogEntry>,
+    /// The start offset in `undo` of each open ĈNTR, innermost last.
+    cntrs: Vec<usize>,
     closure_writes: mujs_ir::closure_writes::ClosureWrites,
     cw_funcs_len: usize,
     /// Library setup: slots and objects created now are built-ins.
@@ -227,9 +254,17 @@ impl Instrumented {
         Ok(())
     }
 
-    fn log(&mut self, e: LogEntry) {
+    /// Logs a write for the open regions: its location for marking, and,
+    /// under a ĈNTR, the overwritten state for undo. `undo` is called only
+    /// then, so outside counterfactual execution the old state is dropped
+    /// unread.
+    #[inline]
+    fn log(&mut self, at: Written, undo: impl FnOnce() -> LogEntry) {
         if !self.regions.is_empty() {
-            self.log.push(e);
+            self.written.push(at);
+            if !self.cntrs.is_empty() {
+                self.undo.push(undo());
+            }
         }
     }
 
@@ -268,8 +303,10 @@ impl Domain for Instrumented {
             epoch: 0,
             cf_depth: 0,
             cf_steps: 0,
-            log: Vec::new(),
+            written: Vec::new(),
             regions: Vec::new(),
+            undo: Vec::new(),
+            cntrs: Vec::new(),
             closure_writes: mujs_ir::closure_writes::ClosureWrites::default(),
             cw_funcs_len: 0,
             setup_mode: true,
@@ -379,12 +416,12 @@ impl Domain for Instrumented {
         } else {
             m.domain.epoch
         };
-        SlotAnn { det, epoch }
+        SlotAnn::new(det, epoch)
     }
 
     #[inline]
     fn prop_flag(m: &DMachine<'_>, ann: &SlotAnn) -> Det {
-        ann.effective(m.domain.epoch, ann.epoch != BUILTIN_EPOCH)
+        ann.effective(m.domain.epoch, ann.epoch() != BUILTIN_EPOCH)
     }
 
     /// A flush models an unknown call, which can only have written this
@@ -392,10 +429,11 @@ impl Domain for Instrumented {
     /// assigns the name (see `mujs_ir::closure_writes`).
     #[inline]
     fn var_flag(m: &DMachine<'_>, sid: ScopeId, name: Sym, ann: &SlotAnn) -> Det {
-        if ann.det == Det::I {
+        if ann.det() == Det::I {
             return Det::I;
         }
-        if ann.epoch == m.domain.epoch || ann.epoch == BUILTIN_EPOCH {
+        let epoch = ann.epoch();
+        if epoch == m.domain.epoch || epoch == BUILTIN_EPOCH {
             return Det::D;
         }
         let s = m.scope(sid);
@@ -451,17 +489,30 @@ impl Domain for Instrumented {
         if old.is_none() {
             m.domain.cells_allocated += 1;
         }
-        m.domain.log(LogEntry::Prop { obj, key, old });
+        m.domain.log(Written::Prop { obj, key }, || LogEntry::Prop {
+            obj,
+            key,
+            old,
+        });
     }
 
     #[inline]
     fn var_written(m: &mut DMachine<'_>, scope: ScopeId, key: VarKey, old: Option<Slot<SlotAnn>>) {
-        m.domain.log(LogEntry::Var { scope, key, old });
+        m.domain.log(Written::Var { scope, key }, || LogEntry::Var {
+            scope,
+            key,
+            old,
+        });
     }
 
     #[inline]
     fn temp_written(m: &mut DMachine<'_>, frame: u64, idx: u32, old: DValue) {
-        m.domain.log(LogEntry::Temp { frame, idx, old });
+        m.domain
+            .log(Written::Temp { frame, idx }, || LogEntry::Temp {
+                frame,
+                idx,
+                old,
+            });
     }
 
     fn flush(m: &mut DMachine<'_>) -> Result<(), DErr> {
@@ -470,12 +521,15 @@ impl Domain for Instrumented {
 
     /// Forces a record open (indeterminate-name store, rule ŜTO) and marks
     /// all its properties indeterminate. The marks need no log: undo
-    /// restores slots wholesale from the Opened and Prop entries.
+    /// restores slots wholesale from the Opened and Prop entries. Only
+    /// ĈNTR undoes a flag transition, so only its undo log records one.
     fn open_record(m: &mut DMachine<'_>, obj: ObjId) {
         let was = std::mem::replace(&mut m.domain.extras[obj.0 as usize].forced_open, true);
-        m.domain.log(LogEntry::Opened { obj, was });
+        if !m.domain.cntrs.is_empty() {
+            m.domain.undo.push(LogEntry::Opened { obj, was });
+        }
         for (_, slot) in m.obj_mut(obj).props.iter_mut() {
-            slot.ann.det = Det::I;
+            slot.ann.mark_indet();
         }
     }
 
@@ -587,7 +641,7 @@ impl Domain for Instrumented {
     }
 
     fn open_region(m: &mut DMachine<'_>) {
-        m.domain.regions.push(m.domain.log.len());
+        m.domain.regions.push(m.domain.written.len());
     }
 
     /// Closes the innermost region, marking every written location
@@ -631,7 +685,8 @@ impl Domain for Instrumented {
             m.domain.cf_steps = 0;
         }
         m.domain.cf_depth += 1;
-        m.domain.regions.push(m.domain.log.len());
+        m.domain.regions.push(m.domain.written.len());
+        m.domain.cntrs.push(m.domain.undo.len());
         let mut outcome: Result<(), DErr> = Ok(());
         for b in blocks {
             match m.exec_block(frame, b) {
@@ -698,51 +753,57 @@ impl Domain for Instrumented {
     }
 }
 
-/// Closes the innermost write-log region: undoes its entries in reverse
-/// when `undo` is set, then marks them when `mark` is set. The entries stay
-/// in the flat log, where they now belong to the enclosing region, which
-/// may mark or undo them again. With no region left open the log is freed,
-/// buffer and all, so no log memory stays held between outermost regions.
-/// Neither step logs, so the log is taken out while they run.
+/// Closes the innermost region. When `undo` is set the region is the
+/// innermost ĈNTR: its undo-log entries are undone in reverse first. When
+/// `mark` is set, every location written in the region is then marked
+/// indeterminate. Both logs keep the closed region's entries, which now
+/// belong to the enclosing region (an inner ĈNTR's undo entries to the
+/// enclosing ĈNTR), and each log is freed, buffer and all, when its last
+/// region closes, so no log memory stays held between outermost regions.
+/// Neither step logs, so the logs are taken out while they run.
 fn end_region(m: &mut DMachine<'_>, frame: &mut DFrame, undo: bool, mark: bool) {
-    let start = m.domain.regions.pop().expect("log region open");
-    let log = std::mem::take(&mut m.domain.log);
     if undo {
+        let start = m.domain.cntrs.pop().expect("counterfactual open");
+        let log = std::mem::take(&mut m.domain.undo);
         for e in log[start..].iter().rev() {
             undo_entry(m, e, frame);
         }
+        if !m.domain.cntrs.is_empty() {
+            m.domain.undo = log;
+        }
     }
+    let start = m.domain.regions.pop().expect("log region open");
+    let written = std::mem::take(&mut m.domain.written);
     if mark {
-        for e in &log[start..] {
-            mark_entry(m, e, frame);
+        for w in &written[start..] {
+            mark_written(m, w, frame);
         }
     }
     if !m.domain.regions.is_empty() {
-        m.domain.log = log;
+        m.domain.written = written;
     }
 }
 
-/// Marks the location of a log entry indeterminate in the current state.
-fn mark_entry(m: &mut DMachine<'_>, e: &LogEntry, frame: &mut DFrame) {
-    match e {
-        LogEntry::Prop { obj, key, .. } => match m.obj_mut(*obj).props.get_mut(*key) {
-            Some(slot) => slot.ann.det = Det::I,
+/// Marks a written location indeterminate in the current state.
+fn mark_written(m: &mut DMachine<'_>, w: &Written, frame: &mut DFrame) {
+    match w {
+        Written::Prop { obj, key } => match m.obj_mut(*obj).props.get_mut(*key) {
+            Some(slot) => slot.ann.mark_indet(),
             // The property is now absent (deleted in the region, or the
             // undo removed it): other executions may have it, so the
             // record's contents are unknown.
             None => m.domain.extras[obj.0 as usize].forced_open = true,
         },
-        LogEntry::Var { scope, key, .. } => {
+        Written::Var { scope, key } => {
             if let Some(slot) = m.binding_mut(*scope, *key) {
-                slot.ann.det = Det::I;
+                slot.ann.mark_indet();
             }
         }
-        LogEntry::Temp { frame: fs, idx, .. } => {
+        Written::Temp { frame: fs, idx } => {
             if *fs == frame.serial {
                 frame.temps[*idx as usize].d = Det::I;
             }
         }
-        LogEntry::Opened { .. } => {}
     }
 }
 
@@ -797,7 +858,7 @@ fn mark_var_indet(m: &mut DMachine<'_>, scope: Option<ScopeId>, name: Sym) {
         None => m.obj_mut(g).props.get_mut(name),
     };
     if let Some(slot) = slot {
-        slot.ann.det = Det::I;
+        slot.ann.mark_indet();
     }
 }
 
@@ -806,7 +867,7 @@ fn mark_scope_chain_indet(m: &mut DMachine<'_>, scope: Option<ScopeId>) {
     while let Some(sid) = cur {
         let s = m.scope_mut(sid);
         for slot in s.slots.iter_mut().chain(s.ext.values_mut()) {
-            slot.ann.det = Det::I;
+            slot.ann.mark_indet();
         }
         cur = s.parent;
     }

@@ -473,6 +473,37 @@ for (var i = 0; i < props.length; i++) { var p = props[i]; }
 }
 
 #[test]
+fn max_facts_caps_trip_facts() {
+    // The inner loop exits once per call, and every call runs under its
+    // own occurrence-qualified context: 40 trip facts uncapped.
+    let src = r#"
+function f(n) { var s = 0; for (var i = 0; i < n; i++) { s = s + i; } return s; }
+for (var j = 0; j < 40; j++) { f(j % 5); }
+"#;
+    let (_, full) = analyze(src);
+    let all_trips = full.facts.iter_trips().count();
+    assert_eq!(all_trips, 41, "40 calls plus the outer loop");
+    assert_eq!(full.facts.dropped(), 0);
+    for cap in [1usize, 7, 40] {
+        let cfg = AnalysisConfig {
+            max_facts: cap,
+            ..Default::default()
+        };
+        let (_, out) = analyze_cfg(src, cfg);
+        let trips = out.facts.iter_trips().count();
+        assert_eq!(trips, cap, "max_facts={cap}");
+        assert!(out.facts.len() <= cap, "max_facts={cap}");
+        // Each trip fact past the cap is a dropped observation, on top of
+        // the dropped point facts.
+        assert!(
+            out.facts.dropped() >= (all_trips - cap) as u64,
+            "max_facts={cap}: dropped {}",
+            out.facts.dropped()
+        );
+    }
+}
+
+#[test]
 fn indeterminate_loop_bound_is_unknown() {
     let src = r#"
 var n = __indet(3);
@@ -534,6 +565,102 @@ console.log(acc);
     let (h, out) = analyze(src);
     assert_eq!(out.output, vec!["0"]);
     assert_var_indet(&h, &out, "after");
+}
+
+/// Analyzes `src` and checks that its output, after every rollback, is
+/// the concrete interpreter's output and equals `expect`.
+fn analyze_matching_concrete(src: &str, expect: &[&str]) -> (DetHarness, AnalysisOutcome) {
+    let (h, out) = analyze(src);
+    let concrete = mujs_interp::driver::run_src(src).expect("concrete run");
+    assert_eq!(out.output, concrete, "instrumented output diverges");
+    assert_eq!(out.output, expect);
+    (h, out)
+}
+
+#[test]
+fn nested_counterfactual_undoes_inner_heap_and_captured_writes() {
+    // The inner ĈNTR writes a heap property, creates another and writes a
+    // captured variable; the outer ĈNTR writes the same property before
+    // and after it. Both rollbacks must restore the real values, and both
+    // regions' writes must be marked.
+    let src = r#"
+var a = __indet(false);
+var b = __indet(false);
+var o = { p: 1, keep: 4 };
+function make() {
+  var n = 10;
+  var get = function () { return n; };
+  if (a) { o.p = 5; if (b) { o.p = 2; o.q = 3; n = 20; } o.p = o.p + n; }
+  var rn = n;
+  return get;
+}
+var g = make();
+var rp = o.p;
+var rq = o.q;
+var rkeep = o.keep;
+console.log(o.p);
+console.log(o.q);
+console.log(g());
+"#;
+    let (h, out) = analyze_matching_concrete(src, &["1", "undefined", "10"]);
+    assert_eq!(out.stats.counterfactuals, 2);
+    assert_eq!(out.stats.cf_aborts, 0);
+    assert_var_indet(&h, &out, "rn");
+    assert_var_indet(&h, &out, "rp");
+    assert_var_indet(&h, &out, "rq");
+    assert_var_det(&h, &out, "rkeep", FactValue::Num(4.0));
+}
+
+#[test]
+fn branch_region_inside_counterfactual_is_undone() {
+    // The taken branch of an indeterminate guard (rule ÎF1) runs inside a
+    // ĈNTR: its writes are marked when the branch closes, and still
+    // undone when the counterfactual rolls back.
+    let src = r#"
+var a = __indet(false);
+var c = __indet(true);
+var o = { p: 1, s: 0, keep: true };
+var x = 1;
+if (a) { if (c) { o.p = 7; x = 8; } o.s = o.p + x; }
+var rp = o.p;
+var rx = x;
+var rs = o.s;
+var rkeep = o.keep;
+console.log(o.p);
+console.log(x);
+console.log(o.s);
+"#;
+    let (h, out) = analyze_matching_concrete(src, &["1", "1", "0"]);
+    assert_eq!(out.stats.counterfactuals, 1);
+    assert_var_indet(&h, &out, "rp");
+    assert_var_indet(&h, &out, "rx");
+    assert_var_indet(&h, &out, "rs");
+    assert_var_det(&h, &out, "rkeep", FactValue::Bool(true));
+}
+
+#[test]
+fn indeterminate_key_store_inside_counterfactual_is_undone() {
+    // An indeterminate-key store (rule ŜTO) inside a ĈNTR forces the
+    // record open and marks its properties; rollback restores the values
+    // and the written property stays marked.
+    let src = r#"
+var a = __indet(false);
+var k = __indet("p");
+var o = { p: 1, r: 2 };
+var u = { p: 3 };
+if (a) { o[k] = 9; o.t = 1; }
+var rp = o.p;
+var rr = o.r;
+var rup = u.p;
+console.log(o.p);
+console.log(o.r);
+console.log(o.t);
+"#;
+    let (h, out) = analyze_matching_concrete(src, &["1", "2", "undefined"]);
+    assert_eq!(out.stats.counterfactuals, 1);
+    assert_var_indet(&h, &out, "rp");
+    assert_var_indet(&h, &out, "rr");
+    assert_var_det(&h, &out, "rup", FactValue::Num(3.0));
 }
 
 #[test]

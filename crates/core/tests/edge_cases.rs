@@ -519,3 +519,110 @@ fn deep_eval_code_is_a_catchable_syntax_error() {
             .expect("no panic")
     });
 }
+
+/// Runs `src` on the machine over domain `D`; returns its output and the
+/// names the run itself added to the interner, in interning order (not
+/// those of lowering or library setup).
+fn output_and_new_names<D: mujs_interp::domain::Domain>(
+    src: &str,
+    cfg: D::Config,
+) -> (Vec<String>, Vec<String>) {
+    let mut prog = mujs_syntax::parse_with(src, mujs_ir::lower_program).expect("parses");
+    let mut m = mujs_interp::Machine::<D>::new(&mut prog, cfg);
+    let before = m.prog.interner.len();
+    let _ = m.run();
+    let names = (before..m.prog.interner.len())
+        .map(|i| m.prog.interner.resolve(mujs_ir::Sym(i as u32)).to_owned())
+        .collect();
+    (std::mem::take(&mut m.output), names)
+}
+
+#[test]
+fn numeric_keys_round_trip_and_intern_only_their_strings() {
+    // Non-negative integers below 2^32 take the index fast path; every
+    // other number is formatted. Both must name the same property as
+    // `String(n)`, for stores, reads and `in`, and intern exactly that
+    // string, once, in first-use order, in both machines.
+    let ns = [
+        "0",
+        "-0",
+        "7",
+        "2147483648",
+        "4294967294",
+        "4294967295",
+        "4294967296",
+        "9007199254740992",
+        "1e21",
+        "0.5",
+        "-1",
+        "NaN",
+        "Infinity",
+        "-Infinity",
+    ];
+    let values: Vec<f64> = ns
+        .iter()
+        .map(|n| match *n {
+            "NaN" => f64::NAN,
+            "Infinity" => f64::INFINITY,
+            "-Infinity" => f64::NEG_INFINITY,
+            n => n.parse().unwrap(),
+        })
+        .collect();
+    let mut src = String::from("var o = {};\n");
+    for (i, n) in ns.iter().enumerate() {
+        src.push_str(&format!("var n{i} = {n};\no[n{i}] = {i};\n"));
+    }
+    src.push_str("var ks = \"\";\nfor (var k in o) { ks = ks + k + \"|\"; }\nconsole.log(ks);\n");
+    for i in 0..ns.len() {
+        src.push_str(&format!(
+            "console.log(String(n{i}) + \"=\" + o[String(n{i})] + \" \" + (n{i} in o));\n"
+        ));
+    }
+
+    // The key strings, distinct in first-write order, and the value each
+    // one holds last.
+    let keys: Vec<String> = values
+        .iter()
+        .map(|&v| mujs_syntax::pretty::num_to_str(v))
+        .collect();
+    let mut distinct: Vec<String> = Vec::new();
+    for k in &keys {
+        if !distinct.contains(k) {
+            distinct.push(k.clone());
+        }
+    }
+    assert_eq!(distinct.len(), ns.len() - 1, "0 and -0 share a key");
+    let mut expect = vec![distinct.iter().map(|k| format!("{k}|")).collect::<String>()];
+    for k in &keys {
+        let last = keys.iter().rposition(|x| x == k).unwrap();
+        expect.push(format!("{k}={last} true"));
+    }
+
+    let (c_out, c_names) =
+        output_and_new_names::<mujs_interp::concrete::Concrete>(&src, Default::default());
+    let (d_out, d_names) =
+        output_and_new_names::<determinacy::Instrumented>(&src, AnalysisConfig::default());
+    assert_eq!(c_out, expect);
+    assert_eq!(d_out, expect);
+    // Keys spelled like identifiers of the program ("NaN", "Infinity")
+    // were interned by lowering; every other key string is new. After
+    // them come the indices of the array for-in enumerates the keys
+    // into, as far as the keys did not already intern them.
+    let mut prog = mujs_syntax::parse_with(&src, mujs_ir::lower_program).unwrap();
+    let _ =
+        mujs_interp::Machine::<mujs_interp::concrete::Concrete>::new(&mut prog, Default::default());
+    let mut fresh: Vec<String> = distinct
+        .iter()
+        .filter(|k| prog.interner.get(k).is_none())
+        .cloned()
+        .collect();
+    assert_eq!(fresh.len(), distinct.len() - 2, "{fresh:?}");
+    for i in 0..distinct.len() {
+        let idx = i.to_string();
+        if prog.interner.get(&idx).is_none() && !fresh.contains(&idx) {
+            fresh.push(idx);
+        }
+    }
+    assert_eq!(c_names, fresh);
+    assert_eq!(d_names, fresh);
+}

@@ -12,5 +12,7 @@
 //! See `DESIGN.md` §2 for why these substitutions preserve the relevant
 //! behavior.
 
+#![forbid(unsafe_code)]
+
 pub mod evalbench;
 pub mod jquery_like;

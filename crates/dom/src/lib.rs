@@ -18,6 +18,8 @@
 //! The JavaScript-facing bindings live in the interpreter crates; this
 //! crate is engine-agnostic.
 
+#![forbid(unsafe_code)]
+
 pub mod api;
 pub mod document;
 pub mod events;

@@ -12,6 +12,8 @@
 //! loops, function calls, and try/catch — while structurally guaranteeing
 //! termination (loops are counted `for`s, calls form a DAG).
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;

@@ -28,6 +28,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod coerce;
 pub mod concrete;
 pub mod context;

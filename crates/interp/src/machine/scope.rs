@@ -314,11 +314,28 @@ impl<D: Domain> Machine<'_, D> {
             PropKey::Static(name) => Ok((*name, D::Flag::DET)),
             PropKey::Dynamic(p) => {
                 let kv = self.read_place(frame, p)?;
-                let s = crate::coerce::to_string(kv.v())
-                    .map_err(|_| self.coerce_err(kv.d().is_indet()))?;
-                Ok((self.prog.interner.intern_rc(&s), kv.d()))
+                Ok((self.intern_key(&kv)?, kv.d()))
             }
         }
+    }
+
+    /// Interns the property key a value names: a string as it is, an
+    /// array index (an integer in `0..2^32`) through
+    /// [`mujs_ir::Interner::intern_index`] without formatting a `String`,
+    /// and anything else through `ToString`. Each path interns exactly
+    /// the string `ToString` produces.
+    pub(crate) fn intern_key(&mut self, kv: &D::V) -> Result<Sym, D::Err> {
+        Ok(match kv.v() {
+            Value::Str(s) => self.prog.interner.intern_rc(s),
+            Value::Num(n) if (0.0..4_294_967_296.0).contains(n) && n.fract() == 0.0 => {
+                self.prog.interner.intern_index(*n as usize)
+            }
+            v => {
+                let s =
+                    crate::coerce::to_string(v).map_err(|_| self.coerce_err(kv.d().is_indet()))?;
+                self.prog.interner.intern_rc(&s)
+            }
+        })
     }
 
     // ------------------------------------------------------------- frames

@@ -233,9 +233,7 @@ impl<D: Domain> Machine<'_, D> {
             }
             StmtKind::HasProp { dst, key, obj } => {
                 let kv = self.read_place(frame, key)?;
-                let k =
-                    coerce::to_string(kv.v()).map_err(|_| self.coerce_err(kv.d().is_indet()))?;
-                let k = self.prog.interner.intern_rc(&k);
+                let k = self.intern_key(&kv)?;
                 let o = self.read_place(frame, obj)?;
                 let Value::Object(oid) = *o.v() else {
                     return Err(self.throw_error_ic(

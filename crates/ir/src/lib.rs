@@ -18,6 +18,8 @@
 //! needs the lexical extent of branches to compute write domains and to
 //! roll back counterfactual execution.
 
+#![forbid(unsafe_code)]
+
 pub mod closure_writes;
 pub mod hash;
 pub mod intern;

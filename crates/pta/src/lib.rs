@@ -32,6 +32,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod blame;
 pub mod nodes;
 pub mod pts;

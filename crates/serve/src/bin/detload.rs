@@ -26,6 +26,8 @@
 //! Exit codes: 0 on success, 1 on connection/protocol failures or any
 //! request settling with an `error` frame, 2 on usage errors.
 
+#![forbid(unsafe_code)]
+
 use serde_json::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;

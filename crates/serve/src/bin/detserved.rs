@@ -18,6 +18,8 @@
 //! Exit codes: 0 after a clean shutdown request (or stdin EOF), 2 on
 //! usage errors, 1 on fatal I/O errors.
 
+#![forbid(unsafe_code)]
+
 use mujs_serve::{CacheConfig, ServeOptions, Server};
 use std::net::TcpListener;
 use std::process::ExitCode;

@@ -45,6 +45,8 @@
 //! `detload` (a load generator that measures cold-vs-warm throughput and
 //! writes `BENCH_serve.json`).
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod proto;
 pub mod server;

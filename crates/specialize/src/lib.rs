@@ -24,6 +24,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod spec;
 
 pub use spec::{specialize, EvalStatus, SpecConfig, SpecReport, Specialized};

@@ -4,6 +4,8 @@
 //! runnable examples (`examples/`). The actual functionality lives in the
 //! workspace crates; see `DESIGN.md` for the system inventory.
 
+#![forbid(unsafe_code)]
+
 pub use determinacy;
 pub use mujs_corpus;
 pub use mujs_dom;

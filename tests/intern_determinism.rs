@@ -64,6 +64,53 @@ fn table1_fact_exports_match_pre_interning_bytes() {
     assert_golden("table1_exports.txt", &all);
 }
 
+/// The other Table 1 analysis cell: Spec+DetDOM fact exports, plus the
+/// run statistics of both the Spec and the Spec+DetDOM analysis of every
+/// corpus version. Together with `table1_exports.txt` this pins every
+/// instrumented run behind Table 1, so a change to the machine's
+/// bookkeeping (write log, slot annotations, key interning) must leave
+/// the counted work as well as the facts unchanged.
+#[test]
+fn table1_detdom_exports_and_run_stats_match_golden() {
+    let mut all = String::new();
+    for v in mujs_corpus::jquery_like::all_versions() {
+        for det_dom in [false, true] {
+            let mut h = DetHarness::from_src(&v.src).expect("corpus parses");
+            let cfg = AnalysisConfig {
+                det_dom,
+                ..AnalysisConfig::default()
+            };
+            let out = determinacy::supervised_analyze_dom(
+                &mut h,
+                cfg,
+                v.doc.clone(),
+                &v.plan,
+                &determinacy::RunHooks::supervised(),
+            )
+            .expect("corpus analyzes");
+            let cell = if det_dom { "Spec+DetDOM" } else { "Spec" };
+            let s = &out.stats;
+            let _ = writeln!(
+                all,
+                "=== jquery-like {} {cell} ===\nstatus={:?} steps={} counterfactuals={} \
+                 cf_aborts={} heap_flushes={} handlers_fired={}",
+                v.version,
+                out.status,
+                s.steps,
+                s.counterfactuals,
+                s.cf_aborts,
+                s.heap_flushes,
+                s.handlers_fired
+            );
+            if det_dom {
+                let json = export_json(&out.facts, &h.program, &h.source, &out.ctxs);
+                let _ = writeln!(all, "{json}");
+            }
+        }
+    }
+    assert_golden("table1_detdom_exports_and_stats.txt", &all);
+}
+
 /// Fact exports over the runnable §5.2 eval suite.
 #[test]
 fn evalbench_fact_exports_match_pre_interning_bytes() {
