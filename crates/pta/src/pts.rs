@@ -2,14 +2,25 @@
 //!
 //! Small sets are sorted `Vec<u32>`s (cheap to create, cache-friendly to
 //! scan: most pointer nodes hold a handful of abstract objects). Past
-//! [`SPARSE_MAX`] elements a set promotes to a word-packed bitset, where
-//! union/difference/intersection run a word at a time — the representation
-//! the ⋆-smearing hot spots of the Table 1 corpus end up in.
+//! [`SPARSE_MAX`] elements a set promotes to a word-packed bitset — the
+//! representation the ⋆-smearing hot spots of the Table 1 corpus end up
+//! in. The representation rule: a sparse set stays sparse while it holds
+//! at most `SPARSE_MAX` elements, and a dense set never demotes (so a
+//! dense set may hold fewer, e.g. after [`Pts::subtract`]).
+//!
+//! Every transfer out of a dense set runs a word at a time, whatever form
+//! the target takes. [`flow_into`] is the one transfer kernel: it computes
+//! each word of new elements as `src & !old & !delta`, folding a sparse
+//! operand's elements into the word mask, and takes an optional insertion
+//! log for provenance. [`Pts::union_with`] ORs a dense set into a sparse
+//! one by words once the union outgrows the sparse form. Only sparse
+//! sources walk their elements.
 //!
 //! Iteration is ascending by object id for both representations, so every
 //! export built from a [`Pts`] is deterministic without extra sorting
 //! passes, and the delta-propagating solver's budget accounting can stop
-//! element-exactly mid-union ([`flow_into`]).
+//! element-exactly mid-transfer: under a limit, the lowest new elements go
+//! in.
 
 /// Elements above which a sparse set promotes to the dense bitset form.
 pub const SPARSE_MAX: usize = 48;
@@ -79,7 +90,7 @@ impl Pts {
                 Err(pos) => {
                     s.insert(pos, v);
                     if s.len() > SPARSE_MAX {
-                        self.promote();
+                        self.promote(0);
                     }
                     true
                 }
@@ -106,10 +117,12 @@ impl Pts {
         std::mem::take(self)
     }
 
-    fn promote(&mut self) {
+    /// Switches a sparse set to the dense form, with at least `min_words`
+    /// words.
+    fn promote(&mut self, min_words: usize) {
         if let Repr::Sparse(s) = &self.repr {
             let max = s.last().copied().unwrap_or(0);
-            let mut words = vec![0u64; (max / 64 + 1) as usize];
+            let mut words = vec![0u64; min_words.max((max / 64 + 1) as usize)];
             for &v in s {
                 words[(v / 64) as usize] |= 1u64 << (v % 64);
             }
@@ -131,26 +144,39 @@ impl Pts {
     }
 
     /// Unions `other` into `self` (uncounted); returns how many elements
-    /// were new.
+    /// were new. A dense `other` is ORed in by words unless `self` is
+    /// sparse and the union still fits the sparse form.
     pub fn union_with(&mut self, other: &Pts) -> u32 {
-        if other.is_empty() {
-            return 0;
-        }
-        if let (Repr::Dense { words, len }, Repr::Dense { words: ow, .. }) =
-            (&mut self.repr, &other.repr)
-        {
-            if words.len() < ow.len() {
-                words.resize(ow.len(), 0);
+        let ow = match &other.repr {
+            Repr::Dense { words, len } if *len > 0 => words,
+            _ => return self.insert_all(other),
+        };
+        if let Repr::Sparse(s) = &self.repr {
+            let fits = other.len() <= SPARSE_MAX
+                && other.len() + s.iter().filter(|&&v| !other.contains(v)).count() <= SPARSE_MAX;
+            if fits {
+                return self.insert_all(other);
             }
-            let mut added = 0u32;
-            for (w, o) in words.iter_mut().zip(ow.iter()) {
-                let new = o & !*w;
-                added += new.count_ones();
-                *w |= new;
-            }
-            *len += added;
-            return added;
+            self.promote(ow.len());
         }
+        let Repr::Dense { words, len } = &mut self.repr else {
+            unreachable!("a sparse set was promoted above")
+        };
+        if words.len() < ow.len() {
+            words.resize(ow.len(), 0);
+        }
+        let mut added = 0u32;
+        for (w, o) in words.iter_mut().zip(ow.iter()) {
+            let new = o & !*w;
+            added += new.count_ones();
+            *w |= new;
+        }
+        *len += added;
+        added
+    }
+
+    /// Inserts every element of `other`; returns how many were new.
+    fn insert_all(&mut self, other: &Pts) -> u32 {
         let mut added = 0;
         for v in other.iter() {
             added += self.insert(v) as u32;
@@ -219,66 +245,8 @@ impl Pts {
     }
 }
 
-/// Flows `src` into a node split as `dst_old`/`dst_delta`: every element
-/// of `src` in neither set is inserted into `dst_delta`, at most `limit`
-/// of them. Returns `(added, truncated)` where `truncated` means the
-/// limit was reached *and* at least one further new element exists — the
-/// solver's exact-budget semantics: a flow that needs exactly `limit`
-/// insertions is not a truncation.
-pub fn flow_into(src: &Pts, dst_old: &Pts, dst_delta: &mut Pts, limit: u64) -> (u64, bool) {
-    if src.is_empty() {
-        return (0, false);
-    }
-    // Word-at-a-time fast path: no truncation possible, all dense.
-    if limit >= src.len() as u64 {
-        if let (Repr::Dense { words: sw, .. }, Repr::Dense { words: ow, .. }) =
-            (&src.repr, &dst_old.repr)
-        {
-            if dst_delta.is_empty() || dst_delta.is_dense() {
-                if !dst_delta.is_dense() {
-                    dst_delta.promote();
-                }
-                if let Repr::Dense { words: dw, len } = &mut dst_delta.repr {
-                    if dw.len() < sw.len() {
-                        dw.resize(sw.len(), 0);
-                    }
-                    let mut added = 0u64;
-                    for (i, s) in sw.iter().enumerate() {
-                        let o = ow.get(i).copied().unwrap_or(0);
-                        let new = s & !o & !dw[i];
-                        added += u64::from(new.count_ones());
-                        dw[i] |= new;
-                    }
-                    *len += added as u32;
-                    return (added, false);
-                }
-            }
-        }
-        let mut added = 0u64;
-        for v in src.iter() {
-            if !dst_old.contains(v) && dst_delta.insert(v) {
-                added += 1;
-            }
-        }
-        return (added, false);
-    }
-    // Budget-limited path: insert ascending, stop element-exactly.
-    let mut added = 0u64;
-    for v in src.iter() {
-        if dst_old.contains(v) || dst_delta.contains(v) {
-            continue;
-        }
-        if added == limit {
-            return (added, true);
-        }
-        dst_delta.insert(v);
-        added += 1;
-    }
-    (added, false)
-}
-
-/// One insertion-log record of [`flow_into_limited_logged`]: the bits of
-/// 64-element block `word` newly inserted into the target's delta.
+/// One insertion-log record of [`flow_into`]: the bits of 64-element block
+/// `word` newly inserted into the target's delta.
 #[derive(Debug, Clone, Copy)]
 pub struct FlowLogEntry {
     /// 64-element block index (element ids `word*64 ..= word*64+63`).
@@ -288,72 +256,214 @@ pub struct FlowLogEntry {
     pub bits: u64,
 }
 
-/// [`flow_into`]'s limit semantics plus a word-granular insertion log: the
-/// provenance-tracking path of the solver, which must stay budget-exact
-/// like `flow_into` while still learning exactly which elements it
-/// inserted (each recorded in `log`) so blame can be assigned to them.
-/// Returns `(added, truncated)` with `flow_into`'s exact-limit contract.
-pub fn flow_into_limited_logged(
+impl FlowLogEntry {
+    /// The record of one inserted element.
+    fn element(v: u32) -> Self {
+        FlowLogEntry {
+            word: v / 64,
+            bits: 1u64 << (v % 64),
+        }
+    }
+}
+
+/// Flows `src` into a node split as `dst_old`/`dst_delta`: every element
+/// of `src` in neither set is inserted into `dst_delta`, at most `limit`
+/// of them, lowest first. Returns `(added, truncated)` where `truncated`
+/// means the limit was reached *and* at least one further new element
+/// exists — the solver's exact-budget semantics: a flow that needs
+/// exactly `limit` insertions is not a truncation. With a `log`, every
+/// inserted element is also recorded there, a word at a time (the
+/// provenance-tracking solve assigns blame from it).
+///
+/// A dense `src` moves a word at a time whatever form the target takes;
+/// a sparse `src` (at most [`SPARSE_MAX`] elements) walks its elements.
+pub fn flow_into(
     src: &Pts,
     dst_old: &Pts,
     dst_delta: &mut Pts,
     limit: u64,
-    log: &mut Vec<FlowLogEntry>,
+    mut log: Option<&mut Vec<FlowLogEntry>>,
 ) -> (u64, bool) {
     if src.is_empty() {
         return (0, false);
     }
-    // Word-at-a-time fast path (mirrors `flow_into`'s): no truncation
-    // possible, all dense.
-    if limit >= src.len() as u64 {
-        if let (Repr::Dense { words: sw, .. }, Repr::Dense { words: ow, .. }) =
-            (&src.repr, &dst_old.repr)
-        {
-            if dst_delta.is_empty() || dst_delta.is_dense() {
-                if !dst_delta.is_dense() {
-                    dst_delta.promote();
-                }
-                if let Repr::Dense { words: dw, len } = &mut dst_delta.repr {
-                    if dw.len() < sw.len() {
-                        dw.resize(sw.len(), 0);
-                    }
-                    let mut added = 0u64;
-                    for (i, s) in sw.iter().enumerate() {
-                        let o = ow.get(i).copied().unwrap_or(0);
-                        let new = s & !o & !dw[i];
-                        if new != 0 {
-                            added += u64::from(new.count_ones());
-                            dw[i] |= new;
-                            log.push(FlowLogEntry {
-                                word: i as u32,
-                                bits: new,
-                            });
-                        }
-                    }
-                    *len += added as u32;
-                    return (added, false);
-                }
+    let sw = match &src.repr {
+        Repr::Sparse(s) => return flow_elements(s, dst_old, dst_delta, limit, log),
+        Repr::Dense { words, .. } => words,
+    };
+    if let Repr::Sparse(d) = &mut dst_delta.repr {
+        // An empty delta under a dense `old`, with room for all of `src`,
+        // goes dense at once; any other sparse delta stays sparse while
+        // the result fits.
+        let straight_to_dense = d.is_empty() && dst_old.is_dense() && limit >= src.len() as u64;
+        if !straight_to_dense {
+            if let Some(r) = gather_into_sparse(sw, dst_old, d, limit, log.as_deref_mut()) {
+                return r;
             }
         }
+        dst_delta.promote(sw.len());
     }
-    // Element path: insert ascending, stop element-exactly (mirrors
-    // `flow_into`'s limited path, logging each insertion).
+    let Repr::Dense { words: dw, len } = &mut dst_delta.repr else {
+        unreachable!("a sparse delta was promoted above")
+    };
+    let mut old = Words::of(dst_old);
     let mut added = 0u64;
-    for v in src.iter() {
-        if dst_old.contains(v) || dst_delta.contains(v) {
+    let mut truncated = false;
+    for (i, &s) in sw.iter().enumerate() {
+        if s == 0 {
+            continue;
+        }
+        let mut new = s & !old.word(i) & !dw.get(i).copied().unwrap_or(0);
+        if new == 0 {
+            continue;
+        }
+        let room = limit - added;
+        if u64::from(new.count_ones()) > room {
+            new = lowest_bits(new, room as u32);
+            truncated = true;
+        }
+        if new != 0 {
+            if i >= dw.len() {
+                dw.resize(i + 1, 0);
+            }
+            dw[i] |= new;
+            added += u64::from(new.count_ones());
+            if let Some(log) = log.as_deref_mut() {
+                log.push(FlowLogEntry {
+                    word: i as u32,
+                    bits: new,
+                });
+            }
+        }
+        if truncated {
+            break;
+        }
+    }
+    *len += added as u32;
+    (added, truncated)
+}
+
+/// [`flow_into`] for a sparse `src`: inserts ascending, stopping
+/// element-exactly at `limit`.
+fn flow_elements(
+    src: &[u32],
+    dst_old: &Pts,
+    dst_delta: &mut Pts,
+    limit: u64,
+    mut log: Option<&mut Vec<FlowLogEntry>>,
+) -> (u64, bool) {
+    let mut added = 0u64;
+    for &v in src {
+        if dst_old.contains(v) {
             continue;
         }
         if added == limit {
+            if dst_delta.contains(v) {
+                continue;
+            }
             return (added, true);
         }
-        dst_delta.insert(v);
-        log.push(FlowLogEntry {
-            word: v / 64,
-            bits: 1u64 << (v % 64),
-        });
+        if !dst_delta.insert(v) {
+            continue;
+        }
         added += 1;
+        if let Some(log) = log.as_deref_mut() {
+            log.push(FlowLogEntry::element(v));
+        }
     }
     (added, false)
+}
+
+/// [`flow_into`] for a dense source's words `sw` into a sparse delta `d`
+/// that is to stay sparse: gathers the lowest new elements (at most
+/// `limit`) and merges them into `d`. Returns `None`, touching nothing,
+/// when the result would exceed [`SPARSE_MAX`] elements.
+fn gather_into_sparse(
+    sw: &[u64],
+    dst_old: &Pts,
+    d: &mut Vec<u32>,
+    limit: u64,
+    log: Option<&mut Vec<FlowLogEntry>>,
+) -> Option<(u64, bool)> {
+    let cap = limit.min((SPARSE_MAX - d.len()) as u64) as usize;
+    let mut buf = [0u32; SPARSE_MAX];
+    let mut n = 0;
+    let mut more = false;
+    let mut old = Words::of(dst_old);
+    let mut cur = Words::Sparse { elems: d, pos: 0 };
+    'scan: for (i, &s) in sw.iter().enumerate() {
+        if s == 0 {
+            continue;
+        }
+        let mut new = s & !old.word(i) & !cur.word(i);
+        while new != 0 {
+            if n == cap {
+                more = true;
+                break 'scan;
+            }
+            buf[n] = i as u32 * 64 + new.trailing_zeros();
+            new &= new - 1;
+            n += 1;
+        }
+    }
+    if more && (cap as u64) < limit {
+        return None;
+    }
+    let gathered = &buf[..n];
+    if let Some(log) = log {
+        log.extend(gathered.iter().map(|&v| FlowLogEntry::element(v)));
+    }
+    d.extend_from_slice(gathered);
+    d.sort_unstable();
+    Some((n as u64, more))
+}
+
+/// The lowest `k` set bits of `bits`.
+fn lowest_bits(mut bits: u64, k: u32) -> u64 {
+    let mut kept = 0;
+    for _ in 0..k {
+        let b = bits & bits.wrapping_neg();
+        kept |= b;
+        bits ^= b;
+    }
+    kept
+}
+
+/// A set read one 64-element word at a time, in ascending word order: a
+/// dense set's words, or a sparse set's elements folded into each word.
+enum Words<'a> {
+    Sparse { elems: &'a [u32], pos: usize },
+    Dense(&'a [u64]),
+}
+
+impl<'a> Words<'a> {
+    fn of(p: &'a Pts) -> Self {
+        match &p.repr {
+            Repr::Sparse(s) => Words::Sparse { elems: s, pos: 0 },
+            Repr::Dense { words, .. } => Words::Dense(words),
+        }
+    }
+
+    /// The bits of word `i`; successive calls must not descend.
+    fn word(&mut self, i: usize) -> u64 {
+        match self {
+            Words::Dense(w) => w.get(i).copied().unwrap_or(0),
+            Words::Sparse { elems, pos } => {
+                let mut bits = 0u64;
+                while let Some(&v) = elems.get(*pos) {
+                    let w = (v / 64) as usize;
+                    if w > i {
+                        break;
+                    }
+                    if w == i {
+                        bits |= 1u64 << (v % 64);
+                    }
+                    *pos += 1;
+                }
+                bits
+            }
+        }
+    }
 }
 
 /// Ascending iterator over a [`Pts`].
@@ -396,6 +506,7 @@ impl Iterator for PtsIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn collected(p: &Pts) -> Vec<u32> {
         p.iter().collect()
@@ -489,21 +600,21 @@ mod tests {
         // 50 genuinely new elements; a limit of exactly 50 is NOT a
         // truncation.
         let mut delta = Pts::new();
-        let (added, truncated) = flow_into(&src, &old, &mut delta, 50);
+        let (added, truncated) = flow_into(&src, &old, &mut delta, 50, None);
         assert_eq!((added, truncated), (50, false));
         assert_eq!(delta.len(), 50);
         // One less stops element-exactly and reports truncation.
         let mut delta = Pts::new();
-        let (added, truncated) = flow_into(&src, &old, &mut delta, 49);
+        let (added, truncated) = flow_into(&src, &old, &mut delta, 49, None);
         assert_eq!((added, truncated), (49, true));
         assert_eq!(collected(&delta), (50..99).collect::<Vec<u32>>());
         // Re-flowing the rest picks up where the budget stopped.
-        let (added, truncated) = flow_into(&src, &old, &mut delta, 10);
+        let (added, truncated) = flow_into(&src, &old, &mut delta, 10, None);
         assert_eq!((added, truncated), (1, false));
     }
 
     #[test]
-    fn limited_logged_flow_matches_flow_into() {
+    fn flow_log_records_exactly_the_inserted_elements() {
         for (limit, dense) in [
             (49u64, false),
             (50, false),
@@ -525,15 +636,27 @@ mod tests {
             let mut plain = Pts::new();
             let mut logged = Pts::new();
             let mut log = Vec::new();
-            let want = flow_into(&src, &old, &mut plain, limit);
-            let got = flow_into_limited_logged(&src, &old, &mut logged, limit, &mut log);
+            let want = flow_into(&src, &old, &mut plain, limit, None);
+            let got = flow_into(&src, &old, &mut logged, limit, Some(&mut log));
             assert_eq!(got, want, "limit={limit} dense={dense}");
-            assert_eq!(
-                logged.iter().collect::<Vec<u32>>(),
-                plain.iter().collect::<Vec<u32>>()
+            assert_eq!(collected(&logged), collected(&plain));
+            // The log, expanded, is exactly the inserted elements, each once.
+            let mut from_log = Vec::new();
+            for e in &log {
+                assert_ne!(e.bits, 0);
+                let mut bits = e.bits;
+                while bits != 0 {
+                    from_log.push(e.word * 64 + bits.trailing_zeros());
+                    bits &= bits - 1;
+                }
+            }
+            from_log.sort_unstable();
+            assert!(
+                from_log.windows(2).all(|w| w[0] < w[1]),
+                "duplicate log bits"
             );
-            let log_total: u64 = log.iter().map(|e| u64::from(e.bits.count_ones())).sum();
-            assert_eq!(log_total, got.0);
+            assert_eq!(from_log, collected(&logged));
+            assert_eq!(from_log.len() as u64, got.0);
         }
     }
 
@@ -552,7 +675,7 @@ mod tests {
             fast.insert(v);
         }
         let mut slow_seed: Vec<u32> = fast.iter().collect();
-        let (added_fast, _) = flow_into(&src, &old, &mut fast, u64::MAX);
+        let (added_fast, _) = flow_into(&src, &old, &mut fast, u64::MAX, None);
         // Reference computation.
         let mut slow: Vec<u32> = slow_seed.clone();
         for v in src.iter() {
@@ -564,5 +687,187 @@ mod tests {
         slow_seed.sort_unstable();
         assert_eq!(collected(&fast), slow);
         assert_eq!(added_fast as usize, slow.len() - slow_seed.len());
+    }
+
+    /// The forms a set takes in a solve: sparse, dense past
+    /// [`SPARSE_MAX`], and three dense forms holding at most `SPARSE_MAX`
+    /// elements — made by a flow's straight-to-dense delta, and left by
+    /// `subtract` and `intersect_with` (the last two with trailing zero
+    /// words).
+    #[derive(Debug, Clone, Copy)]
+    enum Form {
+        Sparse,
+        Dense,
+        FlowMade,
+        Subtracted,
+        Intersected,
+    }
+
+    const FORMS: [Form; 5] = [
+        Form::Sparse,
+        Form::Dense,
+        Form::FlowMade,
+        Form::Subtracted,
+        Form::Intersected,
+    ];
+
+    /// Seeded xorshift64: a reproducible element stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    fn from_elems(elems: &BTreeSet<u32>) -> Pts {
+        let mut p = Pts::new();
+        for &v in elems {
+            p.insert(v);
+        }
+        p
+    }
+
+    /// A set of form `form` over random elements below `universe`;
+    /// returns it with its model.
+    fn make(form: Form, universe: u32, rng: &mut Rng) -> (Pts, BTreeSet<u32>) {
+        let size = match form {
+            Form::Dense => SPARSE_MAX as u64 + 1 + rng.below(150),
+            _ => rng.below(SPARSE_MAX as u64 + 1),
+        };
+        let size = size.min(u64::from(universe)) as usize;
+        let mut elems = BTreeSet::new();
+        while elems.len() < size {
+            elems.insert(rng.below(u64::from(universe)) as u32);
+        }
+        // Disjoint filler above the universe, enough to force a dense set.
+        let filler: BTreeSet<u32> = (universe + 3..universe + 3 + 2 * SPARSE_MAX as u32).collect();
+        let p = match form {
+            Form::Sparse | Form::Dense => from_elems(&elems),
+            Form::FlowMade => {
+                let src = from_elems(&elems.union(&filler).copied().collect());
+                let mut delta = Pts::new();
+                flow_into(&src, &from_elems(&filler), &mut delta, u64::MAX, None);
+                delta
+            }
+            Form::Subtracted => {
+                let mut p = from_elems(&elems.union(&filler).copied().collect());
+                p.subtract(&from_elems(&filler));
+                p
+            }
+            Form::Intersected => {
+                let mut p = from_elems(&elems.union(&filler).copied().collect());
+                p.intersect_with(&from_elems(&elems));
+                p
+            }
+        };
+        let want_dense = !matches!(form, Form::Sparse) || size > SPARSE_MAX;
+        assert_eq!(p.is_dense(), want_dense, "{form:?} of {size}");
+        (p, elems)
+    }
+
+    /// `len()` matches iteration, iteration strictly ascends, and the
+    /// contents equal `model`.
+    fn check_set(p: &Pts, model: &BTreeSet<u32>, what: &str) {
+        let got = collected(p);
+        assert!(got.windows(2).all(|w| w[0] < w[1]), "{what}: not ascending");
+        assert_eq!(p.len(), got.len(), "{what}: len");
+        assert_eq!(got, model.iter().copied().collect::<Vec<u32>>(), "{what}");
+    }
+
+    #[test]
+    fn flow_kernel_matches_a_set_model() {
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        for round in 0..12 {
+            let universe = [60, 100, 130, 300, 700][round % 5];
+            for sf in FORMS {
+                for of in FORMS {
+                    for df in FORMS {
+                        let (src, ms) = make(sf, universe, &mut rng);
+                        let (old, mo) = make(of, universe, &mut rng);
+                        let (delta0, md) = make(df, universe, &mut rng);
+                        let new: Vec<u32> = ms
+                            .iter()
+                            .copied()
+                            .filter(|v| !mo.contains(v) && !md.contains(v))
+                            .collect();
+                        let need = new.len() as u64;
+                        let mut limits = vec![0, need, u64::MAX];
+                        if need > 0 {
+                            limits.push(need - 1);
+                        }
+                        for limit in limits {
+                            for logged in [false, true] {
+                                let what = format!(
+                                    "round {round} src {sf:?} old {of:?} delta {df:?} \
+                                     need {need} limit {limit} logged {logged}"
+                                );
+                                let mut delta = delta0.clone();
+                                let mut log = Vec::new();
+                                let got = flow_into(
+                                    &src,
+                                    &old,
+                                    &mut delta,
+                                    limit,
+                                    logged.then_some(&mut log),
+                                );
+                                let kept = need.min(limit);
+                                assert_eq!(got, (kept, limit < need), "{what}");
+                                let mut model = md.clone();
+                                model.extend(&new[..kept as usize]);
+                                check_set(&delta, &model, &what);
+                                let straight_to_dense = src.is_dense()
+                                    && delta0.is_empty()
+                                    && old.is_dense()
+                                    && limit >= src.len() as u64;
+                                let want_dense = delta0.is_dense()
+                                    || model.len() > SPARSE_MAX
+                                    || straight_to_dense;
+                                assert_eq!(delta.is_dense(), want_dense, "{what}: form");
+                                if logged {
+                                    let mut from_log = BTreeSet::new();
+                                    for e in &log {
+                                        let mut bits = e.bits;
+                                        while bits != 0 {
+                                            let v = e.word * 64 + bits.trailing_zeros();
+                                            assert!(from_log.insert(v), "{what}: logged twice");
+                                            bits &= bits - 1;
+                                        }
+                                    }
+                                    let inserted: BTreeSet<u32> =
+                                        new[..kept as usize].iter().copied().collect();
+                                    assert_eq!(from_log, inserted, "{what}: log");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn union_matches_a_set_model() {
+        let mut rng = Rng(0x2545_f491_4f6c_dd1d);
+        for round in 0..20 {
+            let universe = [60, 100, 130, 300, 700][round % 5];
+            for af in FORMS {
+                for bf in FORMS {
+                    let (mut a, ma) = make(af, universe, &mut rng);
+                    let (b, mb) = make(bf, universe, &mut rng);
+                    let what = format!("round {round} self {af:?} other {bf:?}");
+                    let was_dense = a.is_dense();
+                    let added = a.union_with(&b);
+                    let model: BTreeSet<u32> = ma.union(&mb).copied().collect();
+                    assert_eq!(added as usize, model.len() - ma.len(), "{what}");
+                    check_set(&a, &model, &what);
+                    let want_dense = was_dense || model.len() > SPARSE_MAX;
+                    assert_eq!(a.is_dense(), want_dense, "{what}: form");
+                }
+            }
+        }
     }
 }

@@ -592,27 +592,20 @@ impl<'p> Solver<'p> {
             return;
         }
         let remaining = self.cfg.budget - self.stats.propagations;
-        let (added, truncated) = if self.prov.is_some() {
-            let mut log = std::mem::take(&mut self.scratch_log);
-            log.clear();
-            let r = pts::flow_into_limited_logged(
-                src,
-                &self.old[t as usize],
-                &mut self.delta[t as usize],
-                remaining,
-                &mut log,
-            );
+        let logging = self.prov.is_some();
+        let mut log = std::mem::take(&mut self.scratch_log);
+        log.clear();
+        let (added, truncated) = pts::flow_into(
+            src,
+            &self.old[t as usize],
+            &mut self.delta[t as usize],
+            remaining,
+            logging.then_some(&mut log),
+        );
+        if logging {
             self.assign_blame(f, t, &log);
-            self.scratch_log = log;
-            r
-        } else {
-            pts::flow_into(
-                src,
-                &self.old[t as usize],
-                &mut self.delta[t as usize],
-                remaining,
-            )
-        };
+        }
+        self.scratch_log = log;
         self.stats.propagations += added;
         if added > 0 {
             self.mark_dirty(t);

@@ -66,6 +66,18 @@ fn wide_src() -> String {
     s
 }
 
+/// One copy edge carrying 70 objects (a dense set spanning two 64-object
+/// words) into a node that already holds three: the budget can run out
+/// inside a word-at-a-time transfer into a sparse target.
+fn dense_copy_src() -> String {
+    let mut s = String::from("var pool;\nvar dst = {};\ndst = {};\ndst = {};\n");
+    for _ in 0..70 {
+        s.push_str("pool = {};\n");
+    }
+    s.push_str("dst = pool;\n");
+    s
+}
+
 #[test]
 fn direct_call_resolves() {
     let (prog, r) = setup("function f() {} f();");
@@ -322,7 +334,7 @@ fn sum_points_to(r: &PtaResult) -> usize {
 #[test]
 fn exact_budget_solve_completes() {
     let small = "function mk() { return {}; } var o = mk(); var p = mk();";
-    for src in [small.to_owned(), wide_src()] {
+    for src in [small.to_owned(), wide_src(), dense_copy_src()] {
         let ast = mujs_syntax::parse(&src).unwrap();
         let prog = mujs_ir::lower_program(&ast);
         let full = solve(&prog, &PtaConfig::default());
@@ -362,7 +374,7 @@ fn partial_result_is_queryable_and_consistent() {
         scc_interval: u64::MAX,
         ..Default::default()
     };
-    for src in [small.to_owned(), wide_src()] {
+    for src in [small.to_owned(), wide_src(), dense_copy_src()] {
         let ast = mujs_syntax::parse(&src).unwrap();
         let prog = mujs_ir::lower_program(&ast);
         let full = solve(&prog, &cfg(u64::MAX));
