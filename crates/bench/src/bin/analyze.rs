@@ -200,11 +200,10 @@ fn main() {
     }
 
     if o.spec {
-        let s = mujs_specialize::specialize(
+        let s = mujs_jobs::pipeline::specialize(
             &h.program,
-            &combined.facts,
-            &mut combined.ctxs,
-            &SpecConfig::default(),
+            &mut combined,
+            SpecConfig::default().max_context_depth,
         );
         eprintln!(
             "specializer: clones={} branchesPruned={} keysStatic={} loopsUnrolled={} evalsEliminated={} evalsRemaining={} redirects={}",

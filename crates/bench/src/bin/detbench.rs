@@ -22,9 +22,9 @@
 #![forbid(unsafe_code)]
 
 use mujs_bench::pipeline::{
-    run_pta_compare, run_shortcut_compare, PtaCompareRow, ShortcutCompareRow, PTA_COMPARE_BUDGET,
-    TABLE1_PTA_BUDGET,
+    run_pta_rows, PtaCompareRow, ShortcutCompareRow, PTA_COMPARE_BUDGET, TABLE1_PTA_BUDGET,
 };
+use mujs_jobs::pipeline::PipelineCounters;
 use serde::Serialize;
 
 fn main() {
@@ -89,21 +89,17 @@ struct PtaMeasurement {
 }
 
 fn measure() -> PtaMeasurement {
-    let versions = mujs_corpus::jquery_like::all_versions();
+    let counters = PipelineCounters::default();
+    let (after, shortcuts) = mujs_corpus::jquery_like::all_versions()
+        .iter()
+        .map(|v| run_pta_rows(v, &counters).expect("pta comparison runs"))
+        .unzip();
     PtaMeasurement {
         budget: PTA_COMPARE_BUDGET,
-        after: PtaCompareRows {
-            rows: versions
-                .iter()
-                .map(|v| run_pta_compare(v, PTA_COMPARE_BUDGET).expect("pta compare runs"))
-                .collect(),
-        },
+        after: PtaCompareRows { rows: after },
         shortcuts: ShortcutSection {
             budget: TABLE1_PTA_BUDGET,
-            rows: versions
-                .iter()
-                .map(|v| run_shortcut_compare(v, TABLE1_PTA_BUDGET).expect("shortcut compare runs"))
-                .collect(),
+            rows: shortcuts,
         },
     }
 }

@@ -6,7 +6,7 @@
 //! `mujs_analysis::blame_report`: which ⋆-smears, eval chunks, unmodeled
 //! natives, and havoc edges the surviving points-to tuples are blamed on,
 //! with the concrete fact-injection sites that would remove them. Each
-//! suggestion is cross-referenced against `determinacy::injectable_facts`
+//! suggestion is cross-referenced against the pipeline's injectable facts
 //! — the facts the dynamic run can already prove — so the report
 //! separates *actionable today* (`injectable`) from *needs more
 //! determinacy* (`unproven`).
@@ -24,12 +24,14 @@
 
 #![forbid(unsafe_code)]
 
-use determinacy::AnalysisConfig;
 use mujs_analysis::blame::func_name;
-use mujs_analysis::{blame_report, BlameReport, FixKind};
-use mujs_bench::pipeline::{analyze_page, TABLE1_PTA_BUDGET};
+use mujs_analysis::{BlameReport, FixKind};
+use mujs_bench::pipeline::{
+    blame, fan_out, page_request, with_pipeline, PipelineError, TABLE1_PTA_BUDGET,
+};
 use mujs_ir::Program;
-use mujs_pta::{InjectedFacts, PtaConfig, PtaStatus};
+use mujs_jobs::pipeline::PipelineCounters;
+use mujs_pta::{InjectedFacts, PtaStatus};
 use serde_json::Value;
 
 fn usage(problem: &str) -> ! {
@@ -255,30 +257,33 @@ fn main() {
     let mut failed = false;
     let mut text = String::new();
     let mut rows = Vec::new();
+    let counters = PipelineCounters::default();
     for v in &versions {
-        let cfg = AnalysisConfig {
-            det_dom: true,
-            ..Default::default()
-        };
-        let (h, analysis) = match analyze_page(&v.src, &v.doc, &v.plan, cfg) {
-            Ok(r) => r,
+        let req = page_request(&v.src, &v.doc, &v.plan, true);
+        let triaged = with_pipeline(&req, &counters, |p| {
+            fan_out(p)?;
+            let facts = p.facts()?;
+            let facts = p.injected(Some(&facts))?;
+            let prog = &p.live()?.0.program;
+            let (r, report) = blame(prog, o.budget, o.top);
+            Ok::<_, PipelineError>(Triage {
+                version: v.version.to_owned(),
+                status: r.status,
+                propagations: r.stats.propagations,
+                injectable_sites: facts.len(),
+                report,
+                prog: prog.clone(),
+                facts,
+            })
+        });
+        let t = match triaged {
+            Ok(t) => t,
             Err(e) => {
                 eprintln!("detblame {}: {e}", v.version);
                 std::process::exit(1);
             }
         };
-        let mut prog = h.program;
-        let facts = determinacy::injectable_facts(&analysis.facts, &mut prog);
-        let r = mujs_pta::solve(
-            &prog,
-            &PtaConfig {
-                budget: o.budget,
-                provenance: true,
-                ..Default::default()
-            },
-        );
-        let report = blame_report(&prog, &r, o.top).expect("provenance solve carries blame");
-        if r.status == PtaStatus::BudgetExceeded && report.causes.is_empty() {
+        if t.status == PtaStatus::BudgetExceeded && t.report.causes.is_empty() {
             eprintln!(
                 "detblame {}: budget-starved solve has NO ranked root causes — \
                  the provenance layer failed to explain the starvation",
@@ -286,15 +291,6 @@ fn main() {
             );
             failed = true;
         }
-        let t = Triage {
-            version: v.version.to_owned(),
-            status: r.status,
-            propagations: r.stats.propagations,
-            injectable_sites: facts.len(),
-            report,
-            prog,
-            facts,
-        };
         if o.json {
             rows.push(render_json(&t, o.budget));
         } else {

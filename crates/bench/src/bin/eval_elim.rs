@@ -9,9 +9,9 @@
 
 #![forbid(unsafe_code)]
 
-use mujs_bench::{run_eval_elim, run_eval_elim_pooled, EvalElimRow};
+use mujs_bench::pipeline::{run_eval_elim, run_pooled, EvalElimRow};
 use mujs_corpus::evalbench::{all, Expected};
-use mujs_jobs::JobPool;
+use mujs_jobs::pipeline::PipelineCounters;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -43,15 +43,16 @@ fn main() {
         "{:<24} {:<10} {:<10} {:<22} expected(DetDOM)",
         "benchmark", "plain", "DetDOM", "expected(plain)"
     );
-    let rows: Vec<EvalElimRow> = if workers > 1 {
-        let owned: Vec<_> = runnable.iter().map(|b| (*b).clone()).collect();
-        run_eval_elim_pooled(owned, &JobPool::new(workers))
-            .into_iter()
-            .flatten()
-            .collect()
-    } else {
-        runnable.iter().map(|b| run_eval_elim(b)).collect()
-    };
+    let counters = PipelineCounters::default();
+    let owned: Vec<_> = runnable.iter().map(|b| (*b).clone()).collect();
+    let rows: Vec<EvalElimRow> = run_pooled(owned, workers, |b| run_eval_elim(b, &counters))
+        .into_iter()
+        .map(|verdict| {
+            verdict
+                .into_done()
+                .expect("an eval-study job does not panic")
+        })
+        .collect();
     let mut plain_ok = 0;
     let mut detdom_ok = 0;
     let mut mismatches = 0;

@@ -9,8 +9,9 @@
 
 #![forbid(unsafe_code)]
 
-use mujs_bench::{run_table1, run_table1_pooled, Table1Row, TABLE1_PTA_BUDGET};
-use mujs_jobs::JobPool;
+use mujs_bench::pipeline::{run_pooled, run_table1, Table1Row, TABLE1_PTA_BUDGET};
+use mujs_jobs::pipeline::PipelineCounters;
+use mujs_jobs::JobVerdict;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -51,30 +52,33 @@ fn main() {
     let labels: Vec<&'static str> = versions.iter().map(|v| v.version).collect();
     // A failing version (engine panic, parse error) degrades to one
     // reported row instead of aborting the whole table.
-    let rows = if workers > 1 {
-        run_table1_pooled(versions, budget, &JobPool::new(workers))
-    } else {
-        versions.iter().map(|v| run_table1(v, budget)).collect()
-    };
+    let counters = PipelineCounters::default();
+    let rows = run_pooled(versions, workers, |v| run_table1(v, budget, &counters));
     let mut failed = false;
     for (label, row) in labels.iter().zip(rows) {
         let row = match row {
-            Ok(row) => row,
-            Err(e) => {
+            JobVerdict::Done(Ok(row)) => row,
+            JobVerdict::Done(Err(e)) => {
                 println!("{label:<16} {e}");
                 failed = true;
                 continue;
             }
+            JobVerdict::Panicked(p) => {
+                println!("{label:<16} panicked: {p}");
+                failed = true;
+                continue;
+            }
+            JobVerdict::Cancelled => unreachable!("nothing cancels the table's pool"),
         };
         println!(
             "{:<16} {:<12} {:<16} {:<16}   [{} / {} / {}]",
             row.version,
-            Table1Row::cell(row.baseline_ok, None),
-            Table1Row::cell(row.spec_ok, Some((row.spec_flushes, row.spec_capped))),
-            Table1Row::cell(row.detdom_ok, Some((row.detdom_flushes, row.detdom_capped))),
-            row.baseline_work,
-            row.spec_work,
-            row.detdom_work,
+            Table1Row::cell(row.baseline.ok, None),
+            Table1Row::cell(row.spec.ok, Some(row.spec_flushes)),
+            Table1Row::cell(row.detdom.ok, Some(row.detdom_flushes)),
+            row.baseline.work,
+            row.spec.work,
+            row.detdom.work,
         );
     }
     println!();

@@ -6,19 +6,17 @@
 //!   corpus: Baseline vs Spec vs Spec+DetDOM with heap-flush counts;
 //! * `eval_elim` (binary) — the §5.2 eval-elimination study;
 //! * `detbench` (binary) — writes `BENCH_pta.json`, the deterministic
-//!   work and precision counts of the PTA mode comparison.
+//!   work and precision counts of the PTA mode comparison;
+//! * `detblame` (binary) — ranked imprecision root causes of the
+//!   budget-starved baseline solves.
 //!
-//! Timing lives in the standalone `detperf` benchmark, not here.
-//!
-//! The [`pipeline`] module is the shared dynamic-analysis → specialize →
-//! PTA plumbing.
+//! Every one of them runs the shared [`mujs_jobs::pipeline::Pipeline`]
+//! (the stage code `detjobs` and `detserved` run) over a corpus page. The
+//! [`pipeline`] module holds only the experiments' row types, how each
+//! row reads the pipeline's artifacts, and the provenance-enabled solve
+//! the root-cause reports need. Timing lives in the standalone `detperf`
+//! benchmark, not here.
 
 #![forbid(unsafe_code)]
 
 pub mod pipeline;
-
-pub use pipeline::{
-    analyze_page, eliminate, root_cause_cols, run_eval_elim, run_eval_elim_pooled, run_pta_compare,
-    run_table1, run_table1_pooled, spec_pipeline, EvalElimRow, PipelineError, PipelineResult,
-    PtaCompareRow, PtaModeRow, RootCauseCol, Table1Row, TABLE1_PTA_BUDGET,
-};

@@ -1,16 +1,26 @@
-//! Shared experiment plumbing: dynamic analysis over a page (script +
-//! document + event plan), specialization, and budgeted pointer analysis.
+//! The paper's experiments as rows over the shared pipeline
+//! ([`mujs_jobs::pipeline::Pipeline`]). Each experiment hands the pipeline
+//! a corpus page instead of the service page and renders its row from the
+//! stage artifacts `detjobs` and `detserved` produce: the analysis,
+//! specialization, injection, summary and solve code is theirs. The one
+//! stage of its own here is [`blame`], the provenance-enabled solve the
+//! root-cause reports read.
 
-use determinacy::{
-    supervised_analyze_dom, AnalysisConfig, AnalysisOutcome, AnalysisStatus, RunFailure, RunHooks,
-};
+use determinacy::{AnalysisConfig, AnalysisStatus, CancelToken, RunFailure};
+use mujs_analysis::BlameReport;
+use mujs_corpus::evalbench::EvalBenchmark;
 use mujs_corpus::jquery_like::JQueryLike;
 use mujs_dom::document::Document;
 use mujs_dom::events::EventPlan;
 use mujs_ir::Program;
-use mujs_pta::{PtaConfig, PtaStatus};
-use mujs_specialize::{SpecConfig, SpecReport};
+use mujs_jobs::pipeline::{
+    specialize, Page, Pipeline, PipelineCounters, PtaMode, PtaStage, StageRequest,
+};
+use mujs_jobs::{JobCtx, JobPool, JobVerdict};
+use mujs_pta::{PtaConfig, PtaResult};
+use mujs_specialize::SpecConfig;
 use mujs_syntax::SyntaxError;
+use serde_json::Value;
 
 /// Why a pipeline run failed: the page's script did not parse, or the
 /// analysis engine failed (panics are isolated by the run supervisor and
@@ -40,12 +50,6 @@ impl From<SyntaxError> for PipelineError {
     }
 }
 
-impl From<RunFailure> for PipelineError {
-    fn from(e: RunFailure) -> Self {
-        PipelineError::Analysis(e)
-    }
-}
-
 /// The deterministic stand-in for the paper's 10-minute timeout: a
 /// propagation-work budget that separates the corpus's tractable and
 /// intractable configurations by a wide margin.
@@ -59,83 +63,92 @@ pub const TABLE1_PTA_BUDGET: u64 = 150_000;
 /// budget — its ✓/✗ shape *is* the starvation the paper reports.
 pub const PTA_COMPARE_BUDGET: u64 = 2_000_000;
 
-/// Outcome of one full pipeline run.
-#[derive(Debug)]
-pub struct PipelineResult {
-    /// The dynamic analysis outcome.
-    pub analysis: AnalysisOutcome,
-    /// The specializer report (`None` for baseline runs).
-    pub spec_report: Option<SpecReport>,
-    /// The program handed to the pointer analysis.
-    pub pta_program: Program,
-    /// PTA completion status.
-    pub pta_status: PtaStatus,
-    /// PTA propagation work.
-    pub pta_work: u64,
+/// The specializer's context depth in every experiment (§5.1: "up to four
+/// levels").
+fn spec_depth() -> usize {
+    SpecConfig::default().max_context_depth
 }
 
-/// Runs the instrumented analysis over a page under the run supervisor:
-/// parse errors and engine panics come back as [`PipelineError`] values.
-///
-/// # Errors
-///
-/// [`PipelineError::Syntax`] for malformed input,
-/// [`PipelineError::Analysis`] when the supervised run fails.
-pub fn analyze_page(
-    src: &str,
-    doc: &Document,
-    plan: &EventPlan,
-    cfg: AnalysisConfig,
-) -> Result<(determinacy::driver::DetHarness, AnalysisOutcome), PipelineError> {
-    let mut h = determinacy::driver::DetHarness::from_src(src)?;
-    let out = supervised_analyze_dom(&mut h, cfg, doc.clone(), plan, &RunHooks::supervised())?;
-    Ok((h, out))
-}
-
-/// Full Spec pipeline: instrumented run → specializer → budgeted PTA.
-/// With `spec: false` the specializer is skipped (Baseline).
-///
-/// # Errors
-///
-/// Propagates [`PipelineError`] from [`analyze_page`].
-pub fn spec_pipeline(
-    src: &str,
-    doc: &Document,
-    plan: &EventPlan,
-    det_dom: bool,
-    spec: bool,
-    pta_budget: u64,
-) -> Result<PipelineResult, PipelineError> {
+/// A one-seed request for `src` on the page of `doc` and `plan`, plain or
+/// DetDOM.
+pub fn page_request(src: &str, doc: &Document, plan: &EventPlan, det_dom: bool) -> StageRequest {
     let cfg = AnalysisConfig {
         det_dom,
         ..Default::default()
     };
-    let (h, mut analysis) = analyze_page(src, doc, plan, cfg)?;
-    let (pta_program, spec_report) = if spec {
-        let s = mujs_specialize::specialize(
-            &h.program,
-            &analysis.facts,
-            &mut analysis.ctxs,
-            &SpecConfig::default(),
-        );
-        (s.program, Some(s.report))
-    } else {
-        (h.program.clone(), None)
+    StageRequest {
+        src: src.to_owned(),
+        seeds: vec![cfg.seed],
+        cfg,
+        page: Some(Page {
+            doc: doc.clone(),
+            plan: plan.clone(),
+        }),
+        pta: None,
+    }
+}
+
+/// Runs `f` over a pipeline for `req` that counts into `counters`.
+pub fn with_pipeline<R>(
+    req: &StageRequest,
+    counters: &PipelineCounters,
+    f: impl FnOnce(&mut Pipeline<'_>) -> R,
+) -> R {
+    let cancel = CancelToken::new();
+    f(&mut Pipeline::new(req, &cancel, counters, &|_| {}))
+}
+
+/// Runs the pipeline's one-seed fan-out: the run's heap flushes and
+/// whether it hit the flush cap.
+///
+/// # Errors
+///
+/// The source's syntax error, or the failed seed run.
+pub fn fan_out(p: &mut Pipeline<'_>) -> Result<(u32, bool), PipelineError> {
+    let (_, multi) = p.live()?;
+    if let Some(failure) = multi.failures.first() {
+        return Err(PipelineError::Analysis(failure.clone()));
+    }
+    let run = multi
+        .runs
+        .first()
+        .expect("a fan-out without failures has a run");
+    Ok((
+        run.stats.heap_flushes,
+        run.status == AnalysisStatus::FlushCapReached,
+    ))
+}
+
+/// The one provenance-enabled solve: solves a pipeline's `program` at
+/// `budget` with provenance on and ranks its `top` imprecision root
+/// causes.
+pub fn blame(program: &Program, budget: u64, top: usize) -> (PtaResult, BlameReport) {
+    let cfg = PtaConfig {
+        budget,
+        provenance: true,
+        ..Default::default()
     };
-    let pta = mujs_pta::solve(
-        &pta_program,
-        &PtaConfig {
-            budget: pta_budget,
-            ..Default::default()
-        },
-    );
-    Ok(PipelineResult {
-        analysis,
-        spec_report,
-        pta_program,
-        pta_status: pta.status,
-        pta_work: pta.stats.propagations,
-    })
+    let result = mujs_pta::solve(program, &cfg);
+    let report =
+        mujs_analysis::blame_report(program, &result, top).expect("provenance solve carries blame");
+    (result, report)
+}
+
+/// Runs `row` over `items` as one pool job each on `workers` threads. The
+/// verdicts come back in item order for any worker count, so a table
+/// printed from them has the same bytes for any `--workers`.
+pub fn run_pooled<I: Send, R: Send>(
+    items: Vec<I>,
+    workers: usize,
+    row: impl Fn(&I) -> R + Sync,
+) -> Vec<JobVerdict<R>> {
+    let row = &row;
+    let jobs: Vec<(String, _)> = items
+        .into_iter()
+        .enumerate()
+        .map(|(i, item)| (format!("row-{i}"), move |_: &JobCtx| row(&item)))
+        .collect();
+    JobPool::new(workers).run(jobs)
 }
 
 /// One Table 1 row.
@@ -143,26 +156,18 @@ pub fn spec_pipeline(
 pub struct Table1Row {
     /// Version label.
     pub version: &'static str,
-    /// Baseline PTA completed within budget.
-    pub baseline_ok: bool,
-    /// Baseline PTA work.
-    pub baseline_work: u64,
-    /// Spec PTA completed.
-    pub spec_ok: bool,
-    /// Spec PTA work.
-    pub spec_work: u64,
-    /// Heap flushes of the plain dynamic analysis.
-    pub spec_flushes: u32,
-    /// Whether the plain dynamic analysis hit the flush cap.
-    pub spec_capped: bool,
-    /// Spec+DetDOM PTA completed.
-    pub detdom_ok: bool,
-    /// Spec+DetDOM PTA work.
-    pub detdom_work: u64,
-    /// Heap flushes of the DetDOM dynamic analysis.
-    pub detdom_flushes: u32,
-    /// Whether the DetDOM analysis hit the flush cap.
-    pub detdom_capped: bool,
+    /// The Baseline solve.
+    pub baseline: PtaModeRow,
+    /// The Spec solve.
+    pub spec: PtaModeRow,
+    /// Heap flushes of the plain dynamic analysis, and whether it hit the
+    /// flush cap.
+    pub spec_flushes: (u32, bool),
+    /// The Spec+DetDOM solve.
+    pub detdom: PtaModeRow,
+    /// Heap flushes of the DetDOM dynamic analysis, and whether it hit the
+    /// flush cap.
+    pub detdom_flushes: (u32, bool),
 }
 
 impl Table1Row {
@@ -182,27 +187,42 @@ impl Table1Row {
     }
 }
 
-/// Runs the full Table 1 experiment for one corpus version.
+/// Runs the full Table 1 experiment for one corpus version: the Baseline
+/// solve needs only the parsed program, and Spec and Spec+DetDOM each
+/// specialize one fan-out, so a version costs two instrumented analyses.
 ///
 /// # Errors
 ///
-/// Propagates the first [`PipelineError`] from the three configurations.
-pub fn run_table1(v: &JQueryLike, pta_budget: u64) -> Result<Table1Row, PipelineError> {
-    let baseline = spec_pipeline(&v.src, &v.doc, &v.plan, false, false, pta_budget)?;
-    let spec = spec_pipeline(&v.src, &v.doc, &v.plan, false, true, pta_budget)?;
-    let detdom = spec_pipeline(&v.src, &v.doc, &v.plan, true, true, pta_budget)?;
+/// The first [`PipelineError`] of the two configurations.
+pub fn run_table1(
+    v: &JQueryLike,
+    pta_budget: u64,
+    counters: &PipelineCounters,
+) -> Result<Table1Row, PipelineError> {
+    let at = |mode| PtaStage {
+        budget: pta_budget,
+        mode,
+    };
+    // One configuration: its fan-out's flushes, then its specialized solve.
+    let configuration = |p: &mut Pipeline<'_>| -> Result<_, PipelineError> {
+        let flushes = fan_out(p)?;
+        let specialized = at(PtaMode::Spec(spec_depth()));
+        Ok((flushes, PtaModeRow::solve(p, specialized, None, None)?))
+    };
+    let plain = page_request(&v.src, &v.doc, &v.plan, false);
+    let (baseline, (spec_flushes, spec)) = with_pipeline(&plain, counters, |p| {
+        let baseline = PtaModeRow::solve(p, at(PtaMode::Baseline), None, None)?;
+        Ok::<_, PipelineError>((baseline, configuration(p)?))
+    })?;
+    let detdom = page_request(&v.src, &v.doc, &v.plan, true);
+    let (detdom_flushes, detdom) = with_pipeline(&detdom, counters, configuration)?;
     Ok(Table1Row {
         version: v.version,
-        baseline_ok: baseline.pta_status == PtaStatus::Completed,
-        baseline_work: baseline.pta_work,
-        spec_ok: spec.pta_status == PtaStatus::Completed,
-        spec_work: spec.pta_work,
-        spec_flushes: spec.analysis.stats.heap_flushes,
-        spec_capped: spec.analysis.status == AnalysisStatus::FlushCapReached,
-        detdom_ok: detdom.pta_status == PtaStatus::Completed,
-        detdom_work: detdom.pta_work,
-        detdom_flushes: detdom.analysis.stats.heap_flushes,
-        detdom_capped: detdom.analysis.status == AnalysisStatus::FlushCapReached,
+        baseline,
+        spec,
+        spec_flushes,
+        detdom,
+        detdom_flushes,
     })
 }
 
@@ -223,23 +243,37 @@ pub struct PtaModeRow {
     pub reachable_funcs: usize,
 }
 
-/// Runs one solve and produces its comparison row.
-fn mode_row(prog: &Program, cfg: &PtaConfig) -> PtaModeRow {
-    let r = mujs_pta::solve(prog, cfg);
-    let p = r.precision(prog);
-    PtaModeRow {
-        ok: r.status == PtaStatus::Completed,
-        work: r.stats.propagations,
-        call_sites: p.call_sites,
-        poly_sites: p.poly_sites,
-        avg_points_to: p.avg_points_to,
-        reachable_funcs: p.reachable_funcs,
+impl PtaModeRow {
+    /// Reads the pipeline's PTA row.
+    fn from_row(row: &Value) -> PtaModeRow {
+        let num = |field: &str| {
+            row.get(field)
+                .and_then(Value::as_f64)
+                .expect("the PTA row has every field")
+        };
+        PtaModeRow {
+            ok: row.get("status").and_then(Value::as_str) == Some("completed"),
+            work: num("propagations") as u64,
+            call_sites: num("call_sites") as usize,
+            poly_sites: num("poly_sites") as usize,
+            avg_points_to: num("avg_points_to"),
+            reachable_funcs: num("reachable_funcs") as usize,
+        }
+    }
+
+    /// Runs one PTA stage of `p` and reads its row.
+    fn solve(
+        p: &mut Pipeline<'_>,
+        stage: PtaStage,
+        facts: Option<&Value>,
+        summary: Option<&Value>,
+    ) -> Result<PtaModeRow, SyntaxError> {
+        Ok(PtaModeRow::from_row(&p.pta(stage, facts, summary)?.0))
     }
 }
 
 /// One ranked root-cause column of a comparison row: a blame cause of
-/// the uninjected baseline solve, as distilled by
-/// [`mujs_analysis::blame_report`] from a provenance-enabled solve.
+/// the uninjected baseline solve, as distilled by [`blame`].
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct RootCauseCol {
     /// Human-readable cause label (e.g. `star-smear(Alloc(StmtId(12)))`).
@@ -272,79 +306,6 @@ pub struct PtaCompareRow {
     pub root_causes: Vec<RootCauseCol>,
 }
 
-/// Runs the three-way PTA comparison for one corpus version. Uses the
-/// DetDOM configuration (the paper's most deterministic setting) so the
-/// dynamic run yields the richest fact set for both consumers.
-///
-/// # Errors
-///
-/// Propagates [`PipelineError`] from [`analyze_page`].
-pub fn run_pta_compare(v: &JQueryLike, pta_budget: u64) -> Result<PtaCompareRow, PipelineError> {
-    let cfg = AnalysisConfig {
-        det_dom: true,
-        ..Default::default()
-    };
-    let (h, mut analysis) = analyze_page(&v.src, &v.doc, &v.plan, cfg)?;
-    let mut prog = h.program;
-    let facts = determinacy::injectable_facts(&analysis.facts, &mut prog);
-    let injected_sites = facts.len();
-
-    let base_cfg = PtaConfig {
-        budget: pta_budget,
-        ..Default::default()
-    };
-    let baseline = mode_row(&prog, &base_cfg);
-    let inj_cfg = PtaConfig {
-        budget: pta_budget,
-        facts: Some(facts),
-        ..Default::default()
-    };
-    let injected = mode_row(&prog, &inj_cfg);
-    let spec = mujs_specialize::specialize(
-        &prog,
-        &analysis.facts,
-        &mut analysis.ctxs,
-        &SpecConfig::default(),
-    );
-    let specialized = mode_row(&spec.program, &base_cfg);
-    // Root causes describe the *baseline program's* imprecision.
-    let root_causes = root_cause_cols(&prog, pta_budget, 3);
-
-    Ok(PtaCompareRow {
-        version: v.version.to_owned(),
-        injected_sites,
-        baseline,
-        injected,
-        specialized,
-        root_causes,
-    })
-}
-
-/// Ranks the baseline imprecision root causes of `prog` via one
-/// provenance-enabled delta solve at `budget`, keeping the top `top_k`.
-pub fn root_cause_cols(prog: &Program, budget: u64, top_k: usize) -> Vec<RootCauseCol> {
-    let cfg = PtaConfig {
-        budget,
-        provenance: true,
-        ..Default::default()
-    };
-    let r = mujs_pta::solve(prog, &cfg);
-    mujs_analysis::blame_report(prog, &r, top_k)
-        .map(|report| {
-            report
-                .causes
-                .iter()
-                .map(|c| RootCauseCol {
-                    label: c.cause.label(),
-                    kind: c.cause.kind().to_owned(),
-                    tuples: c.tuples,
-                    suggestions: c.suggestions.len(),
-                })
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
 /// One row of the shortcut comparison: injection-only vs
 /// injection+shortcuts at the tight Table 1 budget, the evidence that
 /// fast-forwarding determinate regions past constraint generation
@@ -367,51 +328,78 @@ pub struct ShortcutCompareRow {
     pub shortcut: PtaModeRow,
 }
 
-/// Runs the shortcut comparison for one corpus version at `pta_budget`
-/// (the Table 1 budget, where injection-only starves on the heavy
-/// versions). Both solves share one dynamic-analysis run and one
-/// injectable-fact set; the shortcut solve additionally carries the
-/// replayed region summaries.
+/// Both `detbench` rows of one corpus version from one DetDOM fan-out (the
+/// paper's most deterministic setting, so the richest fact set): the
+/// three-way comparison at [`PTA_COMPARE_BUDGET`], and the shortcut
+/// comparison at [`TABLE1_PTA_BUDGET`], where injection-only starves on
+/// the heavy versions.
 ///
 /// # Errors
 ///
-/// Propagates [`PipelineError`] from [`analyze_page`].
-pub fn run_shortcut_compare(
+/// The source's syntax error, or the failed seed run.
+pub fn run_pta_rows(
     v: &JQueryLike,
-    pta_budget: u64,
-) -> Result<ShortcutCompareRow, PipelineError> {
-    let cfg = AnalysisConfig {
-        det_dom: true,
-        ..Default::default()
-    };
-    let (h, analysis) = analyze_page(&v.src, &v.doc, &v.plan, cfg.clone())?;
-    let mut prog = h.program;
-    let facts = determinacy::injectable_facts(&analysis.facts, &mut prog);
-    let sums =
-        determinacy::shortcut_summaries(&v.src, &v.doc, &v.plan, &cfg, &analysis.facts, &mut prog);
+    counters: &PipelineCounters,
+) -> Result<(PtaCompareRow, ShortcutCompareRow), PipelineError> {
+    let req = page_request(&v.src, &v.doc, &v.plan, true);
+    with_pipeline(&req, counters, |p| {
+        fan_out(p)?;
+        let facts = p.facts()?;
+        let at = |budget, mode| PtaStage { budget, mode };
+        let baseline = PtaModeRow::solve(p, at(PTA_COMPARE_BUDGET, PtaMode::Baseline), None, None)?;
+        let (inject_row, _) = p.pta(at(PTA_COMPARE_BUDGET, PtaMode::Inject), Some(&facts), None)?;
+        let specialized = PtaModeRow::solve(
+            p,
+            at(PTA_COMPARE_BUDGET, PtaMode::Spec(spec_depth())),
+            None,
+            None,
+        )?;
+        // Root causes describe the *baseline program's* imprecision.
+        let (_, report) = blame(&p.live()?.0.program, PTA_COMPARE_BUDGET, 3);
+        let compare = PtaCompareRow {
+            version: v.version.to_owned(),
+            injected_sites: inject_row
+                .get("injected")
+                .and_then(Value::as_f64)
+                .expect("the PTA row counts injected facts") as usize,
+            baseline,
+            injected: PtaModeRow::from_row(&inject_row),
+            specialized,
+            root_causes: report
+                .causes
+                .iter()
+                .map(|c| RootCauseCol {
+                    label: c.cause.label(),
+                    kind: c.cause.kind().to_owned(),
+                    tuples: c.tuples,
+                    suggestions: c.suggestions.len(),
+                })
+                .collect(),
+        };
 
-    let inj_cfg = PtaConfig {
-        budget: pta_budget,
-        facts: Some(facts.clone()),
-        ..Default::default()
-    };
-    let injected = mode_row(&prog, &inj_cfg);
-    let sc_cfg = PtaConfig {
-        budget: pta_budget,
-        facts: Some(facts),
-        shortcuts: Some(std::sync::Arc::new(sums.summaries.clone())),
-        ..Default::default()
-    };
-    let shortcut = mode_row(&prog, &sc_cfg);
-
-    Ok(ShortcutCompareRow {
-        version: v.version.to_owned(),
-        candidates: sums.candidates,
-        regions: sums.summaries.len(),
-        tuples: sums.summaries.tuple_count(),
-        degraded: sums.degraded,
-        injected,
-        shortcut,
+        let summary = p.summary()?;
+        let count =
+            |field: &str| summary.get(field).and_then(Value::as_f64).unwrap_or(0.0) as usize;
+        let shortcut = ShortcutCompareRow {
+            version: v.version.to_owned(),
+            candidates: count("candidates"),
+            regions: count("regions"),
+            tuples: count("tuples"),
+            degraded: summary.get("degraded") == Some(&Value::Bool(true)),
+            injected: PtaModeRow::solve(
+                p,
+                at(TABLE1_PTA_BUDGET, PtaMode::Inject),
+                Some(&facts),
+                None,
+            )?,
+            shortcut: PtaModeRow::solve(
+                p,
+                at(TABLE1_PTA_BUDGET, PtaMode::InjectShortcuts),
+                Some(&facts),
+                Some(&summary),
+            )?,
+        };
+        Ok((compare, shortcut))
     })
 }
 
@@ -428,61 +416,52 @@ pub struct EvalElimRow {
     pub plain_remaining: usize,
 }
 
-/// Runs one eval benchmark through analyze → specialize and reports
-/// whether every `eval` site was specialized away, plus the count of
-/// surviving sites. A benchmark whose analysis fails (parse error, engine
-/// panic) counts as "not handled" rather than killing the study.
-pub fn eliminate(b: &mujs_corpus::evalbench::EvalBenchmark, det_dom: bool) -> (bool, usize) {
-    let cfg = AnalysisConfig {
-        det_dom,
-        ..Default::default()
-    };
-    let doc = b.doc();
-    let plan = b.plan();
-    let (h, mut out) = match analyze_page(&b.src, &doc, &plan, cfg) {
-        Ok(r) => r,
-        Err(e) => {
+/// Runs one eval benchmark on its own page through analyze → specialize
+/// and reports whether every `eval` site was specialized away, plus the
+/// count of surviving sites. A benchmark whose analysis fails (parse
+/// error, engine panic) counts as "not handled" rather than killing the
+/// study.
+pub fn eliminate(b: &EvalBenchmark, det_dom: bool, counters: &PipelineCounters) -> (bool, usize) {
+    let req = page_request(&b.src, &b.doc(), &b.plan(), det_dom);
+    with_pipeline(&req, counters, |p| {
+        if let Err(e) = fan_out(p) {
             eprintln!("{}: {e}", b.name);
             return (false, 0);
         }
-    };
-    let spec = mujs_specialize::specialize(
-        &h.program,
-        &out.facts,
-        &mut out.ctxs,
-        &SpecConfig::default(),
-    );
-    // Per-site aggregation over all rewrite visits: a site counts as
-    // specialized when every visit eliminated it or erased it with dead
-    // code; a site with no events was never reached by the dynamic run
-    // (the paper's "not covered" category) and counts as a failure.
-    use mujs_specialize::EvalStatus;
-    use std::collections::HashMap;
-    let mut per_site: HashMap<mujs_ir::StmtId, bool> = HashMap::new();
-    for (site, st) in &spec.report.eval_events {
-        let ok = matches!(st, EvalStatus::Eliminated | EvalStatus::DeadCode);
-        per_site
-            .entry(*site)
-            .and_modify(|v| *v = *v && ok)
-            .or_insert(ok);
-    }
-    let mut failures = 0usize;
-    for f in &h.program.funcs {
-        mujs_ir::Program::walk_block(&f.body, &mut |s| {
-            if matches!(s.kind, mujs_ir::StmtKind::Eval { .. })
-                && !matches!(per_site.get(&s.id), Some(true))
-            {
-                failures += 1;
-            }
-        });
-    }
-    (failures == 0, failures)
+        let (h, multi) = p.live().expect("the fan-out ran");
+        let spec = specialize(&h.program, multi, spec_depth());
+        // Per-site aggregation over all rewrite visits: a site counts as
+        // specialized when every visit eliminated it or erased it with dead
+        // code; a site with no events was never reached by the dynamic run
+        // (the paper's "not covered" category) and counts as a failure.
+        use mujs_specialize::EvalStatus;
+        use std::collections::HashMap;
+        let mut per_site: HashMap<mujs_ir::StmtId, bool> = HashMap::new();
+        for (site, st) in &spec.report.eval_events {
+            let ok = matches!(st, EvalStatus::Eliminated | EvalStatus::DeadCode);
+            per_site
+                .entry(*site)
+                .and_modify(|v| *v = *v && ok)
+                .or_insert(ok);
+        }
+        let mut failures = 0usize;
+        for f in &h.program.funcs {
+            Program::walk_block(&f.body, &mut |s| {
+                if matches!(s.kind, mujs_ir::StmtKind::Eval { .. })
+                    && !matches!(per_site.get(&s.id), Some(true))
+                {
+                    failures += 1;
+                }
+            });
+        }
+        (failures == 0, failures)
+    })
 }
 
 /// Runs the §5.2 study for one benchmark under both configurations.
-pub fn run_eval_elim(b: &mujs_corpus::evalbench::EvalBenchmark) -> EvalElimRow {
-    let (plain_ok, plain_remaining) = eliminate(b, false);
-    let (detdom_ok, _) = eliminate(b, true);
+pub fn run_eval_elim(b: &EvalBenchmark, counters: &PipelineCounters) -> EvalElimRow {
+    let (plain_ok, plain_remaining) = eliminate(b, false, counters);
+    let (detdom_ok, _) = eliminate(b, true, counters);
     EvalElimRow {
         name: b.name,
         plain_ok,
@@ -491,76 +470,24 @@ pub fn run_eval_elim(b: &mujs_corpus::evalbench::EvalBenchmark) -> EvalElimRow {
     }
 }
 
-/// Pool-backed Table 1: one job per corpus version, results in version
-/// order regardless of worker count (the rows carry no timing data, so
-/// the table itself is scheduling-independent; only the bracketed PTA
-/// work figures could vary with machine load, and those are
-/// deterministic too since the PTA is budget- not time-bounded).
-pub fn run_table1_pooled(
-    versions: Vec<JQueryLike>,
-    pta_budget: u64,
-    pool: &mujs_jobs::JobPool,
-) -> Vec<Result<Table1Row, PipelineError>> {
-    let jobs: Vec<(String, _)> = versions
-        .into_iter()
-        .map(|v| {
-            let label = format!("table1-{}", v.version);
-            (label, move |ctx: &mujs_jobs::JobCtx| {
-                let row = run_table1(&v, pta_budget);
-                ctx.progress(format!("version {} done", v.version));
-                row
-            })
-        })
-        .collect();
-    pool.run(jobs)
-        .into_iter()
-        .map(|verdict| match verdict {
-            mujs_jobs::JobVerdict::Done(r) => r,
-            mujs_jobs::JobVerdict::Panicked(p) => {
-                Err(PipelineError::Analysis(RunFailure::EnginePanic {
-                    payload: p,
-                    steps: 0,
-                    seed: 0,
-                }))
-            }
-            mujs_jobs::JobVerdict::Cancelled => {
-                Err(PipelineError::Analysis(RunFailure::Cancelled { seed: 0 }))
-            }
-        })
-        .collect()
-}
-
-/// Pool-backed §5.2 study: one job per runnable benchmark, rows in
-/// benchmark order regardless of worker count.
-pub fn run_eval_elim_pooled(
-    benchmarks: Vec<mujs_corpus::evalbench::EvalBenchmark>,
-    pool: &mujs_jobs::JobPool,
-) -> Vec<Option<EvalElimRow>> {
-    let jobs: Vec<(String, _)> = benchmarks
-        .into_iter()
-        .map(|b| {
-            let label = format!("eval-elim-{}", b.name);
-            (label, move |_ctx: &mujs_jobs::JobCtx| run_eval_elim(&b))
-        })
-        .collect();
-    pool.run(jobs)
-        .into_iter()
-        .map(mujs_jobs::JobVerdict::into_done)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     #[test]
-    fn pipeline_smoke_on_lazy_version() {
-        // jQuery-like 1.2 is the cheap one; exercise all three configs.
-        let v = mujs_corpus::jquery_like::v1_2();
-        let row = run_table1(&v, TABLE1_PTA_BUDGET).expect("pipeline runs");
-        assert!(row.baseline_ok && row.spec_ok && row.detdom_ok);
-        assert!(row.spec_capped, "1.2 plain hits the flush cap");
-        assert_eq!(row.detdom_flushes, 0);
+    fn table1_runs_two_analyses_per_version() {
+        let counters = PipelineCounters::default();
+        for v in mujs_corpus::jquery_like::all_versions() {
+            let row = run_table1(&v, TABLE1_PTA_BUDGET, &counters).expect("pipeline runs");
+            if v.version == "1.2" {
+                assert!(row.baseline.ok && row.spec.ok && row.detdom.ok);
+                assert!(row.spec_flushes.1, "1.2 plain hits the flush cap");
+                assert_eq!(row.detdom_flushes, (0, false));
+            }
+        }
+        // Baseline needs no fan-out; Spec and Spec+DetDOM one each.
+        assert_eq!(counters.analyses.load(Ordering::Relaxed), 8);
     }
 
     #[test]

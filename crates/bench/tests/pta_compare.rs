@@ -3,12 +3,16 @@
 //! `PTA_COMPARE_BUDGET`). The file pins the numbers; these tests pin the
 //! claims the numbers must keep supporting.
 
-use mujs_bench::pipeline::{run_pta_compare, PTA_COMPARE_BUDGET};
+use mujs_bench::pipeline::{run_pta_rows, PTA_COMPARE_BUDGET};
+use mujs_jobs::pipeline::PipelineCounters;
+use std::sync::atomic::Ordering;
 
 #[test]
 fn injection_completes_wherever_specialization_does_and_baseline_reaches_fixpoint() {
-    for v in mujs_corpus::jquery_like::all_versions() {
-        let r = run_pta_compare(&v, PTA_COMPARE_BUDGET).expect("pipeline runs");
+    let counters = PipelineCounters::default();
+    let versions = mujs_corpus::jquery_like::all_versions();
+    for v in &versions {
+        let (r, _) = run_pta_rows(v, &counters).expect("pipeline runs");
         assert!(
             r.injected.ok || !r.specialized.ok,
             "{}: specialized completes at {PTA_COMPARE_BUDGET} but injected does not",
@@ -24,4 +28,9 @@ fn injection_completes_wherever_specialization_does_and_baseline_reaches_fixpoin
             );
         }
     }
+    // Both detbench sections read one DetDOM fan-out per version.
+    assert_eq!(
+        counters.analyses.load(Ordering::Relaxed),
+        versions.len() as u64
+    );
 }

@@ -5,12 +5,13 @@
 //! numbers in the `shortcuts` section of `BENCH_pta.json`; this test is
 //! the one place the claims are asserted.
 
-use mujs_bench::pipeline::{run_shortcut_compare, TABLE1_PTA_BUDGET};
+use mujs_bench::pipeline::{run_pta_rows, TABLE1_PTA_BUDGET};
+use mujs_jobs::pipeline::PipelineCounters;
 
 #[test]
 fn shortcut_mode_completes_and_dominates_on_every_version() {
     for v in mujs_corpus::jquery_like::all_versions() {
-        let r = run_shortcut_compare(&v, TABLE1_PTA_BUDGET).expect("pipeline runs");
+        let (_, r) = run_pta_rows(&v, &PipelineCounters::default()).expect("pipeline runs");
         assert!(
             !r.degraded,
             "{}: replay degraded — summaries were dropped",
@@ -49,7 +50,7 @@ fn heavy_versions_summarize_the_extend_pattern() {
     // heavy main-script versions they carry hundreds of tuples and the
     // solve does strictly less work than injection-only.
     let v = mujs_corpus::jquery_like::v1_0();
-    let r = run_shortcut_compare(&v, TABLE1_PTA_BUDGET).expect("pipeline runs");
+    let (_, r) = run_pta_rows(&v, &PipelineCounters::default()).expect("pipeline runs");
     assert!(r.tuples > 100, "expected a rich summary, got {}", r.tuples);
     assert!(
         r.shortcut.work < r.injected.work,

@@ -97,8 +97,10 @@ impl EvalBenchmark {
 
 /// `(name, source)` pairs for the 24 *runnable* benchmarks, in suite
 /// order — batch-manifest generation for `mujs-jobs`. Sources only: batch
-/// jobs supply a default document, so DOM-dependent benchmarks exercise
-/// scheduling and determinism rather than the §5.2 elimination results.
+/// jobs run against the pipeline's default (service) page, not
+/// [`EvalBenchmark::doc`], so DOM-dependent benchmarks exercise
+/// scheduling and determinism rather than the §5.2 elimination results
+/// (`eval_elim` hands each benchmark its own page).
 pub fn named_sources() -> Vec<(String, String)> {
     all()
         .into_iter()

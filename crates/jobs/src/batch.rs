@@ -40,9 +40,10 @@ use crate::pool::{IsolatedGraph, JobCtx, JobEvent, JobPool, JobVerdict};
 use crate::spec::{JobSpec, Manifest};
 use determinacy::multirun::{export_json, MultiRunOutcome};
 use determinacy::{
-    supervised_analyze_dom, AnalysisConfig, AnalysisOutcome, DetHarness, RunFailure, RunHooks,
+    supervised_analyze, supervised_analyze_dom, AnalysisConfig, AnalysisOutcome, DetHarness,
+    RunFailure, RunHooks,
 };
-use mujs_dom::document::{Document, DocumentBuilder};
+use mujs_dom::document::Document;
 use mujs_dom::events::EventPlan;
 use serde_json::Value;
 use std::path::PathBuf;
@@ -526,7 +527,7 @@ fn live_pta_row(
     let summary = (stage.mode == PtaMode::InjectShortcuts)
         .then(|| p.summary())
         .transpose()?;
-    let (row, _) = p.pta(facts.as_ref(), summary.as_ref())?;
+    let (row, _) = p.pta(stage, facts.as_ref(), summary.as_ref())?;
     Ok(Some(row))
 }
 
@@ -563,10 +564,12 @@ pub fn analyze_many_pooled(
                 let r = match DetHarness::from_src(src) {
                     Ok(mut h) => {
                         let hooks = RunHooks::with_cancel(ctx.cancel.clone());
-                        let d = doc.cloned().unwrap_or_else(|| {
-                            DocumentBuilder::new().title("analyze-pooled").build()
-                        });
-                        supervised_analyze_dom(&mut h, cfg.clone(), d, plan, &hooks)
+                        match doc {
+                            Some(d) => {
+                                supervised_analyze_dom(&mut h, cfg.clone(), d.clone(), plan, &hooks)
+                            }
+                            None => supervised_analyze(&mut h, cfg.clone(), &hooks),
+                        }
                     }
                     Err(e) => {
                         // Unreachable after the eager parse; keep the seed

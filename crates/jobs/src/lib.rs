@@ -22,8 +22,8 @@
 //! * [`analyze_many_pooled`] — the pool-backed variant of the core
 //!   `analyze_many_hooked` seed fan-out;
 //! * [`pipeline`] — the one analysis pipeline (canonical request, stage
-//!   keys, seed fan-out, facts row, PTA stage) that `detjobs` runs live
-//!   and `detserved` wraps in its stage cache;
+//!   keys, seed fan-out, facts row, PTA stage) every front end runs:
+//!   `detjobs`, `detserved` and the `mujs-bench` experiment binaries;
 //! * the `detjobs` binary — manifest/directory/suite in, streamed
 //!   progress lines out, deterministic JSON report written at the end.
 //!
@@ -66,6 +66,6 @@ pub use batch::{
     JobRecord, JobStatus,
 };
 pub use checkpoint::{job_key, Checkpoint};
-pub use pipeline::{PtaMode, PtaStage, StageKeys, StageRequest};
+pub use pipeline::{Page, PtaMode, PtaStage, StageKeys, StageRequest};
 pub use pool::{JobCtx, JobEvent, JobPool, JobVerdict};
 pub use spec::{JobSpec, Manifest};

@@ -1,32 +1,35 @@
-//! The analysis pipeline both front ends run: one canonical request, one
+//! The analysis pipeline every front end runs: one canonical request, one
 //! content-key scheme, and one body per stage.
 //!
-//! `detjobs` runs a [`Pipeline`] live inside a worker and renders its row
-//! from the live outcome; `detserved` runs the same stage bodies and only
-//! adds its stage cache around them. So both tools analyze the same
-//! document, fold the same keys and render the same row fields.
+//! `detjobs` runs a [`Pipeline`] live inside a worker; `detserved` runs
+//! the same stage bodies behind its stage cache; the `mujs-bench`
+//! experiment binaries run it live over corpus pages, several PTA stages
+//! per fan-out. So every tool runs the same stage code.
 //!
 //! A request ([`StageRequest`]) is source text, the *effective*
-//! [`AnalysisConfig`], the seed fan-out and an optional PTA stage
-//! ([`PtaStage`]: a budget plus one [`PtaMode`]). It splits into up to
-//! four stages, each keyed by a digest of everything that determines its
-//! output and nothing else. Every key folds [`KEY_SCHEME`], the stage
-//! name, the upstream key and the stage's full canonical config, always
-//! in that order:
+//! [`AnalysisConfig`], the seed fan-out, the [`Page`] to analyze against
+//! (`None` is [`Page::service`]) and an optional PTA stage ([`PtaStage`]).
+//! It splits into up to four stages, each keyed by a digest of everything
+//! that determines its output and nothing else. Every key folds
+//! [`KEY_SCHEME`], the stage name, the upstream key and the stage's full
+//! canonical config, always in that order:
 //!
 //! ```text
 //! parse   = H(KEY_SCHEME ∥ "parse" ∥ src)
-//! facts   = H(KEY_SCHEME ∥ "facts" ∥ parse ∥ config-json ∥ #seeds ∥ seeds…)
+//! facts   = H(KEY_SCHEME ∥ "facts" ∥ parse ∥ config-json ∥ #seeds ∥ seeds… [∥ page])
 //! summary = H(KEY_SCHEME ∥ "summary" ∥ facts)              (inject+shortcuts only)
 //! pta     = H(KEY_SCHEME ∥ "pta" ∥ upstream ∥ budget ∥ mode ∥ depth)
 //! ```
 //!
-//! The PTA upstream is the artifact the mode consumes: the parse key for
-//! a baseline solve (it ignores the analysis config, so a config change
-//! keeps it warm), the facts key for injection and specialization, and
-//! the summary key (which chains the facts key) in shortcut mode. The
-//! `detjobs` checkpoint key ([`crate::checkpoint::job_key`]) is these
-//! keys plus the batch memory budget.
+//! The service page folds nothing, so service requests keep their keys;
+//! any other page folds its full content, so two different pages never
+//! share a facts key. The PTA upstream is the artifact the mode consumes:
+//! the parse key for a baseline solve (it ignores the analysis config and
+//! the page, so a change to either keeps it warm), the facts key for
+//! injection and specialization, and the summary key (which chains the
+//! facts key) in shortcut mode. The `detjobs` checkpoint key
+//! ([`crate::checkpoint::job_key`]) is these keys plus the batch memory
+//! budget.
 //!
 //! Runs whose outcome depended on wall-clock (deadline stops) or external
 //! cancellation are *impure*: their bytes are not a function of the key,
@@ -38,9 +41,11 @@ use determinacy::{
     injectable_facts, supervised_analyze_dom, AnalysisConfig, AnalysisStatus, CancelToken,
     DetHarness, InjectablePairs, PortableSummaries, RunFailure, RunHooks,
 };
-use mujs_dom::document::{Document, DocumentBuilder};
-use mujs_dom::events::EventPlan;
-use mujs_pta::{PtaConfig, PtaStatus};
+use mujs_dom::document::{Document, DocumentBuilder, NodeId};
+use mujs_dom::events::{EventPlan, EventTargetSel};
+use mujs_ir::Program;
+use mujs_pta::{InjectedFacts, PtaConfig, PtaStatus};
+use mujs_specialize::{SpecConfig, Specialized};
 use mujs_syntax::SyntaxError;
 use serde_json::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,11 +59,11 @@ use std::sync::Arc;
 /// constant alone.
 pub const KEY_SCHEME: &str = "detkeys-v2";
 
-/// The title of the document every pipeline analysis runs against. Fixed,
-/// *not* the job or request name, so results are pure functions of their
-/// keys: the DOM model reads `document.title`, and a name leaking into the
-/// analyzed document would make two same-source jobs produce different
-/// facts.
+/// The title of the service page's document, which every request without
+/// a page of its own analyzes against. Fixed, *not* the job or request
+/// name, so results are pure functions of their keys: the DOM model reads
+/// `document.title`, and a name leaking into the analyzed document would
+/// make two same-source jobs produce different facts.
 pub const SERVICE_DOC_TITLE: &str = "detserved";
 
 /// How a PTA stage consumes the determinacy facts (paper §5, plus the
@@ -105,6 +110,62 @@ pub struct PtaStage {
     pub mode: PtaMode,
 }
 
+/// The page a program runs in: the document the DOM model exposes and the
+/// events dispatched after `load`.
+#[derive(Debug, Clone)]
+pub struct Page {
+    /// The document.
+    pub doc: Document,
+    /// The post-load event sequence.
+    pub plan: EventPlan,
+}
+
+impl Page {
+    /// The service page: a fixed document titled [`SERVICE_DOC_TITLE`] and
+    /// no events after `load`.
+    pub fn service() -> Page {
+        Page {
+            doc: DocumentBuilder::new().title(SERVICE_DOC_TITLE).build(),
+            plan: EventPlan::new(),
+        }
+    }
+
+    /// Folds the page's full content into `h`: the title, every node in
+    /// creation order (tag, text, parent, whether the id index resolves
+    /// its id to it, sorted attributes, children), then every event step.
+    /// The root, head and body need no fold: `Document::new` fixes them.
+    fn fold(&self, h: KeyHasher) -> KeyHasher {
+        let doc = &self.doc;
+        let mut h = h.str(&doc.title).u64(doc.node_count() as u64);
+        for n in (0..doc.node_count() as u32).map(NodeId) {
+            let node = doc.node(n);
+            let mut attrs: Vec<_> = node.attrs.iter().collect();
+            attrs.sort();
+            let indexed = node.attrs.get("id").and_then(|v| doc.get_element_by_id(v)) == Some(n);
+            h = h.str(&node.tag).str(&node.text);
+            h = h.opt_u64(node.parent.map(|p| p.0.into()));
+            h = h.u64(indexed.into()).u64(attrs.len() as u64);
+            for (k, v) in attrs {
+                h = h.str(k).str(v);
+            }
+            h = h.u64(node.children.len() as u64);
+            for c in &node.children {
+                h = h.u64(c.0.into());
+            }
+        }
+        h = h.u64(self.plan.steps().len() as u64);
+        for step in self.plan.steps() {
+            h = match &step.target {
+                EventTargetSel::Window => h.str("window"),
+                EventTargetSel::Document => h.str("document"),
+                EventTargetSel::ById(el) => h.str("id").str(el),
+            };
+            h = h.str(&step.event_type);
+        }
+        h
+    }
+}
+
 /// One analysis request, reduced to exactly the inputs the pipeline keys
 /// by (the job or request name deliberately absent).
 #[derive(Debug, Clone)]
@@ -116,6 +177,9 @@ pub struct StageRequest {
     pub cfg: AnalysisConfig,
     /// Seeds to fan out over (already defaulted; never empty).
     pub seeds: Vec<u64>,
+    /// The page to analyze against; `None` is [`Page::service`], carried
+    /// as nothing so a request served from cache builds no document.
+    pub page: Option<Page>,
     /// The PTA stage; `None` skips it.
     pub pta: Option<PtaStage>,
 }
@@ -144,16 +208,17 @@ impl StageKeys {
     pub fn compute(req: &StageRequest) -> StageKeys {
         let cfg_json = serde_json::to_string(&req.cfg).expect("config serializes");
         let parse = stage_hasher("parse", &req.src).finish();
-        let facts = req
-            .seeds
-            .iter()
-            .fold(
-                stage_hasher("facts", &parse)
-                    .str(&cfg_json)
-                    .u64(req.seeds.len() as u64),
-                |h, &seed| h.u64(seed),
-            )
-            .finish();
+        let facts = req.seeds.iter().fold(
+            stage_hasher("facts", &parse)
+                .str(&cfg_json)
+                .u64(req.seeds.len() as u64),
+            |h, &seed| h.u64(seed),
+        );
+        let facts = match &req.page {
+            Some(page) => page.fold(facts.str("page")),
+            None => facts,
+        }
+        .finish();
         let summary = req
             .pta
             .filter(|s| s.mode == PtaMode::InjectShortcuts)
@@ -196,11 +261,6 @@ impl StageKeys {
         ));
         Value::Object(fields)
     }
-}
-
-/// The fixed document of every pipeline analysis.
-pub fn service_document() -> Document {
-    DocumentBuilder::new().title(SERVICE_DOC_TITLE).build()
 }
 
 /// Monotone cold-work counters. A cache's central guarantee (a warm
@@ -433,13 +493,15 @@ impl<'a> Pipeline<'a> {
     /// The source's syntax error.
     pub fn live(&mut self) -> Result<(&mut DetHarness, &mut MultiRunOutcome), SyntaxError> {
         self.harness()?;
-        let harness = self.harness.as_mut().expect("built above");
         if self.live.is_none() {
             (self.notify)("running determinacy analysis");
+            let page = self.req.page.clone().unwrap_or_else(Page::service);
+            let harness = self.harness.as_mut().expect("built above");
             self.live = Some(run_seeds(
                 harness,
                 &self.req.seeds,
                 &self.req.cfg,
+                &page,
                 self.cancel,
                 &|i, n| {
                     self.counters.analyses.fetch_add(1, Ordering::Relaxed);
@@ -447,6 +509,7 @@ impl<'a> Pipeline<'a> {
                 },
             ));
         }
+        let harness = self.harness.as_mut().expect("built above");
         Ok((harness, self.live.as_mut().expect("just filled")))
     }
 
@@ -473,6 +536,21 @@ impl<'a> Pipeline<'a> {
         Ok(Value::Object(fields))
     }
 
+    /// The injectable facts of a `facts` artifact, interned into the
+    /// program.
+    ///
+    /// # Errors
+    ///
+    /// The source's syntax error.
+    pub fn injected(&mut self, facts: Option<&Value>) -> Result<InjectedFacts, SyntaxError> {
+        let pairs = facts.and_then(|a| a.get("pairs"));
+        let program = &mut self.harness()?.program;
+        Ok(pairs
+            .map(pairs_from_value)
+            .unwrap_or_default()
+            .into_facts(program))
+    }
+
     /// The summary artifact: replays the determinate regions on the
     /// concrete interpreter and distills portable shortcut summaries. The
     /// replay is deterministic (panic-isolated, step-budgeted, no wall
@@ -485,6 +563,7 @@ impl<'a> Pipeline<'a> {
         let req = self.req;
         let counters = self.counters;
         let notify = self.notify;
+        let page = req.page.clone().unwrap_or_else(Page::service);
         let (h, multi) = self.live()?;
         notify("replaying determinate regions");
         // The replay seed is immaterial for determinate regions (that is
@@ -497,8 +576,8 @@ impl<'a> Pipeline<'a> {
         counters.summary_replays.fetch_add(1, Ordering::Relaxed);
         let out = determinacy::shortcut_summaries(
             &req.src,
-            &service_document(),
-            &EventPlan::new(),
+            &page.doc,
+            &page.plan,
             &cfg,
             &multi.facts,
             &mut h.program,
@@ -515,7 +594,7 @@ impl<'a> Pipeline<'a> {
         ]))
     }
 
-    /// The PTA stage: solves per the request's [`PtaMode`] and renders the
+    /// One PTA stage: solves per `stage`'s [`PtaMode`] and renders the
     /// PTA row, which has the same fields in every mode. Injection reads
     /// the `pairs` of the `facts` artifact, shortcut mode the `summary`
     /// artifact (a degraded or malformed one decodes to no regions, so
@@ -527,59 +606,44 @@ impl<'a> Pipeline<'a> {
     /// # Errors
     ///
     /// The source's syntax error.
-    ///
-    /// # Panics
-    ///
-    /// When the request has no PTA stage.
     pub fn pta(
         &mut self,
+        stage: PtaStage,
         facts: Option<&Value>,
         summary: Option<&Value>,
     ) -> Result<(Value, bool), SyntaxError> {
-        let stage = self.req.pta.expect("the request has a PTA stage");
         let counters = self.counters;
-        let notify = self.notify;
-        let spec;
-        let (program, facts_in, shortcuts, pure) = match stage.mode {
+        let mut spec = None;
+        let (facts_in, shortcuts, pure) = match stage.mode {
             PtaMode::Spec(depth) => {
+                let notify = self.notify;
                 let (h, multi) = self.live()?;
                 notify(&format!("specializing at depth {depth}"));
-                let spec_cfg = mujs_specialize::SpecConfig {
-                    max_context_depth: depth,
-                    ..Default::default()
-                };
-                spec = mujs_specialize::specialize(
-                    &h.program,
-                    &multi.facts,
-                    &mut multi.ctxs,
-                    &spec_cfg,
-                );
-                (&spec.program, None, None, fan_out_is_clean(multi))
+                spec = Some(specialize(&h.program, multi, depth));
+                (None, None, fan_out_is_clean(multi))
             }
             mode => {
-                let h = self.harness()?;
-                let facts_in = mode.injects().then(|| {
-                    let pairs = facts.and_then(|a| a.get("pairs"));
-                    pairs
-                        .map(pairs_from_value)
-                        .unwrap_or_default()
-                        .into_facts(&mut h.program)
-                });
+                let facts_in = mode.injects().then(|| self.injected(facts)).transpose()?;
+                let program = &mut self.harness()?.program;
                 let shortcuts = summary
                     .filter(|_| mode == PtaMode::InjectShortcuts)
                     .and_then(|a| a.get("summaries"))
                     .and_then(PortableSummaries::from_value)
-                    .map(|p| Arc::new(p.into_summaries(&mut h.program)));
+                    .map(|p| Arc::new(p.into_summaries(program)));
                 let pure = match mode {
                     PtaMode::Baseline => true,
                     PtaMode::Inject => is_clean(facts),
                     _ => is_clean(facts) && is_clean(summary),
                 };
-                (&h.program, facts_in, shortcuts, pure)
+                (facts_in, shortcuts, pure)
             }
         };
-        notify("solving pointer analysis");
-        let injected = facts_in.as_ref().map_or(0, mujs_pta::InjectedFacts::len);
+        let program = match &spec {
+            Some(spec) => &spec.program,
+            None => &self.harness.as_ref().expect("parsed above").program,
+        };
+        (self.notify)("solving pointer analysis");
+        let injected = facts_in.as_ref().map_or(0, InjectedFacts::len);
         let cfg = PtaConfig {
             budget: stage.budget,
             facts: facts_in,
@@ -595,19 +659,30 @@ impl<'a> Pipeline<'a> {
     }
 }
 
-/// Runs one seed fan-out sequentially on the current thread against the
-/// fixed document, short-circuiting remaining seeds to
-/// [`RunFailure::Cancelled`] once `cancel` fires, and combining in seed
-/// order. `on_seed(i, n)` follows each executed run.
+/// The one specialization step: specializes `program` against a fan-out's
+/// facts at context depth `depth`, every other specializer setting at its
+/// default. The `Spec` PTA mode, `eval_elim` and the `analyze` CLI's
+/// `--spec` run it.
+pub fn specialize(program: &Program, multi: &mut MultiRunOutcome, depth: usize) -> Specialized {
+    let cfg = SpecConfig {
+        max_context_depth: depth,
+        ..SpecConfig::default()
+    };
+    mujs_specialize::specialize(program, &multi.facts, &mut multi.ctxs, &cfg)
+}
+
+/// Runs one seed fan-out sequentially on the current thread against
+/// `page`, short-circuiting remaining seeds to [`RunFailure::Cancelled`]
+/// once `cancel` fires, and combining in seed order. `on_seed(i, n)`
+/// follows each executed run.
 fn run_seeds(
     harness: &mut DetHarness,
     seeds: &[u64],
     base_cfg: &AnalysisConfig,
+    page: &Page,
     cancel: &CancelToken,
     on_seed: &dyn Fn(usize, usize),
 ) -> MultiRunOutcome {
-    let doc = service_document();
-    let plan = EventPlan::new();
     let hooks = RunHooks::with_cancel(cancel.clone());
     let n = seeds.len();
     let results: Vec<_> = seeds
@@ -621,7 +696,7 @@ fn run_seeds(
                 seed,
                 ..base_cfg.clone()
             };
-            let r = supervised_analyze_dom(harness, cfg, doc.clone(), &plan, &hooks);
+            let r = supervised_analyze_dom(harness, cfg, page.doc.clone(), &page.plan, &hooks);
             on_seed(i + 1, n);
             r
         })
@@ -744,6 +819,7 @@ mod tests {
             src: src.to_owned(),
             cfg: AnalysisConfig::default(),
             seeds: vec![AnalysisConfig::default().seed],
+            page: None,
             pta: None,
         }
     }
@@ -868,6 +944,127 @@ mod tests {
         assert_eq!(job_key(&facts_only, None), "56f6d877c963e817");
         let spec = StageKeys::compute(&with_pta(src, 150_000, PtaMode::Spec(3)));
         assert_eq!(job_key(&spec, Some(100_000)), "b1e9a9fb5658b1c9");
+    }
+
+    #[test]
+    fn a_page_moves_the_facts_key_but_not_the_parse_or_baseline_pta_key() {
+        let v = mujs_corpus::jquery_like::v1_0();
+        let service = with_pta(&v.src, 150_000, PtaMode::Baseline);
+        let on_page = |doc: Document, plan: EventPlan| StageRequest {
+            page: Some(Page { doc, plan }),
+            ..service.clone()
+        };
+        let ks = StageKeys::compute(&service);
+        let kc = StageKeys::compute(&on_page(v.doc.clone(), v.plan.clone()));
+        assert_eq!(kc.parse, ks.parse);
+        assert_ne!(kc.facts, ks.facts);
+        assert_eq!(kc.pta, ks.pta, "a baseline solve ignores the page");
+        // Every mode that consumes the facts follows them.
+        for mode in &MODES[1..] {
+            let mut a = service.clone();
+            a.pta = Some(PtaStage {
+                budget: 150_000,
+                mode: *mode,
+            });
+            let b = StageRequest {
+                page: Some(Page {
+                    doc: v.doc.clone(),
+                    plan: v.plan.clone(),
+                }),
+                ..a.clone()
+            };
+            assert_ne!(
+                StageKeys::compute(&a).pta,
+                StageKeys::compute(&b).pta,
+                "{mode:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn different_pages_never_share_a_facts_key() {
+        let v = mujs_corpus::jquery_like::v1_0();
+        let base = req("var t = document.title;");
+        let mut titled = v.doc.clone();
+        titled.title.push('!');
+        let mut attr = v.doc.clone();
+        let body = attr.body();
+        attr.set_attribute(body, "class", "x");
+        let mut detached = v.doc.clone();
+        detached.create_element("div");
+        let pages = [
+            Page::service(),
+            Page {
+                doc: v.doc.clone(),
+                plan: v.plan.clone(),
+            },
+            Page {
+                doc: v.doc.clone(),
+                plan: v.plan.clone().click("more"),
+            },
+            Page {
+                doc: v.doc.clone(),
+                plan: v.plan.clone().event(EventTargetSel::Document, "more"),
+            },
+            Page {
+                doc: v.doc.clone(),
+                plan: EventPlan::new().event(EventTargetSel::Window, "resize"),
+            },
+            Page {
+                doc: v.doc.clone(),
+                plan: EventPlan::new().event(EventTargetSel::ById("window".into()), "resize"),
+            },
+            Page {
+                doc: titled,
+                plan: v.plan.clone(),
+            },
+            Page {
+                doc: attr,
+                plan: v.plan.clone(),
+            },
+            Page {
+                doc: detached,
+                plan: v.plan.clone(),
+            },
+        ];
+        let mut keys: Vec<String> = pages
+            .into_iter()
+            .map(|page| {
+                StageKeys::compute(&StageRequest {
+                    page: Some(page),
+                    ..base.clone()
+                })
+                .facts
+            })
+            .collect();
+        keys.push(StageKeys::compute(&base).facts);
+        let n = keys.len();
+        keys.sort();
+        keys.dedup();
+        assert_eq!(keys.len(), n, "every page has its own facts key");
+    }
+
+    #[test]
+    fn the_fan_out_runs_on_the_requested_page() {
+        let title = |page: Option<Page>| {
+            let mut r = StageRequest {
+                page,
+                ..req("var t = document.title;")
+            };
+            r.cfg.det_dom = true;
+            let (cancel, counters) = (CancelToken::new(), PipelineCounters::default());
+            let mut p = Pipeline::new(&r, &cancel, &counters, &|_| {});
+            let facts = p.facts().expect("parses");
+            serde_json::to_string(facts.get("fact_rows").expect("facts export")).unwrap()
+        };
+        let service = title(None);
+        assert!(service.contains(SERVICE_DOC_TITLE), "{service}");
+        assert_eq!(title(Some(Page::service())), service);
+        let page = Page {
+            doc: DocumentBuilder::new().title("corpus page").build(),
+            plan: EventPlan::new(),
+        };
+        assert!(title(Some(page)).contains("corpus page"));
     }
 
     #[test]

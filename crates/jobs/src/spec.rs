@@ -85,6 +85,7 @@ impl JobSpec {
             src: self.src.clone(),
             cfg: self.effective_config(),
             seeds: self.effective_seeds(),
+            page: None,
             pta,
         }
     }

@@ -178,6 +178,7 @@ impl Server {
             src: req.src.clone(),
             cfg,
             seeds: req.effective_seeds(),
+            page: None,
             pta: req.pta,
         };
 

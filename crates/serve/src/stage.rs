@@ -90,7 +90,7 @@ pub fn execute(
     let keys = StageKeys::compute(req);
     let mut cached = CachedFlags::default();
     let mut p = Pipeline::new(req, cancel, counters, notify);
-    let (status, facts, mut tail) = match run_stages(&mut p, &keys, cache, &mut cached) {
+    let (status, facts, mut tail) = match run_stages(&mut p, req, &keys, cache, &mut cached) {
         Ok((facts, summary, pta)) => {
             let mut tail = Vec::new();
             if let Some(s) = summary {
@@ -122,6 +122,7 @@ type Artifacts = (Arc<Value>, Option<Arc<Value>>, Option<Arc<Value>>);
 /// the source's syntax error (a cached one included).
 fn run_stages(
     p: &mut Pipeline<'_>,
+    req: &StageRequest,
     keys: &StageKeys,
     cache: &StageCache,
     cached: &mut CachedFlags,
@@ -146,15 +147,15 @@ fn run_stages(
         )?),
         None => None,
     };
-    let pta = match &keys.pta {
-        Some(key) => Some(through(
+    let pta = match (&keys.pta, req.pta) {
+        (Some(key), Some(stage)) => Some(through(
             cache,
             Stage::Pta,
             key,
             cached.pta.insert(false),
-            || p.pta(Some(&facts), summary.as_deref()),
+            || p.pta(stage, Some(&facts), summary.as_deref()),
         )?),
-        None => None,
+        _ => None,
     };
     Ok((facts, summary, pta))
 }
@@ -200,6 +201,7 @@ mod tests {
             src: src.to_owned(),
             cfg: AnalysisConfig::default(),
             seeds: vec![AnalysisConfig::default().seed],
+            page: None,
             pta: Some(PtaStage { budget, mode }),
         }
     }

@@ -21,6 +21,7 @@ fn req(src: &str) -> StageRequest {
         src: src.to_owned(),
         cfg: AnalysisConfig::default(),
         seeds: vec![AnalysisConfig::default().seed],
+        page: None,
         pta: Some(PtaStage {
             budget: 100_000,
             mode: PtaMode::Inject,

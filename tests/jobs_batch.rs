@@ -18,23 +18,26 @@ const BRANCHY: &str = "var coin = Math.random() < 0.5;\n\
 #[test]
 fn pooled_fanout_is_a_drop_in_for_analyze_many() {
     let seeds: Vec<u64> = (100..110).collect();
-    let mut h = DetHarness::from_src(BRANCHY).unwrap();
-    let sequential = analyze_many(&mut h, &seeds, AnalysisConfig::default());
-    for workers in [1, 4] {
-        let pooled = analyze_many_pooled(
-            BRANCHY,
-            &seeds,
-            AnalysisConfig::default(),
-            None,
-            &mujs_dom::events::EventPlan::new(),
-            &JobPool::new(workers),
-        )
-        .unwrap();
-        assert_eq!(
-            export_json(&pooled.facts, &h.program, &h.source, &pooled.ctxs),
-            export_json(&sequential.facts, &h.program, &h.source, &sequential.ctxs),
-            "{workers} workers must reproduce the sequential export"
-        );
+    // Without a document both paths run with no DOM at all.
+    for src in [BRANCHY, "var t = typeof document;"] {
+        let mut h = DetHarness::from_src(src).unwrap();
+        let sequential = analyze_many(&mut h, &seeds, AnalysisConfig::default());
+        for workers in [1, 4] {
+            let pooled = analyze_many_pooled(
+                src,
+                &seeds,
+                AnalysisConfig::default(),
+                None,
+                &mujs_dom::events::EventPlan::new(),
+                &JobPool::new(workers),
+            )
+            .unwrap();
+            assert_eq!(
+                export_json(&pooled.facts, &h.program, &h.source, &pooled.ctxs),
+                export_json(&sequential.facts, &h.program, &h.source, &sequential.ctxs),
+                "{workers} workers must reproduce the sequential export of {src:?}"
+            );
+        }
     }
 }
 
