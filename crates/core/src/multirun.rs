@@ -25,7 +25,7 @@ use crate::supervisor::{supervised_analyze, supervised_analyze_dom, RunFailure, 
 use mujs_dom::document::Document;
 use mujs_dom::events::EventPlan;
 use mujs_interp::context::{ContextTable, CtxId};
-use serde::Serialize;
+use serde_json::Value;
 
 /// Result of combining several runs.
 #[derive(Debug)]
@@ -171,8 +171,9 @@ pub fn project_to_depth(facts: &FactDb, ctxs: &mut ContextTable, k: usize) -> Fa
     out
 }
 
-/// One exported fact row (JSON).
-#[derive(Debug, Serialize)]
+/// One exported fact row, rendered as a JSON object with its fields in
+/// declaration order.
+#[derive(Debug)]
 pub struct FactRow {
     /// Fact kind (`Define`, `Cond`, `EvalArg`, `Callee`, `PropKey`).
     pub kind: String,
@@ -186,18 +187,29 @@ pub struct FactRow {
     pub determinate: bool,
 }
 
-/// Exports a fact database as pretty JSON for external clients (the
-/// paper's WALA integration consumed facts in a similar exchange form).
-///
-/// # Panics
-///
-/// Panics if JSON serialization fails (it cannot for these types).
-pub fn export_json(
+impl From<FactRow> for Value {
+    /// Moves the row's strings into the value.
+    fn from(row: FactRow) -> Value {
+        Value::Object(vec![
+            ("kind".to_owned(), Value::Str(row.kind)),
+            ("line".to_owned(), Value::Num(f64::from(row.line))),
+            (
+                "context".to_owned(),
+                Value::Array(row.context.into_iter().map(Value::Str).collect()),
+            ),
+            ("value".to_owned(), Value::Str(row.value)),
+            ("determinate".to_owned(), Value::Bool(row.determinate)),
+        ])
+    }
+}
+
+/// The fact database's rows in their one total order.
+fn sorted_rows(
     facts: &FactDb,
     prog: &mujs_ir::Program,
     sf: &mujs_syntax::SourceFile,
     ctxs: &ContextTable,
-) -> String {
+) -> Vec<FactRow> {
     let mut rows: Vec<FactRow> = facts
         .iter()
         .map(|(kind, point, ctx, fact)| {
@@ -229,7 +241,39 @@ pub fn export_json(
             b.determinate,
         ))
     });
-    serde_json::to_string_pretty(&rows).expect("fact rows serialize")
+    rows
+}
+
+/// Exports a fact database as a JSON array of sorted [`FactRow`]s, built
+/// directly as a value (what report rows embed as `fact_rows`).
+pub fn export_value(
+    facts: &FactDb,
+    prog: &mujs_ir::Program,
+    sf: &mujs_syntax::SourceFile,
+    ctxs: &ContextTable,
+) -> Value {
+    Value::Array(
+        sorted_rows(facts, prog, sf, ctxs)
+            .into_iter()
+            .map(Value::from)
+            .collect(),
+    )
+}
+
+/// Exports a fact database as pretty JSON for external clients (the
+/// paper's WALA integration consumed facts in a similar exchange form):
+/// [`export_value`], rendered.
+///
+/// # Panics
+///
+/// Panics if JSON serialization fails (it cannot for these types).
+pub fn export_json(
+    facts: &FactDb,
+    prog: &mujs_ir::Program,
+    sf: &mujs_syntax::SourceFile,
+    ctxs: &ContextTable,
+) -> String {
+    serde_json::to_string_pretty(&export_value(facts, prog, sf, ctxs)).expect("fact rows serialize")
 }
 
 fn render_ctx(

@@ -36,7 +36,7 @@
 //! so artifacts record it (`clean`) and a cache must not keep them.
 
 use determinacy::cachekey::KeyHasher;
-use determinacy::multirun::{export_json, MultiRunOutcome};
+use determinacy::multirun::{export_value, MultiRunOutcome};
 use determinacy::{
     injectable_facts, supervised_analyze_dom, AnalysisConfig, AnalysisStatus, CancelToken,
     DetHarness, InjectablePairs, PortableSummaries, RunFailure, RunHooks,
@@ -335,8 +335,7 @@ pub fn facts_fields(
         })
         .collect();
     let fact_rows = if include_facts {
-        serde_json::from_str(&export_json(&multi.facts, program, source, &multi.ctxs))
-            .expect("fact export re-parses")
+        export_value(&multi.facts, program, source, &multi.ctxs)
     } else {
         Value::Null
     };

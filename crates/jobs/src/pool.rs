@@ -293,13 +293,7 @@ impl JobPool {
                 .collect(),
         );
         let results: Mutex<Vec<Option<JobVerdict<T>>>> = Mutex::new((0..n).map(|_| None).collect());
-        let events = Arc::new(EventSink {
-            tx: self.events.clone(),
-            #[cfg(feature = "fault-inject")]
-            faults: self.faults.clone(),
-            #[cfg(feature = "fault-inject")]
-            seq: std::sync::atomic::AtomicU64::new(0),
-        });
+        let events = self.sink();
         std::thread::scope(|s| {
             for worker in 0..self.workers.min(n.max(1)) {
                 let queue = &queue;
@@ -328,19 +322,40 @@ impl JobPool {
             .map(|v| v.expect("every job resolved"))
             .collect()
     }
+
+    /// Runs one job on the calling thread with exactly the events and
+    /// verdict a one-job [`JobPool::run`] batch would give it, for work
+    /// too small to pay for a worker thread. The job gets the caller's
+    /// stack, not a worker's.
+    pub fn run_here<T, F>(&self, label: String, job: F) -> JobVerdict<T>
+    where
+        F: FnOnce(&JobCtx) -> T,
+    {
+        run_job(0, label, job, 0, &self.cancel, &self.sink())
+    }
+
+    fn sink(&self) -> Arc<EventSink> {
+        Arc::new(EventSink {
+            tx: self.events.clone(),
+            #[cfg(feature = "fault-inject")]
+            faults: self.faults.clone(),
+            #[cfg(feature = "fault-inject")]
+            seq: std::sync::atomic::AtomicU64::new(0),
+        })
+    }
 }
 
 /// Runs one job once, under `catch_unwind`, and resolves its verdict.
 fn run_job<T, F>(
     job: usize,
     label: String,
-    f: &F,
+    f: F,
     worker: usize,
     cancel: &CancelToken,
     events: &Arc<EventSink>,
 ) -> JobVerdict<T>
 where
-    F: Fn(&JobCtx) -> T,
+    F: FnOnce(&JobCtx) -> T,
 {
     if cancel.is_cancelled() {
         events.emit(JobEvent::Cancelled { job, label });
@@ -425,6 +440,7 @@ mod tests {
     use std::sync::mpsc::channel;
 
     type BoxedJob<T> = Box<dyn Fn(&JobCtx) -> T + Send>;
+    type SharedJob<'a, T> = &'a (dyn Fn(&JobCtx) -> T + Sync);
 
     #[test]
     fn results_come_back_in_submission_order() {
@@ -497,6 +513,30 @@ mod tests {
             })
             .collect();
         assert_eq!(kinds, ["started", "progress:halfway", "finished"]);
+    }
+
+    #[test]
+    fn run_here_matches_a_one_job_batch() {
+        let jobs: [(&str, SharedJob<u32>); 2] = [
+            ("ok", &|ctx| {
+                ctx.progress("halfway");
+                5
+            }),
+            ("boom", &|_| panic!("job exploded")),
+        ];
+        for (label, job) in jobs {
+            let (tx, rx) = channel();
+            let pool = JobPool::new(1).with_events(tx);
+            let pooled = pool.run(vec![(label.to_owned(), job)]).pop().unwrap();
+            let pooled_events: Vec<String> = rx.try_iter().map(|e| format!("{e:?}")).collect();
+            let (tx, rx) = channel();
+            let here = JobPool::new(1)
+                .with_events(tx)
+                .run_here(label.to_owned(), job);
+            let here_events: Vec<String> = rx.try_iter().map(|e| format!("{e:?}")).collect();
+            assert_eq!(format!("{pooled:?}"), format!("{here:?}"));
+            assert_eq!(pooled_events, here_events);
+        }
     }
 
     #[test]

@@ -102,9 +102,27 @@ struct Counters {
     evictions: AtomicU64,
 }
 
+/// One recency-ordered namespace per stage, so a lookup borrows its key.
+/// Stamps come from one clock, so eviction stays least-recently-used
+/// across all stages.
 struct Lru {
-    map: HashMap<(Stage, String), (u64, Arc<Value>)>,
+    maps: [HashMap<String, (u64, Arc<Value>)>; 4],
     tick: u64,
+}
+
+impl Lru {
+    /// Refreshes `key`'s stamp and hands back its artifact.
+    fn touch(&mut self, stage: Stage, key: &str) -> Option<Arc<Value>> {
+        self.tick += 1;
+        let tick = self.tick;
+        let slot = self.maps[stage.index()].get_mut(key)?;
+        slot.0 = tick;
+        Some(slot.1.clone())
+    }
+
+    fn len(&self) -> usize {
+        self.maps.iter().map(HashMap::len).sum()
+    }
 }
 
 /// The shared stage cache. Artifacts are stored behind `Arc`, so a hit
@@ -137,7 +155,7 @@ impl StageCache {
         StageCache {
             cfg,
             inner: Mutex::new(Lru {
-                map: HashMap::new(),
+                maps: Default::default(),
                 tick: 0,
             }),
             counters: Counters::default(),
@@ -149,15 +167,9 @@ impl StageCache {
     /// from a warm in-memory hit.
     pub fn get(&self, stage: Stage, key: &str) -> Option<Arc<Value>> {
         let idx = stage.index();
-        {
-            let mut lru = self.inner.lock().unwrap();
-            lru.tick += 1;
-            let tick = lru.tick;
-            if let Some(slot) = lru.map.get_mut(&(stage, key.to_owned())) {
-                slot.0 = tick;
-                self.counters.hits[idx].fetch_add(1, Ordering::Relaxed);
-                return Some(slot.1.clone());
-            }
+        if let Some(v) = self.inner.lock().unwrap().touch(stage, key) {
+            self.counters.hits[idx].fetch_add(1, Ordering::Relaxed);
+            return Some(v);
         }
         if let Some(v) = self.disk_load(stage, key) {
             self.counters.disk_hits[idx].fetch_add(1, Ordering::Relaxed);
@@ -167,6 +179,29 @@ impl StageCache {
         }
         self.counters.misses[idx].fetch_add(1, Ordering::Relaxed);
         None
+    }
+
+    /// Looks up every `(stage, key)` in memory under one lock. When all
+    /// are present, counts a hit and refreshes recency for each in order,
+    /// exactly as that sequence of [`StageCache::get`] calls would, and
+    /// returns the artifacts in the same order. Otherwise it touches
+    /// nothing (no counter, no recency, no disk) and returns `None`.
+    pub fn get_all(&self, wants: &[(Stage, &str)]) -> Option<Vec<Arc<Value>>> {
+        let mut lru = self.inner.lock().unwrap();
+        if !wants
+            .iter()
+            .all(|(stage, key)| lru.maps[stage.index()].contains_key(*key))
+        {
+            return None;
+        }
+        let found = wants
+            .iter()
+            .map(|&(stage, key)| {
+                self.counters.hits[stage.index()].fetch_add(1, Ordering::Relaxed);
+                lru.touch(stage, key).expect("checked above")
+            })
+            .collect();
+        Some(found)
     }
 
     /// Stores an artifact (write-through to disk when persistence is
@@ -187,18 +222,20 @@ impl StageCache {
         let mut lru = self.inner.lock().unwrap();
         lru.tick += 1;
         let tick = lru.tick;
-        lru.map.insert((stage, key.to_owned()), (tick, value));
+        lru.maps[stage.index()].insert(key.to_owned(), (tick, value));
         let cap = self.cfg.capacity.max(1);
-        while lru.map.len() > cap {
+        while lru.len() > cap {
             // O(n) victim scan; service caches are hundreds of entries,
             // not millions, and the lock is held briefly.
-            if let Some(victim) = lru
-                .map
+            if let Some((idx, victim)) = lru
+                .maps
                 .iter()
-                .min_by_key(|(_, (stamp, _))| *stamp)
-                .map(|(k, _)| k.clone())
+                .enumerate()
+                .flat_map(|(i, m)| m.iter().map(move |(k, (stamp, _))| (*stamp, i, k)))
+                .min_by_key(|(stamp, _, _)| *stamp)
+                .map(|(_, i, k)| (i, k.clone()))
             {
-                lru.map.remove(&victim);
+                lru.maps[idx].remove(&victim);
                 self.counters.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -254,7 +291,7 @@ impl StageCache {
 
     /// Number of in-memory entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
+        self.inner.lock().unwrap().len()
     }
 
     /// Whether the in-memory cache is empty.
@@ -308,6 +345,36 @@ mod tests {
         assert_eq!(s.get("parse_hits").unwrap(), &1.0);
         assert_eq!(s.get("parse_misses").unwrap(), &1.0);
         assert_eq!(s.get("facts_misses").unwrap(), &1.0);
+    }
+
+    #[test]
+    fn get_all_counts_like_gets_or_touches_nothing() {
+        let c = StageCache::new(CacheConfig {
+            capacity: 3,
+            disk_dir: None,
+        });
+        c.put(Stage::Parse, "p", v("p"));
+        c.put(Stage::Facts, "f", v("f"));
+        let before = serde_json::to_string(&c.stats()).unwrap();
+        assert!(c
+            .get_all(&[(Stage::Parse, "p"), (Stage::Facts, "f"), (Stage::Pta, "t")])
+            .is_none());
+        assert_eq!(serde_json::to_string(&c.stats()).unwrap(), before);
+        let got = c
+            .get_all(&[(Stage::Facts, "f"), (Stage::Parse, "p")])
+            .unwrap();
+        assert_eq!(*got[0], v("f"));
+        assert_eq!(*got[1], v("p"));
+        let s = c.stats();
+        assert_eq!(s.get("parse_hits").unwrap(), &1.0);
+        assert_eq!(s.get("facts_hits").unwrap(), &1.0);
+        assert_eq!(s.get("pta_misses").unwrap(), &0.0);
+        // Recency follows the probe order: `p` was touched last, so the
+        // next two inserts evict `f` first.
+        c.put(Stage::Pta, "t", v("t"));
+        c.put(Stage::Summary, "s", v("s"));
+        assert!(c.get(Stage::Facts, "f").is_none());
+        assert!(c.get(Stage::Parse, "p").is_some());
     }
 
     #[test]

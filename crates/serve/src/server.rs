@@ -3,11 +3,15 @@
 //!
 //! Each connection (TCP socket or the process's stdin/stdout pipe) is a
 //! line loop: parse a request, dispatch, write the frames it produces.
-//! Analyze requests run on a single-worker [`JobPool`] spawned per
-//! request — the pool supplies the deep parser stack, panic isolation,
-//! and the [`JobEvent`] stream the protocol forwards as progress frames — while the pipeline inside the job consults the
-//! shared [`StageCache`], so a warm request costs three cache probes and
-//! no recomputation.
+//! An analyze request first probes the shared [`StageCache`] for all of
+//! its stages at once. A full hit only renders cached artifacts, so it
+//! runs on the connection's thread ([`JobPool::run_here`]) and spawns
+//! nothing. Only a cold stage pays for the pool: anything else (a
+//! partial hit, a disk-only entry, a cached syntax error) runs on a
+//! single-worker [`JobPool`] spawned for the request, which supplies a
+//! deep stack for the analysis's recursion, while the pipeline inside
+//! the job consults the cache stage by stage. Both paths give panic
+//! isolation and stream the same [`JobEvent`]s as progress frames.
 //!
 //! Admission reuses the batch [`AdmissionController`] unchanged: a
 //! request declaring more heap cells than the server-wide budget is
@@ -20,10 +24,10 @@ use crate::proto::{
     bye_line, error_line, event_line, parse_request, pong_line, result_line, stats_line,
     AnalyzeRequest, Request,
 };
-use crate::stage::{execute, Executed};
+use crate::stage::{self, execute, Executed};
 use mujs_jobs::admission::Admission;
 use mujs_jobs::pipeline::{PipelineCounters, StageRequest};
-use mujs_jobs::{AdmissionController, JobCtx, JobPool, JobVerdict};
+use mujs_jobs::{AdmissionController, JobCtx, JobEvent, JobPool, JobVerdict};
 use serde_json::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -182,60 +186,57 @@ impl Server {
             pta: req.pta,
         };
 
-        let (tx, rx) = mpsc::channel();
-        let inner = &self.inner;
-        let verdict = std::thread::scope(|s| {
-            let stage_req = &stage_req;
-            let handle = s.spawn(move || {
-                // The pool lives (and dies) inside this thread: dropping it
-                // when the batch finishes closes the event channel, which
-                // ends the forwarding loop below.
-                let pool = JobPool::new(1).with_events(tx);
-                let job = move |ctx: &JobCtx| -> Executed {
-                    execute(
-                        stage_req,
-                        status_label,
-                        req.include_facts,
-                        &req.name,
-                        &inner.cache,
-                        &inner.counters,
-                        &ctx.cancel,
-                        &|detail| ctx.progress(detail),
-                    )
-                };
-                let mut verdicts = pool.run(vec![(req.name.clone(), job)]);
-                verdicts.pop().expect("one job submitted")
-            });
-            // Forward the event stream as progress frames while the job
-            // runs. A broken pipe stops writing but keeps draining so the
-            // job side never sees the difference.
-            let mut write_err = None;
-            if adm.degraded {
-                let line = event_line(
-                    &mujs_jobs::JobEvent::Degraded {
-                        job: 0,
-                        label: req.name.clone(),
-                        granted_cells: adm.granted.unwrap_or_default(),
-                    },
-                    &req.id,
-                );
-                if let Err(e) = writeln!(writer, "{line}") {
-                    write_err = Some(e);
-                }
-            }
-            for ev in rx {
-                if write_err.is_none() {
-                    if let Err(e) = writeln!(writer, "{}", event_line(&ev, &req.id)) {
-                        write_err = Some(e);
-                    }
-                }
-            }
-            let verdict = handle.join().expect("pool thread never panics");
-            match write_err {
-                Some(e) => Err(e),
-                None => Ok(verdict),
-            }
+        let degraded_line = adm.degraded.then(|| {
+            event_line(
+                &JobEvent::Degraded {
+                    job: 0,
+                    label: req.name.clone(),
+                    granted_cells: adm.granted.unwrap_or_default(),
+                },
+                &req.id,
+            )
         });
+        let inner = &self.inner;
+        let (tx, rx) = mpsc::channel();
+        let pool = JobPool::new(1).with_events(tx);
+        let verdict = match stage::probe(&inner.cache, &stage_req) {
+            // A full hit only renders cached artifacts: run it here,
+            // with the events a pooled job would stream.
+            Some(warm) => {
+                let verdict = pool.run_here(req.name.clone(), |_: &JobCtx| {
+                    warm.render(&req.name, status_label, req.include_facts)
+                });
+                drop(pool);
+                forward(writer, degraded_line, &req.id, rx).map(|()| verdict)
+            }
+            None => std::thread::scope(|s| {
+                let stage_req = &stage_req;
+                let handle = s.spawn(move || {
+                    // The pool lives (and dies) inside this thread:
+                    // dropping it when the batch finishes closes the event
+                    // channel, which ends the forwarding loop below.
+                    let job = move |ctx: &JobCtx| -> Executed {
+                        execute(
+                            stage_req,
+                            status_label,
+                            req.include_facts,
+                            &req.name,
+                            &inner.cache,
+                            &inner.counters,
+                            &ctx.cancel,
+                            &|detail| ctx.progress(detail),
+                        )
+                    };
+                    let mut verdicts = pool.run(vec![(req.name.clone(), job)]);
+                    verdicts.pop().expect("one job submitted")
+                });
+                // Forward the event stream as progress frames while the
+                // job runs.
+                let forwarded = forward(writer, degraded_line, &req.id, rx);
+                let verdict = handle.join().expect("pool thread never panics");
+                forwarded.map(|()| verdict)
+            }),
+        };
         if let Some(c) = &self.inner.admission {
             c.release(adm);
         }
@@ -302,4 +303,25 @@ impl Server {
         }
         Ok(())
     }
+}
+
+/// Writes a request's progress frames: the admission notice, if any, then
+/// every job event until the pool hangs up. A broken pipe stops writing
+/// but keeps draining, so the job side never sees the difference.
+fn forward(
+    writer: &mut impl Write,
+    degraded_line: Option<String>,
+    id: &Value,
+    rx: mpsc::Receiver<JobEvent>,
+) -> std::io::Result<()> {
+    let mut written = match degraded_line {
+        Some(line) => writeln!(writer, "{line}"),
+        None => Ok(()),
+    };
+    for ev in rx {
+        if written.is_ok() {
+            written = writeln!(writer, "{}", event_line(&ev, id));
+        }
+    }
+    written
 }

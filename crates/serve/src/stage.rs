@@ -16,7 +16,10 @@
 //!
 //! The report row returned to clients is rendered **only from
 //! artifacts**, on both the cold and warm paths, which is what makes a
-//! warm response byte-identical to the cold run that populated it.
+//! warm response byte-identical to the cold run that populated it. A
+//! request whose every artifact is in memory resolves through [`probe`]
+//! and [`Warm::render`] without building a [`Pipeline`] at all; the
+//! render step is the one [`execute`] ends with.
 
 use crate::cache::{Stage, StageCache};
 use determinacy::CancelToken;
@@ -90,7 +93,67 @@ pub fn execute(
     let keys = StageKeys::compute(req);
     let mut cached = CachedFlags::default();
     let mut p = Pipeline::new(req, cancel, counters, notify);
-    let (status, facts, mut tail) = match run_stages(&mut p, req, &keys, cache, &mut cached) {
+    let artifacts = run_stages(&mut p, req, &keys, cache, &mut cached);
+    render(name, status_label, include_facts, artifacts, keys, cached)
+}
+
+/// Every artifact of a request whose stages all hit the in-memory cache.
+#[derive(Debug)]
+pub struct Warm {
+    keys: StageKeys,
+    /// Parse, facts, then summary and PTA when the request has them.
+    artifacts: Vec<Arc<Value>>,
+}
+
+/// Probes the in-memory cache for every stage of `req`, in pipeline
+/// order, under one lock ([`StageCache::get_all`]). On a full hit the
+/// request needs no pipeline and no live state: [`Warm::render`] builds
+/// its row. Otherwise nothing was counted, and the request takes
+/// [`execute`]'s stage-by-stage path (a partial hit, a disk-only entry).
+pub fn probe(cache: &StageCache, req: &StageRequest) -> Option<Warm> {
+    let keys = StageKeys::compute(req);
+    let mut wants = vec![
+        (Stage::Parse, keys.parse.as_str()),
+        (Stage::Facts, keys.facts.as_str()),
+    ];
+    wants.extend(keys.summary.as_deref().map(|k| (Stage::Summary, k)));
+    wants.extend(keys.pta.as_deref().map(|k| (Stage::Pta, k)));
+    let artifacts = cache.get_all(&wants)?;
+    Some(Warm { keys, artifacts })
+}
+
+impl Warm {
+    /// Renders the row exactly as [`execute`] would from the same
+    /// artifacts, every stage flagged cached.
+    pub fn render(self, name: &str, status_label: &str, include_facts: bool) -> Executed {
+        let keys = self.keys;
+        let cached = CachedFlags {
+            parse: true,
+            facts: true,
+            summary: keys.summary.as_ref().map(|_| true),
+            pta: keys.pta.as_ref().map(|_| true),
+        };
+        let mut it = self.artifacts.into_iter();
+        let parse = it.next().expect("parse artifact");
+        let facts = it.next().expect("facts artifact");
+        let summary = keys.summary.as_ref().and_then(|_| it.next());
+        let pta = keys.pta.as_ref().and_then(|_| it.next());
+        let artifacts = parsed(&parse).map(|()| (facts, summary, pta));
+        render(name, status_label, include_facts, artifacts, keys, cached)
+    }
+}
+
+/// The report row of a resolved request: the facts fields, the summary
+/// counts and PTA row, then the stage keys; or the syntax error status.
+fn render(
+    name: &str,
+    status_label: &str,
+    include_facts: bool,
+    artifacts: Result<Artifacts, String>,
+    keys: StageKeys,
+    cached: CachedFlags,
+) -> Executed {
+    let (status, facts, mut tail) = match artifacts {
         Ok((facts, summary, pta)) => {
             let mut tail = Vec::new();
             if let Some(s) = summary {
@@ -118,6 +181,15 @@ pub fn execute(
 /// The facts, summary and PTA artifacts of one request.
 type Artifacts = (Arc<Value>, Option<Arc<Value>>, Option<Arc<Value>>);
 
+/// Whether a parse artifact is a program; its syntax error otherwise.
+fn parsed(parse: &Value) -> Result<(), String> {
+    if parse.get("ok") == Some(&Value::Bool(true)) {
+        return Ok(());
+    }
+    let error = parse.get("error").and_then(Value::as_str);
+    Err(error.unwrap_or("unknown parse failure").to_owned())
+}
+
 /// Resolves every stage the request has, in pipeline order. Errors are
 /// the source's syntax error (a cached one included).
 fn run_stages(
@@ -130,10 +202,7 @@ fn run_stages(
     let parse = through(cache, Stage::Parse, &keys.parse, &mut cached.parse, || {
         Ok((p.parse(), true))
     })?;
-    if parse.get("ok") != Some(&Value::Bool(true)) {
-        let error = parse.get("error").and_then(Value::as_str);
-        return Err(error.unwrap_or("unknown parse failure").to_owned());
-    }
+    parsed(&parse)?;
     let facts = through(cache, Stage::Facts, &keys.facts, &mut cached.facts, || {
         p.facts().map(with_purity)
     })?;

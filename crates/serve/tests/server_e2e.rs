@@ -139,6 +139,27 @@ fn protocol_errors_answer_in_band_and_do_not_kill_the_session() {
     assert_eq!(ev(fr.last().unwrap()), "pong");
 }
 
+/// A megabyte of `[` is an error frame, not a stack overflow, and the
+/// session goes on.
+#[test]
+fn deeply_nested_json_is_an_error_frame() {
+    let server = Server::new(ServeOptions::default());
+    let mut script = "[".repeat(1 << 20);
+    script.push('\n');
+    script.push_str(r#"{"op":"ping","id":1}"#);
+    script.push('\n');
+    let mut out = Vec::new();
+    server
+        .handle_stream(Cursor::new(script), &mut out)
+        .expect("session survives deep nesting");
+    let fr = frames(&out);
+    assert_eq!(fr.len(), 2, "{fr:?}");
+    assert_eq!(ev(&fr[0]), "error");
+    let message = fr[0].get("message").and_then(Value::as_str).unwrap();
+    assert!(message.contains("nesting deeper than"), "{message}");
+    assert_eq!(ev(&fr[1]), "pong");
+}
+
 #[test]
 fn degraded_admission_is_reported_and_keyed_separately() {
     let server = Server::new(ServeOptions {

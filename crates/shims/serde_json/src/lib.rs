@@ -1,5 +1,9 @@
 //! Offline stand-in for `serde_json`: text rendering and a recursive-descent
 //! parser over the serde shim's [`Value`] tree.
+//!
+//! The parser bounds nesting at [`MAX_DEPTH`] arrays and objects, as real
+//! `serde_json` does by default, so hostile input (a protocol line, a disk
+//! cache entry, a checkpoint) is an [`Error`], never a stack overflow.
 
 pub use serde::json::Value;
 use serde::{DeError, Deserialize, Serialize};
@@ -55,10 +59,13 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     Ok(T::from_value(&v)?)
 }
 
+/// The deepest nesting of arrays and objects the parser accepts.
+pub const MAX_DEPTH: usize = 128;
+
 fn parse_value(s: &str) -> Result<Value, Error> {
     let bytes = s.as_bytes();
     let mut pos = 0;
-    let v = parse(bytes, &mut pos)?;
+    let v = parse(bytes, &mut pos, MAX_DEPTH)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(Error(format!("trailing input at byte {pos}")));
@@ -72,8 +79,16 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Parses one value at `pos`, entering at most `depth` more arrays or
+/// objects.
+fn parse(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth == 0 {
+        return Err(Error(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )));
+    }
     match b.get(*pos) {
         None => Err(Error("unexpected end of input".into())),
         Some(b'n') => lit(b, pos, "null", Value::Null),
@@ -89,7 +104,7 @@ fn parse(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse(b, pos)?);
+                items.push(parse(b, pos, depth - 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -117,7 +132,7 @@ fn parse(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
                     return Err(Error("expected ':' in object".into()));
                 }
                 *pos += 1;
-                let val = parse(b, pos)?;
+                let val = parse(b, pos, depth - 1)?;
                 fields.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -239,6 +254,22 @@ mod tests {
         assert!(pretty.contains('\n'));
         let back: Value = from_str(&pretty).unwrap();
         assert_eq!(v, back);
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        let err = from_str::<Value>(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.0.contains("nesting deeper than 128"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(from_str::<Value>(&objects).is_err());
+        // Far past any stack: an error, not an abort.
+        assert!(from_str::<Value>(&"[".repeat(1 << 20)).is_err());
     }
 
     #[test]

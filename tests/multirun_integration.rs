@@ -2,7 +2,9 @@
 //! different inputs (a) stays sound against arbitrary concrete executions
 //! and (b) extends what the specializer can do.
 
-use determinacy::multirun::{analyze_many, export_json, project_to_depth};
+use determinacy::multirun::{
+    analyze_many, analyze_many_with, export_json, export_value, project_to_depth,
+};
 use determinacy::{AnalysisConfig, DetHarness, Fact};
 use mujs_gen::{generate, GenConfig};
 use mujs_specialize::{specialize, SpecConfig};
@@ -176,4 +178,91 @@ show("a");
     assert_eq!(eval_row["determinate"], true);
     assert_eq!(eval_row["value"], "\"reg['a']\"");
     assert!(!eval_row["context"].as_array().unwrap().is_empty());
+}
+
+/// `export_value` builds exactly the value that parsing `export_json`'s
+/// text gives back (what report rows embedded before the value builder).
+fn assert_export_equivalence(
+    facts: &determinacy::FactDb,
+    h: &DetHarness,
+    ctxs: &mujs_interp::context::ContextTable,
+    what: &str,
+) {
+    let text = export_json(facts, &h.program, &h.source, ctxs);
+    let parsed: serde_json::Value = serde_json::from_str(&text).expect("export parses");
+    let built = export_value(facts, &h.program, &h.source, ctxs);
+    assert_eq!(built, parsed, "{what}");
+    assert_eq!(
+        built.as_array().map(<[_]>::len),
+        Some(facts.len()),
+        "{what}: one row per fact"
+    );
+}
+
+#[test]
+fn export_value_equals_the_parsed_export_json() {
+    // Every Table 1 page, on its document and event plan, over two seeds.
+    for page in mujs_corpus::jquery_like::all_versions() {
+        let mut h = DetHarness::from_src(&page.src).expect("corpus page parses");
+        let out = analyze_many_with(
+            &mut h,
+            &[1, 2],
+            AnalysisConfig::default(),
+            Some(&page.doc),
+            &page.plan,
+        );
+        assert!(!out.facts.is_empty());
+        assert_export_equivalence(&out.facts, &h, &out.ctxs, page.version);
+    }
+    // Programs from the generator's default settings.
+    for seed in 0..40u64 {
+        let src = generate(seed, &GenConfig::default());
+        let mut h = DetHarness::from_src(&src).expect("generated program parses");
+        let out = analyze_many(&mut h, &[seed, seed + 1], AnalysisConfig::default());
+        assert_export_equivalence(&out.facts, &h, &out.ctxs, &src);
+    }
+}
+
+#[test]
+fn export_value_equals_the_parsed_export_json_on_awkward_strings() {
+    use determinacy::{FactDb, FactKind, FactValue};
+    use mujs_interp::context::{ContextTable, CtxId};
+    // Strings a program can hold: quotes, backslashes, control
+    // characters (C0, DEL, C1, U+2028) and non-ASCII text.
+    let awkward = [
+        "say \"hi\"",
+        "back\\slash",
+        "ctl\u{1}\u{8}\u{c}\n\r\t\0",
+        "del\u{7f} c1\u{85} ls\u{2028}",
+        "na\u{ef}ve \u{4e2d}\u{6587} \u{1f600}",
+        "",
+    ];
+    let src = "var s = \"say \\\"hi\\\" \\\\ \\x01\\n\\u00e9\\u4e2d\";\n\
+               var o = {}; o[s] = s; var t = o[s];\n\
+               function f(a) { return a + s; }\n\
+               var u = f('\\u2028');";
+    let mut h = DetHarness::from_src(src).expect("parses");
+    // The program's own facts carry the escaped source strings.
+    let out = h.analyze(AnalysisConfig::default());
+    assert_export_equivalence(&out.facts, &h, &out.ctxs, "analyzed");
+    // Hand-made facts: every awkward string as a determinate value, plus
+    // `?`, on several points and contexts.
+    let mut ctxs = ContextTable::new();
+    let inner = ctxs.child(CtxId::ROOT, mujs_ir::StmtId(1), 0);
+    let deeper = ctxs.child(inner, mujs_ir::StmtId(2), 3);
+    let mut facts = FactDb::new(0);
+    for (i, text) in awkward.iter().enumerate() {
+        for (j, ctx) in [CtxId::ROOT, inner, deeper].into_iter().enumerate() {
+            let point = mujs_ir::StmtId((i + j) as u32);
+            facts.record_merged(
+                FactKind::Define,
+                point,
+                ctx,
+                Fact::Det(FactValue::Str((*text).into())),
+            );
+            facts.record_merged(FactKind::PropKey, point, ctx, Fact::Indet);
+        }
+    }
+    assert_eq!(facts.det_count(), awkward.len() * 3, "no two facts merged");
+    assert_export_equivalence(&facts, &h, &ctxs, "hand-made");
 }
