@@ -13,7 +13,6 @@ use mujs_interp::{ObjClass, Value};
 use mujs_ir::hash::FastMap;
 use mujs_ir::{Program, StmtId};
 use mujs_syntax::span::SourceFile;
-use std::collections::HashMap;
 
 /// A merged fact at one `(point, context)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,6 +101,19 @@ pub enum FactKind {
     /// §5.1's "making dynamic property accesses with determinate property
     /// names static".
     PropKey,
+}
+
+impl FactKind {
+    /// The kind's name, as exported fact rows spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            FactKind::Define => "Define",
+            FactKind::Cond => "Cond",
+            FactKind::EvalArg => "EvalArg",
+            FactKind::Callee => "Callee",
+            FactKind::PropKey => "PropKey",
+        }
+    }
 }
 
 /// The fact database produced by one (or merged from several) instrumented
@@ -271,7 +283,7 @@ impl FactDb {
         other_ctxs: &ContextTable,
         target_ctxs: &mut ContextTable,
     ) -> u64 {
-        let mut remap: HashMap<CtxId, CtxId> = HashMap::new();
+        let mut remap: FastMap<CtxId, CtxId> = FastMap::default();
         let mut translate = |c: CtxId, target: &mut ContextTable| -> CtxId {
             if let Some(&t) = remap.get(&c) {
                 return t;
@@ -509,5 +521,13 @@ mod tests {
         db.record(FactKind::Define, p, CtxId::ROOT, &dv(Value::Num(1.0)));
         db.record(FactKind::Cond, p, CtxId::ROOT, &dv(Value::Bool(true)));
         assert_eq!(db.len(), 2);
+    }
+
+    #[test]
+    fn kind_names_are_their_debug_names() {
+        use FactKind::*;
+        for kind in [Define, Cond, EvalArg, Callee, PropKey] {
+            assert_eq!(kind.name(), format!("{kind:?}"));
+        }
     }
 }

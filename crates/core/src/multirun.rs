@@ -25,6 +25,7 @@ use crate::supervisor::{supervised_analyze, supervised_analyze_dom, RunFailure, 
 use mujs_dom::document::Document;
 use mujs_dom::events::EventPlan;
 use mujs_interp::context::{ContextTable, CtxId};
+use mujs_ir::hash::FastMap;
 use serde_json::Value;
 
 /// Result of combining several runs.
@@ -176,7 +177,7 @@ pub fn project_to_depth(facts: &FactDb, ctxs: &mut ContextTable, k: usize) -> Fa
 #[derive(Debug)]
 pub struct FactRow {
     /// Fact kind (`Define`, `Cond`, `EvalArg`, `Callee`, `PropKey`).
-    pub kind: String,
+    pub kind: &'static str,
     /// Source line of the program point.
     pub line: u32,
     /// The calling context as `line` or `line_occ` steps.
@@ -191,7 +192,7 @@ impl From<FactRow> for Value {
     /// Moves the row's strings into the value.
     fn from(row: FactRow) -> Value {
         Value::Object(vec![
-            ("kind".to_owned(), Value::Str(row.kind)),
+            ("kind".to_owned(), Value::Str(row.kind.to_owned())),
             ("line".to_owned(), Value::Num(f64::from(row.line))),
             (
                 "context".to_owned(),
@@ -210,38 +211,51 @@ fn sorted_rows(
     sf: &mujs_syntax::SourceFile,
     ctxs: &ContextTable,
 ) -> Vec<FactRow> {
-    let mut rows: Vec<FactRow> = facts
+    // Each distinct context renders once; rows then sort on its rank
+    // among the rendered contexts (equal renderings share a rank), which
+    // orders them exactly as comparing the rendered strings does.
+    let mut ctx_slot: FastMap<CtxId, usize> = FastMap::default();
+    let mut contexts: Vec<Vec<String>> = Vec::new();
+    let mut rows: Vec<(u32, &'static str, usize, String, bool)> = facts
         .iter()
         .map(|(kind, point, ctx, fact)| {
+            let slot = *ctx_slot.entry(ctx).or_insert_with(|| {
+                contexts.push(render_ctx(ctx, prog, sf, ctxs));
+                contexts.len() - 1
+            });
+            let value = match fact.value() {
+                Some(v) => v.to_string(),
+                None => "?".to_owned(),
+            };
             let line = sf.line_col(prog.span_of(point)).line;
-            let context = render_ctx(ctx, prog, sf, ctxs);
-            FactRow {
-                kind: format!("{kind:?}"),
-                line,
-                context,
-                value: match fact.value() {
-                    Some(v) => v.to_string(),
-                    None => "?".to_owned(),
-                },
-                determinate: fact.is_det(),
-            }
+            (line, kind.name(), slot, value, fact.is_det())
         })
         .collect();
+    let mut by_text: Vec<usize> = (0..contexts.len()).collect();
+    by_text.sort_unstable_by(|&a, &b| contexts[a].cmp(&contexts[b]));
+    let mut rank = vec![0; contexts.len()];
+    for (i, pair) in by_text.windows(2).enumerate() {
+        let tie = contexts[pair[0]] == contexts[pair[1]];
+        rank[pair[1]] = if tie { rank[pair[0]] } else { i + 1 };
+    }
     // Total order including value/determinacy tiebreakers: two points on
     // the same line with the same kind and context must still serialize in
     // a fixed order, so the exported bytes are independent of the fact
     // database's internal (hash) iteration order. The `mujs-jobs` batch
-    // determinism guarantee relies on this.
-    rows.sort_by(|a, b| {
-        (a.line, &a.kind, &a.context, &a.value, a.determinate).cmp(&(
-            b.line,
-            &b.kind,
-            &b.context,
-            &b.value,
-            b.determinate,
-        ))
+    // determinism guarantee relies on this. Rows equal on every key
+    // render identically, so an unstable sort is enough.
+    rows.sort_unstable_by(|a, b| {
+        (a.0, a.1, rank[a.2], &a.3, a.4).cmp(&(b.0, b.1, rank[b.2], &b.3, b.4))
     });
-    rows
+    rows.into_iter()
+        .map(|(line, kind, slot, value, determinate)| FactRow {
+            kind,
+            line,
+            context: contexts[slot].clone(),
+            value,
+            determinate,
+        })
+        .collect()
 }
 
 /// Exports a fact database as a JSON array of sorted [`FactRow`]s, built

@@ -626,3 +626,92 @@ fn numeric_keys_round_trip_and_intern_only_their_strings() {
     assert_eq!(c_names, fresh);
     assert_eq!(d_names, fresh);
 }
+
+/// Runs `f` on a thread with a parser thread's stack, the stack a machine
+/// needs to reach `MAX_CALL_DEPTH` in a debug build.
+fn on_parser_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .stack_size(mujs_syntax::PARSER_STACK_BYTES)
+            .spawn_scoped(s, f)
+            .expect("spawn")
+            .join()
+            .expect("no panic")
+    })
+}
+
+#[test]
+fn unbounded_recursion_throws_a_range_error_in_both_machines() {
+    let depth = f64::from(mujs_interp::MAX_CALL_DEPTH);
+    on_parser_stack(|| {
+        // Caught: the instrumented machine throws at the concrete
+        // machine's depth, and what the program learns is determinate.
+        let src = r#"
+var d = 0;
+function f(n) { d = n; return f(n + 1); }
+var name;
+try { f(1); } catch (e) { name = e.name; }
+var rname = name;
+var rd = d;
+console.log(rname, rd);
+"#;
+        let (h, out) = analyze(src);
+        assert_eq!(out.status, AnalysisStatus::Completed);
+        assert_eq!(out.output, mujs_interp::driver::run_src(src).unwrap());
+        assert_eq!(out.output, [format!("RangeError {depth}")]);
+        assert_det(&h, &out, "rname", FactValue::Str("RangeError".into()));
+        assert_det(&h, &out, "rd", FactValue::Num(depth));
+
+        // Theorem 1's modeling check agrees with concrete runs under
+        // other seeds, with the recursion inside an indeterminate branch.
+        let src = r#"
+var r = Math.random();
+function f(n) { return f(n + 1); }
+var caught = "none";
+if (r < 2) { try { f(0); } catch (e) { caught = e.name; } }
+var rc = caught;
+"#;
+        let (_, out) = analyze_cfg(
+            src,
+            AnalysisConfig {
+                record_observations: true,
+                ..AnalysisConfig::default()
+            },
+        );
+        assert_eq!(out.status, AnalysisStatus::Completed);
+        for seed in 1..4 {
+            let mut c = mujs_interp::Harness::from_src(src).unwrap();
+            let mut interp = mujs_interp::Interp::new(
+                &mut c.program,
+                mujs_interp::InterpOptions {
+                    seed,
+                    record_observations: true,
+                    ..Default::default()
+                },
+            );
+            assert!(interp.run().is_ok());
+            let report = determinacy::modeling::check_soundness(
+                &out.observations,
+                &out.ctxs,
+                &interp.observations,
+                &interp.ctxs,
+            );
+            assert!(report.is_sound(), "seed {seed}: {:?}", report.violations);
+            assert!(report.checked > 0);
+        }
+
+        // Under a ĈNTR the throw aborts the counterfactual like any other
+        // exception, and the branch's writes are marked.
+        let src = r#"
+var a = __indet(false);
+var x = 1;
+function f(n) { return f(n + 1); }
+if (a) { x = 2; f(0); }
+var rx = x;
+"#;
+        let (h, out) = analyze(src);
+        assert_eq!(out.status, AnalysisStatus::Completed);
+        assert_eq!(out.stats.cf_aborts, 1);
+        assert_indet(&h, &out, "rx");
+    });
+}

@@ -45,5 +45,5 @@ pub use concrete::{HeapTrace, Interp, InterpOptions, RunError, TraceAbs, TraceCa
 pub use context::{ContextTable, CtxId};
 pub use domain::{AnnValue, Domain, Flag, Flow, Observation};
 pub use driver::{run_src, DriveError, Harness, Outcome};
-pub use machine::{Frame, Machine};
+pub use machine::{Frame, Machine, MAX_CALL_DEPTH};
 pub use values::{NativeId, ObjClass, ObjId, Object, PropMap, ScopeId, Slot, Value};

@@ -2,7 +2,7 @@
 //! entry script. An indeterminate callee (rule ÎNV) flushes the heap after
 //! the call and taints its result.
 
-use super::{Frame, Machine};
+use super::{Frame, Machine, MAX_CALL_DEPTH};
 use crate::concrete::TraceAbs;
 use crate::context::CtxId;
 use crate::domain::{AnnValue, Domain, Flag, Flow, Stop};
@@ -119,7 +119,33 @@ impl<D: Domain> Machine<'_, D> {
         f(self, this, args)
     }
 
+    /// Enters one call level, or throws `RangeError` at
+    /// [`MAX_CALL_DEPTH`]; a successful entry is left by
+    /// `self.call_depth -= 1`.
+    fn enter_call(&mut self) -> Result<(), D::Err> {
+        if self.call_depth >= MAX_CALL_DEPTH {
+            return Err(self.throw_error("RangeError", "Maximum call stack size exceeded"));
+        }
+        self.call_depth += 1;
+        Ok(())
+    }
+
     fn call_function(
+        &mut self,
+        func: FuncId,
+        env: Option<ScopeId>,
+        self_obj: Option<ObjId>,
+        this: D::V,
+        args: &[D::V],
+        ctx: CtxId,
+    ) -> Result<D::V, D::Err> {
+        self.enter_call()?;
+        let r = self.run_function(func, env, self_obj, this, args, ctx);
+        self.call_depth -= 1;
+        r
+    }
+
+    fn run_function(
         &mut self,
         func: FuncId,
         env: Option<ScopeId>,
@@ -333,8 +359,20 @@ impl<D: Domain> Machine<'_, D> {
         Ok(r.weaken(arg.d()))
     }
 
-    /// Runs an eval chunk in the caller's scope.
+    /// Runs an eval chunk in the caller's scope, one call level deeper.
     fn run_eval_chunk(
+        &mut self,
+        frame: &mut Frame<D::V>,
+        chunk: FuncId,
+        ctx: CtxId,
+    ) -> Result<D::V, D::Err> {
+        self.enter_call()?;
+        let r = self.run_chunk_body(frame, chunk, ctx);
+        self.call_depth -= 1;
+        r
+    }
+
+    fn run_chunk_body(
         &mut self,
         frame: &mut Frame<D::V>,
         chunk: FuncId,

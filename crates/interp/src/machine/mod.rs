@@ -44,6 +44,23 @@ use std::rc::Rc;
 /// below it; the cap only bounds pathological arrays.
 const DISPLAY_BYTE_CAP: usize = 1 << 16;
 
+/// How deep calls may nest: a call (or `eval` chunk) past this many
+/// active levels throws `RangeError` instead of recursing further, so
+/// unbounded JS recursion ends as an exception, not a native stack
+/// overflow. Every machine shares the rule, so the instrumented machine
+/// throws exactly where the concrete one does.
+///
+/// Sized for a thread with [`mujs_syntax::PARSER_STACK_BYTES`] of stack
+/// in a debug build. Measured native stack per level of the instrumented
+/// machine (x86_64, rustc 1.95): 15.7 KB for plain recursion and up to
+/// 31 KB for a constructor or a call inside an indeterminate branch in a
+/// debug build (6–12 MiB at the bound), 1.5–2.5 KB in a release build
+/// (under 1 MiB, so a release 2 MiB thread is enough for these shapes).
+/// Each further enclosing statement around the recursive call adds to
+/// a level: a call inside `for`, `try` and `if` costs 59 KB in debug,
+/// more than 16 MiB holds at the bound, and 4 KB in release.
+pub const MAX_CALL_DEPTH: u32 = 400;
+
 /// An activation record.
 #[derive(Debug)]
 pub struct Frame<V = Value> {
@@ -139,6 +156,8 @@ pub struct Machine<'p, D: Domain> {
     /// Wall-clock stop point derived from [`Limits::deadline_ms`].
     deadline: Option<std::time::Instant>,
     next_frame_serial: u64,
+    /// Active call and `eval` chunk levels (see [`MAX_CALL_DEPTH`]).
+    call_depth: u32,
     /// Captured `console.log`/`alert` output.
     pub output: Vec<String>,
     /// Interned calling contexts.
@@ -200,6 +219,7 @@ impl<'p, D: Domain> Machine<'p, D> {
                 .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms)),
             limits,
             next_frame_serial: 0,
+            call_depth: 0,
             output: Vec::new(),
             ctxs: ContextTable::new(),
             observations: Vec::new(),

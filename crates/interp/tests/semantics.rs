@@ -606,3 +606,50 @@ fn compound_assignment() {
         "ab 12"
     );
 }
+
+/// Runs `f` on a thread with a parser thread's stack, the stack a machine
+/// needs to reach `MAX_CALL_DEPTH` in a debug build.
+fn on_parser_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .stack_size(mujs_syntax::PARSER_STACK_BYTES)
+            .spawn_scoped(s, f)
+            .expect("spawn")
+            .join()
+            .expect("no panic")
+    })
+}
+
+#[test]
+fn unbounded_recursion_throws_a_range_error() {
+    let depth = mujs_interp::MAX_CALL_DEPTH.to_string();
+    on_parser_stack(|| {
+        // A call past the bound throws where it is made; the program
+        // catches it and sees every level run.
+        let src = r#"
+var d = 0;
+function f(n) { d = n; return f(n + 1); }
+try { f(1); } catch (e) { console.log(e.name, e.message, d); }
+function g(n) { try { return g(n + 1); } catch (e) { return n; } }
+console.log(g(1));
+var s = "eval(s)";
+try { eval(s); } catch (e) { console.log(e.name); }
+"#;
+        assert_eq!(
+            out(src),
+            [
+                format!("RangeError Maximum call stack size exceeded {depth}"),
+                depth.clone(),
+                "RangeError".to_owned(),
+            ]
+        );
+        // Uncaught, it ends the run like any other exception.
+        let mut h = Harness::from_src("function f(n) { return f(n + 1); } f(0);").unwrap();
+        let o = h.run(InterpOptions::default());
+        assert!(
+            matches!(o.result, Err(RunError::Thrown(_))),
+            "{:?}",
+            o.result
+        );
+    });
+}

@@ -5,8 +5,10 @@
 //! fact, a calling context or a property index on nearly every statement;
 //! `std`'s default SipHash is a measurable cost there. This is the classic
 //! Fx multiply-rotate mix (as used by rustc): not DoS-resistant, which is
-//! fine for maps keyed by analysis-internal ids, never attacker-controlled
-//! strings.
+//! fine for maps keyed by analysis-internal ids. The one string-keyed map,
+//! a program's [`Interner`](crate::intern::Interner), holds that program's
+//! own names: colliding names can slow only the analysis of the program
+//! that contains them.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -10,7 +10,7 @@
 //!
 //! [`Program`]: crate::ir::Program
 
-use std::collections::HashMap;
+use crate::hash::FastMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -66,7 +66,7 @@ impl fmt::Display for Sym {
 #[derive(Debug, Clone)]
 pub struct Interner {
     names: Vec<Rc<str>>,
-    map: HashMap<Rc<str>, Sym>,
+    map: FastMap<Rc<str>, Sym>,
 }
 
 impl Default for Interner {
@@ -80,7 +80,7 @@ impl Interner {
     pub fn new() -> Self {
         let mut i = Interner {
             names: Vec::with_capacity(64),
-            map: HashMap::with_capacity(64),
+            map: FastMap::with_capacity_and_hasher(64, Default::default()),
         };
         for (idx, text) in WELL_KNOWN.iter().enumerate() {
             let s = i.intern(text);

@@ -324,9 +324,12 @@ impl JobPool {
     }
 
     /// Runs one job on the calling thread with exactly the events and
-    /// verdict a one-job [`JobPool::run`] batch would give it, for work
-    /// too small to pay for a worker thread. The job gets the caller's
-    /// stack, not a worker's.
+    /// verdict a one-job [`JobPool::run`] batch would give it, without a
+    /// worker thread: `detserved` runs every request this way. The job
+    /// gets the caller's stack, not a worker's, so a caller running
+    /// analyses needs [`mujs_syntax::PARSER_STACK_BYTES`] of it. Events go
+    /// to the pool's channel as they happen; a caller that writes them out
+    /// drains the receiver from inside the job (on progress) and after it.
     pub fn run_here<T, F>(&self, label: String, job: F) -> JobVerdict<T>
     where
         F: FnOnce(&JobCtx) -> T,

@@ -95,13 +95,18 @@ fn main() -> ExitCode {
     });
 
     let outcome = match transport {
-        Transport::Stdin => {
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            server
-                .handle_stream(stdin.lock(), stdout.lock())
-                .map(|_| ())
-        }
+        // Requests run on the session thread, with a parser thread's stack.
+        Transport::Stdin => std::thread::scope(|s| {
+            let session = std::thread::Builder::new()
+                .stack_size(mujs_syntax::PARSER_STACK_BYTES)
+                .spawn_scoped(s, || {
+                    server.handle_stream(std::io::stdin().lock(), std::io::stdout().lock())
+                })?;
+            let outcome = session
+                .join()
+                .unwrap_or_else(|p| std::panic::resume_unwind(p));
+            outcome.map(|_| ())
+        }),
         Transport::Listen(addr) => TcpListener::bind(&addr).and_then(|listener| {
             let bound = listener.local_addr()?;
             use std::io::Write;

@@ -5,7 +5,7 @@
 //! *exact inputs* of one pipeline stage (see [`crate::stage`] for the
 //! keying scheme), and every stored artifact is a plain JSON value —
 //! deterministic bytes, no interior `Rc`s — so entries are safely shared
-//! across worker threads and across daemon restarts.
+//! across connection threads and across daemon restarts.
 //!
 //! Persistence is write-through and best-effort: artifacts land on disk
 //! via the same atomic temp-file + rename discipline as the `mujs-jobs`

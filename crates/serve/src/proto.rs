@@ -226,13 +226,13 @@ pub fn event_line(ev: &JobEvent, id: &Value) -> String {
 }
 
 /// Renders the terminal frame of a successful analyze request.
-pub fn result_line(id: &Value, cached: &CachedFlags, report: &Value) -> String {
+pub fn result_line(id: &Value, cached: &CachedFlags, report: Value) -> String {
     frame(
         "result",
         id,
         vec![
             ("cached".to_owned(), cached.to_value()),
-            ("report".to_owned(), report.clone()),
+            ("report".to_owned(), report),
         ],
     )
 }
@@ -368,7 +368,7 @@ mod tests {
             pong_line(&id),
             error_line(&id, "boom"),
             stats_line(&id, &Value::Object(Vec::new())),
-            result_line(&id, &CachedFlags::default(), &Value::Null),
+            result_line(&id, &CachedFlags::default(), Value::Null),
         ] {
             let v: Value = serde_json::from_str(&line).unwrap();
             assert_eq!(v.get("id").unwrap(), &id, "in {line}");

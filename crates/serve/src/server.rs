@@ -1,17 +1,24 @@
-//! The daemon: connection handling, admission, and the cold-path bridge
-//! into the jobs layer.
+//! The daemon: connection handling, admission, and the bridge into the
+//! jobs layer.
 //!
 //! Each connection (TCP socket or the process's stdin/stdout pipe) is a
 //! line loop: parse a request, dispatch, write the frames it produces.
-//! An analyze request first probes the shared [`StageCache`] for all of
-//! its stages at once. A full hit only renders cached artifacts, so it
-//! runs on the connection's thread ([`JobPool::run_here`]) and spawns
-//! nothing. Only a cold stage pays for the pool: anything else (a
-//! partial hit, a disk-only entry, a cached syntax error) runs on a
-//! single-worker [`JobPool`] spawned for the request, which supplies a
-//! deep stack for the analysis's recursion, while the pipeline inside
-//! the job consults the cache stage by stage. Both paths give panic
-//! isolation and stream the same [`JobEvent`]s as progress frames.
+//! Every analyze request runs on the thread that read it, as one
+//! [`JobPool::run_here`] job: panic isolation and the same [`JobEvent`]s
+//! a pool worker would stream, with no thread spawned per request. The
+//! job first probes the shared [`StageCache`] for all of the request's
+//! stages at once; a full hit only renders cached artifacts, and anything
+//! else (a partial hit, a disk-only entry, a cached syntax error) runs
+//! the pipeline, which consults the cache stage by stage. Each progress
+//! report writes the events queued so far, so progress frames reach the
+//! client while a cold stage runs.
+//!
+//! The analysis recurses on that thread, so it must have a parser
+//! thread's stack ([`mujs_syntax::PARSER_STACK_BYTES`]): [`Server::serve`]
+//! spawns each connection thread with it, and `detserved --stdin` runs
+//! its session on such a thread. JS recursion stops at
+//! `mujs_interp::MAX_CALL_DEPTH` levels with a `RangeError`, which that
+//! stack holds even in a debug build.
 //!
 //! Admission reuses the batch [`AdmissionController`] unchanged: a
 //! request declaring more heap cells than the server-wide budget is
@@ -24,11 +31,12 @@ use crate::proto::{
     bye_line, error_line, event_line, parse_request, pong_line, result_line, stats_line,
     AnalyzeRequest, Request,
 };
-use crate::stage::{self, execute, Executed};
+use crate::stage::{self, execute};
 use mujs_jobs::admission::Admission;
 use mujs_jobs::pipeline::{PipelineCounters, StageRequest};
 use mujs_jobs::{AdmissionController, JobCtx, JobEvent, JobPool, JobVerdict};
 use serde_json::Value;
+use std::cell::RefCell;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -114,6 +122,10 @@ impl Server {
     /// Runs one connection's line loop to completion. Returns `Ok(true)`
     /// when the peer requested daemon shutdown.
     ///
+    /// Every request runs on the calling thread, which must have
+    /// [`mujs_syntax::PARSER_STACK_BYTES`] of stack for the analysis's
+    /// recursion (a release build also fits an 8 MiB main thread).
+    ///
     /// # Errors
     ///
     /// I/O errors reading requests or writing frames; protocol errors are
@@ -158,7 +170,8 @@ impl Server {
         Ok(false)
     }
 
-    /// Runs (or serves) one analyze request, streaming its frames.
+    /// Runs (or serves) one analyze request on the calling thread,
+    /// streaming its frames.
     fn handle_analyze(&self, req: &AnalyzeRequest, writer: &mut impl Write) -> std::io::Result<()> {
         let adm = match &self.inner.admission {
             Some(c) => c.admit(req.effective_config().mem_cell_budget),
@@ -168,10 +181,16 @@ impl Server {
                 degraded: false,
             },
         };
+        let (tx, rx) = mpsc::channel();
         let mut cfg = req.effective_config();
         if adm.degraded {
             cfg.mem_cell_budget = adm.granted;
             self.inner.degraded.fetch_add(1, Ordering::Relaxed);
+            let _ = tx.send(JobEvent::Degraded {
+                job: 0,
+                label: req.name.clone(),
+                granted_cells: adm.granted.unwrap_or_default(),
+            });
         }
         let status_label = if adm.degraded {
             "degraded"
@@ -186,65 +205,49 @@ impl Server {
             pta: req.pta,
         };
 
-        let degraded_line = adm.degraded.then(|| {
-            event_line(
-                &JobEvent::Degraded {
-                    job: 0,
-                    label: req.name.clone(),
-                    granted_cells: adm.granted.unwrap_or_default(),
-                },
-                &req.id,
-            )
-        });
-        let inner = &self.inner;
-        let (tx, rx) = mpsc::channel();
-        let pool = JobPool::new(1).with_events(tx);
-        let verdict = match stage::probe(&inner.cache, &stage_req) {
-            // A full hit only renders cached artifacts: run it here,
-            // with the events a pooled job would stream.
-            Some(warm) => {
-                let verdict = pool.run_here(req.name.clone(), |_: &JobCtx| {
-                    warm.render(&req.name, status_label, req.include_facts)
-                });
-                drop(pool);
-                forward(writer, degraded_line, &req.id, rx).map(|()| verdict)
+        // The job runs on this thread, so each progress report writes the
+        // event frames queued so far. A broken pipe stops the writing,
+        // never the job.
+        let out = RefCell::new((writer, Ok(())));
+        let drain = || {
+            let (writer, written) = &mut *out.borrow_mut();
+            for ev in rx.try_iter() {
+                if written.is_ok() {
+                    *written = writeln!(writer, "{}", event_line(&ev, &req.id));
+                }
             }
-            None => std::thread::scope(|s| {
-                let stage_req = &stage_req;
-                let handle = s.spawn(move || {
-                    // The pool lives (and dies) inside this thread:
-                    // dropping it when the batch finishes closes the event
-                    // channel, which ends the forwarding loop below.
-                    let job = move |ctx: &JobCtx| -> Executed {
-                        execute(
-                            stage_req,
-                            status_label,
-                            req.include_facts,
-                            &req.name,
-                            &inner.cache,
-                            &inner.counters,
-                            &ctx.cancel,
-                            &|detail| ctx.progress(detail),
-                        )
-                    };
-                    let mut verdicts = pool.run(vec![(req.name.clone(), job)]);
-                    verdicts.pop().expect("one job submitted")
-                });
-                // Forward the event stream as progress frames while the
-                // job runs.
-                let forwarded = forward(writer, degraded_line, &req.id, rx);
-                let verdict = handle.join().expect("pool thread never panics");
-                forwarded.map(|()| verdict)
-            }),
         };
+        let inner = &self.inner;
+        let pool = JobPool::new(1).with_events(tx);
+        let verdict = pool.run_here(req.name.clone(), |ctx: &JobCtx| {
+            match stage::probe(&inner.cache, &stage_req) {
+                // A full hit only renders cached artifacts.
+                Some(warm) => warm.render(&req.name, status_label, req.include_facts),
+                None => execute(
+                    &stage_req,
+                    status_label,
+                    req.include_facts,
+                    &req.name,
+                    &inner.cache,
+                    &inner.counters,
+                    &ctx.cancel,
+                    &|detail| {
+                        ctx.progress(detail);
+                        drain();
+                    },
+                ),
+            }
+        });
+        drain();
         if let Some(c) = &self.inner.admission {
             c.release(adm);
         }
-        let verdict = verdict?;
+        let (writer, written) = out.into_inner();
+        written?;
         let line = match verdict {
             JobVerdict::Done(executed) => {
                 self.inner.responses.fetch_add(1, Ordering::Relaxed);
-                result_line(&req.id, &executed.cached, &executed.report)
+                result_line(&req.id, &executed.cached, executed.report)
             }
             JobVerdict::Panicked(p) => {
                 self.inner.errors.fetch_add(1, Ordering::Relaxed);
@@ -277,9 +280,13 @@ impl Server {
                     Ok(st) => st,
                     Err(e) => return Err(e),
                 };
-                s.spawn(move || {
-                    let _ = self.handle_connection(stream, addr);
-                });
+                // Requests run on the connection thread, with a parser
+                // thread's stack.
+                std::thread::Builder::new()
+                    .stack_size(mujs_syntax::PARSER_STACK_BYTES)
+                    .spawn_scoped(s, move || {
+                        let _ = self.handle_connection(stream, addr);
+                    })?;
             }
             Ok(())
         })
@@ -303,25 +310,4 @@ impl Server {
         }
         Ok(())
     }
-}
-
-/// Writes a request's progress frames: the admission notice, if any, then
-/// every job event until the pool hangs up. A broken pipe stops writing
-/// but keeps draining, so the job side never sees the difference.
-fn forward(
-    writer: &mut impl Write,
-    degraded_line: Option<String>,
-    id: &Value,
-    rx: mpsc::Receiver<JobEvent>,
-) -> std::io::Result<()> {
-    let mut written = match degraded_line {
-        Some(line) => writeln!(writer, "{line}"),
-        None => Ok(()),
-    };
-    for ev in rx {
-        if written.is_ok() {
-            written = writeln!(writer, "{}", event_line(&ev, id));
-        }
-    }
-    written
 }

@@ -19,7 +19,8 @@
 //! warm response byte-identical to the cold run that populated it. A
 //! request whose every artifact is in memory resolves through [`probe`]
 //! and [`Warm::render`] without building a [`Pipeline`] at all; the
-//! render step is the one [`execute`] ends with.
+//! render step is the one [`execute`] ends with. Both run on the caller's
+//! thread (the server's connection thread); nothing here spawns.
 
 use crate::cache::{Stage, StageCache};
 use determinacy::CancelToken;

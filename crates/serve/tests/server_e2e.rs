@@ -160,6 +160,99 @@ fn deeply_nested_json_is_an_error_frame() {
     assert_eq!(ev(&fr[1]), "pong");
 }
 
+/// Unbounded JS recursion ends in a `RangeError`, not a stack overflow of
+/// the daemon: the request is answered and the session goes on.
+#[test]
+fn unbounded_recursion_is_answered_and_the_session_goes_on() {
+    use std::process::{Command, Stdio};
+    let script = concat!(
+        r#"{"op":"analyze","id":1,"name":"r","src":"function f(n) { return f(n + 1); } f(0);"}"#,
+        "\n",
+        r#"{"op":"ping","id":2}"#,
+        "\n",
+    );
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_detserved"))
+        .arg("--stdin")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("detserved runs");
+    daemon
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(script.as_bytes())
+        .unwrap();
+    let out = daemon.wait_with_output().expect("detserved exits");
+    assert!(out.status.success(), "exit: {:?}", out.status);
+    let fr = frames(&out.stdout);
+    let answered = fr
+        .iter()
+        .position(|f| matches!(ev(f), "result" | "error"))
+        .unwrap_or_else(|| panic!("no answer: {fr:?}"));
+    let report = fr[answered].get("report").unwrap();
+    assert_eq!(
+        report.get("run_statuses").unwrap(),
+        &Value::Array(vec![Value::Str("UncaughtException".to_owned())])
+    );
+    assert_eq!(ev(&fr[answered + 1]), "pong");
+}
+
+/// Each frame's line together with the pipeline counters at the moment
+/// its newline was written.
+struct Timeline<'a> {
+    server: &'a Server,
+    bytes: Vec<u8>,
+    at_newline: Vec<(u64, u64)>,
+}
+
+impl Write for Timeline<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        use std::sync::atomic::Ordering::Relaxed;
+        let c = self.server.counters();
+        let now = (c.analyses.load(Relaxed), c.pta_solves.load(Relaxed));
+        self.bytes.extend_from_slice(buf);
+        let newlines = buf.iter().filter(|&&b| b == b'\n').count();
+        self.at_newline.extend(std::iter::repeat_n(now, newlines));
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A cold request runs on the connection's thread, yet its progress
+/// frames reach the writer while the stage they announce runs, not after
+/// the job.
+#[test]
+fn progress_frames_are_written_while_the_job_runs() {
+    let server = Server::new(ServeOptions::default());
+    let script = concat!(
+        r#"{"op":"analyze","id":1,"name":"p","src":"var x = { f: 1 }; var y = x.f;","pta_budget":50000,"inject":true}"#,
+        "\n",
+    );
+    let mut out = Timeline {
+        server: &server,
+        bytes: Vec::new(),
+        at_newline: Vec::new(),
+    };
+    server.handle_stream(Cursor::new(script), &mut out).unwrap();
+    let fr = frames(&out.bytes);
+    let when = |detail: &str| {
+        let i = fr
+            .iter()
+            .position(|f| f.get("detail").and_then(Value::as_str) == Some(detail))
+            .unwrap_or_else(|| panic!("no `{detail}` frame: {fr:?}"));
+        out.at_newline[i]
+    };
+    // (analyses, pta_solves) when each frame was written.
+    assert_eq!(when("running determinacy analysis"), (0, 0));
+    assert_eq!(when("solving pointer analysis"), (1, 0));
+    assert_eq!(ev(fr.last().unwrap()), "result");
+    assert_eq!(*out.at_newline.last().unwrap(), (1, 1));
+}
+
 #[test]
 fn degraded_admission_is_reported_and_keyed_separately() {
     let server = Server::new(ServeOptions {

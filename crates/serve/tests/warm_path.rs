@@ -1,7 +1,8 @@
-//! The server answers a request whose every stage is in memory on the
-//! calling thread, and everything else through the pooled stage-by-stage
-//! path. Both must give the same frames, reports and counters as running
-//! every request through `execute`, the pooled path's body.
+//! The server answers a request whose every stage is in memory by
+//! rendering the cached artifacts, and everything else through the
+//! stage-by-stage path. Both must give the same frames, reports and
+//! counters as running every request through `execute`, the
+//! stage-by-stage path's body.
 
 use determinacy::CancelToken;
 use mujs_serve::proto::{parse_request, Request};

@@ -123,6 +123,7 @@ pub mod json {
 }
 
 use json::Value;
+use std::borrow::Cow;
 
 /// Deserialization failure.
 #[derive(Debug, Clone)]
@@ -147,6 +148,12 @@ impl std::error::Error for DeError {}
 pub trait Serialize {
     /// Renders `self` as a JSON value tree.
     fn to_value(&self) -> Value;
+
+    /// The value tree to render: borrowed when `self` already is one, so
+    /// rendering a [`Value`] copies nothing.
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Owned(self.to_value())
+    }
 }
 
 /// Conversion from the JSON data model.
@@ -254,11 +261,19 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        (**self).as_value()
+    }
 }
 
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Borrowed(self)
     }
 }
 impl Deserialize for Value {

@@ -32,7 +32,7 @@ impl From<DeError> for Error {
 ///
 /// Never fails in this shim; the `Result` mirrors the real API.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(serde::ser_compact(&value.to_value()))
+    Ok(serde::ser_compact(&value.as_value()))
 }
 
 /// Renders a value as pretty-printed JSON (two-space indent).
@@ -41,7 +41,7 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
 ///
 /// Never fails in this shim; the `Result` mirrors the real API.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(serde::ser_pretty(&value.to_value()))
+    Ok(serde::ser_pretty(&value.as_value()))
 }
 
 /// Converts any serializable value into a [`Value`] tree.
