@@ -9,6 +9,14 @@
 //! a program's [`Interner`](crate::intern::Interner), holds that program's
 //! own names: colliding names can slow only the analysis of the program
 //! that contains them.
+//!
+//! The mix leaves the bucket index to the last word hashed: the table
+//! indexes by the hash's low bits, and the low bits of `x × SEED` depend
+//! only on the low bits of `x`. So never pack two ids into one `u64` key.
+//! A `(from << 32) | to` key puts every edge into `to` on the same bucket
+//! whatever `from` is. Key by the tuple `(from, to)` instead: each field
+//! is mixed in as its own word, and the rotation carries the first
+//! field's high product bits into the low bits.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

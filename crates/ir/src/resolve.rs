@@ -11,7 +11,6 @@
 
 use crate::intern::Sym;
 use crate::ir::{FuncId, FuncKind, Program};
-use std::collections::{HashMap, HashSet};
 
 /// Where a named reference binds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -26,7 +25,9 @@ pub enum Binding {
 /// [`Resolver::resolve`].
 #[derive(Debug, Clone)]
 pub struct Resolver {
-    declared: HashMap<FuncId, HashSet<Sym>>,
+    /// Each function's declared names, sorted and deduplicated, indexed
+    /// by function id.
+    declared: Vec<Vec<Sym>>,
 }
 
 impl Resolver {
@@ -50,9 +51,12 @@ impl Resolver {
     /// # }
     /// ```
     pub fn new(prog: &Program) -> Self {
-        let mut declared = HashMap::new();
+        let mut declared = vec![Vec::new(); prog.funcs.len()];
         for f in &prog.funcs {
-            declared.insert(f.id, f.declared_names().collect());
+            let mut names: Vec<Sym> = f.declared_names().collect();
+            names.sort_unstable();
+            names.dedup();
+            declared[f.id.0 as usize] = names;
         }
         Resolver { declared }
     }
@@ -75,8 +79,8 @@ impl Resolver {
             }
             if self
                 .declared
-                .get(&id)
-                .is_some_and(|names| names.contains(&name))
+                .get(id.0 as usize)
+                .is_some_and(|names| names.binary_search(&name).is_ok())
             {
                 return Binding::Local(id);
             }

@@ -203,7 +203,7 @@ impl<'p> RefSolver<'p> {
             stats: self.stats,
             pts,
             parent,
-            node_ids: self.node_ids,
+            node_ids: self.node_ids.into_iter().collect(),
             objs: self.objs,
             call_graph: self.call_graph,
             // The oracle checks sets and call graphs, not provenance;

@@ -3,9 +3,12 @@
 //! The solver periodically runs an iterative Tarjan pass over its
 //! canonicalized subset edges and union-find-merges every multi-member
 //! component it finds: nodes in a copy cycle provably converge to the
-//! same points-to set, so propagating around the cycle is pure overhead
-//! (the `jQuery.fn = jQuery.prototype` pattern builds exactly such
-//! cycles). Only the detection lives here; the merging is the solver's.
+//! same points-to set, so propagating around the cycle is pure overhead.
+//! The jQuery-like corpus's copy graphs are acyclic, so its solves pay
+//! for the passes and merge nothing; the inputs with cycles are the
+//! crafted copy rings of the tests that solve with `scc_interval: 1`
+//! (`tests/pta_equivalence.rs`, `tests/pta_stats.rs`). Only the
+//! detection lives here; the merging is the solver's.
 
 /// Returns the strongly connected components of `adj` (vertices are
 /// `0..adj.len()`, `adj[v]` the successors of `v`) that have more than

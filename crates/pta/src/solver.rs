@@ -19,6 +19,12 @@
 //! transparently. See `reference` for the naive baseline algorithm the
 //! equivalence tests compare against.
 //!
+//! The bookkeeping around propagation hashes no `Node` where an index
+//! serves: temps are looked up in a per-function table and an object's
+//! ⋆, unknown-props and proto-var nodes in a row indexed by its object
+//! id; named properties go through the `Node` map. A new edge is deduped
+//! against its source's own out-list, by a scan while the list is short.
+//!
 //! The solver counts propagation work and stops when a configured budget
 //! is exceeded — the deterministic equivalent of the paper's 10-minute
 //! timeout.
@@ -31,7 +37,24 @@ use mujs_ir::hash::{FastMap, FastSet};
 use mujs_ir::ir::{Place, PropKey, StmtKind};
 use mujs_ir::resolve::{Binding, Resolver};
 use mujs_ir::{FuncId, FuncKind, Program, Stmt, StmtId, Sym};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+
+/// Out-lists shorter than this dedupe a new edge by scanning the list;
+/// longer ones also keep their edges in the solver's `(from, to)` set,
+/// so a hub variable or a ⋆ join does not cost a scan per edge. On the
+/// jQuery-like corpus 99.6% or more of the final out-lists, and three
+/// dedupe checks in four, are shorter; thresholds from 4 to 64 solve
+/// alike there (EXPERIMENTS.md §4).
+const SCAN_EDGES: usize = 16;
+
+/// An empty slot of the solver's node-id tables.
+const NO_NODE: u32 = u32::MAX;
+
+/// Columns of [`Solver::obj_nodes`], one per per-object node kind.
+const STAR: usize = 0;
+const UNKNOWN: usize = 1;
+const PROTO: usize = 2;
 
 /// Determinacy facts injected into the solver: per-site resolutions of
 /// dynamic property keys and call targets, keyed by statement id.
@@ -73,7 +96,9 @@ pub struct PtaConfig {
     pub facts: Option<InjectedFacts>,
     /// Copy edges added between online cycle-collapse passes. Small
     /// programs never reach it and run collapse-free; `u64::MAX`
-    /// disables collapsing entirely.
+    /// disables collapsing entirely. A solve that adds more edges pays
+    /// one Tarjan pass over the whole copy graph per interval even when
+    /// nothing merges, as on every jQuery-like corpus page.
     pub scc_interval: u64,
     /// Record imprecision provenance: every points-to tuple carries a
     /// blame tag naming the first cause that introduced it (see
@@ -172,7 +197,7 @@ pub struct PtaResult {
     pub stats: PtaStats,
     pub(crate) pts: Vec<Pts>,
     pub(crate) parent: Vec<u32>,
-    pub(crate) node_ids: HashMap<Node, u32>,
+    pub(crate) node_ids: FastMap<Node, u32>,
     pub(crate) objs: Vec<AbsObj>,
     pub(crate) call_graph: BTreeMap<StmtId, BTreeSet<FuncId>>,
     pub(crate) blame: Option<BlameData>,
@@ -431,8 +456,16 @@ struct Solver<'p> {
     prog: &'p Program,
     cfg: PtaConfig,
     resolver: Resolver,
+    /// Every materialized node. Temps and per-object nodes are looked up
+    /// through the index tables below, which fall back to this map only
+    /// the first time they see a node.
     node_ids: FastMap<Node, u32>,
-    nodes: Vec<Node>,
+    /// Temp nodes by function id, then temp index (`NO_NODE` = not
+    /// looked up yet). A function's row is allocated on its first temp.
+    temps: Vec<Vec<u32>>,
+    /// The ⋆, unknown-props and proto-var nodes of each interned object,
+    /// by object id (columns [`STAR`], [`UNKNOWN`], [`PROTO`]).
+    obj_nodes: Vec<[u32; 3]>,
     obj_ids: FastMap<AbsObj, u32>,
     objs: Vec<AbsObj>,
     /// Union-find over node ids (path-halving `find`).
@@ -442,12 +475,16 @@ struct Solver<'p> {
     old: Vec<Pts>,
     /// Facts that arrived since the node was last processed.
     delta: Vec<Pts>,
-    /// Outgoing copy edges, stored on representatives. Targets may go
-    /// stale after a merge; every use canonicalizes through `find`, and
-    /// each collapse pass rebuilds them canonical.
+    /// Outgoing copy edges, stored on representatives. Outside
+    /// `collapse_cycles` every stored target is canonical and no list
+    /// holds a self-loop: `add_edge` stores `find(to)` on `find(from)`,
+    /// merges happen only in a collapse pass, and a pass that merges
+    /// rebuilds every list canonical and deduped before it returns.
     edges: Vec<Vec<u32>>,
-    /// Dedupe of canonical `(from, to)` pairs; rebuilt on collapse.
-    edge_set: FastSet<u64>,
+    /// The canonical `(from, to)` pairs of every out-list with at least
+    /// [`SCAN_EDGES`] entries (shorter lists dedupe by scanning);
+    /// rebuilt on collapse.
+    edge_set: FastSet<(u32, u32)>,
     pending: Vec<Vec<Pending>>,
     /// Dirty-node worklist: representatives with a non-empty delta.
     dirty: VecDeque<u32>,
@@ -464,8 +501,23 @@ struct Solver<'p> {
     scratch_log: Vec<pts::FlowLogEntry>,
 }
 
-fn edge_key(from: u32, to: u32) -> u64 {
-    (u64::from(from) << 32) | u64::from(to)
+/// Whether `from → t` is missing from `outs`, `from`'s deduped out-list.
+/// A long list answers through `set`, and an edge it reports new is
+/// recorded there.
+fn edge_is_new(outs: &[u32], set: &mut FastSet<(u32, u32)>, from: u32, t: u32) -> bool {
+    if outs.len() < SCAN_EDGES {
+        !outs.contains(&t)
+    } else {
+        set.insert((from, t))
+    }
+}
+
+/// Called after an edge was appended to `outs`: the list that just
+/// reached [`SCAN_EDGES`] entries moves its dedupe into `set`.
+fn edge_pushed(outs: &[u32], set: &mut FastSet<(u32, u32)>, from: u32) {
+    if outs.len() == SCAN_EDGES {
+        set.extend(outs.iter().map(|&t| (from, t)));
+    }
 }
 
 impl<'p> Solver<'p> {
@@ -476,7 +528,8 @@ impl<'p> Solver<'p> {
             cfg,
             resolver: Resolver::new(prog),
             node_ids: FastMap::default(),
-            nodes: Vec::new(),
+            temps: vec![Vec::new(); prog.funcs.len()],
+            obj_nodes: Vec::new(),
             obj_ids: FastMap::default(),
             objs: Vec::new(),
             parent: Vec::new(),
@@ -499,12 +552,11 @@ impl<'p> Solver<'p> {
     }
 
     fn node(&mut self, n: Node) -> u32 {
-        if let Some(&id) = self.node_ids.get(&n) {
-            return id;
-        }
-        let id = self.nodes.len() as u32;
-        self.node_ids.insert(n.clone(), id);
-        self.nodes.push(n.clone());
+        let id = self.parent.len() as u32;
+        match self.node_ids.entry(n.clone()) {
+            Entry::Occupied(e) => return *e.get(),
+            Entry::Vacant(e) => e.insert(id),
+        };
         self.parent.push(id);
         self.old.push(Pts::new());
         self.delta.push(Pts::new());
@@ -537,6 +589,47 @@ impl<'p> Solver<'p> {
         let id = self.objs.len() as u32;
         self.obj_ids.insert(o.clone(), id);
         self.objs.push(o);
+        self.obj_nodes.push([NO_NODE; 3]);
+        id
+    }
+
+    /// The ⋆ (`col` = [`STAR`]), unknown-props ([`UNKNOWN`]) or proto-var
+    /// ([`PROTO`]) node of interned object `oid`.
+    fn obj_node(&mut self, oid: u32, col: usize) -> u32 {
+        let id = self.obj_nodes[oid as usize][col];
+        if id != NO_NODE {
+            return id;
+        }
+        let o = self.objs[oid as usize].clone();
+        let id = self.node(match col {
+            STAR => Node::StarProps(o),
+            UNKNOWN => Node::UnknownProps(o),
+            _ => Node::ProtoVar(o),
+        });
+        self.obj_nodes[oid as usize][col] = id;
+        id
+    }
+
+    /// The node of interned object `oid`'s property `k`.
+    fn prop_node(&mut self, oid: u32, k: Sym) -> u32 {
+        self.node(Node::Prop(self.objs[oid as usize].clone(), k))
+    }
+
+    /// The node of temp `t` of function `f`.
+    fn temp_node(&mut self, f: FuncId, t: u32) -> u32 {
+        let col = t as usize;
+        if let Some(&id) = self.temps[f.0 as usize].get(col) {
+            if id != NO_NODE {
+                return id;
+            }
+        }
+        let id = self.node(Node::Temp(f, t));
+        let n_temps = self.prog.func(f).n_temps as usize;
+        let row = &mut self.temps[f.0 as usize];
+        if row.len() <= col {
+            row.resize(n_temps.max(col + 1), NO_NODE);
+        }
+        row[col] = id;
         id
     }
 
@@ -560,10 +653,12 @@ impl<'p> Solver<'p> {
     fn add_edge(&mut self, from: u32, to: u32) {
         let f = self.find(from);
         let t = self.find(to);
-        if f == t || !self.edge_set.insert(edge_key(f, t)) {
+        let outs = &mut self.edges[f as usize];
+        if f == t || !edge_is_new(outs, &mut self.edge_set, f, t) {
             return;
         }
-        self.edges[f as usize].push(t);
+        outs.push(t);
+        edge_pushed(outs, &mut self.edge_set, f);
         self.stats.edges += 1;
         self.edges_since_scc += 1;
         // A new edge flows the source's full current set (old ∪ delta):
@@ -669,7 +764,7 @@ impl<'p> Solver<'p> {
 
     fn place_node(&mut self, func: FuncId, place: &Place) -> u32 {
         match place {
-            Place::Temp(t) => self.node(Node::Temp(func, t.0)),
+            Place::Temp(t) => self.temp_node(func, t.0),
             // Named and slot-resolved places both resolve by name; the
             // resolver agrees with the lowering's slot coordinates.
             p => {
@@ -773,54 +868,43 @@ impl<'p> Solver<'p> {
                 if self.exhausted {
                     return;
                 }
-                let o = self.objs[oid as usize].clone();
-                self.apply_pending(&p, &o);
+                self.apply_pending(&p, oid);
             }
         }
     }
 
     /// Tarjan pass over the canonical copy-edge graph; merges every
-    /// multi-member component into its smallest-id node.
+    /// multi-member component into its smallest-id node. The pass reads
+    /// the out-lists in place: their targets are canonical (see `edges`).
     fn collapse_cycles(&mut self) {
         self.stats.scc_passes += 1;
-        let n = self.nodes.len();
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for i in 0..n as u32 {
-            let ci = self.find(i);
-            if ci != i {
-                continue;
-            }
-            let outs = self.edges[i as usize].clone();
-            let a = &mut adj[i as usize];
-            for t0 in outs {
-                let t = self.find(t0);
-                if t != i {
-                    a.push(t);
-                }
-            }
-        }
-        let comps = scc::multi_member_sccs(&adj);
+        let n = self.parent.len();
+        let comps = scc::multi_member_sccs(&self.edges);
         if comps.is_empty() {
             return;
         }
         for comp in &comps {
             self.merge_component(comp);
         }
-        // Rebuild edges canonical and re-dedupe: merging aliases pairs.
+        // Rebuild edges canonical and re-dedupe in place: merging aliases
+        // pairs.
         self.edge_set.clear();
         for i in 0..n as u32 {
             if self.find(i) != i {
                 continue;
             }
-            let outs = std::mem::take(&mut self.edges[i as usize]);
-            let mut canonical = Vec::with_capacity(outs.len());
-            for t0 in outs {
-                let t = self.find(t0);
-                if t != i && self.edge_set.insert(edge_key(i, t)) {
-                    canonical.push(t);
+            let mut outs = std::mem::take(&mut self.edges[i as usize]);
+            let mut kept = 0;
+            for r in 0..outs.len() {
+                let t = self.find(outs[r]);
+                if t != i && edge_is_new(&outs[..kept], &mut self.edge_set, i, t) {
+                    outs[kept] = t;
+                    kept += 1;
+                    edge_pushed(&outs[..kept], &mut self.edge_set, i);
                 }
             }
-            self.edges[i as usize] = canonical;
+            outs.truncate(kept);
+            self.edges[i as usize] = outs;
         }
     }
 
@@ -862,7 +946,6 @@ impl<'p> Solver<'p> {
         // havoc stamps merge the same way — all order-independent, so the
         // merged blame doesn't depend on which member a tuple arrived at.
         if let Some(p) = self.prov.as_mut() {
-            use std::collections::hash_map::Entry;
             for &m in &comp[1..] {
                 let row = std::mem::take(&mut p.blame[m as usize]);
                 for (v, t) in row {
@@ -892,15 +975,15 @@ impl<'p> Solver<'p> {
     }
 
     fn finish(mut self) -> PtaResult {
-        self.stats.nodes = self.nodes.len();
+        self.stats.nodes = self.parent.len();
         self.stats.call_edges = self.call_graph.values().map(|s| s.len()).sum();
         // Fold unprocessed deltas into the reported sets and fully
         // compress the union-find so lookups are a single indirection.
-        for i in 0..self.nodes.len() {
+        for i in 0..self.parent.len() {
             let d = self.delta[i].take();
             self.old[i].union_with(&d);
         }
-        for i in 0..self.nodes.len() as u32 {
+        for i in 0..self.parent.len() as u32 {
             let r = self.find(i);
             self.parent[i as usize] = r;
         }
@@ -917,7 +1000,7 @@ impl<'p> Solver<'p> {
             stats: self.stats,
             pts: self.old,
             parent: self.parent,
-            node_ids: self.node_ids.into_iter().collect(),
+            node_ids: self.node_ids,
             objs: self.objs,
             call_graph: self.call_graph,
             blame,
@@ -940,60 +1023,59 @@ impl<'p> Solver<'p> {
             if self.exhausted {
                 return;
             }
-            let o = self.objs[oid as usize].clone();
-            self.apply_pending(&p, &o);
+            self.apply_pending(&p, oid);
         }
     }
 
-    fn apply_pending(&mut self, p: &Pending, o: &AbsObj) {
+    /// Applies constraint `p` to object `oid` arriving at its node.
+    fn apply_pending(&mut self, p: &Pending, oid: u32) {
         match p {
-            Pending::Load { key, dst } => self.apply_load(o, *key, *dst),
-            Pending::Store { key, src } => self.apply_store(o, *key, *src),
+            Pending::Load { key, dst } => self.apply_load(oid, *key, *dst),
+            Pending::Store { key, src } => self.apply_store(oid, *key, *src),
             Pending::Call {
                 site,
                 this,
                 args,
                 dst,
                 is_new,
-            } => self.apply_call(o, *site, *this, args, *dst, *is_new, false),
+            } => {
+                let o = self.objs[oid as usize].clone();
+                self.apply_call(&o, *site, *this, args, *dst, *is_new, false);
+            }
         }
     }
 
-    fn apply_load(&mut self, o: &AbsObj, key: Option<Sym>, dst: u32) {
-        let unknown = self.node(Node::UnknownProps(o.clone()));
+    fn apply_load(&mut self, oid: u32, key: Option<Sym>, dst: u32) {
+        let unknown = self.obj_node(oid, UNKNOWN);
         self.add_edge(unknown, dst);
         match key {
             Some(k) => {
-                let f = self.node(Node::Prop(o.clone(), k));
+                let f = self.prop_node(oid, k);
                 self.add_edge(f, dst);
             }
             None => {
-                let star = self.node(Node::StarProps(o.clone()));
+                let star = self.obj_node(oid, STAR);
                 self.add_edge(star, dst);
             }
         }
-        // Loads fall through the prototype chain.
-        let pv = self.proto_var(o);
+        // Loads fall through the prototype chain. `ProtoOf(F)` objects
+        // chain to Object.prototype, which we fold into Opaque; the chain
+        // itself comes from `new` wiring.
+        let pv = self.obj_node(oid, PROTO);
         self.attach(pv, Pending::Load { key, dst });
     }
 
-    fn apply_store(&mut self, o: &AbsObj, key: Option<Sym>, src: u32) {
+    fn apply_store(&mut self, oid: u32, key: Option<Sym>, src: u32) {
         match key {
             Some(k) => {
-                let f = self.node(Node::Prop(o.clone(), k));
+                let f = self.prop_node(oid, k);
                 self.add_edge(src, f);
             }
             None => {
-                let unknown = self.node(Node::UnknownProps(o.clone()));
+                let unknown = self.obj_node(oid, UNKNOWN);
                 self.add_edge(src, unknown);
             }
         }
-    }
-
-    fn proto_var(&mut self, o: &AbsObj) -> u32 {
-        // `ProtoOf(F)` objects chain to Object.prototype, which we fold
-        // into Opaque; the chain itself comes from `new` wiring.
-        self.node(Node::ProtoVar(o.clone()))
     }
 
     /// `injected` marks a call wired directly by an injected determinate-

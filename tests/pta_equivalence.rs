@@ -8,6 +8,8 @@
 //! the same least fixpoint regardless of propagation order or cycle
 //! collapsing.
 
+mod common;
+
 use mujs_pta::{solve, solve_reference, PtaConfig, PtaStatus};
 
 fn assert_equivalent(name: &str, prog: &mujs_ir::Program, cfg: &PtaConfig) {
@@ -113,6 +115,7 @@ fn aggressive_collapsing_agrees() {
     let mut sources: Vec<(String, String)> = vec![
         ("copy-cycle".to_owned(), cyclic.to_owned()),
         ("wide".to_owned(), wide),
+        ("copy-ring hubs".to_owned(), common::hub_src(40, 48, 6)),
     ];
     sources.extend(mujs_corpus::evalbench::named_sources());
     for scc_interval in [1, 2] {
