@@ -22,11 +22,13 @@
 //! * [`dataflow`] / [`reaching`] — intraprocedural constant propagation
 //!   and reaching definitions. Constant propagation derives
 //!   *statically* determinate property-key, callee, and condition facts
-//!   at the same program points the dynamic analysis attaches facts to,
-//!   enabling (a) a soundness cross-check (a point the static analysis
-//!   proves determinate must never carry a contradicting dynamic fact)
-//!   and (b) fact injection into the pointer analysis without source
-//!   rewriting.
+//!   at the same program points the dynamic analysis attaches facts to.
+//!   Their one use is a soundness cross-check in
+//!   `tests/static_analysis.rs`: a point the static analysis proves
+//!   determinate must never carry a contradicting dynamic fact. (`detlint
+//!   --dataflow` only counts them.) Fact injection into the pointer
+//!   analysis reads the dynamic facts instead
+//!   (`determinacy::injectable_facts`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,21 +6,21 @@
 //! $ cargo run -p mujs-bench --bin analyze -- file.js --json
 //! $ cargo run -p mujs-bench --bin analyze -- file.js --det-dom --seeds 1,2,3
 //! $ cargo run -p mujs-bench --bin analyze -- file.js --spec   # + specializer report
-//! $ cargo run -p mujs-bench --bin analyze -- file.js --seeds 1,2,3,4 --workers 4
 //! $ cargo run -p mujs-bench --bin analyze -- file.js --deadline-ms 5000 --mem-cells 2000000
 //! ```
 //!
-//! Unknown flags are rejected with a usage error rather than silently
-//! ignored; `--workers N` fans the seed list out over a job pool and is
-//! guaranteed to print the same bytes as the sequential path.
+//! The file runs through the shared [`Pipeline`] on its own page, a
+//! document titled "analyze-cli" with no events after `load`, so its
+//! seeds run through the same fan-out as every other front end. Unknown
+//! flags are rejected with a usage error rather than silently ignored.
 
 #![forbid(unsafe_code)]
 
-use determinacy::multirun::{analyze_many_with, export_json, MultiRunOutcome};
-use determinacy::{AnalysisConfig, DetHarness};
+use determinacy::multirun::export_json;
+use determinacy::{AnalysisConfig, CancelToken};
 use mujs_dom::document::DocumentBuilder;
 use mujs_dom::events::EventPlan;
-use mujs_jobs::{analyze_many_pooled, JobPool};
+use mujs_jobs::pipeline::{Page, Pipeline, PipelineCounters, StageRequest};
 use mujs_specialize::SpecConfig;
 
 struct Options {
@@ -31,7 +31,6 @@ struct Options {
     seeds: Vec<u64>,
     deadline_ms: Option<u64>,
     mem_cells: Option<u64>,
-    workers: usize,
 }
 
 fn usage(problem: &str) -> ! {
@@ -40,15 +39,14 @@ fn usage(problem: &str) -> ! {
     }
     eprintln!(
         "usage: analyze <file.js> [--json] [--det-dom] [--spec] [--seeds a,b,c]\n\
-         \x20              [--deadline-ms N] [--mem-cells N] [--workers N]\n\
+         \x20              [--deadline-ms N] [--mem-cells N]\n\
          \n\
          \x20 --json           print the sorted JSON fact export instead of the summary\n\
          \x20 --det-dom        enable the deterministic-DOM analysis mode\n\
          \x20 --spec           also run the specializer and print its report\n\
          \x20 --seeds a,b,c    comma-separated seed list for the multi-run analysis\n\
          \x20 --deadline-ms N  per-run wall-clock budget (AnalysisStatus::Deadline on expiry)\n\
-         \x20 --mem-cells N    per-run heap-cell budget (AnalysisStatus::MemLimit on expiry)\n\
-         \x20 --workers N      fan seeds out over N worker threads (same output bytes)"
+         \x20 --mem-cells N    per-run heap-cell budget (AnalysisStatus::MemLimit on expiry)"
     );
     std::process::exit(2);
 }
@@ -63,7 +61,6 @@ fn parse_args() -> Options {
         seeds: vec![AnalysisConfig::default().seed],
         deadline_ms: None,
         mem_cells: None,
-        workers: 1,
     };
     let value = |args: &[String], i: &mut usize, flag: &str| -> String {
         *i += 1;
@@ -100,12 +97,6 @@ fn parse_args() -> Options {
             }
             "--deadline-ms" => o.deadline_ms = Some(number(&args, &mut i, "--deadline-ms")),
             "--mem-cells" => o.mem_cells = Some(number(&args, &mut i, "--mem-cells")),
-            "--workers" => {
-                o.workers = match number(&args, &mut i, "--workers") {
-                    0 => usage("--workers wants a positive integer"),
-                    n => n as usize,
-                };
-            }
             "--help" | "-h" => usage(""),
             flag if flag.starts_with("--") => usage(&format!("unknown flag `{flag}`")),
             positional => {
@@ -132,32 +123,30 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let mut h = match DetHarness::from_src(&src) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("syntax error: {e}");
-            std::process::exit(1);
-        }
-    };
     let cfg = AnalysisConfig {
         det_dom: o.det_dom,
         deadline_ms: o.deadline_ms,
         mem_cell_budget: o.mem_cells,
         ..Default::default()
     };
-    let doc = DocumentBuilder::new().title("analyze-cli").build();
-    let plan = EventPlan::new();
-    let mut combined: MultiRunOutcome = if o.workers > 1 {
-        let pool = JobPool::new(o.workers);
-        match analyze_many_pooled(&src, &o.seeds, cfg, Some(&doc), &plan, &pool) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("syntax error: {e}");
-                std::process::exit(1);
-            }
+    let req = StageRequest {
+        src,
+        cfg,
+        seeds: o.seeds,
+        page: Some(Page {
+            doc: DocumentBuilder::new().title("analyze-cli").build(),
+            plan: EventPlan::new(),
+        }),
+        pta: None,
+    };
+    let (cancel, counters) = (CancelToken::new(), PipelineCounters::default());
+    let mut pipeline = Pipeline::new(&req, &cancel, &counters, &|_| {});
+    let (h, combined) = match pipeline.live() {
+        Ok(live) => live,
+        Err(e) => {
+            eprintln!("syntax error: {e}");
+            std::process::exit(1);
         }
-    } else {
-        analyze_many_with(&mut h, &o.seeds, cfg, Some(&doc), &plan)
     };
 
     if o.json {
@@ -202,7 +191,7 @@ fn main() {
     if o.spec {
         let s = mujs_jobs::pipeline::specialize(
             &h.program,
-            &mut combined,
+            combined,
             SpecConfig::default().max_context_depth,
         );
         eprintln!(

@@ -21,7 +21,9 @@
 use crate::config::AnalysisConfig;
 use crate::driver::{AnalysisOutcome, DetHarness};
 use crate::facts::FactDb;
-use crate::supervisor::{supervised_analyze, supervised_analyze_dom, RunFailure, RunHooks};
+use crate::supervisor::{
+    supervised_analyze, supervised_analyze_dom, CancelToken, RunFailure, RunHooks,
+};
 use mujs_dom::document::Document;
 use mujs_dom::events::EventPlan;
 use mujs_interp::context::{ContextTable, CtxId};
@@ -41,50 +43,15 @@ pub struct MultiRunOutcome {
     /// Per-run outcomes, for inspection. Only successful runs appear
     /// here; failed seeds are in [`MultiRunOutcome::failures`].
     pub runs: Vec<AnalysisOutcome>,
-    /// Runs that died (engine panic): each carries the seed and how far
-    /// it got. A failed seed contributes no facts, but the surviving
-    /// seeds still combine — per-seed isolation is what makes large
-    /// multi-run batches practical on untrusted inputs.
+    /// Runs that died (engine panic) or were cancelled before they
+    /// started: each carries its seed. A failed seed contributes no
+    /// facts, but the surviving seeds still combine — per-seed isolation
+    /// is what makes large multi-run batches practical on untrusted
+    /// inputs.
     pub failures: Vec<RunFailure>,
     /// Determinate-vs-determinate conflicts seen while combining; nonzero
     /// indicates an analysis bug (sound facts cannot disagree).
     pub conflicts: u64,
-}
-
-impl MultiRunOutcome {
-    /// Combines per-run results in **input order** into one outcome.
-    ///
-    /// This is the single place run results become a combined database:
-    /// [`analyze_many_hooked`] feeds it seeds sequentially, and the
-    /// `mujs-jobs` pool feeds it worker results collected back into seed
-    /// order — so a pooled fan-out combines byte-identically to the
-    /// sequential path regardless of worker count or completion order.
-    pub fn combine<I>(results: I, max_facts: usize) -> MultiRunOutcome
-    where
-        I: IntoIterator<Item = Result<AnalysisOutcome, RunFailure>>,
-    {
-        let mut combined = FactDb::new(max_facts);
-        let mut master = ContextTable::new();
-        let mut runs = Vec::new();
-        let mut failures = Vec::new();
-        let mut conflicts = 0;
-        for r in results {
-            match r {
-                Ok(out) => {
-                    conflicts += combined.absorb_reinterned(&out.facts, &out.ctxs, &mut master);
-                    runs.push(out);
-                }
-                Err(failure) => failures.push(failure),
-            }
-        }
-        MultiRunOutcome {
-            facts: combined,
-            ctxs: master,
-            runs,
-            failures,
-            conflicts,
-        }
-    }
 }
 
 /// Runs the analysis once per seed and combines the fact databases.
@@ -106,29 +73,29 @@ pub fn analyze_many(
     seeds: &[u64],
     base_cfg: AnalysisConfig,
 ) -> MultiRunOutcome {
-    analyze_many_with(h, seeds, base_cfg, None, &EventPlan::new())
+    analyze_many_hooked(
+        h,
+        seeds,
+        base_cfg,
+        None,
+        &EventPlan::new(),
+        &RunHooks::supervised(),
+        &|_, _| {},
+    )
 }
 
-/// [`analyze_many`] with a DOM page and event plan.
+/// The seed fan-out every front end runs: one supervised run per seed,
+/// sequentially on the current thread, combined **in seed order**.
 ///
-/// Every per-seed run executes under the supervisor: a run that panics is
-/// recorded as a [`RunFailure`] in [`MultiRunOutcome::failures`] and the
-/// remaining seeds still run and combine. Deadline/memory/step stops are
-/// not failures — those runs end with their partial (still sound) facts,
-/// which combine normally.
-pub fn analyze_many_with(
-    h: &mut DetHarness,
-    seeds: &[u64],
-    base_cfg: AnalysisConfig,
-    doc: Option<&Document>,
-    plan: &EventPlan,
-) -> MultiRunOutcome {
-    analyze_many_hooked(h, seeds, base_cfg, doc, plan, &RunHooks::supervised())
-}
-
-/// [`analyze_many_with`] using caller-provided supervision hooks — e.g. a
-/// shared [`crate::supervisor::CancelToken`] so a UI can stop the whole
-/// batch, or a fault plan in crash-safety tests.
+/// With a document, each run executes on a fresh copy of it and then
+/// dispatches `plan`; without one, the program runs with no DOM at all.
+/// A run that panics is recorded as a [`RunFailure`] in
+/// [`MultiRunOutcome::failures`] and the remaining seeds still run and
+/// combine. Deadline/memory/step stops are not failures: those runs end
+/// with their partial (still sound) facts, which combine normally. Once
+/// the hooks' cancel token has fired, every remaining seed becomes
+/// [`RunFailure::Cancelled`] without starting. `on_seed(i, n)` follows
+/// the `i`-th executed run of `n`.
 pub fn analyze_many_hooked(
     h: &mut DetHarness,
     seeds: &[u64],
@@ -136,21 +103,49 @@ pub fn analyze_many_hooked(
     doc: Option<&Document>,
     plan: &EventPlan,
     hooks: &RunHooks,
+    on_seed: &dyn Fn(usize, usize),
 ) -> MultiRunOutcome {
+    let n = seeds.len();
     let results: Vec<Result<AnalysisOutcome, RunFailure>> = seeds
         .iter()
-        .map(|&seed| {
+        .enumerate()
+        .map(|(i, &seed)| {
+            if hooks.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+                return Err(RunFailure::Cancelled { seed });
+            }
             let cfg = AnalysisConfig {
                 seed,
                 ..base_cfg.clone()
             };
-            match doc {
+            let r = match doc {
                 Some(d) => supervised_analyze_dom(h, cfg, d.clone(), plan, hooks),
                 None => supervised_analyze(h, cfg, hooks),
-            }
+            };
+            on_seed(i + 1, n);
+            r
         })
         .collect();
-    MultiRunOutcome::combine(results, base_cfg.max_facts)
+    let mut combined = FactDb::new(base_cfg.max_facts);
+    let mut ctxs = ContextTable::new();
+    let mut runs = Vec::new();
+    let mut failures = Vec::new();
+    let mut conflicts = 0;
+    for r in results {
+        match r {
+            Ok(out) => {
+                conflicts += combined.absorb_reinterned(&out.facts, &out.ctxs, &mut ctxs);
+                runs.push(out);
+            }
+            Err(failure) => failures.push(failure),
+        }
+    }
+    MultiRunOutcome {
+        facts: combined,
+        ctxs,
+        runs,
+        failures,
+        conflicts,
+    }
 }
 
 /// Projects fully-qualified facts onto context suffixes of depth `k` —
@@ -360,6 +355,35 @@ var observed = w;
                 !(matches!(single, Some(Fact::Indet)) && f.is_det())
             });
         assert!(indet_preserved);
+    }
+
+    #[test]
+    fn a_cancelled_token_starts_no_seed() {
+        let mut h = DetHarness::from_src("var x = Math.random();").unwrap();
+        let token = CancelToken::new();
+        token.cancel();
+        let hooks = RunHooks::with_cancel(token);
+        let calls = std::cell::Cell::new(0);
+        let out = analyze_many_hooked(
+            &mut h,
+            &[4, 5, 6],
+            Default::default(),
+            None,
+            &EventPlan::new(),
+            &hooks,
+            &|_, _| calls.set(calls.get() + 1),
+        );
+        let cancelled: Vec<u64> = out
+            .failures
+            .iter()
+            .map(|f| match f {
+                RunFailure::Cancelled { seed } => *seed,
+                other => panic!("expected a cancelled seed, got {other}"),
+            })
+            .collect();
+        assert_eq!(cancelled, [4, 5, 6]);
+        assert!(out.runs.is_empty() && out.facts.is_empty());
+        assert_eq!(calls.get(), 0);
     }
 
     #[test]

@@ -131,6 +131,7 @@ if (r < 0.5) { console.log("taken"); console.log("deep"); }
         None,
         &EventPlan::new(),
         &RunHooks::supervised(),
+        &|_, _| {},
     );
     assert_eq!(probe.runs.len(), seeds.len());
     assert!(probe.failures.is_empty());
@@ -151,7 +152,15 @@ if (r < 0.5) { console.log("taken"); console.log("deep"); }
         native_panic_at: Some(3),
         ..Default::default()
     });
-    let out = analyze_many_hooked(&mut h, &seeds, cfg, None, &EventPlan::new(), &hooks);
+    let out = analyze_many_hooked(
+        &mut h,
+        &seeds,
+        cfg,
+        None,
+        &EventPlan::new(),
+        &hooks,
+        &|_, _| {},
+    );
     assert_eq!(
         out.failures.len(),
         taken.len(),

@@ -5,7 +5,8 @@
 //! thread: parse + lower (on the worker's big stack), one supervised
 //! analysis run per seed with the batch
 //! [`CancelToken`][determinacy::CancelToken] threaded into the run hooks,
-//! per-seed combination via [`MultiRunOutcome::combine`] in seed order,
+//! per-seed combination in seed order
+//! ([`analyze_many_hooked`][determinacy::multirun::analyze_many_hooked]),
 //! then the optional PTA stage. The finished graph (program, source,
 //! combined outcome) transfers back through the pool's ordered result
 //! slots, so [`BatchOutcome::jobs`] is always in manifest order and
@@ -39,12 +40,7 @@ use crate::pipeline::{
 use crate::pool::{IsolatedGraph, JobCtx, JobEvent, JobPool, JobVerdict};
 use crate::spec::{JobSpec, Manifest};
 use determinacy::multirun::{export_json, MultiRunOutcome};
-use determinacy::{
-    supervised_analyze, supervised_analyze_dom, AnalysisConfig, AnalysisOutcome, DetHarness,
-    RunFailure, RunHooks,
-};
-use mujs_dom::document::Document;
-use mujs_dom::events::EventPlan;
+use determinacy::RunFailure;
 use serde_json::Value;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -529,76 +525,4 @@ fn live_pta_row(
         .transpose()?;
     let (row, _) = p.pta(stage, facts.as_ref(), summary.as_ref())?;
     Ok(Some(row))
-}
-
-/// The pool-backed variant of
-/// [`analyze_many_hooked`][determinacy::multirun::analyze_many_hooked]:
-/// fans the seed list out over the pool's workers (each worker re-parses
-/// the source on its own thread, so no `Rc` is shared across threads) and
-/// combines the per-seed outcomes **in seed order**, making the merged
-/// facts identical to the sequential path for any worker count.
-///
-/// # Errors
-///
-/// A [`mujs_syntax::SyntaxError`] when `src` does not parse (checked up
-/// front, before any job is scheduled).
-pub fn analyze_many_pooled(
-    src: &str,
-    seeds: &[u64],
-    base_cfg: AnalysisConfig,
-    doc: Option<&Document>,
-    plan: &EventPlan,
-    pool: &JobPool,
-) -> Result<MultiRunOutcome, mujs_syntax::SyntaxError> {
-    // Surface parse errors eagerly and identically to the sequential API.
-    mujs_syntax::parse_with(src, |_| ())?;
-    let jobs: Vec<(String, _)> = seeds
-        .iter()
-        .map(|&seed| {
-            let label = format!("seed-{seed}");
-            let cfg = AnalysisConfig {
-                seed,
-                ..base_cfg.clone()
-            };
-            let job = move |ctx: &JobCtx| -> IsolatedGraph<Result<AnalysisOutcome, RunFailure>> {
-                let r = match DetHarness::from_src(src) {
-                    Ok(mut h) => {
-                        let hooks = RunHooks::with_cancel(ctx.cancel.clone());
-                        match doc {
-                            Some(d) => {
-                                supervised_analyze_dom(&mut h, cfg.clone(), d.clone(), plan, &hooks)
-                            }
-                            None => supervised_analyze(&mut h, cfg.clone(), &hooks),
-                        }
-                    }
-                    Err(e) => {
-                        // Unreachable after the eager parse; keep the seed
-                        // isolated rather than poisoning the batch.
-                        Err(RunFailure::EnginePanic {
-                            payload: format!("late parse failure: {e}"),
-                            steps: 0,
-                            seed,
-                        })
-                    }
-                };
-                IsolatedGraph::new(r)
-            };
-            (label, job)
-        })
-        .collect();
-    let verdicts = pool.run(jobs);
-    let results = verdicts
-        .into_iter()
-        .zip(seeds)
-        .map(|(v, &seed)| match v {
-            JobVerdict::Done(iso) => iso.into_inner(),
-            JobVerdict::Panicked(payload) => Err(RunFailure::EnginePanic {
-                payload,
-                steps: 0,
-                seed,
-            }),
-            JobVerdict::Cancelled => Err(RunFailure::Cancelled { seed }),
-        })
-        .collect::<Vec<_>>();
-    Ok(MultiRunOutcome::combine(results, base_cfg.max_facts))
 }

@@ -19,11 +19,10 @@
 //!   failures, combined in manifest order so the merged facts and the
 //!   exported JSON report are **byte-identical regardless of worker
 //!   count**;
-//! * [`analyze_many_pooled`] — the pool-backed variant of the core
-//!   `analyze_many_hooked` seed fan-out;
 //! * [`pipeline`] — the one analysis pipeline (canonical request, stage
-//!   keys, seed fan-out, facts row, PTA stage) every front end runs:
-//!   `detjobs`, `detserved` and the `mujs-bench` experiment binaries;
+//!   keys, facts row, PTA stage) every front end runs: `detjobs`,
+//!   `detserved` and the `mujs-bench` binaries. Its seeds run through
+//!   the core fan-out, `determinacy::multirun::analyze_many_hooked`;
 //! * the `detjobs` binary — manifest/directory/suite in, streamed
 //!   progress lines out, deterministic JSON report written at the end.
 //!
@@ -62,8 +61,7 @@ pub mod spec;
 
 pub use admission::AdmissionController;
 pub use batch::{
-    analyze_many_pooled, run_manifest, run_manifest_with, BatchOptions, BatchOutcome, JobOutcome,
-    JobRecord, JobStatus,
+    run_manifest, run_manifest_with, BatchOptions, BatchOutcome, JobOutcome, JobRecord, JobStatus,
 };
 pub use checkpoint::{job_key, Checkpoint};
 pub use pipeline::{Page, PtaMode, PtaStage, StageKeys, StageRequest};

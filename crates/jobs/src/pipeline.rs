@@ -4,7 +4,9 @@
 //! `detjobs` runs a [`Pipeline`] live inside a worker; `detserved` runs
 //! the same stage bodies behind its stage cache; the `mujs-bench`
 //! experiment binaries run it live over corpus pages, several PTA stages
-//! per fan-out. So every tool runs the same stage code.
+//! per fan-out, and the `analyze` CLI over its own page. So every tool
+//! runs the same stage code, and the same seed fan-out
+//! ([`analyze_many_hooked`]).
 //!
 //! A request ([`StageRequest`]) is source text, the *effective*
 //! [`AnalysisConfig`], the seed fan-out, the [`Page`] to analyze against
@@ -36,10 +38,10 @@
 //! so artifacts record it (`clean`) and a cache must not keep them.
 
 use determinacy::cachekey::KeyHasher;
-use determinacy::multirun::{export_value, MultiRunOutcome};
+use determinacy::multirun::{analyze_many_hooked, export_value, MultiRunOutcome};
 use determinacy::{
-    injectable_facts, supervised_analyze_dom, AnalysisConfig, AnalysisStatus, CancelToken,
-    DetHarness, InjectablePairs, PortableSummaries, RunFailure, RunHooks,
+    injectable_facts, AnalysisConfig, AnalysisStatus, CancelToken, DetHarness, InjectablePairs,
+    PortableSummaries, RunHooks,
 };
 use mujs_dom::document::{Document, DocumentBuilder, NodeId};
 use mujs_dom::events::{EventPlan, EventTargetSel};
@@ -481,11 +483,12 @@ impl<'a> Pipeline<'a> {
         }
     }
 
-    /// The program and the live fan-out outcome. The fan-out runs the
-    /// first time something needs the live fact graphs, including when a
-    /// cache served the facts stage: cached artifacts never carry the
-    /// graphs, so the same deterministic computation the facts key
-    /// addresses re-runs.
+    /// The program and the live fan-out outcome. The fan-out
+    /// ([`analyze_many_hooked`] on the request's page, under this
+    /// pipeline's cancel token) runs the first time something needs the
+    /// live fact graphs, including when a cache served the facts stage:
+    /// cached artifacts never carry the graphs, so the same
+    /// deterministic computation the facts key addresses re-runs.
     ///
     /// # Errors
     ///
@@ -496,12 +499,13 @@ impl<'a> Pipeline<'a> {
             (self.notify)("running determinacy analysis");
             let page = self.req.page.clone().unwrap_or_else(Page::service);
             let harness = self.harness.as_mut().expect("built above");
-            self.live = Some(run_seeds(
+            self.live = Some(analyze_many_hooked(
                 harness,
                 &self.req.seeds,
-                &self.req.cfg,
-                &page,
-                self.cancel,
+                self.req.cfg.clone(),
+                Some(&page.doc),
+                &page.plan,
+                &RunHooks::with_cancel(self.cancel.clone()),
                 &|i, n| {
                     self.counters.analyses.fetch_add(1, Ordering::Relaxed);
                     (self.notify)(&format!("seed {i}/{n} done"));
@@ -668,39 +672,6 @@ pub fn specialize(program: &Program, multi: &mut MultiRunOutcome, depth: usize) 
         ..SpecConfig::default()
     };
     mujs_specialize::specialize(program, &multi.facts, &mut multi.ctxs, &cfg)
-}
-
-/// Runs one seed fan-out sequentially on the current thread against
-/// `page`, short-circuiting remaining seeds to [`RunFailure::Cancelled`]
-/// once `cancel` fires, and combining in seed order. `on_seed(i, n)`
-/// follows each executed run.
-fn run_seeds(
-    harness: &mut DetHarness,
-    seeds: &[u64],
-    base_cfg: &AnalysisConfig,
-    page: &Page,
-    cancel: &CancelToken,
-    on_seed: &dyn Fn(usize, usize),
-) -> MultiRunOutcome {
-    let hooks = RunHooks::with_cancel(cancel.clone());
-    let n = seeds.len();
-    let results: Vec<_> = seeds
-        .iter()
-        .enumerate()
-        .map(|(i, &seed)| {
-            if cancel.is_cancelled() {
-                return Err(RunFailure::Cancelled { seed });
-            }
-            let cfg = AnalysisConfig {
-                seed,
-                ..base_cfg.clone()
-            };
-            let r = supervised_analyze_dom(harness, cfg, page.doc.clone(), &page.plan, &hooks);
-            on_seed(i + 1, n);
-            r
-        })
-        .collect();
-    MultiRunOutcome::combine(results, base_cfg.max_facts)
 }
 
 /// The PTA row. Every mode renders every field: `spec_depth` is null

@@ -412,7 +412,9 @@ fn panic_text(p: Box<dyn std::any::Any + Send>) -> String {
 /// contain no thread-shared state. Jobs build those graphs *entirely on
 /// the worker thread* and hand them back through the pool exactly once;
 /// `Mutex`/`join` synchronization orders the handoff, so the non-atomic
-/// refcounts are never touched concurrently.
+/// refcounts are never touched concurrently. Its one user is detjobs'
+/// batch jobs ([`crate::batch`]), which hand back a job's program,
+/// source and combined outcome.
 ///
 /// # Safety invariant (on the constructor's caller)
 ///

@@ -2,8 +2,7 @@
 //! the job subsystem makes on top of the per-run supervisor.
 //!
 //! * **Determinism** — a mixed-corpus manifest produces a byte-identical
-//!   report (merged facts included) with 1 worker and with N workers;
-//!   the pooled seed fan-out merges identically to the sequential path.
+//!   report (merged facts included) with 1 worker and with N workers.
 //! * **Cancellation** — cancelling mid-batch keeps every completed job's
 //!   outcome, stops the in-flight job cooperatively with its sound fact
 //!   prefix (`AnalysisStatus::Cancelled`), and marks queued jobs as never
@@ -13,11 +12,8 @@
 //! determinism tests always compare against a 1-worker baseline, so each
 //! matrix leg checks a different schedule against the same bytes.
 
-use determinacy::multirun::{analyze_many, export_json};
-use determinacy::{AnalysisConfig, AnalysisStatus, DetHarness};
-use mujs_jobs::{
-    analyze_many_pooled, run_manifest, JobEvent, JobPool, JobSpec, JobStatus, Manifest,
-};
+use determinacy::AnalysisStatus;
+use mujs_jobs::{run_manifest, JobEvent, JobPool, JobSpec, JobStatus, Manifest};
 use std::sync::mpsc::channel;
 
 /// Worker count for the "parallel" side of determinism comparisons.
@@ -94,48 +90,6 @@ fn one_worker_and_many_workers_produce_identical_reports() {
     let bad = &sequential.jobs[2];
     assert!(matches!(bad.status, JobStatus::Syntax(_)));
     assert_eq!(sequential.completed(), m.jobs.len() - 1);
-}
-
-#[test]
-fn pooled_seed_fanout_matches_the_sequential_path() {
-    let src = "var coin = Math.random() < 0.5;\n\
-               if (coin) { var a = 11; } else { var b = 22; }\n\
-               var tail = 5;";
-    let seeds: Vec<u64> = (0..8).collect();
-    let mut h = DetHarness::from_src(src).unwrap();
-    let sequential = analyze_many(&mut h, &seeds, AnalysisConfig::default());
-    let pooled = analyze_many_pooled(
-        src,
-        &seeds,
-        AnalysisConfig::default(),
-        None,
-        &mujs_dom::events::EventPlan::new(),
-        &JobPool::new(test_workers()),
-    )
-    .unwrap();
-    assert_eq!(pooled.runs.len(), sequential.runs.len());
-    assert_eq!(pooled.conflicts, 0);
-    assert_eq!(pooled.facts.len(), sequential.facts.len());
-    assert_eq!(pooled.facts.det_count(), sequential.facts.det_count());
-    // Byte-identical export: combination happened in seed order even
-    // though completion order was arbitrary.
-    assert_eq!(
-        export_json(&pooled.facts, &h.program, &h.source, &pooled.ctxs),
-        export_json(&sequential.facts, &h.program, &h.source, &sequential.ctxs),
-    );
-}
-
-#[test]
-fn pooled_fanout_surfaces_parse_errors_eagerly() {
-    let err = analyze_many_pooled(
-        "var x = ;",
-        &[1, 2],
-        AnalysisConfig::default(),
-        None,
-        &mujs_dom::events::EventPlan::new(),
-        &JobPool::new(2),
-    );
-    assert!(err.is_err());
 }
 
 /// Cancelling mid-batch: completed jobs keep their outcomes, the

@@ -1,13 +1,14 @@
-//! Cross-crate integration of the job subsystem: the pooled APIs must be
-//! drop-in replacements for the sequential ones (same bytes out), and the
-//! manifest layer must round-trip through JSON and cover the corpus
-//! suites.
+//! Cross-crate integration of the job subsystem: the pipeline's seeds run
+//! through the core fan-out (same bytes out), and the manifest layer must
+//! round-trip through JSON and cover the corpus suites.
 
-use determinacy::multirun::{analyze_many, export_json};
-use determinacy::{AnalysisConfig, DetHarness};
+use determinacy::multirun::{analyze_many, analyze_many_hooked, export_json, export_value};
+use determinacy::{AnalysisConfig, CancelToken, DetHarness, RunHooks};
+use mujs_dom::document::DocumentBuilder;
+use mujs_dom::events::EventPlan;
+use mujs_jobs::pipeline::{Page, Pipeline, PipelineCounters, StageRequest};
 use mujs_jobs::{
-    analyze_many_pooled, run_manifest, run_manifest_with, BatchOptions, Checkpoint, JobPool,
-    JobSpec, Manifest,
+    run_manifest, run_manifest_with, BatchOptions, Checkpoint, JobPool, JobSpec, Manifest,
 };
 
 const BRANCHY: &str = "var coin = Math.random() < 0.5;\n\
@@ -16,28 +17,53 @@ const BRANCHY: &str = "var coin = Math.random() < 0.5;\n\
                        var stable = pick(3);";
 
 #[test]
-fn pooled_fanout_is_a_drop_in_for_analyze_many() {
+fn pipeline_fanout_is_a_drop_in_for_analyze_many() {
     let seeds: Vec<u64> = (100..110).collect();
-    // Without a document both paths run with no DOM at all.
-    for src in [BRANCHY, "var t = typeof document;"] {
+    // Without a document the fan-out runs with no DOM at all.
+    let mut h = DetHarness::from_src("var t = typeof document;").unwrap();
+    let pageless = analyze_many(&mut h, &seeds, AnalysisConfig::default());
+    let rows = export_value(&pageless.facts, &h.program, &h.source, &pageless.ctxs);
+    let t = rows
+        .as_array()
+        .unwrap()
+        .iter()
+        .find(|r| r["kind"] == "Define" && r["line"] == 1.0)
+        .expect("a fact for `t`");
+    assert!(
+        t["value"] == "\"undefined\"" && t["determinate"] == true,
+        "{t:?}"
+    );
+    // With a page, the pipeline exports what the fan-out exports on it.
+    let doc = DocumentBuilder::new().title("drop-in").build();
+    for src in [BRANCHY, "var t = typeof document; var d = document.title;"] {
         let mut h = DetHarness::from_src(src).unwrap();
-        let sequential = analyze_many(&mut h, &seeds, AnalysisConfig::default());
-        for workers in [1, 4] {
-            let pooled = analyze_many_pooled(
-                src,
-                &seeds,
-                AnalysisConfig::default(),
-                None,
-                &mujs_dom::events::EventPlan::new(),
-                &JobPool::new(workers),
-            )
-            .unwrap();
-            assert_eq!(
-                export_json(&pooled.facts, &h.program, &h.source, &pooled.ctxs),
-                export_json(&sequential.facts, &h.program, &h.source, &sequential.ctxs),
-                "{workers} workers must reproduce the sequential export of {src:?}"
-            );
-        }
+        let direct = analyze_many_hooked(
+            &mut h,
+            &seeds,
+            AnalysisConfig::default(),
+            Some(&doc),
+            &EventPlan::new(),
+            &RunHooks::supervised(),
+            &|_, _| {},
+        );
+        let req = StageRequest {
+            src: src.to_owned(),
+            cfg: AnalysisConfig::default(),
+            seeds: seeds.clone(),
+            page: Some(Page {
+                doc: doc.clone(),
+                plan: EventPlan::new(),
+            }),
+            pta: None,
+        };
+        let (cancel, counters) = (CancelToken::new(), PipelineCounters::default());
+        let mut p = Pipeline::new(&req, &cancel, &counters, &|_| {});
+        let (ph, piped) = p.live().unwrap();
+        assert_eq!(
+            export_json(&piped.facts, &ph.program, &ph.source, &piped.ctxs),
+            export_json(&direct.facts, &h.program, &h.source, &direct.ctxs),
+            "the pipeline must reproduce the fan-out's export of {src:?}"
+        );
     }
 }
 

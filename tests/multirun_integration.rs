@@ -3,9 +3,9 @@
 //! and (b) extends what the specializer can do.
 
 use determinacy::multirun::{
-    analyze_many, analyze_many_with, export_json, export_value, project_to_depth,
+    analyze_many, analyze_many_hooked, export_json, export_value, project_to_depth,
 };
-use determinacy::{AnalysisConfig, DetHarness, Fact};
+use determinacy::{AnalysisConfig, DetHarness, Fact, RunHooks};
 use mujs_gen::{generate, GenConfig};
 use mujs_specialize::{specialize, SpecConfig};
 
@@ -204,12 +204,14 @@ fn export_value_equals_the_parsed_export_json() {
     // Every Table 1 page, on its document and event plan, over two seeds.
     for page in mujs_corpus::jquery_like::all_versions() {
         let mut h = DetHarness::from_src(&page.src).expect("corpus page parses");
-        let out = analyze_many_with(
+        let out = analyze_many_hooked(
             &mut h,
             &[1, 2],
             AnalysisConfig::default(),
             Some(&page.doc),
             &page.plan,
+            &RunHooks::supervised(),
+            &|_, _| {},
         );
         assert!(!out.facts.is_empty());
         assert_export_equivalence(&out.facts, &h, &out.ctxs, page.version);
