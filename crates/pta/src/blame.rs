@@ -24,12 +24,9 @@
 //!
 //! Because points-to growth is monotone, a tuple is inserted exactly once
 //! and its blame is assigned at that insertion — difference propagation
-//! never revisits it. Online Tarjan collapse drains member blame rows
-//! into the representative (conflicts resolve to the [`Ord`]-least cause,
-//! so merged SCC members share one canonical blame set). Blame rides the
-//! same sequential schedule as the provenance-free solve, so a
-//! budget-truncated blame export explains exactly the partial result the
-//! plain solve reports.
+//! never revisits it. Blame rides the same sequential schedule as the
+//! provenance-free solve, so a budget-truncated blame export explains
+//! exactly the partial result the plain solve reports.
 //!
 //! [`Base`]: BlameCause::Base
 //! [`Eval`]: BlameCause::Eval
@@ -54,10 +51,10 @@ pub(crate) const BASE_TAG: u32 = 0;
 
 /// The root cause that first introduced a points-to tuple.
 ///
-/// The derived [`Ord`] doubles as the deterministic conflict-resolution
-/// order when union-find merges bring two blames for the same tuple
-/// together: the least cause wins, so more precisely modeled origins
-/// (earlier variants) take precedence over havoc smears.
+/// The derived [`Ord`] is the deterministic order reports rank causes
+/// by (ties in [`crate::PtaResult::blame_histogram`], the sorted rows of
+/// [`crate::PtaResult::blame_of`]): more precisely modeled origins
+/// (earlier variants) come before havoc smears.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BlameCause {
     /// Seeded by a precisely modeled base constraint: an allocation site,
@@ -151,8 +148,7 @@ pub(crate) fn outflow(row: &FastMap<u32, u32>, stamp: u32, obj: u32) -> u32 {
 }
 
 /// The solver's provenance side state: the interned cause table, one
-/// blame row per node (canonical rows own the entries; merged members'
-/// rows are drained), and the per-node outflow stamp.
+/// blame row per node, and the per-node outflow stamp.
 #[derive(Debug, Default)]
 pub(crate) struct Provenance {
     /// Interned causes, indexed by tag id.
@@ -189,9 +185,9 @@ impl Provenance {
         self.stamp.push(stamp);
     }
 
-    /// Records `tag` as the first cause of `(node, obj)` (no-op when a
-    /// cause was already recorded — insertions are monotone, so this only
-    /// guards re-derivations surfaced by union-find merges).
+    /// Records `tag` as the first cause of `(node, obj)`. Insertions are
+    /// monotone and each tuple is inserted once, so a recorded cause is
+    /// never overwritten (the call is a no-op if one exists).
     #[inline]
     pub(crate) fn record(&mut self, node: u32, obj: u32, tag: u32) {
         self.blame[node as usize].entry(obj).or_insert(tag);
@@ -206,7 +202,7 @@ pub struct BlameData {
 }
 
 impl BlameData {
-    /// The cause recorded for `(canonical node, obj)`, if any.
+    /// The cause recorded for `(node, obj)`, if any.
     pub(crate) fn cause_of(&self, node: u32, obj: u32) -> Option<&BlameCause> {
         self.map[node as usize]
             .get(&obj)
@@ -232,8 +228,8 @@ mod tests {
 
     #[test]
     fn cause_order_prefers_precise_origins() {
-        // The merge conflict rule keeps the Ord-least cause; precise
-        // origins must order before havoc smears.
+        // Reports rank ties by cause order; precise origins must order
+        // before havoc smears.
         assert!(BlameCause::Base < BlameCause::StarSmear(AbsObj::Global));
         assert!(BlameCause::Injected(StmtId(0)) < BlameCause::UnknownSmear(AbsObj::Opaque));
         assert!(BlameCause::Eval(StmtId(1)) < BlameCause::ExcFlow);

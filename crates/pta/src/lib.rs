@@ -38,7 +38,6 @@ pub mod blame;
 pub mod nodes;
 pub mod pts;
 pub mod reference;
-pub mod scc;
 pub mod shortcut;
 pub mod solver;
 

@@ -6,7 +6,8 @@
 //! representation the ⋆-smearing hot spots of the Table 1 corpus end up
 //! in. The representation rule: a sparse set stays sparse while it holds
 //! at most `SPARSE_MAX` elements, and a dense set never demotes (so a
-//! dense set may hold fewer, e.g. after [`Pts::subtract`]).
+//! dense set may hold fewer, e.g. a delta that [`flow_into`] built
+//! dense).
 //!
 //! Every transfer out of a dense set runs a word at a time, whatever form
 //! the target takes. [`flow_into`] is the one transfer kernel: it computes
@@ -182,66 +183,6 @@ impl Pts {
             added += self.insert(v) as u32;
         }
         added
-    }
-
-    /// Keeps only elements also in `other`.
-    pub fn intersect_with(&mut self, other: &Pts) {
-        match (&mut self.repr, &other.repr) {
-            (Repr::Sparse(s), _) => s.retain(|&v| other.contains(v)),
-            (Repr::Dense { words, len }, Repr::Dense { words: ow, .. }) => {
-                let mut n = 0u32;
-                for (i, w) in words.iter_mut().enumerate() {
-                    *w &= ow.get(i).copied().unwrap_or(0);
-                    n += w.count_ones();
-                }
-                *len = n;
-            }
-            (Repr::Dense { words, len }, Repr::Sparse(_)) => {
-                let mut n = 0u32;
-                for (i, w) in words.iter_mut().enumerate() {
-                    let mut keep = 0u64;
-                    let mut bits = *w;
-                    while bits != 0 {
-                        let b = bits.trailing_zeros();
-                        bits &= bits - 1;
-                        let v = i as u32 * 64 + b;
-                        if other.contains(v) {
-                            keep |= 1u64 << b;
-                        }
-                    }
-                    *w = keep;
-                    n += keep.count_ones();
-                }
-                *len = n;
-            }
-        }
-    }
-
-    /// Removes every element also in `other`.
-    pub fn subtract(&mut self, other: &Pts) {
-        match (&mut self.repr, &other.repr) {
-            (Repr::Sparse(s), _) => s.retain(|&v| !other.contains(v)),
-            (Repr::Dense { words, len }, Repr::Dense { words: ow, .. }) => {
-                let mut n = 0u32;
-                for (i, w) in words.iter_mut().enumerate() {
-                    *w &= !ow.get(i).copied().unwrap_or(0);
-                    n += w.count_ones();
-                }
-                *len = n;
-            }
-            (Repr::Dense { words, len }, Repr::Sparse(o)) => {
-                for &v in o {
-                    let wi = (v / 64) as usize;
-                    if wi < words.len() {
-                        let bit = 1u64 << (v % 64);
-                        if words[wi] & bit != 0 {
-                            words[wi] &= !bit;
-                            *len -= 1;
-                        }
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -567,27 +508,6 @@ mod tests {
     }
 
     #[test]
-    fn intersect_and_subtract() {
-        let mk = |r: std::ops::Range<u32>| {
-            let mut p = Pts::new();
-            for v in r {
-                p.insert(v);
-            }
-            p
-        };
-        for (x, y) in [(0..100, 50..150), (0..10, 5..15), (0..100, 90..95)] {
-            let mut i = mk(x.clone());
-            i.intersect_with(&mk(y.clone()));
-            let want: Vec<u32> = x.clone().filter(|v| y.contains(v)).collect();
-            assert_eq!(collected(&i), want);
-            let mut d = mk(x.clone());
-            d.subtract(&mk(y.clone()));
-            let want: Vec<u32> = x.clone().filter(|v| !y.contains(v)).collect();
-            assert_eq!(collected(&d), want);
-        }
-    }
-
-    #[test]
     fn flow_respects_exact_limits() {
         let mut src = Pts::new();
         for v in 0..100 {
@@ -690,26 +610,16 @@ mod tests {
     }
 
     /// The forms a set takes in a solve: sparse, dense past
-    /// [`SPARSE_MAX`], and three dense forms holding at most `SPARSE_MAX`
-    /// elements — made by a flow's straight-to-dense delta, and left by
-    /// `subtract` and `intersect_with` (the last two with trailing zero
-    /// words).
+    /// [`SPARSE_MAX`], and a dense form holding at most `SPARSE_MAX`
+    /// elements, made by a flow's straight-to-dense delta.
     #[derive(Debug, Clone, Copy)]
     enum Form {
         Sparse,
         Dense,
         FlowMade,
-        Subtracted,
-        Intersected,
     }
 
-    const FORMS: [Form; 5] = [
-        Form::Sparse,
-        Form::Dense,
-        Form::FlowMade,
-        Form::Subtracted,
-        Form::Intersected,
-    ];
+    const FORMS: [Form; 3] = [Form::Sparse, Form::Dense, Form::FlowMade];
 
     /// Seeded xorshift64: a reproducible element stream.
     struct Rng(u64);
@@ -752,16 +662,6 @@ mod tests {
                 let mut delta = Pts::new();
                 flow_into(&src, &from_elems(&filler), &mut delta, u64::MAX, None);
                 delta
-            }
-            Form::Subtracted => {
-                let mut p = from_elems(&elems.union(&filler).copied().collect());
-                p.subtract(&from_elems(&filler));
-                p
-            }
-            Form::Intersected => {
-                let mut p = from_elems(&elems.union(&filler).copied().collect());
-                p.intersect_with(&from_elems(&elems));
-                p
             }
         };
         let want_dense = !matches!(form, Form::Sparse) || size > SPARSE_MAX;

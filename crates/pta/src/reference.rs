@@ -2,8 +2,8 @@
 //! small, obviously-correct oracle for the delta-propagating solver.
 //!
 //! It propagates one `(node, object)` pair at a time over `HashSet`
-//! points-to sets, with no difference propagation and no cycle
-//! collapsing. The equivalence tests solve every corpus program with both
+//! points-to sets, with no difference propagation. The equivalence tests
+//! solve every corpus program with both
 //! solvers at unlimited budget and require byte-identical
 //! [`PtaResult::export_json`] output; intentionally duplicated from
 //! `solver.rs` so a bug in the optimized propagation machinery cannot
@@ -18,7 +18,6 @@ use mujs_ir::{FuncId, FuncKind, Program, Stmt, StmtId, Sym};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 /// Runs the reference analysis over every function of `prog`.
-/// `cfg.scc_interval` is ignored — this solver never collapses cycles.
 pub fn solve_reference(prog: &Program, cfg: &PtaConfig) -> PtaResult {
     RefSolver::new(prog, cfg.clone()).run()
 }
@@ -180,8 +179,7 @@ impl<'p> RefSolver<'p> {
         }
         self.stats.nodes = self.nodes.len();
         self.stats.call_edges = self.call_graph.values().map(|s| s.len()).sum();
-        // The optimized result stores hybrid sets behind an (identity,
-        // here) union-find.
+        // The optimized result stores hybrid sets.
         let pts: Vec<Pts> = self
             .pts
             .iter()
@@ -193,7 +191,6 @@ impl<'p> RefSolver<'p> {
                 p
             })
             .collect();
-        let parent: Vec<u32> = (0..self.nodes.len() as u32).collect();
         PtaResult {
             status: if self.exhausted {
                 PtaStatus::BudgetExceeded
@@ -202,7 +199,6 @@ impl<'p> RefSolver<'p> {
             },
             stats: self.stats,
             pts,
-            parent,
             node_ids: self.node_ids.into_iter().collect(),
             objs: self.objs,
             call_graph: self.call_graph,

@@ -12,12 +12,10 @@
 //! into `old` (already pushed along every outgoing edge and applied to
 //! every pending constraint) and `delta` (newly arrived), the worklist
 //! holds dirty nodes rather than `(node, object)` pairs, and sets are the
-//! hybrid sparse/dense bitsets of [`crate::pts`]. Periodically the solver
-//! Tarjan-collapses copy-edge cycles ([`crate::scc`]) into union-find
-//! representatives; every node lookup canonicalizes through `find`, so
-//! injected determinacy facts and precision metrics see merged nodes
-//! transparently. See `reference` for the naive baseline algorithm the
-//! equivalence tests compare against.
+//! hybrid sparse/dense bitsets of [`crate::pts`]. Every pointer keeps its
+//! own node and set: a copy cycle is propagated around until its members
+//! agree, with no merging (DESIGN.md §6 records why). See `reference` for
+//! the naive baseline algorithm the equivalence tests compare against.
 //!
 //! The bookkeeping around propagation hashes no `Node` where an index
 //! serves: temps are looked up in a per-function table and an object's
@@ -32,7 +30,6 @@
 use crate::blame::{BlameCause, BlameData, Provenance, INHERIT};
 use crate::nodes::{AbsObj, Node};
 use crate::pts::{self, Pts};
-use crate::scc;
 use mujs_ir::hash::{FastMap, FastSet};
 use mujs_ir::ir::{Place, PropKey, StmtKind};
 use mujs_ir::resolve::{Binding, Resolver};
@@ -94,12 +91,6 @@ pub struct PtaConfig {
     /// Determinacy facts to consult at dynamic property accesses and
     /// call sites (`None` = plain baseline analysis).
     pub facts: Option<InjectedFacts>,
-    /// Copy edges added between online cycle-collapse passes. Small
-    /// programs never reach it and run collapse-free; `u64::MAX`
-    /// disables collapsing entirely. A solve that adds more edges pays
-    /// one Tarjan pass over the whole copy graph per interval even when
-    /// nothing merges, as on every jQuery-like corpus page.
-    pub scc_interval: u64,
     /// Record imprecision provenance: every points-to tuple carries a
     /// blame tag naming the first cause that introduced it (see
     /// [`crate::blame`]). Provenance is a side channel of the one
@@ -122,7 +113,6 @@ impl Default for PtaConfig {
         PtaConfig {
             budget: 25_000_000,
             facts: None,
-            scc_interval: 2_048,
             provenance: false,
             shortcuts: None,
         }
@@ -153,9 +143,10 @@ pub struct PtaStats {
     pub injected_keys: usize,
     /// Call sites resolved by an injected fact.
     pub injected_calls: usize,
-    /// Online cycle-collapse passes run.
+    /// Always 0: the solver collapses no cycles. Kept only for detperf's
+    /// `pta.scc_passes` trace counter; ROADMAP item 7 drops both.
     pub scc_passes: u64,
-    /// Nodes union-find-merged into a cycle representative.
+    /// Always 0, like [`PtaStats::scc_passes`] (ROADMAP item 7).
     pub nodes_merged: u64,
     /// Functions whose constraints were replaced by a region summary.
     pub shortcut_regions: usize,
@@ -181,14 +172,8 @@ pub struct PtaPrecision {
     pub reachable_funcs: usize,
 }
 
-/// Result of a solve.
-///
-/// Points-to sets are stored once per union-find representative; lookups
-/// resolve any node through the (fully compressed) `parent` table. At
-/// fixpoint every member of a collapsed cycle provably holds the same
-/// set, so reporting the representative's set per member is identical to
-/// never having merged — which is what keeps exports byte-identical to
-/// the reference solver.
+/// Result of a solve: one points-to set per materialized node, indexed by
+/// node id.
 #[derive(Debug)]
 pub struct PtaResult {
     /// Completion status.
@@ -196,7 +181,6 @@ pub struct PtaResult {
     /// Statistics.
     pub stats: PtaStats,
     pub(crate) pts: Vec<Pts>,
-    pub(crate) parent: Vec<u32>,
     pub(crate) node_ids: FastMap<Node, u32>,
     pub(crate) objs: Vec<AbsObj>,
     pub(crate) call_graph: BTreeMap<StmtId, BTreeSet<FuncId>>,
@@ -247,7 +231,7 @@ impl PtaResult {
     }
 
     fn set_of(&self, id: u32) -> &Pts {
-        &self.pts[self.parent[id as usize] as usize]
+        &self.pts[id as usize]
     }
 
     fn points_to_id(&self, id: u32) -> Vec<AbsObj> {
@@ -293,13 +277,10 @@ impl PtaResult {
 
     /// The blame causes of a node's points-to tuples, sorted by object —
     /// empty without provenance or when the node never materialized.
-    /// Merged SCC members report their representative's canonical blame
-    /// set, mirroring [`PtaResult::points_to`].
     pub fn blame_of(&self, node: &Node) -> Vec<(AbsObj, BlameCause)> {
         let (Some(b), Some(&id)) = (&self.blame, self.node_ids.get(node)) else {
             return Vec::new();
         };
-        let id = self.parent[id as usize];
         let mut v: Vec<(AbsObj, BlameCause)> = self.pts[id as usize]
             .iter()
             .filter_map(|o| {
@@ -311,18 +292,15 @@ impl PtaResult {
         v
     }
 
-    /// Tuple counts per blame cause over the *canonical* points-to
-    /// relation (each collapsed SCC counted once), most-frequent first
-    /// with ties broken by cause order. Empty without provenance.
+    /// Tuple counts per blame cause over the points-to relation,
+    /// most-frequent first with ties broken by cause order. Empty without
+    /// provenance.
     pub fn blame_histogram(&self) -> Vec<(BlameCause, u64)> {
         let Some(b) = &self.blame else {
             return Vec::new();
         };
         let mut counts: BTreeMap<BlameCause, u64> = BTreeMap::new();
         for id in 0..self.pts.len() as u32 {
-            if self.parent[id as usize] != id {
-                continue;
-            }
             for o in self.pts[id as usize].iter() {
                 if let Some(c) = b.cause_of(id, o) {
                     *counts.entry(c.clone()).or_default() += 1;
@@ -337,9 +315,7 @@ impl PtaResult {
     /// Deterministic JSON rendering of the blame relation: every
     /// materialized node in sorted order, each of its points-to tuples
     /// labeled with its cause. The byte-comparison surface of the blame
-    /// determinism tests. `None` without provenance. Merged SCC members render their
-    /// representative's shared blame set, mirroring
-    /// [`PtaResult::export_json`]'s per-member sets.
+    /// determinism tests. `None` without provenance.
     pub fn export_blame_json(&self) -> Option<String> {
         use std::fmt::Write;
         let b = self.blame.as_ref()?;
@@ -350,11 +326,10 @@ impl PtaResult {
             if i > 0 {
                 s.push(',');
             }
-            let id = self.parent[*id as usize];
-            let mut entries: Vec<(AbsObj, String)> = self.pts[id as usize]
+            let mut entries: Vec<(AbsObj, String)> = self.pts[*id as usize]
                 .iter()
                 .filter_map(|o| {
-                    b.cause_of(id, o)
+                    b.cause_of(*id, o)
                         .map(|c| (self.objs[o as usize].clone(), c.label()))
                 })
                 .collect();
@@ -436,7 +411,7 @@ pub fn solve(prog: &Program, cfg: &PtaConfig) -> PtaResult {
     Solver::new(prog, cfg.clone()).run()
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub(crate) enum Pending {
     /// `dst ⊇ base.key` (`None` = dynamic key).
     Load { key: Option<Sym>, dst: u32 },
@@ -468,25 +443,18 @@ struct Solver<'p> {
     obj_nodes: Vec<[u32; 3]>,
     obj_ids: FastMap<AbsObj, u32>,
     objs: Vec<AbsObj>,
-    /// Union-find over node ids (path-halving `find`).
-    parent: Vec<u32>,
     /// Facts already pushed along every out-edge / applied to every
     /// pending constraint of the node.
     old: Vec<Pts>,
     /// Facts that arrived since the node was last processed.
     delta: Vec<Pts>,
-    /// Outgoing copy edges, stored on representatives. Outside
-    /// `collapse_cycles` every stored target is canonical and no list
-    /// holds a self-loop: `add_edge` stores `find(to)` on `find(from)`,
-    /// merges happen only in a collapse pass, and a pass that merges
-    /// rebuilds every list canonical and deduped before it returns.
+    /// Outgoing copy edges, deduped; no list holds a self-loop.
     edges: Vec<Vec<u32>>,
-    /// The canonical `(from, to)` pairs of every out-list with at least
-    /// [`SCAN_EDGES`] entries (shorter lists dedupe by scanning);
-    /// rebuilt on collapse.
+    /// The `(from, to)` pairs of every out-list with at least
+    /// [`SCAN_EDGES`] entries (shorter lists dedupe by scanning).
     edge_set: FastSet<(u32, u32)>,
     pending: Vec<Vec<Pending>>,
-    /// Dirty-node worklist: representatives with a non-empty delta.
+    /// Dirty-node worklist: nodes with a non-empty delta.
     dirty: VecDeque<u32>,
     on_dirty: Vec<bool>,
     call_graph: BTreeMap<StmtId, BTreeSet<FuncId>>,
@@ -494,7 +462,6 @@ struct Solver<'p> {
     func_queue: VecDeque<FuncId>,
     stats: PtaStats,
     exhausted: bool,
-    edges_since_scc: u64,
     /// Imprecision provenance side state (`Some` iff `cfg.provenance`).
     prov: Option<Provenance>,
     /// Reusable insertion-log buffer for provenance-tracked flows.
@@ -532,7 +499,6 @@ impl<'p> Solver<'p> {
             obj_nodes: Vec::new(),
             obj_ids: FastMap::default(),
             objs: Vec::new(),
-            parent: Vec::new(),
             old: Vec::new(),
             delta: Vec::new(),
             edges: Vec::new(),
@@ -545,19 +511,17 @@ impl<'p> Solver<'p> {
             func_queue: VecDeque::new(),
             stats: PtaStats::default(),
             exhausted: false,
-            edges_since_scc: 0,
             prov,
             scratch_log: Vec::new(),
         }
     }
 
     fn node(&mut self, n: Node) -> u32 {
-        let id = self.parent.len() as u32;
+        let id = self.old.len() as u32;
         match self.node_ids.entry(n.clone()) {
             Entry::Occupied(e) => return *e.get(),
             Entry::Vacant(e) => e.insert(id),
         };
-        self.parent.push(id);
         self.old.push(Pts::new());
         self.delta.push(Pts::new());
         self.edges.push(Vec::new());
@@ -633,16 +597,6 @@ impl<'p> Solver<'p> {
         id
     }
 
-    /// Union-find lookup with path halving.
-    fn find(&mut self, mut x: u32) -> u32 {
-        while self.parent[x as usize] != x {
-            let gp = self.parent[self.parent[x as usize] as usize];
-            self.parent[x as usize] = gp;
-            x = gp;
-        }
-        x
-    }
-
     fn mark_dirty(&mut self, n: u32) {
         if !self.on_dirty[n as usize] {
             self.on_dirty[n as usize] = true;
@@ -650,9 +604,7 @@ impl<'p> Solver<'p> {
         }
     }
 
-    fn add_edge(&mut self, from: u32, to: u32) {
-        let f = self.find(from);
-        let t = self.find(to);
+    fn add_edge(&mut self, f: u32, t: u32) {
         let outs = &mut self.edges[f as usize];
         if f == t || !edge_is_new(outs, &mut self.edge_set, f, t) {
             return;
@@ -660,7 +612,6 @@ impl<'p> Solver<'p> {
         outs.push(t);
         edge_pushed(outs, &mut self.edge_set, f);
         self.stats.edges += 1;
-        self.edges_since_scc += 1;
         // A new edge flows the source's full current set (old ∪ delta):
         // `old` facts were pushed along the *previous* edge set only.
         if self.exhausted {
@@ -731,11 +682,10 @@ impl<'p> Solver<'p> {
         }
     }
 
-    fn insert(&mut self, node: u32, obj: u32, cause: BlameCause) {
+    fn insert(&mut self, n: u32, obj: u32, cause: BlameCause) {
         if self.exhausted {
             return;
         }
-        let n = self.find(node);
         if self.old[n as usize].contains(obj) || self.delta[n as usize].contains(obj) {
             return;
         }
@@ -823,16 +773,7 @@ impl<'p> Solver<'p> {
                 break;
             };
             self.on_dirty[n as usize] = false;
-            // The queued id may have been merged away since it was pushed.
-            let n = self.find(n);
-            if self.delta[n as usize].is_empty() {
-                continue;
-            }
             self.process(n);
-            if self.edges_since_scc >= self.cfg.scc_interval {
-                self.edges_since_scc = 0;
-                self.collapse_cycles();
-            }
         }
         self.finish()
     }
@@ -855,11 +796,8 @@ impl<'p> Solver<'p> {
             if self.exhausted {
                 return;
             }
-            let t0 = self.edges[n as usize][i];
-            let t = self.find(t0);
-            if t != n {
-                self.flow_from(n, &d, t);
-            }
+            let t = self.edges[n as usize][i];
+            self.flow_from(n, &d, t);
         }
         let n_pending = self.pending[n as usize].len();
         for i in 0..n_pending {
@@ -873,119 +811,13 @@ impl<'p> Solver<'p> {
         }
     }
 
-    /// Tarjan pass over the canonical copy-edge graph; merges every
-    /// multi-member component into its smallest-id node. The pass reads
-    /// the out-lists in place: their targets are canonical (see `edges`).
-    fn collapse_cycles(&mut self) {
-        self.stats.scc_passes += 1;
-        let n = self.parent.len();
-        let comps = scc::multi_member_sccs(&self.edges);
-        if comps.is_empty() {
-            return;
-        }
-        for comp in &comps {
-            self.merge_component(comp);
-        }
-        // Rebuild edges canonical and re-dedupe in place: merging aliases
-        // pairs.
-        self.edge_set.clear();
-        for i in 0..n as u32 {
-            if self.find(i) != i {
-                continue;
-            }
-            let mut outs = std::mem::take(&mut self.edges[i as usize]);
-            let mut kept = 0;
-            for r in 0..outs.len() {
-                let t = self.find(outs[r]);
-                if t != i && edge_is_new(&outs[..kept], &mut self.edge_set, i, t) {
-                    outs[kept] = t;
-                    kept += 1;
-                    edge_pushed(&outs[..kept], &mut self.edge_set, i);
-                }
-            }
-            outs.truncate(kept);
-            self.edges[i as usize] = outs;
-        }
-    }
-
-    /// Union-find-merges a component into its smallest member. The merged
-    /// `old` is the *intersection* of member `old`s — a fact is only
-    /// "fully processed" for the representative if every member already
-    /// pushed it along its edges and pendings; everything else lands in
-    /// the representative's delta for (re)processing. No budget is
-    /// refunded for deduplicated facts: `propagations` stays a monotone
-    /// insertion counter.
-    fn merge_component(&mut self, comp: &[u32]) {
-        let rep = comp[0];
-        let mut merged_old = self.old[rep as usize].take();
-        let mut all = merged_old.clone();
-        all.union_with(&self.delta[rep as usize]);
-        for &m in &comp[1..] {
-            merged_old.intersect_with(&self.old[m as usize]);
-            all.union_with(&self.old[m as usize]);
-            all.union_with(&self.delta[m as usize]);
-        }
-        let mut merged_delta = all;
-        merged_delta.subtract(&merged_old);
-        for &m in &comp[1..] {
-            self.parent[m as usize] = rep;
-            self.old[m as usize] = Pts::new();
-            self.delta[m as usize] = Pts::new();
-            let outs = std::mem::take(&mut self.edges[m as usize]);
-            self.edges[rep as usize].extend(outs);
-            let pend = std::mem::take(&mut self.pending[m as usize]);
-            for p in pend {
-                if !self.pending[rep as usize].contains(&p) {
-                    self.pending[rep as usize].push(p);
-                }
-            }
-            self.stats.nodes_merged += 1;
-        }
-        // Merged members share one canonical blame set: member rows drain
-        // into the representative, conflicts keep the Ord-least cause, and
-        // havoc stamps merge the same way — all order-independent, so the
-        // merged blame doesn't depend on which member a tuple arrived at.
-        if let Some(p) = self.prov.as_mut() {
-            for &m in &comp[1..] {
-                let row = std::mem::take(&mut p.blame[m as usize]);
-                for (v, t) in row {
-                    match p.blame[rep as usize].entry(v) {
-                        Entry::Occupied(mut e) => {
-                            if p.tags[t as usize] < p.tags[*e.get() as usize] {
-                                e.insert(t);
-                            }
-                        }
-                        Entry::Vacant(e) => {
-                            e.insert(t);
-                        }
-                    }
-                }
-                let ms = p.stamp[m as usize];
-                let rs = p.stamp[rep as usize];
-                if ms != INHERIT && (rs == INHERIT || p.tags[ms as usize] < p.tags[rs as usize]) {
-                    p.stamp[rep as usize] = ms;
-                }
-            }
-        }
-        self.old[rep as usize] = merged_old;
-        self.delta[rep as usize] = merged_delta;
-        if !self.delta[rep as usize].is_empty() {
-            self.mark_dirty(rep);
-        }
-    }
-
     fn finish(mut self) -> PtaResult {
-        self.stats.nodes = self.parent.len();
+        self.stats.nodes = self.old.len();
         self.stats.call_edges = self.call_graph.values().map(|s| s.len()).sum();
-        // Fold unprocessed deltas into the reported sets and fully
-        // compress the union-find so lookups are a single indirection.
-        for i in 0..self.parent.len() {
+        // Fold unprocessed deltas into the reported sets.
+        for i in 0..self.old.len() {
             let d = self.delta[i].take();
             self.old[i].union_with(&d);
-        }
-        for i in 0..self.parent.len() as u32 {
-            let r = self.find(i);
-            self.parent[i as usize] = r;
         }
         let blame = self.prov.take().map(|p| BlameData {
             tags: p.tags,
@@ -999,7 +831,6 @@ impl<'p> Solver<'p> {
             },
             stats: self.stats,
             pts: self.old,
-            parent: self.parent,
             node_ids: self.node_ids,
             objs: self.objs,
             call_graph: self.call_graph,
@@ -1009,8 +840,7 @@ impl<'p> Solver<'p> {
 
     // -------------------------------------------------------- constraints
 
-    fn attach(&mut self, node: u32, p: Pending) {
-        let n = self.find(node);
+    fn attach(&mut self, n: u32, p: Pending) {
         // Snapshot (old ∪ delta) up front: applying `p` may insert into
         // `n` itself, and those arrivals are handled by the dirty-queue
         // pass, not here.

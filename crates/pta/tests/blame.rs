@@ -52,7 +52,7 @@ fn unlimited() -> PtaConfig {
     }
 }
 
-/// Every tuple of every node's (canonical) points-to set must carry a
+/// Every tuple of every node's points-to set must carry a
 /// blame cause — provenance never loses a tuple.
 fn assert_blame_covers_sets(r: &PtaResult, ctx: &str) {
     for (node, objs) in r.all_points_to() {
@@ -85,44 +85,33 @@ fn provenance_does_not_change_results() {
     );
 }
 
-/// Blame exports are complete and deterministic under the default,
-/// aggressive-collapse, and collapse-free configs.
+/// Blame exports are complete and deterministic, on the wide program and
+/// on a copy cycle feeding a ⋆-smearing dynamic read.
 #[test]
 fn blame_exports_are_complete_and_deterministic() {
-    let prog = lower(&big_src());
-    let configs = [
-        ("default", unlimited()),
-        (
-            "scc=1",
-            PtaConfig {
-                budget: u64::MAX,
-                scc_interval: 1,
-                ..Default::default()
-            },
-        ),
-        (
-            "collapse-free",
-            PtaConfig {
-                budget: u64::MAX,
-                scc_interval: u64::MAX,
-                ..Default::default()
-            },
-        ),
-    ];
-    for (cname, cfg) in configs {
-        let r = solve(&prog, &prov(cfg.clone()));
-        assert_eq!(r.status, PtaStatus::Completed, "{cname}");
-        assert_blame_covers_sets(&r, cname);
+    let cyclic = r#"
+        function mk() { return { tag: {} }; }
+        var a = mk(); var b = mk(); var c = mk();
+        for (var i = 0; i < 3; i = i + 1) { b = a; c = b; a = c; }
+        var key = somethingUnknown;
+        var sink = a[key];
+    "#;
+    for (name, src) in [("wide", big_src()), ("copy-cycle", cyclic.to_owned())] {
+        let prog = lower(&src);
+        let cfg = prov(unlimited());
+        let r = solve(&prog, &cfg);
+        assert_eq!(r.status, PtaStatus::Completed, "{name}");
+        assert_blame_covers_sets(&r, name);
         let got = r.export_blame_json().expect("provenance was on");
         assert!(
             got.contains("star-smear"),
-            "{cname}: the dynamic access never surfaced a ⋆ smear"
+            "{name}: the dynamic access never surfaced a ⋆ smear"
         );
-        let again = solve(&prog, &prov(cfg)).export_blame_json();
+        let again = solve(&prog, &cfg).export_blame_json();
         assert_eq!(
             again.as_ref(),
             Some(&got),
-            "{cname}: blame export is not deterministic"
+            "{name}: blame export is not deterministic"
         );
     }
 }
@@ -132,19 +121,14 @@ fn blame_exports_are_complete_and_deterministic() {
 #[test]
 fn truncated_blame_is_budget_exact_and_deterministic() {
     let prog = lower(&big_src());
-    let collapse_free = PtaConfig {
-        budget: u64::MAX,
-        scc_interval: u64::MAX,
-        ..Default::default()
-    };
-    let full = solve(&prog, &prov(collapse_free.clone()));
+    let full = solve(&prog, &prov(unlimited()));
     assert_eq!(full.status, PtaStatus::Completed);
     let needed = full.stats.propagations;
     assert!(needed > 1_000, "program too small: {needed}");
     for budget in [needed / 7, needed / 3, needed / 2 + 1, needed - 1] {
         let cfg = prov(PtaConfig {
             budget,
-            ..collapse_free.clone()
+            ..Default::default()
         });
         let r = solve(&prog, &cfg);
         assert_eq!(r.status, PtaStatus::BudgetExceeded, "budget={budget}");
@@ -164,33 +148,29 @@ fn truncated_blame_is_budget_exact_and_deterministic() {
 
 /// Blame explains the partial result the user actually got: at every
 /// truncating budget, the provenance solve keeps exactly the tuples (and
-/// does exactly the work) of the provenance-free solve, with and without
-/// cycle collapsing.
+/// does exactly the work) of the provenance-free solve.
 #[test]
 fn truncated_provenance_solve_matches_plain_solve() {
     let prog = lower(&big_src());
     let needed = solve(&prog, &unlimited()).stats.propagations;
-    for scc_interval in [PtaConfig::default().scc_interval, u64::MAX] {
-        for budget in [needed / 7, needed / 3, needed / 2 + 1, needed - 1] {
-            let cfg = PtaConfig {
-                budget,
-                scc_interval,
-                ..Default::default()
-            };
-            let plain = solve(&prog, &cfg);
-            let r = solve(&prog, &prov(cfg));
-            assert_eq!(plain.status, PtaStatus::BudgetExceeded, "budget={budget}");
-            assert_eq!(r.status, plain.status, "budget={budget}");
-            assert_eq!(
-                r.stats.propagations, plain.stats.propagations,
-                "scc={scc_interval} budget={budget}: provenance changed the work done"
-            );
-            assert_eq!(
-                r.export_json(),
-                plain.export_json(),
-                "scc={scc_interval} budget={budget}: provenance changed the partial result"
-            );
-        }
+    for budget in [needed / 7, needed / 3, needed / 2 + 1, needed - 1] {
+        let cfg = PtaConfig {
+            budget,
+            ..Default::default()
+        };
+        let plain = solve(&prog, &cfg);
+        let r = solve(&prog, &prov(cfg));
+        assert_eq!(plain.status, PtaStatus::BudgetExceeded, "budget={budget}");
+        assert_eq!(r.status, plain.status, "budget={budget}");
+        assert_eq!(
+            r.stats.propagations, plain.stats.propagations,
+            "budget={budget}: provenance changed the work done"
+        );
+        assert_eq!(
+            r.export_json(),
+            plain.export_json(),
+            "budget={budget}: provenance changed the partial result"
+        );
     }
 }
 
@@ -220,37 +200,8 @@ fn cause_kinds_name_the_imprecision_sources() {
     for want in ["base", "star-smear", "eval", "native", "exc-flow"] {
         assert!(kinds.contains(want), "missing cause kind {want}: {kinds:?}");
     }
-    // The histogram counts the canonical relation and is deterministic.
+    // The histogram is deterministic.
     let again = solve(&prog, &prov(unlimited()));
     assert_eq!(r.blame_histogram(), again.blame_histogram());
     assert_eq!(r.export_blame_json(), again.export_blame_json());
-}
-
-/// SCC collapse preserves provenance: aggressive merging still yields a
-/// complete, deterministic blame relation, and merged members report one
-/// shared (canonical) blame set.
-#[test]
-fn collapsed_cycles_share_canonical_blame() {
-    let src = r#"
-        function mk() { return { tag: mk }; }
-        var a = mk(); var b = mk(); var c = mk();
-        for (var i = 0; i < 3; i = i + 1) { b = a; c = b; a = c; }
-        var key = somethingUnknown;
-        var sink = a[key];
-    "#;
-    let prog = lower(src);
-    let cfg = prov(PtaConfig {
-        budget: u64::MAX,
-        scc_interval: 1,
-        ..Default::default()
-    });
-    let r = solve(&prog, &cfg);
-    assert_eq!(r.status, PtaStatus::Completed);
-    assert!(r.stats.nodes_merged > 0, "the copy cycle never collapsed");
-    assert_blame_covers_sets(&r, "collapse");
-    assert_eq!(
-        solve(&prog, &cfg).export_blame_json(),
-        r.export_blame_json(),
-        "merged blame is not deterministic"
-    );
 }

@@ -44,8 +44,7 @@ fn global_var(prog: &Program, name: &str) -> Node {
 
 /// A wide, deep program: lots of closures, higher-order calls,
 /// cross-wired copy chains, and a ⋆-smearing dynamic property access —
-/// hundreds of simultaneously dirty nodes and (at `scc_interval: 1`) many
-/// collapse passes.
+/// hundreds of simultaneously dirty nodes.
 fn wide_src() -> String {
     let mut s = String::new();
     s.push_str("function id(x) { return x; }\n");
@@ -238,19 +237,13 @@ fn budget_exhaustion_reports_timeout() {
 #[test]
 fn solver_is_deterministic() {
     let small = "function a(){} function b(){} var o = {x:a, y:b}; o.x()(); o.y();";
-    let aggressive = PtaConfig {
-        scc_interval: 1,
-        ..Default::default()
-    };
-    for (src, cfg) in [
-        (small.to_owned(), PtaConfig::default()),
-        (wide_src(), aggressive),
-    ] {
+    for src in [small.to_owned(), wide_src()] {
         let ast = mujs_syntax::parse(&src).unwrap();
         let prog = mujs_ir::lower_program(&ast);
+        let cfg = PtaConfig::default();
         let r1 = solve(&prog, &cfg);
         let r2 = solve(&prog, &cfg);
-        // Full stats, collapse activity included.
+        // Full stats.
         assert_eq!(format!("{:?}", r1.stats), format!("{:?}", r2.stats));
         for site in call_sites(&prog) {
             assert_eq!(r1.callees(site), r2.callees(site));
@@ -368,10 +361,10 @@ fn exact_budget_solve_completes() {
 #[test]
 fn partial_result_is_queryable_and_consistent() {
     let small = "function a(){} function b(){} var o = {x:a, y:b}; o.x(); o.y();";
-    // Collapse-free, so Σ|pts| counts every inserted fact exactly once.
+    // Every node keeps its own set, so Σ|pts| counts every inserted fact
+    // exactly once.
     let cfg = |budget| PtaConfig {
         budget,
-        scc_interval: u64::MAX,
         ..Default::default()
     };
     for src in [small.to_owned(), wide_src(), dense_copy_src()] {
@@ -512,11 +505,11 @@ fn deterministic_exports_are_byte_identical() {
 }
 
 // ---------------------------------------------------------------------
-// Budget boundaries under online cycle collapsing.
+// Budget boundaries on a copy cycle.
 // ---------------------------------------------------------------------
 
-/// A program with a genuine copy cycle feeding a call, so aggressive
-/// collapsing (scan after every new copy edge) actually merges nodes.
+/// A program with a genuine copy cycle feeding a call: propagation goes
+/// around the a/b/c ring until its members agree.
 fn cyclic_prog() -> Program {
     let src = "function f(){} function g(){}\n\
                var a = {x:f, y:g}; var b = a; var c = b; a = c;\n\
@@ -525,42 +518,40 @@ fn cyclic_prog() -> Program {
     mujs_ir::lower_program(&ast)
 }
 
-fn collapsing_cfg(budget: u64) -> PtaConfig {
+fn budget_cfg(budget: u64) -> PtaConfig {
     PtaConfig {
         budget,
-        scc_interval: 1,
         ..Default::default()
     }
 }
 
 #[test]
-fn exact_budget_completes_with_collapsing() {
+fn exact_budget_completes_on_a_copy_cycle() {
     let prog = cyclic_prog();
-    let full = solve(&prog, &collapsing_cfg(u64::MAX));
+    let full = solve(&prog, &budget_cfg(u64::MAX));
     assert_eq!(full.status, PtaStatus::Completed);
-    assert!(full.stats.nodes_merged > 0, "cycle was not collapsed");
     let needed = full.stats.propagations;
     assert!(needed > 0);
-    let exact = solve(&prog, &collapsing_cfg(needed));
+    let exact = solve(&prog, &budget_cfg(needed));
     assert_eq!(exact.status, PtaStatus::Completed);
     assert_eq!(exact.stats.propagations, needed);
-    let short = solve(&prog, &collapsing_cfg(needed - 1));
+    let short = solve(&prog, &budget_cfg(needed - 1));
     assert_eq!(short.status, PtaStatus::BudgetExceeded);
     assert_eq!(short.stats.propagations, needed - 1);
 }
 
 #[test]
-fn partial_results_queryable_under_collapsing() {
+fn partial_results_queryable_on_a_copy_cycle() {
     let prog = cyclic_prog();
-    let full = solve(&prog, &collapsing_cfg(u64::MAX));
-    // Every truncation point yields a queryable, sound-under-full result.
-    // Note: unlike the collapse-free case, Σ|pts| over all nodes may
-    // exceed the propagation counter once nodes share a merged set, so we
-    // only check the monotone under-reporting properties here.
+    let full = solve(&prog, &budget_cfg(u64::MAX));
+    assert_eq!(sum_points_to(&full) as u64, full.stats.propagations);
+    // Every truncation point yields a queryable, sound-under-full result
+    // holding exactly the facts it counted.
     for budget in 0..full.stats.propagations {
-        let partial = solve(&prog, &collapsing_cfg(budget));
+        let partial = solve(&prog, &budget_cfg(budget));
         assert_eq!(partial.status, PtaStatus::BudgetExceeded);
         assert_eq!(partial.stats.propagations, budget);
+        assert_eq!(sum_points_to(&partial) as u64, budget);
         for site in call_sites(&prog) {
             let p = partial.callees(site);
             let f = full.callees(site);

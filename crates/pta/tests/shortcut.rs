@@ -5,7 +5,7 @@
 //! insertions flow through the ordinary budget accounting, so
 //! exact-budget completion and budget-exact truncation are preserved;
 //! (3) every summary-inserted tuple carries a [`BlameCause::Shortcut`]
-//! tag that survives SCC collapse and budget truncation, and provenance
+//! tag that survives budget truncation, and provenance
 //! stays a pure side channel (on or off, the points-to exports do not
 //! move a byte); (4) with `shortcuts` unset nothing about a solve
 //! changes.
@@ -140,19 +140,18 @@ fn summaries_replace_region_constraints() {
 #[test]
 fn shortcut_budgets_stay_exact() {
     let prog = lower(&big_src());
-    let collapse_free = PtaConfig {
+    let unlimited = PtaConfig {
         budget: u64::MAX,
-        scc_interval: u64::MAX,
         ..Default::default()
     };
-    let full = solve(&prog, &with_shortcuts(&prog, collapse_free.clone()));
+    let full = solve(&prog, &with_shortcuts(&prog, unlimited));
     assert_eq!(full.status, PtaStatus::Completed);
     let needed = full.stats.propagations;
     assert!(needed > 1_000, "program too small: {needed}");
     // Exact budget completes.
     let exact = PtaConfig {
         budget: needed,
-        ..collapse_free.clone()
+        ..Default::default()
     };
     let r = solve(&prog, &with_shortcuts(&prog, exact));
     assert_eq!(r.status, PtaStatus::Completed);
@@ -163,7 +162,7 @@ fn shortcut_budgets_stay_exact() {
             &prog,
             PtaConfig {
                 budget,
-                ..collapse_free.clone()
+                ..Default::default()
             },
         );
         let r = solve(&prog, &cfg);
@@ -185,35 +184,29 @@ fn shortcut_blamed(r: &PtaResult) -> u64 {
         .sum()
 }
 
-/// Shortcut-blamed tuples survive aggressive SCC collapse, and the blame
-/// export is deterministic.
+/// Shortcut-blamed tuples reach the fixpoint, and the blame export is
+/// deterministic.
 #[test]
-fn shortcut_blame_survives_collapse_and_is_deterministic() {
+fn shortcut_blame_is_deterministic() {
     let prog = lower(&big_src());
-    for scc_interval in [1u64, u64::MAX] {
-        let cfg = with_shortcuts(
-            &prog,
-            PtaConfig {
-                budget: u64::MAX,
-                scc_interval,
-                provenance: true,
-                ..Default::default()
-            },
-        );
-        let r = solve(&prog, &cfg);
-        assert_eq!(r.status, PtaStatus::Completed, "scc={scc_interval}");
-        assert!(
-            shortcut_blamed(&r) > 0,
-            "scc={scc_interval}: no shortcut-blamed tuples survive"
-        );
-        let got = r.export_blame_json().expect("provenance was on");
-        assert!(got.contains("shortcut"), "blame export lacks the new kind");
-        assert_eq!(
-            solve(&prog, &cfg).export_blame_json().as_ref(),
-            Some(&got),
-            "scc={scc_interval}: blame export moved"
-        );
-    }
+    let cfg = with_shortcuts(
+        &prog,
+        PtaConfig {
+            budget: u64::MAX,
+            provenance: true,
+            ..Default::default()
+        },
+    );
+    let r = solve(&prog, &cfg);
+    assert_eq!(r.status, PtaStatus::Completed);
+    assert!(shortcut_blamed(&r) > 0, "no shortcut-blamed tuples survive");
+    let got = r.export_blame_json().expect("provenance was on");
+    assert!(got.contains("shortcut"), "blame export lacks the new kind");
+    assert_eq!(
+        solve(&prog, &cfg).export_blame_json().as_ref(),
+        Some(&got),
+        "blame export moved"
+    );
 }
 
 /// Shortcut blame survives budget truncation: a truncated provenance
@@ -222,13 +215,12 @@ fn shortcut_blame_survives_collapse_and_is_deterministic() {
 #[test]
 fn shortcut_blame_survives_budget_truncation() {
     let prog = lower(&big_src());
-    let collapse_free = PtaConfig {
+    let unlimited = PtaConfig {
         budget: u64::MAX,
-        scc_interval: u64::MAX,
         provenance: true,
         ..Default::default()
     };
-    let full = solve(&prog, &with_shortcuts(&prog, collapse_free.clone()));
+    let full = solve(&prog, &with_shortcuts(&prog, unlimited.clone()));
     assert_eq!(full.status, PtaStatus::Completed);
     let needed = full.stats.propagations;
     let r = solve(
@@ -237,7 +229,7 @@ fn shortcut_blame_survives_budget_truncation() {
             &prog,
             PtaConfig {
                 budget: needed - 1,
-                ..collapse_free
+                ..unlimited
             },
         ),
     );

@@ -1,15 +1,15 @@
 //! Programs shared by the root integration tests.
 
-/// A copy-ring program for the solver's edge dedupe and cycle collapse.
+/// A copy-ring program for the solver's edge dedupe and propagation
+/// around copy cycles.
 ///
 /// `groups` functions each copy a fresh object and their caller's
 /// argument through a hub local into `fan` locals. The first `ring` of
 /// those copy back into the hub (a copy ring) by `hub = sink = h{i}`, so
-/// each ring member's read temp also has an edge to one shared sink: once
-/// the ring merges, its out-list repeats that edge. Each function is
-/// called with the previous one's result, so sets grow along the chain.
-/// The callees are assigned after the calls, so their bodies are
-/// generated while propagation runs, between collapse passes.
+/// each ring member's read temp also has an edge to one shared sink.
+/// Each function is called with the previous one's result, so sets grow
+/// along the chain. The callees are assigned after the calls, so their
+/// bodies are generated while propagation runs.
 ///
 /// Each function also loads `pool.m` twice, where `pool` holds six
 /// instances of one constructor: every instance re-applies the load to

@@ -5,8 +5,7 @@
 //!
 //! "Identical" is byte-identical `export_json()` — call graph and full
 //! points-to relation — at an unlimited budget, where both solvers reach
-//! the same least fixpoint regardless of propagation order or cycle
-//! collapsing.
+//! the same least fixpoint regardless of propagation order.
 
 mod common;
 
@@ -84,11 +83,24 @@ fn evalbench_suite_agrees() {
     }
 }
 
-/// Aggressive cycle collapsing (collapse scan after every — or every
-/// couple of — new copy edges) must not change observable results,
-/// including on programs with real copy cycles.
+/// Both solvers on the first 300 programs of the generator's default
+/// configuration (the one detperf's `gen-fleet` draws from): heap reads
+/// and writes with static and computed keys, helper calls and try/catch.
 #[test]
-fn aggressive_collapsing_agrees() {
+fn generated_programs_agree() {
+    let cfg = mujs_gen::GenConfig::default();
+    for seed in 0..300 {
+        let src = mujs_gen::generate(seed, &cfg);
+        let ast = mujs_syntax::parse(&src).expect("generated source parses");
+        let prog = mujs_ir::lower_program(&ast);
+        assert_equivalent(&format!("generated seed {seed}"), &prog, &unlimited());
+    }
+}
+
+/// Programs with real copy cycles, which propagation must go around until
+/// every member of the cycle holds the same set.
+#[test]
+fn copy_cycles_agree() {
     let cyclic = r#"
         function mk() { return { tag: mk }; }
         var a = mk(); var b = mk(); var c = mk();
@@ -116,41 +128,35 @@ fn aggressive_collapsing_agrees() {
         ("copy-cycle".to_owned(), cyclic.to_owned()),
         ("wide".to_owned(), wide),
         ("copy-ring hubs".to_owned(), common::hub_src(40, 48, 6)),
+        ("small copy rings".to_owned(), common::hub_src(8, 8, 3)),
+        ("long copy rings".to_owned(), common::hub_src(3, 200, 12)),
     ];
     sources.extend(mujs_corpus::evalbench::named_sources());
-    for scc_interval in [1, 2] {
-        let cfg = PtaConfig {
-            budget: u64::MAX,
-            scc_interval,
-            ..Default::default()
-        };
-        for (name, src) in &sources {
-            let ast = mujs_syntax::parse(src).expect("source parses");
-            let prog = mujs_ir::lower_program(&ast);
-            assert_equivalent(&format!("{name} scc={scc_interval}"), &prog, &cfg);
-        }
+    for (name, src) in &sources {
+        let ast = mujs_syntax::parse(src).expect("source parses");
+        let prog = mujs_ir::lower_program(&ast);
+        assert_equivalent(name, &prog, &unlimited());
     }
 }
 
-/// The crafted copy cycle really does exercise the merge path: with
-/// frequent collapse scans, nodes get merged, and the result still
-/// matches the reference solver.
+/// A solve around the a/b/c copy cycle matches the reference, completes
+/// at exactly the budget it needs and stops one propagation short of it.
 #[test]
-fn collapsing_merges_nodes_on_copy_cycles() {
+fn copy_cycle_solve_is_budget_exact() {
     let src = "var a = {}; var b = a; var c = b; a = c; var d = a;";
     let ast = mujs_syntax::parse(src).expect("parses");
     let prog = mujs_ir::lower_program(&ast);
-    let cfg = PtaConfig {
-        budget: u64::MAX,
-        scc_interval: 1,
+    assert_equivalent("a/b/c cycle", &prog, &unlimited());
+    let needed = solve(&prog, &unlimited()).stats.propagations;
+    assert!(needed > 0);
+    let budget = |budget| PtaConfig {
+        budget,
         ..Default::default()
     };
-    let r = solve(&prog, &cfg);
-    assert_eq!(r.status, PtaStatus::Completed);
-    assert!(
-        r.stats.nodes_merged > 0,
-        "expected the a/b/c copy cycle to be collapsed, stats: {:?}",
-        r.stats
-    );
-    assert_equivalent("merge-pin", &prog, &cfg);
+    let exact = solve(&prog, &budget(needed));
+    assert_eq!(exact.status, PtaStatus::Completed);
+    assert_eq!(exact.stats.propagations, needed);
+    let short = solve(&prog, &budget(needed - 1));
+    assert_eq!(short.status, PtaStatus::BudgetExceeded);
+    assert_eq!(short.stats.propagations, needed - 1);
 }

@@ -5,14 +5,14 @@
 //!
 //! `BENCH_pta.json` pins only work and precision. These counters also
 //! pin the solver's bookkeeping: the same edges are added (in the same
-//! order, or a budget-truncated solve would stop elsewhere), the same
-//! nodes materialize and the same collapse passes run. A change to the
-//! solver's data structures must leave every row as it is.
+//! order, or a budget-truncated solve would stop elsewhere) and the same
+//! nodes materialize. A change to the solver's data structures must leave
+//! every row as it is.
 //!
-//! The corpus merges no nodes, so a copy-ring program (whose fixpoint
-//! `pta_equivalence` checks against the reference solver) pins the same
-//! counters across cycle collapses, together with the exports of solves
-//! cut one propagation short of the fixpoint.
+//! The corpus's copy graphs have no cycles, so a copy-ring program (whose
+//! fixpoint `pta_equivalence` checks against the reference solver) pins
+//! the same counters on a graph that has them, together with the export
+//! of a solve cut one propagation short of the fixpoint.
 
 mod common;
 
@@ -25,35 +25,33 @@ use std::sync::Arc;
 /// The solve modes, in row order within a page.
 const MODES: [&str; 4] = ["baseline", "injected", "shortcut", "specialized"];
 
-/// `[propagations, nodes, edges, call_edges, scc_passes, nodes_merged,
-/// shortcut_tuples]` per (page, mode).
-const PINNED: [(&str, &str, [u64; 7]); 16] = [
-    ("1.0", "baseline", [927979, 12984, 19433, 1836, 3, 0, 0]),
-    ("1.0", "injected", [14009, 2636, 1870, 30, 0, 0, 0]),
-    ("1.0", "shortcut", [3930, 2935, 2103, 30, 1, 0, 854]),
-    ("1.0", "specialized", [11446, 10872, 18209, 53, 1, 0, 0]),
-    ("1.1", "baseline", [927979, 13010, 19444, 1836, 3, 0, 0]),
-    ("1.1", "injected", [14009, 2662, 1881, 30, 0, 0, 0]),
-    ("1.1", "shortcut", [3930, 2960, 2113, 30, 1, 0, 854]),
-    ("1.1", "specialized", [11446, 10917, 18239, 57, 1, 0, 0]),
-    ("1.2", "baseline", [40, 96, 65, 5, 0, 0, 0]),
-    ("1.2", "injected", [40, 96, 62, 4, 0, 0, 0]),
-    ("1.2", "shortcut", [44, 46, 10, 2, 0, 0, 20]),
-    ("1.2", "specialized", [41, 86, 50, 3, 0, 0, 0]),
-    ("1.3", "baseline", [928009, 13024, 19456, 1835, 3, 0, 0]),
-    ("1.3", "injected", [14038, 2678, 1898, 30, 0, 0, 0]),
-    ("1.3", "shortcut", [3963, 2895, 1558, 30, 0, 0, 1718]),
-    ("1.3", "specialized", [150000, 5470, 4976, 395, 1, 0, 0]),
+/// `[propagations, nodes, edges, call_edges, shortcut_tuples]` per
+/// (page, mode).
+const PINNED: [(&str, &str, [u64; 5]); 16] = [
+    ("1.0", "baseline", [927979, 12984, 19433, 1836, 0]),
+    ("1.0", "injected", [14009, 2636, 1870, 30, 0]),
+    ("1.0", "shortcut", [3930, 2935, 2103, 30, 854]),
+    ("1.0", "specialized", [11446, 10872, 18209, 53, 0]),
+    ("1.1", "baseline", [927979, 13010, 19444, 1836, 0]),
+    ("1.1", "injected", [14009, 2662, 1881, 30, 0]),
+    ("1.1", "shortcut", [3930, 2960, 2113, 30, 854]),
+    ("1.1", "specialized", [11446, 10917, 18239, 57, 0]),
+    ("1.2", "baseline", [40, 96, 65, 5, 0]),
+    ("1.2", "injected", [40, 96, 62, 4, 0]),
+    ("1.2", "shortcut", [44, 46, 10, 2, 20]),
+    ("1.2", "specialized", [41, 86, 50, 3, 0]),
+    ("1.3", "baseline", [928009, 13024, 19456, 1835, 0]),
+    ("1.3", "injected", [14038, 2678, 1898, 30, 0]),
+    ("1.3", "shortcut", [3963, 2895, 1558, 30, 1718]),
+    ("1.3", "specialized", [150000, 5470, 4976, 395, 0]),
 ];
 
-fn row(s: &PtaStats) -> [u64; 7] {
+fn row(s: &PtaStats) -> [u64; 5] {
     [
         s.propagations,
         s.nodes as u64,
         s.edges,
         s.call_edges as u64,
-        s.scc_passes,
-        s.nodes_merged,
         s.shortcut_tuples,
     ]
 }
@@ -64,7 +62,7 @@ fn corpus_solve_stats_are_pinned() {
         budget,
         ..Default::default()
     };
-    let mut actual: Vec<(&str, &str, [u64; 7])> = Vec::new();
+    let mut actual: Vec<(&str, &str, [u64; 5])> = Vec::new();
     for v in mujs_corpus::jquery_like::all_versions() {
         let mut h = DetHarness::from_src(&v.src).expect("corpus parses");
         let cfg = AnalysisConfig {
@@ -116,25 +114,12 @@ fn corpus_solve_stats_are_pinned() {
     }
 }
 
-/// Collapse after every new edge, at the default interval (three passes
-/// on the copy-ring program's 6,926 edges), and never.
-const INTERVALS: [u64; 3] = [1, 2_048, u64::MAX];
+/// `[propagations, edges]` of the copy-ring program's full solve.
+const RING_STATS: [u64; 2] = [181_923, 6_926];
 
-/// `[propagations, edges, scc_passes, nodes_merged]` of the copy-ring
-/// program's full solve, per entry of [`INTERVALS`].
-const RING_STATS: [[u64; 4]; 3] = [
-    [140_285, 6_926, 47, 1_036],
-    [141_330, 6_926, 3, 1_010],
-    [181_923, 6_926, 0, 0],
-];
-
-/// Digests of the copy-ring program's exports one propagation short of
-/// the fixpoint, per entry of [`INTERVALS`].
-const RING_TRUNCATED: [u64; 3] = [
-    0x9e51_47e3_45cc_5e28,
-    0x8b90_450a_38d8_3d6a,
-    0x07cd_3823_013d_556a,
-];
+/// Digest of the copy-ring program's export one propagation short of the
+/// fixpoint.
+const RING_TRUNCATED: u64 = 0x07cd_3823_013d_556a;
 
 fn digest(export: &str) -> u64 {
     let mut h = FxHasher::default();
@@ -142,53 +127,44 @@ fn digest(export: &str) -> u64 {
     h.finish()
 }
 
-/// Every interval, with provenance off and on, reaches one fixpoint with
-/// the pinned counters, and a solve one propagation short of it stops
-/// where it always has. Provenance is a side channel: it moves neither.
+/// With provenance off and on, the copy ring reaches one fixpoint with the
+/// pinned counters, and a solve one propagation short of it stops where it
+/// always has. Provenance is a side channel: it moves neither.
 #[test]
 fn copy_ring_solve_stats_are_pinned() {
     let ast = mujs_syntax::parse(&common::hub_src(40, 48, 6)).expect("parses");
     let prog = mujs_ir::lower_program(&ast);
-    let mut fixpoint: Option<String> = None;
-    let mut truncated = Vec::new();
-    for (scc_interval, stats) in INTERVALS.into_iter().zip(RING_STATS) {
-        let mut short_exports = Vec::new();
-        for provenance in [false, true] {
-            let cfg = |budget| PtaConfig {
-                budget,
-                scc_interval,
-                provenance,
-                ..Default::default()
-            };
-            let label = format!("scc_interval={scc_interval} provenance={provenance}");
-            let full = solve(&prog, &cfg(u64::MAX));
-            assert_eq!(full.status, PtaStatus::Completed, "{label}");
-            let s = &full.stats;
-            assert_eq!(
-                [s.propagations, s.edges, s.scc_passes, s.nodes_merged],
-                stats,
-                "{label}"
-            );
-            let export = full.export_json();
-            match &fixpoint {
-                Some(first) => assert!(*first == export, "{label}: fixpoint moved"),
-                None => fixpoint = Some(export),
-            }
-            let needed = s.propagations;
-            let short = solve(&prog, &cfg(needed - 1));
-            assert_eq!(short.status, PtaStatus::BudgetExceeded, "{label}");
-            assert_eq!(short.stats.propagations, needed - 1, "{label}");
-            short_exports.push(short.export_json());
-        }
-        assert!(
-            short_exports[0] == short_exports[1],
-            "scc_interval={scc_interval}: provenance moved the truncated export"
-        );
-        truncated.push(digest(&short_exports[0]));
+    let mut fixpoints = Vec::new();
+    let mut short_exports = Vec::new();
+    for provenance in [false, true] {
+        let cfg = |budget| PtaConfig {
+            budget,
+            provenance,
+            ..Default::default()
+        };
+        let label = format!("provenance={provenance}");
+        let full = solve(&prog, &cfg(u64::MAX));
+        assert_eq!(full.status, PtaStatus::Completed, "{label}");
+        let s = &full.stats;
+        assert_eq!([s.propagations, s.edges], RING_STATS, "{label}");
+        fixpoints.push(full.export_json());
+        let needed = s.propagations;
+        let short = solve(&prog, &cfg(needed - 1));
+        assert_eq!(short.status, PtaStatus::BudgetExceeded, "{label}");
+        assert_eq!(short.stats.propagations, needed - 1, "{label}");
+        short_exports.push(short.export_json());
     }
+    assert!(
+        fixpoints[0] == fixpoints[1],
+        "provenance moved the fixpoint"
+    );
+    assert!(
+        short_exports[0] == short_exports[1],
+        "provenance moved the truncated export"
+    );
+    let got = digest(&short_exports[0]);
     assert_eq!(
-        truncated, RING_TRUNCATED,
-        "truncated exports moved (actual digests {:#x?})",
-        truncated
+        got, RING_TRUNCATED,
+        "truncated export moved (actual digest {got:#x})"
     );
 }
