@@ -2,26 +2,25 @@
 //!
 //! Parses and lowers JavaScript sources, runs the `mujs-analysis`
 //! validator over the lowered program, and reports every invariant
-//! violation (exit 1 if any source fails to parse or validate). With
-//! `--dataflow` it additionally runs the intraprocedural constant
-//! propagation and reports how many statically determinate facts each
-//! program yields.
+//! violation (exit 1 if any source fails to parse or validate). An
+//! unknown flag, or paths that hold no `.js` file, is a usage error
+//! (exit 2).
 //!
 //! With `--json`, results stream as machine-readable line-JSON on
 //! stdout — one object per linted source, carrying the status
-//! (`ok` / `parse-error` / `violations`), the violation descriptions,
-//! and (under `--dataflow`) the static-fact counts — so CI and editor
-//! integrations can consume the linter without scraping its prose.
+//! (`ok` / `parse-error` / `violations`) and the violation descriptions
+//! — so CI and editor integrations can consume the linter without
+//! scraping its prose.
 //!
 //! ```console
 //! $ cargo run -p mujs-bench --bin detlint -- examples/js
-//! $ cargo run -p mujs-bench --bin detlint -- --corpus all --dataflow
+//! $ cargo run -p mujs-bench --bin detlint -- --corpus all
 //! $ cargo run -p mujs-bench --bin detlint -- --corpus table1 --json
 //! ```
 
 #![forbid(unsafe_code)]
 
-use mujs_analysis::{analyze_program, validate_program};
+use mujs_analysis::validate_program;
 use serde_json::Value;
 use std::path::{Path, PathBuf};
 
@@ -30,7 +29,7 @@ fn usage(problem: &str) -> ! {
         eprintln!("error: {problem}");
     }
     eprintln!(
-        "usage: detlint [--corpus table1|evalbench|all] [--dataflow] [--json] [PATH ...]\n\
+        "usage: detlint [--corpus table1|evalbench|all] [--json] [PATH ...]\n\
          \x20  PATH: a .js file or a directory scanned for .js files\n\
          \x20  --json: one JSON object per source on stdout (line-JSON)"
     );
@@ -66,13 +65,11 @@ fn json_line(
     functions: usize,
     error: Option<&str>,
     violations: &[String],
-    facts: Option<&mujs_analysis::StaticFacts>,
 ) {
-    let num = |n: usize| Value::Num(n as f64);
     let mut fields = vec![
         ("name".to_owned(), Value::Str(name.to_owned())),
         ("status".to_owned(), Value::Str(status.to_owned())),
-        ("functions".to_owned(), num(functions)),
+        ("functions".to_owned(), Value::Num(functions as f64)),
     ];
     if let Some(e) = error {
         fields.push(("error".to_owned(), Value::Str(e.to_owned())));
@@ -81,29 +78,18 @@ fn json_line(
         "violations".to_owned(),
         Value::Array(violations.iter().map(|v| Value::Str(v.clone())).collect()),
     ));
-    if let Some(f) = facts {
-        fields.push((
-            "static_facts".to_owned(),
-            Value::Object(vec![
-                ("total".to_owned(), num(f.len())),
-                ("prop_keys".to_owned(), num(f.prop_keys.len())),
-                ("callees".to_owned(), num(f.callees.len())),
-                ("conds".to_owned(), num(f.conds.len())),
-            ]),
-        ));
-    }
     let line = serde_json::to_string(&Value::Object(fields)).expect("lint row serializes");
     println!("{line}");
 }
 
-fn lint(name: &str, src: &str, dataflow: bool, report: &mut Report) {
+fn lint(name: &str, src: &str, report: &mut Report) {
     report.checked += 1;
     let lowered = mujs_syntax::parse_with(src, mujs_ir::lower_program);
     let prog = match lowered {
         Ok(p) => p,
         Err(e) => {
             if report.json {
-                json_line(name, "parse-error", 0, Some(&e.to_string()), &[], None);
+                json_line(name, "parse-error", 0, Some(&e.to_string()), &[]);
             } else {
                 eprintln!("{name}: parse error: {e}");
             }
@@ -113,36 +99,18 @@ fn lint(name: &str, src: &str, dataflow: bool, report: &mut Report) {
     };
     let violations = validate_program(&prog);
     let described: Vec<String> = violations.iter().map(|v| v.describe(&prog)).collect();
-    let facts = dataflow.then(|| analyze_program(&prog));
     if report.json {
         let status = if described.is_empty() {
             "ok"
         } else {
             "violations"
         };
-        json_line(
-            name,
-            status,
-            prog.funcs.len(),
-            None,
-            &described,
-            facts.as_ref(),
-        );
+        json_line(name, status, prog.funcs.len(), None, &described);
         report.failed += usize::from(!described.is_empty());
         return;
     }
     if described.is_empty() {
-        let facts = match &facts {
-            Some(f) => format!(
-                " ({} static facts: {} keys, {} callees, {} conds)",
-                f.len(),
-                f.prop_keys.len(),
-                f.callees.len(),
-                f.conds.len()
-            ),
-            None => String::new(),
-        };
-        println!("{name}: ok — {} functions{facts}", prog.funcs.len());
+        println!("{name}: ok — {} functions", prog.funcs.len());
     } else {
         report.failed += 1;
         eprintln!("{name}: {} violation(s)", described.len());
@@ -155,7 +123,6 @@ fn lint(name: &str, src: &str, dataflow: bool, report: &mut Report) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut corpus: Option<String> = None;
-    let mut dataflow = false;
     let mut json = false;
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut i = 0;
@@ -169,15 +136,25 @@ fn main() {
                         .unwrap_or_else(|| usage("--corpus needs a value")),
                 );
             }
-            "--dataflow" => dataflow = true,
             "--json" => json = true,
             "--help" | "-h" => usage(""),
+            flag if flag.starts_with("--") => usage(&format!("unknown flag `{flag}`")),
             p => paths.push(PathBuf::from(p)),
         }
         i += 1;
     }
     if corpus.is_none() && paths.is_empty() {
         usage("nothing to lint");
+    }
+    let mut files = Vec::new();
+    for p in &paths {
+        if !p.exists() {
+            usage(&format!("no such path: {}", p.display()));
+        }
+        js_files(p, &mut files);
+    }
+    if !paths.is_empty() && files.is_empty() {
+        usage("nothing to lint: no .js file under the given paths");
     }
 
     let mut report = Report {
@@ -189,47 +166,25 @@ fn main() {
         None => {}
         Some(which @ ("table1" | "all")) => {
             for v in mujs_corpus::jquery_like::all_versions() {
-                lint(
-                    &format!("table1/{}", v.version),
-                    &v.src,
-                    dataflow,
-                    &mut report,
-                );
+                lint(&format!("table1/{}", v.version), &v.src, &mut report);
             }
             if which == "all" {
                 for b in mujs_corpus::evalbench::all() {
-                    lint(
-                        &format!("evalbench/{}", b.name),
-                        &b.src,
-                        dataflow,
-                        &mut report,
-                    );
+                    lint(&format!("evalbench/{}", b.name), &b.src, &mut report);
                 }
             }
         }
         Some("evalbench") => {
             for b in mujs_corpus::evalbench::all() {
-                lint(
-                    &format!("evalbench/{}", b.name),
-                    &b.src,
-                    dataflow,
-                    &mut report,
-                );
+                lint(&format!("evalbench/{}", b.name), &b.src, &mut report);
             }
         }
         Some(other) => usage(&format!("unknown corpus `{other}`")),
     }
-    let mut files = Vec::new();
-    for p in &paths {
-        if !p.exists() {
-            usage(&format!("no such path: {}", p.display()));
-        }
-        js_files(p, &mut files);
-    }
     for f in files {
         let src = std::fs::read_to_string(&f)
             .unwrap_or_else(|e| usage(&format!("cannot read {}: {e}", f.display())));
-        lint(&f.display().to_string(), &src, dataflow, &mut report);
+        lint(&f.display().to_string(), &src, &mut report);
     }
 
     eprintln!(

@@ -8,11 +8,11 @@
 //! dynamic run proved determinate.
 //!
 //! 1. [`determinate_regions`] walks the fact database and each
-//!    function's CFG, selecting functions whose every recorded key,
+//!    function's body, selecting functions whose every recorded key,
 //!    callee, branch, and loop trip was determinate *in each context*
 //!    (region selection does not need cross-context agreement — the
-//!    replay witnesses every recorded context), with no escaping havoc
-//!    (no `try`/`throw`/direct `eval`).
+//!    replay witnesses every recorded context), with no exceptional or
+//!    eval control flow (no `try`/`throw`/direct `eval` at any depth).
 //! 2. [`shortcut_summaries`] replays the program once on the sealed
 //!    concrete interpreter with heap tracing enabled at the region
 //!    points, under panic isolation and the analysis' step budget. Any
@@ -31,7 +31,6 @@
 
 use crate::config::AnalysisConfig;
 use crate::facts::{FactDb, FactKind, TripFact};
-use mujs_analysis::cfg::build_cfg;
 use mujs_dom::document::Document;
 use mujs_dom::events::EventPlan;
 use mujs_interp::driver::Harness;
@@ -63,7 +62,7 @@ pub struct ShortcutOutcome {
 /// Selects the maximal determinate regions of `prog` under `db`: ordinary
 /// functions that executed, whose recorded conditions, callees, dynamic
 /// keys, and loop trips were determinate in every recorded context, with
-/// no `try`/`throw`/direct-`eval` and no CFG havoc. Results ascend by
+/// no `try`/`throw`/direct-`eval` at any nesting depth. Results ascend by
 /// function id.
 pub fn determinate_regions(prog: &Program, db: &FactDb) -> Vec<FuncId> {
     // Per-point disqualification: any indeterminate branch/callee/key
@@ -104,21 +103,9 @@ pub fn determinate_regions(prog: &Program, db: &FactDb) -> Vec<FuncId> {
                 ok = false;
             }
         });
-        if !ok {
-            continue;
+        if ok {
+            out.push(f.id);
         }
-        // Exceptional / finally-bypass edges invalidate places on entry;
-        // a region must have none (redundant with the try/eval scan, but
-        // the CFG is the authority on escaping havoc).
-        let cfg = build_cfg(f);
-        if cfg
-            .blocks
-            .iter()
-            .any(|b| !b.havoc.places.is_empty() || b.havoc.all_locals)
-        {
-            continue;
-        }
-        out.push(f.id);
     }
     out
 }

@@ -1,12 +1,5 @@
 //! Integration of the static analysis layer with the dynamic pipeline:
 //!
-//! * **Soundness cross-check** — a fact the intraprocedural constant
-//!   propagation proves statically determinate must agree with every
-//!   determinate fact the *dynamic* analysis records at the same program
-//!   point. (The converse inclusion — every static-det point is
-//!   dynamic-det — does not hold in general: counterfactual aborts make
-//!   the dynamic analysis conservatively indeterminate at points a static
-//!   analysis can still decide, e.g. `c ? 1 : 1`.)
 //! * **Validator acceptance** — every program shape the real pipeline
 //!   produces (freshly lowered, post-run with eval chunks, specialized)
 //!   passes the structural validator.
@@ -17,72 +10,17 @@
 //!   identical), and injected tuples are attributed to the `injected`
 //!   blame kind so root-cause reports separate paper-mechanism precision
 //!   from residual imprecision.
+//!
+//! Every determinacy fact used here comes from the dynamic analysis;
+//! Theorem 1 soundness of those facts is checked against concrete runs
+//! in `tests/soundness_prop.rs`.
 
-use determinacy::{AnalysisConfig, Fact, FactDb, FactKind, FactValue};
-use mujs_analysis::{analyze_program, validate_program, StaticFacts};
+use determinacy::AnalysisConfig;
+use mujs_analysis::validate_program;
 use mujs_corpus::{evalbench, jquery_like};
 use mujs_ir::Program;
 use mujs_pta::{PtaConfig, PtaStatus};
 use mujs_specialize::SpecConfig;
-
-/// JavaScript truthiness of a recorded dynamic fact value (dynamic `Cond`
-/// facts store the raw condition value; the static analysis stores the
-/// branch it folds to).
-fn truthy(v: &FactValue) -> bool {
-    match v {
-        FactValue::Undefined | FactValue::Null => false,
-        FactValue::Bool(b) => *b,
-        FactValue::Num(n) => *n != 0.0 && !n.is_nan(),
-        FactValue::Str(s) => !s.is_empty(),
-        FactValue::Closure(_) | FactValue::Object(_) => true,
-    }
-}
-
-/// Checks every statically determinate fact against the dynamic DB and
-/// returns how many (point, context) pairs were actually compared.
-fn assert_agreement(label: &str, sf: &StaticFacts, db: &FactDb) -> usize {
-    let mut compared = 0;
-    for (&point, key) in &sf.prop_keys {
-        for (ctx, fact) in db.at_point(FactKind::PropKey, point) {
-            if let Fact::Det(v) = fact {
-                compared += 1;
-                assert_eq!(
-                    v,
-                    &FactValue::Str(key.clone()),
-                    "{label}: static key {key:?} at {point:?} disagrees with \
-                     dynamic fact {v:?} in ctx {ctx:?}"
-                );
-            }
-        }
-    }
-    for (&point, &callee) in &sf.callees {
-        for (ctx, fact) in db.at_point(FactKind::Callee, point) {
-            if let Fact::Det(v) = fact {
-                compared += 1;
-                assert_eq!(
-                    v,
-                    &FactValue::Closure(callee),
-                    "{label}: static callee {callee:?} at {point:?} disagrees \
-                     with dynamic fact {v:?} in ctx {ctx:?}"
-                );
-            }
-        }
-    }
-    for (&point, &branch) in &sf.conds {
-        for (ctx, fact) in db.at_point(FactKind::Cond, point) {
-            if let Fact::Det(v) = fact {
-                compared += 1;
-                assert_eq!(
-                    truthy(v),
-                    branch,
-                    "{label}: static branch {branch} at {point:?} disagrees \
-                     with dynamic condition {v:?} in ctx {ctx:?}"
-                );
-            }
-        }
-    }
-    compared
-}
 
 fn assert_valid_clean(label: &str, prog: &Program) {
     let violations = validate_program(prog);
@@ -92,84 +30,6 @@ fn assert_valid_clean(label: &str, prog: &Program) {
         violations.len(),
         violations[0].describe(prog)
     );
-}
-
-#[test]
-fn static_facts_agree_with_dynamic_facts_across_corpus() {
-    let mut compared = 0usize;
-    for v in jquery_like::all_versions() {
-        let mut h = determinacy::DetHarness::from_src(&v.src).expect("corpus parses");
-        let out = h.analyze_dom(AnalysisConfig::default(), v.doc.clone(), &v.plan);
-        // Analyze *after* the run so runtime-lowered eval chunks are
-        // covered too.
-        let sf = analyze_program(&h.program);
-        compared += assert_agreement(&format!("table1/{}", v.version), &sf, &out.facts);
-    }
-    for b in evalbench::all().iter().filter(|b| b.runnable) {
-        let Ok(mut h) = determinacy::DetHarness::from_src(&b.src) else {
-            continue;
-        };
-        let out = h.analyze_dom(AnalysisConfig::default(), b.doc(), &b.plan());
-        let sf = analyze_program(&h.program);
-        compared += assert_agreement(&format!("evalbench/{}", b.name), &sf, &out.facts);
-    }
-    // The check must not be vacuous: the corpus yields overlapping points.
-    assert!(
-        compared > 0,
-        "no static fact ever coincided with a dynamic fact"
-    );
-}
-
-#[test]
-fn static_facts_agree_on_example_scripts() {
-    let mut compared = 0usize;
-    let mut entries: Vec<_> = std::fs::read_dir("examples/js")
-        .expect("examples/js exists")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "js"))
-        .collect();
-    entries.sort();
-    assert!(!entries.is_empty());
-    for path in entries {
-        let src = std::fs::read_to_string(&path).expect("example reads");
-        let mut h = determinacy::DetHarness::from_src(&src).expect("example parses");
-        let out = h.analyze(AnalysisConfig::default());
-        let sf = analyze_program(&h.program);
-        compared += assert_agreement(&path.display().to_string(), &sf, &out.facts);
-    }
-    let _ = compared; // examples are small; agreement alone is the point
-}
-
-#[test]
-fn statically_derived_keys_match_a_dynamic_run() {
-    // A focused overlap case: the key is both statically derivable
-    // (constant concat) and dynamically recorded.
-    let src = "function f() { var o = {}; var k = \"a\" + \"b\"; o[k] = 1; return o[k]; } f();";
-    let mut h = determinacy::DetHarness::from_src(src).unwrap();
-    let out = h.analyze(AnalysisConfig::default());
-    let sf = analyze_program(&h.program);
-    assert!(
-        sf.prop_keys.values().any(|k| &**k == "ab"),
-        "static analysis derives the concat key"
-    );
-    let compared = assert_agreement("concat-key", &sf, &out.facts);
-    assert!(compared >= 2, "both accesses must be cross-checked");
-}
-
-#[test]
-fn counterfactual_conservatism_is_one_directional() {
-    // `c ? 1 : 1` joins to the constant 1 statically, but the dynamic
-    // analysis may only ever see it indeterminate (CNTRABORT). The
-    // soundness contract is one-directional: dynamic-Det ⇒ agrees with
-    // static; static-det does NOT imply dynamic-det. This program must
-    // therefore pass the agreement check trivially (no Det dynamic facts
-    // at the statically determinate points is fine).
-    let src = "function g(c) { var x; if (c) { x = 1; } else { x = 1; } return x; } \
-               g(Math.random() < 0.5);";
-    let mut h = determinacy::DetHarness::from_src(src).unwrap();
-    let out = h.analyze(AnalysisConfig::default());
-    let sf = analyze_program(&h.program);
-    assert_agreement("cntrabort", &sf, &out.facts);
 }
 
 #[test]
