@@ -316,11 +316,11 @@ pub struct ShortcutCompareRow {
     pub version: String,
     /// Determinate regions the extractor selected.
     pub candidates: usize,
-    /// Regions that survived replay and carry a summary.
+    /// Regions that carry a summary.
     pub regions: usize,
     /// Total points-to tuples across all summaries.
     pub tuples: usize,
-    /// The replay degraded (summaries dropped, ordinary analysis).
+    /// The summaries degraded (dropped, ordinary analysis).
     pub degraded: bool,
     /// Fact injection only (the PR 4 mode) at the same budget.
     pub injected: PtaModeRow,
@@ -341,11 +341,15 @@ pub fn run_pta_rows(
     v: &JQueryLike,
     counters: &PipelineCounters,
 ) -> Result<(PtaCompareRow, ShortcutCompareRow), PipelineError> {
-    let req = page_request(&v.src, &v.doc, &v.plan, true);
+    let at = |budget, mode| PtaStage { budget, mode };
+    // The shortcut stage declares the summary, so the fan-out is traced.
+    let req = StageRequest {
+        pta: Some(at(TABLE1_PTA_BUDGET, PtaMode::InjectShortcuts)),
+        ..page_request(&v.src, &v.doc, &v.plan, true)
+    };
     with_pipeline(&req, counters, |p| {
         fan_out(p)?;
         let facts = p.facts()?;
-        let at = |budget, mode| PtaStage { budget, mode };
         let baseline = PtaModeRow::solve(p, at(PTA_COMPARE_BUDGET, PtaMode::Baseline), None, None)?;
         let (inject_row, _) = p.pta(at(PTA_COMPARE_BUDGET, PtaMode::Inject), Some(&facts), None)?;
         let specialized = PtaModeRow::solve(

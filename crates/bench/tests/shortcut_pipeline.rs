@@ -14,7 +14,7 @@ fn shortcut_mode_completes_and_dominates_on_every_version() {
         let (_, r) = run_pta_rows(&v, &PipelineCounters::default()).expect("pipeline runs");
         assert!(
             !r.degraded,
-            "{}: replay degraded — summaries were dropped",
+            "{}: summaries degraded — the fan-out's traces could not witness the regions",
             r.version
         );
         assert!(

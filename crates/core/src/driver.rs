@@ -5,6 +5,7 @@ use crate::config::{AnalysisConfig, AnalysisStats, AnalysisStatus};
 use crate::facts::FactDb;
 use crate::machine::{DMachine, DObservation};
 use crate::supervisor::RunHooks;
+use crate::trace::HeapTrace;
 use mujs_dom::document::Document;
 use mujs_dom::events::EventPlan;
 use mujs_interp::context::ContextTable;
@@ -27,6 +28,8 @@ pub struct AnalysisOutcome {
     pub ctxs: ContextTable,
     /// Observations for the soundness harness, when enabled.
     pub observations: Vec<DObservation>,
+    /// The heap trace, when [`RunHooks::trace`] was set.
+    pub trace: Option<Box<HeapTrace>>,
 }
 
 /// A parsed + lowered program ready for (repeated) analysis.
@@ -116,6 +119,7 @@ fn finish(mut m: DMachine<'_>, status: AnalysisStatus) -> AnalysisOutcome {
         observations: std::mem::take(&mut m.observations),
         facts: std::mem::replace(&mut m.facts, FactDb::new(0)),
         ctxs: std::mem::take(&mut m.ctxs),
+        trace: m.tracer.take().map(|t| Box::new(t.out)),
     }
 }
 

@@ -59,6 +59,7 @@ pub mod modeling;
 pub mod multirun;
 pub mod shortcut;
 pub mod supervisor;
+pub mod trace;
 
 pub use config::{AnalysisConfig, AnalysisStats, AnalysisStatus};
 pub use det::{DValue, Det, FactValue, SlotAnn};

@@ -10,7 +10,8 @@
 //!   open region (ÎF1 or ĈNTR) marks from, and an undo log of prior
 //!   values kept only under counterfactual execution (ĈNTR), with its
 //!   conservative abort (ĈNTRABORT);
-//! * fact recording, budgets, supervision hooks and fault injection.
+//! * fact recording, heap tracing for dynamic shortcuts ([`crate::trace`]),
+//!   budgets, supervision hooks and fault injection.
 //!
 //! Statement execution and the native models are the machine's
 //! (`mujs_interp::natives`, `mujs_interp::dom_binding`); the models reach
@@ -21,10 +22,11 @@ use crate::config::{AnalysisConfig, AnalysisStats, AnalysisStatus};
 use crate::det::{DValue, Det, SlotAnn, BUILTIN_EPOCH};
 use crate::facts::{FactDb, FactKind, TripFact};
 use crate::supervisor::{CancelToken, RunHooks};
+use crate::trace::{self, Tracer};
 use mujs_interp::context::CtxId;
 use mujs_interp::domain::{Domain, Limits, Stop, VarKey};
-use mujs_interp::{Flow, Frame, Machine, ObjId, Observation, ScopeId, Slot, Value};
-use mujs_ir::{Stmt, StmtId, Sym};
+use mujs_interp::{Flow, Frame, Machine, ObjId, Observation, ScopeId, Slot, TraceAbs, Value};
+use mujs_ir::{FuncId, Stmt, StmtId, Sym};
 
 /// The instrumented determinacy machine: the µJS machine over the
 /// [`Instrumented`] domain.
@@ -172,6 +174,8 @@ pub struct Instrumented {
     /// work rather than instantaneous residency — which is what keeps a
     /// runaway allocation loop from exhausting the host.
     cells_allocated: u64,
+    /// The heap trace, recorded while [`RunHooks::trace`] is set.
+    pub(crate) tracer: Option<Box<Tracer>>,
     /// Fault-injection state (testing only).
     #[cfg(feature = "fault-inject")]
     faults: Option<crate::supervisor::FaultState>,
@@ -182,11 +186,13 @@ pub struct Instrumented {
 }
 
 impl Instrumented {
-    /// Installs supervision hooks (cancellation, progress, fault plan).
-    /// Call before running; the drivers do this automatically.
+    /// Installs supervision hooks (cancellation, progress, heap tracing,
+    /// fault plan). Call before running; the drivers do this
+    /// automatically.
     pub fn install_hooks(&mut self, hooks: &RunHooks) {
         self.cancel = hooks.cancel.clone();
         self.progress = hooks.progress.clone();
+        self.tracer = hooks.trace.then(Box::default);
         #[cfg(feature = "fault-inject")]
         {
             self.faults = hooks.faults.clone().map(crate::supervisor::FaultState::new);
@@ -313,6 +319,7 @@ impl Domain for Instrumented {
             cancel: None,
             progress: None,
             cells_allocated: 0,
+            tracer: None,
             #[cfg(feature = "fault-inject")]
             faults: None,
             #[cfg(feature = "fault-inject")]
@@ -558,6 +565,45 @@ impl Domain for Instrumented {
                 .facts
                 .record_with_class(FactKind::Define, point, ctx, v, class.as_ref());
         }
+        trace::define(m, point, v);
+    }
+
+    #[inline]
+    fn on_call(
+        m: &mut DMachine<'_>,
+        site: StmtId,
+        callee: &DValue,
+        this: Option<&DValue>,
+        args: &[DValue],
+    ) {
+        trace::call(m, site, callee, this, args);
+    }
+
+    #[inline]
+    fn on_construct(
+        m: &mut DMachine<'_>,
+        site: StmtId,
+        obj: ObjId,
+        callee: Option<FuncId>,
+        args: &[DValue],
+        proto: Option<ObjId>,
+    ) {
+        trace::construct(m, site, obj, callee, args, proto);
+    }
+
+    #[inline]
+    fn on_set_prop(m: &mut DMachine<'_>, site: StmtId, base: &DValue, key: Sym, v: &DValue) {
+        trace::set_prop(m, site, base, key, v);
+    }
+
+    #[inline]
+    fn on_return(m: &mut DMachine<'_>, func: FuncId, v: &DValue) {
+        trace::ret(m, func, v);
+    }
+
+    #[inline]
+    fn tag(m: &mut DMachine<'_>, obj: ObjId, abs: TraceAbs) {
+        trace::tag(m, obj, abs);
     }
 
     /// Occurrence-qualified key facts, so per-iteration facts of

@@ -1,24 +1,27 @@
-//! Dynamic shortcuts: concrete-execution fast-forward summaries.
+//! Dynamic shortcuts: fast-forward summaries of determinate regions,
+//! distilled from the heap traces of the analysis runs themselves.
 //!
-//! PR 4's fact injection hands the solver flat per-site facts; blame
+//! Fact injection hands the solver flat per-site facts; blame
 //! reports show the remaining budget starvation traces to *regions* —
 //! whole determinate functions (jQuery's `extend` copy loop,
 //! `defAccessors`) whose effects flat injection provably cannot cover.
 //! This module implements the next step: stop re-analyzing regions the
 //! dynamic run proved determinate.
 //!
-//! 1. [`determinate_regions`] walks the fact database and each
-//!    function's body, selecting functions whose every recorded key,
-//!    callee, branch, and loop trip was determinate *in each context*
-//!    (region selection does not need cross-context agreement — the
-//!    replay witnesses every recorded context), with no exceptional or
-//!    eval control flow (no `try`/`throw`/direct `eval` at any depth).
-//! 2. [`shortcut_summaries`] replays the program once on the sealed
-//!    concrete interpreter with heap tracing enabled at the region
-//!    points, under panic isolation and the analysis' step budget. Any
-//!    failure — parse drift, a run error, a panic, a truncated trace —
-//!    degrades soundly to *no* summaries: the solver then analyzes every
-//!    region ordinarily.
+//! 1. [`determinate_regions`] walks the combined fact database of a seed
+//!    fan-out and each function's body, selecting functions whose every
+//!    recorded key, callee, branch, and loop trip was determinate *in
+//!    each context* (region selection does not need cross-context
+//!    agreement — the trace witnesses every recorded context), with no
+//!    exceptional or eval control flow (no `try`/`throw`/direct `eval` at
+//!    any depth).
+//! 2. The same fan-out, run with [`RunHooks::trace`] set, recorded every
+//!    statement's abstracted heap events ([`crate::trace`]) in every seed
+//!    and every counterfactual execution — exactly the executions the
+//!    facts rest on. [`summarize`] keeps the regions' events; the
+//!    summaries are degraded (empty, so the solver analyzes every region
+//!    ordinarily) unless every run ended `Completed` or `FlushCapReached`,
+//!    no seed failed, and no trace hit [`crate::trace::SHORTCUT_MAX_EVENTS`].
 //! 3. The distiller maps the recorded events onto the exact nodes the
 //!    solver would have used (same resolver, same canonicalization, same
 //!    `Ret`/`This`/param wiring as `apply_call`), producing one
@@ -29,23 +32,21 @@
 //! deduplicated record-time abstraction ([`mujs_interp::TraceAbs`]), so
 //! the summary is independent of heap layout and run length.
 
-use crate::config::AnalysisConfig;
+use crate::config::{AnalysisConfig, AnalysisStatus};
+use crate::driver::DetHarness;
 use crate::facts::{FactDb, FactKind, TripFact};
+use crate::multirun::{analyze_many_hooked, MultiRunOutcome};
+use crate::supervisor::RunHooks;
+use crate::trace::HeapTrace;
 use mujs_dom::document::Document;
 use mujs_dom::events::EventPlan;
-use mujs_interp::driver::Harness;
-use mujs_interp::{HeapTrace, InterpOptions, TraceAbs, TraceConfig};
+use mujs_interp::TraceAbs;
 use mujs_ir::ir::{Place, StmtKind};
 use mujs_ir::resolve::{Binding, Resolver};
-use mujs_ir::{FuncId, FuncKind, Program, StmtId, Sym};
+use mujs_ir::{FuncId, FuncKind, Program, StmtId};
 use mujs_pta::{AbsObj, Node, RegionSummary, ShortcutSummaries};
 use serde_json::Value;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// Default cap on recorded trace events; a replay that trips it returns
-/// a truncated trace and the summarizer degrades to no summaries.
-pub const SHORTCUT_MAX_EVENTS: usize = 1_000_000;
 
 /// What the summarizer produced, and why, for reporting.
 #[derive(Debug, Default)]
@@ -54,8 +55,10 @@ pub struct ShortcutOutcome {
     pub summaries: ShortcutSummaries,
     /// Candidate regions the extractor selected.
     pub candidates: usize,
-    /// The replay failed (error, panic, or truncation) and the
-    /// summaries were dropped — ordinary analysis everywhere.
+    /// Some run's trace could not witness its regions (a failed seed, a
+    /// run that did not end `Completed` or `FlushCapReached`, an untraced
+    /// or truncated trace), so the summaries were dropped — ordinary
+    /// analysis everywhere.
     pub degraded: bool,
 }
 
@@ -110,73 +113,87 @@ pub fn determinate_regions(prog: &Program, db: &FactDb) -> Vec<FuncId> {
     out
 }
 
-/// Replays `src` on the sealed concrete interpreter with tracing at the
-/// determinate regions of (`prog`, `db`) and distills the trace into
-/// solver-ready summaries. `prog` must be the program the facts were
-/// recorded against; property-key strings the replay interned are
-/// re-interned into it (deterministically, in recording order).
-pub fn shortcut_summaries(
-    src: &str,
-    doc: &Document,
-    plan: &EventPlan,
-    cfg: &AnalysisConfig,
-    db: &FactDb,
-    prog: &mut Program,
-) -> ShortcutOutcome {
-    let regions = determinate_regions(prog, db);
+/// Summarizes the determinate regions of a traced seed fan-out: regions
+/// from the combined facts, tuples from every run's heap trace. `prog` is
+/// the program the fan-out ran on (it holds the functions `eval` added
+/// and the property keys the runs interned).
+pub fn summarize(prog: &Program, multi: &MultiRunOutcome) -> ShortcutOutcome {
+    let regions = determinate_regions(prog, &multi.facts);
     if regions.is_empty() {
         return ShortcutOutcome::default();
     }
-    let mut points: HashSet<StmtId> = HashSet::new();
-    for &fid in &regions {
-        Program::walk_block(&prog.func(fid).body, &mut |s| {
-            points.insert(s.id);
-        });
-    }
-    let funcs: HashSet<FuncId> = regions.iter().copied().collect();
-    let seed = cfg.seed;
-    let max_steps = cfg.max_steps;
-    // The replay runs the same lowering over the same source, so every
-    // StmtId/FuncId aligns with `prog`; only runtime-interned property
-    // keys need translation afterwards.
-    let src_owned = src.to_owned();
-    let doc2 = doc.clone();
-    let replayed = catch_unwind(AssertUnwindSafe(move || -> Option<(HeapTrace, Program)> {
-        let mut h = Harness::from_src(&src_owned).ok()?;
-        let opts = InterpOptions {
-            seed,
-            max_steps,
-            trace: Some(TraceConfig {
-                points,
-                funcs,
-                max_events: SHORTCUT_MAX_EVENTS,
-            }),
-            ..Default::default()
-        };
-        let out = h.run_dom(opts, doc2, plan);
-        if out.result.is_err() {
-            return None;
-        }
-        let trace = out.trace?;
-        if trace.truncated {
-            return None;
-        }
-        Some((trace, h.program))
-    }))
-    .ok()
-    .flatten();
-    let Some((trace, replay_prog)) = replayed else {
+    let Some(traces) = witnessing_traces(multi) else {
         return ShortcutOutcome {
             summaries: ShortcutSummaries::default(),
             candidates: regions.len(),
             degraded: true,
         };
     };
-    let summaries = distill(prog, &replay_prog, &regions, &trace);
     ShortcutOutcome {
-        summaries,
+        summaries: distill(prog, &regions, &traces),
         candidates: regions.len(),
         degraded: false,
+    }
+}
+
+/// Every run's trace, when together they witness every execution the
+/// facts rest on: no seed failed, and each run ended `Completed` or at
+/// the flush cap with a trace under the event cap.
+fn witnessing_traces(multi: &MultiRunOutcome) -> Option<Vec<&HeapTrace>> {
+    if !multi.failures.is_empty() {
+        return None;
+    }
+    multi
+        .runs
+        .iter()
+        .map(|r| {
+            let ended = matches!(
+                r.status,
+                AnalysisStatus::Completed | AnalysisStatus::FlushCapReached
+            );
+            r.trace.as_deref().filter(|t| ended && !t.truncated)
+        })
+        .collect()
+}
+
+/// [`summarize`] over a fresh traced fan-out of `src` under `cfg.seed` on
+/// `doc` and `plan`, mapped into `prog` (lowered from the same source)
+/// through [`PortableSummaries`]. Regions come from that fan-out's own
+/// facts, which equal `_facts` when the caller analyzed the same page
+/// under `cfg`: facts recorded on another program cannot be matched
+/// against its events, because `eval` appends functions in every run.
+pub fn shortcut_summaries(
+    src: &str,
+    doc: &Document,
+    plan: &EventPlan,
+    cfg: &AnalysisConfig,
+    _facts: &FactDb,
+    prog: &mut Program,
+) -> ShortcutOutcome {
+    let Ok(mut h) = DetHarness::from_src(src) else {
+        return ShortcutOutcome {
+            degraded: true,
+            ..ShortcutOutcome::default()
+        };
+    };
+    let hooks = RunHooks {
+        trace: true,
+        ..RunHooks::supervised()
+    };
+    let multi = analyze_many_hooked(
+        &mut h,
+        &[cfg.seed],
+        cfg.clone(),
+        Some(doc),
+        plan,
+        &hooks,
+        &|_, _| {},
+    );
+    let out = summarize(&h.program, &multi);
+    let portable = PortableSummaries::from_summaries(&out.summaries, &h.program);
+    ShortcutOutcome {
+        summaries: portable.into_summaries(prog),
+        ..out
     }
 }
 
@@ -184,24 +201,7 @@ pub fn shortcut_summaries(
 /// solver's own wiring exactly: `place_node` naming, `canon`
 /// specialization links, `apply_call`'s param/`This`/`ProtoVar` seeds,
 /// and the opaque-call escape to `UnknownProps(Opaque)`.
-fn distill(
-    prog: &mut Program,
-    replay: &Program,
-    regions: &[FuncId],
-    trace: &HeapTrace,
-) -> ShortcutSummaries {
-    // Mutable phase first: translate the replay's runtime-interned
-    // property keys into `prog`'s interner, in recording order so the
-    // interner growth is deterministic.
-    let mut key_map: HashMap<Sym, Sym> = HashMap::new();
-    for (_, _, key, _) in &trace.writes {
-        if !key_map.contains_key(key) {
-            let s = replay.interner.resolve(*key).to_owned();
-            let ps = prog.interner.intern(&s);
-            key_map.insert(*key, ps);
-        }
-    }
-    let prog = &*prog;
+fn distill(prog: &Program, regions: &[FuncId], traces: &[&HeapTrace]) -> ShortcutSummaries {
     let resolver = Resolver::new(prog);
     let region_set: BTreeSet<FuncId> = regions.iter().copied().collect();
     // Defining statements of region bodies, for mapping define events
@@ -256,64 +256,65 @@ fn distill(
         let f = prog.func_of(site);
         region_set.contains(&f).then_some(f)
     };
-    for (site, a) in &trace.defines {
-        let Some(f) = owner(*site) else { continue };
-        let Some(dst) = dst_of.get(site) else {
-            continue;
-        };
-        tuples
-            .get_mut(&f)
-            .unwrap()
-            .insert((place_node(f, dst), abs(a)));
-    }
-    for (site, base, key, val) in &trace.writes {
-        let Some(f) = owner(*site) else { continue };
-        let pkey = key_map[key];
-        tuples
-            .get_mut(&f)
-            .unwrap()
-            .insert((Node::Prop(abs(base), pkey), abs(val)));
-    }
-    for (func, a) in &trace.rets {
-        if !region_set.contains(func) {
-            continue;
+    for trace in traces {
+        for (site, a) in &trace.defines {
+            let Some(f) = owner(*site) else { continue };
+            let Some(dst) = dst_of.get(site) else {
+                continue;
+            };
+            tuples
+                .get_mut(&f)
+                .unwrap()
+                .insert((place_node(f, dst), abs(a)));
         }
-        tuples
-            .get_mut(func)
-            .unwrap()
-            .insert((Node::Ret(*func), abs(a)));
-    }
-    for ev in &trace.calls {
-        let Some(f) = owner(ev.site) else { continue };
-        let t = tuples.get_mut(&f).unwrap();
-        match ev.callee {
-            Some(g) => {
-                calls.get_mut(&f).unwrap().insert((ev.site, g));
-                let cg = canon(g);
-                for (i, &p) in prog.func(g).params.iter().enumerate() {
-                    if let Some(Some(a)) = ev.args.get(i) {
-                        t.insert((Node::Local(cg, p), abs(a)));
-                    }
-                }
-                if ev.is_new {
-                    t.insert((Node::This(g), AbsObj::Alloc(ev.site)));
-                    if let Some(pa) = &ev.proto {
-                        // The solver skips prototype wiring for opaque
-                        // protos too (nothing flows from Opaque's props).
-                        if !matches!(pa, TraceAbs::Opaque) {
-                            t.insert((Node::ProtoVar(AbsObj::Alloc(ev.site)), abs(pa)));
+        for (site, base, key, val) in &trace.writes {
+            let Some(f) = owner(*site) else { continue };
+            tuples
+                .get_mut(&f)
+                .unwrap()
+                .insert((Node::Prop(abs(base), *key), abs(val)));
+        }
+        for (func, a) in &trace.rets {
+            if !region_set.contains(func) {
+                continue;
+            }
+            tuples
+                .get_mut(func)
+                .unwrap()
+                .insert((Node::Ret(*func), abs(a)));
+        }
+        for ev in &trace.calls {
+            let Some(f) = owner(ev.site) else { continue };
+            let t = tuples.get_mut(&f).unwrap();
+            match ev.callee {
+                Some(g) => {
+                    calls.get_mut(&f).unwrap().insert((ev.site, g));
+                    let cg = canon(g);
+                    for (i, &p) in prog.func(g).params.iter().enumerate() {
+                        if let Some(Some(a)) = ev.args.get(i) {
+                            t.insert((Node::Local(cg, p), abs(a)));
                         }
                     }
-                } else if let Some(ta) = &ev.this {
-                    t.insert((Node::This(g), abs(ta)));
+                    if ev.is_new {
+                        t.insert((Node::This(g), AbsObj::Alloc(ev.site)));
+                        if let Some(pa) = &ev.proto {
+                            // The solver skips prototype wiring for opaque
+                            // protos too (nothing flows from Opaque's props).
+                            if !matches!(pa, TraceAbs::Opaque) {
+                                t.insert((Node::ProtoVar(AbsObj::Alloc(ev.site)), abs(pa)));
+                            }
+                        }
+                    } else if let Some(ta) = &ev.this {
+                        t.insert((Node::This(g), abs(ta)));
+                    }
                 }
-            }
-            None => {
-                // Calling an unmodeled native: arguments escape into the
-                // opaque unknown-props pool, exactly as the solver's
-                // `apply_call` does for `AbsObj::Opaque`.
-                for a in ev.args.iter().flatten() {
-                    t.insert((Node::UnknownProps(AbsObj::Opaque), abs(a)));
+                None => {
+                    // Calling an unmodeled native: arguments escape into the
+                    // opaque unknown-props pool, exactly as the solver's
+                    // `apply_call` does for `AbsObj::Opaque`.
+                    for a in ev.args.iter().flatten() {
+                        t.insert((Node::UnknownProps(AbsObj::Opaque), abs(a)));
+                    }
                 }
             }
         }

@@ -11,8 +11,8 @@
 //!   stop with [`AnalysisStatus::Cancelled`][crate::AnalysisStatus],
 //!   keeping the sound fact prefix exactly like the flush cap does.
 //! * [`RunHooks`] — the supervision context handed to a run: cancellation,
-//!   a live progress counter, and (behind the `fault-inject` feature) a
-//!   [`FaultPlan`].
+//!   a live progress counter, the heap-trace switch, and (behind the
+//!   `fault-inject` feature) a [`FaultPlan`].
 //! * [`supervised_analyze`] / [`supervised_analyze_dom`] — wrappers that
 //!   catch engine panics and convert them into structured [`RunFailure`]
 //!   values instead of unwinding into the caller.
@@ -64,6 +64,10 @@ pub struct RunHooks {
     /// Live statement counter, updated at every poll. Survives a panic of
     /// the machine, so the supervisor can report how far a failed run got.
     pub progress: Option<Arc<AtomicU64>>,
+    /// Record the run's heap trace ([`crate::trace`]), the data source of
+    /// shortcut summaries. Off by default: an untraced run records
+    /// nothing and pays one branch per traced hook.
+    pub trace: bool,
     /// Deterministic fault injection (testing only).
     #[cfg(feature = "fault-inject")]
     pub faults: Option<FaultPlan>,
@@ -75,6 +79,7 @@ impl RunHooks {
         RunHooks {
             cancel: Some(CancelToken::new()),
             progress: Some(Arc::new(AtomicU64::new(0))),
+            trace: false,
             #[cfg(feature = "fault-inject")]
             faults: None,
         }
@@ -86,6 +91,7 @@ impl RunHooks {
         RunHooks {
             cancel: Some(token),
             progress: Some(Arc::new(AtomicU64::new(0))),
+            trace: false,
             #[cfg(feature = "fault-inject")]
             faults: None,
         }

@@ -23,12 +23,32 @@
 //! monomorphization its machine carries nothing. The instrumented domain
 //! lives in the `determinacy` crate.
 
-use crate::concrete::TraceAbs;
 use crate::context::CtxId;
 use crate::machine::{Frame, Machine};
 use crate::values::{ObjId, ScopeId, Slot, Value};
 use mujs_ir::{FuncId, Stmt, StmtId, Sym};
 use std::fmt::Debug;
+
+/// The abstraction of a heap value, resolved *at record time* by a domain
+/// that traces the heap (the instrumented one, for dynamic shortcuts).
+/// Mirrors the points-to analysis' abstract object domain: site-allocated
+/// objects, closures, per-function `.prototype` records, the global, and
+/// an opaque bucket for everything the analysis does not model (natives,
+/// DOM values, stdlib-internal allocations).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum TraceAbs {
+    /// The global (`window`) object.
+    Global,
+    /// A closure of the function.
+    Closure(FuncId),
+    /// The fresh `.prototype` object created with each closure.
+    ProtoOf(FuncId),
+    /// An object allocated at the statement (`{}`/`[]` literals, `for-in`
+    /// key arrays, `new F` results).
+    Alloc(StmtId),
+    /// Unmodeled: native functions and their results, DOM values.
+    Opaque,
+}
 
 /// A value annotation: a two-point join semilattice in the instrumented
 /// domain (`!` ⊑ `?`), a single point in the concrete one.

@@ -2,7 +2,7 @@
 //! post-load event plan. This is the programmatic equivalent of loading an
 //! HTML page in the paper's ZombieJS harness.
 
-use crate::concrete::{HeapTrace, Interp, InterpOptions, RunError};
+use crate::concrete::{Interp, InterpOptions, RunError};
 use crate::domain::Observation;
 use mujs_dom::document::Document;
 use mujs_dom::events::EventPlan;
@@ -21,8 +21,6 @@ pub struct Outcome {
     pub steps: u64,
     /// Per-statement observations (when enabled in the options).
     pub observations: Vec<Observation>,
-    /// Recorded heap events (when tracing was enabled in the options).
-    pub trace: Option<HeapTrace>,
 }
 
 impl Outcome {
@@ -138,7 +136,6 @@ impl Harness {
             output: std::mem::take(&mut interp.output),
             steps: interp.steps(),
             observations: std::mem::take(&mut interp.observations),
-            trace: interp.take_trace(),
         }
     }
 
@@ -151,7 +148,6 @@ impl Harness {
             output: std::mem::take(&mut interp.output),
             steps: interp.steps(),
             observations: std::mem::take(&mut interp.observations),
-            trace: interp.take_trace(),
         }
     }
 }

@@ -6,8 +6,7 @@
 //! the [`mujs_dom`] substrate), generic over an annotation [`Domain`].
 //!
 //! * [`Interp`] is the machine over the [`concrete::Concrete`] domain —
-//!   the trace semantics of the paper's Figure 8, with optional heap
-//!   tracing for dynamic shortcuts.
+//!   the trace semantics of the paper's Figure 8.
 //! * The `determinacy` crate's `DMachine` is the same machine over its
 //!   instrumented domain — the rules of Figure 9.
 //!
@@ -41,9 +40,9 @@ pub mod natives;
 pub mod stdlib;
 pub mod values;
 
-pub use concrete::{HeapTrace, Interp, InterpOptions, RunError, TraceAbs, TraceCall, TraceConfig};
+pub use concrete::{Interp, InterpOptions, RunError};
 pub use context::{ContextTable, CtxId};
-pub use domain::{AnnValue, Domain, Flag, Flow, Observation};
+pub use domain::{AnnValue, Domain, Flag, Flow, Observation, TraceAbs};
 pub use driver::{run_src, DriveError, Harness, Outcome};
 pub use machine::{Frame, Machine, MAX_CALL_DEPTH};
 pub use values::{NativeId, ObjClass, ObjId, Object, PropMap, ScopeId, Slot, Value};

@@ -3,9 +3,8 @@
 //! the call and taints its result.
 
 use super::{Frame, Machine, MAX_CALL_DEPTH};
-use crate::concrete::TraceAbs;
 use crate::context::CtxId;
-use crate::domain::{AnnValue, Domain, Flag, Flow, Stop};
+use crate::domain::{AnnValue, Domain, Flag, Flow, Stop, TraceAbs};
 use crate::values::{ObjClass, ObjId, ScopeId, Value};
 use mujs_dom::document::Document;
 use mujs_dom::events::EventPlan;

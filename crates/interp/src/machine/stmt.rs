@@ -7,8 +7,7 @@
 
 use super::{lit_value, Machine};
 use crate::coerce;
-use crate::concrete::TraceAbs;
-use crate::domain::{AnnValue, Domain, Flag, Flow, Stop};
+use crate::domain::{AnnValue, Domain, Flag, Flow, Stop, TraceAbs};
 use crate::machine::Frame;
 use crate::values::{ObjClass, Value};
 use mujs_ir::ir::{Place, PropKey, StmtKind};

@@ -39,6 +39,7 @@
 
 use determinacy::cachekey::KeyHasher;
 use determinacy::multirun::{analyze_many_hooked, export_value, MultiRunOutcome};
+use determinacy::shortcut::summarize;
 use determinacy::{
     injectable_facts, AnalysisConfig, AnalysisStatus, CancelToken, DetHarness, InjectablePairs,
     PortableSummaries, RunHooks,
@@ -77,8 +78,8 @@ pub enum PtaMode {
     Baseline,
     /// Inject the determinate property keys and callees into the solve.
     Inject,
-    /// Inject, and replace determinate regions by concrete-replay
-    /// shortcut summaries.
+    /// Inject, and replace determinate regions by shortcut summaries
+    /// traced during the fan-out.
     InjectShortcuts,
     /// Solve the program specialized against the facts, with this
     /// context-depth bound.
@@ -186,6 +187,14 @@ pub struct StageRequest {
     pub pta: Option<PtaStage>,
 }
 
+impl StageRequest {
+    /// Whether the request's PTA stage runs in shortcut mode, the only
+    /// consumer of shortcut summaries.
+    pub fn needs_summary(&self) -> bool {
+        self.pta.is_some_and(|s| s.mode == PtaMode::InjectShortcuts)
+    }
+}
+
 /// The content keys of one request's stages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageKeys {
@@ -222,9 +231,8 @@ impl StageKeys {
         }
         .finish();
         let summary = req
-            .pta
-            .filter(|s| s.mode == PtaMode::InjectShortcuts)
-            .map(|_| stage_hasher("summary", &facts).finish());
+            .needs_summary()
+            .then(|| stage_hasher("summary", &facts).finish());
         let pta = req.pta.map(|stage| {
             let upstream = match stage.mode {
                 PtaMode::Baseline => &parse,
@@ -274,7 +282,8 @@ pub struct PipelineCounters {
     pub parses: AtomicU64,
     /// Supervised per-seed analysis runs executed.
     pub analyses: AtomicU64,
-    /// Concrete shortcut-summary replays executed.
+    /// Shortcut summaries built from a traced fan-out (the name stays:
+    /// reports and benchmarks read it).
     pub summary_replays: AtomicU64,
     /// Pointer-analysis solves executed.
     pub pta_solves: AtomicU64,
@@ -488,7 +497,10 @@ impl<'a> Pipeline<'a> {
     /// pipeline's cancel token) runs the first time something needs the
     /// live fact graphs, including when a cache served the facts stage:
     /// cached artifacts never carry the graphs, so the same
-    /// deterministic computation the facts key addresses re-runs.
+    /// deterministic computation the facts key addresses re-runs. It
+    /// records heap traces only when the request
+    /// [needs a summary](StageRequest::needs_summary) (tracing changes no
+    /// fact).
     ///
     /// # Errors
     ///
@@ -499,13 +511,17 @@ impl<'a> Pipeline<'a> {
             (self.notify)("running determinacy analysis");
             let page = self.req.page.clone().unwrap_or_else(Page::service);
             let harness = self.harness.as_mut().expect("built above");
+            let hooks = RunHooks {
+                trace: self.req.needs_summary(),
+                ..RunHooks::with_cancel(self.cancel.clone())
+            };
             self.live = Some(analyze_many_hooked(
                 harness,
                 &self.req.seeds,
                 self.req.cfg.clone(),
                 Some(&page.doc),
                 &page.plan,
-                &RunHooks::with_cancel(self.cancel.clone()),
+                &hooks,
                 &|i, n| {
                     self.counters.analyses.fetch_add(1, Ordering::Relaxed);
                     (self.notify)(&format!("seed {i}/{n} done"));
@@ -554,37 +570,24 @@ impl<'a> Pipeline<'a> {
             .into_facts(program))
     }
 
-    /// The summary artifact: replays the determinate regions on the
-    /// concrete interpreter and distills portable shortcut summaries. The
-    /// replay is deterministic (panic-isolated, step-budgeted, no wall
-    /// clock), so the artifact is as clean as the fan-out it reads.
+    /// The summary artifact: the portable shortcut summaries of the live
+    /// fan-out ([`determinacy::shortcut::summarize`]), traced when the
+    /// request [needs a summary](StageRequest::needs_summary); an
+    /// untraced fan-out's summaries are degraded. The artifact is as
+    /// clean as the fan-out it reads.
     ///
     /// # Errors
     ///
     /// The source's syntax error.
     pub fn summary(&mut self) -> Result<Value, SyntaxError> {
-        let req = self.req;
         let counters = self.counters;
         let notify = self.notify;
-        let page = req.page.clone().unwrap_or_else(Page::service);
         let (h, multi) = self.live()?;
+        // The progress detail keeps its wording: clients see it on the
+        // wire.
         notify("replaying determinate regions");
-        // The replay seed is immaterial for determinate regions (that is
-        // what determinacy means), but pin the fan-out's first seed so the
-        // stage is a closed function of its key inputs.
-        let cfg = AnalysisConfig {
-            seed: req.seeds.first().copied().unwrap_or_default(),
-            ..req.cfg.clone()
-        };
         counters.summary_replays.fetch_add(1, Ordering::Relaxed);
-        let out = determinacy::shortcut_summaries(
-            &req.src,
-            &page.doc,
-            &page.plan,
-            &cfg,
-            &multi.facts,
-            &mut h.program,
-        );
+        let out = summarize(&h.program, multi);
         let portable = PortableSummaries::from_summaries(&out.summaries, &h.program);
         let num = |n: usize| Value::Num(n as f64);
         Ok(Value::Object(vec![

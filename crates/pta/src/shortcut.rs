@@ -10,11 +10,12 @@
 //! generating and solving the region's constraints.
 //!
 //! The summary producer lives in the determinacy core (it needs the
-//! interpreter and the fact database); this module only defines the
-//! solver-facing shape. Soundness rests on the producer: a summary must
-//! cover every heap effect the region's constraints would have produced
-//! for the recorded contexts, and regions whose replay fails (panic,
-//! budget, truncation) must simply be left out — the solver then
+//! instrumented runs' heap traces and the fact database); this module
+//! only defines the solver-facing shape. Soundness rests on the
+//! producer: a summary must cover every heap effect the region's
+//! constraints would have produced for the recorded contexts, and
+//! regions whose trace cannot witness them (a failed seed, a run cut
+//! short, truncation) must simply be left out — the solver then
 //! analyzes them ordinarily.
 
 use crate::nodes::{AbsObj, Node};

@@ -54,7 +54,7 @@ fn func_named(prog: &Program, name: &str) -> FuncId {
 
 /// A hand-built summary for `id`: its return node points at a spread of
 /// `mk*` closures — enough fan-out that every caller receives a wide set
-/// — plus the identity flow a real replay would record.
+/// — plus the identity flow a real trace would record.
 /// (Solver-side tests need no producer; the summary's *content* only has
 /// to be well-formed, its effect on determinism is what's under test.)
 fn test_summaries(prog: &Program) -> ShortcutSummaries {

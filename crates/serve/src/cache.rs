@@ -39,8 +39,8 @@ pub enum Stage {
     /// Dynamic determinacy analysis over the seed fan-out (artifact: the
     /// combined fact export plus injectable pairs).
     Facts,
-    /// Concrete-replay region summaries (artifact: portable shortcut
-    /// summaries plus extractor counts).
+    /// Region summaries from the traced fan-out (artifact: portable
+    /// shortcut summaries plus extractor counts).
     Summary,
     /// Budgeted pointer analysis (artifact: precision + work summary).
     Pta,

@@ -352,7 +352,7 @@ mod tests {
             "the solver consumed the summaries"
         );
         assert!(pta.get("shortcut_tuples").and_then(Value::as_f64).unwrap() >= 1.0);
-        // Warm rerun: byte-identical row, no new replays/solves/analyses.
+        // Warm rerun: byte-identical row, no new summaries/solves/analyses.
         let replays = counters.summary_replays.load(Ordering::Relaxed);
         let solves = counters.pta_solves.load(Ordering::Relaxed);
         let analyses = counters.analyses.load(Ordering::Relaxed);
