@@ -12,7 +12,7 @@
 //!   keeping the sound fact prefix exactly like the flush cap does.
 //! * [`RunHooks`] — the supervision context handed to a run: cancellation,
 //!   a live progress counter, the heap-trace switch, and (behind the
-//!   `fault-inject` feature) a [`FaultPlan`].
+//!   `fault-inject` feature) a `FaultPlan`.
 //! * [`supervised_analyze`] / [`supervised_analyze_dom`] — wrappers that
 //!   catch engine panics and convert them into structured [`RunFailure`]
 //!   values instead of unwinding into the caller.

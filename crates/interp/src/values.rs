@@ -139,7 +139,7 @@ const SMALL_OBJ_THRESHOLD: usize = 8;
 /// determinate iteration order, §5.2).
 ///
 /// Keys are interned [`Sym`]s. Storage is a single entry vector: below
-/// [`SMALL_OBJ_THRESHOLD`] entries lookups are linear scans (comparing
+/// `SMALL_OBJ_THRESHOLD` (8) entries lookups are linear scans (comparing
 /// `u32`s), above it a hash index from key to entry position is built
 /// lazily and kept incrementally up to date. Deletion leaves a tombstone
 /// so existing positions stay valid; a key therefore appears at most once

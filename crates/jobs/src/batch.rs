@@ -7,11 +7,12 @@
 //! [`CancelToken`][determinacy::CancelToken] threaded into the run hooks,
 //! per-seed combination in seed order
 //! ([`analyze_many_hooked`][determinacy::multirun::analyze_many_hooked]),
-//! then the optional PTA stage. The finished graph (program, source,
-//! combined outcome) transfers back through the pool's ordered result
-//! slots, so [`BatchOutcome::jobs`] is always in manifest order and
-//! [`BatchOutcome::report_json`] is **byte-identical for any worker
-//! count**.
+//! then the optional PTA stage. The worker renders the job's report row
+//! there and hands back only that row, an owned JSON value; the program
+//! and fact graphs never leave the worker. Rows land in the pool's
+//! ordered result slots, so [`BatchOutcome::jobs`] is always in manifest
+//! order and [`BatchOutcome::report_json`] is **byte-identical for any
+//! worker count**.
 //!
 //! [`run_manifest_with`] layers the campaign-robustness machinery on top
 //! without disturbing that invariant:
@@ -22,7 +23,8 @@
 //!   [`BatchOptions::fail_fast`], cancelling the rest of the batch;
 //! * settled rows stream into an atomic [`Checkpoint`] keyed by job
 //!   content, and a resumed batch splices those rows back **byte for
-//!   byte** while scheduling only the remainder;
+//!   byte** while scheduling only the remainder: an executed row and a
+//!   restored one take the same path into the report;
 //! * a batch-wide declared-memory budget admits oversized jobs at reduced
 //!   budget ([`JobStatus::Degraded`]) instead of failing them.
 //!
@@ -34,53 +36,20 @@
 use crate::admission::{Admission, AdmissionController};
 use crate::checkpoint::{job_key, Checkpoint};
 use crate::pipeline::{
-    facts_fields, render_row as render_pipeline_row, Pipeline, PipelineCounters, PtaMode, PtaStage,
-    StageKeys,
+    facts_fields, render_row, Pipeline, PipelineCounters, PtaMode, PtaStage, StageKeys,
 };
-use crate::pool::{IsolatedGraph, JobCtx, JobEvent, JobPool, JobVerdict};
+use crate::pool::{JobCtx, JobEvent, JobPool, JobVerdict};
 use crate::spec::{JobSpec, Manifest};
-use determinacy::multirun::{export_json, MultiRunOutcome};
-use determinacy::RunFailure;
+use determinacy::multirun::export_value;
 use serde_json::Value;
 use std::path::PathBuf;
 use std::sync::Mutex;
-
-/// Everything a completed job hands back: the combined multi-run outcome
-/// plus the program/source needed to render or export its facts.
-#[derive(Debug)]
-pub struct JobOutcome {
-    /// The seeds the job fanned out over, in fan-out (= combination)
-    /// order.
-    pub seeds: Vec<u64>,
-    /// The per-seed runs combined in seed order.
-    pub multi: MultiRunOutcome,
-    /// The lowered program (for fact rendering/export).
-    pub program: mujs_ir::Program,
-    /// The source file (for fact rendering/export).
-    pub source: mujs_syntax::SourceFile,
-    /// The rendered PTA row, when the batch ran its opt-in PTA stage.
-    /// `None` (the default) leaves the report bytes exactly as a
-    /// PTA-less batch produces them.
-    pub pta: Option<Value>,
-}
-
-impl JobOutcome {
-    /// The job's combined facts as the canonical sorted JSON export.
-    pub fn export_facts_json(&self) -> String {
-        export_json(
-            &self.multi.facts,
-            &self.program,
-            &self.source,
-            &self.multi.ctxs,
-        )
-    }
-}
 
 /// How a job resolved at the batch level.
 #[derive(Debug)]
 pub enum JobStatus {
     /// The job ran; its runs may still record per-seed stops (deadline,
-    /// mem limit, mid-flight cancellation) in the outcome.
+    /// mem limit, mid-flight cancellation) in its row.
     Completed,
     /// The job ran to completion, but under a reduced memory budget
     /// granted by the admission controller (its declared `mem_cells`
@@ -103,11 +72,12 @@ pub struct JobRecord {
     pub name: String,
     /// How the job resolved.
     pub status: JobStatus,
-    /// The outcome, when the job ran to completion in this process.
-    pub outcome: Option<JobOutcome>,
-    /// The pre-rendered report row, when the job was restored from a
-    /// checkpoint instead of executed.
-    pub restored: Option<Value>,
+    /// The job's report row, exactly as [`BatchOutcome::report_json`]
+    /// prints it.
+    pub row: Value,
+    /// Whether the row was restored from a checkpoint instead of
+    /// executed in this process.
+    pub restored: bool,
 }
 
 /// Campaign-level options for [`run_manifest_with`].
@@ -116,6 +86,10 @@ pub struct BatchOptions {
     /// Cancel the rest of the batch on the first permanent failure (a
     /// syntax error, a panicked job, or an engine panic in a seed run).
     pub fail_fast: bool,
+    /// Leave the full sorted fact export out of the report: every row's
+    /// `fact_rows` is null. Jobs then render no fact rows at all, unless
+    /// the batch checkpoints (checkpoint rows always carry them).
+    pub no_facts: bool,
     /// When set, settled rows are checkpointed here (atomically, via
     /// temp-file + rename) as the batch runs.
     pub checkpoint_path: Option<PathBuf>,
@@ -161,41 +135,16 @@ impl BatchOutcome {
     pub fn has_failures(&self) -> bool {
         self.jobs.iter().any(|j| {
             matches!(j.status, JobStatus::Syntax(_) | JobStatus::Panicked(_))
-                || j.outcome
-                    .as_ref()
-                    .is_some_and(|o| !o.multi.failures.is_empty())
-                || j.restored.as_ref().is_some_and(|r| {
-                    r.get("failures")
-                        .and_then(Value::as_array)
-                        .is_some_and(|a| !a.is_empty())
-                })
+                || !failures(&j.row).is_empty()
         })
     }
 
-    /// The batch report as pretty JSON, in manifest order. Contains no
-    /// timing or worker information, so the bytes depend only on the
-    /// manifest and the analysis semantics — not on scheduling or resume
-    /// splicing. With `include_facts` each completed
-    /// job embeds its full sorted fact export.
-    pub fn report_json(&self, include_facts: bool) -> String {
-        let rows = self
-            .jobs
-            .iter()
-            .map(|j| match &j.restored {
-                Some(row) => {
-                    // Restored rows were rendered (with facts) by the run
-                    // that completed them; re-anchor the name to this
-                    // manifest and honor this report's facts flag.
-                    let mut row = row.clone();
-                    set_field(&mut row, "name", Value::Str(j.name.clone()));
-                    if !include_facts {
-                        set_field(&mut row, "fact_rows", Value::Null);
-                    }
-                    row
-                }
-                None => render_row(&j.name, &j.status, j.outcome.as_ref(), include_facts),
-            })
-            .collect();
+    /// The batch report as pretty JSON: every job's row, in manifest
+    /// order. Contains no timing or worker information, so the bytes
+    /// depend only on the manifest, [`BatchOptions::no_facts`] and the
+    /// analysis semantics — not on scheduling or resume splicing.
+    pub fn report_json(&self) -> String {
+        let rows = self.jobs.iter().map(|j| j.row.clone()).collect();
         let report = Value::Object(vec![("jobs".to_owned(), Value::Array(rows))]);
         serde_json::to_string_pretty(&report).expect("report serializes")
     }
@@ -218,12 +167,8 @@ impl BatchOutcome {
                 JobStatus::Syntax(_) => syntax += 1,
                 JobStatus::Completed => {}
             }
-            if j.restored.is_some() {
-                restored += 1;
-            }
-            if let Some(o) = &j.outcome {
-                run_failures += o.multi.failures.len() as u64;
-            }
+            restored += u64::from(j.restored);
+            run_failures += failures(&j.row).len() as u64;
         }
         let num = |n: u64| Value::Num(n as f64);
         let stats = Value::Object(vec![
@@ -251,34 +196,64 @@ fn status_str(status: &JobStatus) -> String {
     }
 }
 
-/// Renders one report row. This single function serves the live report,
-/// the checkpoint writer, and (transitively) the resume splice, which is
-/// what makes interrupted-then-resumed reports byte-identical to
-/// uninterrupted ones. The `pta` field exists only when the batch ran the
-/// PTA stage.
-fn render_row(
-    name: &str,
-    status: &JobStatus,
-    outcome: Option<&JobOutcome>,
-    include_facts: bool,
-) -> Value {
-    let facts = outcome.map(|o| {
-        Value::Object(facts_fields(
-            &o.seeds,
-            &o.multi,
-            &o.program,
-            &o.source,
-            include_facts,
-        ))
-    });
-    let pta = outcome.and_then(|o| o.pta.clone());
-    render_pipeline_row(
-        name,
-        &status_str(status),
-        facts.as_ref(),
-        include_facts,
-        pta.map(|row| ("pta".to_owned(), row)).into_iter().collect(),
-    )
+/// The status a row records: the inverse of [`status_str`].
+fn status_of(row: &Value) -> JobStatus {
+    let status = row.get("status").and_then(Value::as_str).unwrap_or("");
+    if let Some(e) = status.strip_prefix("syntax error: ") {
+        return JobStatus::Syntax(e.to_owned());
+    }
+    if let Some(e) = status.strip_prefix("panicked: ") {
+        return JobStatus::Panicked(e.to_owned());
+    }
+    match status {
+        "degraded" => JobStatus::Degraded,
+        "cancelled" => JobStatus::Cancelled,
+        _ => JobStatus::Completed,
+    }
+}
+
+/// The row of a job that has no facts: a syntax error, or a job that
+/// panicked or never started.
+fn bare_row(name: &str, status: &JobStatus) -> Value {
+    render_row(name, &status_str(status), None, false, Vec::new())
+}
+
+/// A row's per-run failures.
+fn failures(row: &Value) -> &[Value] {
+    row.get("failures").and_then(Value::as_array).unwrap_or(&[])
+}
+
+/// The permanent failure a job's row records, if any: its syntax error,
+/// or the first engine panic among its runs.
+fn permanent_failure(row: &Value) -> Option<String> {
+    if let JobStatus::Syntax(e) = status_of(row) {
+        return Some(format!("syntax error: {e}"));
+    }
+    failures(row)
+        .iter()
+        .find(|f| f.get("kind").and_then(Value::as_str) == Some("EnginePanic"))
+        .and_then(|f| f.get("message")?.as_str())
+        .map(ToOwned::to_owned)
+}
+
+/// Files a row under its manifest job. Every row, executed or restored,
+/// takes this one path, which is what makes interrupted-then-resumed
+/// reports byte-identical to uninterrupted ones: the name is re-anchored
+/// to this manifest (a restored row carries the name it settled under),
+/// and `fact_rows` is nulled when the report omits facts (a row rendered
+/// for the checkpoint carries them).
+fn record(index: usize, name: &str, mut row: Value, restored: bool, no_facts: bool) -> JobRecord {
+    set_field(&mut row, "name", Value::Str(name.to_owned()));
+    if no_facts {
+        set_field(&mut row, "fact_rows", Value::Null);
+    }
+    JobRecord {
+        index,
+        name: name.to_owned(),
+        status: status_of(&row),
+        row,
+        restored,
+    }
 }
 
 /// Replaces (or appends) an object field in place.
@@ -356,17 +331,7 @@ pub fn run_manifest_with(manifest: &Manifest, pool: &JobPool, opts: &BatchOption
     for (i, spec) in manifest.jobs.iter().enumerate() {
         match opts.resume.as_ref().and_then(|ck| ck.lookup(&keys[i])) {
             Some(row) => {
-                let status = match row.get("status").and_then(Value::as_str) {
-                    Some("degraded") => JobStatus::Degraded,
-                    _ => JobStatus::Completed,
-                };
-                records[i] = Some(JobRecord {
-                    index: i,
-                    name: spec.name.clone(),
-                    status,
-                    outcome: None,
-                    restored: Some(row.clone()),
-                });
+                records[i] = Some(record(i, &spec.name, row.clone(), true, opts.no_facts));
             }
             None => scheduled.push(i),
         }
@@ -386,6 +351,9 @@ pub fn run_manifest_with(manifest: &Manifest, pool: &JobPool, opts: &BatchOption
             chaos: opts.chaos.clone(),
         })
     });
+    // Fact rows are rendered only where something keeps them: the report,
+    // or the checkpoint (whose rows always carry them).
+    let include_facts = !opts.no_facts || writer.is_some();
 
     let jobs: Vec<(String, _)> = scheduled
         .iter()
@@ -396,7 +364,7 @@ pub fn run_manifest_with(manifest: &Manifest, pool: &JobPool, opts: &BatchOption
             let writer = &writer;
             let fail_fast = opts.fail_fast;
             let pta = opts.pta;
-            let job = move |ctx: &JobCtx| -> IsolatedGraph<(JobStatus, Option<JobOutcome>)> {
+            let job = move |ctx: &JobCtx| -> Value {
                 if fail_fast {
                     ctx.fail_fast();
                 }
@@ -415,50 +383,34 @@ pub fn run_manifest_with(manifest: &Manifest, pool: &JobPool, opts: &BatchOption
                         granted_cells: adm.granted.unwrap_or_default(),
                     });
                 }
-                let (status, outcome) = run_spec(&spec, ctx, &adm, pta);
+                let row = run_spec(&spec, ctx, &adm, pta, include_facts);
                 if let Some(c) = admission {
                     c.release(adm);
                 }
-                let failure = match (&status, &outcome) {
-                    (JobStatus::Syntax(e), _) => Some(format!("syntax error: {e}")),
-                    (_, Some(o)) => o
-                        .multi
-                        .failures
-                        .iter()
-                        .find(|f| matches!(f, RunFailure::EnginePanic { .. }))
-                        .map(ToString::to_string),
-                    _ => None,
-                };
-                if let Some(error) = failure {
+                if let Some(error) = permanent_failure(&row) {
                     ctx.fail(error);
-                } else if let (Some(w), Some(o)) = (writer, &outcome) {
+                } else if let Some(w) = writer {
                     // The row is settled — its bytes are final — so it is
                     // safe to checkpoint. Rows carrying failures are left
                     // out: a resume should rerun them.
-                    if o.multi.failures.is_empty() {
-                        let row = render_row(&spec.name, &status, Some(o), true);
-                        w.lock().unwrap().record(key.clone(), row);
+                    if failures(&row).is_empty() {
+                        w.lock().unwrap().record(key.clone(), row.clone());
                     }
                 }
-                IsolatedGraph::new((status, outcome))
+                row
             };
             (manifest.jobs[i].name.clone(), job)
         })
         .collect();
 
     for (&slot, verdict) in scheduled.iter().zip(pool.run(jobs)) {
-        let (status, outcome) = match verdict {
-            JobVerdict::Done(iso) => iso.into_inner(),
-            JobVerdict::Panicked(p) => (JobStatus::Panicked(p), None),
-            JobVerdict::Cancelled => (JobStatus::Cancelled, None),
+        let name = &manifest.jobs[slot].name;
+        let row = match verdict {
+            JobVerdict::Done(row) => row,
+            JobVerdict::Panicked(p) => bare_row(name, &JobStatus::Panicked(p)),
+            JobVerdict::Cancelled => bare_row(name, &JobStatus::Cancelled),
         };
-        records[slot] = Some(JobRecord {
-            index: slot,
-            name: manifest.jobs[slot].name.clone(),
-            status,
-            outcome,
-            restored: None,
-        });
+        records[slot] = Some(record(slot, name, row, false, opts.no_facts));
     }
     if let Some(w) = &writer {
         w.lock().unwrap().flush();
@@ -472,14 +424,15 @@ pub fn run_manifest_with(manifest: &Manifest, pool: &JobPool, opts: &BatchOption
 }
 
 /// The worker-side body of one manifest job: the shared [`Pipeline`],
-/// run live. Everything `Rc`-threaded is built here, inside the worker,
-/// and transferred back wholesale (see [`IsolatedGraph`]).
+/// run live, then the job's report row. Everything `Rc`-threaded is
+/// built and dropped here, inside the worker; only the row leaves it.
 fn run_spec(
     spec: &JobSpec,
     ctx: &JobCtx,
     adm: &Admission,
     pta: Option<PtaStage>,
-) -> (JobStatus, Option<JobOutcome>) {
+    include_facts: bool,
+) -> Value {
     let mut req = spec.stage_request(pta);
     if adm.degraded {
         req.cfg.mem_cell_budget = adm.granted;
@@ -487,42 +440,46 @@ fn run_spec(
     let counters = PipelineCounters::default();
     let notify = |detail: &str| ctx.progress(detail);
     let mut p = Pipeline::new(&req, &ctx.cancel, &counters, &notify);
-    let pta_row = match live_pta_row(&mut p, pta) {
-        Ok(row) => row,
-        Err(e) => return (JobStatus::Syntax(e.to_string()), None),
-    };
-    let (Some(harness), Some(multi)) = p.into_live() else {
-        unreachable!("the fan-out ran");
-    };
     let status = if adm.degraded {
         JobStatus::Degraded
     } else {
         JobStatus::Completed
     };
-    let outcome = JobOutcome {
-        seeds: req.seeds,
-        multi,
-        program: harness.program,
-        source: harness.source,
-        pta: pta_row,
-    };
-    (status, Some(outcome))
+    live_row(&mut p, &spec.name, &status, &req.seeds, pta, include_facts)
+        .unwrap_or_else(|e| bare_row(&spec.name, &JobStatus::Syntax(e.to_string())))
 }
 
 /// Runs the fan-out, then the PTA stage (if any) from the live outcome,
-/// building the upstream artifacts its mode consumes.
-fn live_pta_row(
+/// building the upstream artifacts its mode consumes, and renders the
+/// row: the facts fields, rendered after the PTA stage (whose
+/// specialization interns contexts the export names), then the PTA row
+/// as `pta`.
+fn live_row(
     p: &mut Pipeline<'_>,
+    name: &str,
+    status: &JobStatus,
+    seeds: &[u64],
     pta: Option<PtaStage>,
-) -> Result<Option<Value>, mujs_syntax::SyntaxError> {
+    include_facts: bool,
+) -> Result<Value, mujs_syntax::SyntaxError> {
     p.live()?;
-    let Some(stage) = pta else {
-        return Ok(None);
-    };
-    let facts = stage.mode.injects().then(|| p.facts()).transpose()?;
-    let summary = (stage.mode == PtaMode::InjectShortcuts)
-        .then(|| p.summary())
-        .transpose()?;
-    let (row, _) = p.pta(stage, facts.as_ref(), summary.as_ref())?;
-    Ok(Some(row))
+    let mut tail = Vec::new();
+    if let Some(stage) = pta {
+        let facts = stage.mode.injects().then(|| p.facts()).transpose()?;
+        let summary = (stage.mode == PtaMode::InjectShortcuts)
+            .then(|| p.summary())
+            .transpose()?;
+        let (row, _) = p.pta(stage, facts.as_ref(), summary.as_ref())?;
+        tail.push(("pta".to_owned(), row));
+    }
+    let (h, multi) = p.live()?;
+    let facts = Value::Object(facts_fields(seeds, multi, &h.program, &h.source, false));
+    let mut row = render_row(name, &status_str(status), Some(&facts), false, tail);
+    // The fact rows, most of a row's bytes, are moved in: `render_row`
+    // would copy them out of `facts`.
+    if include_facts {
+        let rows = export_value(&multi.facts, &h.program, &h.source, &multi.ctxs);
+        set_field(&mut row, "fact_rows", rows);
+    }
+    Ok(row)
 }

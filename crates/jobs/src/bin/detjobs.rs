@@ -19,6 +19,8 @@
 //! Exit status: `0` when every job completed cleanly, `1` when any job
 //! failed (or on I/O errors), `2` for usage errors.
 
+#![forbid(unsafe_code)]
+
 use mujs_jobs::{
     run_manifest_with, BatchOptions, Checkpoint, JobEvent, JobPool, Manifest, PtaMode, PtaStage,
 };
@@ -30,7 +32,7 @@ struct Options {
     suite: Option<String>,
     workers: usize,
     report: Option<String>,
-    include_facts: bool,
+    no_facts: bool,
     quiet: bool,
     lint: bool,
     fail_fast: bool,
@@ -96,7 +98,7 @@ fn parse_args() -> Options {
         suite: None,
         workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
         report: None,
-        include_facts: true,
+        no_facts: false,
         quiet: false,
         lint: false,
         fail_fast: false,
@@ -136,7 +138,7 @@ fn parse_args() -> Options {
                 };
             }
             "--report" => o.report = Some(value(&args, &mut i, "--report")),
-            "--no-facts" => o.include_facts = false,
+            "--no-facts" => o.no_facts = true,
             "--quiet" => o.quiet = true,
             "--lint" => o.lint = true,
             "--fail-fast" => o.fail_fast = true,
@@ -308,6 +310,7 @@ fn main() {
 
     let opts = BatchOptions {
         fail_fast: o.fail_fast,
+        no_facts: o.no_facts,
         checkpoint_path: o.checkpoint.as_ref().map(std::path::PathBuf::from),
         checkpoint_every: o.checkpoint_every,
         resume,
@@ -342,7 +345,7 @@ fn main() {
         eprintln!("detjobs: stats written to {path}");
     }
 
-    let report = batch.report_json(o.include_facts);
+    let report = batch.report_json();
     match &o.report {
         Some(path) => {
             if let Err(e) = std::fs::write(path, &report) {

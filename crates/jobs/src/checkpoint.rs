@@ -22,9 +22,11 @@
 //!   truncation) mid-write leaves the previously published checkpoint
 //!   untouched; a torn temp file is never visible under the real path.
 //!
-//! Rows are stored with their full fact export so a resumed report can be
-//! rendered with or without `--facts`; the splice path strips
-//! `fact_rows` when facts were not requested.
+//! Rows are stored with their full fact export, also by a `--no-facts`
+//! batch (its jobs render fact rows for the checkpoint alone), so a
+//! resumed report can be rendered with or without them. A restored row
+//! takes the path an executed one takes into the report: the name is
+//! re-anchored and, under `--no-facts`, `fact_rows` is nulled.
 
 use crate::pipeline::{stage_hasher, StageKeys};
 use serde_json::Value;

@@ -14,11 +14,10 @@
 //!   queue, one attempt per job under `catch_unwind`, a batch-wide
 //!   [`CancelToken`][determinacy::CancelToken], and a streaming
 //!   [`JobEvent`] channel;
-//! * [`run_manifest`] / [`BatchOutcome`] — per-job
-//!   [`MultiRunOutcome`][determinacy::multirun::MultiRunOutcome]s plus
-//!   failures, combined in manifest order so the merged facts and the
-//!   exported JSON report are **byte-identical regardless of worker
-//!   count**;
+//! * [`run_manifest`] / [`BatchOutcome`] — one report row per job
+//!   (statuses, failures, fact counts and the sorted fact export), in
+//!   manifest order, so the JSON report is **byte-identical regardless
+//!   of worker count**;
 //! * [`pipeline`] — the one analysis pipeline (canonical request, stage
 //!   keys, facts row, PTA stage) every front end runs: `detjobs`,
 //!   `detserved` and the `mujs-bench` binaries. Its seeds run through
@@ -45,10 +44,13 @@
 //!
 //! ## Threading model
 //!
-//! Analysis graphs intern strings with `Rc<str>`, so jobs build their
+//! Analysis graphs intern strings with `Rc<str>`, so a job builds its
 //! whole graph (parse → lower → run → combine) inside one worker thread
-//! and transfer it back exactly once through synchronized pool slots; no
-//! `Rc` is ever shared across threads.
+//! and renders its report row there. The row, an owned JSON value, is all
+//! that crosses back through the pool's result slots: no graph crosses
+//! threads, so no `Send` wrapper is needed.
+
+#![forbid(unsafe_code)]
 
 pub mod admission;
 pub mod batch;
@@ -61,7 +63,7 @@ pub mod spec;
 
 pub use admission::AdmissionController;
 pub use batch::{
-    run_manifest, run_manifest_with, BatchOptions, BatchOutcome, JobOutcome, JobRecord, JobStatus,
+    run_manifest, run_manifest_with, BatchOptions, BatchOutcome, JobRecord, JobStatus,
 };
 pub use checkpoint::{job_key, Checkpoint};
 pub use pipeline::{Page, PtaMode, PtaStage, StageKeys, StageRequest};

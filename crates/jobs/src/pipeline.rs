@@ -1,12 +1,13 @@
 //! The analysis pipeline every front end runs: one canonical request, one
 //! content-key scheme, and one body per stage.
 //!
-//! `detjobs` runs a [`Pipeline`] live inside a worker; `detserved` runs
-//! the same stage bodies behind its stage cache; the `mujs-bench`
-//! experiment binaries run it live over corpus pages, several PTA stages
-//! per fan-out, and the `analyze` CLI over its own page. So every tool
-//! runs the same stage code, and the same seed fan-out
-//! ([`analyze_many_hooked`]).
+//! `detjobs` runs a [`Pipeline`] live inside a worker and renders the
+//! job's report row there ([`facts_fields`] + [`render_row`]);
+//! `detserved` runs the same stage bodies behind its stage cache; the
+//! `mujs-bench` experiment binaries run it live over corpus pages,
+//! several PTA stages per fan-out, and the `analyze` CLI over its own
+//! page. So every tool runs the same stage code, and the same seed
+//! fan-out ([`analyze_many_hooked`]).
 //!
 //! A request ([`StageRequest`]) is source text, the *effective*
 //! [`AnalysisConfig`], the seed fan-out, the [`Page`] to analyze against
@@ -532,12 +533,6 @@ impl<'a> Pipeline<'a> {
         Ok((harness, self.live.as_mut().expect("just filled")))
     }
 
-    /// Hands back the program and the fan-out outcome, if either was
-    /// built.
-    pub fn into_live(self) -> (Option<DetHarness>, Option<MultiRunOutcome>) {
-        (self.harness, self.live)
-    }
-
     /// The facts artifact: the facts fields with the full fact export,
     /// the portable injectable pairs, and `clean`.
     ///
@@ -583,9 +578,7 @@ impl<'a> Pipeline<'a> {
         let counters = self.counters;
         let notify = self.notify;
         let (h, multi) = self.live()?;
-        // The progress detail keeps its wording: clients see it on the
-        // wire.
-        notify("replaying determinate regions");
+        notify("summarizing determinate regions");
         counters.summary_replays.fetch_add(1, Ordering::Relaxed);
         let out = summarize(&h.program, multi);
         let portable = PortableSummaries::from_summaries(&out.summaries, &h.program);

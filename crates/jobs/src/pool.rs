@@ -16,6 +16,12 @@
 //!    job: cancelling it stops in-flight runs at their next poll and
 //!    resolves queued jobs as [`JobVerdict::Cancelled`].
 //!
+//! A job's result must be `Send`, and the pool moves it through its
+//! result slots by plain ownership. The analysis graphs are not `Send`
+//! (they intern strings with `Rc<str>`), so a job keeps its graph on its
+//! worker and returns what it rendered from it: a batch job returns its
+//! report row ([`crate::batch`]).
+//!
 //! Workers are spawned with [`mujs_syntax::PARSER_STACK_BYTES`] of stack,
 //! the headroom of a parser thread, for the recursive execution a job
 //! does (calls, counterfactual execution). Parsing and lowering go through
@@ -402,40 +408,6 @@ fn panic_text(p: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_owned()
-    }
-}
-
-/// A fully-owned object graph transferred wholesale between threads.
-///
-/// The analysis pipeline interns strings with `Rc<str>`, so harnesses,
-/// fact databases, and multi-run outcomes are not `Send` even though they
-/// contain no thread-shared state. Jobs build those graphs *entirely on
-/// the worker thread* and hand them back through the pool exactly once;
-/// `Mutex`/`join` synchronization orders the handoff, so the non-atomic
-/// refcounts are never touched concurrently. Its one user is detjobs'
-/// batch jobs ([`crate::batch`]), which hand back a job's program,
-/// source and combined outcome.
-///
-/// # Safety invariant (on the constructor's caller)
-///
-/// Every `Rc` reachable from the wrapped value must have *all* of its
-/// clones inside the wrapped value itself — nothing reachable may share a
-/// refcount with data that stays on the producing thread or is visible to
-/// any other thread. Values freshly parsed/analyzed inside one job satisfy
-/// this by construction.
-pub(crate) struct IsolatedGraph<T>(T);
-
-unsafe impl<T> Send for IsolatedGraph<T> {}
-
-impl<T> IsolatedGraph<T> {
-    /// Wraps a graph for transfer. See the type-level safety invariant.
-    pub(crate) fn new(value: T) -> Self {
-        IsolatedGraph(value)
-    }
-
-    /// Unwraps on the receiving thread.
-    pub(crate) fn into_inner(self) -> T {
-        self.0
     }
 }
 

@@ -84,7 +84,7 @@ fn run_chaos(
 #[test]
 fn retryable_fault_schedules_leave_the_report_byte_identical() {
     let m = chaos_manifest();
-    let baseline = run_chaos(&m, 1, None, |_| {}).report_json(true);
+    let baseline = run_chaos(&m, 1, None, |_| {}).report_json();
     // CI widens the seed matrix through the environment.
     let mut fault_seeds = vec![1u64, 2, 3];
     if let Some(extra) = std::env::var("DETJOBS_CHAOS_SEED")
@@ -104,7 +104,7 @@ fn retryable_fault_schedules_leave_the_report_byte_identical() {
             let batch = run_chaos(&m, workers, Some(plan), |_| {});
             assert_identical(
                 &baseline,
-                &batch.report_json(true),
+                &batch.report_json(),
                 &format!("seed{fault_seed}-workers{workers}"),
             );
         }
@@ -117,7 +117,7 @@ fn retryable_fault_schedules_leave_the_report_byte_identical() {
 #[test]
 fn truncated_checkpoint_writes_stay_atomic_and_resumable() {
     let m = chaos_manifest();
-    let baseline = run_chaos(&m, 2, None, |_| {}).report_json(true);
+    let baseline = run_chaos(&m, 2, None, |_| {}).report_json();
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("chaos-ckpt");
     std::fs::create_dir_all(&dir).unwrap();
     let ckpt = dir.join("ck.json");
@@ -131,18 +131,14 @@ fn truncated_checkpoint_writes_stay_atomic_and_resumable() {
         o.checkpoint_path = Some(ckpt.clone());
         o.checkpoint_every = 1;
     });
-    assert_identical(&baseline, &first.report_json(true), "ckpt-truncation-run");
+    assert_identical(&baseline, &first.report_json(), "ckpt-truncation-run");
     // Every other write was torn mid-file, but publication is atomic: the
     // file on disk is always a complete earlier generation.
     let ck = Checkpoint::load(&ckpt).expect("published checkpoint parses");
     assert!(!ck.is_empty());
     let resumed = run_chaos(&m, 2, None, |o| o.resume = Some(ck));
-    assert_identical(
-        &baseline,
-        &resumed.report_json(true),
-        "ckpt-truncation-resume",
-    );
-    let restored = resumed.jobs.iter().filter(|j| j.restored.is_some()).count();
+    assert_identical(&baseline, &resumed.report_json(), "ckpt-truncation-resume");
+    let restored = resumed.jobs.iter().filter(|j| j.restored).count();
     assert!(restored > 0, "resume must splice at least one settled row");
     std::fs::remove_dir_all(&dir).ok();
 }

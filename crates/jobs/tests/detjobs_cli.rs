@@ -144,6 +144,39 @@ fn checkpoint_then_resume_reproduces_the_report_bytes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A `--no-facts` leg still checkpoints full rows: resuming it without
+/// `--no-facts` reproduces a plain full run's report byte for byte.
+#[test]
+fn no_facts_checkpoints_resume_into_full_reports() {
+    let dir = tmp_dir("cli-no-facts-resume");
+    let manifest = write_manifest(&dir, "m.json", HEALTHY);
+    let ckpt = dir.join("ck.json");
+    let run = |extra: &[&str], report: &Path| {
+        let out = detjobs()
+            .args(["--manifest", manifest.to_str().unwrap(), "--quiet"])
+            .args(extra)
+            .args(["--report", report.to_str().unwrap()])
+            .output()
+            .expect("run detjobs");
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        std::fs::read(report).unwrap()
+    };
+    let first = run(
+        &["--no-facts", "--checkpoint", ckpt.to_str().unwrap()],
+        &dir.join("r1.json"),
+    );
+    assert!(String::from_utf8_lossy(&first).contains("\"fact_rows\": null"));
+    let resumed = run(&["--resume", ckpt.to_str().unwrap()], &dir.join("r2.json"));
+    let plain = run(&[], &dir.join("r3.json"));
+    assert!(!String::from_utf8_lossy(&plain).contains("\"fact_rows\": null"));
+    assert_eq!(resumed, plain, "resumed report must be byte-identical");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn orphaned_checkpoint_flags_warn_instead_of_silently_ignoring() {
     let dir = tmp_dir("cli-warn");

@@ -8,6 +8,7 @@ use mujs_jobs::{
     job_key, run_manifest, run_manifest_with, BatchOptions, Checkpoint, JobEvent, JobPool, JobSpec,
     JobStatus, Manifest, PtaMode, PtaStage, StageKeys,
 };
+use serde_json::Value;
 use std::path::PathBuf;
 use std::sync::mpsc::channel;
 
@@ -40,6 +41,11 @@ fn baseline(budget: u64) -> Option<PtaStage> {
     })
 }
 
+/// A row's per-seed run statuses (empty for a job that never ran).
+fn runs(row: &Value) -> &[Value] {
+    row["run_statuses"].as_array().unwrap()
+}
+
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(tag);
     std::fs::create_dir_all(&dir).unwrap();
@@ -52,7 +58,7 @@ fn default_options_match_the_plain_batch_path() {
     let m = small_manifest();
     let plain = run_manifest(&m, &JobPool::new(2));
     let hardened = run_manifest_with(&m, &JobPool::new(2), &BatchOptions::default());
-    assert_eq!(plain.report_json(true), hardened.report_json(true));
+    assert_eq!(plain.report_json(), hardened.report_json());
 }
 
 /// Campaign options (checkpointing on) do not disturb the worker-count
@@ -68,7 +74,7 @@ fn hardened_batches_stay_schedule_independent() {
     };
     let one = run_manifest_with(&m, &JobPool::new(1), &mk_opts(dir.join("w1.json")));
     let many = run_manifest_with(&m, &JobPool::new(8), &mk_opts(dir.join("w8.json")));
-    assert_eq!(one.report_json(true), many.report_json(true));
+    assert_eq!(one.report_json(), many.report_json());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -84,7 +90,7 @@ fn resumed_batches_are_byte_identical_without_reexecution() {
     let ckpt = dir.join("ck.json");
 
     let uninterrupted = run_manifest_with(&full, &JobPool::new(2), &BatchOptions::default());
-    let baseline = uninterrupted.report_json(true);
+    let baseline = uninterrupted.report_json();
 
     // "Interrupted" leg: only the first two jobs ran before the kill.
     let prefix = Manifest::new(full.jobs[..2].to_vec());
@@ -100,27 +106,54 @@ fn resumed_batches_are_byte_identical_without_reexecution() {
 
     let ck = Checkpoint::load(&ckpt).expect("checkpoint parses");
     assert_eq!(ck.len(), 2);
+    let (tx, rx) = channel();
+    let resumed = run_manifest_with(
+        &full,
+        &JobPool::new(2).with_events(tx),
+        &BatchOptions {
+            resume: Some(ck.clone()),
+            ..Default::default()
+        },
+    );
+    assert_eq!(baseline, resumed.report_json());
+    // The first two jobs were spliced, not re-run; the rest ran.
+    for j in &resumed.jobs[..2] {
+        assert!(j.restored, "{} must be restored", j.name);
+    }
+    for j in &resumed.jobs[2..] {
+        assert!(!j.restored);
+        assert!(!runs(&j.row).is_empty(), "{} must actually run", j.name);
+    }
+    let mut started: Vec<String> = rx
+        .try_iter()
+        .filter_map(|e| match e {
+            JobEvent::Started { label, .. } => Some(label),
+            _ => None,
+        })
+        .collect();
+    started.sort();
+    assert_eq!(
+        started,
+        ["calls", "strings"],
+        "restored jobs must not re-execute"
+    );
+    assert!(resumed.stats_json().contains("\"restored\": 2"));
+
+    // Facts-off reports agree too (the splice strips stored fact rows).
+    let no_facts = || BatchOptions {
+        no_facts: true,
+        ..Default::default()
+    };
     let resumed = run_manifest_with(
         &full,
         &JobPool::new(2),
         &BatchOptions {
             resume: Some(ck),
-            ..Default::default()
+            ..no_facts()
         },
     );
-    assert_eq!(baseline, resumed.report_json(true));
-    // Facts-off reports agree too (the splice strips stored fact rows).
-    assert_eq!(uninterrupted.report_json(false), resumed.report_json(false));
-    // The first two jobs were spliced, not re-run; the rest ran.
-    for j in &resumed.jobs[..2] {
-        assert!(j.restored.is_some(), "{} must be restored", j.name);
-        assert!(j.outcome.is_none(), "{} must not re-execute", j.name);
-    }
-    for j in &resumed.jobs[2..] {
-        assert!(j.restored.is_none());
-        assert!(j.outcome.is_some(), "{} must actually run", j.name);
-    }
-    assert!(resumed.stats_json().contains("\"restored\": 2"));
+    let uninterrupted = run_manifest_with(&full, &JobPool::new(2), &no_facts());
+    assert_eq!(uninterrupted.report_json(), resumed.report_json());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -157,24 +190,21 @@ fn renamed_jobs_resume_to_the_bytes_of_an_uninterrupted_run() {
             ..Default::default()
         },
     );
-    assert!(resumed.jobs[0].restored.is_some(), "same content, same key");
-    let uninterrupted = run_manifest(&renamed, &JobPool::new(1)).report_json(true);
+    assert!(resumed.jobs[0].restored, "same content, same key");
+    let uninterrupted = run_manifest(&renamed, &JobPool::new(1)).report_json();
     assert!(
         uninterrupted.contains("PropKey"),
         "the title flows into a property key: {uninterrupted}"
     );
-    assert_eq!(uninterrupted, resumed.report_json(true));
+    assert_eq!(uninterrupted, resumed.report_json());
 
     let twins = run_manifest(
         &Manifest::new(vec![job("alpha"), job("beta")]),
         &JobPool::new(1),
     );
-    let facts: Vec<String> = twins
-        .jobs
-        .iter()
-        .map(|j| j.outcome.as_ref().unwrap().export_facts_json())
-        .collect();
-    assert_eq!(facts[0], facts[1]);
+    let facts = &twins.jobs[0].row["fact_rows"];
+    assert!(facts.as_array().is_some_and(|rows| !rows.is_empty()));
+    assert_eq!(facts, &twins.jobs[1].row["fact_rows"]);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -204,12 +234,15 @@ fn stale_checkpoint_rows_miss_on_content_change() {
             ..Default::default()
         },
     );
-    assert!(resumed.jobs[0].restored.is_some());
+    assert!(resumed.jobs[0].restored);
     assert!(
-        resumed.jobs[1].restored.is_none(),
+        !resumed.jobs[1].restored,
         "edited job must not reuse the stale row"
     );
-    assert!(resumed.jobs[1].outcome.is_some(), "edited job must run");
+    assert!(
+        !runs(&resumed.jobs[1].row).is_empty(),
+        "edited job must run"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -239,7 +272,7 @@ fn oversized_jobs_degrade_instead_of_failing() {
     assert!(matches!(batch.jobs[1].status, JobStatus::Completed));
     assert!(matches!(batch.jobs[2].status, JobStatus::Completed));
     assert!(!batch.has_failures(), "degradation is not a failure");
-    assert!(batch.report_json(false).contains("\"degraded\""));
+    assert!(batch.report_json().contains("\"degraded\""));
     assert!(rx.try_iter().any(
         |e| matches!(e, JobEvent::Degraded { granted_cells, .. } if granted_cells == 100_000)
     ));
@@ -247,7 +280,7 @@ fn oversized_jobs_degrade_instead_of_failing() {
     assert!(stats.contains("\"degraded\": 1"), "{stats}");
     // Schedule independence of the degrade decision.
     let again = run_manifest_with(&m, &JobPool::new(1), &opts());
-    assert_eq!(batch.report_json(true), again.report_json(true));
+    assert_eq!(batch.report_json(), again.report_json());
 }
 
 /// `fail_fast` cancels the remainder of the batch after a permanent
@@ -278,7 +311,7 @@ fn fail_fast_stops_the_batch_on_a_permanent_failure() {
 #[test]
 fn listener_teardown_mid_batch_leaves_the_report_unchanged() {
     let m = small_manifest();
-    let baseline = run_manifest(&m, &JobPool::new(2)).report_json(true);
+    let baseline = run_manifest(&m, &JobPool::new(2)).report_json();
     let (tx, rx) = channel();
     // Read exactly one event, then drop the receiver while jobs are still
     // emitting.
@@ -288,7 +321,7 @@ fn listener_teardown_mid_batch_leaves_the_report_unchanged() {
     });
     let batch = run_manifest(&m, &JobPool::new(2).with_events(tx));
     reader.join().unwrap();
-    assert_eq!(baseline, batch.report_json(true));
+    assert_eq!(baseline, batch.report_json());
 }
 
 /// Structured failure reasons reach the JSON report (kind + seed +
@@ -297,7 +330,7 @@ fn listener_teardown_mid_batch_leaves_the_report_unchanged() {
 fn reports_carry_structured_failure_reasons() {
     let m = Manifest::new(vec![JobSpec::new("bad", "var x = ;")]);
     let batch = run_manifest(&m, &JobPool::new(1));
-    let report = batch.report_json(false);
+    let report = batch.report_json();
     assert!(report.contains("syntax error"), "{report}");
     // Stats counters exist and count the failure.
     let stats = batch.stats_json();
@@ -311,7 +344,7 @@ fn reports_carry_structured_failure_reasons() {
 #[test]
 fn pta_stage_is_deterministic_and_strictly_opt_in() {
     let m = small_manifest();
-    let without = run_manifest(&m, &JobPool::new(2)).report_json(true);
+    let without = run_manifest(&m, &JobPool::new(2)).report_json();
     assert!(
         !without.contains("\"pta\""),
         "a PTA-less report must not mention the stage"
@@ -323,10 +356,10 @@ fn pta_stage_is_deterministic_and_strictly_opt_in() {
     };
     let seq = run_manifest_with(&m, &JobPool::new(1), &opts);
     let par = run_manifest_with(&m, &JobPool::new(4), &opts);
-    let seq_report = seq.report_json(true);
+    let seq_report = seq.report_json();
     assert_eq!(
         seq_report,
-        par.report_json(true),
+        par.report_json(),
         "PTA rows must not depend on the worker count"
     );
     assert!(seq_report.contains("\"pta\""), "{seq_report}");
@@ -370,7 +403,72 @@ fn pta_rows_resume_from_checkpoints() {
             ..Default::default()
         },
     );
-    assert!(resumed.jobs.iter().all(|j| j.restored.is_some()));
-    assert_eq!(first.report_json(true), resumed.report_json(true));
+    assert!(resumed.jobs.iter().all(|j| j.restored));
+    assert_eq!(first.report_json(), resumed.report_json());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `no_facts` only nulls `fact_rows`: every other byte of the report is
+/// the facts report's.
+#[test]
+fn no_facts_reports_null_only_the_fact_rows() {
+    let m = small_manifest();
+    let with = run_manifest(&m, &JobPool::new(2));
+    let without = run_manifest_with(
+        &m,
+        &JobPool::new(2),
+        &BatchOptions {
+            no_facts: true,
+            ..Default::default()
+        },
+    );
+    let nulled = with
+        .jobs
+        .iter()
+        .map(|j| {
+            assert!(j.row["fact_rows"].as_array().is_some(), "{}", j.name);
+            let Value::Object(mut fields) = j.row.clone() else {
+                panic!("{}: a row is an object", j.name);
+            };
+            for (k, v) in &mut fields {
+                if k == "fact_rows" {
+                    *v = Value::Null;
+                }
+            }
+            Value::Object(fields)
+        })
+        .collect();
+    let nulled = Value::Object(vec![("jobs".to_owned(), Value::Array(nulled))]);
+    assert_eq!(
+        serde_json::to_string_pretty(&nulled).unwrap(),
+        without.report_json()
+    );
+}
+
+/// Checkpoint rows always carry their fact rows, also in a `no_facts`
+/// batch: a later resume with facts splices them back.
+#[test]
+fn no_facts_checkpoints_keep_the_fact_rows() {
+    let m = small_manifest();
+    let dir = tmp_dir("robustness-no-facts-ckpt");
+    let ckpt = dir.join("ck.json");
+    let batch = run_manifest_with(
+        &m,
+        &JobPool::new(2),
+        &BatchOptions {
+            no_facts: true,
+            checkpoint_path: Some(ckpt.clone()),
+            ..Default::default()
+        },
+    );
+    assert!(batch.jobs.iter().all(|j| j.row["fact_rows"] == Value::Null));
+    let ck = Checkpoint::load(&ckpt).unwrap();
+    assert_eq!(ck.len(), m.jobs.len());
+    let with = run_manifest(&m, &JobPool::new(2));
+    for (spec, j) in m.jobs.iter().zip(&with.jobs) {
+        let row = ck.lookup(&key(spec, None)).expect("every job checkpointed");
+        assert!(row["fact_rows"].as_array().is_some(), "{}", spec.name);
+        assert_eq!(row["fact_rows"], j.row["fact_rows"], "{}", spec.name);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -12,7 +12,6 @@
 //! determinism tests always compare against a 1-worker baseline, so each
 //! matrix leg checks a different schedule against the same bytes.
 
-use determinacy::AnalysisStatus;
 use mujs_jobs::{run_manifest, JobEvent, JobPool, JobSpec, JobStatus, Manifest};
 use std::sync::mpsc::channel;
 
@@ -63,28 +62,21 @@ fn one_worker_and_many_workers_produce_identical_reports() {
     let parallel = run_manifest(&m, &JobPool::new(test_workers()));
     // Byte-identical merged fact report — the headline guarantee.
     assert_eq!(
-        sequential.report_json(true),
-        parallel.report_json(true),
+        sequential.report_json(),
+        parallel.report_json(),
         "batch report must not depend on worker count"
     );
     // And the structured view agrees job by job.
     assert_eq!(sequential.jobs.len(), parallel.jobs.len());
     for (a, b) in sequential.jobs.iter().zip(&parallel.jobs) {
         assert_eq!(a.name, b.name);
-        match (&a.outcome, &b.outcome) {
-            (Some(x), Some(y)) => {
-                assert_eq!(x.multi.facts.len(), y.multi.facts.len(), "{}", a.name);
-                assert_eq!(
-                    x.multi.facts.det_count(),
-                    y.multi.facts.det_count(),
-                    "{}",
-                    a.name
-                );
-                assert_eq!(x.export_facts_json(), y.export_facts_json(), "{}", a.name);
-            }
-            (None, None) => {}
-            _ => panic!("{}: outcomes diverge between schedules", a.name),
+        for field in ["run_statuses", "facts", "determinate", "fact_rows"] {
+            assert_eq!(a.row.get(field), b.row.get(field), "{}: {field}", a.name);
         }
+        // Every job that ran exports its facts; only the syntax error
+        // has none.
+        let ran = !matches!(a.status, JobStatus::Syntax(_));
+        assert_eq!(ran, a.row["fact_rows"].as_array().is_some(), "{}", a.name);
     }
     // The syntax-error job degrades, it does not poison the batch.
     let bad = &sequential.jobs[2];
@@ -126,14 +118,13 @@ fn cancellation_preserves_completed_jobs_and_stops_in_flight_ones() {
     drop(pool);
     watcher.join().unwrap();
 
-    // Completed jobs keep full outcomes.
+    // Completed jobs keep full rows.
     for i in [0usize, 1] {
         let j = &batch.jobs[i];
         assert!(matches!(j.status, JobStatus::Completed), "{:?}", j.status);
-        let out = j.outcome.as_ref().unwrap();
-        assert_eq!(out.multi.runs.len(), 1);
-        assert_eq!(out.multi.runs[0].status, AnalysisStatus::Completed);
-        assert!(out.multi.facts.det_count() > 0);
+        let runs = j.row["run_statuses"].as_array().unwrap();
+        assert!(runs.len() == 1 && runs[0] == "Completed", "{runs:?}");
+        assert!(j.row["determinate"].as_f64().unwrap() > 0.0);
     }
     // The in-flight job reports Cancelled either way the race resolves:
     // the supervised run observed the token at a statement poll and
@@ -143,22 +134,13 @@ fn cancellation_preserves_completed_jobs_and_stops_in_flight_ones() {
     // completion.
     let inflight = &batch.jobs[2];
     assert!(matches!(inflight.status, JobStatus::Completed));
-    let out = inflight.outcome.as_ref().unwrap();
-    let stopped_mid_run = out
-        .multi
-        .runs
-        .first()
-        .is_some_and(|r| r.status == AnalysisStatus::Cancelled);
-    let stopped_before_run = out
-        .multi
-        .failures
-        .iter()
-        .any(|f| matches!(f, determinacy::RunFailure::Cancelled { .. }));
+    let runs = inflight.row["run_statuses"].as_array().unwrap();
+    let failures = inflight.row["failures"].as_array().unwrap();
+    let stopped_mid_run = runs.first().is_some_and(|r| *r == "Cancelled");
+    let stopped_before_run = failures.iter().any(|f| f["kind"] == "Cancelled");
     assert!(
         stopped_mid_run || stopped_before_run,
-        "in-flight job must report cancellation: {:?} / {:?}",
-        out.multi.runs.iter().map(|r| &r.status).collect::<Vec<_>>(),
-        out.multi.failures
+        "in-flight job must report cancellation: {runs:?} / {failures:?}"
     );
     // Queued jobs never started.
     for i in [3usize, 4] {
@@ -167,7 +149,7 @@ fn cancellation_preserves_completed_jobs_and_stops_in_flight_ones() {
             "job {i}: {:?}",
             batch.jobs[i].status
         );
-        assert!(batch.jobs[i].outcome.is_none());
+        assert_eq!(batch.jobs[i].row["run_statuses"].as_array(), Some(&[][..]));
     }
 }
 
@@ -183,7 +165,7 @@ fn cancelled_batches_report_cleanly() {
     pool.cancel(); // cancel before anything starts
     let batch = run_manifest(&m, &pool);
     assert_eq!(batch.completed(), 0);
-    let report = batch.report_json(true);
+    let report = batch.report_json();
     assert!(report.contains("\"cancelled\""));
     // Cancellation is not a failure.
     assert!(!batch.has_failures());

@@ -162,10 +162,10 @@ fn detjobs_full_corpus_report_is_schedule_and_interning_invariant() {
     let m = full_corpus_manifest();
     let sequential = run_manifest(&m, &JobPool::new(1));
     let parallel = run_manifest(&m, &JobPool::new(8));
-    let seq_report = sequential.report_json(true);
+    let seq_report = sequential.report_json();
     assert_eq!(
         seq_report,
-        parallel.report_json(true),
+        parallel.report_json(),
         "batch report must not depend on worker count"
     );
     assert_golden("detjobs_full_corpus_report.json", &seq_report);

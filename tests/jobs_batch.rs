@@ -8,7 +8,7 @@ use mujs_dom::document::DocumentBuilder;
 use mujs_dom::events::EventPlan;
 use mujs_jobs::pipeline::{Page, Pipeline, PipelineCounters, StageRequest};
 use mujs_jobs::{
-    run_manifest, run_manifest_with, BatchOptions, Checkpoint, JobPool, JobSpec, Manifest,
+    run_manifest, run_manifest_with, BatchOptions, Checkpoint, JobEvent, JobPool, JobSpec, Manifest,
 };
 
 const BRANCHY: &str = "var coin = Math.random() < 0.5;\n\
@@ -119,11 +119,11 @@ fn small_batches_are_schedule_independent_end_to_end() {
         jobs.push(JobSpec::new(name, src));
     }
     let m = Manifest::new(jobs);
-    let base = run_manifest(&m, &JobPool::new(1)).report_json(true);
+    let base = run_manifest(&m, &JobPool::new(1)).report_json();
     for workers in [2, 8] {
         assert_eq!(
             base,
-            run_manifest(&m, &JobPool::new(workers)).report_json(true),
+            run_manifest(&m, &JobPool::new(workers)).report_json(),
             "report must be byte-identical at {workers} workers"
         );
     }
@@ -146,7 +146,7 @@ fn interrupted_campaigns_resume_byte_identically_end_to_end() {
         jobs.push(JobSpec::new(name, src));
     }
     let full = Manifest::new(jobs);
-    let baseline = run_manifest(&full, &JobPool::new(2)).report_json(true);
+    let baseline = run_manifest(&full, &JobPool::new(2)).report_json();
 
     let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("root-resume");
     std::fs::create_dir_all(&dir).unwrap();
@@ -160,21 +160,30 @@ fn interrupted_campaigns_resume_byte_identically_end_to_end() {
             ..Default::default()
         },
     );
+    let (tx, rx) = std::sync::mpsc::channel();
     let resumed = run_manifest_with(
         &full,
-        &JobPool::new(2),
+        &JobPool::new(2).with_events(tx),
         &BatchOptions {
             resume: Some(Checkpoint::load(&ckpt).expect("checkpoint parses")),
             ..Default::default()
         },
     );
-    assert_eq!(baseline, resumed.report_json(true));
-    assert!(resumed.jobs[..2]
-        .iter()
-        .all(|j| j.restored.is_some() && j.outcome.is_none()));
-    assert!(resumed.jobs[2..]
-        .iter()
-        .all(|j| j.restored.is_none() && j.outcome.is_some()));
+    assert_eq!(baseline, resumed.report_json());
+    assert!(resumed.jobs[..2].iter().all(|j| j.restored));
+    assert!(resumed.jobs[2..].iter().all(|j| !j.restored));
+    // Only the remainder ran: a restored row is never re-executed.
+    let mut started: Vec<String> = rx
+        .try_iter()
+        .filter_map(|e| match e {
+            JobEvent::Started { label, .. } => Some(label),
+            _ => None,
+        })
+        .collect();
+    started.sort();
+    let mut remainder: Vec<String> = full.jobs[2..].iter().map(|j| j.name.clone()).collect();
+    remainder.sort();
+    assert_eq!(started, remainder);
     let stats = resumed.stats_json();
     assert!(stats.contains("\"restored\": 2"), "{stats}");
     std::fs::remove_dir_all(&dir).ok();
