@@ -21,10 +21,11 @@
 //!   run is a permanent failure (a rerun of the same pure job would
 //!   reproduce it), streamed as [`JobEvent::Failed`] and, under
 //!   [`BatchOptions::fail_fast`], cancelling the rest of the batch;
-//! * settled rows stream into an atomic [`Checkpoint`] keyed by job
-//!   content, and a resumed batch splices those rows back **byte for
-//!   byte** while scheduling only the remainder: an executed row and a
-//!   restored one take the same path into the report;
+//! * a [`Checkpoint`] journal keyed by job content is both the resume
+//!   source and the append target: rows it already holds are spliced back
+//!   **byte for byte** and only the remainder is scheduled, and each row
+//!   this batch settles is appended by its worker as one line. An executed
+//!   row and a restored one take the same path into the report;
 //! * a batch-wide declared-memory budget admits oversized jobs at reduced
 //!   budget ([`JobStatus::Degraded`]) instead of failing them.
 //!
@@ -42,8 +43,6 @@ use crate::pool::{JobCtx, JobEvent, JobPool, JobVerdict};
 use crate::spec::{JobSpec, Manifest};
 use determinacy::multirun::export_value;
 use serde_json::Value;
-use std::path::PathBuf;
-use std::sync::Mutex;
 
 /// How a job resolved at the batch level.
 #[derive(Debug)]
@@ -90,15 +89,10 @@ pub struct BatchOptions {
     /// `fact_rows` is null. Jobs then render no fact rows at all, unless
     /// the batch checkpoints (checkpoint rows always carry them).
     pub no_facts: bool,
-    /// When set, settled rows are checkpointed here (atomically, via
-    /// temp-file + rename) as the batch runs.
-    pub checkpoint_path: Option<PathBuf>,
-    /// Flush the checkpoint every this many settled rows (clamped to at
-    /// least 1; the default 0 means 1 — every row).
-    pub checkpoint_every: u64,
-    /// Rows restored from a previous run: manifest jobs whose content key
-    /// matches are spliced from here and not executed.
-    pub resume: Option<Checkpoint>,
+    /// An open checkpoint journal: manifest jobs whose content key it
+    /// holds are spliced from it and not executed, and every row this
+    /// batch settles is appended to it.
+    pub checkpoint: Option<Checkpoint>,
     /// Batch-wide declared-memory budget (heap cells) for the admission
     /// controller; `None` disables admission control.
     pub mem_budget_cells: Option<u64>,
@@ -107,7 +101,7 @@ pub struct BatchOptions {
     /// `None` (the default) skips the stage and leaves report bytes
     /// unchanged.
     pub pta: Option<PtaStage>,
-    /// Deterministic scheduler chaos (checkpoint truncation); the pool
+    /// Deterministic scheduler chaos (torn checkpoint appends); the pool
     /// carries its own copy for event faults.
     #[cfg(feature = "fault-inject")]
     pub chaos: Option<std::sync::Arc<crate::chaos::SchedulerFaultPlan>>,
@@ -267,42 +261,6 @@ fn set_field(row: &mut Value, key: &str, value: Value) {
     }
 }
 
-/// The streaming checkpoint writer: accumulates settled rows and
-/// periodically publishes them atomically. Save errors are swallowed — a
-/// checkpoint is an optimization, and a full disk must not fail the
-/// campaign it is trying to protect.
-struct CkptWriter {
-    ck: Checkpoint,
-    path: PathBuf,
-    every: u64,
-    inserts: u64,
-    writes: u64,
-    #[cfg(feature = "fault-inject")]
-    chaos: Option<std::sync::Arc<crate::chaos::SchedulerFaultPlan>>,
-}
-
-impl CkptWriter {
-    fn record(&mut self, key: String, row: Value) {
-        self.ck.insert(key, row);
-        self.inserts += 1;
-        if self.inserts.is_multiple_of(self.every) {
-            self.flush();
-        }
-    }
-
-    fn flush(&mut self) {
-        self.writes += 1;
-        #[cfg(feature = "fault-inject")]
-        let truncate = self
-            .chaos
-            .as_ref()
-            .is_some_and(|p| p.truncate_checkpoint(self.writes));
-        #[cfg(not(feature = "fault-inject"))]
-        let truncate = false;
-        let _ = self.ck.save(&self.path, truncate);
-    }
-}
-
 /// Runs every manifest job through the pool with default campaign options
 /// (no checkpointing, no admission control) and aggregates the results in
 /// manifest order.
@@ -326,10 +284,11 @@ pub fn run_manifest_with(manifest: &Manifest, pool: &JobPool, opts: &BatchOption
             )
         })
         .collect();
+    let checkpoint = opts.checkpoint.as_ref();
     let mut records: Vec<Option<JobRecord>> = (0..n).map(|_| None).collect();
     let mut scheduled: Vec<usize> = Vec::new();
     for (i, spec) in manifest.jobs.iter().enumerate() {
-        match opts.resume.as_ref().and_then(|ck| ck.lookup(&keys[i])) {
+        match checkpoint.and_then(|ck| ck.lookup(&keys[i])) {
             Some(row) => {
                 records[i] = Some(record(i, &spec.name, row.clone(), true, opts.no_facts));
             }
@@ -338,30 +297,20 @@ pub fn run_manifest_with(manifest: &Manifest, pool: &JobPool, opts: &BatchOption
     }
 
     let admission = opts.mem_budget_cells.map(AdmissionController::new);
-    let writer: Option<Mutex<CkptWriter>> = opts.checkpoint_path.as_ref().map(|p| {
-        Mutex::new(CkptWriter {
-            // Seed the writer with the resumed rows so the final
-            // checkpoint covers the whole campaign, not just this leg.
-            ck: opts.resume.clone().unwrap_or_default(),
-            path: p.clone(),
-            every: opts.checkpoint_every.max(1),
-            inserts: 0,
-            writes: 0,
-            #[cfg(feature = "fault-inject")]
-            chaos: opts.chaos.clone(),
-        })
-    });
     // Fact rows are rendered only where something keeps them: the report,
     // or the checkpoint (whose rows always carry them).
-    let include_facts = !opts.no_facts || writer.is_some();
+    let include_facts = !opts.no_facts || checkpoint.is_some();
+    #[cfg(feature = "fault-inject")]
+    let appends = std::sync::atomic::AtomicU64::new(0);
 
     let jobs: Vec<(String, _)> = scheduled
         .iter()
         .map(|&i| {
             let spec = manifest.jobs[i].clone();
-            let key = keys[i].clone();
+            let key = &keys[i];
             let admission = &admission;
-            let writer = &writer;
+            #[cfg(feature = "fault-inject")]
+            let appends = &appends;
             let fail_fast = opts.fail_fast;
             let pta = opts.pta;
             let job = move |ctx: &JobCtx| -> Value {
@@ -389,12 +338,19 @@ pub fn run_manifest_with(manifest: &Manifest, pool: &JobPool, opts: &BatchOption
                 }
                 if let Some(error) = permanent_failure(&row) {
                     ctx.fail(error);
-                } else if let Some(w) = writer {
+                } else if let Some(ck) = checkpoint {
                     // The row is settled — its bytes are final — so it is
                     // safe to checkpoint. Rows carrying failures are left
                     // out: a resume should rerun them.
                     if failures(&row).is_empty() {
-                        w.lock().unwrap().record(key.clone(), row.clone());
+                        #[cfg(feature = "fault-inject")]
+                        let torn = opts.chaos.as_ref().is_some_and(|p| {
+                            let nth = appends.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            p.truncate_checkpoint(nth + 1)
+                        });
+                        #[cfg(not(feature = "fault-inject"))]
+                        let torn = false;
+                        ck.append(key, &row, torn);
                     }
                 }
                 row
@@ -411,9 +367,6 @@ pub fn run_manifest_with(manifest: &Manifest, pool: &JobPool, opts: &BatchOption
             JobVerdict::Cancelled => bare_row(name, &JobStatus::Cancelled),
         };
         records[slot] = Some(record(slot, name, row, false, opts.no_facts));
-    }
-    if let Some(w) = &writer {
-        w.lock().unwrap().flush();
     }
     BatchOutcome {
         jobs: records

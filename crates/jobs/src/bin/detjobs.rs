@@ -6,13 +6,13 @@
 //! $ detjobs --manifest batch.json --workers 8 --report out.json
 //! $ detjobs --dir examples/js --workers 4
 //! $ detjobs --suite all --workers 8 --no-facts --report corpus.json
-//! $ detjobs --manifest batch.json --checkpoint ck.json --fail-fast
-//! $ detjobs --manifest batch.json --resume ck.json --report out.json
+//! $ detjobs --manifest batch.json --checkpoint ck.jsonl --report out.json
 //! ```
 //!
 //! The report bytes depend only on the manifest and the analysis
 //! semantics — `--workers 1` and `--workers 8` produce identical output,
-//! as do a degraded run and an interrupted run resumed with `--resume`.
+//! as do a degraded run and an interrupted run rerun with the same
+//! `--checkpoint`, which resumes it.
 //! Each job runs once: an analysis is a pure function of its inputs, so
 //! a rerun would only reproduce a failure.
 //!
@@ -37,9 +37,6 @@ struct Options {
     lint: bool,
     fail_fast: bool,
     checkpoint: Option<String>,
-    checkpoint_every: u64,
-    checkpoint_every_set: bool,
-    resume: Option<String>,
     mem_budget: Option<u64>,
     stats: Option<String>,
     pta_budget: Option<u64>,
@@ -54,8 +51,8 @@ fn usage(problem: &str) -> ! {
         "usage: detjobs (--manifest FILE | --dir DIR | --suite jquery|evalbench|all)\n\
          \x20              [--workers N] [--report FILE] [--no-facts] [--quiet]\n\
          \x20              [--fail-fast] [--mem-budget CELLS]\n\
-         \x20              [--checkpoint FILE] [--checkpoint-every N] [--resume FILE]\n\
-         \x20              [--stats FILE] [--pta-budget N] [--spec-depth N]\n\
+         \x20              [--checkpoint FILE] [--stats FILE]\n\
+         \x20              [--pta-budget N] [--spec-depth N]\n\
          \n\
          \x20 --manifest FILE    JSON job manifest (see DESIGN.md §5c for the format)\n\
          \x20 --dir DIR          one default job per *.js file, sorted by name\n\
@@ -67,10 +64,10 @@ fn usage(problem: &str) -> ! {
          \x20 --lint             validate each job's lowered IR before running\n\
          \x20 --fail-fast        cancel the batch on the first failed job\n\
          \x20 --mem-budget CELLS batch-wide declared-memory admission budget\n\
-         \x20 --checkpoint FILE  stream settled rows to an atomic checkpoint\n\
-         \x20 --checkpoint-every N  flush the checkpoint every N rows (default 1)\n\
-         \x20 --resume FILE      splice completed rows from a checkpoint and\n\
-         \x20                    run only the remainder (report stays byte-identical)\n\
+         \x20 --checkpoint FILE  append-only journal of settled rows: rows it\n\
+         \x20                    already holds are spliced back and not rerun\n\
+         \x20                    (the report stays byte-identical), and each\n\
+         \x20                    newly settled row is appended\n\
          \x20 --stats FILE       write restored/degraded/failure counters as JSON\n\
          \x20 --pta-budget N     additionally run a budgeted pointer-analysis\n\
          \x20                    solve per job; each report row gains a `pta`\n\
@@ -103,9 +100,6 @@ fn parse_args() -> Options {
         lint: false,
         fail_fast: false,
         checkpoint: None,
-        checkpoint_every: 1,
-        checkpoint_every_set: false,
-        resume: None,
         mem_budget: None,
         stats: None,
         pta_budget: None,
@@ -147,12 +141,6 @@ fn parse_args() -> Options {
                 o.mem_budget = Some(parse_num(&v, "--mem-budget"));
             }
             "--checkpoint" => o.checkpoint = Some(value(&args, &mut i, "--checkpoint")),
-            "--checkpoint-every" => {
-                let v = value(&args, &mut i, "--checkpoint-every");
-                o.checkpoint_every = parse_num(&v, "--checkpoint-every");
-                o.checkpoint_every_set = true;
-            }
-            "--resume" => o.resume = Some(value(&args, &mut i, "--resume")),
             "--stats" => o.stats = Some(value(&args, &mut i, "--stats")),
             "--pta-budget" => {
                 let v = value(&args, &mut i, "--pta-budget");
@@ -177,17 +165,6 @@ fn parse_args() -> Options {
     }
     if o.spec_depth.is_some() && o.pta_budget.is_none() {
         usage("--spec-depth only affects the PTA stage; it requires --pta-budget");
-    }
-    if o.checkpoint.is_none() {
-        if o.checkpoint_every_set {
-            eprintln!("detjobs: warning: --checkpoint-every has no effect without --checkpoint");
-        }
-        if o.resume.is_some() {
-            eprintln!(
-                "detjobs: warning: --resume without --checkpoint: rows settled in this \
-                 run will not be checkpointed, so a second interruption reruns them"
-            );
-        }
     }
     o
 }
@@ -252,19 +229,21 @@ fn main() {
     }
     eprintln!("detjobs: {total} jobs on {} workers", o.workers);
 
-    let resume = o
-        .resume
-        .as_ref()
-        .map(|path| match Checkpoint::load(std::path::Path::new(path)) {
-            Ok(ck) => {
-                eprintln!("detjobs: resuming from {path} ({} settled rows)", ck.len());
-                ck
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        });
+    let checkpoint =
+        o.checkpoint
+            .as_ref()
+            .map(|path| match Checkpoint::open(std::path::Path::new(path)) {
+                Ok(ck) => {
+                    if !ck.is_empty() {
+                        eprintln!("detjobs: resuming from {path} ({} settled rows)", ck.len());
+                    }
+                    ck
+                }
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    std::process::exit(1);
+                }
+            });
 
     let (tx, rx) = channel();
     let pool = JobPool::new(o.workers).with_events(tx);
@@ -311,9 +290,7 @@ fn main() {
     let opts = BatchOptions {
         fail_fast: o.fail_fast,
         no_facts: o.no_facts,
-        checkpoint_path: o.checkpoint.as_ref().map(std::path::PathBuf::from),
-        checkpoint_every: o.checkpoint_every,
-        resume,
+        checkpoint,
         mem_budget_cells: o.mem_budget,
         pta: o.pta_budget.map(|budget| PtaStage {
             budget,

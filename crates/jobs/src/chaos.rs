@@ -4,7 +4,7 @@
 //! The core crate's `FaultPlan` injects faults *inside* one analysis run
 //! (native panics, allocation failures). This plan injects faults in the
 //! *scheduler* around runs: it drops or delays progress-event sends and
-//! truncates checkpoint writes. Every decision is a pure function of
+//! tears checkpoint appends. Every decision is a pure function of
 //! `(seed, coordinates)` — the same plan replays the same faults — so the
 //! chaos equivalence suite can assert the headline invariant: under any
 //! fault schedule, the final batch report is byte-identical to the
@@ -36,9 +36,11 @@ pub struct SchedulerFaultPlan {
     pub delay_event_pct: u8,
     /// Delay duration for delayed events, in milliseconds.
     pub delay_event_ms: u64,
-    /// Truncate every nth checkpoint write mid-file (simulates a crash
-    /// during the temp-file write; the atomic rename must never publish
-    /// the torn file). `None` disables truncation.
+    /// Tear every nth checkpoint append: write the first half of the row's
+    /// line and no newline, as a crash mid-append would. Reopening the
+    /// journal skips the torn line, so its row reruns. A real crash ends
+    /// the process there; this one keeps appending, so the next row lands
+    /// on the torn line and is lost with it. `None` disables tearing.
     pub truncate_checkpoint_every: Option<u64>,
 }
 
@@ -67,8 +69,7 @@ impl SchedulerFaultPlan {
         EventFate::Deliver
     }
 
-    /// Whether the `n`th checkpoint write (1-indexed) is truncated
-    /// mid-file.
+    /// Whether the `n`th checkpoint append (1-indexed) is torn.
     pub fn truncate_checkpoint(&self, n: u64) -> bool {
         match self.truncate_checkpoint_every {
             Some(every) if every > 0 => n.is_multiple_of(every),

@@ -18,6 +18,9 @@
 //!   (statuses, failures, fact counts and the sorted fact export), in
 //!   manifest order, so the JSON report is **byte-identical regardless
 //!   of worker count**;
+//! * [`Checkpoint`] — an append-only journal of settled report rows,
+//!   keyed by job content, that a batch both resumes from and appends
+//!   to, so a killed campaign reruns only its unsettled jobs;
 //! * [`pipeline`] — the one analysis pipeline (canonical request, stage
 //!   keys, facts row, PTA stage) every front end runs: `detjobs`,
 //!   `detserved` and the `mujs-bench` binaries. Its seeds run through

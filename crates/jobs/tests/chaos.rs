@@ -1,7 +1,7 @@
 //! Scheduler-level chaos: the fault-tolerance headline guarantee.
 //!
 //! For any seed-deterministic [`SchedulerFaultPlan`] (dropped/delayed
-//! events, truncated checkpoint writes), the final batch report must be
+//! events, torn checkpoint appends), the final batch report must be
 //! **byte-identical** to the fault-free run — at any worker count. CI
 //! runs this suite across a worker-count × fault-seed matrix; on
 //! divergence the offending reports are written under
@@ -111,34 +111,30 @@ fn retryable_fault_schedules_leave_the_report_byte_identical() {
     }
 }
 
-/// Injected checkpoint truncation (a crash during the temp-file write)
-/// never publishes a torn file, and resuming from whatever generation
-/// survived reproduces the baseline bytes.
+/// Injected torn appends (a crash mid-append) cost only the rows on the
+/// torn lines: reopening the same journal restores the rest, and the
+/// resumed report reproduces the baseline bytes.
 #[test]
-fn truncated_checkpoint_writes_stay_atomic_and_resumable() {
+fn torn_checkpoint_appends_reopen_and_resume() {
     let m = chaos_manifest();
     let baseline = run_chaos(&m, 2, None, |_| {}).report_json();
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("chaos-ckpt");
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    let ckpt = dir.join("ck.json");
+    let ckpt = dir.join("ck.jsonl");
+    let journal = || Some(Checkpoint::open(&ckpt).expect("torn journal reopens"));
     let plan = Arc::new(SchedulerFaultPlan {
         drop_event_pct: 0, // isolate the checkpoint fault
         delay_event_pct: 0,
         truncate_checkpoint_every: Some(2),
         ..SchedulerFaultPlan::from_seed(9)
     });
-    let first = run_chaos(&m, 2, Some(plan), |o| {
-        o.checkpoint_path = Some(ckpt.clone());
-        o.checkpoint_every = 1;
-    });
+    let first = run_chaos(&m, 2, Some(plan), |o| o.checkpoint = journal());
     assert_identical(&baseline, &first.report_json(), "ckpt-truncation-run");
-    // Every other write was torn mid-file, but publication is atomic: the
-    // file on disk is always a complete earlier generation.
-    let ck = Checkpoint::load(&ckpt).expect("published checkpoint parses");
-    assert!(!ck.is_empty());
-    let resumed = run_chaos(&m, 2, None, |o| o.resume = Some(ck));
+    let resumed = run_chaos(&m, 2, None, |o| o.checkpoint = journal());
     assert_identical(&baseline, &resumed.report_json(), "ckpt-truncation-resume");
     let restored = resumed.jobs.iter().filter(|j| j.restored).count();
     assert!(restored > 0, "resume must splice at least one settled row");
+    assert!(restored < m.jobs.len(), "torn rows must rerun");
     std::fs::remove_dir_all(&dir).ok();
 }

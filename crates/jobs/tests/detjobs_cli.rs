@@ -1,5 +1,5 @@
 //! End-to-end `detjobs` binary checks: exit codes for CI gating, the
-//! checkpoint/resume flags producing byte-identical reports, and per-run
+//! checkpoint journal resuming into byte-identical reports, and per-run
 //! deadlines that complete a job rather than fail it.
 
 use serde_json::Value;
@@ -10,8 +10,11 @@ fn detjobs() -> Command {
     Command::new(env!("CARGO_BIN_EXE_detjobs"))
 }
 
+/// A fresh, empty directory: a journal left by an earlier run would be
+/// resumed.
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(tag);
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -97,7 +100,7 @@ fn fail_fast_still_exits_nonzero() {
 fn checkpoint_then_resume_reproduces_the_report_bytes() {
     let dir = tmp_dir("cli-resume");
     let manifest = write_manifest(&dir, "m.json", HEALTHY);
-    let ckpt = dir.join("ck.json");
+    let ckpt = dir.join("ck.jsonl");
     let r1 = dir.join("r1.json");
     let r2 = dir.join("r2.json");
     let stats = dir.join("stats.json");
@@ -115,12 +118,13 @@ fn checkpoint_then_resume_reproduces_the_report_bytes() {
         .output()
         .expect("run detjobs");
     assert!(first.status.success());
+    let journal = std::fs::read(&ckpt).unwrap();
 
     let second = detjobs()
         .args([
             "--manifest",
             manifest.to_str().unwrap(),
-            "--resume",
+            "--checkpoint",
             ckpt.to_str().unwrap(),
             "--report",
             r2.to_str().unwrap(),
@@ -141,6 +145,7 @@ fn checkpoint_then_resume_reproduces_the_report_bytes() {
     let stats_text = std::fs::read_to_string(&stats).unwrap();
     assert!(stats_text.contains("\"jobs\": 2"), "{stats_text}");
     assert!(stats_text.contains("\"restored\": 2"), "{stats_text}");
+    assert_eq!(std::fs::read(&ckpt).unwrap(), journal, "nothing to append");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -150,7 +155,7 @@ fn checkpoint_then_resume_reproduces_the_report_bytes() {
 fn no_facts_checkpoints_resume_into_full_reports() {
     let dir = tmp_dir("cli-no-facts-resume");
     let manifest = write_manifest(&dir, "m.json", HEALTHY);
-    let ckpt = dir.join("ck.json");
+    let ckpt = dir.join("ck.jsonl");
     let run = |extra: &[&str], report: &Path| {
         let out = detjobs()
             .args(["--manifest", manifest.to_str().unwrap(), "--quiet"])
@@ -170,102 +175,41 @@ fn no_facts_checkpoints_resume_into_full_reports() {
         &dir.join("r1.json"),
     );
     assert!(String::from_utf8_lossy(&first).contains("\"fact_rows\": null"));
-    let resumed = run(&["--resume", ckpt.to_str().unwrap()], &dir.join("r2.json"));
+    let resumed = run(
+        &["--checkpoint", ckpt.to_str().unwrap()],
+        &dir.join("r2.json"),
+    );
     let plain = run(&[], &dir.join("r3.json"));
     assert!(!String::from_utf8_lossy(&plain).contains("\"fact_rows\": null"));
     assert_eq!(resumed, plain, "resumed report must be byte-identical");
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A checkpoint that cannot be used stops the batch before any job starts
+/// and is left as it was: a version-1 (whole-document) checkpoint, and a
+/// path whose directory does not exist.
 #[test]
-fn orphaned_checkpoint_flags_warn_instead_of_silently_ignoring() {
-    let dir = tmp_dir("cli-warn");
+fn unusable_checkpoints_exit_before_any_job_starts() {
+    let dir = tmp_dir("cli-bad-ckpt");
     let manifest = write_manifest(&dir, "m.json", HEALTHY);
-
-    // --checkpoint-every without --checkpoint: warns, still runs.
-    let out = detjobs()
-        .args([
-            "--manifest",
-            manifest.to_str().unwrap(),
-            "--checkpoint-every",
-            "5",
-            "--quiet",
-            "--report",
-            dir.join("r1.json").to_str().unwrap(),
-        ])
-        .output()
-        .expect("run detjobs");
-    assert!(out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("warning: --checkpoint-every has no effect without --checkpoint"),
-        "{stderr}"
-    );
-
-    // --resume without --checkpoint: warns that this leg is unprotected.
-    let ckpt = dir.join("ck.json");
-    let seeded = detjobs()
-        .args([
-            "--manifest",
-            manifest.to_str().unwrap(),
-            "--checkpoint",
-            ckpt.to_str().unwrap(),
-            "--quiet",
-            "--report",
-            dir.join("r2.json").to_str().unwrap(),
-        ])
-        .output()
-        .expect("run detjobs");
-    assert!(seeded.status.success());
-    let resumed = detjobs()
-        .args([
-            "--manifest",
-            manifest.to_str().unwrap(),
-            "--resume",
-            ckpt.to_str().unwrap(),
-            "--quiet",
-            "--report",
-            dir.join("r3.json").to_str().unwrap(),
-        ])
-        .output()
-        .expect("run detjobs");
-    assert!(resumed.status.success());
-    let stderr = String::from_utf8_lossy(&resumed.stderr);
-    assert!(
-        stderr.contains("warning: --resume without --checkpoint"),
-        "{stderr}"
-    );
-
-    // The fully-specified spelling stays warning-free.
-    let clean = detjobs()
-        .args([
-            "--manifest",
-            manifest.to_str().unwrap(),
-            "--checkpoint",
-            ckpt.to_str().unwrap(),
-            "--checkpoint-every",
-            "5",
-            "--resume",
-            ckpt.to_str().unwrap(),
-            "--quiet",
-            "--report",
-            dir.join("r4.json").to_str().unwrap(),
-        ])
-        .output()
-        .expect("run detjobs");
-    assert!(clean.status.success());
-    assert!(
-        !String::from_utf8_lossy(&clean.stderr).contains("warning:"),
-        "{}",
-        String::from_utf8_lossy(&clean.stderr)
-    );
-
-    // --help documents the exit-code contract.
-    let help = detjobs().arg("--help").output().expect("run detjobs");
-    assert_eq!(help.status.code(), Some(2));
-    let text = String::from_utf8_lossy(&help.stderr);
-    assert!(text.contains("exit status:"), "{text}");
-    assert!(text.contains("2  usage errors"), "{text}");
+    let v1 = dir.join("v1.json");
+    let v1_bytes = "{\n  \"version\": 1,\n  \"rows\": []\n}";
+    std::fs::write(&v1, v1_bytes).unwrap();
+    let missing = dir.join("no-such-dir").join("ck.jsonl");
+    for ckpt in [&v1, &missing] {
+        let out = detjobs()
+            .args(["--manifest", manifest.to_str().unwrap()])
+            .args(["--checkpoint", ckpt.to_str().unwrap()])
+            .output()
+            .expect("run detjobs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains("error: checkpoint"), "{stderr}");
+        assert!(!stderr.contains("started"), "{stderr}");
+        assert!(out.stdout.is_empty());
+    }
+    assert_eq!(std::fs::read_to_string(&v1).unwrap(), v1_bytes);
+    assert!(!missing.parent().unwrap().exists());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -311,8 +255,8 @@ fn per_run_deadlines_complete_a_multi_seed_job() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Jobs run once, with no retry or watchdog knobs: the old flags are
-/// unknown arguments.
+/// Jobs run once, with no retry or watchdog knobs, and `--checkpoint` is
+/// the one checkpoint flag: the old flags are unknown arguments.
 #[test]
 fn retry_and_watchdog_flags_are_usage_errors() {
     let dir = tmp_dir("cli-removed-flags");
@@ -321,6 +265,8 @@ fn retry_and_watchdog_flags_are_usage_errors() {
         ("--retries", "2"),
         ("--backoff-ms", "5"),
         ("--watchdog-grace", "100"),
+        ("--resume", "ck.json"),
+        ("--checkpoint-every", "5"),
     ] {
         let out = detjobs()
             .args(["--manifest", manifest.to_str().unwrap(), flag, value])
@@ -332,5 +278,12 @@ fn retry_and_watchdog_flags_are_usage_errors() {
             "{flag}"
         );
     }
+
+    // --help documents the exit-code contract.
+    let help = detjobs().arg("--help").output().expect("run detjobs");
+    assert_eq!(help.status.code(), Some(2));
+    let text = String::from_utf8_lossy(&help.stderr);
+    assert!(text.contains("exit status:"), "{text}");
+    assert!(text.contains("2  usage errors"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }

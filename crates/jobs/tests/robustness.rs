@@ -1,4 +1,5 @@
-//! Campaign robustness: checkpoint/resume byte-identity, admission-driven
+//! Campaign robustness: checkpoint/resume byte-identity, checkpoint
+//! journals as untrusted input, admission-driven
 //! degradation, fail-fast semantics, listener teardown, and the
 //! determinism of the hardened batch path — all without fault injection
 //! (the chaos suite layers that on).
@@ -9,7 +10,7 @@ use mujs_jobs::{
     JobStatus, Manifest, PtaMode, PtaStage, StageKeys,
 };
 use serde_json::Value;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc::channel;
 
 fn small_manifest() -> Manifest {
@@ -46,10 +47,30 @@ fn runs(row: &Value) -> &[Value] {
     row["run_statuses"].as_array().unwrap()
 }
 
+/// A fresh, empty directory: a journal left by an earlier run would be
+/// resumed.
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(tag);
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// The checkpoint journal at `path`, opened (or created) for a batch.
+fn journal(path: &Path) -> Option<Checkpoint> {
+    Some(Checkpoint::open(path).expect("checkpoint opens"))
+}
+
+/// The labels of the jobs a batch started.
+fn started(events: impl Iterator<Item = JobEvent>) -> Vec<String> {
+    let mut started: Vec<String> = events
+        .filter_map(|e| match e {
+            JobEvent::Started { label, .. } => Some(label),
+            _ => None,
+        })
+        .collect();
+    started.sort();
+    started
 }
 
 /// The hardened path with default options is the plain path: same bytes.
@@ -68,26 +89,25 @@ fn hardened_batches_stay_schedule_independent() {
     let m = small_manifest();
     let dir = tmp_dir("robustness-sched");
     let mk_opts = |ck: PathBuf| BatchOptions {
-        checkpoint_path: Some(ck),
-        checkpoint_every: 1,
+        checkpoint: journal(&ck),
         ..Default::default()
     };
-    let one = run_manifest_with(&m, &JobPool::new(1), &mk_opts(dir.join("w1.json")));
-    let many = run_manifest_with(&m, &JobPool::new(8), &mk_opts(dir.join("w8.json")));
+    let one = run_manifest_with(&m, &JobPool::new(1), &mk_opts(dir.join("w1.jsonl")));
+    let many = run_manifest_with(&m, &JobPool::new(8), &mk_opts(dir.join("w8.jsonl")));
     assert_eq!(one.report_json(), many.report_json());
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Interrupt/resume byte-identity (the acceptance criterion): a run over a
 /// *prefix* of the manifest — exactly what an interrupted campaign leaves
-/// behind — checkpoints its settled rows; resuming the full manifest from
-/// that checkpoint reproduces the uninterrupted report byte for byte,
+/// behind — checkpoints its settled rows; rerunning the full manifest on
+/// the same journal reproduces the uninterrupted report byte for byte,
 /// without re-executing the completed jobs (they are restored, not run).
 #[test]
 fn resumed_batches_are_byte_identical_without_reexecution() {
     let full = small_manifest();
     let dir = tmp_dir("robustness-resume");
-    let ckpt = dir.join("ck.json");
+    let ckpt = dir.join("ck.jsonl");
 
     let uninterrupted = run_manifest_with(&full, &JobPool::new(2), &BatchOptions::default());
     let baseline = uninterrupted.report_json();
@@ -98,20 +118,22 @@ fn resumed_batches_are_byte_identical_without_reexecution() {
         &prefix,
         &JobPool::new(2),
         &BatchOptions {
-            checkpoint_path: Some(ckpt.clone()),
-            checkpoint_every: 1,
+            checkpoint: journal(&ckpt),
             ..Default::default()
         },
     );
+    // The facts-off leg below resumes from this same 2-row prefix.
+    let prefix_ckpt = dir.join("prefix.jsonl");
+    std::fs::copy(&ckpt, &prefix_ckpt).unwrap();
 
-    let ck = Checkpoint::load(&ckpt).expect("checkpoint parses");
-    assert_eq!(ck.len(), 2);
+    let ck = journal(&ckpt);
+    assert_eq!(ck.as_ref().map(Checkpoint::len), Some(2));
     let (tx, rx) = channel();
     let resumed = run_manifest_with(
         &full,
         &JobPool::new(2).with_events(tx),
         &BatchOptions {
-            resume: Some(ck.clone()),
+            checkpoint: ck,
             ..Default::default()
         },
     );
@@ -124,22 +146,16 @@ fn resumed_batches_are_byte_identical_without_reexecution() {
         assert!(!j.restored);
         assert!(!runs(&j.row).is_empty(), "{} must actually run", j.name);
     }
-    let mut started: Vec<String> = rx
-        .try_iter()
-        .filter_map(|e| match e {
-            JobEvent::Started { label, .. } => Some(label),
-            _ => None,
-        })
-        .collect();
-    started.sort();
     assert_eq!(
-        started,
+        started(rx.try_iter()),
         ["calls", "strings"],
         "restored jobs must not re-execute"
     );
     assert!(resumed.stats_json().contains("\"restored\": 2"));
 
-    // Facts-off reports agree too (the splice strips stored fact rows).
+    // Facts-off reports agree too: the spliced rows' stored fact rows are
+    // stripped, and the executed rows (rendered with facts for the
+    // journal) are nulled.
     let no_facts = || BatchOptions {
         no_facts: true,
         ..Default::default()
@@ -148,10 +164,13 @@ fn resumed_batches_are_byte_identical_without_reexecution() {
         &full,
         &JobPool::new(2),
         &BatchOptions {
-            resume: Some(ck),
+            checkpoint: journal(&prefix_ckpt),
             ..no_facts()
         },
     );
+    for (i, j) in resumed.jobs.iter().enumerate() {
+        assert_eq!(j.restored, i < 2, "{}", j.name);
+    }
     let uninterrupted = run_manifest_with(&full, &JobPool::new(2), &no_facts());
     assert_eq!(uninterrupted.report_json(), resumed.report_json());
     std::fs::remove_dir_all(&dir).ok();
@@ -172,24 +191,18 @@ fn renamed_jobs_resume_to_the_bytes_of_an_uninterrupted_run() {
         ..JobSpec::new(name, "var o = {}; o[document.title] = 1;")
     };
     let dir = tmp_dir("robustness-rename");
-    let ckpt = dir.join("ck.json");
+    let ckpt = dir.join("ck.jsonl");
+    let opts = || BatchOptions {
+        checkpoint: journal(&ckpt),
+        ..Default::default()
+    };
     run_manifest_with(
         &Manifest::new(vec![job("alpha")]),
         &JobPool::new(1),
-        &BatchOptions {
-            checkpoint_path: Some(ckpt.clone()),
-            ..Default::default()
-        },
+        &opts(),
     );
     let renamed = Manifest::new(vec![job("beta")]);
-    let resumed = run_manifest_with(
-        &renamed,
-        &JobPool::new(1),
-        &BatchOptions {
-            resume: Some(Checkpoint::load(&ckpt).unwrap()),
-            ..Default::default()
-        },
-    );
+    let resumed = run_manifest_with(&renamed, &JobPool::new(1), &opts());
     assert!(resumed.jobs[0].restored, "same content, same key");
     let uninterrupted = run_manifest(&renamed, &JobPool::new(1)).report_json();
     assert!(
@@ -214,26 +227,16 @@ fn renamed_jobs_resume_to_the_bytes_of_an_uninterrupted_run() {
 fn stale_checkpoint_rows_miss_on_content_change() {
     let m = small_manifest();
     let dir = tmp_dir("robustness-stale");
-    let ckpt = dir.join("ck.json");
-    run_manifest_with(
-        &m,
-        &JobPool::new(2),
-        &BatchOptions {
-            checkpoint_path: Some(ckpt.clone()),
-            ..Default::default()
-        },
-    );
+    let ckpt = dir.join("ck.jsonl");
+    let opts = || BatchOptions {
+        checkpoint: journal(&ckpt),
+        ..Default::default()
+    };
+    run_manifest_with(&m, &JobPool::new(2), &opts());
     let mut edited = m.clone();
     edited.jobs[1].src = "var x = 999;".to_owned();
     assert_ne!(key(&m.jobs[1], None), key(&edited.jobs[1], None));
-    let resumed = run_manifest_with(
-        &edited,
-        &JobPool::new(2),
-        &BatchOptions {
-            resume: Some(Checkpoint::load(&ckpt).unwrap()),
-            ..Default::default()
-        },
-    );
+    let resumed = run_manifest_with(&edited, &JobPool::new(2), &opts());
     assert!(resumed.jobs[0].restored);
     assert!(
         !resumed.jobs[1].restored,
@@ -387,22 +390,14 @@ fn pta_stage_is_deterministic_and_strictly_opt_in() {
 fn pta_rows_resume_from_checkpoints() {
     let m = small_manifest();
     let dir = tmp_dir("robustness-pta-resume");
-    let ckpt = dir.join("ck.json");
+    let ckpt = dir.join("ck.jsonl");
     let mk_opts = || BatchOptions {
         pta: baseline(50_000),
-        checkpoint_path: Some(ckpt.clone()),
+        checkpoint: journal(&ckpt),
         ..Default::default()
     };
     let first = run_manifest_with(&m, &JobPool::new(2), &mk_opts());
-    let resumed = run_manifest_with(
-        &m,
-        &JobPool::new(2),
-        &BatchOptions {
-            resume: Some(Checkpoint::load(&ckpt).unwrap()),
-            pta: baseline(50_000),
-            ..Default::default()
-        },
-    );
+    let resumed = run_manifest_with(&m, &JobPool::new(2), &mk_opts());
     assert!(resumed.jobs.iter().all(|j| j.restored));
     assert_eq!(first.report_json(), resumed.report_json());
     std::fs::remove_dir_all(&dir).ok();
@@ -451,24 +446,108 @@ fn no_facts_reports_null_only_the_fact_rows() {
 fn no_facts_checkpoints_keep_the_fact_rows() {
     let m = small_manifest();
     let dir = tmp_dir("robustness-no-facts-ckpt");
-    let ckpt = dir.join("ck.json");
+    let ckpt = dir.join("ck.jsonl");
     let batch = run_manifest_with(
         &m,
         &JobPool::new(2),
         &BatchOptions {
             no_facts: true,
-            checkpoint_path: Some(ckpt.clone()),
+            checkpoint: journal(&ckpt),
             ..Default::default()
         },
     );
     assert!(batch.jobs.iter().all(|j| j.row["fact_rows"] == Value::Null));
-    let ck = Checkpoint::load(&ckpt).unwrap();
+    let ck = Checkpoint::open(&ckpt).unwrap();
     assert_eq!(ck.len(), m.jobs.len());
     let with = run_manifest(&m, &JobPool::new(2));
     for (spec, j) in m.jobs.iter().zip(&with.jobs) {
         let row = ck.lookup(&key(spec, None)).expect("every job checkpointed");
         assert!(row["fact_rows"].as_array().is_some(), "{}", spec.name);
         assert_eq!(row["fact_rows"], j.row["fact_rows"], "{}", spec.name);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The journal grows by one line per settled row, and a rerun on a
+/// complete journal restores every job, starts none and appends nothing.
+#[test]
+fn journals_grow_one_line_per_row_and_full_reruns_append_nothing() {
+    let m = small_manifest();
+    let dir = tmp_dir("robustness-journal-lines");
+    let ckpt = dir.join("ck.jsonl");
+    let opts = || BatchOptions {
+        checkpoint: journal(&ckpt),
+        ..Default::default()
+    };
+    let fresh = run_manifest_with(&m, &JobPool::new(2), &opts());
+    let bytes = std::fs::read(&ckpt).unwrap();
+    let text = String::from_utf8(bytes.clone()).unwrap();
+    assert_eq!(text.lines().count(), 1 + m.jobs.len());
+    assert!(text.ends_with('\n'));
+
+    let (tx, rx) = channel();
+    let rerun = run_manifest_with(&m, &JobPool::new(2).with_events(tx), &opts());
+    assert!(rerun.jobs.iter().all(|j| j.restored));
+    assert!(started(rx.try_iter()).is_empty(), "no job may start");
+    assert_eq!(fresh.report_json(), rerun.report_json());
+    assert_eq!(
+        std::fs::read(&ckpt).unwrap(),
+        bytes,
+        "a full rerun appends nothing"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint is untrusted input: every byte prefix of a real journal
+/// (what a crash mid-append leaves) opens, holding exactly the rows whose
+/// lines are complete, and a reopened prefix still opens.
+#[test]
+fn every_prefix_of_a_journal_opens_to_its_complete_rows() {
+    let m = Manifest::new(vec![
+        JobSpec::new("one", "var x = 1;"),
+        JobSpec::new("two", "var y = 'b';"),
+    ]);
+    let dir = tmp_dir("robustness-journal-prefix");
+    let ckpt = dir.join("ck.jsonl");
+    let batch = run_manifest_with(
+        &m,
+        &JobPool::new(1),
+        &BatchOptions {
+            checkpoint: journal(&ckpt),
+            ..Default::default()
+        },
+    );
+    let bytes = std::fs::read(&ckpt).unwrap();
+    // Each row line's key and the offset just past its newline.
+    let mut ends = Vec::new();
+    let mut start = 0;
+    for (at, _) in bytes.iter().enumerate().filter(|(_, &b)| b == b'\n') {
+        if start > 0 {
+            let line: Value =
+                serde_json::from_str(std::str::from_utf8(&bytes[start..at]).unwrap()).unwrap();
+            ends.push((line["key"].as_str().unwrap().to_owned(), at + 1));
+        }
+        start = at + 1;
+    }
+    assert_eq!(ends.len(), m.jobs.len());
+    let copy = dir.join("prefix.jsonl");
+    for cut in 0..=bytes.len() {
+        std::fs::write(&copy, &bytes[..cut]).unwrap();
+        let ck = Checkpoint::open(&copy).unwrap_or_else(|e| panic!("prefix {cut}: {e}"));
+        let complete = ends.iter().filter(|(_, end)| *end <= cut).count();
+        assert_eq!(ck.len(), complete, "prefix {cut}");
+        for (k, end) in &ends {
+            match ck.lookup(k) {
+                Some(row) => {
+                    assert!(*end <= cut, "prefix {cut}: torn row restored");
+                    let job = m.jobs.iter().position(|s| key(s, None) == *k).unwrap();
+                    assert_eq!(row["fact_rows"], batch.jobs[job].row["fact_rows"]);
+                }
+                None => assert!(*end > cut, "prefix {cut}: complete row missed"),
+            }
+        }
+        drop(ck);
+        assert!(Checkpoint::open(&copy).is_ok(), "reopened prefix {cut}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,11 +7,12 @@
 //! deterministic bytes, no interior `Rc`s — so entries are safely shared
 //! across connection threads and across daemon restarts.
 //!
-//! Persistence is write-through and best-effort: artifacts land on disk
-//! via the same atomic temp-file + rename discipline as the `mujs-jobs`
-//! checkpoint, and a memory miss falls back to a disk read before
-//! counting as a true miss. A full disk or a torn file never fails a
-//! request — the stage simply recomputes.
+//! Persistence is write-through and best-effort: each artifact is written
+//! to a temp file that is then renamed over its entry, so a crash
+//! mid-write never leaves a torn entry under the real name, and a memory
+//! miss falls back to a disk read before counting as a true miss. A full
+//! disk or an unreadable entry never fails a request — the stage simply
+//! recomputes.
 //!
 //! All counters are monotone atomics exposed through
 //! [`StageCache::stats`]; the service's warm/cold guarantees are asserted

@@ -131,8 +131,9 @@ fn small_batches_are_schedule_independent_end_to_end() {
 
 /// The campaign-hardened path composes end to end across crates: a
 /// checkpointed run over a manifest prefix (an "interrupted" campaign)
-/// resumes into the full manifest with byte-identical output, running
-/// only the remainder, and stats counters on the side.
+/// resumes, from the same checkpoint journal, into the full manifest with
+/// byte-identical output, running only the remainder, and stats counters
+/// on the side.
 #[test]
 fn interrupted_campaigns_resume_byte_identically_end_to_end() {
     let mut jobs = vec![
@@ -149,26 +150,18 @@ fn interrupted_campaigns_resume_byte_identically_end_to_end() {
     let baseline = run_manifest(&full, &JobPool::new(2)).report_json();
 
     let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("root-resume");
+    // A journal left by an earlier run would be resumed.
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
-    let ckpt = dir.join("ck.json");
+    let ckpt = dir.join("ck.jsonl");
+    let opts = || BatchOptions {
+        checkpoint: Some(Checkpoint::open(&ckpt).expect("checkpoint opens")),
+        ..Default::default()
+    };
     let prefix = Manifest::new(full.jobs[..2].to_vec());
-    run_manifest_with(
-        &prefix,
-        &JobPool::new(2),
-        &BatchOptions {
-            checkpoint_path: Some(ckpt.clone()),
-            ..Default::default()
-        },
-    );
+    run_manifest_with(&prefix, &JobPool::new(2), &opts());
     let (tx, rx) = std::sync::mpsc::channel();
-    let resumed = run_manifest_with(
-        &full,
-        &JobPool::new(2).with_events(tx),
-        &BatchOptions {
-            resume: Some(Checkpoint::load(&ckpt).expect("checkpoint parses")),
-            ..Default::default()
-        },
-    );
+    let resumed = run_manifest_with(&full, &JobPool::new(2).with_events(tx), &opts());
     assert_eq!(baseline, resumed.report_json());
     assert!(resumed.jobs[..2].iter().all(|j| j.restored));
     assert!(resumed.jobs[2..].iter().all(|j| !j.restored));
